@@ -44,14 +44,23 @@ let positive_int =
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
 
+(* Applied where it is parsed, before any subcommand runs, so kernels
+   that take no [?pool] (the CV fits) use the requested count too. *)
 let domains =
-  Arg.(
-    value
-    & opt (some positive_int) None
-    & info [ "domains" ]
-        ~doc:
-          "Domains for the parallel arm of the speed comparison (default: \
-           RSM_NUM_DOMAINS or the recommended domain count).")
+  let apply n =
+    Option.iter Parallel.Pool.set_default_domains n;
+    n
+  in
+  Term.(
+    const apply
+    $ Arg.(
+        value
+        & opt (some positive_int) None
+        & info [ "domains" ]
+            ~doc:
+              "Domains for the default pool and the parallel arm of the \
+               speed comparison (default: RSM_NUM_DOMAINS or the \
+               recommended domain count)."))
 
 let cmd_of name doc f =
   Cmd.v (Cmd.info name ~doc) Term.(const f $ quick $ full)

@@ -21,6 +21,16 @@ val solve : Mat.t -> Vec.t -> Vec.t
 val spd_solve : Mat.t -> Vec.t -> Vec.t
 (** [spd_solve a b] factors [a] and solves [a·x = b]. *)
 
+val quad_forms : Mat.t -> Vec.t array -> float array
+(** [quad_forms l zs] is the quadratic form [zᵀ·(L·Lᵀ)⁻¹·z] of every
+    [z] in [zs], each bit for bit equal to [Vec.dot z (solve l z)]. It
+    solves a block of right-hand sides per pass over [l], reading the
+    back substitution from a transposed copy, so both passes stream
+    contiguous rows instead of walking a column of [l] per element.
+    @raise Tri.Singular at the pivot [solve] would stop at.
+    @raise Invalid_argument if [l] is not square or a [z] has the wrong
+    length. *)
+
 val log_det : Mat.t -> float
 (** [log_det l] is [log det(L·Lᵀ) = 2·Σ log lᵢᵢ] for a factor [l]. *)
 

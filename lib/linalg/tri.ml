@@ -9,19 +9,25 @@ let check_rhs name n b =
   if Array.length b <> n then
     invalid_arg ("Tri." ^ name ^ ": right-hand side length mismatch")
 
+(* The solvers index the row-major [.Mat.data] directly: a per-element
+   [Mat.unsafe_get] is a cross-module call returning a boxed float
+   whenever the library is compiled without cross-module inlining. *)
+
 let solve_lower_sub l k b =
   if k < 0 || k > Mat.rows l || k > Mat.cols l then
     invalid_arg "Tri.solve_lower_sub: block size out of range";
   check_rhs "solve_lower_sub" k b;
+  let ld = l.Mat.data and c = Mat.cols l in
   let x = Array.make k 0. in
   for i = 0 to k - 1 do
-    let acc = ref b.(i) in
+    let ri = i * c in
+    let acc = ref (Array.unsafe_get b i) in
     for j = 0 to i - 1 do
-      acc := !acc -. (Mat.unsafe_get l i j *. x.(j))
+      acc := !acc -. (Array.unsafe_get ld (ri + j) *. Array.unsafe_get x j)
     done;
-    let d = Mat.unsafe_get l i i in
+    let d = Array.unsafe_get ld (ri + i) in
     if Float.abs d < eps_pivot then raise (Singular i);
-    x.(i) <- !acc /. d
+    Array.unsafe_set x i (!acc /. d)
   done;
   x
 
@@ -29,15 +35,16 @@ let solve_lower_transposed_sub l k b =
   if k < 0 || k > Mat.rows l || k > Mat.cols l then
     invalid_arg "Tri.solve_lower_transposed_sub: block size out of range";
   check_rhs "solve_lower_transposed_sub" k b;
+  let ld = l.Mat.data and c = Mat.cols l in
   let x = Array.make k 0. in
   for i = k - 1 downto 0 do
-    let acc = ref b.(i) in
+    let acc = ref (Array.unsafe_get b i) in
     for j = i + 1 to k - 1 do
-      acc := !acc -. (Mat.unsafe_get l j i *. x.(j))
+      acc := !acc -. (Array.unsafe_get ld ((j * c) + i) *. Array.unsafe_get x j)
     done;
-    let d = Mat.unsafe_get l i i in
+    let d = Array.unsafe_get ld ((i * c) + i) in
     if Float.abs d < eps_pivot then raise (Singular i);
-    x.(i) <- !acc /. d
+    Array.unsafe_set x i (!acc /. d)
   done;
   x
 
@@ -53,14 +60,16 @@ let solve_upper u b =
   check_square "solve_upper" u;
   let n = Mat.rows u in
   check_rhs "solve_upper" n b;
+  let ud = u.Mat.data in
   let x = Array.make n 0. in
   for i = n - 1 downto 0 do
-    let acc = ref b.(i) in
+    let ri = i * n in
+    let acc = ref (Array.unsafe_get b i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (Mat.unsafe_get u i j *. x.(j))
+      acc := !acc -. (Array.unsafe_get ud (ri + j) *. Array.unsafe_get x j)
     done;
-    let d = Mat.unsafe_get u i i in
+    let d = Array.unsafe_get ud (ri + i) in
     if Float.abs d < eps_pivot then raise (Singular i);
-    x.(i) <- !acc /. d
+    Array.unsafe_set x i (!acc /. d)
   done;
   x

@@ -7,6 +7,10 @@
 exception Singular of int
 (** [Singular i] signals a (near-)zero diagonal pivot at row [i]. *)
 
+val eps_pivot : float
+(** [1e-300]: a pivot with [|d| < eps_pivot] raises [Singular]. Shared
+    with the blocked solves in {!Cholesky.quad_forms}. *)
+
 val solve_lower : Mat.t -> Vec.t -> Vec.t
 (** [solve_lower l b] solves [L·x = b] by forward substitution. *)
 

@@ -122,6 +122,59 @@ let chi2_quantile ~dof p =
 
 let shrinkage_ladder = [| 0.05; 0.1; 0.2; 0.4; 0.8; 1.0 |]
 
+(* In-place ascending heap sort of finite floats. [Array.sort] hands
+   every comparison boxed floats, which made the per-coordinate medians
+   the screen's largest remaining allocation. *)
+let sort_finite (a : float array) =
+  let sift_down start len =
+    let x = Array.unsafe_get a start in
+    let i = ref start and fin = ref false in
+    while not !fin do
+      let c = (2 * !i) + 1 in
+      if c >= len then fin := true
+      else begin
+        let c =
+          if c + 1 < len && Array.unsafe_get a c < Array.unsafe_get a (c + 1)
+          then c + 1
+          else c
+        in
+        if Array.unsafe_get a c > x then begin
+          Array.unsafe_set a !i (Array.unsafe_get a c);
+          i := c
+        end
+        else fin := true
+      end
+    done;
+    Array.unsafe_set a !i x
+  in
+  let n = Array.length a in
+  for s = (n / 2) - 1 downto 0 do
+    sift_down s n
+  done;
+  for e = n - 1 downto 1 do
+    let t = Array.unsafe_get a 0 in
+    Array.unsafe_set a 0 (Array.unsafe_get a e);
+    Array.unsafe_set a e t;
+    sift_down 0 e
+  done
+
+(* [Stat.Descriptive.median] of finite values, reordering [a] in place.
+   Same sorted values and the same interpolation, so the same median;
+   only the sign of a zero median can differ, and the screen subtracts
+   the center before anything sign-sensitive, so no verdict or
+   distance depends on it. *)
+let median_finite a =
+  sort_finite a;
+  let n = Array.length a in
+  if n = 1 then a.(0)
+  else begin
+    let h = 0.5 *. float_of_int (n - 1) in
+    let lo = int_of_float (Float.floor h) in
+    let hi = min (lo + 1) (n - 1) in
+    let w = h -. float_of_int lo in
+    ((1. -. w) *. a.(lo)) +. (w *. a.(hi))
+  end
+
 let mahalanobis ?(confidence = default_confidence)
     (d : Circuit.Simulator.dataset) =
   if not (confidence > 0. && confidence < 1.) then
@@ -190,34 +243,76 @@ let mahalanobis ?(confidence = default_confidence)
         for r = 0 to nf - 1 do
           coord.(r) <- d.points.(canon.(r)).(j)
         done;
-        let med = Stat.Descriptive.median coord in
+        let med = median_finite coord in
         center.(j) <- med;
         for r = 0 to nf - 1 do
           coord.(r) <- Float.abs (coord.(r) -. med)
         done;
-        let s = mad_consistency *. Stat.Descriptive.median coord in
+        let s = mad_consistency *. median_finite coord in
         (* A spread-free coordinate cannot be standardized; fall back to
            the raw deviation scale so the screen still sees a shift. *)
         scale.(j) <- (if s > 0. then s else 1.)
       done;
-      let standardize i =
-        Array.init dim (fun j -> (d.points.(i).(j) -. center.(j)) /. scale.(j))
-      in
-      let s = Linalg.Mat.create dim dim in
+      (* The numeric core indexes flat float arrays directly: a
+         per-element [Linalg.Mat.get]/[set] is a cross-module call that
+         boxes its float unless the build inlines across modules, and at
+         dim ≈ 600 these loops run ~10⁸ times. The operations and their
+         order are those of the element-wise formulation, so the
+         verdicts and distances are unchanged bit for bit. *)
+      let zrow = Array.make n [||] in
       Array.iter
         (fun i ->
-          let z = standardize i in
-          for a = 0 to dim - 1 do
+          let p = d.points.(i) in
+          let z = Array.make dim 0. in
+          for j = 0 to dim - 1 do
+            Array.unsafe_set z j
+              ((p.(j) -. Array.unsafe_get center j) /. Array.unsafe_get scale j)
+          done;
+          zrow.(i) <- z)
+        finite;
+      (* Lower-triangle scatter, entry (a, b) at [a·dim + b]. Each entry
+         accumulates the rows in canonical order from 0. A block of rows
+         goes through one row of the scatter at a time, so that row
+         stays in cache instead of the whole matrix streaming past per
+         sample, and four rows share each load and store of an entry. *)
+      let s = Array.make (dim * dim) 0. in
+      let block = 16 in
+      let r0 = ref 0 in
+      while !r0 < nf do
+        let r1 = min nf (!r0 + block) in
+        for a = 0 to dim - 1 do
+          let ra = a * dim in
+          let r = ref !r0 in
+          while !r + 4 <= r1 do
+            let z0 = zrow.(canon.(!r)) and z1 = zrow.(canon.(!r + 1)) in
+            let z2 = zrow.(canon.(!r + 2)) and z3 = zrow.(canon.(!r + 3)) in
+            let za0 = Array.unsafe_get z0 a and za1 = Array.unsafe_get z1 a in
+            let za2 = Array.unsafe_get z2 a and za3 = Array.unsafe_get z3 a in
             for b = 0 to a do
-              Linalg.Mat.set s a b
-                (Linalg.Mat.get s a b +. (z.(a) *. z.(b)))
-            done
-          done)
-        canon;
+              let v = Array.unsafe_get s (ra + b) +. (za0 *. Array.unsafe_get z0 b) in
+              let v = v +. (za1 *. Array.unsafe_get z1 b) in
+              let v = v +. (za2 *. Array.unsafe_get z2 b) in
+              Array.unsafe_set s (ra + b) (v +. (za3 *. Array.unsafe_get z3 b))
+            done;
+            r := !r + 4
+          done;
+          while !r < r1 do
+            let z = zrow.(canon.(!r)) in
+            let za = Array.unsafe_get z a in
+            for b = 0 to a do
+              Array.unsafe_set s (ra + b)
+                (Array.unsafe_get s (ra + b) +. (za *. Array.unsafe_get z b))
+            done;
+            incr r
+          done
+        done;
+        r0 := r1
+      done;
       let inv_n = 1. /. float_of_int nf in
       for a = 0 to dim - 1 do
+        let ra = a * dim in
         for b = 0 to a do
-          Linalg.Mat.set s a b (Linalg.Mat.get s a b *. inv_n)
+          Array.unsafe_set s (ra + b) (Array.unsafe_get s (ra + b) *. inv_n)
         done
       done;
       (* Shrink toward the identity until the factor exists: the MAD
@@ -227,13 +322,15 @@ let mahalanobis ?(confidence = default_confidence)
          z-scores rather than failing. *)
       let rec factor_at idx =
         let gamma = shrinkage_ladder.(idx) in
-        let sg =
-          Linalg.Mat.init dim dim (fun a b ->
-              if a < b then 0.
-              else
-                let v = (1. -. gamma) *. Linalg.Mat.get s a b in
-                if a = b then v +. gamma else v)
-        in
+        let sg = Linalg.Mat.create dim dim in
+        let gd = sg.Linalg.Mat.data in
+        for a = 0 to dim - 1 do
+          let ra = a * dim in
+          for b = 0 to a do
+            let v = (1. -. gamma) *. Array.unsafe_get s (ra + b) in
+            Array.unsafe_set gd (ra + b) (if a = b then v +. gamma else v)
+          done
+        done;
         match Linalg.Cholesky.factor sg with
         | l -> (l, gamma)
         | exception Linalg.Cholesky.Not_positive_definite _
@@ -241,11 +338,11 @@ let mahalanobis ?(confidence = default_confidence)
             factor_at (idx + 1)
       in
       let l, gamma = factor_at 0 in
+      let q = Linalg.Cholesky.quad_forms l (Array.map (fun i -> zrow.(i)) finite) in
       let kept = ref [] in
       for r = nf - 1 downto 0 do
         let i = finite.(r) in
-        let z = standardize i in
-        let dist = sqrt (Linalg.Vec.dot z (Linalg.Cholesky.solve l z)) in
+        let dist = sqrt q.(r) in
         if dist > threshold then dropped := (i, Far_point dist) :: !dropped
         else kept := i :: !kept
       done;

@@ -8,6 +8,7 @@ let () =
       Test_vec.suite;
       Test_mat.suite;
       Test_factor.suite;
+      Test_kernels.suite;
       Test_randkit.suite;
       Test_stat.suite;
       Test_polybasis.suite;

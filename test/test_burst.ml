@@ -543,6 +543,237 @@ let test_burst_cv_resume_bitwise () =
       check_bool "burst-trained sweep resumes bitwise" true
         (fingerprint resumed = fingerprint full))
 
+(* --- Point-screen oracle ---------------------------------------------- *)
+
+(* The element-wise point screen the library's version replaced, kept as
+   the oracle: every [Mat.get]/[set] per entry, [standardize] run twice
+   per row, and the reference Cholesky kernels. The library must return
+   the same report bit for bit. *)
+let ref_mahalanobis ?(confidence = Robust.Screen.default_confidence)
+    (d : Simulator.dataset) =
+  let open Robust.Screen in
+  let shrinkage_ladder = [| 0.05; 0.1; 0.2; 0.4; 0.8; 1.0 |] in
+  let n = Array.length d.Simulator.values in
+  let dim = if n > 0 then Array.length d.points.(0) else 0 in
+  let finite_row = Array.make n true in
+  let dropped = ref [] in
+  for i = 0 to n - 1 do
+    if Array.exists (fun x -> not (Float.is_finite x)) d.points.(i) then begin
+      finite_row.(i) <- false;
+      dropped := (i, Non_finite_point) :: !dropped
+    end
+    else if not (Float.is_finite d.values.(i)) then begin
+      finite_row.(i) <- false;
+      dropped := (i, Non_finite_value) :: !dropped
+    end
+  done;
+  let finite = ref [] in
+  for i = n - 1 downto 0 do
+    if finite_row.(i) then finite := i :: !finite
+  done;
+  let finite = Array.of_list !finite in
+  let nf = Array.length finite in
+  if nf = 0 then Error (Robust.Error.Simulation "no finite row")
+  else begin
+    let threshold = sqrt (chi2_quantile ~dof:dim confidence) in
+    let sorted_dropped () =
+      let a = Array.of_list !dropped in
+      Array.sort (fun (i, _) (j, _) -> compare i j) a;
+      a
+    in
+    if nf <= 2 || dim = 0 then
+      Ok
+        ( Simulator.split d finite,
+          {
+            p_total = n;
+            p_kept = finite;
+            p_dropped = sorted_dropped ();
+            p_dim = dim;
+            p_threshold = threshold;
+            p_shrinkage = 1.0;
+          } )
+    else begin
+      let canon = Array.copy finite in
+      Array.sort (fun i j -> compare d.points.(i) d.points.(j)) canon;
+      let coord = Array.make nf 0. in
+      let center = Array.make dim 0. in
+      let scale = Array.make dim 1. in
+      for j = 0 to dim - 1 do
+        for r = 0 to nf - 1 do
+          coord.(r) <- d.points.(canon.(r)).(j)
+        done;
+        let med = Stat.Descriptive.median coord in
+        center.(j) <- med;
+        for r = 0 to nf - 1 do
+          coord.(r) <- Float.abs (coord.(r) -. med)
+        done;
+        let s = mad_consistency *. Stat.Descriptive.median coord in
+        scale.(j) <- (if s > 0. then s else 1.)
+      done;
+      let standardize i =
+        Array.init dim (fun j -> (d.points.(i).(j) -. center.(j)) /. scale.(j))
+      in
+      let s = Linalg.Mat.create dim dim in
+      Array.iter
+        (fun i ->
+          let z = standardize i in
+          for a = 0 to dim - 1 do
+            for b = 0 to a do
+              Linalg.Mat.set s a b (Linalg.Mat.get s a b +. (z.(a) *. z.(b)))
+            done
+          done)
+        canon;
+      let inv_n = 1. /. float_of_int nf in
+      for a = 0 to dim - 1 do
+        for b = 0 to a do
+          Linalg.Mat.set s a b (Linalg.Mat.get s a b *. inv_n)
+        done
+      done;
+      let rec factor_at idx =
+        let gamma = shrinkage_ladder.(idx) in
+        let sg =
+          Linalg.Mat.init dim dim (fun a b ->
+              if a < b then 0.
+              else
+                let v = (1. -. gamma) *. Linalg.Mat.get s a b in
+                if a = b then v +. gamma else v)
+        in
+        match Ref_kernels.factor sg with
+        | l -> (l, gamma)
+        | exception Linalg.Cholesky.Not_positive_definite _
+          when idx + 1 < Array.length shrinkage_ladder ->
+            factor_at (idx + 1)
+      in
+      let l, gamma = factor_at 0 in
+      let kept = ref [] in
+      for r = nf - 1 downto 0 do
+        let i = finite.(r) in
+        let z = standardize i in
+        let dist = sqrt (Linalg.Vec.dot z (Ref_kernels.solve l z)) in
+        if dist > threshold then dropped := (i, Far_point dist) :: !dropped
+        else kept := i :: !kept
+      done;
+      let kept = Array.of_list !kept in
+      Ok
+        ( Simulator.split d kept,
+          {
+            p_total = n;
+            p_kept = kept;
+            p_dropped = sorted_dropped ();
+            p_dim = dim;
+            p_threshold = threshold;
+            p_shrinkage = gamma;
+          } )
+    end
+  end
+
+let same_point_report (a : Robust.Screen.point_report)
+    (b : Robust.Screen.point_report) =
+  let same_bits = Ref_kernels.same_bits in
+  let same_drop (i, why) (j, why') =
+    i = j
+    &&
+    match (why, why') with
+    | Robust.Screen.Far_point x, Robust.Screen.Far_point y -> same_bits x y
+    | Robust.Screen.Far_point _, _ | _, Robust.Screen.Far_point _ -> false
+    | r, r' -> r = r'
+  in
+  a.p_total = b.p_total && a.p_kept = b.p_kept && a.p_dim = b.p_dim
+  && same_bits a.p_threshold b.p_threshold
+  && same_bits a.p_shrinkage b.p_shrinkage
+  && Array.length a.p_dropped = Array.length b.p_dropped
+  && Array.for_all2 same_drop a.p_dropped b.p_dropped
+
+let screen_matches_oracle ?confidence d =
+  match (Robust.Screen.mahalanobis ?confidence d, ref_mahalanobis ?confidence d) with
+  | Ok (kept, r), Ok (kept', r') -> same_point_report r r' && kept = kept'
+  | Error _, Error _ -> true
+  | _ -> false
+
+(* Oracle datasets. [dup] copies a heavy-tailed coordinate (zero MAD,
+   a few rows at 1e15) into its neighbour: the two standardized columns
+   are equal and so large that the shrunk scatter loses positive
+   definiteness in rounding, which pushes the factor past the first
+   rungs of the shrinkage ladder. *)
+let oracle_dataset ~dim ~k ?(zero_mad = false) ?(non_finite = false)
+    ?(far = false) ?(dup = false) seed =
+  let d = gaussian_dataset ~dim ~k seed in
+  let pts = d.Simulator.points in
+  if zero_mad then
+    Array.iteri
+      (fun i p ->
+        if i mod 5 <> 0 then begin
+          p.(0) <- 0.25;
+          p.(dim - 1) <- 0.25
+        end)
+      pts;
+  if dup && dim >= 2 then
+    Array.iteri
+      (fun i p ->
+        p.(0) <- (if i mod 7 = 3 then 1e15 *. float_of_int (i + 1) else 0.);
+        p.(1) <- p.(0))
+      pts;
+  if far then begin
+    pts.(0) <- Array.init dim (fun j -> if j mod 2 = 0 then 60. else -45.);
+    pts.(k / 2) <- Array.map (fun x -> (40. *. x) +. 25.) pts.(k / 2)
+  end;
+  if non_finite && k > 6 then begin
+    pts.(1).(dim / 2) <- Float.nan;
+    d.values.(3) <- Float.infinity;
+    pts.(5).(0) <- Float.neg_infinity
+  end;
+  d
+
+let oracle_shapes = [| (1, 30); (2, 30); (6, 60); (12, 40); (40, 25) |]
+
+let test_oracle_rank_deficient_every_row () =
+  (* nf < dim, as in the 630-factor op-amp: at confidence 1e-12 every
+     row is dropped, so every distance is compared. *)
+  let d = oracle_dataset ~dim:40 ~k:25 41 in
+  let _, r = mahal_ok ~confidence:1e-12 d in
+  check_int "every row reports a distance" 25 (Array.length r.p_dropped);
+  check_bool "rank-deficient screen == oracle" true
+    (screen_matches_oracle ~confidence:1e-12 d);
+  let d2 = oracle_dataset ~dim:2 ~k:30 43 in
+  let _, r2 = mahal_ok ~confidence:1e-12 d2 in
+  check_int "dim 2: every row reports a distance" 30
+    (Array.length r2.p_dropped);
+  check_bool "dim 2 screen == oracle" true
+    (screen_matches_oracle ~confidence:1e-12 d2)
+
+let test_oracle_shrinkage_rungs () =
+  let d = oracle_dataset ~dim:6 ~k:60 ~dup:true 5 in
+  let _, r = mahal_ok d in
+  check_bool "duplicated heavy coordinates climb past the first rung" true
+    (r.p_shrinkage > 0.05);
+  check_bool "escalated screen == oracle" true (screen_matches_oracle d)
+
+let test_point_screen_allocation () =
+  (* At 200×150 the screen allocates ~0.1 M minor words, mostly its
+     standardized rows; the element-wise version (the oracle above,
+     which boxes a float per [Mat.get]/[set]) allocates ~24 M. Tests
+     build without cross-module inlining, so a per-element accessor
+     call back in a hot loop fails this bound. *)
+  let d = gaussian_dataset ~dim:150 ~k:200 47 in
+  let before = Gc.minor_words () in
+  ignore (mahal_ok d);
+  let words = Gc.minor_words () -. before in
+  if words >= 1e6 then
+    Alcotest.failf "point screen allocated %.0f minor words (bound 1e6)" words
+
+let qtest_point_screen_oracle =
+  qtest ~count:80 "point screen bitwise == element-wise oracle (qcheck)"
+    QCheck.(triple small_nat (int_bound (Array.length oracle_shapes - 1)) (int_bound 31))
+    (fun (seed0, shape, flags) ->
+      let dim, k = oracle_shapes.(shape) in
+      let bit b = flags land (1 lsl b) <> 0 in
+      let d =
+        oracle_dataset ~dim ~k ~zero_mad:(bit 0) ~non_finite:(bit 1)
+          ~far:(bit 2) ~dup:(bit 3) (1 + seed0)
+      in
+      let confidence = if bit 4 then 1e-12 else Robust.Screen.default_confidence in
+      screen_matches_oracle ~confidence d)
+
 (* --- qcheck properties --------------------------------------------- *)
 
 let qtest_burst_domain_parity =
@@ -659,5 +890,11 @@ let suite =
         test_burst_cv_resume_bitwise;
       qtest_burst_domain_parity;
       qtest_mahalanobis_order_invariant;
+      case "point screen oracle: nf < dim, every row reports"
+        test_oracle_rank_deficient_every_row;
+      case "point screen oracle: shrinkage past the first rung"
+        test_oracle_shrinkage_rungs;
+      case "point screen: minor allocation bound" test_point_screen_allocation;
+      qtest_point_screen_oracle;
       qtest_response_screen_order_invariant;
     ] )
