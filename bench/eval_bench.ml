@@ -7,16 +7,6 @@
    fails the bench with exit 1, so this scenario doubles as the
    serving-parity smoke for CI. *)
 
-let median_of ~reps f =
-  let ts =
-    Array.init reps (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Unix.gettimeofday () -. t0)
-  in
-  Array.sort compare ts;
-  ts.(reps / 2)
-
 (* A realistic serving model over the quadratic dictionary: the paper's
    fits select a few dozen terms concentrated on a small set of strong
    factors, which is exactly what makes Hermite-table sharing pay. Keep
@@ -82,14 +72,14 @@ let run ~quick ~domains () =
        points naive_out);
   (* Timed arms. *)
   let naive_s =
-    median_of ~reps (fun () ->
+    Bench_util.median_of ~reps (fun () ->
         ignore (Array.map (Rsm.Model.predict_point model basis) points))
   in
   let seq_s =
-    median_of ~reps (fun () -> ignore (Serve.Eval.eval_batch tape points))
+    Bench_util.median_of ~reps (fun () -> ignore (Serve.Eval.eval_batch tape points))
   in
   let par_s =
-    median_of ~reps (fun () -> ignore (Serve.Eval.eval_batch ~pool tape points))
+    Bench_util.median_of ~reps (fun () -> ignore (Serve.Eval.eval_batch ~pool tape points))
   in
   let rate s = float_of_int k /. s in
   Printf.printf
@@ -153,21 +143,21 @@ let run ~quick ~domains () =
   let buf = Array.make n 0. in
   let fills = max 1 (nnorm / n) in
   let polar_norm_s =
-    median_of ~reps (fun () ->
+    Bench_util.median_of ~reps (fun () ->
         let g = Randkit.Prng.create 91 in
         for _ = 1 to fills do
           Randkit.Gaussian.fill g buf
         done)
   in
   let zig_norm_s =
-    median_of ~reps (fun () ->
+    Bench_util.median_of ~reps (fun () ->
         let g = Randkit.Prng.create 91 in
         for _ = 1 to fills do
           Randkit.Ziggurat.fill g buf
         done)
   in
   let ctr_norm_s =
-    median_of ~reps (fun () ->
+    Bench_util.median_of ~reps (fun () ->
         let key = Randkit.Counter.create 91 in
         for p = 0 to fills - 1 do
           let pk = Randkit.Counter.at key p in

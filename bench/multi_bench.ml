@@ -11,16 +11,6 @@
 module P = Polybasis.Design.Provider
 module Sim = Circuit.Simulator
 
-let median_of ~reps f =
-  let ts =
-    Array.init reps (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Unix.gettimeofday () -. t0)
-  in
-  Array.sort compare ts;
-  ts.(reps / 2)
-
 let result_bits (r : Rsm.Select.result) =
   ( r.Rsm.Select.lambda,
     Array.copy r.Rsm.Select.curve,
@@ -102,8 +92,8 @@ let run ?(quick = false) ?domains () =
     Parallel.Pool.with_pool ~domains (fun pool ->
         ignore (fused_fit pool src_streamed);
         ignore (per_output_fit pool src_streamed);
-        ( median_of ~reps (fun () -> ignore (fused_fit pool src_streamed)),
-          median_of ~reps (fun () -> ignore (per_output_fit pool src_streamed))
+        ( Bench_util.median_of ~reps (fun () -> ignore (fused_fit pool src_streamed)),
+          Bench_util.median_of ~reps (fun () -> ignore (per_output_fit pool src_streamed))
         ))
   in
   (* Column-generation work per greedy lockstep round: the fused grid
@@ -165,8 +155,8 @@ let run ?(quick = false) ?domains () =
           (Array.concat (Array.to_list (per_round ())) = fused_round ());
         ignore (per_round ());
         ignore (fused_round ());
-        ( median_of ~reps:sreps (fun () -> ignore (per_round ())),
-          median_of ~reps:sreps (fun () -> ignore (fused_round ())) ))
+        ( Bench_util.median_of ~reps:sreps (fun () -> ignore (per_round ())),
+          Bench_util.median_of ~reps:sreps (fun () -> ignore (fused_round ())) ))
   in
   Printf.printf
     "per-round sweep (K=%d M=%d streamed): per-output %8.2f ms  fused \

@@ -16,7 +16,6 @@ type step = {
    materialized once into the per-fit cache (K floats each) — the only
    columns LAR ever touches individually. *)
 type state = {
-  src : Provider.t;
   cache : Provider.Cache.t;
   norms : Vec.t;
   k : int;
@@ -67,6 +66,80 @@ let current_model st =
   in
   List.fold_left Model.add_note model (List.rev st.notes)
 
+(* ------------------------------------------------------------------ *)
+(* The step's building blocks, shared by the live walk and checkpoint
+   replay — each arithmetic sequence of the walk exists only here. *)
+
+let enter st j =
+  st.active <- j :: st.active;
+  st.in_active.(j) <- true
+
+(* Exclude a dependent column from every later scan so the path keeps
+   moving instead of stalling on it; the note rides on the step models. *)
+let ban st j =
+  st.banned.(j) <- true;
+  st.notes <- Printf.sprintf "lars: banned dependent column %d" j :: st.notes
+
+let max_abs cs = Array.fold_left (fun acc cj -> Float.max acc (Float.abs cj)) 0. cs
+
+type dir = {
+  act : int array;  (* active set, oldest first *)
+  d : float array;  (* coefficient direction over [act] *)
+  u : Vec.t;  (* fit direction *)
+  cc : float;  (* C over the active set *)
+  a_a : float;
+}
+
+(* Equiangular direction from the active correlations [cs] (aligned
+   with [act]): z = Gram⁻¹·s, A = 1/√(sᵀz), coefficient direction
+   d_j = A·z_j, fit direction u = Σ d_j x_j. C is recomputed over the
+   active set (all equal up to numerical noise; the max for
+   robustness). [None] when sᵀz ≤ 0. *)
+let direction st act cs =
+  let s = Array.map (fun cj -> if cj >= 0. then 1. else -1.) cs in
+  let z = Cholesky.Grow.solve st.chol s in
+  let sz = Vec.dot s z in
+  if sz <= 0. then None
+  else begin
+    let a_a = 1. /. sqrt sz in
+    let d = Array.map (fun zj -> a_a *. zj) z in
+    let u = Array.make st.k 0. in
+    Array.iteri
+      (fun p j ->
+        let w = d.(p) /. st.norms.(j) in
+        let colj = Provider.Cache.column st.cache j in
+        for r = 0 to st.k - 1 do
+          u.(r) <- u.(r) +. (w *. Array.unsafe_get colj r)
+        done)
+      act;
+    Some { act; d; u; cc = max_abs cs; a_a }
+  end
+
+let advance st dir gamma =
+  Array.iteri
+    (fun p j -> st.beta.(j) <- st.beta.(j) +. (gamma *. dir.d.(p)))
+    dir.act;
+  Vec.axpy gamma dir.u st.mu
+
+(* Lasso drop of a coefficient that crossed zero: leave the active set
+   and refactor. A non-SPD refactor leaves no usable direction; under
+   [`Fallback] the path ends at the last consistent model (returns
+   [true]: stop), under [`Stop] it is handed to [on_stop]. The drop
+   does not move mu, so maintained correlations need no update. *)
+let drop st ~on_singular ~on_stop j =
+  st.beta.(j) <- 0.;
+  st.active <- List.filter (fun i -> i <> j) st.active;
+  st.in_active.(j) <- false;
+  match rebuild_chol st with
+  | () -> false
+  | exception (Cholesky.Not_positive_definite _ as e) -> (
+      match on_singular with
+      | `Stop -> on_stop e
+      | `Fallback ->
+          st.notes <-
+            "lars: stopped on non-SPD active set after drop" :: st.notes;
+          true)
+
 module Ckpt = Serialize.Checkpoint.Lars
 
 let mode_tag = function Lar -> "lar" | Lasso -> "lasso"
@@ -107,14 +180,264 @@ let capture st ~mode ~scale ~f events =
     beta_digest = Ckpt.digest st.beta;
   }
 
+let validate src f ~max_steps =
+  if Array.length f <> Provider.rows src then
+    invalid_arg "Lars.path: response length mismatch";
+  if max_steps <= 0 then invalid_arg "Lars.path: max_steps must be positive"
+
+(* Column norms with zero columns pinned to 1 (they never correlate). *)
+let fix_norms norms =
+  Array.iteri (fun j n -> if n <= 0. then norms.(j) <- 1.) norms;
+  norms
+
+(* The LAR walk. Each step suspends twice for an O(K·M) answer — the
+   correlation pick (C, the entrant, its value, the active columns'
+   correlations) and the minimum step-length candidate — and whoever
+   drives the engine supplies them: the local scans over a dense,
+   streamed or incremental sweep, the shard reduction tree, or a fused
+   multi-residual sweep. Every driver therefore walks the same steps
+   with the same float sequences. *)
+module Engine = struct
+  type phase = Corr | Dir of { added : int option; dir : dir } | Done
+
+  type t = {
+    st : state;
+    mode : mode;
+    tol : float;
+    on_singular : [ `Stop | `Fallback ];
+    max_steps : int;
+    max_active : int;
+    f : Vec.t;
+    mutable c : Vec.t;  (* normalized correlations of the last [scan_corr] *)
+    mutable steps_rev : step list;
+    mutable events : Ckpt.event list;  (* newest first, one per step *)
+    mutable nevents : int;
+    mutable initial_c : float;
+    mutable nsteps : int;
+    mutable stop : bool;
+    mutable phase : phase;
+  }
+
+  type entry = No_entry | Entered of int | Banned of int
+
+  let make ~mode ~tol ~on_singular ~norms src f ~max_steps =
+    let k = Provider.rows src and m = Provider.cols src in
+    {
+      st =
+        {
+          cache = Provider.Cache.create src;
+          norms;
+          k;
+          m;
+          beta = Array.make m 0.;
+          mu = Array.make k 0.;
+          active = [];
+          in_active = Array.make m false;
+          banned = Array.make m false;
+          notes = [];
+          chol = Cholesky.Grow.create (max (min k m) 1);
+        };
+      mode;
+      tol;
+      on_singular;
+      max_steps;
+      max_active = min k m;
+      f;
+      c = [||];
+      steps_rev = [];
+      events = [];
+      nevents = 0;
+      initial_c = 0.;
+      nsteps = 0;
+      stop = false;
+      phase = Corr;
+    }
+
+  let create ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) src f
+      ~max_steps =
+    validate src f ~max_steps;
+    make ~mode ~tol ~on_singular
+      ~norms:(fix_norms (Provider.column_norms ?pool src))
+      src f ~max_steps
+
+  let finished t = match t.phase with Done -> true | Corr | Dir _ -> false
+
+  let request t =
+    match t.phase with
+    | Corr -> Vec.sub t.f t.st.mu
+    | Dir { dir; _ } -> dir.u
+    | Done -> invalid_arg "Lars.Engine.request: engine is finished"
+
+  (* The walk continues only while not stopped and under the step budget. *)
+  let settle t =
+    t.phase <- (if t.stop || t.nsteps >= t.max_steps then Done else Corr)
+
+  let push t (e : Ckpt.event) ~cc =
+    let opt j = if j >= 0 then Some j else None in
+    t.steps_rev <-
+      {
+        added = opt e.Ckpt.added;
+        dropped = opt e.Ckpt.dropped;
+        max_corr = cc;
+        model = current_model t.st;
+      }
+      :: t.steps_rev;
+    t.events <- e :: t.events;
+    t.nevents <- t.nevents + 1
+
+  (* Correlation of every active column (oldest first): the gathered
+     active values, plus the entrant's. *)
+  let active_corrs (p : Shard_sweep.pick) act =
+    let tbl = Hashtbl.create 16 in
+    Array.iter (fun (j, v) -> Hashtbl.replace tbl j v) p.Shard_sweep.act_c;
+    if p.Shard_sweep.enter >= 0 then
+      Hashtbl.replace tbl p.Shard_sweep.enter p.Shard_sweep.enter_val;
+    Array.map
+      (fun j ->
+        match Hashtbl.find_opt tbl j with
+        | Some v -> v
+        | None -> invalid_arg "Lars.path: internal: correlation not gathered")
+      act
+
+  (* Supply the correlation pick: the stop test, the entering variable
+     (unless the active set is saturated or a lasso drop just occurred
+     and none may enter), then either a ban step or the direction. *)
+  let answer_corr t (p : Shard_sweep.pick) =
+    let st = t.st in
+    t.nsteps <- t.nsteps + 1;
+    let big_c = p.Shard_sweep.big_c and j = p.Shard_sweep.enter in
+    if t.nsteps = 1 then t.initial_c <- big_c;
+    if big_c <= t.tol *. Float.max t.initial_c 1. then begin
+      t.stop <- true;
+      settle t;
+      No_entry
+    end
+    else begin
+      let entry =
+        if
+          j >= 0
+          && List.length st.active < t.max_active
+          && p.Shard_sweep.enter_abs >= big_c -. (1e-9 *. big_c) -. 1e-15
+        then
+          match append_to_chol st j with
+          | () ->
+              enter st j;
+              Entered j
+          | exception Cholesky.Not_positive_definite _ -> (
+              (* Entering column linearly dependent on the active set. *)
+              match t.on_singular with
+              | `Stop -> No_entry
+              | `Fallback ->
+                  ban st j;
+                  Banned j)
+        else No_entry
+      in
+      (if st.active = [] then t.stop <- true
+       else
+         let act = active_oldest_first st in
+         let cs = active_corrs p act in
+         match entry with
+         | Banned b ->
+             (* A ban consumes the iteration without moving. The column
+                that should enter instead is usually already at the
+                correlation tie, so its γ candidate is ~0 and the scan
+                would reject it — the step would then run unbounded past
+                the tie and leave the active set non-equicorrelated for
+                good (observed as a 2-cycle that never reaches the LS
+                point). Record a zero-length step so the ban lands in
+                the path and the event log; the next iteration re-scans
+                without the column and hands the step to the true
+                entrant. *)
+             push t
+               { Ckpt.added = -1; banned = b; dropped = -1; gamma = 0. }
+               ~cc:(max_abs cs)
+         | No_entry | Entered _ -> (
+             match direction st act cs with
+             | None -> t.stop <- true
+             | Some dir ->
+                 let added = match entry with Entered j -> Some j | _ -> None in
+                 t.phase <- Dir { added; dir }));
+      (match t.phase with Dir _ -> () | Corr | Done -> settle t);
+      entry
+    end
+
+  (* Supply the minimum γ candidate over the inactive columns: the step
+     runs to it, or to the saturation point C/A (the full-LS endpoint of
+     the active set; the tol test then stops the next iteration), or —
+     lasso — to the first zero crossing of an active coefficient, which
+     is dropped there. Returns the committed γ and the dropped column. *)
+  let answer_dir t g =
+    match t.phase with
+    | Corr | Done -> invalid_arg "Lars.Engine: no direction pending"
+    | Dir { added; dir } ->
+        let st = t.st in
+        let gamma = ref (dir.cc /. dir.a_a) in
+        if g < !gamma then gamma := g;
+        let dropped = ref (-1) in
+        if t.mode = Lasso then
+          Array.iteri
+            (fun p j ->
+              (* β_j moves by γ·d_j; it crosses zero at γ = −β_j/d_j. *)
+              if dir.d.(p) <> 0. then begin
+                let gz = -.st.beta.(j) /. dir.d.(p) in
+                if gz > 1e-12 && gz < !gamma then begin
+                  gamma := gz;
+                  dropped := j
+                end
+              end)
+            dir.act;
+        advance st dir !gamma;
+        if
+          !dropped >= 0
+          && drop st ~on_singular:t.on_singular ~on_stop:raise !dropped
+        then t.stop <- true;
+        push t
+          {
+            Ckpt.added = (match added with Some j -> j | None -> -1);
+            banned = -1;
+            dropped = !dropped;
+            gamma = !gamma;
+          }
+          ~cc:dir.cc;
+        settle t;
+        (!gamma, if !dropped >= 0 then Some !dropped else None)
+
+  (* The whole-dictionary answers from raw M-length sweeps. *)
+  let scan_corr t gtr =
+    let st = t.st in
+    let c, pick =
+      Shard_sweep.lars_scan ~norms:st.norms ~active:st.in_active
+        ~banned:st.banned ~jlo:0 gtr
+    in
+    t.c <- c;
+    pick
+
+  let scan_gamma t gu =
+    match t.phase with
+    | Corr | Done -> invalid_arg "Lars.Engine: no direction pending"
+    | Dir { dir; _ } ->
+        let st = t.st in
+        Shard_sweep.gamma_scan ~norms:st.norms ~active:st.in_active
+          ~banned:st.banned ~c:t.c ~cc:dir.cc ~a_a:dir.a_a gu
+
+  let supply t g =
+    match t.phase with
+    | Corr -> ignore (answer_corr t (scan_corr t g))
+    | Dir _ -> ignore (answer_dir t (scan_gamma t g))
+    | Done -> invalid_arg "Lars.Engine.supply: engine is finished"
+
+  let steps t = Array.of_list (List.rev t.steps_rev)
+end
+
 (* Replay the checkpointed event log against the design provider. The
    recorded gammas replace the two O(K·M) sweeps of every live step, so
    replay costs O(E·p·K) (active-column dots only) yet reproduces
-   mu/beta/active/chol — and every step record — bit-for-bit: each
-   arithmetic sequence below is the exact sequence the live loop runs.
-   The terminal digests/sets in the checkpoint then guard against
-   resuming with different data, mode or [on_singular] policy. *)
-let replay st (ck : Ckpt.t) ~mode ~on_singular f steps stop =
+   mu/beta/active/chol — and every step record — bit-for-bit through the
+   walk's own direction/advance/drop helpers. The terminal
+   digests/sets in the checkpoint then guard against resuming with
+   different data, mode or [on_singular] policy. *)
+let replay (t : Engine.t) (ck : Ckpt.t) =
+  let st = t.Engine.st and mode = t.Engine.mode and f = t.Engine.f in
   let fail msg = invalid_arg ("Lars.path: resume: " ^ msg) in
   if ck.Ckpt.k <> st.k || ck.Ckpt.m <> st.m then
     fail
@@ -124,13 +447,20 @@ let replay st (ck : Ckpt.t) ~mode ~on_singular f steps stop =
     fail
       (Printf.sprintf "checkpoint mode %s disagrees with requested mode %s"
          ck.Ckpt.mode (mode_tag mode));
+  (* Exact per-column dots — bitwise the live sweep's entries. *)
+  let active_corrs act =
+    let res = Vec.sub f st.mu in
+    Array.map
+      (fun j -> Provider.Cache.col_dot st.cache j res /. st.norms.(j))
+      act
+  in
   Array.iter
     (fun (e : Ckpt.event) ->
-      if !stop then fail "events continue past a terminal state";
-      (* A live ban consumes its whole iteration as a zero-length step:
-         no add, no drop, no movement. Replay it the same way. *)
+      if t.Engine.stop then fail "events continue past a terminal state";
       if e.banned >= 0 then begin
-        (match on_singular with
+        (* A live ban consumes its whole iteration as a zero-length
+           step: no add, no drop, no movement. Replay it the same way. *)
+        (match t.Engine.on_singular with
         | `Stop ->
             fail
               "checkpoint recorded a banned column (was it written with \
@@ -140,91 +470,35 @@ let replay st (ck : Ckpt.t) ~mode ~on_singular f steps stop =
         if e.added >= 0 || e.dropped >= 0 || e.gamma <> 0. then
           fail "ban event must be a zero-length step";
         if st.active = [] then fail "ban event with an empty active set";
-        st.banned.(e.banned) <- true;
-        st.notes <-
-          Printf.sprintf "lars: banned dependent column %d" e.banned
-          :: st.notes;
-        let act = active_oldest_first st in
-        let res = Vec.sub f st.mu in
-        let cc =
-          Array.fold_left
-            (fun acc j ->
-              Float.max acc
-                (Float.abs
-                   (Provider.Cache.col_dot st.cache j res /. st.norms.(j))))
-            0. act
-        in
-        steps :=
-          { added = None; dropped = None; max_corr = cc;
-            model = current_model st }
-          :: !steps
+        ban st e.banned;
+        Engine.push t e ~cc:(max_abs (active_corrs (active_oldest_first st)))
       end
       else begin
-      if e.added >= 0 then begin
-        if st.in_active.(e.added) then fail "column added twice";
-        (match append_to_chol st e.added with
-        | () -> ()
-        | exception Cholesky.Not_positive_definite _ ->
-            fail "replayed entering column is linearly dependent");
-        st.active <- e.added :: st.active;
-        st.in_active.(e.added) <- true
-      end;
-      if st.active = [] then fail "step event with an empty active set";
-      let act = active_oldest_first st in
-      let res = Vec.sub f st.mu in
-      let c =
-        Array.map
-          (fun j -> Provider.Cache.col_dot st.cache j res /. st.norms.(j))
-          act
-      in
-      let s = Array.map (fun cj -> if cj >= 0. then 1. else -1.) c in
-      let z = Cholesky.Grow.solve st.chol s in
-      let sz = Vec.dot s z in
-      if sz <= 0. then fail "non-positive equiangular normalization";
-      let a_a = 1. /. sqrt sz in
-      let d = Array.map (fun zj -> a_a *. zj) z in
-      let u = Array.make st.k 0. in
-      Array.iteri
-        (fun p j ->
-          let w = d.(p) /. st.norms.(j) in
-          let colj = Provider.Cache.column st.cache j in
-          for r = 0 to st.k - 1 do
-            u.(r) <- u.(r) +. (w *. Array.unsafe_get colj r)
-          done)
-        act;
-      let cc =
-        Array.fold_left (fun acc cj -> Float.max acc (Float.abs cj)) 0. c
-      in
-      let gamma = e.Ckpt.gamma in
-      Array.iteri
-        (fun p j -> st.beta.(j) <- st.beta.(j) +. (gamma *. d.(p)))
-        act;
-      Vec.axpy gamma u st.mu;
-      let dropped =
-        if e.dropped >= 0 then begin
-          if mode <> Lasso then fail "drop event outside lasso mode";
-          if not st.in_active.(e.dropped) then
-            fail "replayed drop of an inactive column";
-          st.beta.(e.dropped) <- 0.;
-          st.active <- List.filter (fun j -> j <> e.dropped) st.active;
-          st.in_active.(e.dropped) <- false;
-          (match rebuild_chol st with
+        if e.added >= 0 then begin
+          if st.in_active.(e.added) then fail "column added twice";
+          (match append_to_chol st e.added with
           | () -> ()
-          | exception Cholesky.Not_positive_definite _ -> (
-              match on_singular with
-              | `Stop -> fail "non-SPD active set after replayed drop"
-              | `Fallback ->
-                  st.notes <-
-                    "lars: stopped on non-SPD active set after drop"
-                    :: st.notes;
-                  stop := true));
-          Some e.Ckpt.dropped
-        end
-        else None
-      in
-      let added = if e.added >= 0 then Some e.Ckpt.added else None in
-      steps :=
-        { added; dropped; max_corr = cc; model = current_model st } :: !steps
+          | exception Cholesky.Not_positive_definite _ ->
+              fail "replayed entering column is linearly dependent");
+          enter st e.added
+        end;
+        if st.active = [] then fail "step event with an empty active set";
+        let act = active_oldest_first st in
+        match direction st act (active_corrs act) with
+        | None -> fail "non-positive equiangular normalization"
+        | Some dir ->
+            advance st dir e.Ckpt.gamma;
+            if e.dropped >= 0 then begin
+              if mode <> Lasso then fail "drop event outside lasso mode";
+              if not st.in_active.(e.dropped) then
+                fail "replayed drop of an inactive column";
+              if
+                drop st ~on_singular:t.Engine.on_singular
+                  ~on_stop:(fun _ -> fail "non-SPD active set after replayed drop")
+                  e.dropped
+              then t.Engine.stop <- true
+            end;
+            Engine.push t e ~cc:dir.cc
       end)
     ck.Ckpt.events;
   if active_oldest_first st <> ck.Ckpt.active then
@@ -238,15 +512,22 @@ let replay st (ck : Ckpt.t) ~mode ~on_singular f steps stop =
   if Ckpt.digest st.mu <> ck.Ckpt.mu_digest then
     fail "fit-vector digest mismatch (different data or flags?)";
   if Ckpt.digest st.beta <> ck.Ckpt.beta_digest then
-    fail "coefficient digest mismatch (different data or flags?)"
+    fail "coefficient digest mismatch (different data or flags?)";
+  (* Every non-terminal live iteration pushes exactly one step, so the
+     iteration counter resumes at the event count. *)
+  t.Engine.nsteps <- t.Engine.nevents;
+  t.Engine.initial_c <- ck.Ckpt.scale;
+  Engine.settle t
 
+(* The engine driven by this solver's own answerers: exact or
+   incremental sweeps over the whole dictionary, or the column-sharded
+   engine — plus each step's side effects on them (Gram-cache builds,
+   shard masks, incremental retreat/refresh) and checkpoint emission. *)
 let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
     ?(checkpoint_every = 0) ?on_checkpoint ?resume
     ?(sweep = Corr_sweep.Exact) ?(shards = 1)
     ?(shard_mode = Shard_sweep.Domains) ?recovered src f ~max_steps =
-  let k = Provider.rows src and m = Provider.cols src in
-  if Array.length f <> k then invalid_arg "Lars.path: response length mismatch";
-  if max_steps <= 0 then invalid_arg "Lars.path: max_steps must be positive";
+  validate src f ~max_steps;
   if checkpoint_every < 0 then
     invalid_arg "Lars.path: negative checkpoint interval";
   if shards < 1 then invalid_arg "Lars.path: shards must be positive";
@@ -274,46 +555,13 @@ let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
     | None -> Provider.column_norms ?pool src
     | Some e -> Shard_sweep.raw_norms e
   in
-  Array.iteri
-    (fun j n -> if n <= 0. then norms.(j) <- 1. else norms.(j) <- n)
-    norms;
-  let st =
-    {
-      src;
-      cache = Provider.Cache.create src;
-      norms;
-      k;
-      m;
-      beta = Array.make m 0.;
-      mu = Array.make k 0.;
-      active = [];
-      in_active = Array.make m false;
-      banned = Array.make m false;
-      notes = [];
-      chol = Cholesky.Grow.create (max (min k m) 1);
-    }
+  let t =
+    Engine.make ~mode ~tol ~on_singular ~norms:(fix_norms norms) src f
+      ~max_steps
   in
-  let steps = ref [] in
-  let stop = ref false in
-  let initial_c = ref 0. in
-  let nsteps = ref 0 in
-  (* Event log of the walk so far (newest first): one entry per pushed
-     step, feeding checkpoint capture. *)
-  let events = ref [] in
-  let nevents = ref 0 in
-  let last_ckpt = ref 0 in
-  (match resume with
-  | None -> ()
-  | Some ck ->
-      replay st ck ~mode ~on_singular f steps stop;
-      (* Every non-terminal live iteration pushes exactly one step, so
-         the iteration counter resumes at the event count. *)
-      let n = Array.length ck.Ckpt.events in
-      nsteps := n;
-      nevents := n;
-      last_ckpt := n;
-      events := List.rev (Array.to_list ck.Ckpt.events);
-      initial_c := ck.Ckpt.scale);
+  let st = t.Engine.st in
+  (match resume with None -> () | Some ck -> replay t ck);
+  let last_ckpt = ref t.Engine.nevents in
   (* Incremental correlation state, created after any resume replay so
      its initial exact sweep sees the resumed residual — the same
      refresh point the uninterrupted run hit when it emitted the
@@ -338,13 +586,10 @@ let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
   (* Sharded post-replay sync — the same rebuild [inc] runs above: an
      exact re-sweep of the resumed residual, the replayed active set's
      Gram slices (oldest first), and the replayed bans. *)
-  let sh_incremental =
-    match sweep with Corr_sweep.Incremental _ -> true | Corr_sweep.Exact -> false
-  in
-  let refresh_every =
+  let sh_incremental, refresh_every =
     match sweep with
-    | Corr_sweep.Incremental { refresh } -> refresh
-    | Corr_sweep.Exact -> 0
+    | Corr_sweep.Incremental { refresh } -> (true, refresh)
+    | Corr_sweep.Exact -> (false, 0)
   in
   let since = ref 0 in
   (match eng with
@@ -359,8 +604,8 @@ let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
     match on_checkpoint with
     | None -> ()
     | Some cb ->
-        cb (capture st ~mode ~scale:!initial_c ~f !events);
-        last_ckpt := !nevents;
+        cb (capture st ~mode ~scale:t.Engine.initial_c ~f t.Engine.events);
+        last_ckpt := t.Engine.nevents;
         (* Checkpoint-aligned exact refresh: see [inc] above. *)
         (match inc with
         | None -> ()
@@ -371,303 +616,92 @@ let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
             since := 0
         | _ -> ())
   in
-  let max_active = min k m in
-  while (not !stop) && !nsteps < max_steps do
-    incr nsteps;
-    (* Correlations of every column with the residual. Exact mode runs
-       the column-parallel Gᵀ·r sweep (bitwise equal to the sequential
-       per-column xdot); incremental mode reads the delta-maintained
-       vector — O(M) instead of O(K·M). *)
-    (* C from the best column overall; the entering variable is the best
-       inactive one.  [cval] reads the normalized correlation at a
-       column the step later touches: the full vector when the scan ran
-       here, the gathered active/entrant values when it ran sharded
-       (those are the only columns the parent-side step reads). *)
-    let big_c = ref 0. and enter = ref (-1) and enter_c = ref 0. in
-    let cval =
-      match eng with
-      | None ->
-          let gtr =
-            match inc with
-            | None -> Corr_sweep.gram_tr ?pool st.src (Vec.sub f st.mu)
-            | Some ic -> Corr_sweep.Inc.correlations ic
-          in
-          let c = Array.init m (fun j -> gtr.(j) /. st.norms.(j)) in
-          for j = 0 to m - 1 do
-            let a = Float.abs c.(j) in
-            (* Banned columns are out of the walk: letting one set C
-               would hold the stop criterion hostage and fail the
-               near-tie entry test against a correlation nothing can
-               ever act on. *)
-            if (not st.banned.(j)) && a > !big_c then big_c := a;
-            if (not st.in_active.(j)) && (not st.banned.(j)) && a > !enter_c
-            then begin
-              enter := j;
-              enter_c := a
-            end
-          done;
-          fun j -> c.(j)
-      | Some e ->
-          let p = Shard_sweep.lars_select e ~r:(Vec.sub f st.mu) in
-          big_c := p.Shard_sweep.big_c;
-          enter := p.Shard_sweep.enter;
-          enter_c := p.Shard_sweep.enter_abs;
-          let tbl = Hashtbl.create 16 in
-          Array.iter
-            (fun (j, v) -> Hashtbl.replace tbl j v)
-            p.Shard_sweep.act_c;
-          if p.Shard_sweep.enter >= 0 then
-            Hashtbl.replace tbl p.Shard_sweep.enter p.Shard_sweep.enter_val;
-          fun j ->
-            match Hashtbl.find_opt tbl j with
-            | Some v -> v
-            | None ->
-                invalid_arg "Lars.path: internal: correlation not gathered"
-    in
-    if !nsteps = 1 then initial_c := !big_c;
-    if !big_c <= tol *. Float.max !initial_c 1. then stop := true
-    else begin
-      (* Add the entering variable (unless the active set is saturated
-         or a lasso drop just occurred and no variable may enter). *)
-      let banned_now = ref (-1) in
-      let added =
-        if
-          !enter >= 0
-          && List.length st.active < max_active
-          && !enter_c >= !big_c -. (1e-9 *. !big_c) -. 1e-15
-        then begin
-          match append_to_chol st !enter with
-          | () ->
-              st.active <- !enter :: st.active;
-              st.in_active.(!enter) <- true;
-              (* Entering column: cache v_j = Gᵀ·g_j once — the O(K·M)
-                 build that every later delta update amortizes. *)
-              (match inc with
-              | None -> ()
-              | Some ic ->
-                  Corr_sweep.Inc.ensure_gram ic !enter
-                    (Provider.Cache.column st.cache !enter));
-              (match eng with
-              | None -> ()
-              | Some e ->
-                  Shard_sweep.activate e !enter
-                    (Provider.Cache.column st.cache !enter));
-              Some !enter
-          | exception Cholesky.Not_positive_definite _ -> (
-              (* Entering column linearly dependent on the active set. *)
-              match on_singular with
-              | `Stop -> None
-              | `Fallback ->
-                  (* Exclude the dependent column from every later enter
-                     scan so the path keeps moving instead of stalling on
-                     it; record the event in the step models. *)
-                  st.banned.(!enter) <- true;
-                  (match eng with
-                  | None -> ()
-                  | Some e -> Shard_sweep.ban e !enter);
-                  banned_now := !enter;
-                  st.notes <-
-                    Printf.sprintf "lars: banned dependent column %d" !enter
-                    :: st.notes;
-                  None)
-        end
-        else None
-      in
-      if st.active = [] then stop := true
-      else if !banned_now >= 0 then begin
-        (* A ban consumes the iteration without moving. The column that
-           should enter instead is usually already at the correlation
-           tie, so its γ candidate is ~0 and the scan below would
-           reject it — the step would then run unbounded past the tie
-           and leave the active set non-equicorrelated for good
-           (observed as a 2-cycle that never reaches the LS point).
-           Record a zero-length step so the ban lands in the path and
-           the event log; the next iteration re-scans without the
-           column and hands the step to the true entrant. *)
-        let act = active_oldest_first st in
-        let cc =
-          Array.fold_left
-            (fun acc j -> Float.max acc (Float.abs (cval j)))
-            0. act
-        in
-        steps :=
-          { added = None; dropped = None; max_corr = cc;
-            model = current_model st }
-          :: !steps;
-        events :=
-          { Ckpt.added = -1; banned = !banned_now; dropped = -1; gamma = 0. }
-          :: !events;
-        incr nevents;
-        if checkpoint_every > 0 && !nevents mod checkpoint_every = 0 then
-          emit_checkpoint ()
-      end
-      else begin
-        let act = active_oldest_first st in
-        let s = Array.map (fun j -> if cval j >= 0. then 1. else -1.) act in
-        (* Equiangular direction: z = Gram⁻¹·s, A = 1/√(sᵀz),
-           coefficient direction d_j = A·z_j, fit direction u = Σ d_j x_j. *)
-        let z = Cholesky.Grow.solve st.chol s in
-        let sz = Vec.dot s z in
-        if sz <= 0. then stop := true
-        else begin
-          let a_a = 1. /. sqrt sz in
-          let d = Array.map (fun zj -> a_a *. zj) z in
-          let u = Array.make k 0. in
-          Array.iteri
-            (fun p j ->
-              let w = d.(p) /. st.norms.(j) in
-              let colj = Provider.Cache.column st.cache j in
-              for r = 0 to k - 1 do
-                u.(r) <- u.(r) +. (w *. Array.unsafe_get colj r)
-              done)
-            act;
-          (* C recomputed over the active set (they are all equal up to
-             numerical noise; use the max for robustness). *)
-          let cc =
-            Array.fold_left
-              (fun acc j -> Float.max acc (Float.abs (cval j)))
-              0. act
-          in
-          (* Step length to the next entering variable. The inner
-             products of every column with the equiangular direction u
-             are the second Gᵀ·r-shaped sweep of the iteration; the
-             O(M) min scan that follows stays sequential. Incremental
-             mode assembles Gᵀ·u from the cached Gram columns of the
-             active set (u = Σ w_p·x_{j_p}) at O(p·M) — this is the
-             sweep the Gram cache eliminates outright. Sharded runs
-             push both the sweep and the min scan into the shards and
-             fold the exact local minima. *)
-          let gamma = ref (cc /. a_a) in
-          let gu = ref [||] in
-          let sh_dir = ref None in
-          (match eng with
-          | None ->
-              let g =
-                match inc with
-                | None -> Corr_sweep.gram_tr ?pool st.src u
-                | Some ic ->
-                    Corr_sweep.Inc.combination ic
-                      (Array.mapi (fun p j -> (j, d.(p) /. st.norms.(j))) act)
-              in
-              gu := g;
-              for j = 0 to m - 1 do
-                (* Banned columns can never enter, so letting them bound
-                   the step stalls the walk at their crossing point —
-                   skip them like active ones. *)
-                if (not st.in_active.(j)) && not st.banned.(j) then begin
-                  let aj = g.(j) /. st.norms.(j) in
-                  let cand1 = (cc -. cval j) /. (a_a -. aj) in
-                  let cand2 = (cc +. cval j) /. (a_a +. aj) in
-                  if cand1 > 1e-12 && cand1 < !gamma then gamma := cand1;
-                  if cand2 > 1e-12 && cand2 < !gamma then gamma := cand2
-                end
-              done
-          | Some e ->
-              let dir =
-                if sh_incremental then
-                  Shard_sweep.Weights
-                    (Array.mapi (fun p j -> (j, d.(p) /. st.norms.(j))) act)
-                else Shard_sweep.Dense u
-              in
-              sh_dir := Some dir;
-              let g = Shard_sweep.lars_gamma e ~cc ~a_a dir in
-              if g < !gamma then gamma := g);
-          (* Lasso modification: first zero-crossing of an active
-             coefficient bounds the step. *)
-          let drop = ref (-1) in
-          if mode = Lasso then
-            Array.iteri
-              (fun p j ->
-                (* β_j moves by γ·d_j; it crosses zero at γ = −β_j/d_j. *)
-                if d.(p) <> 0. then begin
-                  let gz = -.st.beta.(j) /. d.(p) in
-                  if gz > 1e-12 && gz < !gamma then begin
-                    gamma := gz;
-                    drop := j
-                  end
-                end)
-              act;
-          (* Advance. *)
-          Array.iteri
-            (fun p j -> st.beta.(j) <- st.beta.(j) +. (!gamma *. d.(p)))
-            act;
-          Vec.axpy !gamma u st.mu;
-          (* The residual moved by −γ·u, so c moved by −γ·(Gᵀ·u) — the
-             delta update replacing the next iteration's full sweep.
-             Drops below only zero an already-crossed coefficient and
-             rebuild the factor; they do not move mu, so c needs no
-             further update. *)
-          (match (eng, inc) with
-          | Some e, _ ->
-              if sh_incremental then begin
-                (* Parent-mirrored cadence: the non-sharded Inc counts
-                   movement steps and refreshes when due; the shards
-                   receive retreat and refresh in one logged command so
-                   a worker lost between them replays both. *)
-                incr since;
-                let due = refresh_every > 0 && !since >= refresh_every in
-                let refresh_r = if due then Some (Vec.sub f st.mu) else None in
-                Shard_sweep.commit e ~gamma:!gamma
-                  ~dir:(Option.get !sh_dir) ~refresh:refresh_r;
-                if due then since := 0
-              end
+  while not (Engine.finished t) do
+    (match t.Engine.phase with
+    | Engine.Done -> ()
+    | Engine.Corr -> (
+        (* Correlations of every column with the residual: the
+           column-parallel Gᵀ·r sweep (bitwise equal to the sequential
+           per-column xdot), the delta-maintained incremental vector —
+           O(M) instead of O(K·M) — or the shards' merged picks. *)
+        let pick =
+          match (eng, inc) with
+          | Some e, _ -> Shard_sweep.lars_select e ~r:(Engine.request t)
           | None, Some ic ->
-              Corr_sweep.Inc.retreat ic !gamma !gu;
-              Corr_sweep.Inc.note_step ic;
-              if Corr_sweep.Inc.due ic then
-                Corr_sweep.Inc.refresh ic (Vec.sub f st.mu)
-          | None, None -> ());
-          let dropped =
-            if !drop >= 0 then begin
-              st.beta.(!drop) <- 0.;
-              st.active <- List.filter (fun j -> j <> !drop) st.active;
-              st.in_active.(!drop) <- false;
-              (match eng with
-              | None -> ()
-              | Some e -> Shard_sweep.deactivate e !drop);
-              (match rebuild_chol st with
-              | () -> ()
-              | exception (Cholesky.Not_positive_definite _ as e) -> (
-                  match on_singular with
-                  | `Stop -> raise e
-                  | `Fallback ->
-                      (* The remaining active Gram factor itself went
-                         non-SPD: no usable direction is left; end the
-                         path at the last consistent model. *)
-                      st.notes <-
-                        "lars: stopped on non-SPD active set after drop"
-                        :: st.notes;
-                      stop := true));
-              Some !drop
-            end
-            else None
-          in
-          steps :=
-            { added; dropped; max_corr = cc; model = current_model st }
-            :: !steps;
-          events :=
-            {
-              Ckpt.added = (match added with Some j -> j | None -> -1);
-              banned = !banned_now;
-              dropped = (match dropped with Some j -> j | None -> -1);
-              gamma = !gamma;
-            }
-            :: !events;
-          incr nevents;
-          if checkpoint_every > 0 && !nevents mod checkpoint_every = 0 then
-            emit_checkpoint ()
-          (* When γ = C/A the full-LS endpoint of the active set was
-             reached; the residual is then uncorrelated with every
-             active column and the tol test stops the next iteration. *)
-        end
-      end
-    end
+              Engine.scan_corr t (Corr_sweep.Inc.correlations ic)
+          | None, None ->
+              Engine.scan_corr t
+                (Corr_sweep.gram_tr ?pool src (Engine.request t))
+        in
+        match Engine.answer_corr t pick with
+        | Engine.Entered j ->
+            (* Entering column: cache v_j = Gᵀ·g_j once — the O(K·M)
+               build that every later delta update amortizes. *)
+            let col = Provider.Cache.column st.cache j in
+            Option.iter (fun ic -> Corr_sweep.Inc.ensure_gram ic j col) inc;
+            Option.iter (fun e -> Shard_sweep.activate e j col) eng
+        | Engine.Banned j -> Option.iter (fun e -> Shard_sweep.ban e j) eng
+        | Engine.No_entry -> ())
+    | Engine.Dir { dir; _ } -> (
+        (* Step lengths: the inner products of every column with the
+           equiangular direction u are the second Gᵀ·r-shaped sweep of
+           the iteration. Incremental mode assembles Gᵀ·u from the
+           cached Gram columns of the active set (u = Σ w_p·x_{j_p}) at
+           O(p·M) — the sweep the Gram cache eliminates outright.
+           Sharded runs push the sweep and the min scan into the shards
+           and fold the exact local minima. *)
+        let weights () =
+          Array.mapi (fun p j -> (j, dir.d.(p) /. st.norms.(j))) dir.act
+        in
+        match eng with
+        | None ->
+            let gu =
+              match inc with
+              | None -> Corr_sweep.gram_tr ?pool src dir.u
+              | Some ic -> Corr_sweep.Inc.combination ic (weights ())
+            in
+            let gamma, _ = Engine.answer_dir t (Engine.scan_gamma t gu) in
+            (* The residual moved by −γ·u, so c moved by −γ·(Gᵀ·u) — the
+               delta update replacing the next iteration's full sweep. *)
+            Option.iter
+              (fun ic ->
+                Corr_sweep.Inc.retreat ic gamma gu;
+                Corr_sweep.Inc.note_step ic;
+                if Corr_sweep.Inc.due ic then
+                  Corr_sweep.Inc.refresh ic (Vec.sub f st.mu))
+              inc
+        | Some e ->
+            let sdir =
+              if sh_incremental then Shard_sweep.Weights (weights ())
+              else Shard_sweep.Dense dir.u
+            in
+            let gamma, dropped =
+              Engine.answer_dir t
+                (Shard_sweep.lars_gamma e ~cc:dir.cc ~a_a:dir.a_a sdir)
+            in
+            if sh_incremental then begin
+              (* Parent-mirrored cadence: the non-sharded Inc counts
+                 movement steps and refreshes when due; the shards
+                 receive retreat and refresh in one logged command so a
+                 worker lost between them replays both. *)
+              incr since;
+              let due = refresh_every > 0 && !since >= refresh_every in
+              let refresh = if due then Some (Vec.sub f st.mu) else None in
+              Shard_sweep.commit e ~gamma ~dir:sdir ~refresh;
+              if due then since := 0
+            end;
+            Option.iter (Shard_sweep.deactivate e) dropped));
+    if
+      checkpoint_every > 0
+      && t.Engine.nevents > !last_ckpt
+      && t.Engine.nevents mod checkpoint_every = 0
+    then emit_checkpoint ()
   done;
   (* Terminal checkpoint: whatever the cadence, a completed path leaves
      a checkpoint of its full event log, so resuming from it replays the
      whole walk rather than a stale prefix. *)
-  if !nevents > !last_ckpt then emit_checkpoint ();
-  Array.of_list (List.rev !steps)
+  if t.Engine.nevents > !last_ckpt then emit_checkpoint ();
+  Engine.steps t
 
 let fit_p ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint
     ?resume ?sweep ?shards ?shard_mode ?recovered src f ~lambda =
@@ -705,267 +739,6 @@ let fit_p ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint
                (Array.length steps) lambda)
   in
   run base_steps
-
-(* Externally-swept LAR walk for the fused lockstep drivers. The walk
-   needs two Gᵀ·v sweeps per movement step — correlations against the
-   residual, then step lengths against the equiangular direction — and
-   the engine exposes exactly that seam: [request] names the K-vector
-   whose sweep is needed next, [supply] feeds the M-length Gᵀ·v back
-   and runs the loop body. Every arithmetic sequence is lifted verbatim
-   from the exact-sweep, unsharded branch of [path_p], so an engine
-   driven by [request]/[supply] with exact sweeps (in particular the
-   per-entry results of {!Corr_sweep.gram_tr_multi}) records the same
-   steps bit-for-bit. *)
-module Engine = struct
-  (* What the next [supply] will be fed: the correlation sweep of the
-     residual, or the step-length sweep of the equiangular direction
-     (with the first sweep's derived state carried across). *)
-  type phase =
-    | Corr
-    | Dir of {
-        added : int option;
-        act : int array;
-        c : float array;
-        d : float array;
-        u : Vec.t;
-        cc : float;
-        a_a : float;
-      }
-    | Done
-
-  type t = {
-    st : state;
-    mode : mode;
-    tol : float;
-    on_singular : [ `Stop | `Fallback ];
-    max_steps : int;
-    max_active : int;
-    f : Vec.t;
-    mutable steps_rev : step list;
-    mutable initial_c : float;
-    mutable nsteps : int;
-    mutable stop : bool;
-    mutable phase : phase;
-  }
-
-  let create ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) src f
-      ~max_steps =
-    let k = Provider.rows src and m = Provider.cols src in
-    if Array.length f <> k then
-      invalid_arg "Lars.path: response length mismatch";
-    if max_steps <= 0 then invalid_arg "Lars.path: max_steps must be positive";
-    let norms = Provider.column_norms ?pool src in
-    Array.iteri
-      (fun j n -> if n <= 0. then norms.(j) <- 1. else norms.(j) <- n)
-      norms;
-    let st =
-      {
-        src;
-        cache = Provider.Cache.create src;
-        norms;
-        k;
-        m;
-        beta = Array.make m 0.;
-        mu = Array.make k 0.;
-        active = [];
-        in_active = Array.make m false;
-        banned = Array.make m false;
-        notes = [];
-        chol = Cholesky.Grow.create (max (min k m) 1);
-      }
-    in
-    {
-      st;
-      mode;
-      tol;
-      on_singular;
-      max_steps;
-      max_active = min k m;
-      f;
-      steps_rev = [];
-      initial_c = 0.;
-      nsteps = 0;
-      stop = false;
-      phase = Corr;
-    }
-
-  let finished t = t.phase = Done
-
-  let request t =
-    match t.phase with
-    | Corr -> Vec.sub t.f t.st.mu
-    | Dir { u; _ } -> u
-    | Done -> invalid_arg "Lars.Engine.request: engine is finished"
-
-  (* The loop-head test of [path_p]'s while: the walk continues only
-     while not stopped and under the step budget. *)
-  let settle t =
-    if t.stop || t.nsteps >= t.max_steps then t.phase <- Done
-    else t.phase <- Corr
-
-  let supply_corr t gtr =
-    let st = t.st in
-    t.nsteps <- t.nsteps + 1;
-    let m = st.m in
-    if Array.length gtr <> m then
-      invalid_arg "Lars.Engine.supply: sweep length mismatch";
-    let big_c = ref 0. and enter = ref (-1) and enter_c = ref 0. in
-    let c = Array.init m (fun j -> gtr.(j) /. st.norms.(j)) in
-    for j = 0 to m - 1 do
-      let a = Float.abs c.(j) in
-      if (not st.banned.(j)) && a > !big_c then big_c := a;
-      if (not st.in_active.(j)) && (not st.banned.(j)) && a > !enter_c
-      then begin
-        enter := j;
-        enter_c := a
-      end
-    done;
-    let cval j = c.(j) in
-    if t.nsteps = 1 then t.initial_c <- !big_c;
-    if !big_c <= t.tol *. Float.max t.initial_c 1. then begin
-      t.stop <- true;
-      settle t
-    end
-    else begin
-      let banned_now = ref (-1) in
-      let added =
-        if
-          !enter >= 0
-          && List.length st.active < t.max_active
-          && !enter_c >= !big_c -. (1e-9 *. !big_c) -. 1e-15
-        then begin
-          match append_to_chol st !enter with
-          | () ->
-              st.active <- !enter :: st.active;
-              st.in_active.(!enter) <- true;
-              Some !enter
-          | exception Cholesky.Not_positive_definite _ -> (
-              match t.on_singular with
-              | `Stop -> None
-              | `Fallback ->
-                  st.banned.(!enter) <- true;
-                  banned_now := !enter;
-                  st.notes <-
-                    Printf.sprintf "lars: banned dependent column %d" !enter
-                    :: st.notes;
-                  None)
-        end
-        else None
-      in
-      if st.active = [] then begin
-        t.stop <- true;
-        settle t
-      end
-      else if !banned_now >= 0 then begin
-        (* Zero-length ban step, exactly as in [path_p]: the next
-           correlation sweep re-scans without the banned column. *)
-        let act = active_oldest_first st in
-        let cc =
-          Array.fold_left
-            (fun acc j -> Float.max acc (Float.abs (cval j)))
-            0. act
-        in
-        t.steps_rev <-
-          { added = None; dropped = None; max_corr = cc;
-            model = current_model st }
-          :: t.steps_rev;
-        settle t
-      end
-      else begin
-        let act = active_oldest_first st in
-        let s = Array.map (fun j -> if cval j >= 0. then 1. else -1.) act in
-        let z = Cholesky.Grow.solve st.chol s in
-        let sz = Vec.dot s z in
-        if sz <= 0. then begin
-          t.stop <- true;
-          settle t
-        end
-        else begin
-          let a_a = 1. /. sqrt sz in
-          let d = Array.map (fun zj -> a_a *. zj) z in
-          let u = Array.make st.k 0. in
-          Array.iteri
-            (fun p j ->
-              let w = d.(p) /. st.norms.(j) in
-              let colj = Provider.Cache.column st.cache j in
-              for r = 0 to st.k - 1 do
-                u.(r) <- u.(r) +. (w *. Array.unsafe_get colj r)
-              done)
-            act;
-          let cc =
-            Array.fold_left
-              (fun acc j -> Float.max acc (Float.abs (cval j)))
-              0. act
-          in
-          t.phase <- Dir { added; act; c; d; u; cc; a_a }
-        end
-      end
-    end
-
-  let supply_dir t ~added ~act ~c ~d ~u ~cc ~a_a g =
-    let st = t.st in
-    if Array.length g <> st.m then
-      invalid_arg "Lars.Engine.supply: sweep length mismatch";
-    let cval j = c.(j) in
-    let gamma = ref (cc /. a_a) in
-    for j = 0 to st.m - 1 do
-      if (not st.in_active.(j)) && not st.banned.(j) then begin
-        let aj = g.(j) /. st.norms.(j) in
-        let cand1 = (cc -. cval j) /. (a_a -. aj) in
-        let cand2 = (cc +. cval j) /. (a_a +. aj) in
-        if cand1 > 1e-12 && cand1 < !gamma then gamma := cand1;
-        if cand2 > 1e-12 && cand2 < !gamma then gamma := cand2
-      end
-    done;
-    let drop = ref (-1) in
-    if t.mode = Lasso then
-      Array.iteri
-        (fun p j ->
-          if d.(p) <> 0. then begin
-            let gz = -.st.beta.(j) /. d.(p) in
-            if gz > 1e-12 && gz < !gamma then begin
-              gamma := gz;
-              drop := j
-            end
-          end)
-        act;
-    Array.iteri
-      (fun p j -> st.beta.(j) <- st.beta.(j) +. (!gamma *. d.(p)))
-      act;
-    Vec.axpy !gamma u st.mu;
-    let dropped =
-      if !drop >= 0 then begin
-        st.beta.(!drop) <- 0.;
-        st.active <- List.filter (fun j -> j <> !drop) st.active;
-        st.in_active.(!drop) <- false;
-        (match rebuild_chol st with
-        | () -> ()
-        | exception (Cholesky.Not_positive_definite _ as e) -> (
-            match t.on_singular with
-            | `Stop -> raise e
-            | `Fallback ->
-                st.notes <-
-                  "lars: stopped on non-SPD active set after drop"
-                  :: st.notes;
-                t.stop <- true));
-        Some !drop
-      end
-      else None
-    in
-    t.steps_rev <-
-      { added; dropped; max_corr = cc; model = current_model st }
-      :: t.steps_rev;
-    settle t
-
-  let supply t g =
-    match t.phase with
-    | Corr -> supply_corr t g
-    | Dir { added; act; c; d; u; cc; a_a } ->
-        supply_dir t ~added ~act ~c ~d ~u ~cc ~a_a g
-    | Done -> invalid_arg "Lars.Engine.supply: engine is finished"
-
-  let steps t = Array.of_list (List.rev t.steps_rev)
-end
 
 let path ?mode ?tol ?pool ?on_singular g f ~max_steps =
   path_p ?mode ?tol ?pool ?on_singular (Provider.dense g) f ~max_steps

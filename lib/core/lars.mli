@@ -20,7 +20,19 @@
     Consumes a {!Polybasis.Design.Provider} ([_p] variants): the two
     per-step sweeps stream columns on demand, active columns are cached
     (K floats each) for Gram updates and the equiangular direction —
-    dense and matrix-free runs are bitwise identical. *)
+    dense and matrix-free runs are bitwise identical.
+
+    There is one walk, {!Engine}. Each step asks two questions that
+    cost an O(K·M) sweep — which column enters (the correlation pick)
+    and how far to go (the minimum step-length candidate) — and every
+    entry point differs only in who answers them: {!path_p} answers
+    from an exact, incremental or column-sharded sweep, the fused CV
+    drivers in {!Select} from one {!Corr_sweep.gram_tr_multi} pass
+    shared by many walks. Both answers reduce through the scan kernels
+    {!Shard_sweep.lars_scan} and {!Shard_sweep.gamma_scan}, so every
+    driver walks the same steps bit for bit; checkpoint replay feeds
+    the recorded entries and step lengths through the walk's own
+    direction, advance and drop arithmetic. *)
 
 type mode = Lar | Lasso
 
@@ -48,7 +60,11 @@ val path_p :
   max_steps:int ->
   step array
 (** [path_p src f ~max_steps] traces up to [max_steps] path steps
-    (default mode [Lar]). Stops early when the maximal correlation falls
+    (default mode [Lar]) by driving the {!Engine} walk: it answers the
+    walk's two requests from the sweep engine chosen below and applies
+    each step's side effects to it (Gram-cache builds, shard masks,
+    incremental retreats and refreshes), plus the event log and
+    checkpoint emission. Stops early when the maximal correlation falls
     below [tol] relative to its initial value (default [1e-10]), when
     the active set saturates at [min(K, M)], or at the final
     unrestricted LS point of the active set.
@@ -143,20 +159,22 @@ val fit_p :
     empty model carries a [Model.notes] entry saying so rather than
     being silently zero. Checkpoint arguments behave as in {!path_p}. *)
 
-(** Externally-swept LAR walk — the fused lockstep drivers' seam.
+(** The LAR walk — the only implementation of the step, which
+    {!path_p}, checkpoint replay and the fused lockstep drivers all
+    drive.
 
     The walk needs two [Gᵀ·v] sweeps per movement step (correlations
     against the residual, then step lengths against the equiangular
     direction). The engine suspends at each: {!Engine.request} names
     the K-vector whose sweep is needed next, {!Engine.supply} feeds the
-    M-length [Gᵀ·v] back and runs the loop body. Driven with exact
-    sweeps — in particular the per-entry results of
-    {!Corr_sweep.gram_tr_multi}, which are bitwise equal to independent
-    per-fold sweeps — the recorded steps are bit-for-bit those of
-    {!path_p} with the exact sweep, unsharded and uncheckpointed.
-    Requests from distinct engines are mutually independent, so a fused
-    driver may batch a mix of correlation- and direction-phase requests
-    into one multi sweep. *)
+    M-length [Gᵀ·v] back, reduces it with the same scan kernels
+    {!path_p} uses, and advances the walk. Driven with exact sweeps —
+    in particular the per-entry results of {!Corr_sweep.gram_tr_multi},
+    which are bitwise equal to independent per-fold sweeps — the
+    recorded steps are bit-for-bit those of {!path_p} with the exact
+    sweep. Requests from distinct engines are mutually independent, so
+    a fused driver may batch a mix of correlation- and direction-phase
+    requests into one multi sweep. *)
 module Engine : sig
   type t
 

@@ -59,6 +59,36 @@ let held_out_curve ~max_lambda src f models held_out =
       let m = models.(min l (Array.length models - 1)) in
       Model.error_on_p m src_ho f_ho)
 
+(* Mean CV curve ε(λ) over the fold curves (averaged in fold order)
+   and the λ the rule picks from it, refit on all data — the one
+   reduction behind every selector, single- or multi-output. *)
+let choose ~folds ~rule ~max_lambda ~path_models ~rng src f fold_curves =
+  let fq = float_of_int folds in
+  let curve =
+    Array.init max_lambda (fun l ->
+        Array.fold_left (fun acc fc -> acc +. (fc.(l) /. fq)) 0. fold_curves)
+  in
+  let best = Stat.Crossval.argmin curve in
+  let lambda =
+    match rule with
+    | Min_error -> best + 1
+    | One_se ->
+        (* Fold-to-fold standard error of the mean at the minimum. *)
+        let at_min = Array.map (fun fc -> fc.(best)) fold_curves in
+        let threshold =
+          curve.(best) +. (Stat.Descriptive.std at_min /. sqrt fq)
+        in
+        let l = ref best in
+        (* Smallest lambda within one SE of the minimum. *)
+        for cand = best - 1 downto 0 do
+          if (not (Float.is_nan curve.(cand))) && curve.(cand) <= threshold
+          then l := cand
+        done;
+        !l + 1
+  in
+  let final = path_models ~rng src f ~max_lambda:lambda in
+  { model = final.(Array.length final - 1); lambda; curve }
+
 let generic_impl ?(folds = 4) ?(rule = Min_error) ?pool ?checkpoint
     ?(resume = false) ?fused_curves rng ~max_lambda ~path_models src f =
   if max_lambda <= 0 then invalid_arg "Select: max_lambda must be positive";
@@ -85,8 +115,8 @@ let generic_impl ?(folds = 4) ?(rule = Min_error) ?pool ?checkpoint
      per-fold driver, folds are fitted in parallel (one chunk per
      fold); the fused driver instead runs all fold solvers in lockstep
      sharing one multi-residual sweep per step. Either way each fold
-     owns its own slot and the averaging below runs in fold order, so
-     the curve is bitwise independent of the driver and domain count. *)
+     owns its own slot and the averaging runs in fold order, so the
+     curve is bitwise independent of the driver and domain count. *)
   let fold_curves =
     match fused_curves with
     | Some fit_curves -> Stat.Crossval.run_fold_curves_batch ?cache plan ~fit_curves
@@ -100,35 +130,7 @@ let generic_impl ?(folds = 4) ?(rule = Min_error) ?pool ?checkpoint
             in
             held_out_curve ~max_lambda src f models held_out)
   in
-  let fq = float_of_int folds in
-  let curve =
-    Array.init max_lambda (fun l ->
-        Array.fold_left (fun acc fc -> acc +. (fc.(l) /. fq)) 0. fold_curves)
-  in
-  let best = Stat.Crossval.argmin curve in
-  let lambda =
-    match rule with
-    | Min_error -> best + 1
-    | One_se ->
-        (* Fold-to-fold standard error of the mean at the minimum. *)
-        let at_min = Array.map (fun fc -> fc.(best)) fold_curves in
-        let se =
-          if folds < 2 then 0.
-          else Stat.Descriptive.std at_min /. sqrt fq
-        in
-        let threshold = curve.(best) +. se in
-        let l = ref best in
-        (* Smallest lambda within one SE of the minimum. *)
-        for cand = best - 1 downto 0 do
-          if
-            (not (Float.is_nan curve.(cand)))
-            && curve.(cand) <= threshold
-          then l := cand
-        done;
-        !l + 1
-  in
-  let final = path_models ~rng:refit_rng src f ~max_lambda:lambda in
-  { model = final.(Array.length final - 1); lambda; curve }
+  choose ~folds ~rule ~max_lambda ~path_models ~rng:refit_rng src f fold_curves
 
 let generic_p ?folds ?rule ?pool ?checkpoint ?resume rng ~max_lambda
     ~path_models src f =
@@ -141,28 +143,37 @@ let generic ?folds ?rule ?pool rng ~max_lambda ~path_models g f =
       path_models ~rng (Provider.to_dense ?pool src) f ~max_lambda)
     (Provider.dense g) f
 
-let clamp_lambda ~max_lambda cap =
-  (* Paths cannot exceed the solver's own bound on a fold's training
-     rows; the caller's max_lambda is clamped accordingly. *)
-  min max_lambda cap
+(* The λ grid of a path selector: paths cannot exceed M, nor — for
+   solvers bounded by their rows — the smallest fold's training size
+   n − ⌈n/Q⌉. The fold count is checked first: Q < 2 has no held-out
+   fold, and Q = 0 would divide by zero. *)
+let lambda_cap ?(folds = 4) ~rows_bound ~max_lambda src =
+  if folds < 2 then invalid_arg "Select: need at least 2 folds";
+  let n = Provider.rows src and m = Provider.cols src in
+  min max_lambda (if rows_bound then min (n - ((n + folds - 1) / folds)) m else m)
+
+(* LAR step budget of a λ grid: lasso drops and bans make the path
+   longer than its support size. *)
+let lars_max_steps max_lambda = min ((2 * max_lambda) + 8) (4 * max_lambda)
 
 exception Conflict of string
 
 (* Whether a fused lockstep drive applies: fused sweeps require the
-   exact correlation engine (the incremental engine maintains per-fold
-   state the multi sweep cannot share), and by default they are worth
-   it exactly when column generation is the cost being amortized —
-   streamed providers. [?fused] overrides the default either way.
+   exact correlation engine (the incremental engine maintains
+   per-solver state a multi sweep cannot share). Unset, [fused]
+   defaults to [default]: single-output CV fuses exactly when column
+   generation is the cost being amortized — streamed providers — while
+   the multi-output grid amortizes every sweep across R×Q solvers and
+   fuses whenever legal.
 
    Sharding is the hard case: the sharded engine owns the selection
-   sweep per solver run, while fused lockstep CV shares one sweep
-   across folds — mutually exclusive. When the caller merely left
-   [fused] unset the resolution silently prefers the sharded engine,
-   but an {e explicit} [fused = Some true] cannot be honored, and
-   silently ignoring an explicit flag once cost a user a day of
-   benchmarking the wrong driver — that combination is a typed
-   {!Conflict} instead. *)
-let resolve_fused ~sweep ~fused ~shards src =
+   sweep per solver run, while the fused driver shares one sweep across
+   solvers — mutually exclusive. When the caller merely left [fused]
+   unset the resolution silently prefers the sharded engine, but an
+   {e explicit} [fused = Some true] cannot be honored, and silently
+   ignoring an explicit flag once cost a user a day of benchmarking the
+   wrong driver — that combination is a typed {!Conflict} instead. *)
+let resolve ~default ~sweep ~fused ~shards =
   let sharded = match shards with Some s -> s > 1 | None -> false in
   let exact =
     match sweep with
@@ -173,105 +184,85 @@ let resolve_fused ~sweep ~fused ~shards src =
   | Some true when sharded ->
       raise
         (Conflict
-           "fused CV conflicts with sharded sweeps: the sharded engine owns \
-            the selection sweep of each solver run, while fused CV shares one \
-            sweep across all folds; drop --fused-cv or run with --shards 1")
+           "fused fitting conflicts with sharded sweeps: the sharded engine \
+            owns the selection sweep of each solver run, while the fused \
+            driver shares one sweep across every fold and output; drop \
+            --fused-cv/--fused-outputs or run with --shards 1")
   | Some b -> b && exact && not sharded
-  | None -> exact && (not sharded) && Provider.is_streamed src
+  | None -> default && exact && not sharded
+
+let resolve_fused_multi ~sweep ~fused ~shards =
+  resolve ~default:true ~sweep ~fused ~shards
 
 (* Fused lockstep job fitting: one solver engine per (response,
    training-rows) job — a fold of one output, or any (output, fold)
-   cell of a multi-output grid — advanced in lockstep; each round
-   computes every live job's selection with a single fused
+   cell of a multi-output grid — advanced in lockstep; each [round]
+   answers every live engine's pending request with a single fused
    multi-residual sweep over the full provider (per-job training rows
    as index sets). A job's sweep accumulates over exactly its training
    rows in ascending order — bitwise the sweep over its [select_rows]
-   provider — and the engines replay the monolithic loop bodies, so
-   the resulting curves are bitwise identical to job-at-a-time fitting
+   provider — and each engine is the solver's own walk, so the
+   resulting curves are bitwise identical to job-at-a-time fitting
    while streamed column generation is paid once per round instead of
    once per live job. Jobs are [(f, train, held_out)] with [f] the
    job's full-length response. *)
-let fused_omp_jobs ?on_singular ?pool src ~max_lambda jobs =
+let lockstep ~create ~finished ~round ~models src ~max_lambda jobs =
   let engines =
     Array.map
       (fun (f, train, _) ->
-        let src_tr = Provider.select_rows src train in
-        let f_tr = Array.map (fun i -> f.(i)) train in
-        let ml =
-          min max_lambda (min (Provider.rows src_tr) (Provider.cols src_tr))
-        in
-        (Omp.Engine.create ?on_singular src_tr f_tr ~max_lambda:ml, train))
+        create (Provider.select_rows src train) (Array.map (fun i -> f.(i)) train))
       jobs
   in
-  let running = ref true in
-  while !running do
-    let live = ref [] in
-    for i = Array.length engines - 1 downto 0 do
-      if not (Omp.Engine.finished (fst engines.(i))) then live := i :: !live
-    done;
-    match !live with
-    | [] -> running := false
-    | live ->
-        let live = Array.of_list live in
-        let rows = Array.map (fun i -> snd engines.(i)) live in
-        let rs =
-          Array.map (fun i -> Omp.Engine.residual (fst engines.(i))) live
-        in
-        let skips =
-          Array.map (fun i -> Omp.Engine.skip_mask (fst engines.(i))) live
-        in
-        let picks = Corr_sweep.argmax_abs_multi ?pool ~skips src ~rows rs in
-        Array.iteri
-          (fun ii i -> ignore (Omp.Engine.advance (fst engines.(i)) picks.(ii)))
-          live
-  done;
-  Array.mapi
-    (fun i (f, _, held_out) ->
-      let models =
-        Array.map (fun s -> s.Omp.model) (Omp.Engine.steps (fst engines.(i)))
-      in
-      held_out_curve ~max_lambda src f models held_out)
-    jobs
+  let rec loop () =
+    let live =
+      List.filter
+        (fun i -> not (finished engines.(i)))
+        (List.init (Array.length jobs) Fun.id)
+    in
+    if live <> [] then begin
+      let live = Array.of_list live in
+      round
+        (Array.map (fun i -> engines.(i)) live)
+        ~rows:(Array.map (fun i -> (fun (_, train, _) -> train) jobs.(i)) live);
+      loop ()
+    end
+  in
+  loop ();
+  Array.map2
+    (fun e (f, _, held_out) ->
+      held_out_curve ~max_lambda src f (models e) held_out)
+    engines jobs
 
-let fused_star_jobs ?pool src ~max_lambda jobs =
-  let engines =
-    Array.map
-      (fun (f, train, _) ->
-        let src_tr = Provider.select_rows src train in
-        let f_tr = Array.map (fun i -> f.(i)) train in
-        (Star.Engine.create src_tr f_tr ~max_lambda, train))
-      jobs
-  in
-  let running = ref true in
-  while !running do
-    let live = ref [] in
-    for i = Array.length engines - 1 downto 0 do
-      if not (Star.Engine.finished (fst engines.(i))) then live := i :: !live
-    done;
-    match !live with
-    | [] -> running := false
-    | live ->
-        let live = Array.of_list live in
-        let rows = Array.map (fun i -> snd engines.(i)) live in
-        let rs =
-          Array.map (fun i -> Star.Engine.residual (fst engines.(i))) live
-        in
-        let skips =
-          Array.map (fun i -> Star.Engine.skip_mask (fst engines.(i))) live
-        in
-        let picks = Corr_sweep.argmax_abs_multi ?pool ~skips src ~rows rs in
-        Array.iteri
-          (fun ii i ->
-            ignore (Star.Engine.advance (fst engines.(i)) picks.(ii)))
-          live
-  done;
-  Array.mapi
-    (fun i (f, _, held_out) ->
-      let models =
-        Array.map (fun s -> s.Star.model) (Star.Engine.steps (fst engines.(i)))
+(* OMP/STAR round: every live engine's selection from one fused argmax. *)
+let argmax_round ?pool src ~residual ~skip_mask ~advance es ~rows =
+  let rs = Array.map residual es in
+  let skips = Array.map skip_mask es in
+  let picks = Corr_sweep.argmax_abs_multi ?pool ~skips src ~rows rs in
+  Array.iteri (fun i e -> advance e picks.(i)) es
+
+let fused_omp ?on_singular ?pool src ~max_lambda =
+  lockstep src ~max_lambda
+    ~create:(fun src_tr f_tr ->
+      let ml =
+        min max_lambda (min (Provider.rows src_tr) (Provider.cols src_tr))
       in
-      held_out_curve ~max_lambda src f models held_out)
-    jobs
+      Omp.Engine.create ?on_singular src_tr f_tr ~max_lambda:ml)
+    ~finished:Omp.Engine.finished
+    ~round:
+      (argmax_round ?pool src ~residual:Omp.Engine.residual
+         ~skip_mask:Omp.Engine.skip_mask ~advance:(fun e p ->
+           ignore (Omp.Engine.advance e p)))
+    ~models:(fun e -> Array.map (fun s -> s.Omp.model) (Omp.Engine.steps e))
+
+let fused_star ?pool src ~max_lambda =
+  lockstep src ~max_lambda
+    ~create:(fun src_tr f_tr -> Star.Engine.create src_tr f_tr ~max_lambda)
+    ~finished:Star.Engine.finished
+    ~round:
+      (argmax_round ?pool src ~residual:Star.Engine.residual
+         ~skip_mask:Star.Engine.skip_mask ~advance:(fun e p ->
+           ignore (Star.Engine.advance e p)))
+    ~models:(fun e -> Array.map (fun s -> s.Star.model) (Star.Engine.steps e))
 
 (* λ-indexed models from a LAR step sequence: entry λ−1 holds the last
    path model with at most λ active coefficients, so curves are indexed
@@ -295,153 +286,85 @@ let lars_lambda_models src ~max_lambda steps =
     models
   end
 
-(* The LAR walk needs two sweeps per movement step, so its lockstep
-   loop feeds each live engine's requested vector — residual or
-   equiangular direction, the engines are mutually independent — into
-   one [gram_tr_multi] pass per round. *)
-let fused_lars_jobs ?mode ?on_singular ?pool src ~max_lambda jobs =
-  let max_steps = min ((2 * max_lambda) + 8) (4 * max_lambda) in
-  let engines =
-    Array.map
-      (fun (f, train, _) ->
-        let src_tr = Provider.select_rows src train in
-        let f_tr = Array.map (fun i -> f.(i)) train in
-        ( Lars.Engine.create ?mode ?pool ?on_singular src_tr f_tr ~max_steps,
-          train ))
-      jobs
+(* LAR round: each live walk's pending request — residual or
+   equiangular direction, the walks are mutually independent — served
+   from one [gram_tr_multi] pass. *)
+let fused_lars ?mode ?on_singular ?pool src ~max_lambda =
+  let max_steps = lars_max_steps max_lambda in
+  lockstep src ~max_lambda
+    ~create:(fun src_tr f_tr ->
+      Lars.Engine.create ?mode ?pool ?on_singular src_tr f_tr ~max_steps)
+    ~finished:Lars.Engine.finished
+    ~round:(fun es ~rows ->
+      let sweeps =
+        Corr_sweep.gram_tr_multi ?pool src ~rows
+          (Array.map Lars.Engine.request es)
+      in
+      Array.iteri (fun i e -> Lars.Engine.supply e sweeps.(i)) es)
+    ~models:(fun e -> lars_lambda_models src ~max_lambda (Lars.Engine.steps e))
+
+(* Per-fold (and refit) path models of each solver. *)
+let omp_models ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered ()
+    ~rng:_ src f ~max_lambda =
+  let max_lambda = min max_lambda (min (Provider.rows src) (Provider.cols src)) in
+  Array.map
+    (fun s -> s.Omp.model)
+    (Omp.path_p ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered src f
+       ~max_lambda)
+
+let star_models ?pool ?sweep ?shards ?shard_mode ?recovered () ~rng:_ src f
+    ~max_lambda =
+  Array.map
+    (fun s -> s.Star.model)
+    (Star.path_p ?pool ?sweep ?shards ?shard_mode ?recovered src f ~max_lambda)
+
+let lars_models ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered
+    () ~rng:_ src f ~max_lambda =
+  lars_lambda_models src ~max_lambda
+    (Lars.path_p ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
+       ?recovered src f ~max_steps:(lars_max_steps max_lambda))
+
+(* Single-output selection: the fused lockstep fold driver when it
+   applies, fold-at-a-time otherwise. *)
+let select_single ?folds ?rule ?pool ?checkpoint ?resume ~sweep ~fused
+    ~shards ~fit_jobs ~path_models rng ~max_lambda src f =
+  let fused_curves =
+    if resolve ~default:(Provider.is_streamed src) ~sweep ~fused ~shards then
+      Some
+        (fun pending ->
+          fit_jobs
+            (Array.map (fun (_, train, held_out) -> (f, train, held_out)) pending))
+    else None
   in
-  let running = ref true in
-  while !running do
-    let live = ref [] in
-    for i = Array.length engines - 1 downto 0 do
-      if not (Lars.Engine.finished (fst engines.(i))) then live := i :: !live
-    done;
-    match !live with
-    | [] -> running := false
-    | live ->
-        let live = Array.of_list live in
-        let rows = Array.map (fun i -> snd engines.(i)) live in
-        let rs =
-          Array.map (fun i -> Lars.Engine.request (fst engines.(i))) live
-        in
-        let sweeps = Corr_sweep.gram_tr_multi ?pool src ~rows rs in
-        Array.iteri
-          (fun ii i -> Lars.Engine.supply (fst engines.(i)) sweeps.(ii))
-          live
-  done;
-  Array.mapi
-    (fun i (f, _, held_out) ->
-      let steps = Lars.Engine.steps (fst engines.(i)) in
-      let models = lars_lambda_models src ~max_lambda steps in
-      held_out_curve ~max_lambda src f models held_out)
-    jobs
-
-let single_output_jobs f pending =
-  Array.map (fun (_, train, held_out) -> (f, train, held_out)) pending
-
-let fused_omp_curves ?on_singular ?pool src f ~max_lambda pending =
-  fused_omp_jobs ?on_singular ?pool src ~max_lambda
-    (single_output_jobs f pending)
-
-let fused_star_curves ?pool src f ~max_lambda pending =
-  fused_star_jobs ?pool src ~max_lambda (single_output_jobs f pending)
-
-let fused_lars_curves ?mode ?on_singular ?pool src f ~max_lambda pending =
-  fused_lars_jobs ?mode ?on_singular ?pool src ~max_lambda
-    (single_output_jobs f pending)
+  generic_impl ?folds ?rule ?pool ?checkpoint ?resume ?fused_curves rng
+    ~max_lambda ~path_models src f
 
 let omp_p ?folds ?rule ?pool ?on_singular ?sweep ?shards ?shard_mode
     ?recovered ?fused ?checkpoint ?resume rng ~max_lambda src f =
-  let cap_rows =
-    (* smallest fold training size: n − ceil(n/Q) *)
-    let n = Provider.rows src in
-    let q = match folds with Some q -> q | None -> 4 in
-    n - ((n + q - 1) / q)
-  in
-  let max_lambda =
-    clamp_lambda ~max_lambda (min cap_rows (Provider.cols src))
-  in
-  let fused_curves =
-    if resolve_fused ~sweep ~fused ~shards src then
-      Some (fused_omp_curves ?on_singular ?pool src f ~max_lambda)
-    else None
-  in
-  generic_impl ?folds ?rule ?pool ?checkpoint ?resume ?fused_curves rng
-    ~max_lambda
-    ~path_models:(fun ~rng:_ src f ~max_lambda ->
-      let max_lambda =
-        min max_lambda (min (Provider.rows src) (Provider.cols src))
-      in
-      Array.map
-        (fun s -> s.Omp.model)
-        (Omp.path_p ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered
-           src f ~max_lambda))
-    src f
+  let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
+  select_single ?folds ?rule ?pool ?checkpoint ?resume ~sweep ~fused ~shards
+    ~fit_jobs:(fused_omp ?on_singular ?pool src ~max_lambda)
+    ~path_models:
+      (omp_models ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered ())
+    rng ~max_lambda src f
 
 let star_p ?folds ?rule ?pool ?sweep ?shards ?shard_mode ?recovered ?fused
     ?checkpoint ?resume rng ~max_lambda src f =
-  let max_lambda = clamp_lambda ~max_lambda (Provider.cols src) in
-  let fused_curves =
-    if resolve_fused ~sweep ~fused ~shards src then
-      Some (fused_star_curves ?pool src f ~max_lambda)
-    else None
-  in
-  generic_impl ?folds ?rule ?pool ?checkpoint ?resume ?fused_curves rng
-    ~max_lambda
-    ~path_models:(fun ~rng:_ src f ~max_lambda ->
-      Array.map
-        (fun s -> s.Star.model)
-        (Star.path_p ?pool ?sweep ?shards ?shard_mode ?recovered src f
-           ~max_lambda))
-    src f
+  let max_lambda = lambda_cap ?folds ~rows_bound:false ~max_lambda src in
+  select_single ?folds ?rule ?pool ?checkpoint ?resume ~sweep ~fused ~shards
+    ~fit_jobs:(fused_star ?pool src ~max_lambda)
+    ~path_models:(star_models ?pool ?sweep ?shards ?shard_mode ?recovered ())
+    rng ~max_lambda src f
 
 let lars_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
     ?recovered ?fused ?checkpoint ?resume rng ~max_lambda src f =
-  let cap_rows =
-    let n = Provider.rows src in
-    let q = match folds with Some q -> q | None -> 4 in
-    n - ((n + q - 1) / q)
-  in
-  let max_lambda =
-    clamp_lambda ~max_lambda (min cap_rows (Provider.cols src))
-  in
-  let fused_curves =
-    if resolve_fused ~sweep ~fused ~shards src then
-      Some (fused_lars_curves ?mode ?on_singular ?pool src f ~max_lambda)
-    else None
-  in
-  generic_impl ?folds ?rule ?pool ?checkpoint ?resume ?fused_curves rng
-    ~max_lambda
-    ~path_models:(fun ~rng:_ src f ~max_lambda ->
-      let max_steps = min ((2 * max_lambda) + 8) (4 * max_lambda) in
-      let steps =
-        Lars.path_p ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
-          ?recovered src f ~max_steps
-      in
-      lars_lambda_models src ~max_lambda steps)
-    src f
-
-(* Multi-output driver resolution: like [resolve_fused], but without
-   the streamed-provider default — the fused grid amortizes each sweep
-   across R×Q solvers, so it pays for dense providers too. Same typed
-   conflict on an explicit fused request under sharding. *)
-let resolve_fused_multi ~sweep ~fused ~shards =
-  let sharded = match shards with Some s -> s > 1 | None -> false in
-  let exact =
-    match sweep with
-    | None | Some Corr_sweep.Exact -> true
-    | Some (Corr_sweep.Incremental _) -> false
-  in
-  match fused with
-  | Some true when sharded ->
-      raise
-        (Conflict
-           "fused multi-output fitting conflicts with sharded sweeps: the \
-            sharded engine owns the selection sweep of each solver run, while \
-            the fused driver shares one sweep across every output and fold; \
-            drop --fused-outputs or run with --shards 1")
-  | Some b -> b && exact && not sharded
-  | None -> exact && not sharded
+  let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
+  select_single ?folds ?rule ?pool ?checkpoint ?resume ~sweep ~fused ~shards
+    ~fit_jobs:(fused_lars ?mode ?on_singular ?pool src ~max_lambda)
+    ~path_models:
+      (lars_models ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
+         ?recovered ())
+    rng ~max_lambda src f
 
 (* Multi-output λ selection: R responses share one fold plan, one
    fused lockstep grid of R×Q fold solvers, and R per-output refits.
@@ -450,7 +373,7 @@ let resolve_fused_multi ~sweep ~fused ~shards =
    the path solvers ignore their fold streams, so output [r]'s result
    is bitwise the single-output run of [generic_impl] on [fs.(r)] with
    a copy of the same generator. *)
-let generic_multi_impl ?(folds = 4) ?(rule = Min_error) ?checkpoint
+let select_multi ?(folds = 4) ?(rule = Min_error) ?checkpoint
     ?(resume = false) ~fit_jobs ~path_models rng ~max_lambda src fs =
   if max_lambda <= 0 then invalid_arg "Select: max_lambda must be positive";
   let outputs = Array.length fs in
@@ -498,95 +421,40 @@ let generic_multi_impl ?(folds = 4) ?(rule = Min_error) ?checkpoint
   in
   let grid =
     Stat.Crossval.run_fold_curves_multi ?caches ~outputs plan
-      ~fit_curves:fit_jobs
+      ~fit_curves:(fun jobs ->
+        (* Each (output, fold) cell is a lockstep job carrying that
+           output's response. *)
+        fit_jobs
+          (Array.map (fun (r, _, train, held_out) -> (fs.(r), train, held_out)) jobs))
   in
-  let fq = float_of_int folds in
-  Array.init outputs (fun r ->
-      let fold_curves = grid.(r) in
-      let curve =
-        Array.init max_lambda (fun l ->
-            Array.fold_left (fun acc fc -> acc +. (fc.(l) /. fq)) 0. fold_curves)
-      in
-      let best = Stat.Crossval.argmin curve in
-      let lambda =
-        match rule with
-        | Min_error -> best + 1
-        | One_se ->
-            let at_min = Array.map (fun fc -> fc.(best)) fold_curves in
-            let se =
-              if folds < 2 then 0.
-              else Stat.Descriptive.std at_min /. sqrt fq
-            in
-            let threshold = curve.(best) +. se in
-            let l = ref best in
-            for cand = best - 1 downto 0 do
-              if
-                (not (Float.is_nan curve.(cand)))
-                && curve.(cand) <= threshold
-              then l := cand
-            done;
-            !l + 1
-      in
-      let final = path_models ~rng:refit_rng src fs.(r) ~max_lambda:lambda in
-      { model = final.(Array.length final - 1); lambda; curve })
-
-(* The grid's fused fitter: map each (output, fold) cell to a lockstep
-   job carrying that output's response. *)
-let grid_jobs fs jobs =
-  Array.map (fun (r, _, train, held_out) -> (fs.(r), train, held_out)) jobs
+  Array.mapi
+    (fun r fold_curves ->
+      choose ~folds ~rule ~max_lambda ~path_models ~rng:refit_rng src fs.(r)
+        fold_curves)
+    grid
 
 let omp_multi_p ?folds ?rule ?pool ?on_singular ?checkpoint ?resume rng
     ~max_lambda src fs =
-  let cap_rows =
-    let n = Provider.rows src in
-    let q = match folds with Some q -> q | None -> 4 in
-    n - ((n + q - 1) / q)
-  in
-  let max_lambda =
-    clamp_lambda ~max_lambda (min cap_rows (Provider.cols src))
-  in
-  generic_multi_impl ?folds ?rule ?checkpoint ?resume
-    ~fit_jobs:(fun jobs ->
-      fused_omp_jobs ?on_singular ?pool src ~max_lambda (grid_jobs fs jobs))
-    ~path_models:(fun ~rng:_ src f ~max_lambda ->
-      let max_lambda =
-        min max_lambda (min (Provider.rows src) (Provider.cols src))
-      in
-      Array.map
-        (fun s -> s.Omp.model)
-        (Omp.path_p ?pool ?on_singular src f ~max_lambda))
+  let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
+  select_multi ?folds ?rule ?checkpoint ?resume
+    ~fit_jobs:(fused_omp ?on_singular ?pool src ~max_lambda)
+    ~path_models:(omp_models ?pool ?on_singular ())
     rng ~max_lambda src fs
 
 let star_multi_p ?folds ?rule ?pool ?checkpoint ?resume rng ~max_lambda src
     fs =
-  let max_lambda = clamp_lambda ~max_lambda (Provider.cols src) in
-  generic_multi_impl ?folds ?rule ?checkpoint ?resume
-    ~fit_jobs:(fun jobs ->
-      fused_star_jobs ?pool src ~max_lambda (grid_jobs fs jobs))
-    ~path_models:(fun ~rng:_ src f ~max_lambda ->
-      Array.map (fun s -> s.Star.model) (Star.path_p ?pool src f ~max_lambda))
+  let max_lambda = lambda_cap ?folds ~rows_bound:false ~max_lambda src in
+  select_multi ?folds ?rule ?checkpoint ?resume
+    ~fit_jobs:(fused_star ?pool src ~max_lambda)
+    ~path_models:(star_models ?pool ())
     rng ~max_lambda src fs
 
 let lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?checkpoint ?resume
     rng ~max_lambda src fs =
-  let cap_rows =
-    let n = Provider.rows src in
-    let q = match folds with Some q -> q | None -> 4 in
-    n - ((n + q - 1) / q)
-  in
-  let max_lambda =
-    clamp_lambda ~max_lambda (min cap_rows (Provider.cols src))
-  in
-  generic_multi_impl ?folds ?rule ?checkpoint ?resume
-    ~fit_jobs:(fun jobs ->
-      fused_lars_jobs ?mode ?on_singular ?pool src ~max_lambda
-        (grid_jobs fs jobs))
-    ~path_models:(fun ~rng:_ src f ~max_lambda ->
-      let max_steps = min ((2 * max_lambda) + 8) (4 * max_lambda) in
-      let steps =
-        Lars.path_p ?mode ?pool ?on_singular src f ~max_steps
-      in
-      lars_lambda_models src ~max_lambda steps)
+  let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
+  select_multi ?folds ?rule ?checkpoint ?resume
+    ~fit_jobs:(fused_lars ?mode ?on_singular ?pool src ~max_lambda)
+    ~path_models:(lars_models ?mode ?pool ?on_singular ())
     rng ~max_lambda src fs
 
 let omp ?folds ?rule ?pool ?on_singular rng ~max_lambda g f =

@@ -57,9 +57,10 @@ val omp_p :
   ?checkpoint:string -> ?resume:bool -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t -> result
 (** Default [folds = 4] (the paper's Fig. 2 setting) and
-    [rule = Min_error]. [on_singular] is forwarded to {!Omp.path_p} for
-    every fold fit and the final refit. [checkpoint]/[resume] as in
-    {!generic_p}.
+    [rule = Min_error]; every selector raises [Invalid_argument] on
+    [folds < 2] before any other work. [on_singular] is forwarded to
+    {!Omp.path_p} for every fold fit and the final refit.
+    [checkpoint]/[resume] as in {!generic_p}.
 
     [sweep] (default [Exact]) is forwarded to the fold fits and the
     final refit. [fused] controls the {e fused lockstep} fold driver:

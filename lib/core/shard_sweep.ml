@@ -116,36 +116,76 @@ let local_select l r =
   in
   ((if j >= 0 then l.jlo + j else -1), a)
 
-(* LARS step-2 scan over the window: C (all non-banned), the entering
-   candidate (inactive, non-banned, strict [>]), and the correlation
-   values at the locally active columns — everything the parent's step
-   needs from this slice.  The normalized vector is retained for the
-   gamma scan of the same step. *)
-let local_lars_select l r =
-  let gtr = raw_corr l r in
-  let w = local_width l in
-  let c = Array.init w (fun j -> gtr.(j) /. l.norms.(j)) in
-  l.c <- c;
+(* The LAR step's two O(M) scans over a column window, shared by every
+   LAR driver: unsharded walks run them over [0, M), shards over their
+   own window.
+   Plain loops over float arrays (no per-column closure), since every
+   step of every walk runs them.
+
+   Selection scan: normalize the raw correlations into [c] (returned
+   for the same step's gamma scan), then C over non-banned columns, the
+   entering candidate (inactive, non-banned, strict [>] so the lowest
+   index wins ties), and the correlation values at the active columns —
+   everything the walk's step reads. *)
+let lars_scan ~norms ~active ~banned ~jlo gtr =
+  let w = Array.length norms in
+  if Array.length gtr <> w then
+    invalid_arg "Shard_sweep.lars_scan: sweep length mismatch";
+  let c = Array.make w 0. in
+  for j = 0 to w - 1 do
+    c.(j) <- gtr.(j) /. norms.(j)
+  done;
   let big_c = ref 0. and enter = ref (-1) and enter_abs = ref 0. in
   for j = 0 to w - 1 do
     let a = Float.abs c.(j) in
-    if (not l.banned.(j)) && a > !big_c then big_c := a;
-    if (not l.active.(j)) && (not l.banned.(j)) && a > !enter_abs then begin
+    if (not banned.(j)) && a > !big_c then big_c := a;
+    if (not active.(j)) && (not banned.(j)) && a > !enter_abs then begin
       enter := j;
       enter_abs := a
     end
   done;
   let act = ref [] in
   for j = w - 1 downto 0 do
-    if l.active.(j) then act := (l.jlo + j, c.(j)) :: !act
+    if active.(j) then act := (jlo + j, c.(j)) :: !act
   done;
-  {
-    big_c = !big_c;
-    enter = (if !enter >= 0 then l.jlo + !enter else -1);
-    enter_abs = !enter_abs;
-    enter_val = (if !enter >= 0 then c.(!enter) else 0.);
-    act_c = Array.of_list !act;
-  }
+  ( c,
+    {
+      big_c = !big_c;
+      enter = (if !enter >= 0 then jlo + !enter else -1);
+      enter_abs = !enter_abs;
+      enter_val = (if !enter >= 0 then c.(!enter) else 0.);
+      act_c = Array.of_list !act;
+    } )
+
+(* Step-length scan: the minimum gamma candidate over the window's
+   inactive, non-banned columns ([infinity] when none).  The running-min
+   acceptance (cand > 1e-12 && cand < gamma) reduces to min(init, min of
+   all candidates > 1e-12), and float min is exact, so folding window
+   minima — or the whole-dictionary minimum against C/A — reproduces the
+   sequential running scan bit for bit. *)
+let gamma_scan ~norms ~active ~banned ~c ~cc ~a_a gu =
+  let w = Array.length norms in
+  if Array.length c <> w || Array.length gu <> w then
+    invalid_arg "Shard_sweep.gamma_scan: length mismatch (scan before select?)";
+  let best = ref infinity in
+  for j = 0 to w - 1 do
+    if (not active.(j)) && not banned.(j) then begin
+      let aj = gu.(j) /. norms.(j) in
+      let cand1 = (cc -. c.(j)) /. (a_a -. aj) in
+      let cand2 = (cc +. c.(j)) /. (a_a +. aj) in
+      if cand1 > 1e-12 && cand1 < !best then best := cand1;
+      if cand2 > 1e-12 && cand2 < !best then best := cand2
+    end
+  done;
+  !best
+
+let local_lars_select l r =
+  let c, pick =
+    lars_scan ~norms:l.norms ~active:l.active ~banned:l.banned ~jlo:l.jlo
+      (raw_corr l r)
+  in
+  l.c <- c;
+  pick
 
 let local_gu l dirv =
   match (dirv, l.inc) with
@@ -154,28 +194,11 @@ let local_gu l dirv =
   | Weights _, None ->
       invalid_arg "Shard_sweep: weighted direction requires incremental sweep"
 
-(* LARS step-length scan: the local minimum over this window's gamma
-   candidates.  The sequential scan's running-min acceptance
-   (cand > 1e-12 && cand < gamma) reduces to min(init, min of all
-   candidates > 1e-12), and float min is exact, so folding the local
-   minima reproduces the sequential result bit for bit. *)
 let local_gamma l ~cc ~a_a dirv =
   let gu = local_gu l dirv in
   l.gu <- Some gu;
-  let w = local_width l in
-  if Array.length l.c <> w then
-    invalid_arg "Shard_sweep: gamma scan before select";
-  let best = ref infinity in
-  for j = 0 to w - 1 do
-    if (not l.active.(j)) && not l.banned.(j) then begin
-      let aj = gu.(j) /. l.norms.(j) in
-      let cand1 = (cc -. l.c.(j)) /. (a_a -. aj) in
-      let cand2 = (cc +. l.c.(j)) /. (a_a +. aj) in
-      if cand1 > 1e-12 && cand1 < !best then best := cand1;
-      if cand2 > 1e-12 && cand2 < !best then best := cand2
-    end
-  done;
-  !best
+  gamma_scan ~norms:l.norms ~active:l.active ~banned:l.banned ~c:l.c ~cc ~a_a
+    gu
 
 (* Advance the maintained correlations by the committed step.  The
    direction travels with the command so a respawned worker (whose

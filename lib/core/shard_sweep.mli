@@ -53,6 +53,35 @@ type pick = {
   act_c : (int * float) array;
 }
 
+val lars_scan :
+  norms:Linalg.Vec.t ->
+  active:bool array ->
+  banned:bool array ->
+  jlo:int ->
+  Linalg.Vec.t ->
+  Linalg.Vec.t * pick
+(** [lars_scan ~norms ~active ~banned ~jlo gtr] is the LAR selection
+    scan over a column window starting at global index [jlo]: the
+    normalized correlations [gtr.(j) /. norms.(j)] and their {!pick}.
+    Every LAR walk runs this one kernel — unsharded walks over the
+    whole dictionary ([jlo = 0]), shards over their window.
+    @raise Invalid_argument when [gtr] and [norms] differ in length. *)
+
+val gamma_scan :
+  norms:Linalg.Vec.t ->
+  active:bool array ->
+  banned:bool array ->
+  c:Linalg.Vec.t ->
+  cc:float ->
+  a_a:float ->
+  Linalg.Vec.t ->
+  float
+(** [gamma_scan ~norms ~active ~banned ~c ~cc ~a_a gu] is the minimum
+    LAR step-length candidate over the window's inactive, non-banned
+    columns ([infinity] when none), given the raw direction image [gu]
+    and the [c] of the same step's {!lars_scan}. Folding it against C/A
+    is bitwise the sequential running-minimum scan. *)
+
 type t
 
 val create :

@@ -244,6 +244,49 @@ let prop_fused_multi_bitwise solver seed =
       in
       all_equal (Printf.sprintf "%s fused grid across domains" name) results)
     [ src_d; src_s ];
+  (* Scaled duplicates of every column: once a column is active, its
+     duplicate ties it and is banned under `Fallback, so the lockstep
+     driver runs zero-length ban steps. The grid, fused CV and
+     fold-at-a-time CV must still agree bitwise. *)
+  (match solver with
+  | `Omp | `Star -> ()
+  | (`Lar | `Lasso) as s ->
+      let mode = if s = `Lar then Rsm.Lars.Lar else Rsm.Lars.Lasso in
+      let scale = 0.5 +. (3.5 *. Randkit.Prng.float rng) in
+      let m = Linalg.Mat.cols g in
+      let src_dup =
+        P.dense
+          (Linalg.Mat.init (Linalg.Mat.rows g) (2 * m) (fun i j ->
+               if j < m then Linalg.Mat.get g i j
+               else scale *. Linalg.Mat.get g i (j - m)))
+      in
+      let results =
+        List.map
+          (fun d ->
+            Parallel.Pool.with_pool ~domains:d (fun pool ->
+                let r0 () = Randkit.Prng.create (seed + 11) in
+                let grid =
+                  Array.map result_bits
+                    (Rsm.Select.lars_multi_p ~pool ~mode ~on_singular:`Fallback
+                       (r0 ()) ~max_lambda:5 src_dup fs)
+                in
+                let cv fused =
+                  Array.map
+                    (fun f ->
+                      result_bits
+                        (Rsm.Select.lars_p ~pool ~mode ~on_singular:`Fallback
+                           ~fused (r0 ()) ~max_lambda:5 src_dup f))
+                    fs
+                in
+                let per_fold = cv false in
+                check_bool "duplicated columns: fused grid == per-fold CV" true
+                  (grid = per_fold);
+                check_bool "duplicated columns: fused CV == per-fold CV" true
+                  (cv true = per_fold);
+                grid))
+          pool_counts
+      in
+      all_equal "duplicated columns: fused grid across domains" results);
   true
 
 let test_solver_fit_multi_parity () =

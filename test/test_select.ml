@@ -83,7 +83,33 @@ let test_folds_parameter () =
     (fun q ->
       let r = Rsm.Select.omp ~folds:q (rng ()) ~max_lambda:6 g f in
       check_bool "ran" true (Array.length r.Rsm.Select.curve = 6))
-    [ 2; 5 ]
+    [ 2; 5 ];
+  (* Q < 2 has no held-out fold: every selector rejects it up front
+     (Q = 0 once divided by zero in the λ clamp, Q = 1 blamed
+     max_lambda). *)
+  let src = Polybasis.Design.Provider.dense g in
+  List.iter
+    (fun folds ->
+      List.iter
+        (fun (name, run) ->
+          check_raises_invalid
+            (Printf.sprintf "%s ~folds:%d" name folds)
+            (fun () -> run folds))
+        [
+          ("omp_p", fun folds -> Rsm.Select.omp_p ~folds (rng ()) ~max_lambda:6 src f);
+          ("star_p", fun folds -> Rsm.Select.star_p ~folds (rng ()) ~max_lambda:6 src f);
+          ("lars_p", fun folds -> Rsm.Select.lars_p ~folds (rng ()) ~max_lambda:6 src f);
+          ( "omp_multi_p",
+            fun folds ->
+              (Rsm.Select.omp_multi_p ~folds (rng ()) ~max_lambda:6 src [| f |]).(0) );
+          ( "star_multi_p",
+            fun folds ->
+              (Rsm.Select.star_multi_p ~folds (rng ()) ~max_lambda:6 src [| f |]).(0) );
+          ( "lars_multi_p",
+            fun folds ->
+              (Rsm.Select.lars_multi_p ~folds (rng ()) ~max_lambda:6 src [| f |]).(0) );
+        ])
+    [ 0; 1; -1 ]
 
 (* --- Solver front-end --- *)
 
