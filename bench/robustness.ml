@@ -71,31 +71,18 @@ let check failures name ok detail =
 
 (* Claim 2: kill the fit at [kill_at] selections (keeping the last
    checkpoint), resume, and compare the final model byte-for-byte with
-   an uninterrupted run. *)
-let checkpoint_roundtrip_omp src f ~lambda ~kill_at =
-  let full = Rsm.Omp.fit_p src f ~lambda in
+   an uninterrupted run — for a greedy solver given by its [fit_p]
+   (with or without a resume checkpoint) and [path_p]. *)
+let checkpoint_roundtrip ~fit_p ~path_p ~lambda ~kill_at =
+  let full = fit_p None ~lambda in
   let last = ref None in
-  let _interrupted : Rsm.Omp.step array =
-    Rsm.Omp.path_p ~checkpoint_every:5 ~on_checkpoint:(fun c -> last := Some c)
-      src f ~max_lambda:kill_at
-  in
+  ignore
+    (path_p ~checkpoint_every:5 ~on_checkpoint:(fun c -> last := Some c)
+       ~max_lambda:kill_at);
   match !last with
   | None -> false
   | Some ckpt ->
-      let resumed = Rsm.Omp.fit_p ?resume:(Some ckpt) src f ~lambda in
-      Rsm.Serialize.to_string resumed = Rsm.Serialize.to_string full
-
-let checkpoint_roundtrip_star src f ~lambda ~kill_at =
-  let full = Rsm.Star.fit_p src f ~lambda in
-  let last = ref None in
-  let _interrupted : Rsm.Star.step array =
-    Rsm.Star.path_p ~checkpoint_every:5 ~on_checkpoint:(fun c -> last := Some c)
-      src f ~max_lambda:kill_at
-  in
-  match !last with
-  | None -> false
-  | Some ckpt ->
-      let resumed = Rsm.Star.fit_p ?resume:(Some ckpt) src f ~lambda in
+      let resumed = fit_p (Some ckpt) ~lambda in
       Rsm.Serialize.to_string resumed = Rsm.Serialize.to_string full
 
 (* LAR walks an equiangular path, so its checkpoint is an event log
@@ -203,10 +190,18 @@ let run ~quick () =
   let f = data.Simulator.values in
   let lambda = min max_lambda (min samples (Polybasis.Basis.size basis)) in
   check failures "OMP killed-at-10-then-resumed fit is bitwise identical"
-    (checkpoint_roundtrip_omp src f ~lambda ~kill_at:(min 10 lambda))
+    (checkpoint_roundtrip
+       ~fit_p:(fun resume -> Rsm.Omp.fit_p ?resume src f)
+       ~path_p:(fun ~checkpoint_every ~on_checkpoint ->
+         Rsm.Omp.path_p ~checkpoint_every ~on_checkpoint src f)
+       ~lambda ~kill_at:(min 10 lambda))
     "";
   check failures "STAR killed-at-10-then-resumed fit is bitwise identical"
-    (checkpoint_roundtrip_star src f ~lambda ~kill_at:(min 10 lambda))
+    (checkpoint_roundtrip
+       ~fit_p:(fun resume -> Rsm.Star.fit_p ?resume src f)
+       ~path_p:(fun ~checkpoint_every ~on_checkpoint ->
+         Rsm.Star.path_p ~checkpoint_every ~on_checkpoint src f)
+       ~lambda ~kill_at:(min 10 lambda))
     "";
   check failures "LAR killed-at-10-then-resumed fit is bitwise identical"
     (checkpoint_roundtrip_lar src f ~lambda ~kill_at:(min 10 lambda))

@@ -1,0 +1,126 @@
+(** The greedy path driver shared by OMP and STAR.
+
+    Both solvers run the same eq. (18) selection sweep — pick the
+    column whose inner product with the residual is largest — and
+    differ only in the coefficient step: OMP re-fits every selected
+    coefficient (Algorithm 1, Step 6), STAR keeps the inner-product
+    estimate. Each solver writes that step as an {!ENGINE}; {!path_p}
+    owns everything else: checkpoint validation and replay, the sweep
+    backend (exact, {!Corr_sweep.Inc}, or {!Shard_sweep}), the selection
+    dispatch, the Gram-cached delta update
+    [c' = c − Σ Δβ_j·v_j] (Efron et al. 2004, §"computations"), and the
+    checkpoint cadence. The fused lockstep CV driver in {!Select} runs
+    the same engines with one fused multi-residual sweep per round. *)
+
+(** One greedy solver's per-step state machine. Driving an engine with
+    the selections {!Corr_sweep.argmax_abs} produces on its own
+    residual is the solver's whole path, so every driver — exact,
+    incremental, sharded, fused — that answers the same selections
+    produces the same bits. *)
+module type ENGINE = sig
+  type t
+
+  type step
+  (** The solver's per-iteration record. *)
+
+  val solver : string
+  (** Checkpoint tag (["omp"], ["star"]); error messages are prefixed
+      with the capitalized tag, e.g. ["Omp.path: ..."]. *)
+
+  val max_lambda : t -> int
+  (** Path length cap the engine was created with. *)
+
+  val finished : t -> bool
+  (** True once the path stopped or reached [max_lambda] steps. *)
+
+  val size : t -> int
+  (** Number of selected columns so far. *)
+
+  val residual : t -> Linalg.Vec.t
+  (** Live residual buffer (read-only; updated by {!advance}). *)
+
+  val skip_mask : t -> bool array
+  (** Live selected-column mask — the [~skip] argument for the sweep. *)
+
+  val column : t -> int -> Linalg.Vec.t
+  (** Materialized column [j] from the engine's active-set cache. *)
+
+  val scale : t -> float
+  (** The first step's winning correlation (the stopping tolerance's
+      reference), as stored in checkpoints. *)
+
+  val support : t -> int array
+  (** Selected columns in selection (= replay) order. *)
+
+  val advance : t -> int * float -> bool
+  (** [advance t (j*, |c*|)] applies one selection; true iff a step was
+      recorded (false = the path stopped without moving). *)
+
+  val deltas : t -> (int * float) array
+  (** The last recorded step's coefficient changes [(j, Δβ_j)] — every
+      support coefficient for OMP, the one entering [(j, α)] for STAR.
+      Called only by incremental backends. *)
+
+  val replay : t -> scale:float -> int array -> unit
+  (** Re-accept a validated checkpoint support without correlation
+      sweeps, leaving the state an uninterrupted run had after the same
+      steps; the replayed state is recorded as one leading step. *)
+
+  val steps : t -> step array
+  (** Steps recorded so far, oldest first. *)
+
+  val models : t -> Model.t array
+  (** The models of {!steps}. *)
+end
+
+val path_p :
+  (module ENGINE with type t = 'e and type step = 's) ->
+  ?pool:Parallel.Pool.t ->
+  ?checkpoint_every:int ->
+  ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
+  ?resume:Serialize.Checkpoint.t ->
+  ?sweep:Corr_sweep.sweep ->
+  ?shards:int ->
+  ?shard_mode:Shard_sweep.mode ->
+  ?recovered:int ref ->
+  Polybasis.Design.Provider.t ->
+  (unit -> 'e) ->
+  's array
+(** [path_p (module E) src create] creates the engine, replays
+    [resume], then advances the engine until it finishes and returns
+    its steps. {!Omp.path_p} and {!Star.path_p} are this driver; the
+    contract below is theirs.
+
+    With [checkpoint_every = n > 0] and an [on_checkpoint] callback, the
+    selection state is handed out every [n] completed iterations (the
+    callback typically writes it with {!Serialize.Checkpoint.save}), and
+    once more when the path ends with selections past the last cadence
+    point — a completed path always leaves its full support. [resume]
+    replays a checkpoint (checked against the solver tag, the problem
+    shape, the column range, duplicates and [max_lambda]) without the
+    O(K·M) correlation sweeps, after which the path continues exactly
+    where it stopped: the final model is bitwise identical to an
+    uninterrupted run with the same inputs. The replayed state is
+    returned as one leading step.
+
+    [sweep] selects the correlation engine (default
+    {!Corr_sweep.Exact}: the column-parallel sweep over [pool], bitwise
+    identical to the sequential dense scan for every domain count and
+    either provider form). [Incremental] maintains the correlation
+    vector through the Gram-cached delta update with exact refreshes on
+    its cadence and at every checkpoint emission — which is what keeps
+    resumed runs bitwise equal to uninterrupted ones; selections may
+    differ from the exact sweep within float drift (validated ≤1e-10
+    relative in the test suite), so the mode is opt-in.
+
+    [shards > 1] routes the selection sweep through {!Shard_sweep}:
+    bitwise identical to [shards = 1] at every shard count, in both
+    sweep modes and both shard modes ([Domains] in-image, [Procs]
+    re-exec'd workers with crash recovery). The fleet is shut down
+    however the path exits; [recovered] (when given) accumulates its
+    worker recoveries. Every backend is built after the replay, from
+    the resumed residual, with the replayed support activated on every
+    shard.
+
+    @raise Invalid_argument on a negative checkpoint interval,
+    [shards < 1], or a [resume] that disagrees with the problem. *)

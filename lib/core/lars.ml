@@ -536,20 +536,9 @@ let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
      Created against f — with a resume, the post-replay residual is
      re-swept below, which is exactly the refresh the checkpoint
      emission ran. *)
-  let eng =
-    if shards > 1 then
-      Some (Shard_sweep.create ?pool ~mode:shard_mode ~shards ~sweep src ~r0:f)
-    else None
-  in
-  Fun.protect ~finally:(fun () ->
-      match eng with
-      | Some e ->
-          (match recovered with
-          | Some r -> r := !r + Shard_sweep.recovered e
-          | None -> ());
-          Shard_sweep.shutdown e
-      | None -> ())
-  @@ fun () ->
+  Shard_sweep.with_fleet ?pool ?recovered ~mode:shard_mode ~shards ~sweep src
+    ~r0:f
+  @@ fun eng ->
   let norms =
     match eng with
     | None -> Provider.column_norms ?pool src
@@ -586,12 +575,6 @@ let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
   (* Sharded post-replay sync — the same rebuild [inc] runs above: an
      exact re-sweep of the resumed residual, the replayed active set's
      Gram slices (oldest first), and the replayed bans. *)
-  let sh_incremental, refresh_every =
-    match sweep with
-    | Corr_sweep.Incremental { refresh } -> (true, refresh)
-    | Corr_sweep.Exact -> (false, 0)
-  in
-  let since = ref 0 in
   (match eng with
   | None -> ()
   | Some e ->
@@ -607,14 +590,10 @@ let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
         cb (capture st ~mode ~scale:t.Engine.initial_c ~f t.Engine.events);
         last_ckpt := t.Engine.nevents;
         (* Checkpoint-aligned exact refresh: see [inc] above. *)
-        (match inc with
-        | None -> ()
-        | Some ic -> Corr_sweep.Inc.refresh ic (Vec.sub f st.mu));
-        (match eng with
-        | Some e when sh_incremental ->
-            Shard_sweep.refresh e (Vec.sub f st.mu);
-            since := 0
-        | _ -> ())
+        Option.iter
+          (fun ic -> Corr_sweep.Inc.refresh ic (Vec.sub f st.mu))
+          inc;
+        Option.iter (fun e -> Shard_sweep.refresh e (Vec.sub f st.mu)) eng
   in
   while not (Engine.finished t) do
     (match t.Engine.phase with
@@ -672,24 +651,21 @@ let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
               inc
         | Some e ->
             let sdir =
-              if sh_incremental then Shard_sweep.Weights (weights ())
+              if Shard_sweep.incremental e then
+                Shard_sweep.Weights (weights ())
               else Shard_sweep.Dense dir.u
             in
             let gamma, dropped =
               Engine.answer_dir t
                 (Shard_sweep.lars_gamma e ~cc:dir.cc ~a_a:dir.a_a sdir)
             in
-            if sh_incremental then begin
-              (* Parent-mirrored cadence: the non-sharded Inc counts
-                 movement steps and refreshes when due; the shards
-                 receive retreat and refresh in one logged command so a
-                 worker lost between them replays both. *)
-              incr since;
-              let due = refresh_every > 0 && !since >= refresh_every in
-              let refresh = if due then Some (Vec.sub f st.mu) else None in
-              Shard_sweep.commit e ~gamma ~dir:sdir ~refresh;
-              if due then since := 0
-            end;
+            (* The fleet keeps the same cadence as the unsharded Inc;
+               retreat and the due refresh travel as one command. *)
+            Shard_sweep.note_step e;
+            let refresh =
+              if Shard_sweep.due e then Some (Vec.sub f st.mu) else None
+            in
+            Shard_sweep.commit e ~gamma ~dir:sdir ~refresh;
             Option.iter (Shard_sweep.deactivate e) dropped));
     if
       checkpoint_every > 0

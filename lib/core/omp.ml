@@ -8,14 +8,11 @@ type step = {
   model : Model.t;
 }
 
-(* The per-step state machine behind [path_p], exposed so the fused CV
-   driver in [Select] can run Q fold solvers in lockstep: each round it
-   computes all Q selections with one fused multi-residual sweep and
-   feeds them to [advance]. [advance] applies exactly the statements the
-   historical loop body ran, in the same order, so driving an engine
-   with selections from [Corr_sweep.argmax_abs] reproduces the
-   monolithic loop bit for bit. *)
+(* OMP's coefficient step for the shared greedy driver ([Greedy]):
+   every selection re-fits all selected coefficients. *)
 module Engine = struct
+  type nonrec step = step
+
   type t = {
     k : int;
     m : int;
@@ -45,6 +42,9 @@ module Engine = struct
     mutable degraded : bool;
     mutable fallback_note : string option;
     mutable coeffs : float array;
+    (* The previous step's coefficients, kept by reference (every re-fit
+       returns a fresh array) for [deltas]. *)
+    mutable prev_coeffs : float array;
   }
 
   let create ?(tol = 1e-12) ?(on_singular = `Stop) src f ~max_lambda =
@@ -74,17 +74,27 @@ module Engine = struct
       degraded = false;
       fallback_note = None;
       coeffs = [||];
+      prev_coeffs = [||];
     }
 
+  let solver = "omp"
+  let max_lambda t = t.max_lambda
   let size t = t.p
   let finished t = t.stop || t.p >= t.max_lambda
   let residual t = t.res
   let skip_mask t = t.selected
   let support t = Array.sub t.support 0 t.p
-  let coeffs t = t.coeffs
   let scale t = t.initial_corr
   let column t j = Provider.Cache.column t.cache j
   let steps t = Array.of_list (List.rev t.steps_rev)
+  let models t = Array.of_list (List.rev_map (fun s -> s.model) t.steps_rev)
+
+  (* Step 6 moves every selected coefficient: the entering one from 0. *)
+  let deltas t =
+    let prev = t.prev_coeffs in
+    Array.init t.p (fun q ->
+        ( t.support.(q),
+          t.coeffs.(q) -. (if q < Array.length prev then prev.(q) else 0.) ))
 
   (* Accept column [j]: extend the Gram factor (or enter degraded mode),
      record support and right-hand side. Returns false when the path
@@ -147,37 +157,35 @@ module Engine = struct
     let new_res = Lstsq.residual_cols cols coeffs t.f in
     Array.blit new_res 0 t.res 0 t.k
 
-  (* Apply one selection (the [Corr_sweep.argmax_abs] result on this
-     engine's residual). Returns true when a step was recorded — false
-     means the path stopped without moving. *)
+  (* Steps 6–7: re-fit, fresh residual from the re-fitted model over the
+     cached support columns, record the step. Shared by live selection
+     and checkpoint replay. *)
+  let refit_and_record t ~index ~correlation =
+    let coeffs = refit_coeffs t in
+    residual_refresh t coeffs;
+    t.prev_coeffs <- t.coeffs;
+    t.coeffs <- coeffs;
+    let rn = Vec.nrm2 t.res in
+    t.steps_rev <-
+      { index; correlation; residual_norm = rn; model = make_model t coeffs }
+      :: t.steps_rev;
+    if rn <= 1e-14 *. Float.max (Vec.nrm2 t.f) 1. then t.stop <- true
+
   let advance t (best, best_abs) =
     if finished t then false
     else begin
       if t.p = 0 then t.initial_corr <- best_abs;
-      if best < 0 || best_abs <= t.tol *. Float.max t.initial_corr 1. then begin
-        t.stop <- true;
-        false
-      end
-      else if not (accept t best) then begin
+      if
+        best < 0
+        || best_abs <= t.tol *. Float.max t.initial_corr 1.
+        || not (accept t best)
+      then begin
         t.stop <- true;
         false
       end
       else begin
-        let coeffs = refit_coeffs t in
-        (* Step 7: fresh residual from the re-fitted model, applied over
-           the cached support columns. *)
-        residual_refresh t coeffs;
-        t.coeffs <- coeffs;
-        t.steps_rev <-
-          {
-            index = best;
-            correlation = best_abs /. float_of_int t.k;
-            residual_norm = Vec.nrm2 t.res;
-            model = make_model t coeffs;
-          }
-          :: t.steps_rev;
-        if Vec.nrm2 t.res <= 1e-14 *. Float.max (Vec.nrm2 t.f) 1. then
-          t.stop <- true;
+        refit_and_record t ~index:best
+          ~correlation:(best_abs /. float_of_int t.k);
         true
       end
     end
@@ -186,206 +194,25 @@ module Engine = struct
      correlation sweeps, then run one re-fit and residual refresh —
      bitwise the state an uninterrupted run had after the same steps. *)
   let replay t ~scale support =
-    if Array.length support > t.max_lambda then
-      invalid_arg "Omp.path: checkpoint support exceeds max_lambda";
     t.initial_corr <- scale;
     Array.iter
       (fun j ->
-        if t.selected.(j) then
-          invalid_arg "Omp.path: duplicate support index in checkpoint";
         if not (accept t j) then
           invalid_arg
             "Omp.path: checkpoint replays a singular step (was it written \
              with ~on_singular:`Fallback?)")
       support;
-    if t.p > 0 then begin
-      let coeffs = refit_coeffs t in
-      residual_refresh t coeffs;
-      t.coeffs <- coeffs;
-      let rn = Vec.nrm2 t.res in
-      t.steps_rev <-
-        [
-          {
-            index = t.support.(t.p - 1);
-            correlation = 0.;
-            residual_norm = rn;
-            model = make_model t coeffs;
-          };
-        ];
-      if rn <= 1e-14 *. Float.max (Vec.nrm2 t.f) 1. then t.stop <- true
-    end
+    if t.p > 0 then
+      refit_and_record t ~index:t.support.(t.p - 1) ~correlation:0.
 end
 
-let path_p ?tol ?pool ?on_singular ?(checkpoint_every = 0) ?on_checkpoint
-    ?resume ?(sweep = Corr_sweep.Exact) ?(shards = 1)
-    ?(shard_mode = Shard_sweep.Domains) ?recovered src f ~max_lambda =
-  if checkpoint_every < 0 then
-    invalid_arg "Omp.path: negative checkpoint interval";
-  if shards < 1 then invalid_arg "Omp.path: shards must be positive";
-  let eng = Engine.create ?tol ?on_singular src f ~max_lambda in
-  let k = eng.Engine.k and m = eng.Engine.m in
-  let last_ckpt = ref 0 in
-  (match resume with
-  | None -> ()
-  | Some c ->
-      let open Serialize.Checkpoint in
-      if c.solver <> "omp" then
-        invalid_arg
-          (Printf.sprintf "Omp.path: checkpoint is for solver %S" c.solver);
-      if c.k <> k || c.m <> m then
-        invalid_arg
-          (Printf.sprintf
-             "Omp.path: checkpoint shape %dx%d disagrees with problem %dx%d"
-             c.k c.m k m);
-      Engine.replay eng ~scale:c.scale c.support);
-  last_ckpt := Engine.size eng;
-  (* Column-sharded selection engine, created after any resume replay
-     so its (incremental) initial sweeps see the resumed residual;
-     replayed support columns are re-activated so every shard's Gram
-     slab and skip mask match an uninterrupted run's. *)
-  let sh =
-    if shards > 1 then begin
-      let e =
-        Shard_sweep.create ?pool ~mode:shard_mode ~shards ~sweep src
-          ~r0:(Engine.residual eng)
-      in
-      Array.iter
-        (fun j -> Shard_sweep.activate e j (Engine.column eng j))
-        (Engine.support eng);
-      Some e
-    end
-    else None
-  in
-  Fun.protect ~finally:(fun () ->
-      match sh with
-      | Some e ->
-          (match recovered with
-          | Some r -> r := !r + Shard_sweep.recovered e
-          | None -> ());
-          Shard_sweep.shutdown e
-      | None -> ())
-  @@ fun () ->
-  let sh_incremental =
-    match sweep with Corr_sweep.Incremental _ -> true | Corr_sweep.Exact -> false
-  in
-  let refresh_every =
-    match sweep with
-    | Corr_sweep.Incremental { refresh } -> refresh
-    | Corr_sweep.Exact -> 0
-  in
-  let since = ref 0 in
-  (* Incremental mode: maintain c = Gᵀ·res through cached Gram columns.
-     Created after any resume replay so the initial exact sweep sees the
-     resumed residual — the same refresh point the uninterrupted run hit
-     when it emitted the checkpoint. Replayed support columns are cached
-     up front: the first live delta update touches every support
-     coefficient, not just the entering one. *)
-  let inc =
-    match (sweep, sh) with
-    | _, Some _ | Corr_sweep.Exact, None -> None
-    | Corr_sweep.Incremental { refresh }, None ->
-        let ic =
-          Corr_sweep.Inc.create ?pool ~refresh src (Engine.residual eng)
-        in
-        Array.iter
-          (fun j -> Corr_sweep.Inc.ensure_gram ic j (Engine.column eng j))
-          (Engine.support eng);
-        Some ic
-  in
-  let prev_coeffs = ref (Array.copy (Engine.coeffs eng)) in
-  let emit_now () =
-    match on_checkpoint with
-    | None -> ()
-    | Some cb ->
-        cb
-          {
-            Serialize.Checkpoint.solver = "omp";
-            k;
-            m;
-            scale = Engine.scale eng;
-            support = Engine.support eng;
-          };
-        last_ckpt := Engine.size eng;
-        (* Checkpoint-aligned exact refresh: a resumed incremental run
-           rebuilds c from an exact sweep here, so refreshing now keeps
-           the uninterrupted run bitwise equal to any resumed one. *)
-        (match inc with
-        | None -> ()
-        | Some ic -> Corr_sweep.Inc.refresh ic (Engine.residual eng));
-        (match sh with
-        | Some e when sh_incremental ->
-            Shard_sweep.refresh e (Engine.residual eng);
-            since := 0
-        | _ -> ())
-  in
-  let emit_checkpoint () =
-    if checkpoint_every > 0 && Engine.size eng mod checkpoint_every = 0 then
-      emit_now ()
-  in
-  while not (Engine.finished eng) do
-    (* Step 3: inner products of the residual with every basis vector.
-       The 1/K factor of eq. (18) is a monotone scaling; the argmax is
-       unaffected, so we keep raw dot products. Exact mode sweeps all
-       columns (bitwise equal to the sequential scan); incremental mode
-       scans the delta-maintained correlation vector. *)
-    let pick =
-      match (sh, inc) with
-      | Some e, _ -> Shard_sweep.select e ~r:(Engine.residual eng)
-      | None, None ->
-          Corr_sweep.argmax_abs ?pool ~skip:(Engine.skip_mask eng) src
-            (Engine.residual eng)
-      | None, Some ic ->
-          Corr_sweep.Inc.argmax_abs ~skip:(Engine.skip_mask eng) ic
-    in
-    if Engine.advance eng pick then begin
-      (match (sh, inc) with
-      | Some e, _ ->
-          let sup = Engine.support eng and cur = Engine.coeffs eng in
-          let np = Array.length sup in
-          let jnew = sup.(np - 1) in
-          Shard_sweep.activate e jnew (Engine.column eng jnew);
-          if sh_incremental then begin
-            let prev = !prev_coeffs in
-            let deltas =
-              Array.init np (fun q ->
-                  ( sup.(q),
-                    cur.(q)
-                    -. (if q < Array.length prev then prev.(q) else 0.) ))
-            in
-            Shard_sweep.apply_deltas e deltas;
-            prev_coeffs := Array.copy cur;
-            incr since;
-            if refresh_every > 0 && !since >= refresh_every then begin
-              Shard_sweep.refresh e (Engine.residual eng);
-              since := 0
-            end
-          end
-      | None, None -> ()
-      | None, Some ic ->
-          let sup = Engine.support eng and cur = Engine.coeffs eng in
-          let np = Array.length sup in
-          let jnew = sup.(np - 1) in
-          Corr_sweep.Inc.ensure_gram ic jnew (Engine.column eng jnew);
-          let prev = !prev_coeffs in
-          let deltas =
-            Array.init np (fun q ->
-                ( sup.(q),
-                  cur.(q) -. (if q < Array.length prev then prev.(q) else 0.)
-                ))
-          in
-          Corr_sweep.Inc.apply_deltas ic deltas;
-          prev_coeffs := Array.copy cur;
-          Corr_sweep.Inc.note_step ic;
-          if Corr_sweep.Inc.due ic then
-            Corr_sweep.Inc.refresh ic (Engine.residual eng));
-      emit_checkpoint ()
-    end
-  done;
-  (* Terminal checkpoint: when lambda is not a multiple of the cadence
-     the mod test above skips the final selections, and a resume would
-     replay a stale prefix — always leave the completed support. *)
-  if Engine.size eng > !last_ckpt then emit_now ();
-  Engine.steps eng
+let path_p ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint ?resume
+    ?sweep ?shards ?shard_mode ?recovered src f ~max_lambda =
+  Greedy.path_p
+    (module Engine)
+    ?pool ?checkpoint_every ?on_checkpoint ?resume ?sweep ?shards ?shard_mode
+    ?recovered src
+    (fun () -> Engine.create ?tol ?on_singular src f ~max_lambda)
 
 let fit_p ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint ?resume
     ?sweep ?shards ?shard_mode ?recovered src f ~lambda =

@@ -27,15 +27,13 @@ type step = {
   model : Model.t;  (** model after this iteration *)
 }
 
-(** The per-step OMP state machine behind {!path_p}, exposed for the
-    fused lockstep CV driver in {!Select}: create one engine per fold,
-    compute all live folds' selections with one
-    {!Corr_sweep.argmax_abs_multi} call, feed each to {!Engine.advance}.
-    Driving an engine with the selections {!Corr_sweep.argmax_abs}
-    produces on its own residual replays the monolithic loop bit for
-    bit, so fused CV is bitwise identical to fold-at-a-time CV. *)
+(** OMP's engine for the shared greedy driver ({!Greedy.ENGINE}): each
+    {!Engine.advance} grows the Gram factor and re-fits every selected
+    coefficient; {!Engine.deltas} is the whole support's coefficient
+    change. {!path_p} and the fused lockstep CV driver in {!Select} both
+    drive it. *)
 module Engine : sig
-  type t
+  include Greedy.ENGINE with type step = step
 
   val create :
     ?tol:float ->
@@ -45,25 +43,6 @@ module Engine : sig
     max_lambda:int ->
     t
   (** Same validation and defaults as {!path_p}. *)
-
-  val finished : t -> bool
-  (** True once the path stopped or reached [max_lambda] steps. *)
-
-  val size : t -> int
-  (** Number of selected columns so far. *)
-
-  val residual : t -> Linalg.Vec.t
-  (** Live residual buffer (read-only; refreshed by {!advance}). *)
-
-  val skip_mask : t -> bool array
-  (** Live selected-column mask — the [~skip] argument for the sweep. *)
-
-  val advance : t -> int * float -> bool
-  (** [advance t (j*, |c*|)] applies one selection; true iff a step was
-      recorded (false = the path stopped without moving). *)
-
-  val steps : t -> step array
-  (** Steps recorded so far, oldest first. *)
 end
 
 val path_p :
@@ -82,9 +61,13 @@ val path_p :
   max_lambda:int ->
   step array
 (** [path_p src f ~max_lambda] runs up to [max_lambda] iterations and
-    returns one step record per iteration. Stops early when the largest
-    residual correlation falls below [tol] (default [1e-12]) relative to
-    the initial one, or when the residual is numerically zero.
+    returns one step record per iteration. It is {!Greedy.path_p}
+    driving {!Engine} — one driver for OMP and {!Star}, whose contract
+    covers checkpointing and [resume] (the replayed leading step has
+    [correlation = 0]), [sweep], [pool] and the [shards] options. Stops
+    early when the largest residual correlation falls below [tol]
+    (default [1e-12]) relative to the initial one, or when the residual
+    is numerically zero.
 
     [on_singular] decides what happens when the next selected column is
     linearly dependent on the active set (the incremental Gram factor
@@ -95,50 +78,14 @@ val path_p :
     rung that fired in the step models' {!Model.notes}. Clean paths are
     bitwise unaffected by the choice.
 
-    With [checkpoint_every = n > 0] and an [on_checkpoint] callback, the
-    selection state is handed out every [n] completed iterations (the
-    callback typically writes it with {!Serialize.Checkpoint.save}), and
-    once more when the path ends with selections past the last cadence
-    point — a completed path always leaves its full support, even when
-    the iteration count is not a multiple of [n].
-    [resume] replays a previous checkpoint before the first sweep:
-    selections are re-accepted and re-fit from the provider without the
-    O(K·M) correlation scans, after which the path continues exactly
-    where it stopped — the final model is bitwise identical to an
-    uninterrupted run with the same inputs. The replayed state is
-    returned as one leading step (its [correlation] is 0).
-
-    [sweep] selects the correlation engine (default
-    {!Corr_sweep.Exact}). [Incremental] maintains the correlation
-    vector through Gram-cached delta updates (O(p·M) per step after an
-    O(K·M) cache build per entering column) with exact refreshes on the
-    configured cadence and at every checkpoint emission; selections may
-    differ from the exact sweep within float-drift tolerance (validated
-    ≤1e-10 relative in the test suite), so the mode is opt-in. For OMP
-    the entering column's cache build costs what the sweep it replaces
-    did, so this mode is roughly cost-neutral per step — the LAR path
-    (two sweeps, one eliminated outright) is where it pays; it is
-    supported here for mode-uniformity across solvers.
-
-    The O(K·M) Step-3 correlation sweep — the dominant cost per
-    iteration — runs column-parallel over [pool] (default:
-    {!Parallel.Pool.default}) via {!Corr_sweep}; the selected support,
-    coefficients and residuals are bitwise identical to the sequential
-    dense scan for every domain count and either provider form (each
-    column's dot product is accumulated whole, never split).
-
-    [shards > 1] routes the selection sweep through the column-sharded
-    engine ({!Shard_sweep}): supports, coefficients and residuals are
-    bitwise identical to [shards = 1] at every shard count, in both
-    sweep modes and both shard modes ([Domains] in-image, [Procs]
-    re-exec'd workers with crash recovery). [recovered] (when given)
-    accumulates worker recoveries. A resume under [shards > 1]
-    re-activates the replayed support on every shard, so resumed
-    sharded runs match uninterrupted ones bitwise too.
+    Under [sweep = Incremental] each step's delta update moves every
+    support coefficient (O(p·M)), and the entering column's Gram-cache
+    build costs what the sweep it replaces did, so for OMP the mode is
+    roughly cost-neutral per step — the LAR path (two sweeps, one
+    eliminated outright) is where it pays; it is supported here for
+    mode-uniformity across solvers.
     @raise Invalid_argument when [max_lambda] exceeds [min(K, M)] or is
-    not positive, when the checkpoint interval is negative, or when
-    [resume] disagrees with the problem (wrong solver, shape, duplicate
-    or out-of-range support, more support than [max_lambda]). *)
+    not positive, and as {!Greedy.path_p}. *)
 
 val fit_p :
   ?tol:float ->

@@ -233,36 +233,22 @@ let lockstep ~create ~finished ~round ~models src ~max_lambda jobs =
       held_out_curve ~max_lambda src f (models e) held_out)
     engines jobs
 
-(* OMP/STAR round: every live engine's selection from one fused argmax. *)
-let argmax_round ?pool src ~residual ~skip_mask ~advance es ~rows =
-  let rs = Array.map residual es in
-  let skips = Array.map skip_mask es in
-  let picks = Corr_sweep.argmax_abs_multi ?pool ~skips src ~rows rs in
-  Array.iteri (fun i e -> advance e picks.(i)) es
-
-let fused_omp ?on_singular ?pool src ~max_lambda =
-  lockstep src ~max_lambda
-    ~create:(fun src_tr f_tr ->
-      let ml =
-        min max_lambda (min (Provider.rows src_tr) (Provider.cols src_tr))
+(* OMP/STAR: every live engine's selection from one fused argmax. *)
+let fused_greedy (type e) (module E : Greedy.ENGINE with type t = e) ?pool
+    ~create src ~max_lambda =
+  lockstep src ~max_lambda ~create ~finished:E.finished ~models:E.models
+    ~round:(fun es ~rows ->
+      let picks =
+        Corr_sweep.argmax_abs_multi ?pool ~skips:(Array.map E.skip_mask es)
+          src ~rows (Array.map E.residual es)
       in
-      Omp.Engine.create ?on_singular src_tr f_tr ~max_lambda:ml)
-    ~finished:Omp.Engine.finished
-    ~round:
-      (argmax_round ?pool src ~residual:Omp.Engine.residual
-         ~skip_mask:Omp.Engine.skip_mask ~advance:(fun e p ->
-           ignore (Omp.Engine.advance e p)))
-    ~models:(fun e -> Array.map (fun s -> s.Omp.model) (Omp.Engine.steps e))
+      Array.iteri (fun i e -> ignore (E.advance e picks.(i))) es)
 
-let fused_star ?pool src ~max_lambda =
-  lockstep src ~max_lambda
-    ~create:(fun src_tr f_tr -> Star.Engine.create src_tr f_tr ~max_lambda)
-    ~finished:Star.Engine.finished
-    ~round:
-      (argmax_round ?pool src ~residual:Star.Engine.residual
-         ~skip_mask:Star.Engine.skip_mask ~advance:(fun e p ->
-           ignore (Star.Engine.advance e p)))
-    ~models:(fun e -> Array.map (fun s -> s.Star.model) (Star.Engine.steps e))
+(* OMP's λ grid is also bounded by each fold's training rows. *)
+let omp_engine ?on_singular ~max_lambda src_tr f_tr =
+  let rows = Provider.rows src_tr and cols = Provider.cols src_tr in
+  Omp.Engine.create ?on_singular src_tr f_tr
+    ~max_lambda:(min max_lambda (min rows cols))
 
 (* λ-indexed models from a LAR step sequence: entry λ−1 holds the last
    path model with at most λ active coefficients, so curves are indexed
@@ -343,7 +329,9 @@ let omp_p ?folds ?rule ?pool ?on_singular ?sweep ?shards ?shard_mode
     ?recovered ?fused ?checkpoint ?resume rng ~max_lambda src f =
   let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
   select_single ?folds ?rule ?pool ?checkpoint ?resume ~sweep ~fused ~shards
-    ~fit_jobs:(fused_omp ?on_singular ?pool src ~max_lambda)
+    ~fit_jobs:
+      (fused_greedy (module Omp.Engine) ?pool src ~max_lambda
+         ~create:(omp_engine ?on_singular ~max_lambda))
     ~path_models:
       (omp_models ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered ())
     rng ~max_lambda src f
@@ -352,7 +340,10 @@ let star_p ?folds ?rule ?pool ?sweep ?shards ?shard_mode ?recovered ?fused
     ?checkpoint ?resume rng ~max_lambda src f =
   let max_lambda = lambda_cap ?folds ~rows_bound:false ~max_lambda src in
   select_single ?folds ?rule ?pool ?checkpoint ?resume ~sweep ~fused ~shards
-    ~fit_jobs:(fused_star ?pool src ~max_lambda)
+    ~fit_jobs:
+      (fused_greedy (module Star.Engine) ?pool src ~max_lambda
+         ~create:(fun src_tr f_tr ->
+           Star.Engine.create src_tr f_tr ~max_lambda))
     ~path_models:(star_models ?pool ?sweep ?shards ?shard_mode ?recovered ())
     rng ~max_lambda src f
 
@@ -437,7 +428,9 @@ let omp_multi_p ?folds ?rule ?pool ?on_singular ?checkpoint ?resume rng
     ~max_lambda src fs =
   let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
   select_multi ?folds ?rule ?checkpoint ?resume
-    ~fit_jobs:(fused_omp ?on_singular ?pool src ~max_lambda)
+    ~fit_jobs:
+      (fused_greedy (module Omp.Engine) ?pool src ~max_lambda
+         ~create:(omp_engine ?on_singular ~max_lambda))
     ~path_models:(omp_models ?pool ?on_singular ())
     rng ~max_lambda src fs
 
@@ -445,7 +438,10 @@ let star_multi_p ?folds ?rule ?pool ?checkpoint ?resume rng ~max_lambda src
     fs =
   let max_lambda = lambda_cap ?folds ~rows_bound:false ~max_lambda src in
   select_multi ?folds ?rule ?checkpoint ?resume
-    ~fit_jobs:(fused_star ?pool src ~max_lambda)
+    ~fit_jobs:
+      (fused_greedy (module Star.Engine) ?pool src ~max_lambda
+         ~create:(fun src_tr f_tr ->
+           Star.Engine.create src_tr f_tr ~max_lambda))
     ~path_models:(star_models ?pool ())
     rng ~max_lambda src fs
 

@@ -55,9 +55,9 @@ let local_create ?pool ~sweep ~shard ~jlo ~jhi win r0 =
     match sweep with
     | Corr_sweep.Exact -> None
     | Corr_sweep.Incremental _ ->
-        (* refresh:0 — the parent mirrors the cadence and ships refresh
-           residuals explicitly, so every shard refreshes on exactly the
-           steps the non-sharded Inc did. *)
+        (* refresh:0 — the parent keeps the cadence ([note_step]/[due])
+           and ships refresh residuals explicitly, so every shard
+           refreshes on exactly the steps the non-sharded Inc did. *)
         Some (Corr_sweep.Inc.create ?pool ~refresh:0 win r0)
   in
   {
@@ -430,6 +430,9 @@ type t = {
   r0 : Vec.t;
   backend : backend;
   mutable recovered : int;
+  (* Movement steps since the last exact refresh — the parent-side
+     cadence counter of incremental mode (see [Corr_sweep.Inc]). *)
+  mutable since : int;
 }
 
 exception Worker_dead
@@ -635,10 +638,15 @@ let create ?pool ~mode ~shards ~sweep src ~r0 =
             cur_select = None;
           }
   in
-  { src; sweep; ranges; r0; backend; recovered = 0 }
+  { src; sweep; ranges; r0; backend; recovered = 0; since = 0 }
 
 let shards t = Array.length t.ranges
 let recovered t = t.recovered
+
+let incremental t =
+  match t.sweep with
+  | Corr_sweep.Incremental _ -> true
+  | Corr_sweep.Exact -> false
 
 let shutdown t =
   match t.backend with
@@ -652,6 +660,17 @@ let shutdown t =
            with Worker_dead -> ());
           dispose_worker w)
         ps.workers
+
+let with_fleet ?pool ?recovered ~mode ~shards ~sweep src ~r0 f =
+  if shards <= 1 then f None
+  else begin
+    let t = create ?pool ~mode ~shards ~sweep src ~r0 in
+    Fun.protect
+      ~finally:(fun () ->
+        Option.iter (fun r -> r := !r + t.recovered) recovered;
+        shutdown t)
+      (fun () -> f (Some t))
+  end
 
 (* Gathered raw column norms — per-column sums over ascending rows on
    each window, hence bitwise the full provider's column_norms. *)
@@ -669,18 +688,38 @@ let raw_norms t =
 let activate t j col = Array.iter expect_unit (exec t (Activate (j, col)))
 let deactivate t j = Array.iter expect_unit (exec t (Deactivate j))
 let ban t j = Array.iter expect_unit (exec t (Ban j))
-let apply_deltas t deltas = Array.iter expect_unit (exec t (Deltas deltas))
-let refresh t r = Array.iter expect_unit (exec t (Refresh (Array.copy r)))
+
+(* The maintained-correlation commands below are no-ops on exact
+   shards, so exact fleets skip the round trip (and the replay log
+   entry) altogether. *)
+let apply_deltas t deltas =
+  if incremental t then Array.iter expect_unit (exec t (Deltas deltas))
+
+let refresh t r =
+  if incremental t then begin
+    Array.iter expect_unit (exec t (Refresh (Array.copy r)));
+    t.since <- 0
+  end
+
+let note_step t = t.since <- t.since + 1
+
+let due t =
+  match t.sweep with
+  | Corr_sweep.Incremental { refresh } -> refresh > 0 && t.since >= refresh
+  | Corr_sweep.Exact -> false
 
 let commit t ~gamma ~dir ~refresh =
-  Array.iter expect_unit
-    (exec t
-       (Commit
-          {
-            gamma;
-            cdir = dir;
-            refresh = Option.map Array.copy refresh;
-          }))
+  if incremental t then begin
+    Array.iter expect_unit
+      (exec t
+         (Commit
+            {
+              gamma;
+              cdir = dir;
+              refresh = Option.map Array.copy refresh;
+            }));
+    if Option.is_some refresh then t.since <- 0
+  end
 
 (* Left-biased tree merge: on a tie in |correlation| the earlier shard
    — hence the lower global index — survives, matching the sequential

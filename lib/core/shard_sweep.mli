@@ -101,14 +101,35 @@ val create :
     mismatch. *)
 
 val shutdown : t -> unit
-(** Quit and reap process workers; no-op for in-image shards.  Wrap
-    fits in [Fun.protect] so abandoned fleets never leak processes. *)
+(** Quit and reap process workers; no-op for in-image shards.  Prefer
+    {!with_fleet}, which never leaks processes. *)
+
+val with_fleet :
+  ?pool:Parallel.Pool.t ->
+  ?recovered:int ref ->
+  mode:mode ->
+  shards:int ->
+  sweep:Corr_sweep.sweep ->
+  Polybasis.Design.Provider.t ->
+  r0:Linalg.Vec.t ->
+  (t option -> 'a) ->
+  'a
+(** [with_fleet ~mode ~shards ~sweep src ~r0 f] is [f None] when
+    [shards <= 1], else [f (Some e)] for a fresh {!create}d engine that
+    is shut down however [f] exits, its {!recovered} count added to
+    [recovered] (when given) first — the fleet lifecycle of every
+    sharded solver run. *)
 
 val shards : t -> int
 (** Actual shard count after clamping to the column count. *)
 
 val recovered : t -> int
 (** Number of worker respawn+replay recoveries performed so far. *)
+
+val incremental : t -> bool
+(** Whether the fleet maintains correlations ([sweep = Incremental]).
+    On exact fleets {!apply_deltas}, {!refresh} and {!commit} return
+    without contacting the shards. *)
 
 val raw_norms : t -> Linalg.Vec.t
 (** Column norms gathered from the shards, without the [<= 0 → 1]
@@ -132,8 +153,17 @@ val apply_deltas : t -> (int * float) array -> unit
     slice.  No-op in exact mode. *)
 
 val refresh : t -> Linalg.Vec.t -> unit
-(** Exact re-sweep of the given residual on every shard (the
-    checkpoint-aligned refresh).  No-op in exact mode. *)
+(** Exact re-sweep of the given residual on every shard (on cadence
+    and at checkpoint emissions); resets the cadence counter.  No-op
+    in exact mode. *)
+
+val note_step : t -> unit
+(** Count one completed movement step toward the refresh cadence — the
+    parent-side counter {!Corr_sweep.Inc.note_step} keeps unsharded. *)
+
+val due : t -> bool
+(** Whether the [Incremental { refresh }] cadence calls for an exact
+    refresh now (never in exact mode). *)
 
 val select : t -> r:Linalg.Vec.t -> int * float
 (** OMP/STAR selection: argmax of |⟨g_j, r⟩| over non-active,
@@ -152,11 +182,12 @@ val lars_gamma : t -> cc:float -> a_a:float -> dir -> float
 
 val commit : t -> gamma:float -> dir:dir -> refresh:Linalg.Vec.t option -> unit
 (** Advance every shard's maintained correlations by the committed
-    step: c ← c − γ·(Gᵀu), then an optional exact refresh (the
-    parent mirrors the non-sharded cadence).  The direction travels
-    with the (logged) command so a respawned worker recomputes the
-    identical Gᵀu slice from its replayed slab.  No-op in exact
-    mode. *)
+    step: c ← c − γ·(Gᵀu), then an optional exact refresh (which
+    resets the cadence counter, as {!refresh} does).  Retreat and
+    refresh travel in one logged command, with the direction, so a
+    respawned worker recomputes the identical Gᵀu slice from its
+    replayed slab and never sees one without the other.  No-op in
+    exact mode. *)
 
 val peak_rss_kb : t -> float array
 (** Per-shard VmHWM from /proc/self/status, in kB (process mode; the

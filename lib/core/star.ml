@@ -8,11 +8,12 @@ type step = {
   model : Model.t;
 }
 
-(* Per-step state machine behind [path_p] — same role as [Omp.Engine]:
-   the fused CV driver in [Select] runs Q fold engines in lockstep with
-   one fused multi-residual sweep per round. [advance] runs exactly the
-   historical loop body, so the fused drive is bitwise identical. *)
+(* STAR's coefficient step for the shared greedy driver ([Greedy]):
+   the entering coefficient is the eq. (18) estimate, nothing is
+   re-fit. *)
 module Engine = struct
+  type nonrec step = step
+
   type t = {
     k : int;
     m : int;
@@ -57,14 +58,21 @@ module Engine = struct
       p = 0;
     }
 
+  let solver = "star"
+  let max_lambda t = t.max_lambda
   let size t = t.p
   let finished t = t.stop || t.p >= t.max_lambda
   let residual t = t.res
   let skip_mask t = t.selected
   let scale t = t.initial_corr
   let column t j = Provider.Cache.column t.cache j
-  let support_newest_last t = Array.of_list (List.rev t.support_rev)
+  let support t = Array.of_list (List.rev t.support_rev)
   let steps t = Array.of_list (List.rev t.steps_rev)
+  let models t = Array.of_list (List.rev_map (fun s -> s.model) t.steps_rev)
+
+  (* Matching pursuit never revisits coefficients: the only delta is α
+     on the entering column. *)
+  let deltas t = [| (List.hd t.support_rev, List.hd t.coeffs_rev) |]
 
   (* Accept column [j]: matching-pursuit coefficient from the current
      residual, subtract its contribution. The exact operation order is
@@ -87,198 +95,44 @@ module Engine = struct
       ~support:(Array.of_list t.support_rev)
       ~coeffs:(Array.of_list t.coeffs_rev)
 
-  (* Apply one selection; [Some alpha] when a step was recorded. *)
+  let record t ~index ~coefficient =
+    let rn = Vec.nrm2 t.res in
+    t.steps_rev <-
+      { index; coefficient; residual_norm = rn; model = make_model t }
+      :: t.steps_rev;
+    if rn <= 1e-14 *. Float.max (Vec.nrm2 t.f) 1. then t.stop <- true
+
   let advance t (best, best_abs) =
-    if finished t then None
+    if finished t then false
     else begin
       if t.p = 0 then t.initial_corr <- best_abs;
       if best < 0 || best_abs <= t.tol *. Float.max t.initial_corr 1. then begin
         t.stop <- true;
-        None
+        false
       end
       else begin
         (* Coefficient taken directly from the eq. (18) estimator —
-           no re-fit of previously selected coefficients. The selected
-           column is materialized once and reused for the residual
-           update. *)
-        let alpha = accept t best in
-        t.steps_rev <-
-          {
-            index = best;
-            coefficient = alpha;
-            residual_norm = Vec.nrm2 t.res;
-            model = make_model t;
-          }
-          :: t.steps_rev;
-        if Vec.nrm2 t.res <= 1e-14 *. Float.max (Vec.nrm2 t.f) 1. then
-          t.stop <- true;
-        Some alpha
+           no re-fit of previously selected coefficients. *)
+        record t ~index:best ~coefficient:(accept t best);
+        true
       end
     end
 
   let replay t ~scale support =
-    if Array.length support > t.max_lambda then
-      invalid_arg "Star.path: checkpoint support exceeds max_lambda";
     t.initial_corr <- scale;
-    let last_alpha = ref 0. and last_j = ref (-1) in
-    Array.iter
-      (fun j ->
-        if t.selected.(j) then
-          invalid_arg "Star.path: duplicate support index in checkpoint";
-        last_alpha := accept t j;
-        last_j := j)
-      support;
-    if t.p > 0 then begin
-      let rn = Vec.nrm2 t.res in
-      t.steps_rev <-
-        [
-          {
-            index = !last_j;
-            coefficient = !last_alpha;
-            residual_norm = rn;
-            model = make_model t;
-          };
-        ];
-      if rn <= 1e-14 *. Float.max (Vec.nrm2 t.f) 1. then t.stop <- true
-    end
+    Array.iter (fun j -> ignore (accept t j)) support;
+    if t.p > 0 then
+      record t ~index:(List.hd t.support_rev)
+        ~coefficient:(List.hd t.coeffs_rev)
 end
 
-let path_p ?tol ?pool ?(checkpoint_every = 0) ?on_checkpoint ?resume
-    ?(sweep = Corr_sweep.Exact) ?(shards = 1)
-    ?(shard_mode = Shard_sweep.Domains) ?recovered src f ~max_lambda =
-  if checkpoint_every < 0 then
-    invalid_arg "Star.path: negative checkpoint interval";
-  if shards < 1 then invalid_arg "Star.path: shards must be positive";
-  let eng = Engine.create ?tol src f ~max_lambda in
-  let k = eng.Engine.k and m = eng.Engine.m in
-  let last_ckpt = ref 0 in
-  (match resume with
-  | None -> ()
-  | Some c ->
-      let open Serialize.Checkpoint in
-      if c.solver <> "star" then
-        invalid_arg
-          (Printf.sprintf "Star.path: checkpoint is for solver %S" c.solver);
-      if c.k <> k || c.m <> m then
-        invalid_arg
-          (Printf.sprintf
-             "Star.path: checkpoint shape %dx%d disagrees with problem %dx%d"
-             c.k c.m k m);
-      Engine.replay eng ~scale:c.scale c.support);
-  last_ckpt := Engine.size eng;
-  (* Column-sharded selection engine, created after any resume replay
-     (see Omp.path_p). *)
-  let sh =
-    if shards > 1 then begin
-      let e =
-        Shard_sweep.create ?pool ~mode:shard_mode ~shards ~sweep src
-          ~r0:(Engine.residual eng)
-      in
-      Array.iter
-        (fun j -> Shard_sweep.activate e j (Engine.column eng j))
-        (Engine.support_newest_last eng);
-      Some e
-    end
-    else None
-  in
-  Fun.protect ~finally:(fun () ->
-      match sh with
-      | Some e ->
-          (match recovered with
-          | Some r -> r := !r + Shard_sweep.recovered e
-          | None -> ());
-          Shard_sweep.shutdown e
-      | None -> ())
-  @@ fun () ->
-  let sh_incremental =
-    match sweep with Corr_sweep.Incremental _ -> true | Corr_sweep.Exact -> false
-  in
-  let refresh_every =
-    match sweep with
-    | Corr_sweep.Incremental { refresh } -> refresh
-    | Corr_sweep.Exact -> 0
-  in
-  let since = ref 0 in
-  (* Incremental correlation state — created after any resume replay so
-     its initial exact sweep sees the resumed residual (the refresh
-     point the uninterrupted run hit when emitting the checkpoint). *)
-  let inc =
-    match (sweep, sh) with
-    | _, Some _ | Corr_sweep.Exact, None -> None
-    | Corr_sweep.Incremental { refresh }, None ->
-        Some (Corr_sweep.Inc.create ?pool ~refresh src (Engine.residual eng))
-  in
-  let emit_now () =
-    match on_checkpoint with
-    | None -> ()
-    | Some cb ->
-        (* Selection order, newest last — the replay order. *)
-        cb
-          {
-            Serialize.Checkpoint.solver = "star";
-            k;
-            m;
-            scale = Engine.scale eng;
-            support = Engine.support_newest_last eng;
-          };
-        last_ckpt := Engine.size eng;
-        (match inc with
-        | None -> ()
-        | Some ic -> Corr_sweep.Inc.refresh ic (Engine.residual eng));
-        (match sh with
-        | Some e when sh_incremental ->
-            Shard_sweep.refresh e (Engine.residual eng);
-            since := 0
-        | _ -> ())
-  in
-  let emit_checkpoint () =
-    if checkpoint_every > 0 && Engine.size eng mod checkpoint_every = 0 then
-      emit_now ()
-  in
-  while not (Engine.finished eng) do
-    (* Column-parallel eq. (18) sweep, bitwise equal to the sequential
-       scan for every domain count; incremental mode scans the
-       delta-maintained correlation vector instead. *)
-    let pick =
-      match (sh, inc) with
-      | Some e, _ -> Shard_sweep.select e ~r:(Engine.residual eng)
-      | None, None ->
-          Corr_sweep.argmax_abs ?pool ~skip:(Engine.skip_mask eng) src
-            (Engine.residual eng)
-      | None, Some ic ->
-          Corr_sweep.Inc.argmax_abs ~skip:(Engine.skip_mask eng) ic
-    in
-    let best = fst pick in
-    match Engine.advance eng pick with
-    | None -> ()
-    | Some alpha ->
-        (match (sh, inc) with
-        | Some e, _ ->
-            Shard_sweep.activate e best (Engine.column eng best);
-            if sh_incremental then begin
-              (* Matching pursuit never revisits coefficients: the only
-                 delta this step is α on the entering column. *)
-              Shard_sweep.apply_deltas e [| (best, alpha) |];
-              incr since;
-              if refresh_every > 0 && !since >= refresh_every then begin
-                Shard_sweep.refresh e (Engine.residual eng);
-                since := 0
-              end
-            end
-        | None, None -> ()
-        | None, Some ic ->
-            Corr_sweep.Inc.ensure_gram ic best (Engine.column eng best);
-            Corr_sweep.Inc.apply_deltas ic [| (best, alpha) |];
-            Corr_sweep.Inc.note_step ic;
-            if Corr_sweep.Inc.due ic then
-              Corr_sweep.Inc.refresh ic (Engine.residual eng));
-        emit_checkpoint ()
-  done;
-  (* Terminal checkpoint: when lambda is not a multiple of the cadence
-     the mod test above skips the final selections, and a resume would
-     replay a stale prefix — always leave the completed support. *)
-  if Engine.size eng > !last_ckpt then emit_now ();
-  Engine.steps eng
+let path_p ?tol ?pool ?checkpoint_every ?on_checkpoint ?resume ?sweep ?shards
+    ?shard_mode ?recovered src f ~max_lambda =
+  Greedy.path_p
+    (module Engine)
+    ?pool ?checkpoint_every ?on_checkpoint ?resume ?sweep ?shards ?shard_mode
+    ?recovered src
+    (fun () -> Engine.create ?tol src f ~max_lambda)
 
 let fit_p ?tol ?pool ?checkpoint_every ?on_checkpoint ?resume ?sweep ?shards
     ?shard_mode ?recovered src f ~lambda =

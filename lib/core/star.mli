@@ -21,11 +21,11 @@ type step = {
   model : Model.t;
 }
 
-(** Per-step STAR state machine — same contract as {!Omp.Engine}, used
-    by the fused lockstep CV driver in {!Select}. [advance] returns the
-    matching-pursuit coefficient when a step was recorded. *)
+(** STAR's engine for the shared greedy driver ({!Greedy.ENGINE}): each
+    {!Engine.advance} takes the matching-pursuit coefficient from the
+    current residual; {!Engine.deltas} is the single entering [(j, α)]. *)
 module Engine : sig
-  type t
+  include Greedy.ENGINE with type step = step
 
   val create :
     ?tol:float ->
@@ -33,13 +33,7 @@ module Engine : sig
     Linalg.Vec.t ->
     max_lambda:int ->
     t
-
-  val finished : t -> bool
-  val size : t -> int
-  val residual : t -> Linalg.Vec.t
-  val skip_mask : t -> bool array
-  val advance : t -> int * float -> float option
-  val steps : t -> step array
+  (** Same validation and defaults as {!path_p}. *)
 end
 
 val path_p :
@@ -56,32 +50,16 @@ val path_p :
   Linalg.Vec.t ->
   max_lambda:int ->
   step array
-(** Same contract as {!Omp.path_p}: one record per iteration, early stop
-    on vanishing correlation. [max_lambda] may not exceed [M] (there is
-    no LS system to keep over-determined, so [K] is not a bound).
-
-    [checkpoint_every]/[on_checkpoint]/[resume] follow the
-    {!Omp.path_p} checkpoint contract with solver tag ["star"]: the
-    checkpoint stores the selection order, and a resume replays the
-    matching-pursuit coefficient and residual updates from the provider
-    (no correlation sweeps), after which the continued path is bitwise
-    identical to an uninterrupted run. The replayed state is returned as
-    one leading step.
-
-    The eq. (18) correlation sweep runs column-parallel over [pool]
-    (default: {!Parallel.Pool.default}); selections and coefficients are
-    bitwise identical to the sequential dense scan for every domain
-    count and either provider form.
-
-    [sweep] follows the {!Omp.path_p} contract: [Incremental] maintains
-    the correlation vector through Gram-cached delta updates (here a
-    single [(j, α)] delta per step — STAR never revisits coefficients)
-    with exact refreshes on cadence and at checkpoint emissions;
-    numerically ≤1e-10-validated rather than bitwise, so opt-in.
-
-    [shards]/[shard_mode]/[recovered] follow the {!Omp.path_p}
-    contract: the sharded selection path is bitwise identical to
-    [shards = 1] at every shard count. *)
+(** {!Greedy.path_p} driving {!Engine} — the driver {!Omp.path_p} runs
+    too, with the same contract and solver tag ["star"]: one record per
+    iteration, early stop on vanishing correlation, checkpoints storing
+    the selection order (a resume replays the matching-pursuit
+    coefficient and residual updates from the provider), and bitwise
+    identical results for every domain count, provider form and shard
+    count. [max_lambda] may not exceed [M] (there is no LS system to
+    keep over-determined, so [K] is not a bound). Under
+    [sweep = Incremental] each step's delta update is the single
+    entering [(j, α)]. *)
 
 val fit_p :
   ?tol:float ->

@@ -312,6 +312,13 @@ let test_star_resume_bitwise () =
         (Rsm.Star.path_p ~checkpoint_every:2 ~on_checkpoint src f ~max_lambda))
     ~lambda:6 ~kill_at:4 src f
 
+let check_raises_message msg expected f =
+  match f () with
+  | exception Invalid_argument s when s = expected -> ()
+  | exception Invalid_argument s ->
+      Alcotest.failf "%s: message %S, expected %S" msg s expected
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" msg
+
 let test_resume_validation () =
   let src, f = sparse_problem ~k:40 ~m:25 903 in
   let ckpt solver support =
@@ -326,7 +333,36 @@ let test_resume_validation () =
   check_raises_invalid "duplicate support" (fun () ->
       Rsm.Omp.fit_p ~resume:(ckpt "omp" [| 3; 3 |]) src f ~lambda:4);
   check_raises_invalid "support out of range" (fun () ->
-      Rsm.Omp.fit_p ~resume:(ckpt "omp" [| 25 |]) src f ~lambda:4)
+      Rsm.Omp.fit_p ~resume:(ckpt "omp" [| 25 |]) src f ~lambda:4);
+  (* STAR resumes through the same driver; both solvers also cap the
+     support length and name the out-of-range error. *)
+  let omp support =
+    Rsm.Omp.fit_p ~resume:(ckpt "omp" support) src f ~lambda:4
+  in
+  let star support =
+    Rsm.Star.fit_p ~resume:(ckpt "star" support) src f ~lambda:4
+  in
+  check_raises_invalid "star: wrong solver tag" (fun () ->
+      Rsm.Star.fit_p ~resume:(ckpt "omp" [| 0 |]) src f ~lambda:4);
+  check_raises_invalid "star: wrong shape" (fun () ->
+      Rsm.Star.fit_p
+        ~resume:{ (ckpt "star" [| 0 |]) with Rsm.Serialize.Checkpoint.m = 99 }
+        src f ~lambda:4);
+  check_raises_invalid "star: duplicate support" (fun () -> star [| 3; 3 |]);
+  check_raises_invalid "star: support out of range" (fun () -> star [| 25 |]);
+  List.iter
+    (fun (solver, fit) ->
+      check_raises_message (solver ^ ": support longer than max_lambda")
+        (solver ^ ".path: checkpoint support exceeds max_lambda")
+        (fun () -> fit [| 0; 1; 2; 3; 4 |]);
+      List.iter
+        (fun j ->
+          check_raises_message
+            (Printf.sprintf "%s: support index %d out of range" solver j)
+            (solver ^ ".path: checkpoint support index out of range")
+            (fun () -> fit [| 0; j |]))
+        [ 25; -1 ])
+    [ ("Omp", omp); ("Star", star) ]
 
 let test_terminal_checkpoint_emitted () =
   (* A path whose length is not a multiple of the cadence must still

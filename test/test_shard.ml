@@ -298,7 +298,13 @@ let test_omp_process_shards_bitwise () =
     omp_bits
       (Rsm.Omp.path_p ~shards:2 ~shard_mode:SS.Procs src f ~max_lambda:5)
   in
-  check_bool "omp procs bitwise" true (sharded = reference)
+  check_bool "omp procs bitwise" true (sharded = reference);
+  let reference = star_bits (Rsm.Star.path_p src f ~max_lambda:5) in
+  let sharded =
+    star_bits
+      (Rsm.Star.path_p ~shards:2 ~shard_mode:SS.Procs src f ~max_lambda:5)
+  in
+  check_bool "star procs bitwise" true (sharded = reference)
 
 (* A worker killed mid-fit must be respawned, replay the log, and leave
    the output bitwise unchanged. RSM_SHARD_FAULT makes shard 1 SIGKILL

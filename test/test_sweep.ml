@@ -11,7 +11,9 @@
      including paths with banned columns (duplicate dictionary entries)
      and lasso drops.
    - an incremental-sweep LAR checkpoint resumes bitwise equal to the
-     uninterrupted incremental run.
+     uninterrupted incremental run; OMP/STAR checkpoints resume to the
+     same model bytes under exact and incremental sweeps, unsharded
+     and sharded.
    - a dictionary whose every column gets banned terminates with an
      annotated model instead of raising.
    - fused CV selection is bitwise equal to the per-fold driver.
@@ -418,6 +420,75 @@ let test_incremental_lar_resume_bitwise () =
              (Array.map corr_bits
                 (Array.sub resumed prefix (Array.length resumed - prefix)))))
 
+(* --- OMP/STAR checkpoint/resume across sweep engines --------------- *)
+
+(* A checkpoint taken at support size 4 — between two refreshes of the
+   refresh:3 cadence — resumed under the same engine must continue to
+   the same model bytes as the uninterrupted run, for exact and
+   incremental sweeps, unsharded and sharded. The resumed path's
+   leading replay step carries the checkpoint's model, so the resumed
+   models equal the uninterrupted ones from step [prefix − 1] on; the
+   live continuation also reports bitwise-equal winning correlations
+   (OMP) and coefficients (STAR) — the incremental vector must be
+   refreshed where the checkpoint was written. *)
+let test_greedy_resume_bitwise () =
+  let rng, _, _, g = random_setting 23 in
+  let src = P.dense g in
+  let f = sparse_response rng src in
+  let bits model x = (Rsm.Serialize.to_string model, Int64.bits_of_float x) in
+  let omp ~sweep ~shards ~on_checkpoint ~resume =
+    Array.map
+      (fun (s : Rsm.Omp.step) -> bits s.model s.correlation)
+      (Rsm.Omp.path_p ~sweep ~shards ~checkpoint_every:2 ~on_checkpoint
+         ?resume src f ~max_lambda:8)
+  in
+  let star ~sweep ~shards ~on_checkpoint ~resume =
+    Array.map
+      (fun (s : Rsm.Star.step) -> bits s.model s.coefficient)
+      (Rsm.Star.path_p ~sweep ~shards ~checkpoint_every:2 ~on_checkpoint
+         ?resume src f ~max_lambda:8)
+  in
+  let prefix = 4 in
+  List.iter
+    (fun (name, path) ->
+      List.iter
+        (fun (sweep, shards) ->
+          let tag =
+            Printf.sprintf "%s %s shards=%d" name (CS.sweep_to_string sweep)
+              shards
+          in
+          let saved = ref None in
+          let full =
+            path ~sweep ~shards
+              ~on_checkpoint:(fun c ->
+                if Array.length c.Rsm.Serialize.Checkpoint.support = prefix
+                then saved := Some c)
+              ~resume:None
+          in
+          let ck =
+            match !saved with
+            | Some c -> c
+            | None -> Alcotest.failf "%s: no checkpoint at support 4" tag
+          in
+          let resumed =
+            path ~sweep ~shards ~on_checkpoint:(fun _ -> ()) ~resume:(Some ck)
+          in
+          let n = Array.length full in
+          check_bool (tag ^ ": path continues past the checkpoint") true
+            (n > prefix && Array.length resumed = n - prefix + 1);
+          check_bool (tag ^ ": replayed model byte-identical") true
+            (fst resumed.(0) = fst full.(prefix - 1));
+          check_bool (tag ^ ": live continuation bitwise") true
+            (Array.sub resumed 1 (n - prefix)
+            = Array.sub full prefix (n - prefix)))
+        [
+          (CS.Exact, 1);
+          (CS.Exact, 3);
+          (CS.incremental ~refresh:3 (), 1);
+          (CS.incremental ~refresh:3 (), 3);
+        ])
+    [ ("omp", omp); ("star", star) ]
+
 (* --- fused CV vs per-fold CV --------------------------------------- *)
 
 let prop_fused_cv_bitwise solver seed =
@@ -646,6 +717,8 @@ let suite =
         test_all_banned_terminates;
       case "incremental LAR resume bitwise"
         test_incremental_lar_resume_bitwise;
+      case "OMP/STAR resume bitwise (exact/incremental x shards 1/3)"
+        test_greedy_resume_bitwise;
       case "batched fold curves == per-fold" test_batch_fold_curves;
       case "screen_refit == cold refit" test_screen_refit_matches_cold;
       case "screen_refit keeps model when rows run out"
