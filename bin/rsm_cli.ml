@@ -135,9 +135,6 @@ let provider_of ?pool engine basis pts =
     Polybasis.Design.Provider.dense
       (Polybasis.Design.matrix_rows ?pool basis pts)
 
-let engine_name src =
-  if Polybasis.Design.Provider.is_streamed src then "matrix-free" else "dense"
-
 let samples =
   Arg.(value & opt int 1000 & info [ "samples" ] ~docv:"K"
          ~doc:"Monte-Carlo / training sample count.")
@@ -412,34 +409,50 @@ let breaker_threshold_arg =
                the estimated burst, then probes half-open. 0 (default) \
                keeps the fixed retry policy.")
 
-let print_run_reports ?adaptive ?point run_report screen_report =
-  Printf.printf "  hygiene       : %s\n"
-    (Circuit.Simulator.report_summary run_report);
-  (match adaptive with
-  | Some r ->
-      Printf.printf
-        "  hygiene       : adaptive retry: %d event(s), %d granted, %d \
-         denied\n"
-        (Array.length r.Robust.Retry.events)
-        r.Robust.Retry.retries_granted r.Robust.Retry.retries_denied
-  | None -> ());
-  (match (screen_report, (point : Robust.Screen.point_report option)) with
-  | None, None -> Printf.printf "  hygiene       : screen: off\n"
-  | sr, pt ->
-      (match sr with
-      | Some r ->
-          Printf.printf "  hygiene       : %s\n"
-            (Robust.Screen.report_summary r)
-      | None -> ());
-      (match pt with
-      | Some r ->
-          Printf.printf "  hygiene       : %s\n"
-            (Robust.Screen.point_report_summary r)
-      | None -> ()))
+let ok_or_exit = function
+  | Ok x -> x
+  | Error e -> err_exit (Robust.Error.to_string e)
 
-let print_model_notes model =
+let print_engines (cfg : Robust.Pipeline.config) ~driver ~recovered =
+  Printf.printf "  design engine : %s\n"
+    (if cfg.streamed then "matrix-free" else "dense");
+  Printf.printf "  sweep engine  : %s%s\n"
+    (Rsm.Corr_sweep.sweep_to_string cfg.sweep)
+    driver;
+  if cfg.shards > 1 then
+    Printf.printf "  shard engine  : %d shards (%s mode)\n" cfg.shards
+      (Rsm.Shard_sweep.mode_to_string cfg.shard_mode);
+  if recovered > 0 then
+    Printf.printf
+      "  shard recovery: %d worker respawn(s), log replayed, results bitwise \
+       unchanged\n"
+      recovered
+
+let driver_label choice ~on ~off ~auto =
+  match choice with Some true -> on | Some false -> off | None -> auto
+
+let print_cv_checkpoint (cfg : Robust.Pipeline.config) ~files =
+  Option.iter
+    (fun base ->
+      Printf.printf "  checkpoint    : %s%s (per-fold CV%s)\n" base files
+        (if cfg.resume then ", resumed" else ""))
+    cfg.checkpoint
+
+let print_hygiene ~names h =
+  List.iter
+    (Printf.printf "  hygiene       : %s\n")
+    (Robust.Pipeline.hygiene_lines ~names h)
+
+(* Validate a single-output model on [test] fresh simulations. *)
+let print_validation ~pool ~engine ~basis ~rng ~test sim model =
+  let d = Circuit.Simulator.run ~pool sim rng ~k:test in
+  let src_te = provider_of ~pool engine basis d.Circuit.Simulator.points in
+  Printf.printf "  testing error : %.2f%% (on %d fresh samples)\n"
+    (100. *. Rsm.Model.error_on_p model src_te d.Circuit.Simulator.values)
+    test;
+  Printf.printf "  bases selected: %d\n" (Rsm.Model.nnz model);
   Array.iter
-    (fun note -> Printf.printf "  note          : %s\n" note)
+    (Printf.printf "  note          : %s\n")
     (Rsm.Model.notes model)
 
 let save_model_maybe save_model model =
@@ -449,22 +462,15 @@ let save_model_maybe save_model model =
       Rsm.Serialize.save path model;
       Printf.printf "  model saved   : %s\n" path
 
-(* Multi-output fit: R opamp metrics over one simulation batch, one
-   hygiene verdict, one design matrix and (by default) one fused
-   selection grid. Always the cross-validated pipeline — the fixed-λ
-   checkpoint path is single-output only. *)
-let run_model_multi ~circuit ~parasitics ~seed ~samples ~test ~meth
-    ~max_lambda ~save_model ~domains ~engine ~folds_n ~no_screen
-    ~screen_threshold ~screen_space ~faults ~retry ~adaptive ~quorum
-    ~checkpoint ~resume ~sweep ~shards ~shard_mode ~fused_cv ~fused_outputs
-    ~rescreen ~outputs_spec =
+(* The --outputs metrics: R opamp simulators sharing one batch. *)
+let opamp_outputs ~circuit ~parasitics spec =
   if String.lowercase_ascii circuit <> "opamp" then
     err_exit
       (Printf.sprintf
          "--outputs is an opamp feature (circuit %S has a single metric)"
          circuit);
   let metrics =
-    String.split_on_char ',' outputs_spec
+    String.split_on_char ',' spec
     |> List.map String.trim
     |> List.filter (fun s -> s <> "")
     |> List.map (fun s ->
@@ -479,130 +485,13 @@ let run_model_multi ~circuit ~parasitics ~seed ~samples ~test ~meth
   in
   if metrics = [] then err_exit "--outputs needs at least one metric";
   let amp = Circuit.Opamp.build ~n_parasitics:parasitics () in
-  let dim = Circuit.Opamp.dim amp in
-  let sims =
-    Array.of_list (List.map (fun m -> Circuit.Opamp.simulator amp m) metrics)
-  in
-  let names =
-    Array.of_list (List.map Circuit.Opamp.metric_name metrics)
-  in
-  let units = Array.of_list (List.map Circuit.Opamp.metric_unit metrics) in
-  let outputs = Array.length sims in
-  let pool = use_domains domains in
-  let rng = Randkit.Prng.create seed in
-  let basis = Polybasis.Basis.constant_linear dim in
-  let m_cols = Polybasis.Basis.size basis in
-  if Rsm.Solver.needs_overdetermined meth && samples < m_cols then
-    err_exit
-      (Printf.sprintf
-         "LS needs at least %d samples for %d coefficients; got %d (use \
-          omp/lar/star, the point of the paper)"
-         m_cols m_cols samples);
-  let cfg =
-    match
-      Robust.Pipeline.config ~method_:meth ~folds:folds_n ~max_lambda ~samples
-        ~screen:(not no_screen) ~screen_threshold ~screen_space ~faults ~retry
-        ?adaptive ~quorum
-        ~min_samples:(min samples (max 8 (samples / 2)))
-        ~streamed:(choose_streamed engine ~k:samples ~m:m_cols)
-        ?checkpoint ~resume ~sweep ~shards ~shard_mode ?fused_cv ?fused_outputs
-        ~rescreen ()
-    with
-    | Ok cfg -> cfg
-    | Error e -> err_exit (Robust.Error.to_string e)
-  in
-  let recovered = ref 0 in
-  match
-    Circuit.Testbench.timed (fun () ->
-        Robust.Pipeline.fit_multi ~pool ~recovered cfg sims basis rng)
-  with
-  | Error e, _ -> err_exit (Robust.Error.to_string e)
-  | Ok o, fit_s ->
-      Printf.printf
-        "opamp/%s | %s | K = %d training samples, M = %d bases | %d outputs\n"
-        (String.concat "," (Array.to_list names))
-        (Rsm.Solver.name meth)
-        (Circuit.Simulator.dataset_size o.Robust.Pipeline.datasets.(0))
-        m_cols outputs;
-      Printf.printf "  design engine : %s\n"
-        (if cfg.Robust.Pipeline.streamed then "matrix-free" else "dense");
-      Printf.printf "  sweep engine  : %s%s\n"
-        (Rsm.Corr_sweep.sweep_to_string sweep)
-        (match fused_outputs with
-        | Some true -> ", fused outputs"
-        | Some false -> ", per-output"
-        | None -> ", auto output driver");
-      if shards > 1 then
-        Printf.printf "  shard engine  : %d shards (%s mode)\n" shards
-          (Rsm.Shard_sweep.mode_to_string shard_mode);
-      if !recovered > 0 then
-        Printf.printf
-          "  shard recovery: %d worker respawn(s), log replayed, results \
-           bitwise unchanged\n"
-          !recovered;
-      (match checkpoint with
-      | Some base ->
-          Printf.printf "  checkpoint    : %s.out<r>.fold<q> (per-fold CV%s)\n"
-            base
-            (if resume then ", resumed" else "")
-      | None -> ());
-      Printf.printf "  hygiene       : %s\n"
-        (Circuit.Simulator.report_summary o.Robust.Pipeline.m_run_report);
-      let any_screen =
-        Array.exists Option.is_some o.Robust.Pipeline.screen_reports
-        || o.Robust.Pipeline.m_point_report <> None
-      in
-      if not any_screen then Printf.printf "  hygiene       : screen: off\n"
-      else begin
-        Array.iteri
-          (fun r rep ->
-            match rep with
-            | Some rep ->
-                Printf.printf "  hygiene       : %s %s\n" names.(r)
-                  (Robust.Screen.report_summary rep)
-            | None -> ())
-          o.Robust.Pipeline.screen_reports;
-        match o.Robust.Pipeline.m_point_report with
-        | Some rep ->
-            Printf.printf "  hygiene       : %s\n"
-              (Robust.Screen.point_report_summary rep)
-        | None -> ()
-      end;
-      (* One fresh point set tests every metric — the same sharing the
-         training batch used. *)
-      let test_pts =
-        Array.init test (fun _ -> Randkit.Gaussian.vector rng dim)
-      in
-      let src_te = provider_of ~pool engine basis test_pts in
-      Array.iteri
-        (fun r model ->
-          let truth = Array.map sims.(r).Circuit.Simulator.eval test_pts in
-          Printf.printf
-            "  %-9s     : testing error %.2f%% (%s), %d bases selected\n"
-            names.(r)
-            (100. *. Rsm.Model.error_on_p model src_te truth)
-            units.(r) (Rsm.Model.nnz model);
-          Array.iter
-            (fun note -> Printf.printf "  note          : %s: %s\n" names.(r) note)
-            (Rsm.Model.notes model))
-        o.Robust.Pipeline.models;
-      Printf.printf "  fitting cost  : %.2f s (measured, all %d outputs)\n"
-        fit_s outputs;
-      Printf.printf
-        "  sim cost      : %.0f s (accounted, +%.0f s retry overhead)\n"
-        (Array.fold_left
-           (fun acc sim -> acc +. Circuit.Simulator.simulated_cost sim ~k:samples)
-           0. sims)
-        o.Robust.Pipeline.m_run_report.Circuit.Simulator.accounted_extra_seconds;
-      match save_model with
-      | None -> ()
-      | Some path ->
-          Array.iteri
-            (fun r model ->
-              let p = path ^ "." ^ names.(r) in
-              Rsm.Serialize.save p model;
-              Printf.printf "  model saved   : %s\n" p)
-            o.Robust.Pipeline.models
+  let each f = Array.of_list (List.map f metrics) in
+  let names = each Circuit.Opamp.metric_name in
+  ( each (Circuit.Opamp.simulator amp),
+    names,
+    each Circuit.Opamp.metric_unit,
+    "opamp/" ^ String.concat "," (Array.to_list names),
+    Circuit.Opamp.dim amp )
 
 let model_cmd =
   let run circuit metric cells parasitics seed samples test method_name
@@ -664,285 +553,196 @@ let model_cmd =
         Some (Robust.Retry.policy ~max_attempts:retries ~breaker_threshold ())
       else None
     in
-    match outputs with
-    | Some outputs_spec -> (
-        match Rsm.Solver.of_name method_name with
-        | None -> err_exit (Printf.sprintf "unknown method %S" method_name)
-        | Some meth ->
-            run_model_multi ~circuit ~parasitics ~seed ~samples ~test ~meth
-              ~max_lambda ~save_model ~domains ~engine ~folds_n ~no_screen
-              ~screen_threshold ~screen_space ~faults ~retry ~adaptive ~quorum
-              ~checkpoint ~resume ~sweep ~shards ~shard_mode ~fused_cv
-              ~fused_outputs ~rescreen ~outputs_spec)
-    | None -> (
-    match make_workload ~circuit ~metric ~cells ~parasitics with
-    | Error e -> err_exit e
-    | Ok w -> (
-        match Rsm.Solver.of_name method_name with
-        | None -> err_exit (Printf.sprintf "unknown method %S" method_name)
-        | Some meth ->
-            let pool = use_domains domains in
-            let rng = Randkit.Prng.create seed in
-            let basis = Polybasis.Basis.constant_linear w.dim in
-            let m_cols = Polybasis.Basis.size basis in
-            if
-              Rsm.Solver.needs_overdetermined meth && samples < m_cols
-            then
-              err_exit
-                (Printf.sprintf
-                   "LS needs at least %d samples for %d coefficients; got %d \
-                    (use omp/lar/star, the point of the paper)"
-                   m_cols m_cols samples);
-            match checkpoint with
-            | Some ckpt_file when folds = None -> (
-                (* Fixed-λ checkpointed fit: simulate robustly, screen,
-                   then run the solver with periodic state saves. (An
-                   explicit --folds routes a checkpointed run through
-                   the per-fold CV branch below instead.) *)
-                (match meth with
-                | Rsm.Solver.Omp | Rsm.Solver.Star | Rsm.Solver.Lar
-                | Rsm.Solver.Lasso ->
-                    ()
-                | _ ->
-                    err_exit
-                      "--checkpoint supports the omp, star, lar and lasso \
-                       methods only");
-                let data, run_report, adaptive_report =
-                  match adaptive with
-                  | None ->
-                      let d, r =
-                        Circuit.Simulator.run_robust ~pool ~faults ~retry
-                          w.sim rng ~k:samples
-                      in
-                      (d, r, None)
-                  | Some policy ->
-                      let d, r =
-                        Robust.Retry.run ~pool ~faults policy w.sim rng
-                          ~k:samples
-                      in
-                      (d, r.Robust.Retry.run, Some r)
-                in
-                let data, screen_report =
-                  if no_screen || screen_space = Robust.Pipeline.Factor then
-                    (data, None)
-                  else
-                    match
-                      Robust.Screen.screen ~threshold:screen_threshold data
-                    with
-                    | Ok (d, r) -> (d, Some r)
-                    | Error e -> err_exit (Robust.Error.to_string e)
-                in
-                let data, point_report =
-                  if no_screen || screen_space = Robust.Pipeline.Response then
-                    (data, None)
-                  else
-                    match Robust.Screen.mahalanobis data with
-                    | Ok (d, r) -> (d, Some r)
-                    | Error e -> err_exit (Robust.Error.to_string e)
-                in
-                let survived = Circuit.Simulator.dataset_size data in
-                let quorum_floor =
-                  int_of_float (Float.ceil (quorum *. float_of_int samples))
-                in
-                if survived < quorum_floor then
-                  err_exit
-                    (Printf.sprintf
-                       "quorum lost: only %d of %d requested samples survived \
-                        delivery and screening, below the %g%% quorum (%d); \
-                        raise --samples or --retries, or lower --quorum"
-                       survived samples (100. *. quorum) quorum_floor);
-                let src =
-                  provider_of ~pool engine basis data.Circuit.Simulator.points
-                in
-                let f_tr = data.Circuit.Simulator.values in
-                let lambda =
-                  min max_lambda
-                    (min (Polybasis.Design.Provider.rows src) m_cols)
-                in
-                let recovered = ref 0 in
-                let model, fit_s =
-                  Circuit.Testbench.timed (fun () ->
-                      match meth with
-                      | Rsm.Solver.Omp | Rsm.Solver.Star -> (
-                          let resume_state =
-                            if not resume then None
-                            else
-                              match Rsm.Serialize.Checkpoint.load ckpt_file with
-                              | Ok c -> Some c
-                              | Error e ->
-                                  err_exit
-                                    (Printf.sprintf
-                                       "cannot load checkpoint %s: %s"
-                                       ckpt_file e)
-                          in
-                          let on_checkpoint c =
-                            Rsm.Serialize.Checkpoint.save ckpt_file c
-                          in
-                          match meth with
-                          | Rsm.Solver.Omp ->
-                              Rsm.Omp.fit_p ~pool ~on_singular:`Fallback
-                                ~checkpoint_every ~on_checkpoint
-                                ?resume:resume_state ~sweep ~shards
-                                ~shard_mode ~recovered src f_tr ~lambda
-                          | _ ->
-                              Rsm.Star.fit_p ~pool ~checkpoint_every
-                                ~on_checkpoint ?resume:resume_state ~sweep
-                                ~shards ~shard_mode ~recovered src f_tr
-                                ~lambda)
-                      | _ ->
-                          (* lar / lasso: the event-log LARS checkpoint. *)
-                          let resume_state =
-                            if not resume then None
-                            else
-                              match
-                                Rsm.Serialize.Checkpoint.Lars.load ckpt_file
-                              with
-                              | Ok c -> Some c
-                              | Error e ->
-                                  err_exit
-                                    (Printf.sprintf
-                                       "cannot load checkpoint %s: %s"
-                                       ckpt_file e)
-                          in
-                          let mode =
-                            if meth = Rsm.Solver.Lasso then Rsm.Lars.Lasso
-                            else Rsm.Lars.Lar
-                          in
-                          Rsm.Lars.fit_p ~mode ~pool ~on_singular:`Fallback
-                            ~checkpoint_every
-                            ~on_checkpoint:(fun c ->
-                              Rsm.Serialize.Checkpoint.Lars.save ckpt_file c)
-                            ?resume:resume_state ~sweep ~shards ~shard_mode
-                            ~recovered src f_tr ~lambda)
-                in
-                let model =
-                  if survived >= samples then model
-                  else
-                    Rsm.Model.add_note model
-                      (Robust.Pipeline.degraded_note ~requested:samples
-                         ~survived ~quorum run_report)
-                in
-                let test_data =
-                  Circuit.Simulator.run ~pool w.sim rng ~k:test
-                in
-                let src_te =
-                  provider_of ~pool engine basis
-                    test_data.Circuit.Simulator.points
-                in
-                Printf.printf
-                  "%s | %s | K = %d training samples, M = %d bases | fixed \
-                   lambda = %d (checkpointed)\n"
-                  w.name (Rsm.Solver.name meth) samples m_cols lambda;
-                Printf.printf "  design engine : %s\n" (engine_name src);
-                Printf.printf "  sweep engine  : %s\n"
-                  (Rsm.Corr_sweep.sweep_to_string sweep);
-                if shards > 1 then
-                  Printf.printf "  shard engine  : %d shards (%s mode)\n"
-                    shards
-                    (Rsm.Shard_sweep.mode_to_string shard_mode);
-                if !recovered > 0 then
-                  Printf.printf
-                    "  shard recovery: %d worker respawn(s), log replayed, \
-                     results bitwise unchanged\n"
-                    !recovered;
-                print_run_reports ?adaptive:adaptive_report ?point:point_report
-                  run_report screen_report;
-                Printf.printf "  checkpoint    : %s (every %d iterations%s)\n"
-                  ckpt_file checkpoint_every
-                  (if resume then ", resumed" else "");
-                Printf.printf "  testing error : %.2f%% (on %d fresh samples)\n"
-                  (100.
-                  *. Rsm.Model.error_on_p model src_te
-                       test_data.Circuit.Simulator.values)
-                  test;
-                Printf.printf "  bases selected: %d\n" (Rsm.Model.nnz model);
-                print_model_notes model;
-                Printf.printf "  fitting cost  : %.2f s (measured)\n" fit_s;
-                save_model_maybe save_model model)
-            | _ -> (
-                (* Cross-validated fit; with --checkpoint and an explicit
-                   --folds the sweep writes per-fold checkpoint files. *)
-                let cfg =
-                  match
-                    Robust.Pipeline.config ~method_:meth ~folds:folds_n
-                      ~max_lambda ~samples ~screen:(not no_screen)
-                      ~screen_threshold ~screen_space ~faults ~retry ?adaptive
-                      ~quorum
-                      ~min_samples:(min samples (max 8 (samples / 2)))
-                      ~streamed:
-                        (choose_streamed engine ~k:samples ~m:m_cols)
-                      ?checkpoint ~resume ~sweep ~shards ~shard_mode ?fused_cv
-                      ~rescreen ()
-                  with
-                  | Ok cfg -> cfg
-                  | Error e -> err_exit (Robust.Error.to_string e)
-                in
-                let recovered = ref 0 in
-                match
-                  Circuit.Testbench.timed (fun () ->
-                      Robust.Pipeline.fit ~pool ~recovered cfg w.sim basis rng)
-                with
-                | Error e, _ -> err_exit (Robust.Error.to_string e)
-                | Ok o, fit_s ->
-                    let model = o.Robust.Pipeline.model in
-                    let test_data =
-                      Circuit.Simulator.run ~pool w.sim rng ~k:test
-                    in
-                    let src_te =
-                      provider_of ~pool engine basis
-                        test_data.Circuit.Simulator.points
-                    in
-                    Printf.printf
-                      "%s | %s | K = %d training samples, M = %d bases\n"
-                      w.name (Rsm.Solver.name meth)
-                      (Circuit.Simulator.dataset_size o.Robust.Pipeline.dataset)
-                      m_cols;
-                    Printf.printf "  design engine : %s\n"
-                      (if cfg.Robust.Pipeline.streamed then "matrix-free"
-                       else "dense");
-                    Printf.printf "  sweep engine  : %s%s\n"
-                      (Rsm.Corr_sweep.sweep_to_string sweep)
-                      (match fused_cv with
-                      | Some true -> ", fused CV"
-                      | Some false -> ", per-fold CV"
-                      | None -> ", auto CV driver");
-                    if shards > 1 then
-                      Printf.printf "  shard engine  : %d shards (%s mode)\n"
-                        shards
-                        (Rsm.Shard_sweep.mode_to_string shard_mode);
-                    if !recovered > 0 then
-                      Printf.printf
-                        "  shard recovery: %d worker respawn(s), log \
-                         replayed, results bitwise unchanged\n"
-                        !recovered;
-                    (match checkpoint with
-                    | Some base ->
-                        Printf.printf
-                          "  checkpoint    : %s.fold<q> (per-fold CV%s)\n" base
-                          (if resume then ", resumed" else "")
-                    | None -> ());
-                    print_run_reports
-                      ?adaptive:o.Robust.Pipeline.adaptive_report
-                      ?point:o.Robust.Pipeline.point_report
-                      o.Robust.Pipeline.run_report
-                      o.Robust.Pipeline.screen_report;
-                    Printf.printf
-                      "  testing error : %.2f%% (on %d fresh samples)\n"
-                      (100.
-                      *. Rsm.Model.error_on_p model src_te
-                           test_data.Circuit.Simulator.values)
-                      test;
-                    Printf.printf "  bases selected: %d\n" (Rsm.Model.nnz model);
-                    print_model_notes model;
-                    Printf.printf "  fitting cost  : %.2f s (measured)\n" fit_s;
-                    Printf.printf
-                      "  sim cost      : %.0f s (accounted at %.2f s/sample, \
-                       +%.0f s retry overhead)\n"
-                      (Circuit.Simulator.simulated_cost w.sim ~k:samples)
-                      w.sim.Circuit.Simulator.seconds_per_sample
-                      o.Robust.Pipeline.run_report
-                        .Circuit.Simulator.accounted_extra_seconds;
-                    save_model_maybe save_model model)))
+    let meth =
+      match Rsm.Solver.of_name method_name with
+      | Some meth -> meth
+      | None -> err_exit (Printf.sprintf "unknown method %S" method_name)
+    in
+    let sims, names, units, label, dim =
+      match outputs with
+      | Some spec -> opamp_outputs ~circuit ~parasitics spec
+      | None -> (
+          match make_workload ~circuit ~metric ~cells ~parasitics with
+          | Error e -> err_exit e
+          | Ok w -> ([| w.sim |], [||], [| w.unit_ |], w.name, w.dim))
+    in
+    let pool = use_domains domains in
+    let rng = Randkit.Prng.create seed in
+    let basis = Polybasis.Basis.constant_linear dim in
+    let m_cols = Polybasis.Basis.size basis in
+    if Rsm.Solver.needs_overdetermined meth && samples < m_cols then
+      err_exit
+        (Printf.sprintf
+           "LS needs at least %d samples for %d coefficients; got %d (use \
+            omp/lar/star, the point of the paper)"
+           m_cols m_cols samples);
+    (* One configuration for every branch: the fixed-λ checkpoint fit,
+       the cross-validated fit and the multi-output fit all deliver
+       their samples through it. *)
+    let cfg =
+      ok_or_exit
+        (Robust.Pipeline.config ~method_:meth ~folds:folds_n ~max_lambda
+           ~samples ~screen:(not no_screen) ~screen_threshold ~screen_space
+           ~faults ~retry ?adaptive ~quorum
+           ~min_samples:(min samples (max 8 (samples / 2)))
+           ~streamed:(choose_streamed engine ~k:samples ~m:m_cols)
+           ?checkpoint ~resume ~sweep ~shards ~shard_mode ?fused_cv
+           ?fused_outputs ~rescreen ())
+    in
+    let validate = print_validation ~pool ~engine ~basis ~rng ~test sims.(0) in
+    let recovered = ref 0 in
+    match (outputs, checkpoint) with
+    | Some _, _ ->
+        (* Multi-output fit: R opamp metrics over one simulation batch,
+           one hygiene verdict, one design matrix and (by default) one
+           fused selection grid. Always cross-validated. *)
+        let o, fit_s =
+          Circuit.Testbench.timed (fun () ->
+              Robust.Pipeline.fit_multi ~pool ~recovered cfg sims basis rng)
+        in
+        let o = ok_or_exit o in
+        let outputs = Array.length sims in
+        Printf.printf
+          "%s | %s | K = %d training samples, M = %d bases | %d outputs\n"
+          label (Rsm.Solver.name meth)
+          (Circuit.Simulator.dataset_size o.Robust.Pipeline.datasets.(0))
+          m_cols outputs;
+        print_engines cfg ~recovered:!recovered
+          ~driver:
+            (driver_label fused_outputs ~on:", fused outputs"
+               ~off:", per-output" ~auto:", auto output driver");
+        print_cv_checkpoint cfg ~files:".out<r>.fold<q>";
+        print_hygiene ~names (Robust.Pipeline.multi_hygiene o);
+        (* One fresh point set tests every metric — the same sharing the
+           training batch used. *)
+        let test_pts =
+          Array.init test (fun _ -> Randkit.Gaussian.vector rng dim)
+        in
+        let src_te = provider_of ~pool engine basis test_pts in
+        Array.iteri
+          (fun r model ->
+            let truth = Array.map sims.(r).Circuit.Simulator.eval test_pts in
+            Printf.printf
+              "  %-9s     : testing error %.2f%% (%s), %d bases selected\n"
+              names.(r)
+              (100. *. Rsm.Model.error_on_p model src_te truth)
+              units.(r) (Rsm.Model.nnz model);
+            Array.iter
+              (fun note ->
+                Printf.printf "  note          : %s: %s\n" names.(r) note)
+              (Rsm.Model.notes model))
+          o.Robust.Pipeline.models;
+        Printf.printf "  fitting cost  : %.2f s (measured, all %d outputs)\n"
+          fit_s outputs;
+        Printf.printf
+          "  sim cost      : %.0f s (accounted, +%.0f s retry overhead)\n"
+          (Array.fold_left
+             (fun acc sim ->
+               acc +. Circuit.Simulator.simulated_cost sim ~k:samples)
+             0. sims)
+          o.Robust.Pipeline.m_run_report
+            .Circuit.Simulator.accounted_extra_seconds;
+        Option.iter
+          (fun path ->
+            Array.iteri
+              (fun r model ->
+                let p = path ^ "." ^ names.(r) in
+                Rsm.Serialize.save p model;
+                Printf.printf "  model saved   : %s\n" p)
+              o.Robust.Pipeline.models)
+          save_model
+    | None, Some ckpt_file when folds = None ->
+        (* Fixed-λ checkpointed fit: the pipeline's delivery, the solver
+           with periodic state saves, then the pipeline's post-fit stage.
+           (An explicit --folds routes a checkpointed run through the
+           per-fold CV branch below instead.) *)
+        let d =
+          ok_or_exit
+            (Robust.Pipeline.deliver ~pool:(Some pool) cfg sims basis rng)
+        in
+        let src = d.Robust.Pipeline.src in
+        let f_tr = d.Robust.Pipeline.rows.(0).Circuit.Simulator.values in
+        let lambda =
+          min max_lambda (min (Polybasis.Design.Provider.rows src) m_cols)
+        in
+        let load_resume load =
+          if not resume then None
+          else
+            match load ckpt_file with
+            | Ok c -> Some c
+            | Error e ->
+                err_exit
+                  (Printf.sprintf "cannot load checkpoint %s: %s" ckpt_file e)
+        in
+        let model, fit_s =
+          Circuit.Testbench.timed (fun () ->
+              let module Ck = Rsm.Serialize.Checkpoint in
+              match meth with
+              | Rsm.Solver.Omp ->
+                  Rsm.Omp.fit_p ~pool ~on_singular:`Fallback ~checkpoint_every
+                    ~on_checkpoint:(Ck.save ckpt_file)
+                    ?resume:(load_resume Ck.load) ~sweep ~shards ~shard_mode
+                    ~recovered src f_tr ~lambda
+              | Rsm.Solver.Star ->
+                  Rsm.Star.fit_p ~pool ~checkpoint_every
+                    ~on_checkpoint:(Ck.save ckpt_file)
+                    ?resume:(load_resume Ck.load) ~sweep ~shards ~shard_mode
+                    ~recovered src f_tr ~lambda
+              | _ ->
+                  (* lar / lasso: the event-log LARS checkpoint. *)
+                  Rsm.Lars.fit_p
+                    ~mode:
+                      (if meth = Rsm.Solver.Lasso then Rsm.Lars.Lasso
+                       else Rsm.Lars.Lar)
+                    ~pool ~on_singular:`Fallback ~checkpoint_every
+                    ~on_checkpoint:(Ck.Lars.save ckpt_file)
+                    ?resume:(load_resume Ck.Lars.load) ~sweep ~shards
+                    ~shard_mode ~recovered src f_tr ~lambda)
+        in
+        let model =
+          (ok_or_exit (Robust.Pipeline.post_fit cfg d [| model |])).(0)
+        in
+        Printf.printf
+          "%s | %s | K = %d training samples, M = %d bases | fixed lambda = %d \
+           (checkpointed)\n"
+          label (Rsm.Solver.name meth) samples m_cols lambda;
+        print_engines cfg ~driver:"" ~recovered:!recovered;
+        print_hygiene ~names d.Robust.Pipeline.hygiene;
+        Printf.printf "  checkpoint    : %s (every %d iterations%s)\n" ckpt_file
+          checkpoint_every
+          (if resume then ", resumed" else "");
+        validate model;
+        Printf.printf "  fitting cost  : %.2f s (measured)\n" fit_s;
+        save_model_maybe save_model model
+    | None, _ ->
+        (* Cross-validated fit; with --checkpoint and an explicit --folds
+           the sweep writes per-fold checkpoint files. *)
+        let o, fit_s =
+          Circuit.Testbench.timed (fun () ->
+              Robust.Pipeline.fit ~pool ~recovered cfg sims.(0) basis rng)
+        in
+        let o = ok_or_exit o in
+        let model = o.Robust.Pipeline.model in
+        Printf.printf "%s | %s | K = %d training samples, M = %d bases\n" label
+          (Rsm.Solver.name meth)
+          (Circuit.Simulator.dataset_size o.Robust.Pipeline.dataset)
+          m_cols;
+        print_engines cfg ~recovered:!recovered
+          ~driver:
+            (driver_label fused_cv ~on:", fused CV" ~off:", per-fold CV"
+               ~auto:", auto CV driver");
+        print_cv_checkpoint cfg ~files:".fold<q>";
+        print_hygiene ~names (Robust.Pipeline.outcome_hygiene o);
+        validate model;
+        Printf.printf "  fitting cost  : %.2f s (measured)\n" fit_s;
+        Printf.printf
+          "  sim cost      : %.0f s (accounted at %.2f s/sample, +%.0f s retry \
+           overhead)\n"
+          (Circuit.Simulator.simulated_cost sims.(0) ~k:samples)
+          sims.(0).Circuit.Simulator.seconds_per_sample
+          o.Robust.Pipeline.run_report
+            .Circuit.Simulator.accounted_extra_seconds;
+        save_model_maybe save_model model
   in
   Cmd.v
     (Cmd.info "model"

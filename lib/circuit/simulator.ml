@@ -165,9 +165,9 @@ let report_summary r =
   in
   base ^ burst ^ breaker
 
-(* Per-sample bookkeeping, aggregated sequentially after the (possibly
+(* Fault and retry bookkeeping, summed sequentially after the (possibly
    parallel) evaluation sweep so the report is deterministic. *)
-type sample_stats = {
+type tally = {
   mutable s_injected : int;
   mutable s_nonfinite : int;
   mutable s_outliers : int;
@@ -177,6 +177,18 @@ type sample_stats = {
   mutable s_extra : float;
   mutable s_burst_faults : int;
 }
+
+let tally () =
+  {
+    s_injected = 0;
+    s_nonfinite = 0;
+    s_outliers = 0;
+    s_transient = 0;
+    s_hangs = 0;
+    s_retries = 0;
+    s_extra = 0.;
+    s_burst_faults = 0;
+  }
 
 let pick_kind mix fs =
   let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0. mix in
@@ -196,194 +208,20 @@ let pick_kind mix fs =
 
 type attempt_outcome = {
   injected : fault_kind option;
-  returned : float option;
+  returned : float array option;
   hang_s : float;
 }
 
-(* One attempt at a sample: either a fault drawn from the per-sample
-   stream [fs] — at the burst mix/rate when the sample sits inside an
-   outage window — or a real evaluation. [eval] is called at most once
-   per attempt, only when a value is actually produced (clean return or
-   finite outlier garbage). *)
-let draw_attempt plan ~in_burst fs ~eval =
-  let rate, mix =
-    match plan.burst with
-    | Some b when in_burst -> (b.burst_rate, b.burst_mix)
-    | _ -> (plan.rate, plan.mix)
-  in
-  if rate > 0. && Randkit.Prng.float fs < rate then
-    match pick_kind mix fs with
-    | Nan_return ->
-        { injected = Some Nan_return; returned = Some Float.nan; hang_s = 0. }
-    | Inf_return ->
-        {
-          injected = Some Inf_return;
-          returned =
-            Some
-              (if Randkit.Prng.bool fs then Float.infinity
-               else Float.neg_infinity);
-          hang_s = 0.;
-        }
-    | Outlier ->
-        let v = eval () in
-        let sign = if Randkit.Prng.bool fs then 1. else -1. in
-        {
-          injected = Some Outlier;
-          returned = Some (v +. (sign *. plan.outlier_scale *. (1. +. Float.abs v)));
-          hang_s = 0.;
-        }
-    | Transient -> { injected = Some Transient; returned = None; hang_s = 0. }
-    | Hang ->
-        { injected = Some Hang; returned = None; hang_s = plan.hang_seconds }
-  else { injected = None; returned = Some (eval ()); hang_s = 0. }
-
-let record_fault st ~in_burst ~injected ~hang_s =
-  (match injected with
-  | None -> ()
-  | Some kind ->
-      st.s_injected <- st.s_injected + 1;
-      if in_burst then st.s_burst_faults <- st.s_burst_faults + 1;
-      (match kind with
-      | Nan_return | Inf_return -> st.s_nonfinite <- st.s_nonfinite + 1
-      | Outlier -> st.s_outliers <- st.s_outliers + 1
-      | Transient -> st.s_transient <- st.s_transient + 1
-      | Hang -> st.s_hangs <- st.s_hangs + 1));
-  st.s_extra <- st.s_extra +. hang_s
-
-let record_attempt st ~in_burst a =
-  record_fault st ~in_burst ~injected:a.injected ~hang_s:a.hang_s
-
-(* Evaluate one sample under the plan: up to [max_attempts] attempts,
-   each either a fault drawn from the per-sample stream [fs] or a real
-   evaluation. Non-finite returns (injected or genuine) are detected at
-   this boundary and retried; outliers are finite garbage and pass
-   through — the downstream screen is responsible for them. Every retry
-   and simulated hang is accounted in simulator seconds but never
-   actually slept. *)
-let eval_sample plan retry sim fs st ~in_burst p =
-  let delivered = ref None in
-  let attempt = ref 0 in
-  while !delivered = None && !attempt < retry.max_attempts do
-    incr attempt;
-    if !attempt > 1 then begin
-      st.s_retries <- st.s_retries + 1;
-      (* Deterministic exponential backoff: 1x, 2x, 4x ... of the base. *)
-      st.s_extra <-
-        st.s_extra
-        +. (retry.backoff_seconds *. float_of_int (1 lsl (!attempt - 2)))
-        +. sim.seconds_per_sample
-    end;
-    let a = draw_attempt plan ~in_burst fs ~eval:(fun () -> sim.eval p) in
-    record_attempt st ~in_burst a;
-    match a.returned with
-    | Some v when Float.is_finite v -> delivered := Some v
-    | Some _ | None -> () (* failed attempt: crash, hang, or garbage *)
-  done;
-  !delivered
-
-let run_robust ?(noise_rel = 0.) ?pool ?(faults = no_faults)
-    ?(retry = no_retry) sim g ~k =
-  if k <= 0 then invalid_arg "Simulator.run_robust: sample count must be positive";
-  (* Points come sequentially from the caller's generator (same stream
-     as [run]); fault decisions come from per-sample streams split off
-     the plan's own seed before any evaluation, so the outcome of sample
-     [i] is a pure function of (plan, retry, i) — bitwise identical at
-     every domain count, and unperturbed by other samples' retries. *)
-  let points = Array.init k (fun _ -> Randkit.Gaussian.vector g sim.dim) in
-  let streams = Randkit.Prng.split_n (Randkit.Prng.create faults.fault_seed) k in
-  let burst = burst_states faults ~k in
-  let out = Array.make k Float.nan in
-  let ok = Array.make k false in
-  let stats =
-    Array.init k (fun _ ->
-        {
-          s_injected = 0;
-          s_nonfinite = 0;
-          s_outliers = 0;
-          s_transient = 0;
-          s_hangs = 0;
-          s_retries = 0;
-          s_extra = 0.;
-          s_burst_faults = 0;
-        })
-  in
-  let body i =
-    match
-      eval_sample faults retry sim streams.(i) stats.(i) ~in_burst:burst.(i)
-        points.(i)
-    with
-    | Some v ->
-        out.(i) <- v;
-        ok.(i) <- true
-    | None -> ()
-  in
-  (match pool with
-  | None ->
-      for i = 0 to k - 1 do
-        body i
-      done
-  | Some pool -> Parallel.Pool.parallel_for pool ~lo:0 ~hi:k body);
-  let kept = ref [] and failed = ref [] in
-  for i = k - 1 downto 0 do
-    if ok.(i) then kept := i :: !kept else failed := i :: !failed
-  done;
-  let kept = Array.of_list !kept in
-  let d =
-    {
-      points = Array.map (fun i -> points.(i)) kept;
-      values = Array.map (fun i -> out.(i)) kept;
-    }
-  in
-  let k' = Array.length kept in
-  if noise_rel > 0. && k' > 1 then begin
-    let sigma = Stat.Descriptive.std d.values in
-    for i = 0 to k' - 1 do
-      d.values.(i) <-
-        d.values.(i) +. (noise_rel *. sigma *. Randkit.Gaussian.sample g)
-    done
-  end;
-  let report =
-    Array.fold_left
-      (fun acc st ->
-        {
-          acc with
-          faults_injected = acc.faults_injected + st.s_injected;
-          nonfinite_faults = acc.nonfinite_faults + st.s_nonfinite;
-          outliers_injected = acc.outliers_injected + st.s_outliers;
-          transient_faults = acc.transient_faults + st.s_transient;
-          hang_faults = acc.hang_faults + st.s_hangs;
-          retries = acc.retries + st.s_retries;
-          accounted_extra_seconds = acc.accounted_extra_seconds +. st.s_extra;
-          burst_faults = acc.burst_faults + st.s_burst_faults;
-        })
-      {
-        (clean_report ~requested:k) with
-        delivered = k';
-        failed = Array.of_list !failed;
-        burst_windows = Array.length (Randkit.Markov.windows burst);
-        burst_samples = Randkit.Markov.count burst;
-        burst_faults = 0;
-      }
-      stats
-  in
-  (d, report)
-
-(* --- multi-output runs ---------------------------------------------- *)
-
-(* One attempt at a sample for every output at once. The per-sample
-   stream consumption is exactly [draw_attempt]'s — rate draw, then
-   kind, then (Inf/Outlier) one sign — because none of the draws depend
-   on evaluator values; so output [r]'s fault history is the one the
-   single-output run would have drawn from the same stream. The sims
-   are each evaluated at most once per attempt, and an outlier corrupts
-   every output with the same drawn sign. *)
-type multi_attempt = {
-  m_injected : fault_kind option;
-  m_returned : float array option;
-  m_hang_s : float;
-}
-
-let draw_attempt_multi plan ~in_burst fs ~evals =
+(* One attempt at a sample for every output at once: either a fault
+   drawn from the per-sample stream [fs] — at the burst mix/rate when
+   the sample sits inside an outage window — or a real evaluation. The
+   stream consumption (rate draw, then kind, then for Inf/Outlier one
+   sign) never depends on evaluator values, so a sample's fault history
+   is the same whatever the number of outputs. Each of [evals] is called
+   at most once per attempt, only when a value is actually produced
+   (clean return or finite outlier garbage); an outlier corrupts every
+   output with the same drawn sign. *)
+let draw_attempt plan ~in_burst fs ~evals =
   let rate, mix =
     match plan.burst with
     | Some b when in_burst -> (b.burst_rate, b.burst_mix)
@@ -393,126 +231,120 @@ let draw_attempt_multi plan ~in_burst fs ~evals =
   if rate > 0. && Randkit.Prng.float fs < rate then
     match pick_kind mix fs with
     | Nan_return ->
-        { m_injected = Some Nan_return; m_returned = all Float.nan; m_hang_s = 0. }
+        { injected = Some Nan_return; returned = all Float.nan; hang_s = 0. }
     | Inf_return ->
         let v =
           if Randkit.Prng.bool fs then Float.infinity else Float.neg_infinity
         in
-        { m_injected = Some Inf_return; m_returned = all v; m_hang_s = 0. }
+        { injected = Some Inf_return; returned = all v; hang_s = 0. }
     | Outlier ->
         let vs = Array.map (fun e -> e ()) evals in
         let sign = if Randkit.Prng.bool fs then 1. else -1. in
         {
-          m_injected = Some Outlier;
-          m_returned =
+          injected = Some Outlier;
+          returned =
             Some
               (Array.map
                  (fun v -> v +. (sign *. plan.outlier_scale *. (1. +. Float.abs v)))
                  vs);
-          m_hang_s = 0.;
+          hang_s = 0.;
         }
-    | Transient ->
-        { m_injected = Some Transient; m_returned = None; m_hang_s = 0. }
+    | Transient -> { injected = Some Transient; returned = None; hang_s = 0. }
     | Hang ->
-        { m_injected = Some Hang; m_returned = None; m_hang_s = plan.hang_seconds }
+        { injected = Some Hang; returned = None; hang_s = plan.hang_seconds }
   else
     {
-      m_injected = None;
-      m_returned = Some (Array.map (fun e -> e ()) evals);
-      m_hang_s = 0.;
+      injected = None;
+      returned = Some (Array.map (fun e -> e ()) evals);
+      hang_s = 0.;
     }
 
-(* A sample is delivered only when every output came back finite, so
-   all outputs share one kept-row set (hence one design matrix). A
-   retry re-runs every simulation, so it is charged the summed
-   per-sample cost [extra]. *)
-let eval_sample_multi plan retry sims ~extra fs st ~in_burst p =
+let record_attempt st ~in_burst a =
+  (match a.injected with
+  | None -> ()
+  | Some kind ->
+      st.s_injected <- st.s_injected + 1;
+      if in_burst then st.s_burst_faults <- st.s_burst_faults + 1;
+      (match kind with
+      | Nan_return | Inf_return -> st.s_nonfinite <- st.s_nonfinite + 1
+      | Outlier -> st.s_outliers <- st.s_outliers + 1
+      | Transient -> st.s_transient <- st.s_transient + 1
+      | Hang -> st.s_hangs <- st.s_hangs + 1));
+  st.s_extra <- st.s_extra +. a.hang_s
+
+type batch = {
+  b_points : Vec.t array;
+  b_streams : Randkit.Prng.t array;
+  b_burst : bool array;
+}
+
+(* The per-sample retry loop: up to [allowed] attempts, each a
+   [draw_attempt]. Before every attempt after the first the policy's
+   [grant] is asked for its backoff; [None] ends the sample. A granted
+   retry is charged its backoff plus [retry_cost] (the re-run). A sample
+   is delivered only when every output came back finite; non-finite
+   returns (injected or genuine) are retried, while outliers are finite
+   garbage and pass through — the downstream screen is responsible for
+   them. Nothing is ever slept. *)
+let attempt_sample plan b st i ~evals ~retry_cost ~allowed ~grant =
+  let fs = b.b_streams.(i) and in_burst = b.b_burst.(i) in
   let delivered = ref None in
   let attempt = ref 0 in
-  while !delivered = None && !attempt < retry.max_attempts do
+  let stop = ref false in
+  while !delivered = None && !attempt < allowed && not !stop do
     incr attempt;
-    if !attempt > 1 then begin
-      st.s_retries <- st.s_retries + 1;
-      st.s_extra <-
-        st.s_extra
-        +. (retry.backoff_seconds *. float_of_int (1 lsl (!attempt - 2)))
-        +. extra
-    end;
-    let a =
-      draw_attempt_multi plan ~in_burst fs
-        ~evals:(Array.map (fun sim () -> sim.eval p) sims)
-    in
-    record_fault st ~in_burst ~injected:a.m_injected ~hang_s:a.m_hang_s;
-    match a.m_returned with
-    | Some vs when Array.for_all Float.is_finite vs -> delivered := Some vs
-    | Some _ | None -> ()
+    (if !attempt > 1 then
+       match grant !attempt with
+       | Some backoff ->
+           st.s_retries <- st.s_retries + 1;
+           st.s_extra <- st.s_extra +. backoff +. retry_cost
+       | None -> stop := true);
+    if not !stop then begin
+      let a = draw_attempt plan ~in_burst fs ~evals in
+      record_attempt st ~in_burst a;
+      match a.returned with
+      | Some vs when Array.for_all Float.is_finite vs -> delivered := Some vs
+      | Some _ | None -> () (* failed attempt: crash, hang, or garbage *)
+    end
   done;
   !delivered
 
-let run_robust_multi ?(noise_rel = 0.) ?pool ?(faults = no_faults)
-    ?(retry = no_retry) sims g ~k =
+let run_batch ~noise_rel ~faults sims g ~k walk =
   let outputs = Array.length sims in
   if outputs = 0 then
-    invalid_arg "Simulator.run_robust_multi: at least one simulator required";
+    invalid_arg "Simulator.run_batch: at least one simulator required";
   if k <= 0 then
-    invalid_arg "Simulator.run_robust_multi: sample count must be positive";
+    invalid_arg "Simulator.run_batch: sample count must be positive";
   let dim = sims.(0).dim in
-  Array.iter
-    (fun sim ->
-      if sim.dim <> dim then
-        invalid_arg
-          "Simulator.run_robust_multi: simulators disagree on dimension")
-    sims;
-  (* Exactly [run_robust]'s stream discipline: points sequentially from
-     the caller's generator, fault decisions from per-sample streams
-     split off the plan's seed before any evaluation fans out. *)
-  let points = Array.init k (fun _ -> Randkit.Gaussian.vector g dim) in
-  let streams = Randkit.Prng.split_n (Randkit.Prng.create faults.fault_seed) k in
-  let burst = burst_states faults ~k in
-  let out = Array.init k (fun _ -> [||]) in
-  let ok = Array.make k false in
-  let stats =
-    Array.init k (fun _ ->
-        {
-          s_injected = 0;
-          s_nonfinite = 0;
-          s_outliers = 0;
-          s_transient = 0;
-          s_hangs = 0;
-          s_retries = 0;
-          s_extra = 0.;
-          s_burst_faults = 0;
-        })
+  if Array.exists (fun sim -> sim.dim <> dim) sims then
+    invalid_arg "Simulator.run_batch: simulators disagree on dimension";
+  (* Points come sequentially from the caller's generator (same stream
+     as [run]); fault decisions come from per-sample streams split off
+     the plan's own seed before any evaluation, so the outcome of sample
+     [i] is a pure function of (plan, policy, i) — bitwise identical at
+     every domain count, and unperturbed by other samples' retries. *)
+  let b =
+    {
+      b_points = Array.init k (fun _ -> Randkit.Gaussian.vector g dim);
+      b_streams =
+        Randkit.Prng.split_n (Randkit.Prng.create faults.fault_seed) k;
+      b_burst = burst_states faults ~k;
+    }
   in
-  let extra =
-    Array.fold_left (fun acc sim -> acc +. sim.seconds_per_sample) 0. sims
-  in
-  let body i =
-    match
-      eval_sample_multi faults retry sims ~extra streams.(i) stats.(i)
-        ~in_burst:burst.(i) points.(i)
-    with
-    | Some vs ->
-        out.(i) <- vs;
-        ok.(i) <- true
-    | None -> ()
-  in
-  (match pool with
-  | None ->
-      for i = 0 to k - 1 do
-        body i
-      done
-  | Some pool -> Parallel.Pool.parallel_for pool ~lo:0 ~hi:k body);
+  let out, tallies = walk b in
   let kept = ref [] and failed = ref [] in
   for i = k - 1 downto 0 do
-    if ok.(i) then kept := i :: !kept else failed := i :: !failed
+    if out.(i) <> None then kept := i :: !kept else failed := i :: !failed
   done;
   let kept = Array.of_list !kept in
-  let kept_points = Array.map (fun i -> points.(i)) kept in
+  let kept_points = Array.map (fun i -> b.b_points.(i)) kept in
   let datasets =
     Array.init outputs (fun r ->
         (* The point array is physically shared across outputs. *)
-        { points = kept_points; values = Array.map (fun i -> out.(i).(r)) kept })
+        {
+          points = kept_points;
+          values = Array.map (fun i -> (Option.get out.(i)).(r)) kept;
+        })
   in
   let k' = Array.length kept in
   if noise_rel > 0. && k' > 1 then
@@ -545,13 +377,48 @@ let run_robust_multi ?(noise_rel = 0.) ?pool ?(faults = no_faults)
         (clean_report ~requested:k) with
         delivered = k';
         failed = Array.of_list !failed;
-        burst_windows = Array.length (Randkit.Markov.windows burst);
-        burst_samples = Randkit.Markov.count burst;
-        burst_faults = 0;
+        burst_windows = Array.length (Randkit.Markov.windows b.b_burst);
+        burst_samples = Randkit.Markov.count b.b_burst;
       }
-      stats
+      tallies
   in
   (datasets, report)
+
+(* The fixed policy: every sample independently gets [max_attempts]
+   attempts under deterministic exponential backoff (1x, 2x, 4x ... of
+   the base), so the samples fan out over the pool. A retry re-runs
+   every simulation and is charged their summed per-sample cost. *)
+let run_robust_multi ?(noise_rel = 0.) ?pool ?(faults = no_faults)
+    ?(retry = no_retry) sims g ~k =
+  run_batch ~noise_rel ~faults sims g ~k (fun b ->
+      let retry_cost =
+        Array.fold_left (fun acc sim -> acc +. sim.seconds_per_sample) 0. sims
+      in
+      let grant attempt =
+        Some (retry.backoff_seconds *. float_of_int (1 lsl (attempt - 2)))
+      in
+      let out = Array.make k None in
+      let tallies = Array.init k (fun _ -> tally ()) in
+      let body i =
+        let p = b.b_points.(i) in
+        out.(i) <-
+          attempt_sample faults b tallies.(i) i
+            ~evals:(Array.map (fun sim () -> sim.eval p) sims)
+            ~retry_cost ~allowed:retry.max_attempts ~grant
+      in
+      (match pool with
+      | None ->
+          for i = 0 to k - 1 do
+            body i
+          done
+      | Some pool -> Parallel.Pool.parallel_for pool ~lo:0 ~hi:k body);
+      (out, tallies))
+
+let run_robust ?noise_rel ?pool ?faults ?retry sim g ~k =
+  let ds, report =
+    run_robust_multi ?noise_rel ?pool ?faults ?retry [| sim |] g ~k
+  in
+  (ds.(0), report)
 
 let run ?(noise_rel = 0.) ?pool sim g ~k =
   if k <= 0 then invalid_arg "Simulator.run: sample count must be positive";

@@ -179,10 +179,10 @@ val report_summary : run_report -> string
 
 type attempt_outcome = {
   injected : fault_kind option;  (** the fault drawn, if any *)
-  returned : float option;
-      (** the value the attempt produced — possibly non-finite (injected
-          NaN/Inf or genuine evaluator divergence), possibly corrupted
-          (outlier); [None] for crash/hang attempts *)
+  returned : float array option;
+      (** the values the attempt produced, one per output — possibly
+          non-finite (injected NaN/Inf or genuine evaluator divergence),
+          possibly corrupted (outlier); [None] for crash/hang attempts *)
   hang_s : float;  (** accounted hang timeout charged by this attempt *)
 }
 
@@ -190,16 +190,90 @@ val draw_attempt :
   fault_plan ->
   in_burst:bool ->
   Randkit.Prng.t ->
-  eval:(unit -> float) ->
+  evals:(unit -> float) array ->
   attempt_outcome
-(** One attempt at a sample, drawing from the per-sample stream: the
-    fault rate and mix switch to the burst model's when [in_burst].
-    [eval] is invoked at most once, and only when the attempt actually
-    produces a value (clean return or finite outlier garbage). This is
-    the single source of truth for the per-attempt stream consumption —
-    {!run_robust} and the adaptive {!Robust.Retry} driver both build on
-    it, so a sample's fault history is a pure function of its stream
-    regardless of which retry policy consumes it. *)
+(** One attempt at a sample for every output at once, drawing from the
+    per-sample stream: the fault rate and mix switch to the burst
+    model's when [in_burst]. Each of [evals] is invoked at most once,
+    and only when the attempt actually produces values (clean return or
+    finite outlier garbage); an outlier corrupts every output with the
+    same drawn sign. No draw depends on evaluator values, so a sample's
+    fault history is a pure function of its stream whatever the number
+    of outputs. This is the single source of truth for the per-attempt
+    stream consumption: {!attempt_sample} is its only caller, and both
+    the fixed policy ({!run_robust_multi}) and the adaptive
+    {!Robust.Retry} driver run every attempt through it. *)
+
+(** {2 The delivery engine}
+
+    One batch run, whatever the retry policy: {!run_batch} draws the
+    points and the per-sample fault streams, hands them to the policy's
+    walk, which runs each sample through {!attempt_sample}, and then
+    assembles the datasets and the report. {!run_robust_multi} (fixed
+    policy, samples fanned out over a pool) and {!Robust.Retry.run}
+    (adaptive policy, one sequential walk) are its two walks. *)
+
+type tally
+(** Mutable fault and retry counters of one sample (fixed policy) or of
+    a whole sequential walk (adaptive policy). *)
+
+val tally : unit -> tally
+(** A fresh all-zero tally. *)
+
+type batch = {
+  b_points : Linalg.Vec.t array;
+      (** the [k] sample points, drawn sequentially from the caller's
+          generator exactly as in {!run} *)
+  b_streams : Randkit.Prng.t array;
+      (** per-sample fault streams, split from [fault_seed] by sample
+          index before any evaluation ({!Randkit.Prng.split_n}) *)
+  b_burst : bool array;  (** {!burst_states} of the run *)
+}
+
+val attempt_sample :
+  fault_plan ->
+  batch ->
+  tally ->
+  int ->
+  evals:(unit -> float) array ->
+  retry_cost:float ->
+  allowed:int ->
+  grant:(int -> float option) ->
+  float array option
+(** [attempt_sample plan b st i ~evals ~retry_cost ~allowed ~grant] is
+    the per-sample retry loop for sample [i]: up to [allowed] attempts,
+    each a {!draw_attempt} on [b.b_streams.(i)]. Before attempt [a >= 2]
+    it asks [grant a] for the accounted backoff; [None] ends the sample.
+    A granted retry counts in [st] and charges its backoff plus
+    [retry_cost] (the re-run of every simulation), hangs charge their
+    timeout. Returns the delivered values — every output finite — or
+    [None] when the sample is abandoned. Injected outliers are finite
+    and are delivered. *)
+
+val run_batch :
+  noise_rel:float ->
+  faults:fault_plan ->
+  t array ->
+  Randkit.Prng.t ->
+  k:int ->
+  (batch -> float array option array * tally array) ->
+  dataset array * run_report
+(** [run_batch ~noise_rel ~faults sims g ~k walk] draws the batch,
+    runs [walk] over it — which returns each sample's delivered values
+    ({!attempt_sample}) and the tallies to sum, in order — and
+    assembles one dataset per simulator over the delivered rows (the
+    point array physically shared) plus the run report
+    ([breaker_trips = 0]). [noise_rel] noise is drawn per output in
+    output order from [g], after the walk, on the delivered rows only.
+
+    Determinism: the points are drawn sequentially from [g] exactly as
+    in {!run}, and each sample's fault decisions come from its own
+    pre-split stream, so as long as [walk] decides each sample from its
+    stream alone (or walks the samples in index order) the datasets and
+    report are bitwise identical with and without a pool, at every
+    domain count.
+    @raise Invalid_argument when [sims] is empty, the simulators
+    disagree on [dim], or [k <= 0]. *)
 
 val run_robust :
   ?noise_rel:float ->
@@ -210,22 +284,16 @@ val run_robust :
   Randkit.Prng.t ->
   k:int ->
   dataset * run_report
-(** [run_robust sim g ~k] is {!run} hardened against failure: each
-    sample is attempted up to [retry.max_attempts] times; non-finite
-    results (injected by [faults] {e or} produced by the evaluator
-    itself) and transient/hang faults are retried; samples still failing
-    are dropped from the dataset and recorded in [report.failed].
-    Injected outliers are finite and pass through — screening them is
-    the job of [Robust.Screen].
-
-    Determinism: sample points are drawn sequentially from [g] exactly
-    as in {!run}; each sample's fault/retry decisions come from its own
-    stream, split from [faults.fault_seed] by sample index before any
-    evaluation ({!Randkit.Prng.split_n}). The dataset and report are
-    therefore bitwise identical with and without [?pool], at every
-    domain count — and with [faults = no_faults] and a clean evaluator
-    the dataset is bitwise identical to {!run}'s. [noise_rel] is applied
-    to the delivered rows only, drawing from [g] in row order.
+(** [run_robust sim g ~k] is {!run} hardened against failure, the
+    one-simulator case of {!run_robust_multi}: each sample is attempted
+    up to [retry.max_attempts] times; non-finite results (injected by
+    [faults] {e or} produced by the evaluator itself) and transient/hang
+    faults are retried; samples still failing are dropped from the
+    dataset and recorded in [report.failed]. Injected outliers are
+    finite and pass through — screening them is the job of
+    [Robust.Screen]. Determinism is {!run_batch}'s; with [faults =
+    no_faults] and a clean evaluator the dataset is bitwise identical
+    to {!run}'s.
     @raise Invalid_argument when [k <= 0]. *)
 
 val run_robust_multi :
@@ -237,22 +305,23 @@ val run_robust_multi :
   Randkit.Prng.t ->
   k:int ->
   dataset array * run_report
-(** [run_robust_multi sims g ~k] is {!run_robust} for R performance
-    metrics of one circuit: the Monte-Carlo points are drawn {e once}
-    and every simulator is evaluated at each of them, so the R datasets
-    share one point set (the arrays are physically shared) and one
-    fault/retry history — a sample is delivered only when {e every}
-    output came back finite, giving all outputs identical kept rows and
-    hence one design matrix downstream.
+(** [run_robust_multi sims g ~k] is {!run_batch} under the fixed retry
+    policy, for R performance metrics of one circuit: the Monte-Carlo
+    points are drawn {e once} and every simulator is evaluated at each
+    of them, so the R datasets share one point set (the arrays are
+    physically shared) and one fault/retry history — a sample is
+    delivered only when {e every} output came back finite, giving all
+    outputs identical kept rows and hence one design matrix downstream.
+    Each sample's retry loop is independent of the others', so the
+    samples fan out over [?pool].
 
-    Per-attempt stream consumption is exactly {!draw_attempt}'s (no
-    draw depends on evaluator values; an outlier corrupts every output
-    with the same drawn sign), so as long as the evaluators themselves
-    only return finite values, output [r]'s dataset is bitwise
-    identical to [run_robust sims.(r)] run with a {!Randkit.Prng.copy}
-    of [g] — the per-output parity the fused multi-output fit relies
-    on. An evaluator genuinely diverging on one output drops that
-    sample for {e all} outputs, which a per-output run would not.
+    Because no draw depends on evaluator values, as long as the
+    evaluators themselves only return finite values, output [r]'s
+    dataset is bitwise identical to [run_robust sims.(r)] run with a
+    {!Randkit.Prng.copy} of [g] — the per-output parity the fused
+    multi-output fit relies on. An evaluator genuinely diverging on one
+    output drops that sample for {e all} outputs, which a per-output run
+    would not.
 
     The single report counts each injected fault and retry once (not
     once per output); a retry re-runs all R simulations and is charged

@@ -266,125 +266,33 @@ let degraded_note ~requested ~survived ~quorum
      screened) above quorum %g%%%s%s"
     survived requested delivery_lost screened (100. *. quorum) burst breaker
 
-let fit ?pool ?recovered cfg sim basis rng =
-  let* data, run_report, adaptive_report =
-    Error.guard (fun () ->
-        match cfg.adaptive with
-        | None ->
-            let d, r =
-              Circuit.Simulator.run_robust ?pool ~faults:cfg.faults
-                ~retry:cfg.retry sim rng ~k:cfg.samples
-            in
-            (d, r, None)
-        | Some policy ->
-            let d, r =
-              Retry.run ?pool ~faults:cfg.faults policy sim rng ~k:cfg.samples
-            in
-            (d, r.Retry.run, Some r))
-  in
-  let screen_response =
-    cfg.screen
-    && match cfg.screen_space with Response | Both -> true | Factor -> false
-  in
-  let screen_factor =
-    cfg.screen
-    && match cfg.screen_space with Factor | Both -> true | Response -> false
-  in
-  let* data, screen_report =
-    if not screen_response then Ok (data, None)
-    else
-      let* d, r =
-        match
-          Error.guard (fun () ->
-              Screen.screen ~threshold:cfg.screen_threshold data)
-        with
-        | Ok inner -> inner  (* the screen's own typed verdict *)
-        | Error e -> Error e  (* the guard caught a raise *)
-      in
-      Ok (d, Some r)
-  in
-  let* data, point_report =
-    if not screen_factor then Ok (data, None)
-    else
-      let* d, r =
-        match
-          Error.guard (fun () ->
-              Screen.mahalanobis ~confidence:cfg.screen_confidence data)
-        with
-        | Ok inner -> inner
-        | Error e -> Error e
-      in
-      Ok (d, Some r)
-  in
-  let n = Circuit.Simulator.dataset_size data in
-  let quorum_floor =
-    int_of_float (Float.ceil (cfg.quorum *. float_of_int cfg.samples))
-  in
-  if n < cfg.min_samples then
-    Error
-      (Error.Simulation
-         (Printf.sprintf
-            "only %d of %d requested samples survived delivery and screening \
-             (minimum %d); raise the sample count, the retry budget, or the \
-             screen threshold"
-            n cfg.samples cfg.min_samples))
-  else if n < quorum_floor then
-    Error
-      (Error.Simulation
-         (Printf.sprintf
-            "quorum lost: only %d of %d requested samples survived delivery \
-             and screening, below the %g%% quorum (%d); raise the sample \
-             count or the retry budget, or lower --quorum to accept a \
-             degraded fit"
-            n cfg.samples (100. *. cfg.quorum) quorum_floor))
-  else
-    let notes =
-      if n >= cfg.samples then [||]
-      else
-        [|
-          degraded_note ~requested:cfg.samples ~survived:n ~quorum:cfg.quorum
-            run_report;
-        |]
-    in
-    let* src =
-      Error.guard (fun () ->
-          let pts = data.Circuit.Simulator.points in
-          if cfg.streamed then Provider.streamed basis pts
-          else Provider.dense (Polybasis.Design.matrix_rows ?pool basis pts))
-    in
-    let* model =
-      Error.guard (fun () ->
-          Rsm.Solver.fit_cv_p ~folds:cfg.folds ~max_lambda:cfg.max_lambda
-            ~on_singular:`Fallback ~sweep:cfg.sweep ~shards:cfg.shards
-            ~shard_mode:cfg.shard_mode ?recovered ?fused:cfg.fused_cv
-            ?cv_checkpoint:cfg.checkpoint ~cv_resume:cfg.resume ~notes rng src
-            data.Circuit.Simulator.values cfg.method_)
-    in
-    let* model =
-      if not cfg.rescreen then Ok model
-      else
-        Error.guard (fun () ->
-            fst
-              (screen_refit ~threshold:cfg.screen_threshold src
-                 data.Circuit.Simulator.values model))
-    in
-    Ok
-      {
-        model;
-        dataset = data;
-        run_report;
-        screen_report;
-        point_report;
-        adaptive_report;
-      }
-
-type multi_outcome = {
-  models : Rsm.Model.t array;
-  datasets : Circuit.Simulator.dataset array;
-  m_run_report : Circuit.Simulator.run_report;
-  screen_reports : Screen.report option array;
-  m_point_report : Screen.point_report option;
+type hygiene = {
+  run : Circuit.Simulator.run_report;
+  adaptive : Retry.report option;
+  screens : Screen.report option array;
+  point : Screen.point_report option;
 }
+
+type delivery = {
+  rows : Circuit.Simulator.dataset array;
+  hygiene : hygiene;
+  notes : string array;
+  src : Provider.t;
+}
+
+(* A stage that returns its own typed verdict, with any raise caught. *)
+let typed f = Result.join (Error.guard f)
+
+(* Sub-datasets at [idx] that keep one physically shared point array. *)
+let split_shared ds idx =
+  let first = Circuit.Simulator.split ds.(0) idx in
+  Array.map
+    (fun d ->
+      {
+        (Circuit.Simulator.split d idx) with
+        Circuit.Simulator.points = first.Circuit.Simulator.points;
+      })
+    ds
 
 (* Intersect per-output kept sets: a row survives only when every
    output's screen kept it, so all outputs keep one shared row set —
@@ -400,21 +308,32 @@ let intersect_kept ~n kepts =
   done;
   Array.of_list !shared
 
-let fit_multi ?pool ?recovered cfg sims basis rng =
+let deliver ~pool (cfg : config) sims basis rng =
   let outputs = Array.length sims in
   if outputs = 0 then
-    Error (Error.Invalid_input "fit_multi: at least one simulator required")
-  else if cfg.adaptive <> None then
+    Error (Error.Invalid_input "deliver: at least one simulator required")
+  else if cfg.adaptive <> None && outputs > 1 then
     Error
       (Error.Config
          "adaptive retry is not available for multi-output fits: the breaker \
           driver owns the per-sample retry loop of a single simulator; use \
           the fixed retry policy or fit each output separately")
   else
-    let* datasets, run_report =
+    let* rows, run, adaptive =
       Error.guard (fun () ->
-          Circuit.Simulator.run_robust_multi ?pool ~faults:cfg.faults
-            ~retry:cfg.retry sims rng ~k:cfg.samples)
+          match cfg.adaptive with
+          | None ->
+              let ds, r =
+                Circuit.Simulator.run_robust_multi ?pool ~faults:cfg.faults
+                  ~retry:cfg.retry sims rng ~k:cfg.samples
+              in
+              (ds, r, None)
+          | Some policy ->
+              let d, r =
+                Retry.run ?pool ~faults:cfg.faults policy sims.(0) rng
+                  ~k:cfg.samples
+              in
+              ([| d |], r.Retry.run, Some r))
     in
     let screen_response =
       cfg.screen
@@ -424,71 +343,41 @@ let fit_multi ?pool ?recovered cfg sims basis rng =
       cfg.screen
       && match cfg.screen_space with Factor | Both -> true | Response -> false
     in
-    let* datasets, screen_reports =
-      if not screen_response then Ok (datasets, Array.map (fun _ -> None) sims)
+    let* rows, screens =
+      if not screen_response then Ok (rows, Array.make outputs None)
       else
         (* Each output is screened on its own center/spread (a gain
            outlier says nothing about the power scale), then the kept
-           sets are intersected so the surviving rows are shared. *)
+           sets are intersected so the surviving rows are shared. With
+           one output the intersection is that output's kept set. *)
         let rec screen_all r acc =
-          if r = outputs then Ok (List.rev acc)
+          if r = outputs then Ok (Array.of_list (List.rev acc))
           else
             let* _, rep =
-              match
-                Error.guard (fun () ->
-                    Screen.screen ~threshold:cfg.screen_threshold datasets.(r))
-              with
-              | Ok inner -> inner
-              | Error e -> Error e
+              typed (fun () ->
+                  Screen.screen ~threshold:cfg.screen_threshold rows.(r))
             in
             screen_all (r + 1) (rep :: acc)
         in
         let* reports = screen_all 0 [] in
-        let reports = Array.of_list reports in
-        let n = Circuit.Simulator.dataset_size datasets.(0) in
-        let shared =
-          intersect_kept ~n (Array.map (fun r -> r.Screen.kept) reports)
-        in
-        (* Split once so the surviving point array stays physically
-           shared across the per-output datasets. *)
-        let first = Circuit.Simulator.split datasets.(0) shared in
+        let n = Circuit.Simulator.dataset_size rows.(0) in
         Ok
-          ( Array.map
-              (fun d ->
-                {
-                  (Circuit.Simulator.split d shared) with
-                  Circuit.Simulator.points = first.Circuit.Simulator.points;
-                })
-              datasets,
-            Array.map (fun r -> Some r) reports )
+          ( split_shared rows
+              (intersect_kept ~n (Array.map (fun r -> r.Screen.kept) reports)),
+            Array.map Option.some reports )
     in
-    let* datasets, point_report =
-      if not screen_factor then Ok (datasets, None)
+    let* rows, point =
+      if not screen_factor then Ok (rows, None)
       else
         (* The factor points are shared across outputs, so the point
-           screen runs once (on output 0's dataset) and its verdict is
-           applied to every output. *)
+           screen runs once and its verdict is applied to every output. *)
         let* _, rep =
-          match
-            Error.guard (fun () ->
-                Screen.mahalanobis ~confidence:cfg.screen_confidence
-                  datasets.(0))
-          with
-          | Ok inner -> inner
-          | Error e -> Error e
+          typed (fun () ->
+              Screen.mahalanobis ~confidence:cfg.screen_confidence rows.(0))
         in
-        let first = Circuit.Simulator.split datasets.(0) rep.Screen.p_kept in
-        Ok
-          ( Array.map
-              (fun d ->
-                {
-                  (Circuit.Simulator.split d rep.Screen.p_kept) with
-                  Circuit.Simulator.points = first.Circuit.Simulator.points;
-                })
-              datasets,
-            Some rep )
+        Ok (split_shared rows rep.Screen.p_kept, Some rep)
     in
-    let n = Circuit.Simulator.dataset_size datasets.(0) in
+    let n = Circuit.Simulator.dataset_size rows.(0) in
     let quorum_floor =
       int_of_float (Float.ceil (cfg.quorum *. float_of_int cfg.samples))
     in
@@ -511,134 +400,156 @@ let fit_multi ?pool ?recovered cfg sims basis rng =
               n cfg.samples (100. *. cfg.quorum) quorum_floor))
     else
       let notes =
-        if n >= cfg.samples then Array.make outputs [||]
+        if n >= cfg.samples then [||]
         else
-          Array.make outputs
-            [|
-              degraded_note ~requested:cfg.samples ~survived:n
-                ~quorum:cfg.quorum run_report;
-            |]
+          [|
+            degraded_note ~requested:cfg.samples ~survived:n ~quorum:cfg.quorum
+              run;
+          |]
       in
       let* src =
         Error.guard (fun () ->
-            let pts = datasets.(0).Circuit.Simulator.points in
+            let pts = rows.(0).Circuit.Simulator.points in
             if cfg.streamed then Provider.streamed basis pts
             else Provider.dense (Polybasis.Design.matrix_rows ?pool basis pts))
       in
-      let fs =
-        Array.map (fun d -> d.Circuit.Simulator.values) datasets
-      in
-      let* models =
-        Error.guard (fun () ->
-            Rsm.Solver.fit_multi_p ~folds:cfg.folds ~max_lambda:cfg.max_lambda
-              ~on_singular:`Fallback ~sweep:cfg.sweep ~shards:cfg.shards
-              ~shard_mode:cfg.shard_mode ?recovered ?fused:cfg.fused_cv
-              ?fused_outputs:cfg.fused_outputs ?cv_checkpoint:cfg.checkpoint
-              ~cv_resume:cfg.resume ~notes rng src fs cfg.method_)
-      in
-      let* models =
-        if not cfg.rescreen then Ok models
-        else
-          Error.guard (fun () ->
-              Array.mapi
-                (fun r m ->
-                  fst
-                    (screen_refit ~threshold:cfg.screen_threshold src fs.(r) m))
-                models)
-      in
-      Ok
-        {
-          models;
-          datasets;
-          m_run_report = run_report;
-          screen_reports;
-          m_point_report = point_report;
-        }
+      Ok { rows; hygiene = { run; adaptive; screens; point }; notes; src }
+
+let post_fit cfg d models =
+  Error.guard (fun () ->
+      Array.mapi
+        (fun r model ->
+          let model = Array.fold_left Rsm.Model.add_note model d.notes in
+          if not cfg.rescreen then model
+          else
+            fst
+              (screen_refit ~threshold:cfg.screen_threshold d.src
+                 d.rows.(r).Circuit.Simulator.values model))
+        models)
+
+let fit ?pool ?recovered cfg sim basis rng =
+  let* d = deliver ~pool cfg [| sim |] basis rng in
+  let* model =
+    Error.guard (fun () ->
+        Rsm.Solver.fit_cv_p ~folds:cfg.folds ~max_lambda:cfg.max_lambda
+          ~on_singular:`Fallback ~sweep:cfg.sweep ~shards:cfg.shards
+          ~shard_mode:cfg.shard_mode ?recovered ?fused:cfg.fused_cv
+          ?cv_checkpoint:cfg.checkpoint ~cv_resume:cfg.resume rng d.src
+          d.rows.(0).Circuit.Simulator.values cfg.method_)
+  in
+  let* models = post_fit cfg d [| model |] in
+  Ok
+    {
+      model = models.(0);
+      dataset = d.rows.(0);
+      run_report = d.hygiene.run;
+      screen_report = d.hygiene.screens.(0);
+      point_report = d.hygiene.point;
+      adaptive_report = d.hygiene.adaptive;
+    }
+
+type multi_outcome = {
+  models : Rsm.Model.t array;
+  datasets : Circuit.Simulator.dataset array;
+  m_run_report : Circuit.Simulator.run_report;
+  screen_reports : Screen.report option array;
+  m_point_report : Screen.point_report option;
+}
+
+let fit_multi ?pool ?recovered cfg sims basis rng =
+  let* d = deliver ~pool cfg sims basis rng in
+  let* models =
+    Error.guard (fun () ->
+        Rsm.Solver.fit_multi_p ~folds:cfg.folds ~max_lambda:cfg.max_lambda
+          ~on_singular:`Fallback ~sweep:cfg.sweep ~shards:cfg.shards
+          ~shard_mode:cfg.shard_mode ?recovered ?fused:cfg.fused_cv
+          ?fused_outputs:cfg.fused_outputs ?cv_checkpoint:cfg.checkpoint
+          ~cv_resume:cfg.resume rng d.src
+          (Array.map (fun r -> r.Circuit.Simulator.values) d.rows)
+          cfg.method_)
+  in
+  let* models = post_fit cfg d models in
+  Ok
+    {
+      models;
+      datasets = d.rows;
+      m_run_report = d.hygiene.run;
+      screen_reports = d.hygiene.screens;
+      m_point_report = d.hygiene.point;
+    }
+
+let outcome_hygiene o =
+  {
+    run = o.run_report;
+    adaptive = o.adaptive_report;
+    screens = [| o.screen_report |];
+    point = o.point_report;
+  }
+
+let multi_hygiene o =
+  {
+    run = o.m_run_report;
+    adaptive = None;
+    screens = o.screen_reports;
+    point = o.m_point_report;
+  }
+
+let hygiene_lines ~names h =
+  let adaptive =
+    match h.adaptive with
+    | None -> []
+    | Some r ->
+        [
+          Printf.sprintf
+            "adaptive retry: %d event(s), %d retr%s granted, %d denied"
+            (Array.length r.Retry.events)
+            r.Retry.retries_granted
+            (if r.Retry.retries_granted = 1 then "y" else "ies")
+            r.Retry.retries_denied;
+        ]
+  in
+  let label r line = if names = [||] then line else names.(r) ^ " " ^ line in
+  let screens =
+    List.filter_map Fun.id
+      (List.mapi
+         (fun r rep ->
+           Option.map (fun rep -> label r (Screen.report_summary rep)) rep)
+         (Array.to_list h.screens))
+    @ Option.to_list (Option.map Screen.point_report_summary h.point)
+  in
+  (Circuit.Simulator.report_summary h.run :: adaptive)
+  @ if screens = [] then [ "screen: off" ] else screens
 
 let outcome_summary o =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Circuit.Simulator.report_summary o.run_report);
-  Buffer.add_char buf '\n';
-  (match o.adaptive_report with
-  | Some r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "adaptive retry: %d event(s), %d retr%s granted, %d denied\n"
-           (Array.length r.Retry.events)
-           r.Retry.retries_granted
-           (if r.Retry.retries_granted = 1 then "y" else "ies")
-           r.Retry.retries_denied)
-  | None -> ());
-  (match (o.screen_report, o.point_report) with
-  | None, None -> Buffer.add_string buf "screen: off\n"
-  | sr, pr ->
-      (match sr with
-      | Some r ->
-          Buffer.add_string buf (Screen.report_summary r);
-          Buffer.add_char buf '\n'
-      | None -> ());
-      (match pr with
-      | Some r ->
-          Buffer.add_string buf (Screen.point_report_summary r);
-          Buffer.add_char buf '\n'
-      | None -> ()));
-  Buffer.add_string buf
-    (Printf.sprintf "model: %d bases selected from %d rows"
-       (Rsm.Model.nnz o.model)
-       (Circuit.Simulator.dataset_size o.dataset))
-  ;
-  Array.iter
-    (fun note -> Buffer.add_string buf (Printf.sprintf "\nnote: %s" note))
-    (Rsm.Model.notes o.model);
-  Buffer.contents buf
+  String.concat "\n"
+    (hygiene_lines ~names:[||] (outcome_hygiene o)
+    @ Printf.sprintf "model: %d bases selected from %d rows"
+        (Rsm.Model.nnz o.model)
+        (Circuit.Simulator.dataset_size o.dataset)
+      :: Array.to_list
+           (Array.map (Printf.sprintf "note: %s") (Rsm.Model.notes o.model)))
 
 let multi_outcome_summary ?names o =
   let outputs = Array.length o.models in
-  let name r =
+  let names =
     match names with
-    | Some ns when Array.length ns = outputs -> ns.(r)
-    | _ -> Printf.sprintf "output %d" r
+    | Some ns when Array.length ns = outputs -> ns
+    | _ -> Array.init outputs (Printf.sprintf "output %d")
   in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Circuit.Simulator.report_summary o.m_run_report);
-  Buffer.add_char buf '\n';
-  let any_screen =
-    Array.exists Option.is_some o.screen_reports || o.m_point_report <> None
-  in
-  if not any_screen then Buffer.add_string buf "screen: off\n"
-  else begin
-    Array.iteri
-      (fun r rep ->
-        match rep with
-        | Some rep ->
-            Buffer.add_string buf
-              (Printf.sprintf "%s %s\n" (name r) (Screen.report_summary rep))
-        | None -> ())
-      o.screen_reports;
-    match o.m_point_report with
-    | Some rep ->
-        Buffer.add_string buf (Screen.point_report_summary rep);
-        Buffer.add_char buf '\n'
-    | None -> ()
-  end;
   let rows = Circuit.Simulator.dataset_size o.datasets.(0) in
-  Array.iteri
-    (fun r m ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s: %d bases selected from %d rows" (name r)
-           (Rsm.Model.nnz m) rows);
-      Array.iter
-        (fun note ->
-          Buffer.add_string buf (Printf.sprintf "\n%s note: %s" (name r) note))
-        (Rsm.Model.notes m);
-      Buffer.add_char buf '\n')
-    o.models;
-  (* Drop the trailing newline so the summary composes like
-     [outcome_summary]'s. *)
-  let s = Buffer.contents buf in
-  if String.length s > 0 && s.[String.length s - 1] = '\n' then
-    String.sub s 0 (String.length s - 1)
-  else s
+  String.concat "\n"
+    (hygiene_lines ~names (multi_hygiene o)
+    @ List.concat
+        (Array.to_list
+           (Array.mapi
+              (fun r m ->
+                Printf.sprintf "%s: %d bases selected from %d rows" names.(r)
+                  (Rsm.Model.nnz m) rows
+                :: Array.to_list
+                     (Array.map
+                        (Printf.sprintf "%s note: %s" names.(r))
+                        (Rsm.Model.notes m)))
+              o.models)))
 
 (* --- serving bridge ---------------------------------------------------
 

@@ -2,11 +2,15 @@
     build the design, fit with numerical fallbacks — one call, one
     structured result.
 
-    The stages compose the hardening added across the codebase:
-    {!Circuit.Simulator.run_robust} retries detectable failures and
-    drops samples that never deliver, {!Screen.screen} removes
-    non-finite and outlier rows before any basis function is evaluated,
-    and the solver runs with [~on_singular:`Fallback] so a degenerate
+    Every fit spends its samples through one front half, {!deliver}:
+    {!Circuit.Simulator.run_robust_multi} (or the adaptive {!Retry.run})
+    retries detectable failures and drops samples that never deliver,
+    {!Screen.screen} and {!Screen.mahalanobis} remove non-finite,
+    outlier and far-point rows before any basis function is evaluated,
+    and the min-sample and quorum floors decide whether what survived
+    is enough. Single-output {!fit} is the one-simulator case of
+    multi-output {!fit_multi}; the two differ only in the solver call.
+    The solver runs with [~on_singular:`Fallback] so a degenerate
     active-set Gram matrix degrades through the {!Rsm.Refit} ladder
     instead of aborting. Nothing in this module raises on the expected
     failure paths — everything is an {!Error.t}. *)
@@ -138,8 +142,8 @@ val degraded_note :
     fit records in {!Rsm.Model.notes}: rows kept vs requested, split
     into delivery losses ([requested − run.delivered]) and screened rows
     ([run.delivered − survived]), plus burst windows and breaker trips
-    when present. Exported so the CLI's fixed-λ checkpoint path and the
-    CV pipeline stamp byte-identical notes. *)
+    when present. {!deliver} stamps it; exported for flows that stage
+    the pipeline by hand and must stamp byte-identical notes. *)
 
 val screen_refit :
   ?threshold:float ->
@@ -166,6 +170,67 @@ val screen_refit :
     @raise Invalid_argument on a non-positive threshold or a response
     length mismatch. *)
 
+(** {2 Delivery: simulate → screen → quorum}
+
+    The one sample-delivery path. Every fit — single- or multi-output,
+    fixed or adaptive retry, cross-validated or fixed-λ — spends its
+    simulations through {!deliver}, so the retry, screening and quorum
+    rules cannot drift apart. *)
+
+type hygiene = {
+  run : Circuit.Simulator.run_report;  (** delivery/retry accounting *)
+  adaptive : Retry.report option;
+      (** the adaptive driver's event log; [None] under the fixed policy *)
+  screens : Screen.report option array;
+      (** per-output response-screen reports (indices in delivered-row
+          space, {e before} the kept-set intersection); [None] entries
+          when the response screen did not run *)
+  point : Screen.point_report option;
+      (** the shared factor-space verdict; [None] when it did not run *)
+}
+(** What delivery and screening did to the requested samples. *)
+
+type delivery = {
+  rows : Circuit.Simulator.dataset array;
+      (** the surviving rows, one dataset per simulator; the point
+          arrays are physically shared (one kept-row set) *)
+  hygiene : hygiene;
+  notes : string array;
+      (** [[||]] on a full delivery, else the one {!degraded_note} *)
+  src : Polybasis.Design.Provider.t;
+      (** the design provider over the surviving points (matrix-free
+          when [config.streamed]) *)
+}
+
+val deliver :
+  pool:Parallel.Pool.t option ->
+  config ->
+  Circuit.Simulator.t array ->
+  Polybasis.Basis.t ->
+  Randkit.Prng.t ->
+  (delivery, Error.t) result
+(** [deliver ~pool cfg sims basis rng] simulates [config.samples]
+    samples for every simulator at once — the fixed policy of
+    {!Circuit.Simulator.run_robust_multi}, or {!Retry.run} when
+    [config.adaptive] is set — then screens them: each output's
+    response screen runs on its own center and spread and the kept
+    sets are intersected (with one output, that output's kept set —
+    the rows {!Screen.screen} returns); the point screen runs once on
+    the shared points. With [n] rows surviving, [n < min_samples] or
+    [n < ceil(quorum·samples)] fails with [Simulation _]; [n < samples]
+    at or above both floors proceeds with the ["degraded: ..."] note in
+    [notes]. Finally the design provider is built over the surviving
+    points. Fails with [Invalid_input _] on an empty [sims], with
+    [Config _] when [config.adaptive] is set for more than one
+    simulator (the breaker driver owns a single simulator's retry
+    loop), and with the screens' own typed errors. *)
+
+val post_fit :
+  config -> delivery -> Rsm.Model.t array -> (Rsm.Model.t array, Error.t) result
+(** The stage after the solver, one model per output: stamp the
+    delivery's [notes] on each model, then, when [config.rescreen], run
+    {!screen_refit} on that output's rows. *)
+
 val fit :
   ?pool:Parallel.Pool.t ->
   ?recovered:int ref ->
@@ -174,26 +239,24 @@ val fit :
   Polybasis.Basis.t ->
   Randkit.Prng.t ->
   (outcome, Error.t) result
-(** Run the full pipeline. Deterministic for a fixed seed at every
-    domain count (the underlying stages all pre-split their PRNG
-    streams). [recovered] (with [config.shards > 1] in [Procs] mode)
-    accumulates worker-process crash recoveries across the fold fits
-    and the refit.
+(** Run the full pipeline: {!deliver} for the one simulator, the
+    cross-validated solver ({!Rsm.Solver.fit_cv_p}), then {!post_fit}.
+    Deterministic for a fixed seed at every domain count (the
+    underlying stages all pre-split their PRNG streams). [recovered]
+    (with [config.shards > 1] in [Procs] mode) accumulates
+    worker-process crash recoveries across the fold fits and the refit.
 
-    Quorum semantics: with [n] rows surviving delivery and screening
-    out of [config.samples] requested, [n < min_samples] or
-    [n < ceil(quorum·samples)] fails with [Simulation _] (the typed
-    one-line diagnostic in the CLI); [n < samples] but at or above both
-    floors proceeds {e degraded}, recording a single-line
-    ["degraded: ..."] note — rows lost in delivery vs screening, burst
-    windows, breaker trips — in {!Rsm.Model.notes}, where it survives
-    serialization. A full-delivery fit carries no note. Fails with
-    [Invalid_input _] / [Numerical _] / [Internal _] when a stage
-    raises. *)
+    Quorum semantics are {!deliver}'s: below either floor the fit fails
+    with [Simulation _] (the typed one-line diagnostic in the CLI); a
+    degraded delivery records its single-line ["degraded: ..."] note —
+    rows lost in delivery vs screening, burst windows, breaker trips —
+    in {!Rsm.Model.notes}, where it survives serialization. A
+    full-delivery fit carries no note. Fails with [Invalid_input _] /
+    [Numerical _] / [Internal _] when a stage raises. *)
 
 val outcome_summary : outcome -> string
-(** Multi-line human-readable account: delivery, hygiene, model size and
-    any fallback notes. *)
+(** Multi-line human-readable account: the {!hygiene_lines}, model size
+    and any fallback notes. *)
 
 (** {2 Multi-output pipeline}
 
@@ -201,12 +264,11 @@ val outcome_summary : outcome -> string
     power and offset — share their Monte-Carlo points, their fault
     history, their hygiene verdicts and their design matrix; only the
     response vectors differ. {!fit_multi} runs the whole pipeline once
-    for all of them: one {!Circuit.Simulator.run_robust_multi} batch
-    (every sample evaluated by every simulator, delivered only when all
-    outputs are finite), one shared kept-row set (per-output response
-    screens intersected, one point screen), one design provider, and one
-    {!Rsm.Solver.fit_multi_p} call whose fused grid generates each
-    streamed column once per greedy step for every output and fold. *)
+    for all of them: one {!deliver} (every sample evaluated by every
+    simulator, delivered only when all outputs are finite, one shared
+    kept-row set, one design provider) and one {!Rsm.Solver.fit_multi_p}
+    call whose fused grid generates each streamed column once per greedy
+    step for every output and fold. *)
 
 type multi_outcome = {
   models : Rsm.Model.t array;  (** one fitted model per simulator, in order *)
@@ -231,13 +293,15 @@ val fit_multi :
   Polybasis.Basis.t ->
   Randkit.Prng.t ->
   (multi_outcome, Error.t) result
-(** Run the full pipeline for every simulator at once. The simulators
-    must agree on [dim]; [config.adaptive] must be [None] (the breaker
-    driver owns a single simulator's retry loop — requesting it here
-    fails with [Config _], as does an empty simulator array with
-    [Invalid_input _]).
+(** Run the full pipeline for every simulator at once: {!deliver},
+    {!Rsm.Solver.fit_multi_p}, then {!post_fit}. The simulators must
+    agree on [dim]; [config.adaptive] must be [None] unless there is
+    exactly one simulator (the breaker driver owns a single simulator's
+    retry loop — requesting it here fails with [Config _], as does an
+    empty simulator array with [Invalid_input _]). With one simulator
+    the rows, reports and model are {!fit}'s, bit for bit.
 
-    Quorum/degradation semantics are {!fit}'s, applied to the shared
+    Quorum/degradation semantics are {!deliver}'s, applied to the shared
     surviving row count; a degraded delivery stamps the same
     ["degraded: ..."] note on {e every} model. [config.fused_outputs]
     picks the fused-vs-per-output driver (see {!Rsm.Solver.fit_multi_p});
@@ -247,10 +311,23 @@ val fit_multi :
     every domain count, dense or streamed. *)
 
 val multi_outcome_summary : ?names:string array -> multi_outcome -> string
-(** Multi-line account of a multi-output run: one delivery line, the
-    per-output hygiene lines, and one model line per output. [names]
-    labels the outputs (e.g. metric names); defaults to
-    ["output <r>"]. *)
+(** Multi-line account of a multi-output run: the {!hygiene_lines} with
+    per-output labels, and one model line per output. [names] labels
+    the outputs (e.g. metric names); defaults to ["output <r>"]. *)
+
+(** {2 Hygiene report} *)
+
+val outcome_hygiene : outcome -> hygiene
+(** The single-output outcome's reports, as a one-output {!hygiene}. *)
+
+val multi_hygiene : multi_outcome -> hygiene
+
+val hygiene_lines : names:string array -> hygiene -> string list
+(** The one rendering of a hygiene report, one line each: the delivery
+    summary ({!Circuit.Simulator.report_summary}), the adaptive-retry
+    line when that driver ran, then either ["screen: off"] or each
+    output's response-screen summary (prefixed with its name when
+    [names] is non-empty) followed by the point-screen summary. *)
 
 (** {2 Serving bridge}
 

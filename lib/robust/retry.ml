@@ -65,36 +65,18 @@ type report = {
 
 type breaker = Breaker_closed | Breaker_open of int | Breaker_half_open
 
-(* The adaptive driver is a two-pass scheme. Pass 1 draws the sample
-   points sequentially from the caller's stream (exactly as
-   [Simulator.run]) and fans the one expensive clean evaluation per
-   point out over the pool — evaluators are pure, so caching the value
-   and replaying it per attempt is value-identical to re-evaluating.
-   Pass 2 walks the samples in index order through the policy state
-   machine (backoff, budget, breaker), drawing each sample's fault
-   history from its own pre-split stream via [Simulator.draw_attempt].
-   Everything the policy decides therefore depends only on (plan,
-   policy, k, seed) — bitwise identical at every domain count. *)
+(* The adaptive policy is a walk of [Simulator.run_batch], in two
+   passes. Pass 1 fans the one expensive clean evaluation per point out
+   over the pool — evaluators are pure, so caching the value and
+   replaying it per attempt is value-identical to re-evaluating. Pass 2
+   walks the samples in index order through the policy state machine
+   (backoff, budget, breaker), running each sample through
+   [Simulator.attempt_sample] with the attempts the breaker allows and a
+   [grant] that spends the budget. Everything the policy decides
+   therefore depends only on (plan, policy, k, seed) — bitwise identical
+   at every domain count. *)
 let run ?(noise_rel = 0.) ?pool ?(faults = Simulator.no_faults) policy sim g
     ~k =
-  if k <= 0 then invalid_arg "Retry.run: sample count must be positive";
-  let dim = sim.Simulator.dim in
-  let points = Array.init k (fun _ -> Randkit.Gaussian.vector g dim) in
-  let streams =
-    Randkit.Prng.split_n
-      (Randkit.Prng.create faults.Simulator.fault_seed)
-      k
-  in
-  let burst = Simulator.burst_states faults ~k in
-  let values = Array.make k Float.nan in
-  let eval_body i = values.(i) <- sim.Simulator.eval points.(i) in
-  (match pool with
-  | None ->
-      for i = 0 to k - 1 do
-        eval_body i
-      done
-  | Some pool -> Parallel.Pool.parallel_for pool ~lo:0 ~hi:k eval_body);
-  (* Pass 2: sequential policy walk. *)
   let cooldown =
     if policy.cooldown > 0 then policy.cooldown
     else
@@ -102,183 +84,122 @@ let run ?(noise_rel = 0.) ?pool ?(faults = Simulator.no_faults) policy sim g
       | Some b -> int_of_float (Float.ceil b.Simulator.burst_len)
       | None -> 16
   in
-  let out = Array.make k Float.nan in
-  let ok = Array.make k false in
   let events = ref [] in
   let emit e = events := e :: !events in
-  let state = ref Breaker_closed in
-  let consecutive = ref 0 in
   let trips = ref 0 in
-  let budget = ref policy.attempt_budget in
-  let budget_noted = ref false in
   let retries_granted = ref 0 in
   let retries_denied = ref 0 in
-  let faults_injected = ref 0 in
-  let nonfinite = ref 0 in
-  let outliers = ref 0 in
-  let transients = ref 0 in
-  let hangs = ref 0 in
-  let burst_faults = ref 0 in
-  let retries = ref 0 in
-  let extra = ref 0. in
-  for i = 0 to k - 1 do
-    (* A spent cooldown turns the open breaker half-open: this sample is
-       the probe and gets its full retry allowance back. *)
-    (match !state with
-    | Breaker_open 0 -> state := Breaker_half_open
-    | _ -> ());
-    let allowed =
-      match !state with
-      | Breaker_open _ -> 1
-      | Breaker_closed | Breaker_half_open -> policy.max_attempts
-    in
-    let fs = streams.(i) in
-    let in_burst = burst.(i) in
-    let delivered = ref None in
-    let attempt = ref 0 in
-    let stop = ref false in
-    while !delivered = None && !attempt < allowed && not !stop do
-      incr attempt;
-      if !attempt > 1 then begin
+  let walk (b : Simulator.batch) =
+    let values = Array.make k Float.nan in
+    let eval_body i = values.(i) <- sim.Simulator.eval b.b_points.(i) in
+    (match pool with
+    | None ->
+        for i = 0 to k - 1 do
+          eval_body i
+        done
+    | Some pool -> Parallel.Pool.parallel_for pool ~lo:0 ~hi:k eval_body);
+    let st = Simulator.tally () in
+    let out = Array.make k None in
+    let state = ref Breaker_closed in
+    let consecutive = ref 0 in
+    let budget = ref policy.attempt_budget in
+    let budget_noted = ref false in
+    for i = 0 to k - 1 do
+      (* A spent cooldown turns the open breaker half-open: this sample is
+         the probe and gets its full retry allowance back. *)
+      (match !state with
+      | Breaker_open 0 -> state := Breaker_half_open
+      | _ -> ());
+      let allowed =
+        match !state with
+        | Breaker_open _ -> 1
+        | Breaker_closed | Breaker_half_open -> policy.max_attempts
+      in
+      let grant attempt =
         if !budget <= 0 then begin
           if not !budget_noted then begin
             budget_noted := true;
             emit (Budget_exhausted { sample = i })
           end;
           incr retries_denied;
-          decr attempt;
-          stop := true
+          None
         end
         else begin
           decr budget;
           incr retries_granted;
-          incr retries;
-          (* Deterministic exponential backoff with deterministic
-             jitter: the jitter draw comes from the sample's own stream,
-             so it is reproducible, yet desynchronizes the retry storm a
-             real farm would see after an outage. *)
+          (* Deterministic exponential backoff with deterministic jitter:
+             the jitter draw comes from the sample's own stream, so it is
+             reproducible, yet desynchronizes the retry storm a real farm
+             would see after an outage. *)
           let u =
-            if policy.jitter > 0. then Randkit.Prng.float fs else 0.
+            if policy.jitter > 0. then Randkit.Prng.float b.b_streams.(i)
+            else 0.
           in
           let seconds =
             policy.base_backoff
-            *. float_of_int (1 lsl (!attempt - 2))
+            *. float_of_int (1 lsl (attempt - 2))
             *. (1. +. (policy.jitter *. u))
           in
-          emit (Backoff { sample = i; attempt = !attempt; seconds });
-          extra := !extra +. seconds +. sim.Simulator.seconds_per_sample
+          emit (Backoff { sample = i; attempt; seconds });
+          Some seconds
         end
-      end;
-      if not !stop then begin
-        let a =
-          Simulator.draw_attempt faults ~in_burst fs ~eval:(fun () ->
-              values.(i))
-        in
-        (match a.Simulator.injected with
-        | None -> ()
-        | Some kind ->
-            incr faults_injected;
-            if in_burst then incr burst_faults;
-            (match kind with
-            | Simulator.Nan_return | Simulator.Inf_return -> incr nonfinite
-            | Simulator.Outlier -> incr outliers
-            | Simulator.Transient -> incr transients
-            | Simulator.Hang -> incr hangs));
-        extra := !extra +. a.Simulator.hang_s;
-        match a.Simulator.returned with
-        | Some v when Float.is_finite v -> delivered := Some v
-        | Some _ | None -> ()
-      end
-    done;
-    (match !delivered with
-    | Some v ->
-        out.(i) <- v;
-        ok.(i) <- true
-    | None -> ());
-    (* Breaker bookkeeping on the sample's final verdict. *)
-    let succeeded = !delivered <> None in
-    (match !state with
-    | Breaker_half_open ->
-        emit (Probe { sample = i; delivered = succeeded });
-        if succeeded then begin
-          emit (Closed { sample = i });
-          state := Breaker_closed;
-          consecutive := 0
-        end
-        else begin
-          (* Failed probe: the outage is still on — re-open for another
-             cooldown. Counted as a trip. *)
-          incr trips;
-          state := Breaker_open cooldown
-        end
-    | Breaker_open n ->
-        if succeeded then begin
-          (* Even a fast-fail single attempt succeeding is evidence the
-             outage ended; close early instead of waiting out the rest
-             of the cooldown. *)
-          emit (Closed { sample = i });
-          state := Breaker_closed;
-          consecutive := 0
-        end
-        else begin
-          emit (Fast_fail { sample = i });
-          state := Breaker_open (max 0 (n - 1))
-        end
-    | Breaker_closed ->
-        if succeeded then consecutive := 0
-        else begin
-          incr consecutive;
-          if policy.breaker_threshold > 0
-             && !consecutive >= policy.breaker_threshold
-          then begin
-            incr trips;
-            emit (Tripped { sample = i; consecutive = !consecutive; cooldown });
-            state := Breaker_open cooldown;
+      in
+      out.(i) <-
+        Simulator.attempt_sample faults b st i
+          ~evals:[| (fun () -> values.(i)) |]
+          ~retry_cost:sim.Simulator.seconds_per_sample ~allowed ~grant;
+      (* Breaker bookkeeping on the sample's final verdict. *)
+      let succeeded = out.(i) <> None in
+      match !state with
+      | Breaker_half_open ->
+          emit (Probe { sample = i; delivered = succeeded });
+          if succeeded then begin
+            emit (Closed { sample = i });
+            state := Breaker_closed;
             consecutive := 0
           end
-        end)
-  done;
-  let kept = ref [] and failed = ref [] in
-  for i = k - 1 downto 0 do
-    if ok.(i) then kept := i :: !kept else failed := i :: !failed
-  done;
-  let kept = Array.of_list !kept in
-  let d =
-    {
-      Simulator.points = Array.map (fun i -> points.(i)) kept;
-      values = Array.map (fun i -> out.(i)) kept;
-    }
+          else begin
+            (* Failed probe: the outage is still on — re-open for another
+               cooldown. Counted as a trip. *)
+            incr trips;
+            state := Breaker_open cooldown
+          end
+      | Breaker_open n ->
+          if succeeded then begin
+            (* Even a fast-fail single attempt succeeding is evidence the
+               outage ended; close early instead of waiting out the rest
+               of the cooldown. *)
+            emit (Closed { sample = i });
+            state := Breaker_closed;
+            consecutive := 0
+          end
+          else begin
+            emit (Fast_fail { sample = i });
+            state := Breaker_open (max 0 (n - 1))
+          end
+      | Breaker_closed ->
+          if succeeded then consecutive := 0
+          else begin
+            incr consecutive;
+            if policy.breaker_threshold > 0
+               && !consecutive >= policy.breaker_threshold
+            then begin
+              incr trips;
+              emit
+                (Tripped { sample = i; consecutive = !consecutive; cooldown });
+              state := Breaker_open cooldown;
+              consecutive := 0
+            end
+          end
+    done;
+    (out, [| st |])
   in
-  let k' = Array.length kept in
-  if noise_rel > 0. && k' > 1 then begin
-    let sigma = Stat.Descriptive.std d.Simulator.values in
-    for i = 0 to k' - 1 do
-      d.Simulator.values.(i) <-
-        d.Simulator.values.(i)
-        +. (noise_rel *. sigma *. Randkit.Gaussian.sample g)
-    done
-  end;
-  let run =
-    {
-      (Simulator.clean_report ~requested:k) with
-      Simulator.delivered = k';
-      failed = Array.of_list !failed;
-      faults_injected = !faults_injected;
-      nonfinite_faults = !nonfinite;
-      outliers_injected = !outliers;
-      transient_faults = !transients;
-      hang_faults = !hangs;
-      retries = !retries;
-      accounted_extra_seconds = !extra;
-      burst_windows = Array.length (Randkit.Markov.windows burst);
-      burst_samples = Randkit.Markov.count burst;
-      burst_faults = !burst_faults;
-      breaker_trips = !trips;
-    }
+  let datasets, run =
+    Simulator.run_batch ~noise_rel ~faults [| sim |] g ~k walk
   in
-  ( d,
+  ( datasets.(0),
     {
-      run;
+      run = { run with Simulator.breaker_trips = !trips };
       events = Array.of_list (List.rev !events);
       retries_granted = !retries_granted;
       retries_denied = !retries_denied;

@@ -14,14 +14,21 @@
     caps the total retries a run may spend, whatever the policy would
     otherwise grant.
 
-    Determinism: sample points are drawn sequentially from the caller's
-    stream exactly as in {!Circuit.Simulator.run}; each sample's fault
-    history comes from its own pre-split stream via
-    {!Circuit.Simulator.draw_attempt}; the breaker walks the samples in
-    index order. The one expensive clean evaluation per point runs
-    batch-parallel over [?pool] (evaluators are pure), so the dataset,
-    report, and every policy decision are bitwise identical at every
-    domain count. Backoff and hang time is {e accounted}, never slept. *)
+    The driver is the adaptive walk of {!Circuit.Simulator.run_batch}:
+    the point draw, the per-sample fault streams, the burst states,
+    each sample's retry loop ({!Circuit.Simulator.attempt_sample}, hence
+    {!Circuit.Simulator.draw_attempt}), the fault tally, the kept/failed
+    split, the observation noise and the run report are the fixed
+    policy's, shared with {!Circuit.Simulator.run_robust}. What lives
+    here is only the policy: the breaker state machine, the budget, and
+    the jittered backoff each retry is granted.
+
+    Determinism: the one expensive clean evaluation per point runs
+    batch-parallel over [?pool] (evaluators are pure) and is replayed
+    per attempt; the breaker walks the samples in index order. The
+    dataset, report, and every policy decision are therefore bitwise
+    identical at every domain count. Backoff and hang time is
+    {e accounted}, never slept. *)
 
 type policy = {
   max_attempts : int;  (** attempts per sample while the breaker is closed *)

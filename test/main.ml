@@ -41,4 +41,5 @@ let () =
       Test_burst.suite;
       Test_sampler.suite;
       Test_multi.suite;
+      Test_delivery.suite;
     ]
