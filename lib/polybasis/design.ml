@@ -257,8 +257,9 @@ module Provider = struct
       invalid_arg "Design.Provider.column_into: buffer length mismatch";
     match p with
     | Dense g ->
+        let m = Mat.cols g and data = g.Mat.data in
         for i = 0 to Mat.rows g - 1 do
-          buf.(i) <- Mat.unsafe_get g i j
+          Array.unsafe_set buf i (Array.unsafe_get data ((i * m) + j))
         done
     | Streamed s ->
         for i = 0 to s.sk - 1 do
@@ -315,12 +316,10 @@ module Provider = struct
     let w = jhi - jlo in
     match p with
     | Dense g ->
-        let k = Mat.rows g in
+        let k = Mat.rows g and m = Mat.cols g in
         let out = Mat.create k w in
         for i = 0 to k - 1 do
-          for dj = 0 to w - 1 do
-            Mat.unsafe_set out i dj (Mat.unsafe_get g i (jlo + dj))
-          done
+          Array.blit g.Mat.data ((i * m) + jlo) out.Mat.data (i * w) w
         done;
         Dense out
     | Streamed s ->
@@ -366,12 +365,10 @@ module Provider = struct
     let w = jhi - jlo in
     match p with
     | Dense g ->
+        let m = Mat.cols g in
         let tile = Array.make (max 1 (k * w)) 0. in
         for i = 0 to k - 1 do
-          let base = i * w in
-          for dj = 0 to w - 1 do
-            Array.unsafe_set tile (base + dj) (Mat.unsafe_get g i (jlo + dj))
-          done
+          Array.blit g.Mat.data ((i * m) + jlo) tile (i * w) w
         done;
         f tile
     | Streamed s ->
@@ -385,14 +382,15 @@ module Provider = struct
         Fun.protect ~finally:(fun () -> release s tile) (fun () -> f tile)
 
   let columns p idx =
-    let k = rows p in
-    let out = Mat.create k (Array.length idx) in
+    let k = rows p and n = Array.length idx in
+    let out = Mat.create k n in
+    let od = out.Mat.data in
     let buf = Array.make k 0. in
     Array.iteri
       (fun q j ->
         column_into p j buf;
         for i = 0 to k - 1 do
-          Mat.unsafe_set out i q buf.(i)
+          Array.unsafe_set od ((i * n) + q) (Array.unsafe_get buf i)
         done)
       idx;
     out
@@ -403,55 +401,77 @@ module Provider = struct
     if Array.length r <> rows p then
       invalid_arg "Design.Provider: residual length mismatch"
 
-  (* Dense partial sweep: accumulate the [lo, hi) block of Gᵀ·r into
-     [out], rows outermost so the row-major matrix streams through
-     cache, with the column loop unrolled 4-wide (each column still
-     accumulates over rows in ascending order — same bits as
-     [Mat.col_dot], the unroll only interleaves independent columns). *)
-  let dense_sweep_block g r out ~lo ~hi =
-    let k = Mat.rows g and m = Mat.cols g in
+  (* The rows a dense sweep visits: every row of the matrix, or one
+     fold's strictly ascending row set. *)
+  type row_set = All | Fold of int array
+
+  (* The one dense sweep kernel: out.(off + j − lo) += Σᵢ g[row i, j]·r.(i)
+     for j ∈ [lo, hi), where row i is i itself ([All]) or idx.(i)
+     ([Fold idx]). Rows are walked outermost, so the row-major matrix
+     streams through cache; each visited row is one axpy of r.(i) into
+     the output slice, unrolled 4-wide. Each column still adds its
+     rows in ascending order onto the caller's zeroed slice — the bits
+     of [Mat.col_dot] on the selected rows; the unroll only interleaves
+     independent columns. *)
+  let dense_sweep g rows r out ~lo ~hi ~off =
+    let m = Mat.cols g in
     let data = g.Mat.data in
-    for i = 0 to k - 1 do
-      let base = i * m in
+    let stop = off + hi - lo in
+    for i = 0 to Array.length r - 1 do
+      let row = match rows with All -> i | Fold idx -> Array.unsafe_get idx i in
+      (* Data index of output slot o is [base + o]. *)
+      let base = (row * m) + lo - off in
       let ri = Array.unsafe_get r i in
-      let j = ref lo in
-      while !j + 4 <= hi do
-        let j0 = !j in
-        Array.unsafe_set out j0
-          (Array.unsafe_get out j0
-          +. (Array.unsafe_get data (base + j0) *. ri));
-        Array.unsafe_set out (j0 + 1)
-          (Array.unsafe_get out (j0 + 1)
-          +. (Array.unsafe_get data (base + j0 + 1) *. ri));
-        Array.unsafe_set out (j0 + 2)
-          (Array.unsafe_get out (j0 + 2)
-          +. (Array.unsafe_get data (base + j0 + 2) *. ri));
-        Array.unsafe_set out (j0 + 3)
-          (Array.unsafe_get out (j0 + 3)
-          +. (Array.unsafe_get data (base + j0 + 3) *. ri));
-        j := j0 + 4
+      let o = ref off in
+      while !o + 4 <= stop do
+        let o0 = !o in
+        Array.unsafe_set out o0
+          (Array.unsafe_get out o0
+          +. (Array.unsafe_get data (base + o0) *. ri));
+        Array.unsafe_set out (o0 + 1)
+          (Array.unsafe_get out (o0 + 1)
+          +. (Array.unsafe_get data (base + o0 + 1) *. ri));
+        Array.unsafe_set out (o0 + 2)
+          (Array.unsafe_get out (o0 + 2)
+          +. (Array.unsafe_get data (base + o0 + 2) *. ri));
+        Array.unsafe_set out (o0 + 3)
+          (Array.unsafe_get out (o0 + 3)
+          +. (Array.unsafe_get data (base + o0 + 3) *. ri));
+        o := o0 + 4
       done;
-      while !j < hi do
-        Array.unsafe_set out !j
-          (Array.unsafe_get out !j
-          +. (Array.unsafe_get data (base + !j) *. ri));
-        incr j
+      while !o < stop do
+        let o0 = !o in
+        Array.unsafe_set out o0
+          (Array.unsafe_get out o0
+          +. (Array.unsafe_get data (base + o0) *. ri));
+        o := o0 + 1
       done
     done
+
+  (* Single-residual block [lo, hi) of Gᵀ·r into out.(off + j − lo);
+     the slice must be zeroed for a dense provider. *)
+  let sweep_block p r out ~lo ~hi ~off =
+    match p with
+    | Dense g -> dense_sweep g All r out ~lo ~hi ~off
+    | Streamed s -> dots_block s r out ~lo ~hi ~off
+
+  (* A per-chunk dots buffer of [len] floats, zeroed for the dense
+     kernel's accumulation; streamed kernels overwrite every slot, so
+     they take a pooled scratch buffer instead. *)
+  let chunk_buf p len =
+    match p with Dense _ -> Array.make len 0. | Streamed s -> acquire s len
+
+  let release_buf p buf =
+    match p with Dense _ -> () | Streamed s -> release s buf
 
   let gram_tr ?pool p r =
     check_r p r;
     let m = cols p in
     let out = Array.make m 0. in
     let pool = match pool with Some q -> q | None -> Parallel.Pool.default () in
-    let grain = Parallel.Pool.grain_for ~work:(rows p) in
-    (match p with
-    | Dense g ->
-        Parallel.Pool.parallel_for_chunks pool ~grain ~lo:0 ~hi:m
-          (fun ~lo ~hi -> dense_sweep_block g r out ~lo ~hi)
-    | Streamed s ->
-        Parallel.Pool.parallel_for_chunks pool ~grain ~lo:0 ~hi:m
-          (fun ~lo ~hi -> dots_block s r out ~lo ~hi ~off:lo));
+    Parallel.Pool.parallel_for_chunks pool
+      ~grain:(Parallel.Pool.grain_for ~work:(rows p)) ~lo:0 ~hi:m
+      (fun ~lo ~hi -> sweep_block p r out ~lo ~hi ~off:lo);
     out
 
   let scan_argmax dots skip ~lo ~hi =
@@ -467,6 +487,10 @@ module Provider = struct
     done;
     (!best, !best_abs)
 
+  (* Strict > keeps the earlier chunk's winner on exact ties — the same
+     column a sequential left-to-right scan would pick. *)
+  let combine_argmax ((_, ca) as a) ((_, cb) as b) = if cb > ca then b else a
+
   let argmax_abs ?pool ~skip p r =
     check_r p r;
     let m = cols p in
@@ -477,41 +501,22 @@ module Provider = struct
       ~grain:(Parallel.Pool.grain_for ~work:(rows p)) ~lo:0 ~hi:m
       ~init:(-1, 0.)
       ~fold:(fun ~lo ~hi ->
-        match p with
-        | Dense g ->
-            (* Per-chunk dots buffer indexed from 0; each column still
-               accumulates over rows in ascending order. *)
-            let dots = Array.make (hi - lo) 0. in
-            let k = Mat.rows g and mm = Mat.cols g in
-            let data = g.Mat.data in
-            for i = 0 to k - 1 do
-              let base = (i * mm) + lo in
-              let ri = Array.unsafe_get r i in
-              for j = 0 to hi - lo - 1 do
-                Array.unsafe_set dots j
-                  (Array.unsafe_get dots j
-                  +. (Array.unsafe_get data (base + j) *. ri))
-              done
-            done;
-            scan_argmax dots skip ~lo ~hi
-        | Streamed s ->
-            let dots = acquire s (hi - lo) in
-            dots_block s r dots ~lo ~hi ~off:0;
-            let result = scan_argmax dots skip ~lo ~hi in
-            release s dots;
-            result)
-      ~combine:(fun (ja, ca) (jb, cb) ->
-        (* Strict > keeps the earlier chunk's winner on exact ties — the
-           same column a sequential left-to-right scan would pick. *)
-        if cb > ca then (jb, cb) else (ja, ca))
+        let dots = chunk_buf p (hi - lo) in
+        sweep_block p r dots ~lo ~hi ~off:0;
+        let result = scan_argmax dots skip ~lo ~hi in
+        release_buf p dots;
+        result)
+      ~combine:combine_argmax
 
   (* --- fused multi-residual sweeps --------------------------------- *)
 
   (* The fold-parallel CV bottleneck on streamed providers is column
      *generation*: Q folds each regenerate every Hermite column per
-     step. The multi kernels generate (or read) each column exactly once
-     and dot it against all Q fold residuals, so generation is paid once
-     per step instead of once per fold.
+     step. The streamed multi kernel generates each column exactly once
+     per call and dots it against all Q fold residuals, so generation
+     is paid once per step instead of once per fold. A dense provider
+     has nothing to generate: each fold runs the row-streaming
+     [dense_sweep] over its own rows.
 
      Bitwise contract: fold row sets are strictly ascending, so for each
      fold the dot accumulates over exactly the rows (in the same order)
@@ -547,10 +552,11 @@ module Provider = struct
       fold_rows
 
   (* Streamed block: materialize column j once into a K-length scratch
-     buffer, then one ascending-row dot per fold against its residual.
-     Const columns skip materialization and sum the residual directly —
-     the exact float sequence [dots_block] produces for them. *)
-  let multi_block_streamed s fold_rows rs ~lo ~hi ~emit =
+     buffer, then one ascending-row dot per fold against its residual,
+     stored to outs.(q).(off + j − lo). Const columns skip
+     materialization and sum the residual directly — the exact float
+     sequence [dots_block] produces for them. *)
+  let multi_block_streamed s fold_rows rs outs ~lo ~hi ~off =
     let k = s.sk in
     let vt = s.vtab in
     let nq = Array.length rs in
@@ -591,32 +597,20 @@ module Provider = struct
                 +. (Array.unsafe_get buf (Array.unsafe_get idx i)
                    *. Array.unsafe_get r i)
             done);
-        emit q j !acc
+        Array.unsafe_set (Array.unsafe_get outs q) (off + j - lo) !acc
       done
     done;
     release s buf
 
-  (* Dense block: read each stored column once per fold via direct
-     row-major indexing — same ascending-row accumulation. *)
-  let multi_block_dense g fold_rows rs ~lo ~hi ~emit =
-    let m = Mat.cols g in
-    let data = g.Mat.data in
-    let nq = Array.length rs in
-    for j = lo to hi - 1 do
-      for q = 0 to nq - 1 do
-        let idx = Array.unsafe_get fold_rows q in
-        let r = Array.unsafe_get rs q in
-        let n = Array.length r in
-        let acc = ref 0. in
-        for i = 0 to n - 1 do
-          acc :=
-            !acc
-            +. (Array.unsafe_get data ((Array.unsafe_get idx i * m) + j)
-               *. Array.unsafe_get r i)
-        done;
-        emit q j !acc
-      done
-    done
+  (* Every fold's block [lo, hi) of Gᵀ·r into outs.(q).(off + j − lo);
+     the slices must be zeroed for a dense provider. *)
+  let multi_block p fold_rows rs outs ~lo ~hi ~off =
+    match p with
+    | Dense g ->
+        Array.iteri
+          (fun q idx -> dense_sweep g (Fold idx) rs.(q) outs.(q) ~lo ~hi ~off)
+          fold_rows
+    | Streamed s -> multi_block_streamed s fold_rows rs outs ~lo ~hi ~off
 
   let gram_tr_multi ?pool p ~rows:fold_rows rs =
     multi_check "gram_tr_multi" p fold_rows rs;
@@ -627,11 +621,7 @@ module Provider = struct
     Parallel.Pool.parallel_for_chunks pool
       ~grain:(Parallel.Pool.grain_for ~work:(rows p * (nq + 1)))
       ~lo:0 ~hi:m
-      (fun ~lo ~hi ->
-        let emit q j acc = outs.(q).(j) <- acc in
-        match p with
-        | Dense g -> multi_block_dense g fold_rows rs ~lo ~hi ~emit
-        | Streamed s -> multi_block_streamed s fold_rows rs ~lo ~hi ~emit);
+      (fun ~lo ~hi -> multi_block p fold_rows rs outs ~lo ~hi ~off:lo);
     outs
 
   let argmax_abs_multi ?pool ~skips p ~rows:fold_rows rs =
@@ -651,24 +641,14 @@ module Provider = struct
       ~lo:0 ~hi:m
       ~init:(Array.make nq (-1, 0.))
       ~fold:(fun ~lo ~hi ->
-        let best = Array.make nq (-1, 0.) in
-        let emit q j acc =
-          if not (Array.unsafe_get skips.(q) j) then begin
-            let c = Float.abs acc in
-            let _, b = best.(q) in
-            if c > b then best.(q) <- (j, c)
-          end
+        let dots = Array.init nq (fun _ -> chunk_buf p (hi - lo)) in
+        multi_block p fold_rows rs dots ~lo ~hi ~off:0;
+        let best =
+          Array.init nq (fun q -> scan_argmax dots.(q) skips.(q) ~lo ~hi)
         in
-        (match p with
-        | Dense g -> multi_block_dense g fold_rows rs ~lo ~hi ~emit
-        | Streamed s -> multi_block_streamed s fold_rows rs ~lo ~hi ~emit);
+        Array.iter (release_buf p) dots;
         best)
-      ~combine:(fun a b ->
-        (* Strict > per fold keeps the earlier chunk's winner on exact
-           ties — same rule as the single-residual [argmax_abs]. *)
-        Array.init nq (fun q ->
-            let (_, ca) as xa = a.(q) and (_, cb) as xb = b.(q) in
-            if cb > ca then xb else xa))
+      ~combine:(Array.map2 combine_argmax)
 
   let column_norms ?pool p =
     match p with

@@ -761,6 +761,50 @@ let test_point_screen_allocation () =
   if words >= 1e6 then
     Alcotest.failf "point screen allocated %.0f minor words (bound 1e6)" words
 
+let test_dense_multi_sweep_allocation () =
+  (* K = 400, M = 300, Q = 4 training folds on a dense provider at one
+     domain. The row-streaming kernel writes every fold's dots straight
+     into float arrays (M > 256 floats, so they are major-heap blocks),
+     leaving a few hundred minor words of closures and per-fold argmax
+     pairs per call. A kernel that hands each (fold, column) dot to a
+     closure boxes it in this build: at least 2·Q·M = 2400 words. *)
+  let k = 400 and m = 300 and nq = 4 in
+  let rng = Randkit.Prng.create 53 in
+  let v = Randkit.Gaussian.vector rng (k * m) in
+  let src =
+    Polybasis.Design.Provider.dense
+      (Linalg.Mat.init k m (fun i j -> v.((i * m) + j)))
+  in
+  let rows =
+    Array.init nq (fun q ->
+        Array.of_list
+          (List.filter (fun i -> i mod nq <> q) (List.init k Fun.id)))
+  in
+  let rs =
+    Array.map (fun idx -> Randkit.Gaussian.vector rng (Array.length idx)) rows
+  in
+  let skips = Array.init nq (fun _ -> Array.make m false) in
+  let bound = float_of_int (nq * m) in
+  Parallel.Pool.with_pool ~domains:1 (fun pool ->
+      let measure name f =
+        f ();
+        let reps = 10 in
+        let before = Gc.minor_words () in
+        for _ = 1 to reps do
+          f ()
+        done;
+        let words = (Gc.minor_words () -. before) /. float_of_int reps in
+        if words >= bound then
+          Alcotest.failf "dense %s allocated %.0f minor words per call (bound %.0f)"
+            name words bound
+      in
+      measure "gram_tr_multi" (fun () ->
+          ignore (Polybasis.Design.Provider.gram_tr_multi ~pool src ~rows rs));
+      measure "argmax_abs_multi" (fun () ->
+          ignore
+            (Polybasis.Design.Provider.argmax_abs_multi ~pool ~skips src ~rows
+               rs)))
+
 let qtest_point_screen_oracle =
   qtest ~count:80 "point screen bitwise == element-wise oracle (qcheck)"
     QCheck.(triple small_nat (int_bound (Array.length oracle_shapes - 1)) (int_bound 31))
@@ -895,6 +939,8 @@ let suite =
       case "point screen oracle: shrinkage past the first rung"
         test_oracle_shrinkage_rungs;
       case "point screen: minor allocation bound" test_point_screen_allocation;
+      case "dense fused sweeps: minor allocation bound"
+        test_dense_multi_sweep_allocation;
       qtest_point_screen_oracle;
       qtest_response_screen_order_invariant;
     ] )

@@ -5,7 +5,9 @@
    - Cholesky.Grow.downdate_row equals refactorizing from the surviving
      rows, and raises once too few rows remain.
    - gram_tr_multi / argmax_abs_multi are bitwise equal to the Q
-     independent per-fold sweeps, Dense and Streamed, at 1/2/4 domains.
+     independent per-fold sweeps, Dense and Streamed, at 1/2/4 domains,
+     and on wide dense designs whose chunk edges split the 4-wide
+     unroll; one identity-row fold equals the full-provider sweep.
    - sweep:Incremental agrees with sweep:Exact to 1e-10 relative on
      every solver (OMP, STAR, LAR, LASSO), at several refresh cadences,
      including paths with banned columns (duplicate dictionary entries)
@@ -222,6 +224,80 @@ let prop_multi_bitwise seed =
                 (pick = picks.(fq)))
             rows)
         [ src_d; src_s ])
+    [ 1; 2; 4 ];
+  true
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let pick_bits_equal (ja, ca) (jb, cb) = ja = jb && bits_equal [| ca |] [| cb |]
+
+(* Wide dense designs (K = 16–23, M = 4097–4351, never a multiple of
+   4): at 2 domains every fused sweep splits its columns into two
+   chunks, so chunk edges and the 4-wide unroll's tail fall at
+   arbitrary columns. The two columns either side of the split are
+   equal and scaled up, so the argmax ties across a chunk edge. *)
+let prop_multi_wide_bitwise seed =
+  let rng = Randkit.Prng.create seed in
+  let k = 16 + Randkit.Prng.int rng 8 in
+  let m =
+    let m = 4097 + Randkit.Prng.int rng 255 in
+    if m mod 4 = 0 then m + 1 else m
+  in
+  let v = Randkit.Gaussian.vector rng (k * m) in
+  let edge = m / 2 in
+  let g =
+    Linalg.Mat.init k m (fun i j ->
+        let j = if j = edge then edge - 1 else j in
+        let x = v.((i * m) + j) in
+        if j = edge - 1 then 10. *. x else x)
+  in
+  let src = P.dense g in
+  let r = Randkit.Gaussian.vector rng k in
+  let domains = [ 1; 2 ] in
+  List.iter
+    (fun q ->
+      let rows = fold_rows_of rng k q in
+      let rs = Array.map (fun idx -> Array.map (fun i -> r.(i)) idx) rows in
+      let skips =
+        Array.init q (fun _ ->
+            Array.init m (fun _ -> Randkit.Prng.int rng 5 = 0))
+      in
+      List.iter
+        (fun d ->
+          Parallel.Pool.with_pool ~domains:d (fun pool ->
+              let multi = P.gram_tr_multi ~pool src ~rows rs in
+              let picks = P.argmax_abs_multi ~pool ~skips src ~rows rs in
+              Array.iteri
+                (fun fq idx ->
+                  let sub = P.select_rows src idx in
+                  let what = Printf.sprintf "K=%d M=%d fold %d/%d at %d domains" k m fq q d in
+                  check_bool ("gram_tr_multi == gram_tr on select_rows, " ^ what)
+                    true
+                    (bits_equal (P.gram_tr ~pool sub rs.(fq)) multi.(fq));
+                  check_bool
+                    ("argmax_abs_multi == argmax_abs on select_rows, " ^ what)
+                    true
+                    (pick_bits_equal
+                       (P.argmax_abs ~pool ~skip:skips.(fq) sub rs.(fq))
+                       picks.(fq)))
+                rows;
+              if q = 1 then begin
+                let what = Printf.sprintf "K=%d M=%d at %d domains" k m d in
+                check_bool ("identity fold == gram_tr on the full provider, " ^ what)
+                  true
+                  (bits_equal (P.gram_tr ~pool src r) multi.(0));
+                check_bool
+                  ("identity fold == argmax_abs on the full provider, " ^ what)
+                  true
+                  (pick_bits_equal
+                     (P.argmax_abs ~pool ~skip:skips.(0) src r)
+                     picks.(0))
+              end))
+        domains)
     [ 1; 2; 4 ];
   true
 
@@ -728,6 +804,8 @@ let suite =
       case "sweep mode strings" test_sweep_of_string;
       qtest ~count:10 "fused multi == independent sweeps" seed_gen
         prop_multi_bitwise;
+      qtest ~count:12 "fused multi == independent sweeps, wide dense"
+        seed_gen prop_multi_wide_bitwise;
       qtest ~count:8 "OMP incremental == exact" seed_gen
         (prop_incremental_parity `Omp);
       qtest ~count:8 "STAR incremental == exact" seed_gen
