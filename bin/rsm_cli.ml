@@ -317,25 +317,6 @@ let shard_mode_arg =
            bounded by the shard slice and a crashed worker is respawned and \
            replayed from the command log with bitwise-unchanged results.")
 
-let fused_cv_arg =
-  Arg.(
-    value
-    & vflag None
-        [
-          ( Some true,
-            info [ "fused-cv" ]
-              ~doc:
-                "Advance all CV fold solvers in lockstep, sharing each \
-                 step's design-column generation across folds (one fused \
-                 multi-residual sweep per step). Bitwise identical model; \
-                 pays streamed column generation once per step instead of \
-                 once per fold. Default: on for the matrix-free engine with \
-                 the exact sweep." );
-          ( Some false,
-            info [ "per-fold-cv" ]
-              ~doc:"Fit each CV fold independently (the classic driver)." );
-        ])
-
 let outputs_arg =
   Arg.(
     value
@@ -345,28 +326,10 @@ let outputs_arg =
           "Comma-separated opamp metrics to fit together (e.g. \
            $(b,gain,bandwidth,power,offset)). The metrics share one \
            Monte-Carlo batch (every sample evaluated once per metric), one \
-           hygiene verdict and one design matrix; the fused driver selects \
-           every metric's sparsity from a single column-generation pass per \
-           greedy step. Writes one model per metric \
+           hygiene verdict and one design matrix; on a matrix-free design \
+           the fused driver selects every metric's sparsity from a single \
+           column-generation pass per greedy step. Writes one model per metric \
            (--save-model FILE.$(i,metric)). Opamp only; overrides --metric.")
-
-let fused_outputs_arg =
-  Arg.(
-    value
-    & vflag None
-        [
-          ( Some true,
-            info [ "fused-outputs" ]
-              ~doc:
-                "Advance all outputs' CV fold solvers in one lockstep grid, \
-                 sharing each greedy step's design-column generation across \
-                 every output and fold. Bitwise identical models to \
-                 per-output fitting. Default: on whenever the exact sweep \
-                 runs unsharded. Conflicts with --shards > 1." );
-          ( Some false,
-            info [ "per-output" ]
-              ~doc:"Fit each output independently (R single-output fits)." );
-        ])
 
 let rescreen_arg =
   Arg.(value & flag & info [ "rescreen" ]
@@ -413,12 +376,26 @@ let ok_or_exit = function
   | Ok x -> x
   | Error e -> err_exit (Robust.Error.to_string e)
 
-let print_engines (cfg : Robust.Pipeline.config) ~driver ~recovered =
+(* The CV driver that runs, named by the rule that picks it: [`Cv] for
+   a single-output cross-validated fit, [`Outputs] for a multi-output
+   fit, [`None] for a fixed-λ fit, which has no driver. *)
+let print_engines (cfg : Robust.Pipeline.config) ~cv ~recovered =
+  let path = Rsm.Solver.path_method cfg.method_ in
+  let fused =
+    path
+    && Rsm.Select.fused_driver ~streamed:cfg.streamed ~sweep:cfg.sweep
+         ~shards:cfg.shards
+  in
   Printf.printf "  design engine : %s\n"
     (if cfg.streamed then "matrix-free" else "dense");
   Printf.printf "  sweep engine  : %s%s\n"
     (Rsm.Corr_sweep.sweep_to_string cfg.sweep)
-    driver;
+    (match cv with
+    | `Cv when fused -> ", fused CV"
+    | `Cv when path -> ", per-fold CV"
+    | `Outputs when fused -> ", fused outputs"
+    | `Outputs -> ", per-output"
+    | `Cv | `None -> "");
   if cfg.shards > 1 then
     Printf.printf "  shard engine  : %d shards (%s mode)\n" cfg.shards
       (Rsm.Shard_sweep.mode_to_string cfg.shard_mode);
@@ -427,9 +404,6 @@ let print_engines (cfg : Robust.Pipeline.config) ~driver ~recovered =
       "  shard recovery: %d worker respawn(s), log replayed, results bitwise \
        unchanged\n"
       recovered
-
-let driver_label choice ~on ~off ~auto =
-  match choice with Some true -> on | Some false -> off | None -> auto
 
 let print_cv_checkpoint (cfg : Robust.Pipeline.config) ~files =
   Option.iter
@@ -497,8 +471,8 @@ let model_cmd =
   let run circuit metric cells parasitics seed samples test method_name
       max_lambda save_model domains engine folds fault_rate retries no_screen
       screen_threshold checkpoint resume checkpoint_every sweep_mode
-      sweep_refresh fused_cv rescreen shards shard_mode burst_rate burst_len
-      quorum screen_space_s breaker_threshold outputs fused_outputs =
+      sweep_refresh rescreen shards shard_mode burst_rate burst_len quorum
+      screen_space_s breaker_threshold outputs =
     check_at_least "samples" 1 samples;
     check_at_least "test" 1 test;
     check_at_least "max-lambda" 1 max_lambda;
@@ -586,16 +560,15 @@ let model_cmd =
            ~faults ~retry ?adaptive ~quorum
            ~min_samples:(min samples (max 8 (samples / 2)))
            ~streamed:(choose_streamed engine ~k:samples ~m:m_cols)
-           ?checkpoint ~resume ~sweep ~shards ~shard_mode ?fused_cv
-           ?fused_outputs ~rescreen ())
+           ?checkpoint ~resume ~sweep ~shards ~shard_mode ~rescreen ())
     in
     let validate = print_validation ~pool ~engine ~basis ~rng ~test sims.(0) in
     let recovered = ref 0 in
     match (outputs, checkpoint) with
     | Some _, _ ->
         (* Multi-output fit: R opamp metrics over one simulation batch,
-           one hygiene verdict, one design matrix and (by default) one
-           fused selection grid. Always cross-validated. *)
+           one hygiene verdict, one design matrix and, on a matrix-free
+           design, one fused selection grid. Always cross-validated. *)
         let o, fit_s =
           Circuit.Testbench.timed (fun () ->
               Robust.Pipeline.fit_multi ~pool ~recovered cfg sims basis rng)
@@ -607,10 +580,7 @@ let model_cmd =
           label (Rsm.Solver.name meth)
           (Circuit.Simulator.dataset_size o.Robust.Pipeline.datasets.(0))
           m_cols outputs;
-        print_engines cfg ~recovered:!recovered
-          ~driver:
-            (driver_label fused_outputs ~on:", fused outputs"
-               ~off:", per-output" ~auto:", auto output driver");
+        print_engines cfg ~cv:`Outputs ~recovered:!recovered;
         print_cv_checkpoint cfg ~files:".out<r>.fold<q>";
         print_hygiene ~names (Robust.Pipeline.multi_hygiene o);
         (* One fresh point set tests every metric — the same sharing the
@@ -706,7 +676,7 @@ let model_cmd =
           "%s | %s | K = %d training samples, M = %d bases | fixed lambda = %d \
            (checkpointed)\n"
           label (Rsm.Solver.name meth) samples m_cols lambda;
-        print_engines cfg ~driver:"" ~recovered:!recovered;
+        print_engines cfg ~cv:`None ~recovered:!recovered;
         print_hygiene ~names d.Robust.Pipeline.hygiene;
         Printf.printf "  checkpoint    : %s (every %d iterations%s)\n" ckpt_file
           checkpoint_every
@@ -727,10 +697,7 @@ let model_cmd =
           (Rsm.Solver.name meth)
           (Circuit.Simulator.dataset_size o.Robust.Pipeline.dataset)
           m_cols;
-        print_engines cfg ~recovered:!recovered
-          ~driver:
-            (driver_label fused_cv ~on:", fused CV" ~off:", per-fold CV"
-               ~auto:", auto CV driver");
+        print_engines cfg ~cv:`Cv ~recovered:!recovered;
         print_cv_checkpoint cfg ~files:".fold<q>";
         print_hygiene ~names (Robust.Pipeline.outcome_hygiene o);
         validate model;
@@ -752,10 +719,9 @@ let model_cmd =
       $ test_arg $ method_arg $ max_lambda_arg $ save_model_arg $ domains
       $ engine $ folds_arg $ fault_rate_arg $ retries_arg $ no_screen_arg
       $ screen_threshold_arg $ checkpoint_arg $ resume_arg
-      $ checkpoint_every_arg $ sweep_arg $ sweep_refresh_arg $ fused_cv_arg
-      $ rescreen_arg $ shards_arg $ shard_mode_arg $ burst_rate_arg
-      $ burst_len_arg $ quorum_arg $ screen_space_arg $ breaker_threshold_arg
-      $ outputs_arg $ fused_outputs_arg)
+      $ checkpoint_every_arg $ sweep_arg $ sweep_refresh_arg $ rescreen_arg
+      $ shards_arg $ shard_mode_arg $ burst_rate_arg $ burst_len_arg
+      $ quorum_arg $ screen_space_arg $ breaker_threshold_arg $ outputs_arg)
 
 let predict_cmd =
   let model_file =

@@ -89,9 +89,17 @@ let choose ~folds ~rule ~max_lambda ~path_models ~rng src f fold_curves =
   let final = path_models ~rng src f ~max_lambda:lambda in
   { model = final.(Array.length final - 1); lambda; curve }
 
+(* Every selector checks its responses once, before the fold plan is
+   drawn, so a wrong length fails with one message before any fold or
+   refit runs. *)
+let check_response src f =
+  if Array.length f <> Provider.rows src then
+    invalid_arg "Select: response length mismatch"
+
 let generic_impl ?(folds = 4) ?(rule = Min_error) ?pool ?checkpoint
     ?(resume = false) ?fused_curves rng ~max_lambda ~path_models src f =
   if max_lambda <= 0 then invalid_arg "Select: max_lambda must be positive";
+  check_response src f;
   let n = Provider.rows src in
   let plan = Stat.Crossval.make_plan rng ~n ~folds in
   (* Per-fold streams are split from the master generator in fold order
@@ -156,43 +164,15 @@ let lambda_cap ?(folds = 4) ~rows_bound ~max_lambda src =
    longer than its support size. *)
 let lars_max_steps max_lambda = min ((2 * max_lambda) + 8) (4 * max_lambda)
 
-exception Conflict of string
-
-(* Whether a fused lockstep drive applies: fused sweeps require the
-   exact correlation engine (the incremental engine maintains
-   per-solver state a multi sweep cannot share). Unset, [fused]
-   defaults to [default]: single-output CV fuses exactly when column
-   generation is the cost being amortized — streamed providers — while
-   the multi-output grid amortizes every sweep across R×Q solvers and
-   fuses whenever legal.
-
-   Sharding is the hard case: the sharded engine owns the selection
-   sweep per solver run, while the fused driver shares one sweep across
-   solvers — mutually exclusive. When the caller merely left [fused]
-   unset the resolution silently prefers the sharded engine, but an
-   {e explicit} [fused = Some true] cannot be honored, and silently
-   ignoring an explicit flag once cost a user a day of benchmarking the
-   wrong driver — that combination is a typed {!Conflict} instead. *)
-let resolve ~default ~sweep ~fused ~shards =
-  let sharded = match shards with Some s -> s > 1 | None -> false in
-  let exact =
-    match sweep with
-    | None | Some Corr_sweep.Exact -> true
-    | Some (Corr_sweep.Incremental _) -> false
-  in
-  match fused with
-  | Some true when sharded ->
-      raise
-        (Conflict
-           "fused fitting conflicts with sharded sweeps: the sharded engine \
-            owns the selection sweep of each solver run, while the fused \
-            driver shares one sweep across every fold and output; drop \
-            --fused-cv/--fused-outputs or run with --shards 1")
-  | Some b -> b && exact && not sharded
-  | None -> default && exact && not sharded
-
-let resolve_fused_multi ~sweep ~fused ~shards =
-  resolve ~default:true ~sweep ~fused ~shards
+(* The one CV-driver rule: a path method fuses its folds (and, with
+   several outputs, its output × fold grid) exactly when the provider
+   is streamed, the sweep is exact and the selection sweeps are
+   unsharded. Fusing shares column generation, which only streamed
+   providers pay per sweep; the incremental engine keeps per-solver
+   state no shared sweep can serve, and the sharded engine owns each
+   solver run's sweep. Both drivers give the same bits. *)
+let fused_driver ~streamed ~sweep ~shards =
+  streamed && sweep = Corr_sweep.Exact && shards <= 1
 
 (* Fused lockstep job fitting: one solver engine per (response,
    training-rows) job — a fold of one output, or any (output, fold)
@@ -310,12 +290,13 @@ let lars_models ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered
     (Lars.path_p ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
        ?recovered src f ~max_steps:(lars_max_steps max_lambda))
 
-(* Single-output selection: the fused lockstep fold driver when it
-   applies, fold-at-a-time otherwise. *)
-let select_single ?folds ?rule ?pool ?checkpoint ?resume ~sweep ~fused
-    ~shards ~fit_jobs ~path_models rng ~max_lambda src f =
+(* Single-output selection: the fused lockstep fold driver when
+   [fused_driver] picks it, fold-at-a-time otherwise. *)
+let select_single ?folds ?rule ?pool ?checkpoint ?resume
+    ?(sweep = Corr_sweep.Exact) ?(shards = 1) ~fit_jobs ~path_models rng
+    ~max_lambda src f =
   let fused_curves =
-    if resolve ~default:(Provider.is_streamed src) ~sweep ~fused ~shards then
+    if fused_driver ~streamed:(Provider.is_streamed src) ~sweep ~shards then
       Some
         (fun pending ->
           fit_jobs
@@ -326,9 +307,9 @@ let select_single ?folds ?rule ?pool ?checkpoint ?resume ~sweep ~fused
     ~max_lambda ~path_models src f
 
 let omp_p ?folds ?rule ?pool ?on_singular ?sweep ?shards ?shard_mode
-    ?recovered ?fused ?checkpoint ?resume rng ~max_lambda src f =
+    ?recovered ?checkpoint ?resume rng ~max_lambda src f =
   let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
-  select_single ?folds ?rule ?pool ?checkpoint ?resume ~sweep ~fused ~shards
+  select_single ?folds ?rule ?pool ?checkpoint ?resume ?sweep ?shards
     ~fit_jobs:
       (fused_greedy (module Omp.Engine) ?pool src ~max_lambda
          ~create:(omp_engine ?on_singular ~max_lambda))
@@ -336,10 +317,10 @@ let omp_p ?folds ?rule ?pool ?on_singular ?sweep ?shards ?shard_mode
       (omp_models ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered ())
     rng ~max_lambda src f
 
-let star_p ?folds ?rule ?pool ?sweep ?shards ?shard_mode ?recovered ?fused
+let star_p ?folds ?rule ?pool ?sweep ?shards ?shard_mode ?recovered
     ?checkpoint ?resume rng ~max_lambda src f =
   let max_lambda = lambda_cap ?folds ~rows_bound:false ~max_lambda src in
-  select_single ?folds ?rule ?pool ?checkpoint ?resume ~sweep ~fused ~shards
+  select_single ?folds ?rule ?pool ?checkpoint ?resume ?sweep ?shards
     ~fit_jobs:
       (fused_greedy (module Star.Engine) ?pool src ~max_lambda
          ~create:(fun src_tr f_tr ->
@@ -348,9 +329,9 @@ let star_p ?folds ?rule ?pool ?sweep ?shards ?shard_mode ?recovered ?fused
     rng ~max_lambda src f
 
 let lars_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
-    ?recovered ?fused ?checkpoint ?resume rng ~max_lambda src f =
+    ?recovered ?checkpoint ?resume rng ~max_lambda src f =
   let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
-  select_single ?folds ?rule ?pool ?checkpoint ?resume ~sweep ~fused ~shards
+  select_single ?folds ?rule ?pool ?checkpoint ?resume ?sweep ?shards
     ~fit_jobs:(fused_lars ?mode ?on_singular ?pool src ~max_lambda)
     ~path_models:
       (lars_models ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
@@ -369,12 +350,8 @@ let select_multi ?(folds = 4) ?(rule = Min_error) ?checkpoint
   if max_lambda <= 0 then invalid_arg "Select: max_lambda must be positive";
   let outputs = Array.length fs in
   if outputs = 0 then invalid_arg "Select: at least one output required";
+  Array.iter (check_response src) fs;
   let n = Provider.rows src in
-  Array.iter
-    (fun f ->
-      if Array.length f <> n then
-        invalid_arg "Select: response length mismatch")
-    fs;
   let plan = Stat.Crossval.make_plan rng ~n ~folds in
   let _fold_rngs = Randkit.Prng.split_n rng folds in
   let refit_rng = Randkit.Prng.split rng in

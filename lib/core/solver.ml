@@ -27,6 +27,10 @@ let of_name s =
 
 let needs_overdetermined = function Ls -> true | _ -> false
 
+let path_method = function
+  | Star | Lar | Lasso | Omp -> true
+  | Ls | Stomp | Cosamp -> false
+
 let default_lambda g = max 1 (min (Mat.rows g) (Mat.cols g) / 2)
 
 let fit ?lambda g f m =
@@ -98,7 +102,7 @@ let fit_cv ?folds ?max_lambda rng g f m =
       Cosamp.fit g f ~s
 
 let fit_cv_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?shard_mode
-    ?recovered ?fused ?cv_checkpoint ?cv_resume ?(notes = [||]) rng src f m =
+    ?recovered ?cv_checkpoint ?cv_resume ?(notes = [||]) rng src f m =
   let max_lambda =
     match max_lambda with
     | Some l -> l
@@ -109,22 +113,20 @@ let fit_cv_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?shard_mode
   let model =
   match m with
   | Star ->
-      (Select.star_p ?folds ?sweep ?shards ?shard_mode ?recovered ?fused
+      (Select.star_p ?folds ?sweep ?shards ?shard_mode ?recovered
          ?checkpoint ?resume rng ~max_lambda src f)
         .Select.model
   | Lar ->
       (Select.lars_p ?folds ~mode:Lars.Lar ?on_singular ?sweep ?shards
-         ?shard_mode ?recovered ?fused ?checkpoint ?resume rng ~max_lambda src
-         f)
+         ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src f)
         .Select.model
   | Lasso ->
       (Select.lars_p ?folds ~mode:Lars.Lasso ?on_singular ?sweep ?shards
-         ?shard_mode ?recovered ?fused ?checkpoint ?resume rng ~max_lambda src
-         f)
+         ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src f)
         .Select.model
   | Omp ->
       (Select.omp_p ?folds ?on_singular ?sweep ?shards ?shard_mode ?recovered
-         ?fused ?checkpoint ?resume rng ~max_lambda src f)
+         ?checkpoint ?resume rng ~max_lambda src f)
         .Select.model
   | Ls | Stomp | Cosamp ->
       (* These paths need the materialized matrix (full LS / batch
@@ -135,28 +137,28 @@ let fit_cv_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?shard_mode
      model itself so a served artifact carries its history. *)
   Array.fold_left Model.add_note model notes
 
-(* Multi-output fitting: R responses over one design. The fused driver
-   (default whenever the exact sweep runs unsharded) selects every
-   output's λ from one lockstep grid of R×Q fold solvers — each
-   streamed column generated once per greedy step for the whole grid —
-   and is bitwise identical to R independent [fit_cv_p] calls seeded
-   with copies of the same generator; the per-output driver IS those R
-   independent calls. Either way output [r] checkpoints under
+(* Multi-output fitting: R responses over one design. When
+   [Select.fused_driver] picks the fused driver — the rule single-output
+   CV follows too — every output's λ comes from one lockstep grid of
+   R×Q fold solvers, each streamed column generated once per greedy
+   step for the whole grid; otherwise the R outputs are R independent
+   [fit_cv_p] calls seeded with copies of the same generator. The two
+   are bitwise identical, and either way output [r] checkpoints under
    [Serialize.Checkpoint.Multi.output_base base r], so a run
-   interrupted in one mode resumes in the other. *)
-let fit_multi_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?shard_mode
-    ?recovered ?fused ?fused_outputs ?cv_checkpoint ?cv_resume ?notes rng src
-    fs m =
+   interrupted in one driver resumes in the other. *)
+let fit_multi_p ?folds ?max_lambda ?on_singular ?(sweep = Corr_sweep.Exact)
+    ?(shards = 1) ?shard_mode ?recovered ?cv_checkpoint ?cv_resume ?notes rng
+    src fs m =
   let outputs = Array.length fs in
   if outputs = 0 then
     invalid_arg "Solver.fit_multi_p: at least one output required";
-  let notes_of r =
+  let notes =
     match notes with
-    | None -> [||]
+    | None -> Array.make outputs [||]
     | Some ns ->
         if Array.length ns <> outputs then
           invalid_arg "Solver.fit_multi_p: notes count disagrees with outputs";
-        ns.(r)
+        ns
   in
   let max_lambda =
     match max_lambda with
@@ -164,14 +166,10 @@ let fit_multi_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?shard_mode
     | None ->
         max 1 (min (min (Provider.rows src / 2) (Provider.cols src)) 200)
   in
-  let path_method =
-    match m with Star | Lar | Lasso | Omp -> true | Ls | Stomp | Cosamp -> false
-  in
-  let fused_on =
-    path_method
-    && Select.resolve_fused_multi ~sweep ~fused:fused_outputs ~shards
-  in
-  if fused_on then begin
+  if
+    path_method m
+    && Select.fused_driver ~streamed:(Provider.is_streamed src) ~sweep ~shards
+  then begin
     let checkpoint = cv_checkpoint and resume = cv_resume in
     let results =
       match m with
@@ -188,15 +186,14 @@ let fit_multi_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?shard_mode
             ~max_lambda src fs
       | Ls | Stomp | Cosamp -> assert false
     in
-    Array.mapi
-      (fun r sel ->
-        Array.fold_left Model.add_note sel.Select.model (notes_of r))
-      results
+    Array.map2
+      (fun sel ns -> Array.fold_left Model.add_note sel.Select.model ns)
+      results notes
   end
   else
     (* Per-output: R independent single-output fits, each from a copy
        of the caller's generator so every output sees the same plan and
-       streams the fused driver derives — the parity the fused/≡/
+       streams the fused driver derives — the parity the fused ≡
        per-output gates check bitwise. *)
     Array.mapi
       (fun r f ->
@@ -205,7 +202,7 @@ let fit_multi_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?shard_mode
             (fun base -> Serialize.Checkpoint.Multi.output_base base r)
             cv_checkpoint
         in
-        fit_cv_p ?folds ~max_lambda ?on_singular ?sweep ?shards ?shard_mode
-          ?recovered ?fused ?cv_checkpoint ?cv_resume ~notes:(notes_of r)
+        fit_cv_p ?folds ~max_lambda ?on_singular ~sweep ~shards ?shard_mode
+          ?recovered ?cv_checkpoint ?cv_resume ~notes:notes.(r)
           (Randkit.Prng.copy rng) src f m)
       fs

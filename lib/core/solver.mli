@@ -24,6 +24,10 @@ val of_name : string -> method_ option
 val needs_overdetermined : method_ -> bool
 (** True only for [Ls]. *)
 
+val path_method : method_ -> bool
+(** True for the greedy path methods ([Star], [Lar], [Lasso], [Omp]):
+    the ones with a λ path to cross-validate, checkpoint and fuse. *)
+
 val fit :
   ?lambda:int -> Linalg.Mat.t -> Linalg.Vec.t -> method_ -> Model.t
 (** [fit g f m] with a fixed sparsity budget [lambda] (ignored by [Ls]).
@@ -42,7 +46,6 @@ val fit_cv_p :
   ?folds:int -> ?max_lambda:int -> ?on_singular:[ `Stop | `Fallback ] ->
   ?sweep:Corr_sweep.sweep ->
   ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
-  ?fused:bool ->
   ?cv_checkpoint:string -> ?cv_resume:bool -> ?notes:string array ->
   Randkit.Prng.t ->
   Polybasis.Design.Provider.t -> Linalg.Vec.t -> method_ -> Model.t
@@ -58,9 +61,9 @@ val fit_cv_p :
     by the other methods.
 
     [sweep] selects the correlation engine for the path methods (default
-    {!Corr_sweep.Exact}); [fused] controls the fused lockstep CV driver
-    for OMP/STAR/LAR/LASSO — both forwarded to the {!Select} [_p] entry
-    points (see {!Select.omp_p}). Ignored by [Ls]/[Stomp]/[Cosamp].
+    {!Corr_sweep.Exact}), forwarded to the {!Select} [_p] entry points;
+    their CV fold driver follows {!Select.fused_driver}. Ignored by
+    [Ls]/[Stomp]/[Cosamp].
 
     [shards]/[shard_mode]/[recovered] route the path methods' selection
     sweeps through the column-sharded engine ({!Shard_sweep}, see
@@ -82,7 +85,6 @@ val fit_multi_p :
   ?folds:int -> ?max_lambda:int -> ?on_singular:[ `Stop | `Fallback ] ->
   ?sweep:Corr_sweep.sweep ->
   ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
-  ?fused:bool -> ?fused_outputs:bool ->
   ?cv_checkpoint:string -> ?cv_resume:bool -> ?notes:string array array ->
   Randkit.Prng.t ->
   Polybasis.Design.Provider.t -> Linalg.Vec.t array -> method_ ->
@@ -91,26 +93,25 @@ val fit_multi_p :
     the shared design — the multi-output extension of {!fit_cv_p}, one
     model per output in order.
 
-    [fused_outputs] picks the driver. The {e fused} grid (default
-    whenever the path method runs the exact sweep unsharded — see
-    {!Select.resolve_fused_multi}; an explicit [true] under
-    [shards > 1] raises {!Select.Conflict}) selects every output's λ
-    from one lockstep grid of outputs×folds fold solvers, generating
-    each streamed column once per greedy step for the whole grid. The
-    {e per-output} driver runs R independent {!fit_cv_p} calls, each
-    seeded with a {!Randkit.Prng.copy} of [rng] (the caller's generator
-    is not consumed) — and the fused driver's per-output results are
-    bitwise identical to it, at every domain count and in both provider
-    forms. Non-path methods ([Ls]/[Stomp]/[Cosamp]) always fit
-    per-output.
+    A path method runs the {e fused} grid exactly when
+    {!Select.fused_driver} holds for the provider's form, [sweep] and
+    [shards] — the same rule single-output CV follows, so a streamed
+    exact unsharded fit fuses and anything else fits per-output. The
+    fused grid selects every output's λ from one lockstep grid of
+    outputs×folds fold solvers, generating each streamed column once
+    per greedy step for the whole grid. The {e per-output} driver runs
+    R independent {!fit_cv_p} calls, each seeded with a
+    {!Randkit.Prng.copy} of [rng] (the caller's generator is not
+    consumed) — and the fused driver's per-output results are bitwise
+    identical to it, at every domain count and in both provider forms.
+    Non-path methods ([Ls]/[Stomp]/[Cosamp]) always fit per-output.
 
-    [fused] (the per-fold CV driver flag) applies to the per-output
-    driver only; the fused grid subsumes it. [cv_checkpoint = base]
-    checkpoints output [r] under
-    {!Serialize.Checkpoint.Multi.output_base}[ base r] in either mode
+    [cv_checkpoint = base] checkpoints output [r] under
+    {!Serialize.Checkpoint.Multi.output_base}[ base r] in either driver
     (the fused grid additionally writes a manifest at [base.multi]), so
-    a run interrupted in one mode resumes bitwise in the other.
+    a run interrupted in one driver — say a streamed fit — resumes
+    bitwise in the other, as a dense fit.
 
     [notes] supplies one provenance-note array per output.
     @raise Invalid_argument when [fs] is empty or [notes] disagrees in
-    length. *)
+    length, before any fitting. *)

@@ -21,7 +21,6 @@ let to_string = function
 
 let of_exn = function
   | Invalid_argument m | Failure m -> Invalid_input m
-  | Rsm.Select.Conflict m -> Config m
   | Sys_error m -> Io m
   | Linalg.Cholesky.Not_positive_definite i ->
       Numerical

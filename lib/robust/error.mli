@@ -10,9 +10,10 @@ type t =
   | Invalid_input of string  (** bad arguments, malformed files, bad flags *)
   | Config of string
       (** flags that are individually valid but mutually contradictory —
-          an explicit request the engine cannot honor (e.g. [--fused-cv]
-          with [--shards > 1]); distinct from [Invalid_input] so scripts
-          can grep the [config:] category *)
+          a request the engine cannot honor (e.g. adaptive retry on a
+          multi-output fit, or projection without the ziggurat
+          sampler); distinct from [Invalid_input] so scripts can grep
+          the [config:] category *)
   | Simulation of string  (** the sample campaign failed or fell short *)
   | Numerical of string  (** every fallback rung exhausted *)
   | Io of string  (** filesystem-level failure *)
@@ -26,8 +27,7 @@ val to_string : t -> string
 
 val of_exn : exn -> t
 (** Classify a raised exception: [Invalid_argument]/[Failure] become
-    [Invalid_input], {!Rsm.Select.Conflict} becomes [Config],
-    [Sys_error] becomes [Io],
+    [Invalid_input], [Sys_error] becomes [Io],
     {!Linalg.Cholesky.Not_positive_definite} / {!Linalg.Tri.Singular} /
     {!Linalg.Lu.Singular} become [Numerical], anything else is
     [Internal] (with [Printexc.to_string]). *)

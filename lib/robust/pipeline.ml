@@ -36,8 +36,6 @@ type config = {
   sweep : Rsm.Corr_sweep.sweep;
   shards : int;
   shard_mode : Rsm.Shard_sweep.mode;
-  fused_cv : bool option;
-  fused_outputs : bool option;
   rescreen : bool;
 }
 
@@ -51,8 +49,7 @@ let config ?(method_ = Rsm.Solver.Omp) ?(folds = 4) ?(max_lambda = 100)
     ?(min_samples = 30) ?(quorum = default_quorum)
     ?(streamed = false) ?checkpoint ?(resume = false)
     ?(sweep = Rsm.Corr_sweep.Exact) ?(shards = 1)
-    ?(shard_mode = Rsm.Shard_sweep.Domains) ?fused_cv ?fused_outputs
-    ?(rescreen = false) () =
+    ?(shard_mode = Rsm.Shard_sweep.Domains) ?(rescreen = false) () =
   let fail fmt = Printf.ksprintf (fun m -> Error (Error.Invalid_input m)) fmt in
   if folds < 2 then fail "folds must be at least 2, got %d" folds
   else if
@@ -61,26 +58,6 @@ let config ?(method_ = Rsm.Solver.Omp) ?(folds = 4) ?(max_lambda = 100)
     | Rsm.Corr_sweep.Exact -> false
   then fail "incremental sweep refresh cadence must be non-negative"
   else if shards < 1 then fail "shards must be positive, got %d" shards
-  else if fused_cv = Some true && shards > 1 then
-    (* Caught here, before any simulation spend; the same contradiction
-       reaching the solver raises [Rsm.Select.Conflict] with the same
-       category. *)
-    Error
-      (Error.Config
-         (Printf.sprintf
-            "--fused-cv conflicts with --shards %d: the sharded engine owns \
-             each solver run's selection sweep, while fused CV shares one \
-             sweep across all folds; drop --fused-cv or run with --shards 1"
-            shards))
-  else if fused_outputs = Some true && shards > 1 then
-    Error
-      (Error.Config
-         (Printf.sprintf
-            "--fused-outputs conflicts with --shards %d: the sharded engine \
-             owns each solver run's selection sweep, while fused multi-output \
-             fitting shares one sweep across all outputs and folds; drop \
-             --fused-outputs or run with --shards 1"
-            shards))
   else if max_lambda < 1 then fail "max_lambda must be positive, got %d" max_lambda
   else if samples < 1 then fail "samples must be positive, got %d" samples
   else if screen_threshold <= 0. then
@@ -96,15 +73,7 @@ let config ?(method_ = Rsm.Solver.Omp) ?(folds = 4) ?(max_lambda = 100)
     fail "quorum must lie in (0, 1], got %g" quorum
   else if resume && checkpoint = None then
     fail "resume requires a checkpoint path"
-  else if
-    checkpoint <> None
-    && not
-         (match method_ with
-         | Rsm.Solver.Star | Rsm.Solver.Lar | Rsm.Solver.Lasso | Rsm.Solver.Omp
-           ->
-             true
-         | _ -> false)
-  then
+  else if checkpoint <> None && not (Rsm.Solver.path_method method_) then
     fail "checkpointing supports the star, lar, lasso and omp methods only"
   else
     Ok
@@ -128,8 +97,6 @@ let config ?(method_ = Rsm.Solver.Omp) ?(folds = 4) ?(max_lambda = 100)
         sweep;
         shards;
         shard_mode;
-        fused_cv;
-        fused_outputs;
         rescreen;
       }
 
@@ -433,8 +400,7 @@ let fit ?pool ?recovered cfg sim basis rng =
     Error.guard (fun () ->
         Rsm.Solver.fit_cv_p ~folds:cfg.folds ~max_lambda:cfg.max_lambda
           ~on_singular:`Fallback ~sweep:cfg.sweep ~shards:cfg.shards
-          ~shard_mode:cfg.shard_mode ?recovered ?fused:cfg.fused_cv
-          ?cv_checkpoint:cfg.checkpoint ~cv_resume:cfg.resume rng d.src
+          ~shard_mode:cfg.shard_mode ?recovered ?cv_checkpoint:cfg.checkpoint ~cv_resume:cfg.resume rng d.src
           d.rows.(0).Circuit.Simulator.values cfg.method_)
   in
   let* models = post_fit cfg d [| model |] in
@@ -462,8 +428,7 @@ let fit_multi ?pool ?recovered cfg sims basis rng =
     Error.guard (fun () ->
         Rsm.Solver.fit_multi_p ~folds:cfg.folds ~max_lambda:cfg.max_lambda
           ~on_singular:`Fallback ~sweep:cfg.sweep ~shards:cfg.shards
-          ~shard_mode:cfg.shard_mode ?recovered ?fused:cfg.fused_cv
-          ?fused_outputs:cfg.fused_outputs ?cv_checkpoint:cfg.checkpoint
+          ~shard_mode:cfg.shard_mode ?recovered ?cv_checkpoint:cfg.checkpoint
           ~cv_resume:cfg.resume rng d.src
           (Array.map (fun r -> r.Circuit.Simulator.values) d.rows)
           cfg.method_)

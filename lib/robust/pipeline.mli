@@ -63,18 +63,6 @@ type config = {
   shard_mode : Rsm.Shard_sweep.mode;
       (** [Domains] in-image slabs, [Procs] re-exec'd worker processes
           with crash recovery *)
-  fused_cv : bool option;
-      (** fused lockstep CV fold driver; [None] = automatic
-          (on for streamed providers with the exact sweep).
-          [Some true] with [shards > 1] is rejected by {!config} as
-          [Error (Config _)] — the two drivers are mutually
-          exclusive *)
-  fused_outputs : bool option;
-      (** fused multi-output grid driver ({!fit_multi}); [None] =
-          automatic (on whenever the path method runs the exact sweep
-          unsharded — see {!Rsm.Select.resolve_fused_multi}).
-          [Some true] with [shards > 1] is rejected by {!config} as
-          [Error (Config _)]. Ignored by single-output {!fit}. *)
   rescreen : bool;  (** residual rescreen + down-date refit after the fit *)
 }
 
@@ -98,8 +86,6 @@ val config :
   ?sweep:Rsm.Corr_sweep.sweep ->
   ?shards:int ->
   ?shard_mode:Rsm.Shard_sweep.mode ->
-  ?fused_cv:bool ->
-  ?fused_outputs:bool ->
   ?rescreen:bool ->
   unit ->
   (config, Error.t) result
@@ -109,13 +95,16 @@ val config :
     faults, the default fixed retry policy
     ({!Circuit.Simulator.retry_policy}) and no adaptive policy,
     [min_samples = 30], [quorum = 0.9], dense design, no checkpointing,
-    exact sweep, automatic fused-CV choice, no rescreen. Returns
+    exact sweep, no rescreen. Returns
     [Error (Invalid_input _)] on non-positive counts or thresholds, a
     confidence or quorum outside its range, a negative incremental
     refresh cadence, [min_samples > samples], [resume] without
     [checkpoint], or [checkpoint] with a method that has no λ sweep
-    (LS/StOMP/CoSaMP); [Error (Config _)] on an explicit [fused_cv]
-    or [fused_outputs] together with [shards > 1]. *)
+    (LS/StOMP/CoSaMP).
+
+    No field picks the CV driver: {!Rsm.Select.fused_driver} derives it
+    from [streamed], [sweep] and [shards], and both drivers give the
+    same bits. *)
 
 type outcome = {
   model : Rsm.Model.t;
@@ -267,8 +256,8 @@ val outcome_summary : outcome -> string
     for all of them: one {!deliver} (every sample evaluated by every
     simulator, delivered only when all outputs are finite, one shared
     kept-row set, one design provider) and one {!Rsm.Solver.fit_multi_p}
-    call whose fused grid generates each streamed column once per greedy
-    step for every output and fold. *)
+    call — on a streamed design, one fused grid that generates each
+    column once per greedy step for every output and fold. *)
 
 type multi_outcome = {
   models : Rsm.Model.t array;  (** one fitted model per simulator, in order *)
@@ -303,9 +292,10 @@ val fit_multi :
 
     Quorum/degradation semantics are {!deliver}'s, applied to the shared
     surviving row count; a degraded delivery stamps the same
-    ["degraded: ..."] note on {e every} model. [config.fused_outputs]
-    picks the fused-vs-per-output driver (see {!Rsm.Solver.fit_multi_p});
-    either way output [r] checkpoints under
+    ["degraded: ..."] note on {e every} model. The fused grid runs
+    exactly when {!Rsm.Select.fused_driver} holds ([config.streamed],
+    exact sweep, one shard), per-output fits otherwise (see
+    {!Rsm.Solver.fit_multi_p}); either way output [r] checkpoints under
     [Serialize.Checkpoint.Multi.output_base config.checkpoint r], and
     the fitted models are bitwise identical across the two drivers, at
     every domain count, dense or streamed. *)

@@ -12,16 +12,17 @@
      equal to R independent single-output selections, dense and
      streamed, at 1/2/4 domains, for every path solver — including the
      Lars.Engine walk against Lars.path_p.
-   - Solver.fit_multi_p's fused and per-output drivers agree bitwise,
-     and both agree with R independent fit_cv_p calls.
+   - Solver.fit_multi_p's fused (streamed design) and per-output (dense
+     design) drivers agree bitwise, and both agree with R independent
+     fit_cv_p calls.
    - the Multi checkpoint manifest + per-output Cv fold files resume
      bitwise after deleting arbitrary cells, resume across drivers
      (fused grid <-> per-output), and reject mismatched shapes.
-   - resolve_fused_multi: explicit fused + shards raises Conflict;
-     Pipeline.config rejects the same combination as Error (Config _);
+   - Select.fused_driver is the one rule: fused exactly when the design
+     is streamed, the sweep exact and the fit unsharded;
      Pipeline.fit_multi rejects adaptive retry as Error (Config _).
    - Pipeline.fit_multi shares rows across outputs and its two drivers
-     produce bitwise-identical models. *)
+     (streamed and dense designs) produce bitwise-identical models. *)
 open Test_util
 module P = Polybasis.Design.Provider
 module Sim = Circuit.Simulator
@@ -210,18 +211,15 @@ let prop_fused_multi_bitwise solver seed =
   in
   let single pool src f =
     (* An independent single-output selection from the same generator
-       state, on the fold-at-a-time driver (fused:false), so the grid
-       is checked against the plain path_p walks. *)
+       state. On the dense design it runs the fold-at-a-time driver, so
+       the grid is checked against the plain path_p walks. *)
     let r0 = Randkit.Prng.create (seed + 11) in
     match solver with
-    | `Omp -> Rsm.Select.omp_p ~pool ~fused:false r0 ~max_lambda:5 src f
-    | `Star -> Rsm.Select.star_p ~pool ~fused:false r0 ~max_lambda:5 src f
-    | `Lar ->
-        Rsm.Select.lars_p ~pool ~mode:Rsm.Lars.Lar ~fused:false r0
-          ~max_lambda:5 src f
+    | `Omp -> Rsm.Select.omp_p ~pool r0 ~max_lambda:5 src f
+    | `Star -> Rsm.Select.star_p ~pool r0 ~max_lambda:5 src f
+    | `Lar -> Rsm.Select.lars_p ~pool ~mode:Rsm.Lars.Lar r0 ~max_lambda:5 src f
     | `Lasso ->
-        Rsm.Select.lars_p ~pool ~mode:Rsm.Lars.Lasso ~fused:false r0
-          ~max_lambda:5 src f
+        Rsm.Select.lars_p ~pool ~mode:Rsm.Lars.Lasso r0 ~max_lambda:5 src f
   in
   List.iter
     (fun src ->
@@ -232,7 +230,7 @@ let prop_fused_multi_bitwise solver seed =
             Parallel.Pool.with_pool ~domains:d (fun pool ->
                 let grid = Array.map result_bits (fused_multi pool src) in
                 let indep =
-                  Array.map (fun f -> result_bits (single pool src f)) fs
+                  Array.map (fun f -> result_bits (single pool src_d f)) fs
                 in
                 check_bool
                   (Printf.sprintf
@@ -246,8 +244,10 @@ let prop_fused_multi_bitwise solver seed =
     [ src_d; src_s ];
   (* Scaled duplicates of every column: once a column is active, its
      duplicate ties it and is banned under `Fallback, so the lockstep
-     driver runs zero-length ban steps. The grid, fused CV and
-     fold-at-a-time CV must still agree bitwise. *)
+     driver runs zero-length ban steps. The grid and fold-at-a-time CV
+     must still agree bitwise; so must single-output fused CV, which
+     runs on a streamed design — there the duplicates are repeated
+     basis terms, since a streamed column cannot be scaled. *)
   (match solver with
   | `Omp | `Star -> ()
   | (`Lar | `Lasso) as s ->
@@ -260,6 +260,13 @@ let prop_fused_multi_bitwise solver seed =
                if j < m then Linalg.Mat.get g i j
                else scale *. Linalg.Mat.get g i (j - m)))
       in
+      let terms = basis.Polybasis.Basis.terms in
+      let src_rep =
+        P.streamed
+          (Polybasis.Basis.create basis.Polybasis.Basis.dim
+             (Array.append terms terms))
+          pts
+      in
       let results =
         List.map
           (fun d ->
@@ -270,19 +277,18 @@ let prop_fused_multi_bitwise solver seed =
                     (Rsm.Select.lars_multi_p ~pool ~mode ~on_singular:`Fallback
                        (r0 ()) ~max_lambda:5 src_dup fs)
                 in
-                let cv fused =
+                let cv src =
                   Array.map
                     (fun f ->
                       result_bits
                         (Rsm.Select.lars_p ~pool ~mode ~on_singular:`Fallback
-                           ~fused (r0 ()) ~max_lambda:5 src_dup f))
+                           (r0 ()) ~max_lambda:5 src f))
                     fs
                 in
-                let per_fold = cv false in
                 check_bool "duplicated columns: fused grid == per-fold CV" true
-                  (grid = per_fold);
+                  (grid = cv src_dup);
                 check_bool "duplicated columns: fused CV == per-fold CV" true
-                  (cv true = per_fold);
+                  (cv src_rep = cv (P.dense (P.to_dense src_rep)));
                 grid))
           pool_counts
       in
@@ -294,35 +300,36 @@ let test_solver_fit_multi_parity () =
   let src_s = P.streamed basis pts in
   let src_d = P.dense g in
   let fs = Array.init 3 (fun _ -> sparse_response rng src_d) in
+  (* The streamed design runs the fused grid, the dense one the
+     per-output driver; each equals independent fit_cv_p calls on its
+     own design. *)
   List.iter
-    (fun src ->
-      let name = if P.is_streamed src then "streamed" else "dense" in
-      List.iter
-        (fun meth ->
-          let fit fused_outputs =
-            Array.map model_bits
-              (Rsm.Solver.fit_multi_p ~max_lambda:5 ~fused_outputs
-                 (Randkit.Prng.create 99) src fs meth)
-          in
-          let fused = fit true and per = fit false in
-          let singles =
-            Array.map
-              (fun f ->
-                model_bits
-                  (Rsm.Solver.fit_cv_p ~max_lambda:5
-                     (Randkit.Prng.create 99) src f meth))
-              fs
-          in
-          let mname = Rsm.Solver.name meth in
-          check_bool
-            (Printf.sprintf "%s %s fused == per-output" name mname)
-            true (fused = per);
-          check_bool
-            (Printf.sprintf "%s %s per-output == independent fit_cv_p" name
-               mname)
-            true (per = singles))
-        [ Rsm.Solver.Lar; Rsm.Solver.Lasso; Rsm.Solver.Omp; Rsm.Solver.Star ])
-    [ src_d; src_s ];
+    (fun meth ->
+      let mname = Rsm.Solver.name meth in
+      let fit src =
+        Array.map model_bits
+          (Rsm.Solver.fit_multi_p ~max_lambda:5 (Randkit.Prng.create 99) src
+             fs meth)
+      in
+      let singles src =
+        Array.map
+          (fun f ->
+            model_bits
+              (Rsm.Solver.fit_cv_p ~max_lambda:5 (Randkit.Prng.create 99) src
+                 f meth))
+          fs
+      in
+      let fused = fit src_s and per = fit src_d in
+      check_bool
+        (Printf.sprintf "%s fused (streamed) == per-output (dense)" mname)
+        true (fused = per);
+      check_bool
+        (Printf.sprintf "streamed %s fused == independent fit_cv_p" mname)
+        true (fused = singles src_s);
+      check_bool
+        (Printf.sprintf "dense %s per-output == independent fit_cv_p" mname)
+        true (per = singles src_d))
+    [ Rsm.Solver.Lar; Rsm.Solver.Lasso; Rsm.Solver.Omp; Rsm.Solver.Star ];
   (* A non-path method has no fused grid; fit_multi_p still fits every
      output, identically to independent calls. *)
   let stomp =
@@ -348,7 +355,15 @@ let test_fit_multi_validation () =
   let fs = Array.init 2 (fun _ -> Array.make (P.rows src) 1.) in
   check_raises_invalid "notes count mismatch" (fun () ->
       Rsm.Solver.fit_multi_p ~notes:[| [||] |] (Randkit.Prng.create 1) src fs
-        Rsm.Solver.Omp)
+        Rsm.Solver.Omp);
+  (* The notes are checked before any fitting: with an invalid fold
+     count too, the notes message comes first. *)
+  Alcotest.check_raises "notes checked before the fused grid"
+    (Invalid_argument "Solver.fit_multi_p: notes count disagrees with outputs")
+    (fun () ->
+      ignore
+        (Rsm.Solver.fit_multi_p ~folds:1 ~notes:[| [||] |]
+           (Randkit.Prng.create 1) src fs Rsm.Solver.Omp))
 
 (* --- multi checkpoint: delete cells, resume, cross-driver ----------- *)
 
@@ -398,8 +413,7 @@ let test_multi_checkpoint_resume () =
       Sys.remove (Rsm.Serialize.Checkpoint.Cv.fold_file (out_base 0) 2);
       let per_output =
         Array.map model_bits
-          (Rsm.Solver.fit_multi_p ~max_lambda:5 ~fused_outputs:false
-             ~cv_checkpoint:base ~cv_resume:true (Randkit.Prng.create 21) src
+          (Rsm.Solver.fit_multi_p ~max_lambda:5 ~cv_checkpoint:base ~cv_resume:true (Randkit.Prng.create 21) src
              fs Rsm.Solver.Lar)
       in
       let ref_models = Array.map (fun (_, _, m) -> m) reference in
@@ -411,39 +425,30 @@ let test_multi_checkpoint_resume () =
           Rsm.Select.lars_multi_p ~checkpoint:base ~resume:true
             (Randkit.Prng.create 21) ~max_lambda:6 src fs))
 
-(* --- driver resolution and config conflicts ------------------------- *)
+(* --- the one driver rule ---------------------------------------------- *)
 
-let test_resolve_fused_multi () =
-  let resolve = Rsm.Select.resolve_fused_multi in
-  check_bool "auto: exact unsharded is fused" true
-    (resolve ~sweep:None ~fused:None ~shards:None);
-  check_bool "auto: dense default fused too" true
-    (resolve ~sweep:(Some Rsm.Corr_sweep.Exact) ~fused:None ~shards:(Some 1));
-  check_bool "auto: sharded forces per-output" false
-    (resolve ~sweep:None ~fused:None ~shards:(Some 2));
-  check_bool "auto: incremental sweep forces per-output" false
-    (resolve
-       ~sweep:(Some (Rsm.Corr_sweep.incremental ()))
-       ~fused:None ~shards:None);
-  check_bool "explicit off" false
-    (resolve ~sweep:None ~fused:(Some false) ~shards:None);
-  check_bool "explicit on, legal" true
-    (resolve ~sweep:None ~fused:(Some true) ~shards:(Some 1));
-  match resolve ~sweep:None ~fused:(Some true) ~shards:(Some 2) with
-  | _ -> Alcotest.fail "explicit fused + shards should raise Conflict"
-  | exception Rsm.Select.Conflict _ -> ()
-
-let test_config_conflicts () =
-  (match Robust.Pipeline.config ~fused_outputs:true ~shards:2 () with
-  | Error (Robust.Error.Config _) -> ()
-  | Ok _ -> Alcotest.fail "fused_outputs + shards accepted"
-  | Error e ->
-      Alcotest.failf "wrong error category: %s" (Robust.Error.to_string e));
-  match Robust.Pipeline.config ~fused_outputs:true ~shards:1 () with
-  | Ok cfg ->
-      check_bool "legal fused_outputs kept" true
-        (cfg.Robust.Pipeline.fused_outputs = Some true)
-  | Error e -> Alcotest.failf "legal config rejected: %s" (Robust.Error.to_string e)
+let test_fused_driver_rule () =
+  let exact = Rsm.Corr_sweep.Exact
+  and incremental = Rsm.Corr_sweep.incremental () in
+  List.iter
+    (fun (streamed, sweep, shards, expected) ->
+      check_bool
+        (Printf.sprintf "streamed=%b sweep=%s shards=%d" streamed
+           (Rsm.Corr_sweep.sweep_to_string sweep)
+           shards)
+        expected
+        (Rsm.Select.fused_driver ~streamed ~sweep ~shards))
+    [
+      (true, exact, 1, true);
+      (true, exact, 0, true);
+      (true, exact, 2, false);
+      (true, incremental, 1, false);
+      (true, incremental, 2, false);
+      (false, exact, 1, false);
+      (false, exact, 2, false);
+      (false, incremental, 1, false);
+      (false, incremental, 2, false);
+    ]
 
 (* --- Pipeline.fit_multi --------------------------------------------- *)
 
@@ -459,18 +464,20 @@ let opamp_setting () =
 
 let test_pipeline_fit_multi () =
   let sims, basis = opamp_setting () in
-  let cfg fused_outputs =
+  let cfg streamed =
     match
       Robust.Pipeline.config ~method_:Rsm.Solver.Lar ~samples:60 ~max_lambda:6
         ~faults:(Sim.fault_plan ~rate:0.1 ())
-        ~min_samples:20 ~quorum:0.5 ~fused_outputs ()
+        ~min_samples:20 ~quorum:0.5 ~streamed ()
     with
     | Ok cfg -> cfg
     | Error e -> Alcotest.failf "config: %s" (Robust.Error.to_string e)
   in
-  let fit fused_outputs =
+  (* The streamed design runs the fused grid, the dense one the
+     per-output driver. *)
+  let fit streamed =
     match
-      Robust.Pipeline.fit_multi (cfg fused_outputs) sims basis
+      Robust.Pipeline.fit_multi (cfg streamed) sims basis
         (Randkit.Prng.create 12)
     with
     | Ok o -> o
@@ -548,8 +555,8 @@ let suite =
       case "solver: fit_multi_p validation" test_fit_multi_validation;
       case "checkpoint: delete cells, resume, cross-driver"
         test_multi_checkpoint_resume;
-      case "resolve_fused_multi: auto and conflicts" test_resolve_fused_multi;
-      case "pipeline config: fused_outputs conflicts" test_config_conflicts;
+      case "fused_driver: one rule over streamed, sweep, shards"
+        test_fused_driver_rule;
       case "pipeline: fit_multi shares rows, drivers agree"
         test_pipeline_fit_multi;
       case "pipeline: fit_multi rejects adaptive retry"

@@ -88,28 +88,47 @@ let test_folds_parameter () =
      (Q = 0 once divided by zero in the λ clamp, Q = 1 blamed
      max_lambda). *)
   let src = Polybasis.Design.Provider.dense g in
+  let selectors =
+    [
+      ("omp_p", fun folds f -> Rsm.Select.omp_p ~folds (rng ()) ~max_lambda:6 src f);
+      ("star_p", fun folds f -> Rsm.Select.star_p ~folds (rng ()) ~max_lambda:6 src f);
+      ("lars_p", fun folds f -> Rsm.Select.lars_p ~folds (rng ()) ~max_lambda:6 src f);
+      ( "omp_multi_p",
+        fun folds f ->
+          (Rsm.Select.omp_multi_p ~folds (rng ()) ~max_lambda:6 src [| f |]).(0) );
+      ( "star_multi_p",
+        fun folds f ->
+          (Rsm.Select.star_multi_p ~folds (rng ()) ~max_lambda:6 src [| f |]).(0) );
+      ( "lars_multi_p",
+        fun folds f ->
+          (Rsm.Select.lars_multi_p ~folds (rng ()) ~max_lambda:6 src [| f |]).(0) );
+    ]
+  in
   List.iter
     (fun folds ->
       List.iter
         (fun (name, run) ->
           check_raises_invalid
             (Printf.sprintf "%s ~folds:%d" name folds)
-            (fun () -> run folds))
-        [
-          ("omp_p", fun folds -> Rsm.Select.omp_p ~folds (rng ()) ~max_lambda:6 src f);
-          ("star_p", fun folds -> Rsm.Select.star_p ~folds (rng ()) ~max_lambda:6 src f);
-          ("lars_p", fun folds -> Rsm.Select.lars_p ~folds (rng ()) ~max_lambda:6 src f);
-          ( "omp_multi_p",
-            fun folds ->
-              (Rsm.Select.omp_multi_p ~folds (rng ()) ~max_lambda:6 src [| f |]).(0) );
-          ( "star_multi_p",
-            fun folds ->
-              (Rsm.Select.star_multi_p ~folds (rng ()) ~max_lambda:6 src [| f |]).(0) );
-          ( "lars_multi_p",
-            fun folds ->
-              (Rsm.Select.lars_multi_p ~folds (rng ()) ~max_lambda:6 src [| f |]).(0) );
-        ])
-    [ 0; 1; -1 ]
+            (fun () -> run folds f))
+        selectors)
+    [ 0; 1; -1 ];
+  (* A response one entry short or long is rejected before the fold
+     plan is drawn, with the same message from every selector (the
+     single-output ones once ran the whole CV first, or failed with a
+     bare index error). *)
+  let k = Array.length f in
+  List.iter
+    (fun len ->
+      let f' = Array.init len (fun i -> f.(i mod k)) in
+      List.iter
+        (fun (name, run) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s with %d responses for %d rows" name len k)
+            (Invalid_argument "Select: response length mismatch")
+            (fun () -> ignore (run 4 f')))
+        selectors)
+    [ k - 1; k + 1 ]
 
 (* --- Solver front-end --- *)
 

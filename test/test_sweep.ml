@@ -18,7 +18,8 @@
      and sharded.
    - a dictionary whose every column gets banned terminates with an
      annotated model instead of raising.
-   - fused CV selection is bitwise equal to the per-fold driver.
+   - fused CV selection (streamed design) is bitwise equal to the
+     per-fold driver (dense design).
    - Pipeline.screen_refit (gram down-date) matches a cold refit on the
      kept rows. *)
 open Test_util
@@ -567,44 +568,46 @@ let test_greedy_resume_bitwise () =
 
 (* --- fused CV vs per-fold CV --------------------------------------- *)
 
+(* The design's form picks the fold driver (Select.fused_driver): the
+   streamed provider runs the fused lockstep driver, the dense one the
+   fold-at-a-time driver, and the two providers give the same bits. *)
 let prop_fused_cv_bitwise solver seed =
   let rng, basis, pts, g = random_setting seed in
   let src_s = P.streamed basis pts in
   let src_d = P.dense g in
   let f = sparse_response rng src_s in
-  let select ~fused pool src =
+  let fused src =
+    Rsm.Select.fused_driver ~streamed:(P.is_streamed src) ~sweep:CS.Exact
+      ~shards:1
+  in
+  check_bool "streamed design runs the fused driver" true (fused src_s);
+  check_bool "dense design runs the per-fold driver" false (fused src_d);
+  let select pool src =
     let r =
       match solver with
       | `Omp ->
-          Rsm.Select.omp_p ~pool ~fused
-            (Randkit.Prng.create (seed + 1))
+          Rsm.Select.omp_p ~pool (Randkit.Prng.create (seed + 1))
             ~max_lambda:5 src f
       | `Star ->
-          Rsm.Select.star_p ~pool ~fused
-            (Randkit.Prng.create (seed + 1))
+          Rsm.Select.star_p ~pool (Randkit.Prng.create (seed + 1))
             ~max_lambda:5 src f
     in
     (r.Rsm.Select.lambda, Array.copy r.Rsm.Select.curve,
      model_bits r.Rsm.Select.model)
   in
+  let results =
+    List.map
+      (fun d ->
+        Parallel.Pool.with_pool ~domains:d (fun pool ->
+            (select pool src_s, select pool src_d)))
+      [ 1; 2 ]
+  in
   List.iter
-    (fun src ->
-      let name = if P.is_streamed src then "streamed" else "dense" in
-      let results =
-        List.map
-          (fun d ->
-            Parallel.Pool.with_pool ~domains:d (fun pool ->
-                (select ~fused:true pool src, select ~fused:false pool src)))
-          [ 1; 2 ]
-      in
-      List.iter
-        (fun (fused, perfold) ->
-          check_bool
-            (Printf.sprintf "%s fused CV == per-fold CV" name)
-            true (fused = perfold))
-        results;
-      all_equal (Printf.sprintf "%s fused CV across domains" name) results)
-    [ src_d; src_s ];
+    (fun (fused, perfold) ->
+      check_bool "fused CV (streamed) == per-fold CV (dense)" true
+        (fused = perfold))
+    results;
+  all_equal "fused CV across domains" results;
   true
 
 let test_batch_fold_curves () =
