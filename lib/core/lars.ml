@@ -190,6 +190,12 @@ let fix_norms norms =
   Array.iteri (fun j n -> if n <= 0. then norms.(j) <- 1.) norms;
   norms
 
+(* Step budget of a λ-driven walk: lasso drops and bans make the path
+   longer than its support size. *)
+let step_budget max_lambda =
+  if max_lambda <= 0 then invalid_arg "Lars: max_lambda must be positive";
+  min ((2 * max_lambda) + 8) (4 * max_lambda)
+
 (* The LAR walk. Each step suspends twice for an O(K·M) answer — the
    correlation pick (C, the entrant, its value, the active columns'
    correlations) and the minimum step-length candidate — and whoever
@@ -206,6 +212,7 @@ module Engine = struct
     tol : float;
     on_singular : [ `Stop | `Fallback ];
     max_steps : int;
+    max_lambda : int option;  (* λ budget of a λ-driven walk *)
     max_active : int;
     f : Vec.t;
     mutable c : Vec.t;  (* normalized correlations of the last [scan_corr] *)
@@ -220,7 +227,7 @@ module Engine = struct
 
   type entry = No_entry | Entered of int | Banned of int
 
-  let make ~mode ~tol ~on_singular ~norms src f ~max_steps =
+  let make ~mode ~tol ~on_singular ~norms src f ~max_lambda ~max_steps =
     let k = Provider.rows src and m = Provider.cols src in
     {
       st =
@@ -241,6 +248,7 @@ module Engine = struct
       tol;
       on_singular;
       max_steps;
+      max_lambda;
       max_active = min k m;
       f;
       c = [||];
@@ -254,11 +262,12 @@ module Engine = struct
     }
 
   let create ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) src f
-      ~max_steps =
+      ~max_lambda =
+    let max_steps = step_budget max_lambda in
     validate src f ~max_steps;
     make ~mode ~tol ~on_singular
       ~norms:(fix_norms (Provider.column_norms ?pool src))
-      src f ~max_steps
+      src f ~max_lambda:(Some max_lambda) ~max_steps
 
   let finished t = match t.phase with Done -> true | Corr | Dir _ -> false
 
@@ -268,9 +277,20 @@ module Engine = struct
     | Dir { dir; _ } -> dir.u
     | Done -> invalid_arg "Lars.Engine.request: engine is finished"
 
-  (* The walk continues only while not stopped and under the step budget. *)
+  (* The one stop rule. The walk continues only while not stopped, under
+     the step budget and — LAR mode — while the last recorded step's
+     model fits the λ budget: a LAR step never removes a basis, so once
+     a model has more than λ of them no later step can give a model the
+     λ grid reads. Lasso drops can bring the support back under λ, so a
+     lasso walk keeps the full step budget. *)
   let settle t =
-    t.phase <- (if t.stop || t.nsteps >= t.max_steps then Done else Corr)
+    let past_lambda =
+      match (t.mode, t.max_lambda, t.steps_rev) with
+      | Lar, Some l, s :: _ -> Model.nnz s.model > l
+      | _ -> false
+    in
+    t.phase <-
+      (if t.stop || t.nsteps >= t.max_steps || past_lambda then Done else Corr)
 
   let push t (e : Ckpt.event) ~cc =
     let opt j = if j >= 0 then Some j else None in
@@ -522,11 +542,14 @@ let replay (t : Engine.t) (ck : Ckpt.t) =
 (* The engine driven by this solver's own answerers: exact or
    incremental sweeps over the whole dictionary, or the column-sharded
    engine — plus each step's side effects on them (Gram-cache builds,
-   shard masks, incremental retreat/refresh) and checkpoint emission. *)
-let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
+   shard masks, incremental retreat/refresh) and checkpoint emission.
+   [max_lambda] is the walk's λ budget ([None]: walk the whole step
+   budget). *)
+let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
     ?(checkpoint_every = 0) ?on_checkpoint ?resume
     ?(sweep = Corr_sweep.Exact) ?(shards = 1)
-    ?(shard_mode = Shard_sweep.Domains) ?recovered src f ~max_steps =
+    ?(shard_mode = Shard_sweep.Domains) ?recovered src f ~max_lambda
+    ~max_steps =
   validate src f ~max_steps;
   if checkpoint_every < 0 then
     invalid_arg "Lars.path: negative checkpoint interval";
@@ -546,7 +569,7 @@ let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
   in
   let t =
     Engine.make ~mode ~tol ~on_singular ~norms:(fix_norms norms) src f
-      ~max_steps
+      ~max_lambda ~max_steps
   in
   let st = t.Engine.st in
   (match resume with None -> () | Some ck -> replay t ck);
@@ -679,6 +702,38 @@ let path_p ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
   if t.Engine.nevents > !last_ckpt then emit_checkpoint ();
   Engine.steps t
 
+let path_p ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint
+    ?resume ?sweep ?shards ?shard_mode ?recovered src f ~max_steps =
+  walk ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint ?resume
+    ?sweep ?shards ?shard_mode ?recovered src f ~max_lambda:None ~max_steps
+
+let lambda_path_p ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
+    ?recovered src f ~max_lambda =
+  walk ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered src f
+    ~max_lambda:(Some max_lambda) ~max_steps:(step_budget max_lambda)
+
+(* λ-indexed models from a step sequence: entry λ−1 holds the last path
+   model with at most λ active coefficients, so curves are indexed by
+   support size exactly as for OMP/STAR (lasso drops make steps ≠
+   support size). *)
+let lambda_models src ~max_lambda steps =
+  if Array.length steps = 0 then [||]
+  else begin
+    let empty =
+      Model.make ~basis_size:(Provider.cols src) ~support:[||] ~coeffs:[||]
+    in
+    let models = Array.make max_lambda empty in
+    Array.iter
+      (fun s ->
+        let n = Model.nnz s.model in
+        if n >= 1 && n <= max_lambda then
+          for l = n - 1 to max_lambda - 1 do
+            models.(l) <- s.model
+          done)
+      steps;
+    models
+  end
+
 let fit_p ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint
     ?resume ?sweep ?shards ?shard_mode ?recovered src f ~lambda =
   if lambda <= 0 then invalid_arg "Lars.fit: lambda must be positive";
@@ -686,8 +741,9 @@ let fit_p ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint
   let base_steps = (2 * lambda) + 8 in
   let rec run max_steps =
     let steps =
-      path_p ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint
-        ?resume ?sweep ?shards ?shard_mode ?recovered src f ~max_steps
+      walk ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint
+        ?resume ?sweep ?shards ?shard_mode ?recovered src f
+        ~max_lambda:(Some lambda) ~max_steps
     in
     let best = ref None in
     Array.iter

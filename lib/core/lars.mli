@@ -67,7 +67,11 @@ val path_p :
     checkpoint emission. Stops early when the maximal correlation falls
     below [tol] relative to its initial value (default [1e-10]), when
     the active set saturates at [min(K, M)], or at the final
-    unrestricted LS point of the active set.
+    unrestricted LS point of the active set. [path_p] has no λ budget:
+    it walks all [max_steps] steps in either mode. The λ-driven entry
+    points — {!lambda_path_p}, {!fit_p} and {!Engine.create} — also stop
+    a [Lar] walk one step past its λ budget; their steps are a prefix of
+    this walk's.
 
     [on_singular] governs degenerate Gram factors. With [`Stop] (the
     default, the historical behavior) a linearly dependent entering
@@ -135,6 +139,43 @@ val path_p :
     drivers can report survived crashes without touching model
     notes. *)
 
+val step_budget : int -> int
+(** [step_budget max_lambda] = [min (2·max_lambda + 8) (4·max_lambda)]
+    is the step budget of a λ-driven walk: lasso drops and bans make a
+    path longer than its support size.
+    @raise Invalid_argument if [max_lambda <= 0]. *)
+
+val lambda_path_p :
+  ?mode:mode ->
+  ?pool:Parallel.Pool.t ->
+  ?on_singular:[ `Stop | `Fallback ] ->
+  ?sweep:Corr_sweep.sweep ->
+  ?shards:int ->
+  ?shard_mode:Shard_sweep.mode ->
+  ?recovered:int ref ->
+  Polybasis.Design.Provider.t ->
+  Linalg.Vec.t ->
+  max_lambda:int ->
+  step array
+(** [lambda_path_p src f ~max_lambda] is the walk a λ grid of
+    [1 … max_lambda] reads: {!path_p} with [~max_steps:(step_budget
+    max_lambda)], except that a [Lar] walk is done as soon as its last
+    recorded step's model has more than [max_lambda] non-zeros. A LAR
+    step adds at most one basis and never removes one, so no later step
+    could give a model the grid reads, and the steps returned are a
+    prefix of {!path_p}'s whose {!lambda_models} are bitwise the same.
+    A [Lasso] walk keeps the whole step budget: a drop can bring the
+    support back to at most [max_lambda]. Options as in {!path_p}.
+    @raise Invalid_argument if [max_lambda <= 0]. *)
+
+val lambda_models :
+  Polybasis.Design.Provider.t -> max_lambda:int -> step array ->
+  Model.t array
+(** [lambda_models src ~max_lambda steps] indexes a walk's models by
+    support size, as cross-validation reads them: entry [λ−1] is the
+    last step model with at most λ non-zeros (the empty model before
+    the first such step); [[||]] for an empty walk. *)
+
 val fit_p :
   ?mode:mode ->
   ?tol:float ->
@@ -157,7 +198,16 @@ val fit_p :
     (up to 8×) while the budget truncates the path before any model fits
     the sparsity bound; if even then no step qualifies, the returned
     empty model carries a [Model.notes] entry saying so rather than
-    being silently zero. Checkpoint arguments behave as in {!path_p}. *)
+    being silently zero. As in {!lambda_path_p}, a [Lar] walk stops one
+    step past [lambda] bases and a [Lasso] walk keeps its step budget;
+    the result is bitwise the uncapped walk's.
+
+    Checkpoint arguments behave as in {!path_p}, so a [Lar] fit's
+    terminal checkpoint ends one step past [lambda] bases; its event
+    log is a prefix of the uncapped walk's. [resume] accepts any
+    checkpoint of the same problem, including one written by an
+    uncapped walk that ran past the budget: the replay restores it
+    whole and the walk is already done. *)
 
 (** The LAR walk — the only implementation of the step, which
     {!path_p}, checkpoint replay and the fused lockstep drivers all
@@ -185,13 +235,19 @@ module Engine : sig
     ?on_singular:[ `Stop | `Fallback ] ->
     Polybasis.Design.Provider.t ->
     Linalg.Vec.t ->
-    max_steps:int ->
+    max_lambda:int ->
     t
-  (** Same validation and defaults as {!path_p}; [pool] is used only
-      for the one-time column-norms sweep. *)
+  (** [create src f ~max_lambda] starts the walk {!lambda_path_p}
+      drives: step budget [step_budget max_lambda] and, in [Lar] mode,
+      done one step past [max_lambda] bases; a [Lasso] walk keeps the
+      whole step budget. Same validation and defaults as {!path_p};
+      [pool] is used only for the one-time column-norms sweep.
+      @raise Invalid_argument if [max_lambda <= 0]. *)
 
   val finished : t -> bool
-  (** True once the walk stopped or exhausted [max_steps]. *)
+  (** True once the walk stopped, exhausted its step budget or — [Lar]
+      mode only — recorded a step whose model has more than
+      [max_lambda] non-zeros. *)
 
   val request : t -> Linalg.Vec.t
   (** The K-vector whose [Gᵀ·v] sweep the engine needs next: the

@@ -160,10 +160,6 @@ let lambda_cap ?(folds = 4) ~rows_bound ~max_lambda src =
   let n = Provider.rows src and m = Provider.cols src in
   min max_lambda (if rows_bound then min (n - ((n + folds - 1) / folds)) m else m)
 
-(* LAR step budget of a λ grid: lasso drops and bans make the path
-   longer than its support size. *)
-let lars_max_steps max_lambda = min ((2 * max_lambda) + 8) (4 * max_lambda)
-
 (* The one CV-driver rule: a path method fuses its folds (and, with
    several outputs, its output × fold grid) exactly when the provider
    is streamed, the sweep is exact and the selection sweeps are
@@ -230,36 +226,15 @@ let omp_engine ?on_singular ~max_lambda src_tr f_tr =
   Omp.Engine.create ?on_singular src_tr f_tr
     ~max_lambda:(min max_lambda (min rows cols))
 
-(* λ-indexed models from a LAR step sequence: entry λ−1 holds the last
-   path model with at most λ active coefficients, so curves are indexed
-   by support size exactly as for OMP/STAR (lasso drops make steps ≠
-   support size). Shared by the per-fold and fused drivers. *)
-let lars_lambda_models src ~max_lambda steps =
-  if Array.length steps = 0 then [||]
-  else begin
-    let empty =
-      Model.make ~basis_size:(Provider.cols src) ~support:[||] ~coeffs:[||]
-    in
-    let models = Array.make max_lambda empty in
-    Array.iter
-      (fun s ->
-        let n = Model.nnz s.Lars.model in
-        if n >= 1 && n <= max_lambda then
-          for l = n - 1 to max_lambda - 1 do
-            models.(l) <- s.Lars.model
-          done)
-      steps;
-    models
-  end
-
 (* LAR round: each live walk's pending request — residual or
    equiangular direction, the walks are mutually independent — served
-   from one [gram_tr_multi] pass. *)
+   from one [gram_tr_multi] pass. Each walk owns its λ budget: a LAR
+   walk leaves the lockstep one step past λ bases, a lasso walk at its
+   step budget. *)
 let fused_lars ?mode ?on_singular ?pool src ~max_lambda =
-  let max_steps = lars_max_steps max_lambda in
   lockstep src ~max_lambda
     ~create:(fun src_tr f_tr ->
-      Lars.Engine.create ?mode ?pool ?on_singular src_tr f_tr ~max_steps)
+      Lars.Engine.create ?mode ?pool ?on_singular src_tr f_tr ~max_lambda)
     ~finished:Lars.Engine.finished
     ~round:(fun es ~rows ->
       let sweeps =
@@ -267,7 +242,7 @@ let fused_lars ?mode ?on_singular ?pool src ~max_lambda =
           (Array.map Lars.Engine.request es)
       in
       Array.iteri (fun i e -> Lars.Engine.supply e sweeps.(i)) es)
-    ~models:(fun e -> lars_lambda_models src ~max_lambda (Lars.Engine.steps e))
+    ~models:(fun e -> Lars.lambda_models src ~max_lambda (Lars.Engine.steps e))
 
 (* Per-fold (and refit) path models of each solver. *)
 let omp_models ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered ()
@@ -284,11 +259,13 @@ let star_models ?pool ?sweep ?shards ?shard_mode ?recovered () ~rng:_ src f
     (fun s -> s.Star.model)
     (Star.path_p ?pool ?sweep ?shards ?shard_mode ?recovered src f ~max_lambda)
 
+(* LAR/lasso: the λ-driven walk, which in LAR mode stops one step past
+   [max_lambda] bases. *)
 let lars_models ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered
     () ~rng:_ src f ~max_lambda =
-  lars_lambda_models src ~max_lambda
-    (Lars.path_p ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
-       ?recovered src f ~max_steps:(lars_max_steps max_lambda))
+  Lars.lambda_models src ~max_lambda
+    (Lars.lambda_path_p ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
+       ?recovered src f ~max_lambda)
 
 (* Single-output selection: the fused lockstep fold driver when
    [fused_driver] picks it, fold-at-a-time otherwise. *)

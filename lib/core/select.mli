@@ -94,12 +94,16 @@ val lars_p :
   ?checkpoint:string -> ?resume:bool ->
   Randkit.Prng.t -> max_lambda:int -> Polybasis.Design.Provider.t ->
   Linalg.Vec.t -> result
-(** [on_singular] is forwarded to {!Lars.path_p} for every fold fit and
-    the final refit. [checkpoint]/[resume] as in {!generic_p}. [sweep],
+(** Every fold fit and the final refit is the λ-driven walk
+    {!Lars.lambda_path_p} (a [Lar] walk ends one step past [max_lambda]
+    bases, a [Lasso] walk at {!Lars.step_budget}), read through
+    {!Lars.lambda_models}; [on_singular] is forwarded to it.
+    [checkpoint]/[resume] as in {!generic_p}. [sweep],
     [shards]/[shard_mode]/[recovered] and the fold driver as in
     {!omp_p}: the fused fold driver runs each fold's walk on a
-    {!Lars.Engine} and serves both of its per-step sweeps from one
-    {!Corr_sweep.gram_tr_multi} pass per lockstep round. *)
+    {!Lars.Engine} created with the same λ budget and serves both of its
+    per-step sweeps from one {!Corr_sweep.gram_tr_multi} pass per
+    lockstep round. *)
 
 val generic_p :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->

@@ -626,6 +626,57 @@ let test_lars_resume_validation () =
       Rsm.Lars.path_p ~tol:0. ~on_singular:`Stop ~resume:(Option.get !ckb)
         srcb fb ~max_steps:6)
 
+(* A LAR fit stops one step past its λ budget, so its terminal
+   checkpoint holds a prefix of the log an uncapped walk writes. A log
+   that runs past the budget, as a walk to the full step budget writes
+   it, still resumes to the same model, and a kill-and-resume under
+   the budget stays bitwise. *)
+let test_lars_checkpoint_at_budget () =
+  let src, f = sparse_problem ~k:40 ~m:25 908 in
+  let lambda = 3 in
+  let fit ?resume () =
+    let last = ref None in
+    let m =
+      Rsm.Lars.fit_p ~on_singular:`Fallback
+        ~on_checkpoint:(fun c -> last := Some c)
+        ?resume src f ~lambda
+    in
+    (Rsm.Serialize.to_string m, !last)
+  in
+  let model, capped = fit () in
+  let capped = Option.get capped in
+  let uncapped = ref None in
+  let full =
+    Rsm.Lars.path_p ~on_singular:`Fallback
+      ~on_checkpoint:(fun c -> uncapped := Some c)
+      src f ~max_steps:((2 * lambda) + 8)
+  in
+  let uncapped = Option.get !uncapped in
+  let n = Array.length capped.LarsCkpt.events in
+  let nnz i = Rsm.Model.nnz full.(i).Rsm.Lars.model in
+  check_bool "capped log ends at the first step past lambda" true
+    (nnz (n - 1) > lambda && nnz (n - 2) <= lambda);
+  check_bool "uncapped log runs further" true
+    (Array.length uncapped.LarsCkpt.events > n);
+  check_bool "capped events are a prefix of the uncapped log" true
+    (capped.LarsCkpt.events = Array.sub uncapped.LarsCkpt.events 0 n);
+  let resumed, after = fit ~resume:uncapped () in
+  check_bool "uncapped checkpoint resumes to the same model" true
+    (resumed = model);
+  check_bool "a replayed finished walk writes no checkpoint" true
+    (after = None);
+  let ckpts = ref [] in
+  ignore
+    (Rsm.Lars.fit_p ~on_singular:`Fallback ~checkpoint_every:1
+       ~on_checkpoint:(fun c -> ckpts := c :: !ckpts)
+       src f ~lambda);
+  let kill = List.nth (List.rev !ckpts) 1 in
+  check_int "kill point is mid-walk" 2 (Array.length kill.LarsCkpt.events);
+  let resumed, terminal = fit ~resume:kill () in
+  check_bool "resumed capped fit is bitwise identical" true (resumed = model);
+  check_bool "resumed walk ends with the same checkpoint" true
+    (terminal = Some capped)
+
 let test_lars_fit_empty_path_note () =
   (* A zero response stops the walk before any step: the fit must say
      so on the returned model instead of handing back a bare zero. *)
@@ -864,6 +915,8 @@ let suite =
       case "lars: ban event replays bitwise" test_lars_resume_with_ban_event;
       case "lars: resume validation" test_lars_resume_validation;
       case "lars: empty path is annotated" test_lars_fit_empty_path_note;
+      case "lars: checkpoints end at the lambda budget"
+        test_lars_checkpoint_at_budget;
       case "screen: all-non-finite dataset is a typed error"
         test_screen_all_non_finite_error;
       case "cv: killed-then-resumed sweep is bitwise identical"

@@ -18,6 +18,12 @@
      and sharded.
    - a dictionary whose every column gets banned terminates with an
      annotated model instead of raising.
+   - the λ budget ends a LAR walk one step past λ bases: the capped
+     walks (path driver at every sweep engine, the fused drivers'
+     engine, fit_p) are a prefix of the uncapped walk with bitwise the
+     same λ-models and fits, at 1 and 2 domains, dense, streamed and
+     with scaled duplicate columns; a lasso walk keeps its step budget
+     and still selects a model it returns to after a drop.
    - fused CV selection (streamed design) is bitwise equal to the
      per-fold driver (dense design).
    - Pipeline.screen_refit (gram down-date) matches a cold refit on the
@@ -497,6 +503,183 @@ let test_incremental_lar_resume_bitwise () =
              (Array.map corr_bits
                 (Array.sub resumed prefix (Array.length resumed - prefix)))))
 
+(* --- the λ budget ends a LAR walk ---------------------------------- *)
+
+(* The dense design plus power-of-two-scaled copies of the three columns
+   most correlated with [f] (exact scalings, so each copy normalizes to
+   within an ulp of its twin): every copy ties its twin the moment the
+   twin enters, and under `Fallback is banned or enters near-singular
+   wherever the walk then is — at the λ budget included. *)
+let with_scaled_copies src f =
+  let m = P.cols src and k = P.rows src in
+  let c = CS.gram_tr src f in
+  let order = Array.init m Fun.id in
+  Array.sort (fun a b -> compare (Float.abs c.(b)) (Float.abs c.(a))) order;
+  let scales = [| 2.; -0.5; 4. |] in
+  let cols = Array.init m (P.column src) in
+  P.dense
+    (Linalg.Mat.init k (m + 3) (fun i j ->
+         if j < m then cols.(j).(i) else scales.(j - m) *. cols.(order.(j - m)).(i)))
+
+let cap_bits (s : Rsm.Lars.step) = (step_bits s, corr_bits s)
+
+(* One capped-walk check against the uncapped [path_p] at the λ grid's
+   step budget: the capped steps are its prefix up to and including its
+   first step with more than λ bases (the whole walk if it has none),
+   so their λ-models are bitwise its λ-models; [fit_p] returns bitwise
+   the last model with at most λ bases of the uncapped walk at its own
+   first budget 2λ + 8. The step count pins the stop itself: a walk
+   that ran on to the full budget would still match every model. *)
+let check_lambda_cap ~pool ~tag ~on_singular ~sweep ~shards src f l =
+  let mode = Rsm.Lars.Lar in
+  let nnz (s : Rsm.Lars.step) = Rsm.Model.nnz s.Rsm.Lars.model in
+  let full =
+    Rsm.Lars.path_p ~mode ~pool ~on_singular ~sweep ~shards src f
+      ~max_steps:(Rsm.Lars.step_budget l)
+  in
+  let capped =
+    Rsm.Lars.lambda_path_p ~mode ~pool ~on_singular ~sweep ~shards src f
+      ~max_lambda:l
+  in
+  let rec ends i =
+    if i >= Array.length full then i
+    else if nnz full.(i) > l then i + 1
+    else ends (i + 1)
+  in
+  let n = ends 0 in
+  check_int (tag "walk ends one step past lambda") n (Array.length capped);
+  check_bool (tag "capped steps are the uncapped prefix") true
+    (Array.map cap_bits capped = Array.map cap_bits (Array.sub full 0 n));
+  let models steps =
+    Array.map model_bits (Rsm.Lars.lambda_models src ~max_lambda:l steps)
+  in
+  check_bool (tag "lambda-models") true (models capped = models full);
+  let last_within =
+    Array.fold_left
+      (fun acc (s : Rsm.Lars.step) ->
+        if nnz s <= l then Some s.Rsm.Lars.model else acc)
+      None
+      (Rsm.Lars.path_p ~mode ~pool ~on_singular ~sweep ~shards src f
+         ~max_steps:((2 * l) + 8))
+  in
+  Option.iter
+    (fun m ->
+      check_bool (tag "fit_p") true
+        (Rsm.Serialize.to_string
+           (Rsm.Lars.fit_p ~mode ~pool ~on_singular ~sweep ~shards src f
+              ~lambda:l)
+        = Rsm.Serialize.to_string m))
+    last_within;
+  (* The fused drivers' walk: the engine answered from exact sweeps
+     walks the same capped steps. *)
+  if sweep = CS.Exact && shards = 1 then begin
+    let e =
+      Rsm.Lars.Engine.create ~mode ~pool ~on_singular src f ~max_lambda:l
+    in
+    while not (Rsm.Lars.Engine.finished e) do
+      Rsm.Lars.Engine.supply e (CS.gram_tr ~pool src (Rsm.Lars.Engine.request e))
+    done;
+    check_bool (tag "engine walk") true
+      (Array.map cap_bits (Rsm.Lars.Engine.steps e) = Array.map cap_bits capped)
+  end
+
+let prop_lambda_cap_parity seed =
+  let rng, basis, pts, g = random_setting seed in
+  let src_d = P.dense g in
+  let f = sparse_response rng src_d in
+  let lambdas = [ 1; 2 + Randkit.Prng.int rng 5 ] in
+  let designs =
+    [
+      ("dense", src_d, `Stop);
+      ("streamed", P.streamed basis pts, `Stop);
+      ("scaled copies", with_scaled_copies src_d f, `Fallback);
+    ]
+  in
+  let engines =
+    [
+      ("exact", CS.Exact, 1);
+      ("incremental", CS.incremental ~refresh:3 (), 1);
+      ("exact, 3 shards", CS.Exact, 3);
+    ]
+  in
+  List.iter
+    (fun domains ->
+      Parallel.Pool.with_pool ~domains (fun pool ->
+          List.iter
+            (fun (dname, src, on_singular) ->
+              List.iter
+                (fun l ->
+                  List.iter
+                    (fun (ename, sweep, shards) ->
+                      let tag what =
+                        Printf.sprintf "%s, %s, domains=%d, lambda=%d: %s"
+                          dname ename domains l what
+                      in
+                      check_lambda_cap ~pool ~tag ~on_singular ~sweep ~shards
+                        src f l)
+                    engines)
+                lambdas)
+            designs))
+    [ 1; 2 ];
+  true
+
+(* Why the λ budget ends only LAR walks. On this design a scaled copy
+   of a column sits next to its twin under `Stop, so the lasso walk
+   meets steps where nothing may enter; on one of them a drop takes the
+   support from 6 bases back to 5. At λ = 5 the walk has been past its
+   budget (step 5) and returns to it (step 7), and cross-validation,
+   the refit and [fit_p] must all read that later model — a lasso walk
+   stopped at step 5 would hand back step 4's. *)
+let lasso_drop_problem () =
+  let rng = Randkit.Prng.create 306 in
+  let k = 30 and m = 12 in
+  let w = Randkit.Gaussian.vector rng k in
+  let z = Randkit.Gaussian.matrix rng k m in
+  let g0 =
+    Linalg.Mat.init k m (fun i j -> Linalg.Mat.get z i j +. (0.9 *. w.(i)))
+  in
+  let g =
+    Linalg.Mat.init k (m + 3) (fun i j ->
+        if j < m then Linalg.Mat.get g0 i j else 2. *. Linalg.Mat.get g0 i (j - m))
+  in
+  let f =
+    Array.init k (fun i ->
+        (3. *. Linalg.Mat.get g i 0)
+        -. (2. *. Linalg.Mat.get g i 1)
+        +. (1.5 *. Linalg.Mat.get g i 2)
+        -. Linalg.Mat.get g i 3
+        +. (0.8 *. Linalg.Mat.get g i 4)
+        +. (0.1 *. Randkit.Gaussian.sample rng))
+  in
+  (P.dense g, f)
+
+let test_lasso_keeps_step_budget () =
+  let src, f = lasso_drop_problem () in
+  let lambda = 5 and mode = Rsm.Lars.Lasso in
+  let steps =
+    Rsm.Lars.path_p ~mode src f ~max_steps:(Rsm.Lars.step_budget lambda)
+  in
+  let nnz i = Rsm.Model.nnz steps.(i).Rsm.Lars.model in
+  check_int "first step past the budget" 6 (nnz 5);
+  check_int "the drop brings the support back" 5 (nnz 7);
+  check_bool "later steps stay past the budget" true
+    (Array.for_all (fun i -> nnz i > lambda)
+       (Array.init (Array.length steps - 8) (fun i -> i + 8)));
+  let later = Rsm.Serialize.to_string steps.(7).Rsm.Lars.model in
+  check_bool "later model differs from the one before the budget" true
+    (later <> Rsm.Serialize.to_string steps.(4).Rsm.Lars.model);
+  check_int "the lasso walk keeps its step budget"
+    (Array.length steps)
+    (Array.length (Rsm.Lars.lambda_path_p ~mode src f ~max_lambda:lambda));
+  let r =
+    Rsm.Select.lars_p ~mode (Randkit.Prng.create 1) ~max_lambda:lambda src f
+  in
+  check_int "cross-validation picks the budget" lambda r.Rsm.Select.lambda;
+  check_bool "lars_p refits the later model" true
+    (Rsm.Serialize.to_string r.Rsm.Select.model = later);
+  check_bool "fit_p returns the later model" true
+    (Rsm.Serialize.to_string (Rsm.Lars.fit_p ~mode src f ~lambda) = later)
+
 (* --- OMP/STAR checkpoint/resume across sweep engines --------------- *)
 
 (* A checkpoint taken at support size 4 — between two refreshes of the
@@ -796,6 +979,8 @@ let suite =
         test_all_banned_terminates;
       case "incremental LAR resume bitwise"
         test_incremental_lar_resume_bitwise;
+      case "lasso walk keeps its step budget past lambda"
+        test_lasso_keeps_step_budget;
       case "OMP/STAR resume bitwise (exact/incremental x shards 1/3)"
         test_greedy_resume_bitwise;
       case "batched fold curves == per-fold" test_batch_fold_curves;
@@ -819,6 +1004,8 @@ let suite =
         (prop_incremental_parity `Lasso);
       qtest ~count:6 "banned columns: incremental == exact" seed_gen
         prop_incremental_parity_with_bans;
+      qtest ~count:10 "LAR lambda budget: capped walk == uncapped prefix"
+        seed_gen prop_lambda_cap_parity;
       qtest ~count:6 "OMP fused CV == per-fold CV" seed_gen
         (prop_fused_cv_bitwise `Omp);
       qtest ~count:6 "STAR fused CV == per-fold CV" seed_gen
