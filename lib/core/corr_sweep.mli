@@ -9,8 +9,9 @@
 
     - each chunk owns a contiguous column block; dense providers walk
       the row-major matrix row-by-row (the cache-friendly order),
-      streamed providers fuse column generation into the dot product —
-      no atomics, no shared accumulation either way;
+      streamed providers take four columns per pass, each with its own
+      accumulator, fusing column generation into the four dot
+      products — no atomics, no shared accumulation either way;
     - each column's dot product is accumulated over rows in ascending
       order exactly as the sequential [Mat.col_dot], so every entry of
       the result is {e bitwise identical} to the sequential dense sweep
@@ -29,10 +30,12 @@
       [refresh] cadence of exact re-sweeps), hence opt-in — solvers
       default to [Exact].
     - {b Fused multi-residual sweeps} ({!gram_tr_multi} /
-      {!argmax_abs_multi}): generate each column once and dot it
-      against Q fold residuals — bitwise identical to Q independent
-      sweeps; this is how fused CV pays streamed column generation once
-      per step instead of once per fold.
+      {!argmax_abs_multi}): generate each block of four columns once
+      and dot it against Q fold residuals, each column with its own
+      accumulator adding its fold rows in ascending order — bitwise
+      identical to Q independent sweeps; this is how fused CV pays
+      streamed column generation once per step instead of once per
+      fold.
 
     Passing no [?pool] uses {!Parallel.Pool.default}. *)
 

@@ -761,6 +761,20 @@ let test_point_screen_allocation () =
   if words >= 1e6 then
     Alcotest.failf "point screen allocated %.0f minor words (bound 1e6)" words
 
+(* Fails when one call of [f] allocates [bound] minor words or more,
+   averaged over 10 calls after a warm-up call. *)
+let check_minor_words what ~bound f =
+  f ();
+  let reps = 10 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int reps in
+  if words >= bound then
+    Alcotest.failf "%s allocated %.0f minor words per call (bound %.0f)" what
+      words bound
+
 let test_dense_multi_sweep_allocation () =
   (* K = 400, M = 300, Q = 4 training folds on a dense provider at one
      domain. The row-streaming kernel writes every fold's dots straight
@@ -786,21 +800,50 @@ let test_dense_multi_sweep_allocation () =
   let skips = Array.init nq (fun _ -> Array.make m false) in
   let bound = float_of_int (nq * m) in
   Parallel.Pool.with_pool ~domains:1 (fun pool ->
-      let measure name f =
-        f ();
-        let reps = 10 in
-        let before = Gc.minor_words () in
-        for _ = 1 to reps do
-          f ()
-        done;
-        let words = (Gc.minor_words () -. before) /. float_of_int reps in
-        if words >= bound then
-          Alcotest.failf "dense %s allocated %.0f minor words per call (bound %.0f)"
-            name words bound
-      in
+      let measure name = check_minor_words ("dense " ^ name) ~bound in
       measure "gram_tr_multi" (fun () ->
           ignore (Polybasis.Design.Provider.gram_tr_multi ~pool src ~rows rs));
       measure "argmax_abs_multi" (fun () ->
+          ignore
+            (Polybasis.Design.Provider.argmax_abs_multi ~pool ~skips src ~rows
+               rs)))
+
+let test_streamed_sweep_allocation () =
+  (* K = 400, M = 300 (the quadratic basis over 23 factors), Q = 4
+     training folds on a streamed provider at one domain. The kernel
+     keeps its four column accumulators unboxed and stores them straight
+     into float arrays, leaving a few hundred minor words of closures,
+     scratch look-ups and argmax pairs per call. A kernel that boxes the
+     four dots, or returns them as a tuple, allocates at least
+     2·Q·M = 2400 words per fused call and 2·M = 600 per single one. *)
+  let k = 400 and nq = 4 in
+  let basis = Polybasis.Basis.quadratic 23 in
+  let m = Polybasis.Basis.size basis in
+  let rng = Randkit.Prng.create 59 in
+  let pts = Array.init k (fun _ -> Randkit.Gaussian.vector rng 23) in
+  let src = Polybasis.Design.Provider.streamed basis pts in
+  let rows =
+    Array.init nq (fun q ->
+        Array.of_list
+          (List.filter (fun i -> i mod nq <> q) (List.init k Fun.id)))
+  in
+  let rs =
+    Array.map (fun idx -> Randkit.Gaussian.vector rng (Array.length idx)) rows
+  in
+  let r = Randkit.Gaussian.vector rng k in
+  let skip = Array.make m false in
+  let skips = Array.init nq (fun _ -> skip) in
+  Parallel.Pool.with_pool ~domains:1 (fun pool ->
+      let measure name q =
+        check_minor_words ("streamed " ^ name) ~bound:(float_of_int (q * m))
+      in
+      measure "gram_tr" 1 (fun () ->
+          ignore (Polybasis.Design.Provider.gram_tr ~pool src r));
+      measure "argmax_abs" 1 (fun () ->
+          ignore (Polybasis.Design.Provider.argmax_abs ~pool ~skip src r));
+      measure "gram_tr_multi" nq (fun () ->
+          ignore (Polybasis.Design.Provider.gram_tr_multi ~pool src ~rows rs));
+      measure "argmax_abs_multi" nq (fun () ->
           ignore
             (Polybasis.Design.Provider.argmax_abs_multi ~pool ~skips src ~rows
                rs)))
@@ -941,6 +984,8 @@ let suite =
       case "point screen: minor allocation bound" test_point_screen_allocation;
       case "dense fused sweeps: minor allocation bound"
         test_dense_multi_sweep_allocation;
+      case "streamed sweeps: minor allocation bound"
+        test_streamed_sweep_allocation;
       qtest_point_screen_oracle;
       qtest_response_screen_order_invariant;
     ] )

@@ -209,6 +209,97 @@ let prop_select_rows_bitwise seed =
              P.to_dense ~pool sub_s)));
   true
 
+(* --- block edges ----------------------------------------------------- *)
+
+(* The streamed sweep takes columns four at a time with a one-column
+   tail. Every streamed kernel must still equal a dense provider over
+   [to_dense], bit for bit, on: every tail length (M mod 4 ∈ {0,1,2,3},
+   from whole bases and from windows), blocks that start off a multiple
+   of 4 (odd window starts), blocks holding three-factor [Many] terms
+   beside two-factor ones (total degree 3), the dim-0 constant basis,
+   K ∈ {1, 2, 5, 13} and a fold with a single training row. *)
+let block_edge_bases =
+  [
+    Polybasis.Basis.quadratic 3 (* M = 10 *);
+    Polybasis.Basis.total_degree 4 3 (* M = 35 *);
+    Polybasis.Basis.total_degree 3 3 (* M = 20 *);
+    Polybasis.Basis.create 0 [| Polybasis.Term.constant |] (* M = 1 *);
+  ]
+
+(* The whole provider, then windows of widths 4–7 at odd starts. *)
+let block_edge_windows m =
+  (0, m)
+  :: List.concat_map
+       (fun jlo ->
+         List.filter_map
+           (fun w -> if jlo + w <= m then Some (jlo, jlo + w) else None)
+           [ 4; 5; 6; 7 ])
+       [ 1; 3 ]
+
+let block_edge_folds k =
+  let pick f = Array.of_list (List.filter f (List.init k Fun.id)) in
+  [| pick (fun _ -> true); [| k - 1 |]; pick (fun i -> i mod 2 = 0) |]
+
+let prop_block_edges_bitwise seed =
+  let rng = Randkit.Prng.create seed in
+  let bits = Array.map Int64.bits_of_float in
+  let arg_bits (j, c) = (j, Int64.bits_of_float c) in
+  let settings =
+    List.concat_map
+      (fun basis ->
+        List.concat_map
+          (fun k ->
+            let dim = Polybasis.Basis.dim basis in
+            let pts = Array.init k (fun _ -> Randkit.Gaussian.vector rng dim) in
+            let src = P.streamed basis pts in
+            List.map
+              (fun (jlo, jhi) -> P.window src ~jlo ~jhi)
+              (block_edge_windows (P.cols src)))
+          [ 1; 2; 5; 13 ])
+      block_edge_bases
+  in
+  let cases =
+    List.map
+      (fun win ->
+        let k = P.rows win and m = P.cols win in
+        let rows = block_edge_folds k in
+        let r = Randkit.Gaussian.vector rng k in
+        let rs =
+          Array.map
+            (fun idx -> Randkit.Gaussian.vector rng (Array.length idx))
+            rows
+        in
+        let skip () = Array.init m (fun _ -> Randkit.Prng.int rng 3 = 0) in
+        let skips = Array.map (fun _ -> skip ()) rows in
+        (win, r, rows, rs, skip (), skips))
+      settings
+  in
+  ignore
+    (with_pools (fun pool ->
+         List.iter
+           (fun (win, r, rows, rs, skip, skips) ->
+             let dn = P.dense (P.to_dense ~pool win) in
+             let tag what =
+               Printf.sprintf "%s: streamed == dense (K=%d, M=%d, %d domains)"
+                 what (P.rows win) (P.cols win) (Parallel.Pool.num_domains pool)
+             in
+             let both f = (f dn, f win) in
+             let check what (d, s) = check_bool (tag what) true (d = s) in
+             check "gram_tr" (both (fun p -> bits (P.gram_tr ~pool p r)));
+             check "argmax_abs"
+               (both (fun p -> arg_bits (P.argmax_abs ~pool ~skip p r)));
+             check "gram_tr_multi"
+               (both (fun p ->
+                    Array.map bits (P.gram_tr_multi ~pool p ~rows rs)));
+             check "argmax_abs_multi"
+               (both (fun p ->
+                    Array.map arg_bits
+                      (P.argmax_abs_multi ~pool ~skips p ~rows rs)));
+             check "column_norms"
+               (both (fun p -> bits (P.column_norms ~pool p))))
+           cases));
+  true
+
 (* --- small deterministic cases -------------------------------------- *)
 
 let test_residual_cols_matches_subset () =
@@ -233,43 +324,6 @@ let test_col_col_dot_matches_vec_dot () =
     done
   done
 
-let test_tile_cols_do_not_change_results () =
-  let rng = rng () in
-  let dim = 4 in
-  let basis = Polybasis.Basis.quadratic dim in
-  let pts = Array.init 11 (fun _ -> Randkit.Gaussian.vector rng dim) in
-  let r = Randkit.Gaussian.vector rng 11 in
-  let reference =
-    Parallel.Pool.with_pool ~domains:1 (fun pool ->
-        Rsm.Corr_sweep.gram_tr ~pool (P.streamed basis pts) r)
-  in
-  List.iter
-    (fun tile_cols ->
-      let src = P.streamed ~tile_cols basis pts in
-      check_int "tile_cols recorded" tile_cols (P.tile_cols src);
-      let got =
-        Parallel.Pool.with_pool ~domains:2 (fun pool ->
-            Rsm.Corr_sweep.gram_tr ~pool src r)
-      in
-      check_bool "sweep independent of tile_cols" true (got = reference))
-    [ 1; 3; 7 ]
-
-let test_with_tile_matches_columns () =
-  let rng = rng () in
-  let dim = 3 in
-  let basis = Polybasis.Basis.quadratic dim in
-  let pts = Array.init 9 (fun _ -> Randkit.Gaussian.vector rng dim) in
-  let src = P.streamed basis pts in
-  let k = P.rows src in
-  let jlo = 2 and jhi = 6 in
-  P.with_tile src ~jlo ~jhi (fun tile ->
-      for j = jlo to jhi - 1 do
-        let col = P.column src j in
-        for i = 0 to k - 1 do
-          check_float "tile entry" col.(i) tile.((i * (jhi - jlo)) + j - jlo)
-        done
-      done)
-
 let test_dim_zero_constant_basis () =
   let basis = Polybasis.Basis.create 0 [| Polybasis.Term.constant |] in
   let pts = Array.init 5 (fun _ -> [||]) in
@@ -282,8 +336,6 @@ let test_validation () =
   let pts = [| [| 1.; 2. |] |] in
   check_raises_invalid "sample dim mismatch" (fun () ->
       P.streamed basis pts);
-  check_raises_invalid "tile_cols must be positive" (fun () ->
-      P.streamed ~tile_cols:0 basis [| [| 0.; 0.; 0. |] |]);
   let src = P.streamed basis [| [| 0.; 0.; 0. |] |] in
   check_raises_invalid "column out of bounds" (fun () ->
       P.column src (P.cols src));
@@ -297,8 +349,6 @@ let suite =
     [
       case "residual_cols == residual_subset" test_residual_cols_matches_subset;
       case "Mat.col_col_dot == Vec.dot" test_col_col_dot_matches_vec_dot;
-      case "tile size does not change results" test_tile_cols_do_not_change_results;
-      case "with_tile matches columns" test_with_tile_matches_columns;
       case "dim-0 constant basis" test_dim_zero_constant_basis;
       case "validation errors" test_validation;
       qtest ~count:12 "to_dense: streamed == matrix_rows" seed_gen
@@ -318,4 +368,6 @@ let suite =
         prop_cv_dense_eq_streamed;
       qtest ~count:10 "select_rows: streamed == dense" seed_gen
         prop_select_rows_bitwise;
+      qtest ~count:4 "block edges: streamed kernels == dense" seed_gen
+        prop_block_edges_bitwise;
     ] )
