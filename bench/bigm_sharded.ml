@@ -65,7 +65,7 @@ let run ?(quick = false) ?domains () =
         src ~r0:f
     in
     ignore (Rsm.Shard_sweep.raw_norms e);
-    ignore (Rsm.Shard_sweep.select e ~r:f);
+    ignore (Rsm.Shard_sweep.lars_select e ~r:f);
     let rss = Rsm.Shard_sweep.peak_rss_kb e in
     Rsm.Shard_sweep.shutdown e;
     rss

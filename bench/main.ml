@@ -105,10 +105,10 @@ let () =
       Cmd.v
         (Cmd.info "sweep"
            ~doc:
-             "Gram-cached incremental sweep and fused multi-residual CV \
-              sweep: per-step cost vs the exact engines, with embedded \
-              parity checks (exit 1 on violation). Updates \
-              BENCH_speed.json.")
+             "Gram-cached incremental LAR step (with its Gram builds) and \
+              fused multi-residual CV sweep: per-step cost vs the exact \
+              engines, with embedded parity checks (exit 1 on violation). \
+              Updates BENCH_speed.json.")
         Term.(
           const (fun quick _ domains ->
               Speed.sweep_scenario ~quick ~domains ())

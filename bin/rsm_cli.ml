@@ -279,16 +279,17 @@ let sweep_arg =
         ~doc:
           "Correlation engine for the path solvers: $(b,exact) recomputes \
            the full G^T.r sweep every step (bitwise-reference mode); \
-           $(b,incremental) delta-updates the correlations from cached Gram \
-           columns, turning the per-step sweep from O(K.M) into O(p.M) — \
-           validated against exact to 1e-10 relative, not bitwise.")
+           $(b,incremental) (lar and lasso only) builds each LAR step's \
+           direction sweep G^T.u from cached Gram columns at O(p.M) and \
+           moves the correlations without a sweep — validated against \
+           exact to 1e-10 relative, not bitwise. Other methods reject it.")
 
 let sweep_refresh_arg =
   Arg.(value & opt int Rsm.Corr_sweep.default_refresh
        & info [ "sweep-refresh" ] ~docv:"N"
-           ~doc:"Exact-refresh cadence of the incremental sweep: every N \
-                 movement steps the correlations are recomputed from scratch \
-                 to wash out drift (0 = never).")
+           ~doc:"Exact-refresh cadence of the incremental sweep (lar and \
+                 lasso only): every N movement steps the correlations are \
+                 recomputed from scratch to wash out drift (0 = never).")
 
 let shards_arg =
   Arg.(
@@ -651,12 +652,12 @@ let model_cmd =
               | Rsm.Solver.Omp ->
                   Rsm.Omp.fit_p ~pool ~on_singular:`Fallback ~checkpoint_every
                     ~on_checkpoint:(Ck.save ckpt_file)
-                    ?resume:(load_resume Ck.load) ~sweep ~shards ~shard_mode
+                    ?resume:(load_resume Ck.load) ~shards ~shard_mode
                     ~recovered src f_tr ~lambda
               | Rsm.Solver.Star ->
                   Rsm.Star.fit_p ~pool ~checkpoint_every
                     ~on_checkpoint:(Ck.save ckpt_file)
-                    ?resume:(load_resume Ck.load) ~sweep ~shards ~shard_mode
+                    ?resume:(load_resume Ck.load) ~shards ~shard_mode
                     ~recovered src f_tr ~lambda
               | _ ->
                   (* lar / lasso: the event-log LARS checkpoint. *)

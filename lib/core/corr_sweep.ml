@@ -14,6 +14,16 @@ let sweep_to_string = function
   | Exact -> "exact"
   | Incremental _ -> "incremental"
 
+(* The Gram cache replaces one of a LAR step's two sweeps; a greedy
+   step runs one sweep, and its entering column's Gram build costs that
+   sweep again. *)
+let lar_only ~lar = function
+  | Incremental _ when not lar ->
+      Error
+        "incremental sweep serves lar and lasso only; other methods run the \
+         exact sweep"
+  | Exact | Incremental _ -> Ok ()
+
 let gram_tr ?pool src r = Provider.gram_tr ?pool src r
 
 let argmax_abs ?pool ~skip src r = Provider.argmax_abs ?pool ~skip src r
@@ -47,7 +57,6 @@ module Inc = struct
     }
 
   let correlations t = t.c
-  let cached t = Hashtbl.length t.grams
 
   let ensure_gram t j col =
     if not (Hashtbl.mem t.grams j) then
@@ -62,34 +71,11 @@ module Inc = struct
   let pool_of t =
     match t.pool with Some p -> p | None -> Parallel.Pool.default ()
 
-  (* c ← c − Σ_j Δβ_j·v_j at O(p·M) — the Gram-cached delta update that
-     replaces the O(K·M) full sweep. Column-chunked with the deltas
-     applied in the given order within each chunk, so every entry sees
-     the same float sequence at any domain count. *)
-  let apply_deltas t deltas =
-    if Array.length deltas > 0 then begin
-      let vs = Array.map (fun (j, _) -> gram t j) deltas in
-      let m = Array.length t.c in
-      let c = t.c in
-      Parallel.Pool.parallel_for_chunks (pool_of t)
-        ~grain:(Parallel.Pool.grain_for ~work:(Array.length deltas))
-        ~lo:0 ~hi:m
-        (fun ~lo ~hi ->
-          Array.iteri
-            (fun q (_, db) ->
-              if db <> 0. then begin
-                let v = Array.unsafe_get vs q in
-                for jj = lo to hi - 1 do
-                  Array.unsafe_set c jj
-                    (Array.unsafe_get c jj -. (db *. Array.unsafe_get v jj))
-                done
-              end)
-            deltas)
-    end
-
   (* Σ_p w_p·v_{j_p} — the cached stand-in for Gᵀ·u when
      u = Σ_p w_p·g_{j_p} (LARS equiangular direction), at O(p·M)
-     instead of an O(K·M) sweep. *)
+     instead of an O(K·M) sweep. Column-chunked with the terms added in
+     the given order within each chunk, so every entry sees the same
+     float sequence at any domain count. *)
   let combination t terms =
     let m = Array.length t.c in
     let out = Array.make m 0. in
@@ -133,22 +119,4 @@ module Inc = struct
     let fresh = Provider.gram_tr ?pool:t.pool t.src r in
     Array.blit fresh 0 t.c 0 (Array.length t.c);
     t.since <- 0
-
-  (* Sequential O(M) scan of the maintained vector — same strict [>] /
-     lowest-index-on-tie rule as the provider's argmax. *)
-  let argmax_abs ~skip t =
-    if Array.length skip <> Array.length t.c then
-      invalid_arg "Corr_sweep.Inc.argmax_abs: skip length mismatch";
-    let best = ref (-1) and best_abs = ref 0. in
-    Array.iteri
-      (fun j cj ->
-        if not (Array.unsafe_get skip j) then begin
-          let a = Float.abs cj in
-          if a > !best_abs then begin
-            best := j;
-            best_abs := a
-          end
-        end)
-      t.c;
-    (!best, !best_abs)
 end

@@ -20,15 +20,19 @@
       exact ties, the lower column index — the same winner a sequential
       first-strictly-greater scan selects.
 
-    Two cost levers beyond the exact sweep (this PR's engine):
+    Two cost levers beyond the exact sweep:
 
-    - {b Incremental mode} ({!sweep} = [Incremental]): cache
-      [v_j = Gᵀ·g_j] once when column j enters the active set, then
-      update [c' = c − Σ_{j∈A} Δβ_j·v_j] at O(p·M) per step instead of
-      O(K·M) (Efron et al. 2004, §"computations"). Numerically
-      different from the exact sweep (float drift, bounded by the
-      [refresh] cadence of exact re-sweeps), hence opt-in — solvers
-      default to [Exact].
+    - {b Incremental mode} ({!sweep} = [Incremental], LAR/lasso only):
+      cache [v_j = Gᵀ·g_j] once when column j enters the active set;
+      the LAR step's second sweep [Gᵀ·u] becomes the O(p·M)
+      combination of cached columns and its correlations move by
+      [c' = c − γ·Gᵀ·u] (Efron et al. 2004, §"computations"). One
+      O(K·M) sweep saved per step, one paid per entering column.
+      Numerically different from the exact sweep (float drift, bounded
+      by the [refresh] cadence of exact re-sweeps), hence opt-in —
+      solvers default to [Exact]. OMP and STAR run one sweep per step,
+      which the entering column's Gram build would cost again, so they
+      always sweep exactly ({!lar_only}).
     - {b Fused multi-residual sweeps} ({!gram_tr_multi} /
       {!argmax_abs_multi}): generate each block of four columns once
       and dot it against Q fold residuals, each column with its own
@@ -42,7 +46,8 @@
 type sweep =
   | Exact  (** full O(K·M) sweep every step — bitwise reference mode *)
   | Incremental of { refresh : int }
-      (** Gram-cached delta updates, with an exact full-sweep refresh
+      (** Gram-cached correlation updates for the LAR/lasso walk
+          ({!lar_only}), with an exact full-sweep refresh
           every [refresh] movement steps ([0] = never refresh on
           cadence; an exact refresh still happens at every checkpoint
           emission so resumed runs stay bitwise equal to uninterrupted
@@ -58,6 +63,13 @@ val sweep_of_string : string -> sweep option
 (** Parses ["exact"] / ["incremental"] (default cadence). *)
 
 val sweep_to_string : sweep -> string
+
+val lar_only : lar:bool -> sweep -> (unit, string) result
+(** [lar_only ~lar sweep] is [Error msg] when [sweep] is [Incremental]
+    and the solver is not the LAR/lasso walk ([lar = false]), [Ok ()]
+    otherwise — the one rule behind {!Select.omp_p},
+    {!Solver.fit_cv_p}, {!Solver.fit_multi_p} and
+    [Robust.Pipeline.config]. *)
 
 val gram_tr :
   ?pool:Parallel.Pool.t ->
@@ -105,13 +117,13 @@ val argmax_abs_multi :
 
 (** The Gram-cached incremental correlation state.
 
-    Maintains the correlation vector [c = Gᵀ·r] across solver steps via
-    cached Gram columns instead of full sweeps. Cost model per step:
-    O(K·M) once per {e entering} column ({!ensure_gram}) plus O(p·M)
-    for the delta update, against O(K·M) for every exact sweep — the
-    win grows with K/p (the LAR path additionally replaces its second
-    per-step sweep, [Gᵀ·u], with the O(p·M) {!combination}). Memory:
-    O(M) per cached active column, O(M·p) total.
+    Maintains the LAR walk's correlation vector [c = Gᵀ·r] across steps
+    via cached Gram columns. Cost model per step: the direction image
+    [Gᵀ·u] is the O(p·M) {!combination} instead of an O(K·M) sweep and
+    {!retreat} moves [c] at O(M), so the step runs no sweep at all;
+    each {e entering} column pays one O(K·M) sweep for its Gram column
+    ({!ensure_gram}), and every refresh one more. Memory: O(M) per
+    cached active column, O(M·p) total.
 
     Not bitwise: each update introduces rounding the exact sweep does
     not; the [refresh] cadence (plus a forced refresh at every
@@ -134,23 +146,17 @@ module Inc : sig
   (** The maintained [c] — a live buffer, mutated by the update calls;
       copy before storing. *)
 
-  val cached : t -> int
-  (** Number of cached Gram columns (= memory in units of M floats). *)
-
   val ensure_gram : t -> int -> Linalg.Vec.t -> unit
   (** [ensure_gram t j col] caches [v_j = Gᵀ·col] (one O(K·M) sweep) if
       column [j] has no cached Gram column yet. [col] must be the
       materialized column [j] — the solvers pass their active-set cache
       entry, so no extra column generation happens. *)
 
-  val apply_deltas : t -> (int * float) array -> unit
-  (** [apply_deltas t deltas] applies [c ← c − Σ Δβ_j·v_j] for
-      [(j, Δβ_j)] pairs, O(p·M). Every listed column must have been
-      {!ensure_gram}'d. *)
-
   val combination : t -> (int * float) array -> Linalg.Vec.t
   (** [combination t terms] is [Σ w_j·v_j] for [(j, w_j)] pairs — the
-      cached image [Gᵀ·u] of a direction [u = Σ w_j·g_j], O(p·M). *)
+      cached image [Gᵀ·u] of a direction [u = Σ w_j·g_j], O(p·M). Every
+      listed column must have been {!ensure_gram}'d.
+      @raise Invalid_argument otherwise. *)
 
   val retreat : t -> float -> Linalg.Vec.t -> unit
   (** [retreat t γ a] applies [c ← c − γ·a] for a precomputed direction
@@ -168,8 +174,4 @@ module Inc : sig
       every checkpoint emission, so a resumed run (which starts from an
       exact sweep at the checkpoint) stays bitwise equal to the
       uninterrupted run. *)
-
-  val argmax_abs : skip:bool array -> t -> int * float
-  (** Selection over the maintained vector — sequential O(M), same
-      strict [>] / lowest-index tie rule as the exact {!argmax_abs}. *)
 end

@@ -15,18 +15,16 @@ module type ENGINE = sig
   val scale : t -> float
   val support : t -> int array
   val advance : t -> int * float -> bool
-  val deltas : t -> (int * float) array
   val replay : t -> scale:float -> int array -> unit
   val steps : t -> step array
   val models : t -> Model.t array
 end
 
 (* Who answers the selection sweep. *)
-type backend = Exact | Inc of Corr_sweep.Inc.t | Shards of Shard_sweep.t
+type backend = Exact | Shards of Shard_sweep.t
 
 let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
-    ?pool ?(checkpoint_every = 0) ?on_checkpoint ?resume
-    ?(sweep = Corr_sweep.Exact) ?(shards = 1)
+    ?pool ?(checkpoint_every = 0) ?on_checkpoint ?resume ?(shards = 1)
     ?(shard_mode = Shard_sweep.Domains) ?recovered src create =
   let prefix = String.capitalize_ascii E.solver ^ ".path: " in
   let fail fmt = Printf.ksprintf (fun msg -> invalid_arg (prefix ^ msg)) fmt in
@@ -51,30 +49,19 @@ let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
         c.support;
       E.replay eng ~scale:c.scale c.support);
   let last_ckpt = ref (E.size eng) in
-  (* The backend is built after any replay, so its initial sweeps see
-     the resumed residual — the same refresh point the uninterrupted
-     run hit when it emitted the checkpoint. Shards re-activate the
-     replayed support up front (skip masks and Gram slabs); the
-     unsharded incremental state caches Gram columns on first use. *)
-  Shard_sweep.with_fleet ?pool ?recovered ~mode:shard_mode ~shards ~sweep src
-    ~r0:(E.residual eng)
+  (* The fleet is built after any replay and re-activates the replayed
+     support up front, so its skip masks match the uninterrupted run's. *)
+  Shard_sweep.with_fleet ?pool ?recovered ~mode:shard_mode ~shards
+    ~sweep:Corr_sweep.Exact src ~r0:(E.residual eng)
   @@ fun fleet ->
   let backend =
-    match (fleet, sweep) with
-    | Some e, _ ->
+    match fleet with
+    | Some e ->
         Array.iter
           (fun j -> Shard_sweep.activate e j (E.column eng j))
           (E.support eng);
         Shards e
-    | None, Corr_sweep.Exact -> Exact
-    | None, Corr_sweep.Incremental { refresh } ->
-        Inc (Corr_sweep.Inc.create ?pool ~refresh src (E.residual eng))
-  in
-  let refresh () =
-    match backend with
-    | Exact -> ()
-    | Inc ic -> Corr_sweep.Inc.refresh ic (E.residual eng)
-    | Shards e -> Shard_sweep.refresh e (E.residual eng)
+    | None -> Exact
   in
   let emit () =
     Option.iter
@@ -87,11 +74,7 @@ let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
             scale = E.scale eng;
             support = E.support eng;
           };
-        last_ckpt := E.size eng;
-        (* Checkpoint-aligned exact refresh: a resumed incremental run
-           starts from an exact sweep here, so refreshing now keeps the
-           uninterrupted run bitwise equal to any resumed one. *)
-        refresh ())
+        last_ckpt := E.size eng)
       on_checkpoint
   in
   while not (E.finished eng) do
@@ -103,30 +86,14 @@ let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
       | Exact ->
           Corr_sweep.argmax_abs ?pool ~skip:(E.skip_mask eng) src
             (E.residual eng)
-      | Inc ic -> Corr_sweep.Inc.argmax_abs ~skip:(E.skip_mask eng) ic
       | Shards e -> Shard_sweep.select e ~r:(E.residual eng)
     in
     if E.advance eng pick then begin
-      (* Delta update c ← c − Σ Δβ_j·v_j replacing the next full sweep,
-         with an exact refresh whenever the cadence is due. *)
       (match backend with
       | Exact -> ()
-      | Inc ic ->
-          let deltas = E.deltas eng in
-          Array.iter
-            (fun (j, _) -> Corr_sweep.Inc.ensure_gram ic j (E.column eng j))
-            deltas;
-          Corr_sweep.Inc.apply_deltas ic deltas;
-          Corr_sweep.Inc.note_step ic;
-          if Corr_sweep.Inc.due ic then refresh ()
       | Shards e ->
           let j = fst pick in
-          Shard_sweep.activate e j (E.column eng j);
-          if Shard_sweep.incremental e then begin
-            Shard_sweep.apply_deltas e (E.deltas eng);
-            Shard_sweep.note_step e;
-            if Shard_sweep.due e then refresh ()
-          end);
+          Shard_sweep.activate e j (E.column eng j));
       if checkpoint_every > 0 && E.size eng mod checkpoint_every = 0 then
         emit ()
     end

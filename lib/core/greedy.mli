@@ -6,17 +6,21 @@
     coefficient (Algorithm 1, Step 6), STAR keeps the inner-product
     estimate. Each solver writes that step as an {!ENGINE}; {!path_p}
     owns everything else: checkpoint validation and replay, the sweep
-    backend (exact, {!Corr_sweep.Inc}, or {!Shard_sweep}), the selection
-    dispatch, the Gram-cached delta update
-    [c' = c − Σ Δβ_j·v_j] (Efron et al. 2004, §"computations"), and the
-    checkpoint cadence. The fused lockstep CV driver in {!Select} runs
-    the same engines with one fused multi-residual sweep per round. *)
+    backend (the exact {!Corr_sweep.argmax_abs} or {!Shard_sweep}), the
+    selection dispatch and the checkpoint cadence. The fused lockstep
+    CV driver in {!Select} runs the same engines with one fused
+    multi-residual sweep per round.
+
+    Every step runs exactly one O(K·M) sweep, so the Gram-cached
+    incremental engine ({!Corr_sweep.Inc}) has nothing to remove here:
+    caching the entering column's Gram image costs the sweep it would
+    replace. It serves the LAR walk only ({!Lars.path_p}). *)
 
 (** One greedy solver's per-step state machine. Driving an engine with
     the selections {!Corr_sweep.argmax_abs} produces on its own
     residual is the solver's whole path, so every driver — exact,
-    incremental, sharded, fused — that answers the same selections
-    produces the same bits. *)
+    sharded, fused — that answers the same selections produces the
+    same bits. *)
 module type ENGINE = sig
   type t
 
@@ -56,11 +60,6 @@ module type ENGINE = sig
   (** [advance t (j*, |c*|)] applies one selection; true iff a step was
       recorded (false = the path stopped without moving). *)
 
-  val deltas : t -> (int * float) array
-  (** The last recorded step's coefficient changes [(j, Δβ_j)] — every
-      support coefficient for OMP, the one entering [(j, α)] for STAR.
-      Called only by incremental backends. *)
-
   val replay : t -> scale:float -> int array -> unit
   (** Re-accept a validated checkpoint support without correlation
       sweeps, leaving the state an uninterrupted run had after the same
@@ -79,7 +78,6 @@ val path_p :
   ?checkpoint_every:int ->
   ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
   ?resume:Serialize.Checkpoint.t ->
-  ?sweep:Corr_sweep.sweep ->
   ?shards:int ->
   ?shard_mode:Shard_sweep.mode ->
   ?recovered:int ref ->
@@ -103,24 +101,17 @@ val path_p :
     uninterrupted run with the same inputs. The replayed state is
     returned as one leading step.
 
-    [sweep] selects the correlation engine (default
-    {!Corr_sweep.Exact}: the column-parallel sweep over [pool], bitwise
-    identical to the sequential dense scan for every domain count and
-    either provider form). [Incremental] maintains the correlation
-    vector through the Gram-cached delta update with exact refreshes on
-    its cadence and at every checkpoint emission — which is what keeps
-    resumed runs bitwise equal to uninterrupted ones; selections may
-    differ from the exact sweep within float drift (validated ≤1e-10
-    relative in the test suite), so the mode is opt-in.
+    Each selection is the column-parallel {!Corr_sweep.argmax_abs} over
+    [pool], bitwise identical to the sequential dense scan for every
+    domain count and either provider form.
 
     [shards > 1] routes the selection sweep through {!Shard_sweep}:
     bitwise identical to [shards = 1] at every shard count, in both
-    sweep modes and both shard modes ([Domains] in-image, [Procs]
-    re-exec'd workers with crash recovery). The fleet is shut down
-    however the path exits; [recovered] (when given) accumulates its
-    worker recoveries. Every backend is built after the replay, from
-    the resumed residual, with the replayed support activated on every
-    shard.
+    shard modes ([Domains] in-image, [Procs] re-exec'd workers with
+    crash recovery). The fleet is shut down however the path exits;
+    [recovered] (when given) accumulates its worker recoveries. The
+    fleet is built after the replay, from the resumed residual, with
+    the replayed support activated on every shard.
 
     @raise Invalid_argument on a negative checkpoint interval,
     [shards < 1], or a [resume] that disagrees with the problem. *)

@@ -41,10 +41,6 @@ module Engine = struct
        this mode, so their bits are untouched. *)
     mutable degraded : bool;
     mutable fallback_note : string option;
-    mutable coeffs : float array;
-    (* The previous step's coefficients, kept by reference (every re-fit
-       returns a fresh array) for [deltas]. *)
-    mutable prev_coeffs : float array;
   }
 
   let create ?(tol = 1e-12) ?(on_singular = `Stop) src f ~max_lambda =
@@ -73,8 +69,6 @@ module Engine = struct
       p = 0;
       degraded = false;
       fallback_note = None;
-      coeffs = [||];
-      prev_coeffs = [||];
     }
 
   let solver = "omp"
@@ -88,13 +82,6 @@ module Engine = struct
   let column t j = Provider.Cache.column t.cache j
   let steps t = Array.of_list (List.rev t.steps_rev)
   let models t = Array.of_list (List.rev_map (fun s -> s.model) t.steps_rev)
-
-  (* Step 6 moves every selected coefficient: the entering one from 0. *)
-  let deltas t =
-    let prev = t.prev_coeffs in
-    Array.init t.p (fun q ->
-        ( t.support.(q),
-          t.coeffs.(q) -. (if q < Array.length prev then prev.(q) else 0.) ))
 
   (* Accept column [j]: extend the Gram factor (or enter degraded mode),
      record support and right-hand side. Returns false when the path
@@ -163,8 +150,6 @@ module Engine = struct
   let refit_and_record t ~index ~correlation =
     let coeffs = refit_coeffs t in
     residual_refresh t coeffs;
-    t.prev_coeffs <- t.coeffs;
-    t.coeffs <- coeffs;
     let rn = Vec.nrm2 t.res in
     t.steps_rev <-
       { index; correlation; residual_norm = rn; model = make_model t coeffs }
@@ -207,18 +192,18 @@ module Engine = struct
 end
 
 let path_p ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint ?resume
-    ?sweep ?shards ?shard_mode ?recovered src f ~max_lambda =
+    ?shards ?shard_mode ?recovered src f ~max_lambda =
   Greedy.path_p
     (module Engine)
-    ?pool ?checkpoint_every ?on_checkpoint ?resume ?sweep ?shards ?shard_mode
+    ?pool ?checkpoint_every ?on_checkpoint ?resume ?shards ?shard_mode
     ?recovered src
     (fun () -> Engine.create ?tol ?on_singular src f ~max_lambda)
 
 let fit_p ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint ?resume
-    ?sweep ?shards ?shard_mode ?recovered src f ~lambda =
+    ?shards ?shard_mode ?recovered src f ~lambda =
   let steps =
     path_p ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint ?resume
-      ?sweep ?shards ?shard_mode ?recovered src f ~max_lambda:lambda
+      ?shards ?shard_mode ?recovered src f ~max_lambda:lambda
   in
   if Array.length steps = 0 then
     Model.make ~basis_size:(Provider.cols src) ~support:[||] ~coeffs:[||]

@@ -29,9 +29,8 @@ type step = {
 
 (** OMP's engine for the shared greedy driver ({!Greedy.ENGINE}): each
     {!Engine.advance} grows the Gram factor and re-fits every selected
-    coefficient; {!Engine.deltas} is the whole support's coefficient
-    change. {!path_p} and the fused lockstep CV driver in {!Select} both
-    drive it. *)
+    coefficient. {!path_p} and the fused lockstep CV driver in {!Select}
+    both drive it. *)
 module Engine : sig
   include Greedy.ENGINE with type step = step
 
@@ -52,7 +51,6 @@ val path_p :
   ?checkpoint_every:int ->
   ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
   ?resume:Serialize.Checkpoint.t ->
-  ?sweep:Corr_sweep.sweep ->
   ?shards:int ->
   ?shard_mode:Shard_sweep.mode ->
   ?recovered:int ref ->
@@ -64,7 +62,7 @@ val path_p :
     returns one step record per iteration. It is {!Greedy.path_p}
     driving {!Engine} — one driver for OMP and {!Star}, whose contract
     covers checkpointing and [resume] (the replayed leading step has
-    [correlation = 0]), [sweep], [pool] and the [shards] options. Stops
+    [correlation = 0]), [pool] and the [shards] options. Stops
     early when the largest residual correlation falls below [tol]
     (default [1e-12]) relative to the initial one, or when the residual
     is numerically zero.
@@ -77,13 +75,6 @@ val path_p :
     degradation ladder (Cholesky → QR → ridge jitter), recording the
     rung that fired in the step models' {!Model.notes}. Clean paths are
     bitwise unaffected by the choice.
-
-    Under [sweep = Incremental] each step's delta update moves every
-    support coefficient (O(p·M)), and the entering column's Gram-cache
-    build costs what the sweep it replaces did, so for OMP the mode is
-    roughly cost-neutral per step — the LAR path (two sweeps, one
-    eliminated outright) is where it pays; it is supported here for
-    mode-uniformity across solvers.
     @raise Invalid_argument when [max_lambda] exceeds [min(K, M)] or is
     not positive, and as {!Greedy.path_p}. *)
 
@@ -94,7 +85,6 @@ val fit_p :
   ?checkpoint_every:int ->
   ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
   ?resume:Serialize.Checkpoint.t ->
-  ?sweep:Corr_sweep.sweep ->
   ?shards:int ->
   ?shard_mode:Shard_sweep.mode ->
   ?recovered:int ref ->

@@ -164,7 +164,7 @@ let lambda_cap ?(folds = 4) ~rows_bound ~max_lambda src =
    several outputs, its output × fold grid) exactly when the provider
    is streamed, the sweep is exact and the selection sweeps are
    unsharded. Fusing shares column generation, which only streamed
-   providers pay per sweep; the incremental engine keeps per-solver
+   providers pay per sweep; the incremental LAR engine keeps per-walk
    state no shared sweep can serve, and the sharded engine owns each
    solver run's sweep. Both drivers give the same bits. *)
 let fused_driver ~streamed ~sweep ~shards =
@@ -245,19 +245,19 @@ let fused_lars ?mode ?on_singular ?pool src ~max_lambda =
     ~models:(fun e -> Lars.lambda_models src ~max_lambda (Lars.Engine.steps e))
 
 (* Per-fold (and refit) path models of each solver. *)
-let omp_models ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered ()
-    ~rng:_ src f ~max_lambda =
+let omp_models ?pool ?on_singular ?shards ?shard_mode ?recovered () ~rng:_ src
+    f ~max_lambda =
   let max_lambda = min max_lambda (min (Provider.rows src) (Provider.cols src)) in
   Array.map
     (fun s -> s.Omp.model)
-    (Omp.path_p ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered src f
+    (Omp.path_p ?pool ?on_singular ?shards ?shard_mode ?recovered src f
        ~max_lambda)
 
-let star_models ?pool ?sweep ?shards ?shard_mode ?recovered () ~rng:_ src f
+let star_models ?pool ?shards ?shard_mode ?recovered () ~rng:_ src f
     ~max_lambda =
   Array.map
     (fun s -> s.Star.model)
-    (Star.path_p ?pool ?sweep ?shards ?shard_mode ?recovered src f ~max_lambda)
+    (Star.path_p ?pool ?shards ?shard_mode ?recovered src f ~max_lambda)
 
 (* LAR/lasso: the λ-driven walk, which in LAR mode stops one step past
    [max_lambda] bases. *)
@@ -283,26 +283,29 @@ let select_single ?folds ?rule ?pool ?checkpoint ?resume
   generic_impl ?folds ?rule ?pool ?checkpoint ?resume ?fused_curves rng
     ~max_lambda ~path_models src f
 
-let omp_p ?folds ?rule ?pool ?on_singular ?sweep ?shards ?shard_mode
-    ?recovered ?checkpoint ?resume rng ~max_lambda src f =
+let omp_p ?folds ?rule ?pool ?on_singular ?(sweep = Corr_sweep.Exact) ?shards
+    ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src f =
+  Result.iter_error
+    (fun msg -> invalid_arg ("Select.omp_p: " ^ msg))
+    (Corr_sweep.lar_only ~lar:false sweep);
   let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
-  select_single ?folds ?rule ?pool ?checkpoint ?resume ?sweep ?shards
+  select_single ?folds ?rule ?pool ?checkpoint ?resume ?shards
     ~fit_jobs:
       (fused_greedy (module Omp.Engine) ?pool src ~max_lambda
          ~create:(omp_engine ?on_singular ~max_lambda))
     ~path_models:
-      (omp_models ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered ())
+      (omp_models ?pool ?on_singular ?shards ?shard_mode ?recovered ())
     rng ~max_lambda src f
 
-let star_p ?folds ?rule ?pool ?sweep ?shards ?shard_mode ?recovered
-    ?checkpoint ?resume rng ~max_lambda src f =
+let star_p ?folds ?rule ?pool ?shards ?shard_mode ?recovered ?checkpoint
+    ?resume rng ~max_lambda src f =
   let max_lambda = lambda_cap ?folds ~rows_bound:false ~max_lambda src in
-  select_single ?folds ?rule ?pool ?checkpoint ?resume ?sweep ?shards
+  select_single ?folds ?rule ?pool ?checkpoint ?resume ?shards
     ~fit_jobs:
       (fused_greedy (module Star.Engine) ?pool src ~max_lambda
          ~create:(fun src_tr f_tr ->
            Star.Engine.create src_tr f_tr ~max_lambda))
-    ~path_models:(star_models ?pool ?sweep ?shards ?shard_mode ?recovered ())
+    ~path_models:(star_models ?pool ?shards ?shard_mode ?recovered ())
     rng ~max_lambda src f
 
 let lars_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode

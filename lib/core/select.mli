@@ -47,10 +47,11 @@ val fused_driver :
     advances every fold solver in lockstep and serves each round from
     one multi-residual sweep, so streamed column generation is paid
     once per round instead of once per fold; a dense provider has no
-    generation to share. The incremental engine keeps per-solver state
-    no shared sweep can serve, and the sharded engine owns each solver
-    run's sweep. Both drivers give bitwise-identical curves, λ and
-    models, so the rule only decides speed and no caller overrides it. *)
+    generation to share. The incremental engine, which only {!lars_p}
+    accepts, keeps per-walk state no shared sweep can serve, and the
+    sharded engine owns each solver run's sweep. Both drivers give
+    bitwise-identical curves, λ and models, so the rule only decides
+    speed and no caller overrides it. *)
 
 val omp_p :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
@@ -65,13 +66,14 @@ val omp_p :
     {!Omp.path_p} for every fold fit and the final refit.
     [checkpoint]/[resume] as in {!generic_p}.
 
-    [sweep] (default [Exact]) and [shards]/[shard_mode]/[recovered]
-    (see {!Omp.path_p}) are forwarded to every fold fit and the final
-    refit; the selected λ, curve and model stay bitwise identical to the
+    [sweep] (default [Exact]) must be [Exact]: OMP sweeps exactly, and
+    [Incremental] raises [Invalid_argument] before any fold work
+    ({!Corr_sweep.lar_only}). [shards]/[shard_mode]/[recovered] (see
+    {!Omp.path_p}) are forwarded to every fold fit and the final refit;
+    the selected λ, curve and model stay bitwise identical to the
     unsharded run. The fold driver is {!fused_driver}'s: on a streamed
-    provider with the exact unsharded sweep, every round computes all
-    live folds' selections with one {!Corr_sweep.argmax_abs_multi}
-    sweep.
+    provider with the unsharded sweep, every round computes all live
+    folds' selections with one {!Corr_sweep.argmax_abs_multi} sweep.
 
     Every selector also raises [Invalid_argument "Select: response
     length mismatch"] before drawing its fold plan when the response
@@ -79,11 +81,10 @@ val omp_p :
 
 val star_p :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
-  ?sweep:Corr_sweep.sweep ->
   ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
   ?checkpoint:string -> ?resume:bool -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t -> result
-(** [sweep]/[shards]/[shard_mode]/[recovered] and the fold driver as in
+(** [shards]/[shard_mode]/[recovered] and the fold driver as in
     {!omp_p}. *)
 
 val lars_p :
@@ -98,9 +99,12 @@ val lars_p :
     {!Lars.lambda_path_p} (a [Lar] walk ends one step past [max_lambda]
     bases, a [Lasso] walk at {!Lars.step_budget}), read through
     {!Lars.lambda_models}; [on_singular] is forwarded to it.
-    [checkpoint]/[resume] as in {!generic_p}. [sweep],
-    [shards]/[shard_mode]/[recovered] and the fold driver as in
-    {!omp_p}: the fused fold driver runs each fold's walk on a
+    [checkpoint]/[resume] as in {!generic_p}. [sweep] (default [Exact])
+    is forwarded to every fold fit and the final refit; [Incremental]
+    is the Gram-cached LAR engine ({!Lars.path_p}), within 1e-10 of
+    exact, and runs the per-fold driver. [shards]/[shard_mode]/
+    [recovered] and the fold driver as in {!omp_p}: the fused fold
+    driver runs each fold's walk on a
     {!Lars.Engine} created with the same λ budget and serves both of its
     per-step sweeps from one {!Corr_sweep.gram_tr_multi} pass per
     lockstep round. *)

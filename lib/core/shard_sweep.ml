@@ -25,7 +25,7 @@ type pick = {
 (* ------------------------------------------------------------------ *)
 (* Shard-local state.  One [local] owns a contiguous column window
    [jlo, jhi) of the dictionary: its own provider window, its own
-   norms, its own skip masks, and (incremental mode) its own Gram-cache
+   norms, its own skip masks, and (incremental LAR) its own Gram-cache
    slab.  Every operation below touches local columns only, with the
    exact per-column float sequences of the full-dictionary kernels, so
    shard-local results merge bitwise into the sequential scan.  The
@@ -95,25 +95,17 @@ let local_deactivate l j =
 
 let local_ban l j = if j >= l.jlo && j < l.jhi then l.banned.(j - l.jlo) <- true
 
-let local_deltas l deltas =
-  match l.inc with
-  | Some ic -> Corr_sweep.Inc.apply_deltas ic deltas
-  | None -> ()
-
 let local_refresh l r =
   match l.inc with Some ic -> Corr_sweep.Inc.refresh ic r | None -> ()
 
-(* OMP/STAR selection: local argmax over non-skipped columns, strict [>]
-   so the lowest local (hence global) index wins ties — the left-biased
-   shard merge then reproduces the sequential lowest-index rule. *)
+(* OMP/STAR selection: the exact local argmax over non-skipped columns,
+   strict [>] so the lowest local (hence global) index wins ties — the
+   left-biased shard merge then reproduces the sequential lowest-index
+   rule. *)
 let local_select l r =
   let w = local_width l in
   let skip = Array.init w (fun j -> l.active.(j) || l.banned.(j)) in
-  let j, a =
-    match l.inc with
-    | Some ic -> Corr_sweep.Inc.argmax_abs ~skip ic
-    | None -> Provider.argmax_abs ?pool:l.lpool ~skip l.win r
-  in
+  let j, a = Provider.argmax_abs ?pool:l.lpool ~skip l.win r in
   ((if j >= 0 then l.jlo + j else -1), a)
 
 (* The LAR step's two O(M) scans over a column window, shared by every
@@ -237,7 +229,6 @@ type cmd =
   | Activate of int * Vec.t
   | Deactivate of int
   | Ban of int
-  | Deltas of (int * float) array
   | Refresh of Vec.t
   | Commit of { gamma : float; cdir : dir; refresh : Vec.t option }
   | Select of Vec.t
@@ -296,9 +287,6 @@ let exec_local l (c : cmd) : reply =
       RUnit
   | Ban j ->
       local_ban l j;
-      RUnit
-  | Deltas d ->
-      local_deltas l d;
       RUnit
   | Refresh r ->
       local_refresh l r;
@@ -587,8 +575,7 @@ let rec roundtrip ?(tries = 3) t ps w c =
       roundtrip ~tries:(tries - 1) t ps w c
 
 let logged = function
-  | Activate _ | Deactivate _ | Ban _ | Deltas _ | Refresh _ | Commit _ ->
-      true
+  | Activate _ | Deactivate _ | Ban _ | Refresh _ | Commit _ -> true
   | Init _ | Select _ | LarsSelect _ | Gamma _ | Norms | PeakRss | Quit ->
       false
 
@@ -692,9 +679,6 @@ let ban t j = Array.iter expect_unit (exec t (Ban j))
 (* The maintained-correlation commands below are no-ops on exact
    shards, so exact fleets skip the round trip (and the replay log
    entry) altogether. *)
-let apply_deltas t deltas =
-  if incremental t then Array.iter expect_unit (exec t (Deltas deltas))
-
 let refresh t r =
   if incremental t then begin
     Array.iter expect_unit (exec t (Refresh (Array.copy r)));

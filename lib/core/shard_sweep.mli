@@ -3,8 +3,10 @@
     Partitions the dictionary's columns into contiguous shards; each
     shard owns a {!Polybasis.Design.Provider.window} of the design
     source, its own column norms and skip masks, and (incremental
-    mode) its own Gram-cache slab keyed by global column index.  The
-    per-step O(K·M) sweeps of LAR/OMP/STAR then decompose into
+    mode, which only the LAR/lasso walk uses — see
+    {!Corr_sweep.lar_only}) its own Gram-cache slab keyed by global
+    column index.  The per-step O(K·M) sweeps of LAR/OMP/STAR then
+    decompose into
     shard-local scans whose results merge through fixed-shape,
     left-biased tree reductions — bitwise identical to the sequential
     full-dictionary scan at {e any} shard count, because every local
@@ -127,8 +129,8 @@ val recovered : t -> int
 (** Number of worker respawn+replay recoveries performed so far. *)
 
 val incremental : t -> bool
-(** Whether the fleet maintains correlations ([sweep = Incremental]).
-    On exact fleets {!apply_deltas}, {!refresh} and {!commit} return
+(** Whether the fleet maintains correlations ([sweep = Incremental], a
+    LAR walk's fleet).  On exact fleets {!refresh} and {!commit} return
     without contacting the shards. *)
 
 val raw_norms : t -> Linalg.Vec.t
@@ -139,7 +141,7 @@ val activate : t -> int -> Linalg.Vec.t -> unit
 (** [activate t j col] marks global column [j] active (it leaves the
     entering scans) and, in incremental mode, has {e every} shard
     build its slab slice v_j = Gᵀ_win·[col] — the O(K·M) build,
-    sharded, that later delta updates amortize. *)
+    sharded, from which later LAR directions are combined. *)
 
 val deactivate : t -> int -> unit
 (** Lasso drop: [j] re-enters the entering scans.  Slab slices are
@@ -147,10 +149,6 @@ val deactivate : t -> int -> unit
 
 val ban : t -> int -> unit
 (** Exclude [j] from every later scan (dependent-column fallback). *)
-
-val apply_deltas : t -> (int * float) array -> unit
-(** Incremental OMP/STAR update: c ← c − Σ Δβ_j·v_j on every shard's
-    slice.  No-op in exact mode. *)
 
 val refresh : t -> Linalg.Vec.t -> unit
 (** Exact re-sweep of the given residual on every shard (on cadence
@@ -167,9 +165,9 @@ val due : t -> bool
 
 val select : t -> r:Linalg.Vec.t -> int * float
 (** OMP/STAR selection: argmax of |⟨g_j, r⟩| over non-active,
-    non-banned columns ([r] is ignored by incremental shards, which
-    scan their maintained vectors).  Ties keep the lowest global
-    index; [(-1, 0.)] when nothing is eligible. *)
+    non-banned columns, from an exact sweep of [r] on every shard (in
+    either sweep mode).  Ties keep the lowest global index; [(-1, 0.)]
+    when nothing is eligible. *)
 
 val lars_select : t -> r:Linalg.Vec.t -> pick
 (** LARS step-2 scan (see {!pick}); each shard retains its normalized

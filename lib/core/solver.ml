@@ -31,6 +31,13 @@ let path_method = function
   | Star | Lar | Lasso | Omp -> true
   | Ls | Stomp | Cosamp -> false
 
+let check_sweep m sweep =
+  Corr_sweep.lar_only ~lar:(match m with Lar | Lasso -> true | _ -> false) sweep
+
+let require_sweep who m sweep =
+  Result.iter_error (fun msg -> invalid_arg (who ^ ": " ^ msg))
+    (check_sweep m sweep)
+
 let default_lambda g = max 1 (min (Mat.rows g) (Mat.cols g) / 2)
 
 let fit ?lambda g f m =
@@ -101,8 +108,10 @@ let fit_cv ?folds ?max_lambda rng g f m =
       let s = grid.(Stat.Crossval.argmin curve) in
       Cosamp.fit g f ~s
 
-let fit_cv_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?shard_mode
-    ?recovered ?cv_checkpoint ?cv_resume ?(notes = [||]) rng src f m =
+let fit_cv_p ?folds ?max_lambda ?on_singular ?(sweep = Corr_sweep.Exact)
+    ?shards ?shard_mode ?recovered ?cv_checkpoint ?cv_resume ?(notes = [||])
+    rng src f m =
+  require_sweep "Solver.fit_cv_p" m sweep;
   let max_lambda =
     match max_lambda with
     | Some l -> l
@@ -113,19 +122,19 @@ let fit_cv_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?shard_mode
   let model =
   match m with
   | Star ->
-      (Select.star_p ?folds ?sweep ?shards ?shard_mode ?recovered
-         ?checkpoint ?resume rng ~max_lambda src f)
+      (Select.star_p ?folds ?shards ?shard_mode ?recovered ?checkpoint
+         ?resume rng ~max_lambda src f)
         .Select.model
   | Lar ->
-      (Select.lars_p ?folds ~mode:Lars.Lar ?on_singular ?sweep ?shards
+      (Select.lars_p ?folds ~mode:Lars.Lar ?on_singular ~sweep ?shards
          ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src f)
         .Select.model
   | Lasso ->
-      (Select.lars_p ?folds ~mode:Lars.Lasso ?on_singular ?sweep ?shards
+      (Select.lars_p ?folds ~mode:Lars.Lasso ?on_singular ~sweep ?shards
          ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src f)
         .Select.model
   | Omp ->
-      (Select.omp_p ?folds ?on_singular ?sweep ?shards ?shard_mode ?recovered
+      (Select.omp_p ?folds ?on_singular ?shards ?shard_mode ?recovered
          ?checkpoint ?resume rng ~max_lambda src f)
         .Select.model
   | Ls | Stomp | Cosamp ->
@@ -149,6 +158,7 @@ let fit_cv_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?shard_mode
 let fit_multi_p ?folds ?max_lambda ?on_singular ?(sweep = Corr_sweep.Exact)
     ?(shards = 1) ?shard_mode ?recovered ?cv_checkpoint ?cv_resume ?notes rng
     src fs m =
+  require_sweep "Solver.fit_multi_p" m sweep;
   let outputs = Array.length fs in
   if outputs = 0 then
     invalid_arg "Solver.fit_multi_p: at least one output required";

@@ -28,6 +28,13 @@ val path_method : method_ -> bool
 (** True for the greedy path methods ([Star], [Lar], [Lasso], [Omp]):
     the ones with a λ path to cross-validate, checkpoint and fuse. *)
 
+val check_sweep : method_ -> Corr_sweep.sweep -> (unit, string) result
+(** [check_sweep m sweep] is {!Corr_sweep.lar_only}: [Error] for an
+    [Incremental] sweep with any method but [Lar] and [Lasso], whose
+    walk is the only one the Gram cache speeds up. {!fit_cv_p} and
+    {!fit_multi_p} raise [Invalid_argument] on that [Error] before any
+    fold work; [Robust.Pipeline.config] returns it typed. *)
+
 val fit :
   ?lambda:int -> Linalg.Mat.t -> Linalg.Vec.t -> method_ -> Model.t
 (** [fit g f m] with a fixed sparsity budget [lambda] (ignored by [Ls]).
@@ -60,10 +67,11 @@ val fit_cv_p :
     instead of stopping, recording the rung in {!Model.notes}. Ignored
     by the other methods.
 
-    [sweep] selects the correlation engine for the path methods (default
-    {!Corr_sweep.Exact}), forwarded to the {!Select} [_p] entry points;
-    their CV fold driver follows {!Select.fused_driver}. Ignored by
-    [Ls]/[Stomp]/[Cosamp].
+    [sweep] selects the correlation engine (default
+    {!Corr_sweep.Exact}) of the LAR/LASSO walk, forwarded to
+    {!Select.lars_p}; the CV fold driver follows {!Select.fused_driver}.
+    Every other method sweeps exactly and raises [Invalid_argument] on
+    an [Incremental] sweep ({!check_sweep}).
 
     [shards]/[shard_mode]/[recovered] route the path methods' selection
     sweeps through the column-sharded engine ({!Shard_sweep}, see
@@ -113,5 +121,5 @@ val fit_multi_p :
     bitwise in the other, as a dense fit.
 
     [notes] supplies one provenance-note array per output.
-    @raise Invalid_argument when [fs] is empty or [notes] disagrees in
-    length, before any fitting. *)
+    @raise Invalid_argument when {!check_sweep} rejects [sweep], [fs]
+    is empty or [notes] disagrees in length, before any fitting. *)

@@ -70,10 +70,6 @@ module Engine = struct
   let steps t = Array.of_list (List.rev t.steps_rev)
   let models t = Array.of_list (List.rev_map (fun s -> s.model) t.steps_rev)
 
-  (* Matching pursuit never revisits coefficients: the only delta is α
-     on the entering column. *)
-  let deltas t = [| (List.hd t.support_rev, List.hd t.coeffs_rev) |]
-
   (* Accept column [j]: matching-pursuit coefficient from the current
      residual, subtract its contribution. The exact operation order is
      shared by live selection and checkpoint replay, so a resumed path
@@ -126,18 +122,18 @@ module Engine = struct
         ~coefficient:(List.hd t.coeffs_rev)
 end
 
-let path_p ?tol ?pool ?checkpoint_every ?on_checkpoint ?resume ?sweep ?shards
+let path_p ?tol ?pool ?checkpoint_every ?on_checkpoint ?resume ?shards
     ?shard_mode ?recovered src f ~max_lambda =
   Greedy.path_p
     (module Engine)
-    ?pool ?checkpoint_every ?on_checkpoint ?resume ?sweep ?shards ?shard_mode
+    ?pool ?checkpoint_every ?on_checkpoint ?resume ?shards ?shard_mode
     ?recovered src
     (fun () -> Engine.create ?tol src f ~max_lambda)
 
-let fit_p ?tol ?pool ?checkpoint_every ?on_checkpoint ?resume ?sweep ?shards
+let fit_p ?tol ?pool ?checkpoint_every ?on_checkpoint ?resume ?shards
     ?shard_mode ?recovered src f ~lambda =
   let steps =
-    path_p ?tol ?pool ?checkpoint_every ?on_checkpoint ?resume ?sweep ?shards
+    path_p ?tol ?pool ?checkpoint_every ?on_checkpoint ?resume ?shards
       ?shard_mode ?recovered src f ~max_lambda:lambda
   in
   if Array.length steps = 0 then

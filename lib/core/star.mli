@@ -23,7 +23,7 @@ type step = {
 
 (** STAR's engine for the shared greedy driver ({!Greedy.ENGINE}): each
     {!Engine.advance} takes the matching-pursuit coefficient from the
-    current residual; {!Engine.deltas} is the single entering [(j, α)]. *)
+    current residual. *)
 module Engine : sig
   include Greedy.ENGINE with type step = step
 
@@ -42,7 +42,6 @@ val path_p :
   ?checkpoint_every:int ->
   ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
   ?resume:Serialize.Checkpoint.t ->
-  ?sweep:Corr_sweep.sweep ->
   ?shards:int ->
   ?shard_mode:Shard_sweep.mode ->
   ?recovered:int ref ->
@@ -57,9 +56,7 @@ val path_p :
     coefficient and residual updates from the provider), and bitwise
     identical results for every domain count, provider form and shard
     count. [max_lambda] may not exceed [M] (there is no LS system to
-    keep over-determined, so [K] is not a bound). Under
-    [sweep = Incremental] each step's delta update is the single
-    entering [(j, α)]. *)
+    keep over-determined, so [K] is not a bound). *)
 
 val fit_p :
   ?tol:float ->
@@ -67,7 +64,6 @@ val fit_p :
   ?checkpoint_every:int ->
   ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
   ?resume:Serialize.Checkpoint.t ->
-  ?sweep:Corr_sweep.sweep ->
   ?shards:int ->
   ?shard_mode:Shard_sweep.mode ->
   ?recovered:int ref ->

@@ -27,8 +27,6 @@ let of_exn = function
         (Printf.sprintf "Gram matrix not positive definite (pivot %d)" i)
   | Linalg.Tri.Singular i ->
       Numerical (Printf.sprintf "singular triangular system (row %d)" i)
-  | Linalg.Lu.Singular i ->
-      Numerical (Printf.sprintf "singular linear system (pivot %d)" i)
   | e -> Internal (Printexc.to_string e)
 
 let guard f =

@@ -28,8 +28,8 @@ val to_string : t -> string
 val of_exn : exn -> t
 (** Classify a raised exception: [Invalid_argument]/[Failure] become
     [Invalid_input], [Sys_error] becomes [Io],
-    {!Linalg.Cholesky.Not_positive_definite} / {!Linalg.Tri.Singular} /
-    {!Linalg.Lu.Singular} become [Numerical], anything else is
+    {!Linalg.Cholesky.Not_positive_definite} / {!Linalg.Tri.Singular}
+    become [Numerical], anything else is
     [Internal] (with [Printexc.to_string]). *)
 
 val guard : (unit -> 'a) -> ('a, t) result

@@ -76,29 +76,32 @@ let config ?(method_ = Rsm.Solver.Omp) ?(folds = 4) ?(max_lambda = 100)
   else if checkpoint <> None && not (Rsm.Solver.path_method method_) then
     fail "checkpointing supports the star, lar, lasso and omp methods only"
   else
-    Ok
-      {
-        method_;
-        folds;
-        max_lambda;
-        samples;
-        screen;
-        screen_threshold;
-        screen_space;
-        screen_confidence;
-        faults;
-        retry;
-        adaptive;
-        min_samples;
-        quorum;
-        streamed;
-        checkpoint;
-        resume;
-        sweep;
-        shards;
-        shard_mode;
-        rescreen;
-      }
+    match Rsm.Solver.check_sweep method_ sweep with
+    | Error m -> Error (Error.Invalid_input m)
+    | Ok () ->
+        Ok
+          {
+            method_;
+            folds;
+            max_lambda;
+            samples;
+            screen;
+            screen_threshold;
+            screen_space;
+            screen_confidence;
+            faults;
+            retry;
+            adaptive;
+            min_samples;
+            quorum;
+            streamed;
+            checkpoint;
+            resume;
+            sweep;
+            shards;
+            shard_mode;
+            rescreen;
+          }
 
 type outcome = {
   model : Rsm.Model.t;

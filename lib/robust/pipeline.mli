@@ -56,7 +56,8 @@ type config = {
       (** base path for per-fold CV checkpoints ({!Rsm.Select}) *)
   resume : bool;  (** load matching fold checkpoints before fitting *)
   sweep : Rsm.Corr_sweep.sweep;
-      (** correlation engine for the path solvers ({!Rsm.Corr_sweep}) *)
+      (** correlation engine ({!Rsm.Corr_sweep}); [Incremental] serves
+          the LAR/LASSO walk only *)
   shards : int;
       (** column shards for the selection sweeps ({!Rsm.Shard_sweep});
           1 = unsharded. Fits are bitwise identical at every count. *)
@@ -99,8 +100,9 @@ val config :
     [Error (Invalid_input _)] on non-positive counts or thresholds, a
     confidence or quorum outside its range, a negative incremental
     refresh cadence, [min_samples > samples], [resume] without
-    [checkpoint], or [checkpoint] with a method that has no λ sweep
-    (LS/StOMP/CoSaMP).
+    [checkpoint], [checkpoint] with a method that has no λ sweep
+    (LS/StOMP/CoSaMP), or an incremental [sweep] with a method other
+    than LAR/LASSO ({!Rsm.Solver.check_sweep}).
 
     No field picks the CV driver: {!Rsm.Select.fused_driver} derives it
     from [streamed], [sweep] and [shards], and both drivers give the

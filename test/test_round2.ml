@@ -1,50 +1,7 @@
-(* Second-round extensions: LU, FISTA, coherence diagnostics, Latin
+(* Second-round extensions: FISTA, coherence diagnostics, Latin
    hypercube sampling, Kolmogorov-Smirnov, joint yield. *)
 open Test_util
 open Linalg
-
-(* --- LU --- *)
-
-let random_square g n = Mat.init n n (fun _ _ -> Randkit.Prng.float g -. 0.5)
-
-let test_lu_solve () =
-  let g = rng () in
-  let a = random_square g 7 in
-  let x_true = Array.init 7 (fun i -> float_of_int (i - 3)) in
-  let b = Mat.mulv a x_true in
-  check_vec ~eps:1e-8 "solve" x_true (Lu.lu_solve a b)
-
-let test_lu_pivoting_needed () =
-  (* Zero on the leading diagonal: fails without pivoting. *)
-  let a = Mat.of_arrays [| [| 0.; 1. |]; [| 1.; 0. |] |] in
-  check_vec ~eps:1e-12 "swap solve" [| 2.; 1. |] (Lu.lu_solve a [| 1.; 2. |])
-
-let test_lu_det () =
-  let a = Mat.of_arrays [| [| 2.; 0. |]; [| 0.; 3. |] |] in
-  check_float ~eps:1e-12 "diag det" 6. (Lu.det (Lu.factor a));
-  (* Permutation parity: swapping rows flips the sign. *)
-  let b = Mat.of_arrays [| [| 0.; 3. |]; [| 2.; 0. |] |] in
-  check_float ~eps:1e-12 "swapped det" (-6.) (Lu.det (Lu.factor b))
-
-let test_lu_det_vs_cholesky () =
-  let g = rng () in
-  let b = random_square g 5 in
-  let a = Mat.add (Mat.gram b) (Mat.smul 5. (Mat.identity 5)) in
-  let l = Cholesky.factor a in
-  check_float ~eps:1e-6 "log det agreement" (Cholesky.log_det l)
-    (log (Lu.det (Lu.factor a)))
-
-let test_lu_inverse () =
-  let g = rng () in
-  let a = random_square g 6 in
-  let inv = Lu.inverse (Lu.factor a) in
-  check_mat ~eps:1e-8 "A A^-1 = I" (Mat.identity 6) (Mat.mul a inv)
-
-let test_lu_singular () =
-  let a = Mat.of_arrays [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-  match Lu.factor a with
-  | exception Lu.Singular _ -> ()
-  | _ -> Alcotest.fail "expected Singular"
 
 (* --- FISTA --- *)
 
@@ -273,12 +230,6 @@ let test_joint_yield_validation () =
 let suite =
   ( "round2",
     [
-      case "lu: solve" test_lu_solve;
-      case "lu: pivoting" test_lu_pivoting_needed;
-      case "lu: determinant" test_lu_det;
-      case "lu: det vs cholesky" test_lu_det_vs_cholesky;
-      case "lu: inverse" test_lu_inverse;
-      case "lu: singular" test_lu_singular;
       case "fista: lipschitz = sigma_max^2" test_lipschitz_vs_svd;
       case "fista: matches coordinate descent" test_fista_matches_cd;
       case "fista: zero at max reg" test_fista_zero_at_max_reg;

@@ -8,9 +8,9 @@
      (property test).
    - Shard_sweep.raw_norms gathers bitwise Provider.column_norms.
    - LAR/LASSO/OMP/STAR sharded paths (Domains mode) are bitwise equal
-     to shards:1 — dense and streamed providers, exact and incremental
-     sweeps, several shard counts, including paths with lasso drops and
-     banned (duplicate) columns.
+     to shards:1 — dense and streamed providers, exact and (LAR/LASSO)
+     incremental sweeps, several shard counts, including paths with
+     lasso drops and banned (duplicate) columns.
    - Procs mode (re-exec'd worker processes) is bitwise equal too.
    - a worker SIGKILLed mid-fit (RSM_SHARD_FAULT) is respawned, replays
      the command log, and the fit output stays bitwise identical.
@@ -238,30 +238,20 @@ let test_omp_star_sharded_bitwise () =
   let f = sparse_response rng (P.dense g) in
   List.iter
     (fun (tag, src) ->
+      let omp_ref = omp_bits (Rsm.Omp.path_p src f ~max_lambda:6) in
+      let star_ref = star_bits (Rsm.Star.path_p src f ~max_lambda:6) in
       List.iter
-        (fun sweep ->
-          let omp_ref =
-            omp_bits (Rsm.Omp.path_p ~sweep src f ~max_lambda:6)
-          in
-          let star_ref =
-            star_bits (Rsm.Star.path_p ~sweep src f ~max_lambda:6)
-          in
-          List.iter
-            (fun shards ->
-              check_bool
-                (Printf.sprintf "omp %s %s shards=%d" tag (sweep_tag sweep)
-                   shards)
-                true
-                (omp_bits (Rsm.Omp.path_p ~sweep ~shards src f ~max_lambda:6)
-                = omp_ref);
-              check_bool
-                (Printf.sprintf "star %s %s shards=%d" tag (sweep_tag sweep)
-                   shards)
-                true
-                (star_bits (Rsm.Star.path_p ~sweep ~shards src f ~max_lambda:6)
-                = star_ref))
-            shard_counts)
-        sweeps)
+        (fun shards ->
+          check_bool
+            (Printf.sprintf "omp %s shards=%d" tag shards)
+            true
+            (omp_bits (Rsm.Omp.path_p ~shards src f ~max_lambda:6) = omp_ref);
+          check_bool
+            (Printf.sprintf "star %s shards=%d" tag shards)
+            true
+            (star_bits (Rsm.Star.path_p ~shards src f ~max_lambda:6)
+            = star_ref))
+        shard_counts)
     [ ("dense", P.dense g); ("streamed", P.streamed basis pts) ]
 
 (* --- Procs mode ---------------------------------------------------- *)

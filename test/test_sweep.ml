@@ -9,13 +9,12 @@
      and on wide dense designs whose chunk edges split the 4-wide
      unroll; one identity-row fold equals the full-provider sweep.
    - sweep:Incremental agrees with sweep:Exact to 1e-10 relative on
-     every solver (OMP, STAR, LAR, LASSO), at several refresh cadences,
-     including paths with banned columns (duplicate dictionary entries)
-     and lasso drops.
+     the LAR and LASSO walks, at several refresh cadences, including
+     paths with banned columns (duplicate dictionary entries) and lasso
+     drops; Inc's combination and retreat match exact sweeps.
    - an incremental-sweep LAR checkpoint resumes bitwise equal to the
      uninterrupted incremental run; OMP/STAR checkpoints resume to the
-     same model bytes under exact and incremental sweeps, unsharded
-     and sharded.
+     same model bytes, unsharded and sharded.
    - a dictionary whose every column gets banned terminates with an
      annotated model instead of raising.
    - the λ budget ends a LAR walk one step past λ bases: the capped
@@ -327,27 +326,17 @@ let test_multi_validation () =
 
 let cadences = [ 1; 4; 0 ]
 
-let fit_with solver ~sweep ~pool src f ~lambda =
-  match solver with
-  | `Omp -> Rsm.Omp.fit_p ~pool ~sweep src f ~lambda
-  | `Star -> Rsm.Star.fit_p ~pool ~sweep src f ~lambda
-  | `Lar -> Rsm.Lars.fit_p ~mode:Rsm.Lars.Lar ~pool ~sweep src f ~lambda
-  | `Lasso -> Rsm.Lars.fit_p ~mode:Rsm.Lars.Lasso ~pool ~sweep src f ~lambda
-
-let prop_incremental_parity solver seed =
+let prop_incremental_parity mode seed =
   let rng, _, _, g = random_setting seed in
   let src = P.dense g in
   let f = sparse_response rng src in
   let lambda = min 6 (min (P.rows src) (P.cols src)) in
   Parallel.Pool.with_pool ~domains:2 (fun pool ->
-      let exact = fit_with solver ~sweep:CS.Exact ~pool src f ~lambda in
+      let fit sweep = Rsm.Lars.fit_p ~mode ~pool ~sweep src f ~lambda in
+      let exact = fit CS.Exact in
       List.iter
         (fun refresh ->
-          let inc =
-            fit_with solver
-              ~sweep:(CS.incremental ~refresh ())
-              ~pool src f ~lambda
-          in
+          let inc = fit (CS.incremental ~refresh ()) in
           check_model_close
             (Printf.sprintf "refresh=%d vs exact" refresh)
             1e-10 exact inc)
@@ -680,46 +669,40 @@ let test_lasso_keeps_step_budget () =
   check_bool "fit_p returns the later model" true
     (Rsm.Serialize.to_string (Rsm.Lars.fit_p ~mode src f ~lambda) = later)
 
-(* --- OMP/STAR checkpoint/resume across sweep engines --------------- *)
+(* --- OMP/STAR checkpoint/resume, unsharded and sharded -------------- *)
 
-(* A checkpoint taken at support size 4 — between two refreshes of the
-   refresh:3 cadence — resumed under the same engine must continue to
-   the same model bytes as the uninterrupted run, for exact and
-   incremental sweeps, unsharded and sharded. The resumed path's
-   leading replay step carries the checkpoint's model, so the resumed
-   models equal the uninterrupted ones from step [prefix − 1] on; the
-   live continuation also reports bitwise-equal winning correlations
-   (OMP) and coefficients (STAR) — the incremental vector must be
-   refreshed where the checkpoint was written. *)
+(* A checkpoint taken at support size 4, resumed with the same shard
+   count, must continue to the same model bytes as the uninterrupted
+   run. The resumed path's leading replay step carries the checkpoint's
+   model, so the resumed models equal the uninterrupted ones from step
+   [prefix − 1] on; the live continuation also reports bitwise-equal
+   winning correlations (OMP) and coefficients (STAR). *)
 let test_greedy_resume_bitwise () =
   let rng, _, _, g = random_setting 23 in
   let src = P.dense g in
   let f = sparse_response rng src in
   let bits model x = (Rsm.Serialize.to_string model, Int64.bits_of_float x) in
-  let omp ~sweep ~shards ~on_checkpoint ~resume =
+  let omp ~shards ~on_checkpoint ~resume =
     Array.map
       (fun (s : Rsm.Omp.step) -> bits s.model s.correlation)
-      (Rsm.Omp.path_p ~sweep ~shards ~checkpoint_every:2 ~on_checkpoint
-         ?resume src f ~max_lambda:8)
+      (Rsm.Omp.path_p ~shards ~checkpoint_every:2 ~on_checkpoint ?resume src
+         f ~max_lambda:8)
   in
-  let star ~sweep ~shards ~on_checkpoint ~resume =
+  let star ~shards ~on_checkpoint ~resume =
     Array.map
       (fun (s : Rsm.Star.step) -> bits s.model s.coefficient)
-      (Rsm.Star.path_p ~sweep ~shards ~checkpoint_every:2 ~on_checkpoint
-         ?resume src f ~max_lambda:8)
+      (Rsm.Star.path_p ~shards ~checkpoint_every:2 ~on_checkpoint ?resume
+         src f ~max_lambda:8)
   in
   let prefix = 4 in
   List.iter
     (fun (name, path) ->
       List.iter
-        (fun (sweep, shards) ->
-          let tag =
-            Printf.sprintf "%s %s shards=%d" name (CS.sweep_to_string sweep)
-              shards
-          in
+        (fun shards ->
+          let tag = Printf.sprintf "%s shards=%d" name shards in
           let saved = ref None in
           let full =
-            path ~sweep ~shards
+            path ~shards
               ~on_checkpoint:(fun c ->
                 if Array.length c.Rsm.Serialize.Checkpoint.support = prefix
                 then saved := Some c)
@@ -731,7 +714,7 @@ let test_greedy_resume_bitwise () =
             | None -> Alcotest.failf "%s: no checkpoint at support 4" tag
           in
           let resumed =
-            path ~sweep ~shards ~on_checkpoint:(fun _ -> ()) ~resume:(Some ck)
+            path ~shards ~on_checkpoint:(fun _ -> ()) ~resume:(Some ck)
           in
           let n = Array.length full in
           check_bool (tag ^ ": path continues past the checkpoint") true
@@ -741,12 +724,7 @@ let test_greedy_resume_bitwise () =
           check_bool (tag ^ ": live continuation bitwise") true
             (Array.sub resumed 1 (n - prefix)
             = Array.sub full prefix (n - prefix)))
-        [
-          (CS.Exact, 1);
-          (CS.Exact, 3);
-          (CS.incremental ~refresh:3 (), 1);
-          (CS.incremental ~refresh:3 (), 3);
-        ])
+        [ 1; 3 ])
     [ ("omp", omp); ("star", star) ]
 
 (* --- fused CV vs per-fold CV --------------------------------------- *)
@@ -936,24 +914,43 @@ let test_inc_unit () =
   let inc = CS.Inc.create ~refresh:2 src r in
   check_bool "starts from an exact sweep" true
     (CS.Inc.correlations inc = CS.gram_tr src r);
-  check_int "no cached grams yet" 0 (CS.Inc.cached inc);
-  check_raises_invalid "apply_deltas before ensure_gram" (fun () ->
-      CS.Inc.apply_deltas inc [| (0, 0.5) |]);
-  CS.Inc.ensure_gram inc 0 (P.column src 0);
-  check_int "one cached gram" 1 (CS.Inc.cached inc);
-  CS.Inc.ensure_gram inc 0 (P.column src 0);
-  check_int "ensure_gram is idempotent" 1 (CS.Inc.cached inc);
+  check_raises_invalid "combination before ensure_gram" (fun () ->
+      CS.Inc.combination inc [| (0, 0.5) |]);
+  let g0 = P.column src 0 and g1 = P.column src 1 in
+  CS.Inc.ensure_gram inc 0 g0;
+  CS.Inc.ensure_gram inc 0 (Array.make k 0.);
+  check_bool "ensure_gram is idempotent" true
+    (CS.Inc.combination inc [| (0, 1.) |] = CS.gram_tr src g0);
+  CS.Inc.ensure_gram inc 1 g1;
+  (* A LAR direction u = Σ w_j·g_j: its cached image and one retreat
+     along it against exact sweeps, to 1e-10 of the vector's scale. *)
+  let terms = [| (0, 0.5); (1, -0.25) |] in
+  let u = Array.init k (fun i -> (0.5 *. g0.(i)) -. (0.25 *. g1.(i))) in
+  let close msg exact got =
+    let scale = Array.fold_left (fun a x -> Float.max a (Float.abs x)) 0. exact in
+    Array.iteri
+      (fun j x ->
+        if Float.abs (x -. got.(j)) > 1e-10 *. scale then
+          Alcotest.failf "%s: entry %d %.17g vs %.17g" msg j x got.(j))
+      exact
+  in
+  let a = CS.Inc.combination inc terms in
+  close "combination == exact G^T.u" (CS.gram_tr src u) a;
+  check_raises_invalid "retreat length" (fun () ->
+      CS.Inc.retreat inc 1. [| 1. |]);
+  let gamma = 0.125 in
+  CS.Inc.retreat inc gamma a;
+  close "retreat == exact sweep of the moved residual"
+    (CS.gram_tr src (Array.mapi (fun i x -> x -. (gamma *. u.(i))) r))
+    (CS.Inc.correlations inc);
   check_bool "not due before any step" false (CS.Inc.due inc);
   CS.Inc.note_step inc;
   CS.Inc.note_step inc;
   check_bool "due after the cadence" true (CS.Inc.due inc);
   CS.Inc.refresh inc r;
   check_bool "refresh resets the cadence" false (CS.Inc.due inc);
-  check_raises_invalid "skip length" (fun () ->
-      CS.Inc.argmax_abs ~skip:[| false |] inc);
-  let skip = Array.make (P.cols src) false in
-  check_bool "Inc argmax == exact argmax on a fresh state" true
-    (CS.Inc.argmax_abs ~skip inc = CS.argmax_abs ~skip src r)
+  check_bool "refresh restores the exact sweep" true
+    (CS.Inc.correlations inc = CS.gram_tr src r)
 
 let test_sweep_of_string () =
   check_bool "exact round-trips" true
@@ -981,7 +978,7 @@ let suite =
         test_incremental_lar_resume_bitwise;
       case "lasso walk keeps its step budget past lambda"
         test_lasso_keeps_step_budget;
-      case "OMP/STAR resume bitwise (exact/incremental x shards 1/3)"
+      case "OMP/STAR resume bitwise (exact x shards 1/3)"
         test_greedy_resume_bitwise;
       case "batched fold curves == per-fold" test_batch_fold_curves;
       case "screen_refit == cold refit" test_screen_refit_matches_cold;
@@ -994,14 +991,10 @@ let suite =
         prop_multi_bitwise;
       qtest ~count:12 "fused multi == independent sweeps, wide dense"
         seed_gen prop_multi_wide_bitwise;
-      qtest ~count:8 "OMP incremental == exact" seed_gen
-        (prop_incremental_parity `Omp);
-      qtest ~count:8 "STAR incremental == exact" seed_gen
-        (prop_incremental_parity `Star);
       qtest ~count:8 "LAR incremental == exact" seed_gen
-        (prop_incremental_parity `Lar);
+        (prop_incremental_parity Rsm.Lars.Lar);
       qtest ~count:8 "LASSO incremental == exact" seed_gen
-        (prop_incremental_parity `Lasso);
+        (prop_incremental_parity Rsm.Lars.Lasso);
       qtest ~count:6 "banned columns: incremental == exact" seed_gen
         prop_incremental_parity_with_bans;
       qtest ~count:10 "LAR lambda budget: capped walk == uncapped prefix"
