@@ -118,7 +118,8 @@ let () =
            ~doc:
              "Fused multi-output fitting: one 4-metric op-amp LAR+CV fit vs \
               4 per-output fits, with embedded bitwise parity gates at \
-              1/2/4 domains, dense and streamed (exit 1 on violation). \
+              1/2/4 domains against the dense per-job grid (exit 1 on \
+              violation). \
               Updates BENCH_speed.json.")
         Term.(
           const (fun quick _ domains -> Multi_bench.run ~quick ?domains ())

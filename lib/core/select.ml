@@ -48,8 +48,9 @@ let fold_cache ~base ~resume ~folds ~n ~max_lambda ~plan_digest =
   { Stat.Crossval.load; store }
 
 (* Held-out error curve of a fitted fold path — shared verbatim by the
-   per-fold and fused drivers so their curves come from the same float
-   sequence. *)
+   per-job and fused drivers so their curves come from the same float
+   sequence. A path shorter than [max_lambda] is padded by its last
+   model: an early-stopped path keeps its final error for larger λ. *)
 let held_out_curve ~max_lambda src f models held_out =
   if Array.length models = 0 then
     invalid_arg "Select: solver produced an empty path";
@@ -60,8 +61,7 @@ let held_out_curve ~max_lambda src f models held_out =
       Model.error_on_p m src_ho f_ho)
 
 (* Mean CV curve ε(λ) over the fold curves (averaged in fold order)
-   and the λ the rule picks from it, refit on all data — the one
-   reduction behind every selector, single- or multi-output. *)
+   and the λ the rule picks from it, refit on all data. *)
 let choose ~folds ~rule ~max_lambda ~path_models ~rng src f fold_curves =
   let fq = float_of_int folds in
   let curve =
@@ -96,61 +96,6 @@ let check_response src f =
   if Array.length f <> Provider.rows src then
     invalid_arg "Select: response length mismatch"
 
-let generic_impl ?(folds = 4) ?(rule = Min_error) ?pool ?checkpoint
-    ?(resume = false) ?fused_curves rng ~max_lambda ~path_models src f =
-  if max_lambda <= 0 then invalid_arg "Select: max_lambda must be positive";
-  check_response src f;
-  let n = Provider.rows src in
-  let plan = Stat.Crossval.make_plan rng ~n ~folds in
-  (* Per-fold streams are split from the master generator in fold order
-     before any fold runs — also before any checkpointed fold is loaded
-     and skipped — so a stochastic solver draws the same stream in fold
-     q whether the folds run sequentially, in parallel, or resumed. *)
-  let fold_rngs = Randkit.Prng.split_n rng folds in
-  let refit_rng = Randkit.Prng.split rng in
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
-  let cache =
-    match checkpoint with
-    | None -> None
-    | Some base ->
-        let plan_digest =
-          Serialize.Checkpoint.Cv.plan_digest plan.Stat.Crossval.assignment
-        in
-        Some (fold_cache ~base ~resume ~folds ~n ~max_lambda ~plan_digest)
-  in
-  (* Per-fold error curves: the mean gives the paper's epsilon(lambda),
-     the spread gives the standard error the One_se rule needs. In the
-     per-fold driver, folds are fitted in parallel (one chunk per
-     fold); the fused driver instead runs all fold solvers in lockstep
-     sharing one multi-residual sweep per step. Either way each fold
-     owns its own slot and the averaging runs in fold order, so the
-     curve is bitwise independent of the driver and domain count. *)
-  let fold_curves =
-    match fused_curves with
-    | Some fit_curves -> Stat.Crossval.run_fold_curves_batch ?cache plan ~fit_curves
-    | None ->
-        Stat.Crossval.run_fold_curves ~pool ?cache plan
-          ~fit_curve:(fun q ~train ~held_out ->
-            let src_tr = Provider.select_rows src train in
-            let f_tr = Array.map (fun i -> f.(i)) train in
-            let models =
-              path_models ~rng:fold_rngs.(q) src_tr f_tr ~max_lambda
-            in
-            held_out_curve ~max_lambda src f models held_out)
-  in
-  choose ~folds ~rule ~max_lambda ~path_models ~rng:refit_rng src f fold_curves
-
-let generic_p ?folds ?rule ?pool ?checkpoint ?resume rng ~max_lambda
-    ~path_models src f =
-  generic_impl ?folds ?rule ?pool ?checkpoint ?resume rng ~max_lambda
-    ~path_models src f
-
-let generic ?folds ?rule ?pool rng ~max_lambda ~path_models g f =
-  generic_p ?folds ?rule ?pool rng ~max_lambda
-    ~path_models:(fun ~rng src f ~max_lambda ->
-      path_models ~rng (Provider.to_dense ?pool src) f ~max_lambda)
-    (Provider.dense g) f
-
 (* The λ grid of a path selector: paths cannot exceed M, nor — for
    solvers bounded by their rows — the smallest fold's training size
    n − ⌈n/Q⌉. The fold count is checked first: Q < 2 has no held-out
@@ -160,28 +105,27 @@ let lambda_cap ?(folds = 4) ~rows_bound ~max_lambda src =
   let n = Provider.rows src and m = Provider.cols src in
   min max_lambda (if rows_bound then min (n - ((n + folds - 1) / folds)) m else m)
 
-(* The one CV-driver rule: a path method fuses its folds (and, with
-   several outputs, its output × fold grid) exactly when the provider
-   is streamed, the sweep is exact and the selection sweeps are
-   unsharded. Fusing shares column generation, which only streamed
-   providers pay per sweep; the incremental LAR engine keeps per-walk
-   state no shared sweep can serve, and the sharded engine owns each
-   solver run's sweep. Both drivers give the same bits. *)
+(* The one CV-driver rule: a path method fuses its output × fold grid
+   exactly when the provider is streamed, the sweep is exact and the
+   selection sweeps are unsharded. Fusing shares column generation,
+   which only streamed providers pay per sweep; the incremental LAR
+   engine keeps per-walk state no shared sweep can serve, and the
+   sharded engine owns each solver run's sweep. Both drivers give the
+   same bits. *)
 let fused_driver ~streamed ~sweep ~shards =
   streamed && sweep = Corr_sweep.Exact && shards <= 1
 
 (* Fused lockstep job fitting: one solver engine per (response,
-   training-rows) job — a fold of one output, or any (output, fold)
-   cell of a multi-output grid — advanced in lockstep; each [round]
-   answers every live engine's pending request with a single fused
-   multi-residual sweep over the full provider (per-job training rows
-   as index sets). A job's sweep accumulates over exactly its training
-   rows in ascending order — bitwise the sweep over its [select_rows]
-   provider — and each engine is the solver's own walk, so the
-   resulting curves are bitwise identical to job-at-a-time fitting
-   while streamed column generation is paid once per round instead of
-   once per live job. Jobs are [(f, train, held_out)] with [f] the
-   job's full-length response. *)
+   training-rows) job — one (output, fold) cell of the grid — advanced
+   in lockstep; each [round] answers every live engine's pending
+   request with a single fused multi-residual sweep over the full
+   provider (per-job training rows as index sets). A job's sweep
+   accumulates over exactly its training rows in ascending order —
+   bitwise the sweep over its [select_rows] provider — and each engine
+   is the solver's own walk, so the resulting curves are bitwise
+   identical to job-at-a-time fitting while streamed column generation
+   is paid once per round instead of once per live job. Jobs are
+   [(f, train, held_out)] with [f] the job's full-length response. *)
 let lockstep ~create ~finished ~round ~models src ~max_lambda jobs =
   let engines =
     Array.map
@@ -209,6 +153,103 @@ let lockstep ~create ~finished ~round ~models src ~max_lambda jobs =
       held_out_curve ~max_lambda src f (models e) held_out)
     engines jobs
 
+(* File-backed caches of the grid's cells. A single-output selector
+   keeps fold [q] at [<base>.fold<q>]; a multi-output one also writes a
+   [Serialize.Checkpoint.Multi] manifest at [<base>.multi] (checked on
+   resume) and keeps output [r]'s folds under [Multi.output_base base
+   r]. *)
+let grid_caches ~manifest ~base ~resume ~outputs ~folds ~n ~max_lambda plan =
+  let plan_digest =
+    Serialize.Checkpoint.Cv.plan_digest plan.Stat.Crossval.assignment
+  in
+  let cache base =
+    Some (fold_cache ~base ~resume ~folds ~n ~max_lambda ~plan_digest)
+  in
+  if not manifest then [| cache base |]
+  else begin
+    let module M = Serialize.Checkpoint.Multi in
+    let grid = { M.outputs; folds; n; max_lambda; plan_digest } in
+    let mpath = M.manifest_file base in
+    (if resume && Sys.file_exists mpath then
+       match M.load mpath with
+       | Error e ->
+           invalid_arg (Printf.sprintf "Select: multi checkpoint %s: %s" mpath e)
+       | Ok m ->
+           if m <> grid then
+             invalid_arg
+               (Printf.sprintf
+                  "Select: multi checkpoint %s grid (%d outputs, %d folds, \
+                   n=%d, max_lambda=%d) disagrees with the sweep (%d \
+                   outputs, %d folds, n=%d, max_lambda=%d) or was written \
+                   for a different fold plan"
+                  mpath m.M.outputs m.M.folds m.M.n m.M.max_lambda outputs
+                  folds n max_lambda));
+    M.save mpath grid;
+    Array.init outputs (fun r -> cache (M.output_base base r))
+  end
+
+(* The one CV selector, for R ≥ 1 responses over one design: one fold
+   plan, Q fold streams and one refit stream, all drawn from the
+   caller's generator whatever R is; one grid of R×Q (output, fold)
+   cells; R refits at each output's chosen λ, each on a copy of the
+   refit stream. [fused_driver] picks how the grid runs: the fused
+   lockstep driver ([fit_jobs]), or the per-job driver, which fits each
+   cell's path on its own [select_rows] copy, cells in parallel over
+   the pool, each on a copy of its fold's stream, so no two jobs share
+   a mutable generator. Each cell owns its slot and the averaging runs
+   in fold order, so output [r]'s result is bitwise independent of R,
+   the driver and the domain count. *)
+let select ?(folds = 4) ?(rule = Min_error) ?pool ?(sweep = Corr_sweep.Exact)
+    ?(shards = 1) ?checkpoint ?(resume = false) ~manifest ~fit_jobs
+    ~path_models rng ~max_lambda src fs =
+  if max_lambda <= 0 then invalid_arg "Select: max_lambda must be positive";
+  let outputs = Array.length fs in
+  if outputs = 0 then invalid_arg "Select: at least one output required";
+  Array.iter (check_response src) fs;
+  let n = Provider.rows src in
+  let plan = Stat.Crossval.make_plan rng ~n ~folds in
+  (* Fold streams are split in fold order before any cell runs — also
+     before any checkpointed cell is loaded and skipped — so a
+     stochastic solver draws the same stream in fold q whether the
+     cells run sequentially, in parallel, or resumed. *)
+  let fold_rngs = Randkit.Prng.split_n rng folds in
+  let refit_rng = Randkit.Prng.split rng in
+  let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
+  let caches =
+    Option.map
+      (fun base ->
+        grid_caches ~manifest ~base ~resume ~outputs ~folds ~n ~max_lambda plan)
+      checkpoint
+  in
+  let fused = fused_driver ~streamed:(Provider.is_streamed src) ~sweep ~shards in
+  let grid =
+    Stat.Crossval.run_fold_curves_multi ?caches ~outputs plan
+      ~fit_curves:(fun jobs finish ->
+        if fused then
+          Array.iteri finish
+            (fit_jobs
+               (Array.map (fun (r, _, train, held_out) -> (fs.(r), train, held_out))
+                  jobs))
+        else
+          let count = Array.length jobs in
+          Parallel.Pool.parallel_for pool ~chunks:count ~lo:0 ~hi:count
+            (fun i ->
+              let r, q, train, held_out = jobs.(i) in
+              let f = fs.(r) in
+              let models =
+                path_models ~rng:(Randkit.Prng.copy fold_rngs.(q))
+                  (Provider.select_rows src train)
+                  (Array.map (fun i -> f.(i)) train)
+                  ~max_lambda
+              in
+              finish i (held_out_curve ~max_lambda src f models held_out)))
+  in
+  Array.mapi
+    (fun r fold_curves ->
+      choose ~folds ~rule ~max_lambda ~path_models
+        ~rng:(Randkit.Prng.copy refit_rng) src fs.(r) fold_curves)
+    grid
+
 (* OMP/STAR: every live engine's selection from one fused argmax. *)
 let fused_greedy (type e) (module E : Greedy.ENGINE with type t = e) ?pool
     ~create src ~max_lambda =
@@ -219,12 +260,6 @@ let fused_greedy (type e) (module E : Greedy.ENGINE with type t = e) ?pool
           src ~rows (Array.map E.residual es)
       in
       Array.iteri (fun i e -> ignore (E.advance e picks.(i))) es)
-
-(* OMP's λ grid is also bounded by each fold's training rows. *)
-let omp_engine ?on_singular ~max_lambda src_tr f_tr =
-  let rows = Provider.rows src_tr and cols = Provider.cols src_tr in
-  Omp.Engine.create ?on_singular src_tr f_tr
-    ~max_lambda:(min max_lambda (min rows cols))
 
 (* LAR round: each live walk's pending request — residual or
    equiangular direction, the walks are mutually independent — served
@@ -244,171 +279,90 @@ let fused_lars ?mode ?on_singular ?pool src ~max_lambda =
       Array.iteri (fun i e -> Lars.Engine.supply e sweeps.(i)) es)
     ~models:(fun e -> Lars.lambda_models src ~max_lambda (Lars.Engine.steps e))
 
-(* Per-fold (and refit) path models of each solver. *)
-let omp_models ?pool ?on_singular ?shards ?shard_mode ?recovered () ~rng:_ src
-    f ~max_lambda =
-  let max_lambda = min max_lambda (min (Provider.rows src) (Provider.cols src)) in
-  Array.map
-    (fun s -> s.Omp.model)
-    (Omp.path_p ?pool ?on_singular ?shards ?shard_mode ?recovered src f
-       ~max_lambda)
+(* Each method's grid: its λ cap, its fused job fitter and its per-job
+   (and refit) path models. *)
+let omp_grid who ?folds ?rule ?pool ?on_singular ?(sweep = Corr_sweep.Exact)
+    ?shards ?shard_mode ?recovered ?checkpoint ?resume ~manifest rng
+    ~max_lambda src fs =
+  Result.iter_error
+    (fun msg -> invalid_arg (who ^ ": " ^ msg))
+    (Corr_sweep.lar_only ~lar:false sweep);
+  let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
+  (* OMP's path is also bounded by its own training rows. *)
+  let cap src l = min l (min (Provider.rows src) (Provider.cols src)) in
+  select ?folds ?rule ?pool ?shards ?checkpoint ?resume ~manifest
+    ~fit_jobs:
+      (fused_greedy (module Omp.Engine) ?pool src ~max_lambda
+         ~create:(fun src_tr f_tr ->
+           Omp.Engine.create ?on_singular src_tr f_tr
+             ~max_lambda:(cap src_tr max_lambda)))
+    ~path_models:(fun ~rng:_ src f ~max_lambda ->
+      Array.map
+        (fun s -> s.Omp.model)
+        (Omp.path_p ?pool ?on_singular ?shards ?shard_mode ?recovered src f
+           ~max_lambda:(cap src max_lambda)))
+    rng ~max_lambda src fs
 
-let star_models ?pool ?shards ?shard_mode ?recovered () ~rng:_ src f
-    ~max_lambda =
-  Array.map
-    (fun s -> s.Star.model)
-    (Star.path_p ?pool ?shards ?shard_mode ?recovered src f ~max_lambda)
+let star_grid ?folds ?rule ?pool ?shards ?shard_mode ?recovered ?checkpoint
+    ?resume ~manifest rng ~max_lambda src fs =
+  let max_lambda = lambda_cap ?folds ~rows_bound:false ~max_lambda src in
+  select ?folds ?rule ?pool ?shards ?checkpoint ?resume ~manifest
+    ~fit_jobs:
+      (fused_greedy (module Star.Engine) ?pool src ~max_lambda
+         ~create:(fun src_tr f_tr ->
+           Star.Engine.create src_tr f_tr ~max_lambda))
+    ~path_models:(fun ~rng:_ src f ~max_lambda ->
+      Array.map
+        (fun s -> s.Star.model)
+        (Star.path_p ?pool ?shards ?shard_mode ?recovered src f ~max_lambda))
+    rng ~max_lambda src fs
 
 (* LAR/lasso: the λ-driven walk, which in LAR mode stops one step past
    [max_lambda] bases. *)
-let lars_models ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered
-    () ~rng:_ src f ~max_lambda =
-  Lars.lambda_models src ~max_lambda
-    (Lars.lambda_path_p ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
-       ?recovered src f ~max_lambda)
-
-(* Single-output selection: the fused lockstep fold driver when
-   [fused_driver] picks it, fold-at-a-time otherwise. *)
-let select_single ?folds ?rule ?pool ?checkpoint ?resume
-    ?(sweep = Corr_sweep.Exact) ?(shards = 1) ~fit_jobs ~path_models rng
-    ~max_lambda src f =
-  let fused_curves =
-    if fused_driver ~streamed:(Provider.is_streamed src) ~sweep ~shards then
-      Some
-        (fun pending ->
-          fit_jobs
-            (Array.map (fun (_, train, held_out) -> (f, train, held_out)) pending))
-    else None
-  in
-  generic_impl ?folds ?rule ?pool ?checkpoint ?resume ?fused_curves rng
-    ~max_lambda ~path_models src f
-
-let omp_p ?folds ?rule ?pool ?on_singular ?(sweep = Corr_sweep.Exact) ?shards
-    ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src f =
-  Result.iter_error
-    (fun msg -> invalid_arg ("Select.omp_p: " ^ msg))
-    (Corr_sweep.lar_only ~lar:false sweep);
+let lars_grid ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards
+    ?shard_mode ?recovered ?checkpoint ?resume ~manifest rng ~max_lambda src
+    fs =
   let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
-  select_single ?folds ?rule ?pool ?checkpoint ?resume ?shards
-    ~fit_jobs:
-      (fused_greedy (module Omp.Engine) ?pool src ~max_lambda
-         ~create:(omp_engine ?on_singular ~max_lambda))
-    ~path_models:
-      (omp_models ?pool ?on_singular ?shards ?shard_mode ?recovered ())
-    rng ~max_lambda src f
+  select ?folds ?rule ?pool ?sweep ?shards ?checkpoint ?resume ~manifest
+    ~fit_jobs:(fused_lars ?mode ?on_singular ?pool src ~max_lambda)
+    ~path_models:(fun ~rng:_ src f ~max_lambda ->
+      Lars.lambda_models src ~max_lambda
+        (Lars.lambda_path_p ?mode ?pool ?on_singular ?sweep ?shards
+           ?shard_mode ?recovered src f ~max_lambda))
+    rng ~max_lambda src fs
+
+let omp_p ?folds ?rule ?pool ?on_singular ?sweep ?shards ?shard_mode
+    ?recovered ?checkpoint ?resume rng ~max_lambda src f =
+  (omp_grid "Select.omp_p" ?folds ?rule ?pool ?on_singular ?sweep ?shards
+     ?shard_mode ?recovered ?checkpoint ?resume ~manifest:false rng
+     ~max_lambda src [| f |]).(0)
 
 let star_p ?folds ?rule ?pool ?shards ?shard_mode ?recovered ?checkpoint
     ?resume rng ~max_lambda src f =
-  let max_lambda = lambda_cap ?folds ~rows_bound:false ~max_lambda src in
-  select_single ?folds ?rule ?pool ?checkpoint ?resume ?shards
-    ~fit_jobs:
-      (fused_greedy (module Star.Engine) ?pool src ~max_lambda
-         ~create:(fun src_tr f_tr ->
-           Star.Engine.create src_tr f_tr ~max_lambda))
-    ~path_models:(star_models ?pool ?shards ?shard_mode ?recovered ())
-    rng ~max_lambda src f
+  (star_grid ?folds ?rule ?pool ?shards ?shard_mode ?recovered ?checkpoint
+     ?resume ~manifest:false rng ~max_lambda src [| f |]).(0)
 
 let lars_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
     ?recovered ?checkpoint ?resume rng ~max_lambda src f =
-  let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
-  select_single ?folds ?rule ?pool ?checkpoint ?resume ?sweep ?shards
-    ~fit_jobs:(fused_lars ?mode ?on_singular ?pool src ~max_lambda)
-    ~path_models:
-      (lars_models ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
-         ?recovered ())
-    rng ~max_lambda src f
+  (lars_grid ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
+     ?recovered ?checkpoint ?resume ~manifest:false rng ~max_lambda src
+     [| f |]).(0)
 
-(* Multi-output λ selection: R responses share one fold plan, one
-   fused lockstep grid of R×Q fold solvers, and R per-output refits.
-   The PRNG draws mirror [generic_impl] exactly — one plan, Q fold
-   streams, one refit stream, all from the caller's generator — and
-   the path solvers ignore their fold streams, so output [r]'s result
-   is bitwise the single-output run of [generic_impl] on [fs.(r)] with
-   a copy of the same generator. *)
-let select_multi ?(folds = 4) ?(rule = Min_error) ?checkpoint
-    ?(resume = false) ~fit_jobs ~path_models rng ~max_lambda src fs =
-  if max_lambda <= 0 then invalid_arg "Select: max_lambda must be positive";
-  let outputs = Array.length fs in
-  if outputs = 0 then invalid_arg "Select: at least one output required";
-  Array.iter (check_response src) fs;
-  let n = Provider.rows src in
-  let plan = Stat.Crossval.make_plan rng ~n ~folds in
-  let _fold_rngs = Randkit.Prng.split_n rng folds in
-  let refit_rng = Randkit.Prng.split rng in
-  let caches =
-    match checkpoint with
-    | None -> None
-    | Some base ->
-        let module M = Serialize.Checkpoint.Multi in
-        let plan_digest =
-          Serialize.Checkpoint.Cv.plan_digest plan.Stat.Crossval.assignment
-        in
-        let manifest = { M.outputs; folds; n; max_lambda; plan_digest } in
-        let mpath = M.manifest_file base in
-        (if resume && Sys.file_exists mpath then
-           match M.load mpath with
-           | Error e ->
-               invalid_arg
-                 (Printf.sprintf "Select: multi checkpoint %s: %s" mpath e)
-           | Ok m ->
-               if m <> manifest then
-                 invalid_arg
-                   (Printf.sprintf
-                      "Select: multi checkpoint %s grid (%d outputs, %d \
-                       folds, n=%d, max_lambda=%d) disagrees with the sweep \
-                       (%d outputs, %d folds, n=%d, max_lambda=%d) or was \
-                       written for a different fold plan"
-                      mpath m.M.outputs m.M.folds m.M.n m.M.max_lambda outputs
-                      folds n max_lambda));
-        M.save mpath manifest;
-        Some
-          (Array.init outputs (fun r ->
-               Some
-                 (fold_cache ~base:(M.output_base base r) ~resume ~folds ~n
-                    ~max_lambda ~plan_digest)))
-  in
-  let grid =
-    Stat.Crossval.run_fold_curves_multi ?caches ~outputs plan
-      ~fit_curves:(fun jobs ->
-        (* Each (output, fold) cell is a lockstep job carrying that
-           output's response. *)
-        fit_jobs
-          (Array.map (fun (r, _, train, held_out) -> (fs.(r), train, held_out)) jobs))
-  in
-  Array.mapi
-    (fun r fold_curves ->
-      choose ~folds ~rule ~max_lambda ~path_models ~rng:refit_rng src fs.(r)
-        fold_curves)
-    grid
+let omp_multi_p ?folds ?rule ?pool ?on_singular ?sweep ?shards ?shard_mode
+    ?recovered ?checkpoint ?resume rng ~max_lambda src fs =
+  omp_grid "Select.omp_multi_p" ?folds ?rule ?pool ?on_singular ?sweep ?shards
+    ?shard_mode ?recovered ?checkpoint ?resume ~manifest:true rng ~max_lambda
+    src fs
 
-let omp_multi_p ?folds ?rule ?pool ?on_singular ?checkpoint ?resume rng
-    ~max_lambda src fs =
-  let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
-  select_multi ?folds ?rule ?checkpoint ?resume
-    ~fit_jobs:
-      (fused_greedy (module Omp.Engine) ?pool src ~max_lambda
-         ~create:(omp_engine ?on_singular ~max_lambda))
-    ~path_models:(omp_models ?pool ?on_singular ())
-    rng ~max_lambda src fs
+let star_multi_p ?folds ?rule ?pool ?shards ?shard_mode ?recovered
+    ?checkpoint ?resume rng ~max_lambda src fs =
+  star_grid ?folds ?rule ?pool ?shards ?shard_mode ?recovered ?checkpoint
+    ?resume ~manifest:true rng ~max_lambda src fs
 
-let star_multi_p ?folds ?rule ?pool ?checkpoint ?resume rng ~max_lambda src
-    fs =
-  let max_lambda = lambda_cap ?folds ~rows_bound:false ~max_lambda src in
-  select_multi ?folds ?rule ?checkpoint ?resume
-    ~fit_jobs:
-      (fused_greedy (module Star.Engine) ?pool src ~max_lambda
-         ~create:(fun src_tr f_tr ->
-           Star.Engine.create src_tr f_tr ~max_lambda))
-    ~path_models:(star_models ?pool ())
-    rng ~max_lambda src fs
-
-let lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?checkpoint ?resume
-    rng ~max_lambda src fs =
-  let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
-  select_multi ?folds ?rule ?checkpoint ?resume
-    ~fit_jobs:(fused_lars ?mode ?on_singular ?pool src ~max_lambda)
-    ~path_models:(lars_models ?mode ?pool ?on_singular ())
-    rng ~max_lambda src fs
+let lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards
+    ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src fs =
+  lars_grid ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
+    ?recovered ?checkpoint ?resume ~manifest:true rng ~max_lambda src fs
 
 let omp ?folds ?rule ?pool ?on_singular rng ~max_lambda g f =
   omp_p ?folds ?rule ?pool ?on_singular rng ~max_lambda (Provider.dense g) f

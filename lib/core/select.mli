@@ -6,23 +6,30 @@
     minimized over λ and the winning λ is refit on the full data — the
     exact procedure of Fig. 2 and the surrounding text.
 
-    The [_p] variants consume a {!Polybasis.Design.Provider}, so the
-    whole CV loop runs matrix-free: fold providers are row-subset
-    rebuilds (no K×M gather), held-out scoring streams only the support
-    columns. Dense and matrix-free runs select the same λ and model,
-    bit for bit.
+    One selector serves one response ([_p]) or R responses over one
+    design ([_multi_p]): one fold plan, one grid of R×Q (output, fold)
+    cells, R refits. It runs on a {!Polybasis.Design.Provider}, so on a
+    streamed provider the whole CV loop is matrix-free: a fold's
+    [Provider.select_rows] subset rebuilds the Hermite tables over the
+    fold's rows (a dense provider gathers a copy of them instead), and
+    held-out scoring streams only the support columns. Dense and matrix-free runs select the same λ
+    and model, bit for bit.
 
     {2 Parallelism and determinism}
 
-    The Q fold fits are independent and run fold-parallel over [?pool]
+    The grid's cells are independent and run in parallel over [?pool]
     (default: {!Parallel.Pool.default}); the underlying solvers also
     parallelize their own Gᵀ·r correlation sweeps over the same pool.
-    Each fold receives its own PRNG stream, split from the master
-    generator {e in fold order before any fold runs}
-    ({!Randkit.Prng.split_n}), and the fold curves are averaged in fold
-    order after all folds complete. The selected λ, the curve and the
-    refit model are therefore bitwise identical to a sequential run for
-    a fixed seed, at {e every} domain count. *)
+    The fold plan, the Q fold streams ({!Randkit.Prng.split_n}, in fold
+    order, before any cell runs) and one refit stream are drawn from
+    the caller's generator once, whatever R is; each cell fits on a
+    copy of its fold's stream and each refit on a copy of the refit
+    stream, and the fold curves are averaged in fold order after all
+    cells complete. The selected λ, the curve and the refit model are
+    therefore bitwise identical to a sequential run for a fixed seed,
+    at {e every} domain count, and output [r] of a [_multi_p] call is
+    bitwise the [_p] call on [fs.(r)] from the same generator state;
+    both leave the caller's generator in the same state. *)
 
 type rule =
   | Min_error  (** λ at the minimum of ε(λ) — the paper's choice *)
@@ -40,18 +47,19 @@ type result = {
 
 val fused_driver :
   streamed:bool -> sweep:Corr_sweep.sweep -> shards:int -> bool
-(** The one CV-driver rule. A path selector runs the {e fused lockstep}
-    driver exactly when the provider is streamed, [sweep] is [Exact]
-    and [shards <= 1]; otherwise it fits fold at a time (single output)
-    or output at a time ({!Solver.fit_multi_p}). The fused driver
-    advances every fold solver in lockstep and serves each round from
-    one multi-residual sweep, so streamed column generation is paid
-    once per round instead of once per fold; a dense provider has no
+(** The one CV-driver rule. A path selector runs its grid on the
+    {e fused lockstep} driver exactly when the provider is streamed,
+    [sweep] is [Exact] and [shards <= 1]; otherwise it runs the
+    {e per-job} driver, which fits each (output, fold) cell's path on
+    its own training rows, cells in parallel. The fused driver advances
+    every cell's solver in lockstep and serves each round from one
+    multi-residual sweep, so streamed column generation is paid once
+    per round instead of once per cell; a dense provider has no
     generation to share. The incremental engine, which only {!lars_p}
-    accepts, keeps per-walk state no shared sweep can serve, and the
-    sharded engine owns each solver run's sweep. Both drivers give
-    bitwise-identical curves, λ and models, so the rule only decides
-    speed and no caller overrides it. *)
+    and {!lars_multi_p} accept, keeps per-walk state no shared sweep
+    can serve, and the sharded engine owns each solver run's sweep.
+    Both drivers give bitwise-identical curves, λ and models, so the
+    rule only decides speed and no caller overrides it. *)
 
 val omp_p :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
@@ -63,8 +71,21 @@ val omp_p :
 (** Default [folds = 4] (the paper's Fig. 2 setting) and
     [rule = Min_error]; every selector raises [Invalid_argument] on
     [folds < 2] before any other work. [on_singular] is forwarded to
-    {!Omp.path_p} for every fold fit and the final refit.
-    [checkpoint]/[resume] as in {!generic_p}.
+    {!Omp.path_p} for every fold fit and the final refit. A fold path
+    shorter than [max_lambda] (an early stop) is padded by repeating
+    its last model, so it keeps its final error for larger λ.
+
+    With [checkpoint = base], every finished fold writes a
+    {!Serialize.Checkpoint.Cv} file at [base.fold<q>] (atomic rename).
+    With [resume = true] (requires [checkpoint]), matching fold files
+    are loaded back and their fits skipped, so a killed sweep refits
+    only its unfinished folds; fold streams are split before any fold
+    runs either way, and loaded curves round-trip at full precision,
+    so the selected λ, curve and refit model are bitwise identical to
+    an uninterrupted run at every domain count. A fold file whose shape
+    or fold-plan digest disagrees with the sweep (different seed, data
+    size, fold count or λ grid) raises [Invalid_argument] rather than
+    polluting the average.
 
     [sweep] (default [Exact]) must be [Exact]: OMP sweeps exactly, and
     [Incremental] raises [Invalid_argument] before any fold work
@@ -74,6 +95,7 @@ val omp_p :
     unsharded run. The fold driver is {!fused_driver}'s: on a streamed
     provider with the unsharded sweep, every round computes all live
     folds' selections with one {!Corr_sweep.argmax_abs_multi} sweep.
+    @raise Invalid_argument if a fold produces an empty path.
 
     Every selector also raises [Invalid_argument "Select: response
     length mismatch"] before drawing its fold plan when the response
@@ -99,83 +121,52 @@ val lars_p :
     {!Lars.lambda_path_p} (a [Lar] walk ends one step past [max_lambda]
     bases, a [Lasso] walk at {!Lars.step_budget}), read through
     {!Lars.lambda_models}; [on_singular] is forwarded to it.
-    [checkpoint]/[resume] as in {!generic_p}. [sweep] (default [Exact])
+    [checkpoint]/[resume] as in {!omp_p}. [sweep] (default [Exact])
     is forwarded to every fold fit and the final refit; [Incremental]
     is the Gram-cached LAR engine ({!Lars.path_p}), within 1e-10 of
-    exact, and runs the per-fold driver. [shards]/[shard_mode]/
+    exact, and runs the per-job driver. [shards]/[shard_mode]/
     [recovered] and the fold driver as in {!omp_p}: the fused fold
     driver runs each fold's walk on a
     {!Lars.Engine} created with the same λ budget and serves both of its
     per-step sweeps from one {!Corr_sweep.gram_tr_multi} pass per
     lockstep round. *)
 
-val generic_p :
-  ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
-  ?checkpoint:string -> ?resume:bool -> Randkit.Prng.t ->
-  max_lambda:int ->
-  path_models:
-    (rng:Randkit.Prng.t -> Polybasis.Design.Provider.t -> Linalg.Vec.t ->
-     max_lambda:int -> Model.t array) ->
-  Polybasis.Design.Provider.t -> Linalg.Vec.t -> result
-(** The underlying driver: [path_models] maps a training design/response
-    to the per-λ models (an array shorter than [max_lambda] is padded by
-    repeating its last model — an early-stopped path keeps its final
-    error for larger λ). Exposed for user-supplied solvers.
-
-    [path_models] may be called concurrently from several domains (one
-    per fold) and must not share mutable state across calls; the [rng]
-    it receives is the fold's own deterministic stream (the final refit
-    gets one more dedicated stream), so stochastic solvers stay
-    reproducible under fold-parallel execution.
-
-    With [checkpoint = base], every finished fold writes a
-    {!Serialize.Checkpoint.Cv} file at [base.fold<q>] (atomic rename).
-    With [resume = true] (requires [checkpoint]), matching fold files
-    are loaded back and their fits skipped, so a killed sweep resumes at
-    the first unfinished fold; per-fold PRNG streams are split before
-    any fold runs either way, and loaded curves round-trip at full
-    precision, so the selected λ, curve and refit model are bitwise
-    identical to an uninterrupted run at every domain count. A fold file
-    whose shape or fold-plan digest disagrees with the sweep (different
-    seed, data size, fold count or λ grid) raises [Invalid_argument]
-    rather than polluting the average.
-    @raise Invalid_argument if a fold produces an empty path. *)
-
 (** {2 Multi-output selection}
 
     R performance metrics of one circuit share the design matrix; the
-    [_multi_p] drivers share everything else too: one fold plan, one
-    fused lockstep grid of R×Q fold solvers whose greedy steps are all
-    served by a single multi-residual sweep per round (each streamed
-    column generated {e once} per step for every output and fold), and
-    R per-output refits. Output [r]'s result — λ, curve, model — is
-    bitwise identical to the corresponding single-output [_p] call on
-    [fs.(r)] with a {!Randkit.Prng.copy} of the same generator.
-    {!Solver.fit_multi_p} calls them exactly when {!fused_driver}
-    holds, and runs per-output single-output fits otherwise. *)
+    [_multi_p] selectors share everything else too: one fold plan, one
+    grid of R×Q (output, fold) cells run by {!fused_driver}'s driver —
+    on a streamed provider one lockstep grid whose steps are all served
+    by a single multi-residual sweep per round, each streamed column
+    generated {e once} per step for every output and fold — and R
+    per-output refits. They take the engine labels of the matching
+    [_p] selector, with the same meaning. Output [r]'s result — λ,
+    curve, model — is bitwise identical to the corresponding [_p] call
+    on [fs.(r)] with a {!Randkit.Prng.copy} of the same generator, and
+    the caller's generator ends where that one call leaves it. *)
 
 val omp_multi_p :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
+  ?sweep:Corr_sweep.sweep ->
+  ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
   ?checkpoint:string -> ?resume:bool -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t array ->
   result array
-(** Fused multi-output OMP selection, one {!result} per response in
-    order. Exact sweep, unsharded, on any provider.
+(** Multi-output {!omp_p}, one {!result} per response in order.
 
     [checkpoint]/[resume]: with [checkpoint = base], the grid writes a
     {!Serialize.Checkpoint.Multi} manifest at [base.multi] and each
     finished (output, fold) cell as an ordinary Cv fold file at
-    [base.out<r>.fold<q>]; with [resume], matching cell files are
-    loaded and their fits skipped — bitwise identical to an
-    uninterrupted run. A manifest or cell file disagreeing with the
-    grid shape or fold plan raises [Invalid_argument]. The per-output
-    bases are exactly the per-output checkpoint paths the non-fused
-    driver uses, so a run interrupted in one mode can resume in the
-    other. *)
+    [base.out<r>.fold<q>], in either driver; with [resume], matching
+    cell files are loaded and their fits skipped — bitwise identical to
+    an uninterrupted run, so a grid killed under one driver resumes
+    under the other. A manifest or cell file disagreeing with the grid
+    shape or fold plan raises [Invalid_argument]. *)
 
 val star_multi_p :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
+  ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
   ?checkpoint:string -> ?resume:bool -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t array ->
   result array
@@ -184,13 +175,16 @@ val star_multi_p :
 val lars_multi_p :
   ?folds:int -> ?rule:rule -> ?mode:Lars.mode -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
+  ?sweep:Corr_sweep.sweep ->
+  ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
   ?checkpoint:string -> ?resume:bool -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t array ->
   result array
-(** As {!omp_multi_p} for the LAR/lasso walk: every fold×output walk
-    runs on a {!Lars.Engine}, and each lockstep round serves all live
-    walks' sweeps — correlation and step-length phases mixed freely —
-    from one {!Corr_sweep.gram_tr_multi} pass. *)
+(** As {!omp_multi_p} for the LAR/lasso walk of {!lars_p}: on the fused
+    driver every (output, fold) walk runs on a {!Lars.Engine}, and each
+    lockstep round serves all live walks' sweeps — correlation and
+    step-length phases mixed freely — from one
+    {!Corr_sweep.gram_tr_multi} pass. *)
 
 val omp :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
@@ -206,13 +200,3 @@ val lars :
   ?folds:int -> ?rule:rule -> ?mode:Lars.mode -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
   Randkit.Prng.t -> max_lambda:int -> Linalg.Mat.t -> Linalg.Vec.t -> result
-
-val generic :
-  ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t -> Randkit.Prng.t ->
-  max_lambda:int ->
-  path_models:
-    (rng:Randkit.Prng.t -> Linalg.Mat.t -> Linalg.Vec.t -> max_lambda:int ->
-     Model.t array) ->
-  Linalg.Mat.t -> Linalg.Vec.t -> result
-(** {!generic_p} over [Provider.dense g]; [path_models] receives each
-    fold's materialized training matrix (free for a dense provider). *)

@@ -52,6 +52,27 @@ let fit ?lambda g f m =
   | Cosamp ->
       Cosamp.fit g f ~s:(max 1 (min lambda (min (Mat.rows g / 3) (Mat.cols g))))
 
+(* CV for the methods whose knob is not a λ path (StOMP's threshold,
+   CoSaMP's sparsity): the grid entry with the lowest mean held-out
+   error. [fit] returns [None] where a knob cannot fit a fold, which
+   scores NaN. *)
+let cv_knob ?(folds = 4) rng g f grid fit =
+  let plan = Stat.Crossval.make_plan rng ~n:(Mat.rows g) ~folds in
+  let curve =
+    Stat.Crossval.run_curves plan ~fit_curve:(fun ~train ~held_out ->
+        let g_tr = Mat.select_rows g train in
+        let f_tr = Array.map (fun i -> f.(i)) train in
+        let g_ho = Mat.select_rows g held_out in
+        let f_ho = Array.map (fun i -> f.(i)) held_out in
+        Array.map
+          (fun k ->
+            match fit g_tr f_tr k with
+            | Some m -> Model.error_on m g_ho f_ho
+            | None -> Float.nan)
+          grid)
+  in
+  grid.(Stat.Crossval.argmin curve)
+
 let fit_cv ?folds ?max_lambda rng g f m =
   let max_lambda =
     match max_lambda with
@@ -66,46 +87,22 @@ let fit_cv ?folds ?max_lambda rng g f m =
       (Select.lars ?folds ~mode:Lars.Lasso rng ~max_lambda g f).Select.model
   | Omp -> (Select.omp ?folds rng ~max_lambda g f).Select.model
   | Stomp ->
-      (* StOMP's threshold, not lambda, is its knob; CV over a small
-         threshold grid. *)
-      let thresholds = [| 2.0; 2.5; 3.0 |] in
-      let n = Mat.rows g in
-      let folds_n = match folds with Some q -> q | None -> 4 in
-      let plan = Stat.Crossval.make_plan rng ~n ~folds:folds_n in
-      let curve =
-        Stat.Crossval.run_curves plan ~fit_curve:(fun ~train ~held_out ->
-            let g_tr = Mat.select_rows g train in
-            let f_tr = Array.map (fun i -> f.(i)) train in
-            let g_ho = Mat.select_rows g held_out in
-            let f_ho = Array.map (fun i -> f.(i)) held_out in
-            Array.map
-              (fun t ->
-                let m = Stomp.fit ~threshold:t g_tr f_tr in
-                Model.error_on m g_ho f_ho)
-              thresholds)
+      (* StOMP's threshold, not lambda, is its knob. *)
+      let threshold =
+        cv_knob ?folds rng g f [| 2.0; 2.5; 3.0 |] (fun g f threshold ->
+            Some (Stomp.fit ~threshold g f))
       in
-      Stomp.fit ~threshold:thresholds.(Stat.Crossval.argmin curve) g f
+      Stomp.fit ~threshold g f
   | Cosamp ->
       (* CV over the target sparsity s, like lambda for OMP. *)
       let smax = max 1 (min (max_lambda / 2) (min (Mat.rows g / 3) (Mat.cols g))) in
       let grid = Array.init (min smax 12) (fun i -> ((i + 1) * smax / min smax 12) |> max 1) in
-      let n = Mat.rows g in
-      let folds_n = match folds with Some q -> q | None -> 4 in
-      let plan = Stat.Crossval.make_plan rng ~n ~folds:folds_n in
-      let curve =
-        Stat.Crossval.run_curves plan ~fit_curve:(fun ~train ~held_out ->
-            let g_tr = Mat.select_rows g train in
-            let f_tr = Array.map (fun i -> f.(i)) train in
-            let g_ho = Mat.select_rows g held_out in
-            let f_ho = Array.map (fun i -> f.(i)) held_out in
-            Array.map
-              (fun s ->
-                match Cosamp.fit g_tr f_tr ~s with
-                | m -> Model.error_on m g_ho f_ho
-                | exception Invalid_argument _ -> Float.nan)
-              grid)
+      let s =
+        cv_knob ?folds rng g f grid (fun g f s ->
+            match Cosamp.fit g f ~s with
+            | m -> Some m
+            | exception Invalid_argument _ -> None)
       in
-      let s = grid.(Stat.Crossval.argmin curve) in
       Cosamp.fit g f ~s
 
 let fit_cv_p ?folds ?max_lambda ?on_singular ?(sweep = Corr_sweep.Exact)
@@ -146,18 +143,15 @@ let fit_cv_p ?folds ?max_lambda ?on_singular ?(sweep = Corr_sweep.Exact)
      model itself so a served artifact carries its history. *)
   Array.fold_left Model.add_note model notes
 
-(* Multi-output fitting: R responses over one design. When
-   [Select.fused_driver] picks the fused driver — the rule single-output
-   CV follows too — every output's λ comes from one lockstep grid of
-   R×Q fold solvers, each streamed column generated once per greedy
-   step for the whole grid; otherwise the R outputs are R independent
-   [fit_cv_p] calls seeded with copies of the same generator. The two
-   are bitwise identical, and either way output [r] checkpoints under
-   [Serialize.Checkpoint.Multi.output_base base r], so a run
-   interrupted in one driver resumes in the other. *)
+(* Multi-output fitting: R responses over one design. A path method
+   is one [Select.*_multi_p] grid, which follows [Select.fused_driver]
+   like single-output CV. The other methods fit output at a time:
+   output 0 on the caller's generator, the others on copies taken
+   first, so every output sees the same plan and the caller's
+   generator ends where one [fit_cv_p] leaves it. *)
 let fit_multi_p ?folds ?max_lambda ?on_singular ?(sweep = Corr_sweep.Exact)
-    ?(shards = 1) ?shard_mode ?recovered ?cv_checkpoint ?cv_resume ?notes rng
-    src fs m =
+    ?shards ?shard_mode ?recovered ?cv_checkpoint ?cv_resume ?notes rng src
+    fs m =
   require_sweep "Solver.fit_multi_p" m sweep;
   let outputs = Array.length fs in
   if outputs = 0 then
@@ -176,43 +170,35 @@ let fit_multi_p ?folds ?max_lambda ?on_singular ?(sweep = Corr_sweep.Exact)
     | None ->
         max 1 (min (min (Provider.rows src / 2) (Provider.cols src)) 200)
   in
-  if
-    path_method m
-    && Select.fused_driver ~streamed:(Provider.is_streamed src) ~sweep ~shards
-  then begin
-    let checkpoint = cv_checkpoint and resume = cv_resume in
-    let results =
-      match m with
-      | Star ->
-          Select.star_multi_p ?folds ?checkpoint ?resume rng ~max_lambda src fs
-      | Lar ->
-          Select.lars_multi_p ?folds ~mode:Lars.Lar ?on_singular ?checkpoint
-            ?resume rng ~max_lambda src fs
-      | Lasso ->
-          Select.lars_multi_p ?folds ~mode:Lars.Lasso ?on_singular ?checkpoint
-            ?resume rng ~max_lambda src fs
-      | Omp ->
-          Select.omp_multi_p ?folds ?on_singular ?checkpoint ?resume rng
-            ~max_lambda src fs
-      | Ls | Stomp | Cosamp -> assert false
-    in
-    Array.map2
-      (fun sel ns -> Array.fold_left Model.add_note sel.Select.model ns)
-      results notes
-  end
-  else
-    (* Per-output: R independent single-output fits, each from a copy
-       of the caller's generator so every output sees the same plan and
-       streams the fused driver derives — the parity the fused ≡
-       per-output gates check bitwise. *)
-    Array.mapi
-      (fun r f ->
-        let cv_checkpoint =
-          Option.map
-            (fun base -> Serialize.Checkpoint.Multi.output_base base r)
-            cv_checkpoint
-        in
-        fit_cv_p ?folds ~max_lambda ?on_singular ~sweep ~shards ?shard_mode
-          ?recovered ?cv_checkpoint ?cv_resume ~notes:notes.(r)
-          (Randkit.Prng.copy rng) src f m)
-      fs
+  let checkpoint = cv_checkpoint and resume = cv_resume in
+  let models sels = Array.map (fun s -> s.Select.model) sels in
+  let fitted =
+    match m with
+    | Star ->
+        models
+          (Select.star_multi_p ?folds ?shards ?shard_mode ?recovered
+             ?checkpoint ?resume rng ~max_lambda src fs)
+    | Lar ->
+        models
+          (Select.lars_multi_p ?folds ~mode:Lars.Lar ?on_singular ~sweep
+             ?shards ?shard_mode ?recovered ?checkpoint ?resume rng
+             ~max_lambda src fs)
+    | Lasso ->
+        models
+          (Select.lars_multi_p ?folds ~mode:Lars.Lasso ?on_singular ~sweep
+             ?shards ?shard_mode ?recovered ?checkpoint ?resume rng
+             ~max_lambda src fs)
+    | Omp ->
+        models
+          (Select.omp_multi_p ?folds ?on_singular ?shards ?shard_mode
+             ?recovered ?checkpoint ?resume rng ~max_lambda src fs)
+    | Ls | Stomp | Cosamp ->
+        let copies = Array.init (outputs - 1) (fun _ -> Randkit.Prng.copy rng) in
+        Array.mapi
+          (fun r f ->
+            fit_cv_p ?folds ~max_lambda
+              (if r = 0 then rng else copies.(r - 1))
+              src f m)
+          fs
+  in
+  Array.map2 (Array.fold_left Model.add_note) fitted notes

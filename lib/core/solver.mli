@@ -80,7 +80,7 @@ val fit_cv_p :
     [Ls]/[Stomp]/[Cosamp].
 
     [cv_checkpoint]/[cv_resume] enable per-fold CV checkpointing for the
-    path methods (STAR, LAR, LASSO, OMP) — see {!Select.generic_p}.
+    path methods (STAR, LAR, LASSO, OMP) — see {!Select.omp_p}.
     Ignored by [Ls]/[Stomp]/[Cosamp], which have no λ sweep to
     checkpoint.
 
@@ -101,23 +101,21 @@ val fit_multi_p :
     the shared design — the multi-output extension of {!fit_cv_p}, one
     model per output in order.
 
-    A path method runs the {e fused} grid exactly when
-    {!Select.fused_driver} holds for the provider's form, [sweep] and
-    [shards] — the same rule single-output CV follows, so a streamed
-    exact unsharded fit fuses and anything else fits per-output. The
-    fused grid selects every output's λ from one lockstep grid of
-    outputs×folds fold solvers, generating each streamed column once
-    per greedy step for the whole grid. The {e per-output} driver runs
-    R independent {!fit_cv_p} calls, each seeded with a
-    {!Randkit.Prng.copy} of [rng] (the caller's generator is not
-    consumed) — and the fused driver's per-output results are bitwise
-    identical to it, at every domain count and in both provider forms.
-    Non-path methods ([Ls]/[Stomp]/[Cosamp]) always fit per-output.
+    A path method runs one grid of outputs×folds cells
+    ({!Select.omp_multi_p}, {!Select.star_multi_p},
+    {!Select.lars_multi_p}) on the driver {!Select.fused_driver} picks
+    for the provider's form, [sweep] and [shards] — the rule
+    single-output CV follows. Non-path methods ([Ls]/[Stomp]/[Cosamp]) fit output at
+    a time: output 0 on [rng], the others on {!Randkit.Prng.copy}s of
+    it taken first. Either way output [r]'s model is bitwise the
+    {!fit_cv_p} model for [fs.(r)] from the same generator state, at
+    every domain count and in both provider forms, and [rng] ends where
+    that one {!fit_cv_p} call leaves it.
 
-    [cv_checkpoint = base] checkpoints output [r] under
-    {!Serialize.Checkpoint.Multi.output_base}[ base r] in either driver
-    (the fused grid additionally writes a manifest at [base.multi]), so
-    a run interrupted in one driver — say a streamed fit — resumes
+    [cv_checkpoint = base] writes a {!Serialize.Checkpoint.Multi}
+    manifest at [base.multi] and checkpoints output [r] under
+    {!Serialize.Checkpoint.Multi.output_base}[ base r] in either driver,
+    so a run interrupted in one driver — say a streamed fit — resumes
     bitwise in the other, as a dense fit.
 
     [notes] supplies one provenance-note array per output.

@@ -294,13 +294,15 @@ val fit_multi :
 
     Quorum/degradation semantics are {!deliver}'s, applied to the shared
     surviving row count; a degraded delivery stamps the same
-    ["degraded: ..."] note on {e every} model. The fused grid runs
-    exactly when {!Rsm.Select.fused_driver} holds ([config.streamed],
-    exact sweep, one shard), per-output fits otherwise (see
-    {!Rsm.Solver.fit_multi_p}); either way output [r] checkpoints under
-    [Serialize.Checkpoint.Multi.output_base config.checkpoint r], and
-    the fitted models are bitwise identical across the two drivers, at
-    every domain count, dense or streamed. *)
+    ["degraded: ..."] note on {e every} model. The grid runs on the
+    fused driver exactly when {!Rsm.Select.fused_driver} holds
+    ([config.streamed], exact sweep, one shard), on the per-job driver
+    otherwise (see {!Rsm.Solver.fit_multi_p}); either way output [r]
+    checkpoints under
+    [Serialize.Checkpoint.Multi.output_base config.checkpoint r], the
+    fitted models are bitwise identical across the two drivers, at
+    every domain count, dense or streamed, and the fit leaves the
+    generator in the same state. *)
 
 val multi_outcome_summary : ?names:string array -> multi_outcome -> string
 (** Multi-line account of a multi-output run: the {!hygiene_lines} with

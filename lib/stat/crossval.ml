@@ -15,7 +15,7 @@ let fold_results pool plan body =
   let out = Array.make plan.folds None in
   let run_fold q =
     let train, held_out = fold_indices plan q in
-    out.(q) <- Some (body q ~train ~held_out)
+    out.(q) <- Some (body ~train ~held_out)
   in
   (match pool with
   | None ->
@@ -27,82 +27,18 @@ let fold_results pool plan body =
         run_fold);
   Array.map (function Some r -> r | None -> assert false) out
 
-let run ?pool plan ~fit ~error =
-  let errs =
-    fold_results pool plan (fun _ ~train ~held_out ->
-        let model = fit ~train in
-        error model ~held_out)
-  in
-  let total = ref 0. in
-  for q = 0 to plan.folds - 1 do
-    total := !total +. errs.(q)
-  done;
-  !total /. float_of_int plan.folds
-
 type fold_cache = {
   load : int -> float array option;
   store : int -> float array -> unit;
 }
 
-let run_fold_curves ?pool ?cache plan ~fit_curve =
-  (* Cached folds are looked up sequentially before the (possibly
-     parallel) fold bodies run, so cache IO never races and a resume
-     leaves the fold-order PRNG discipline of the caller untouched —
-     streams are split before any fold runs either way. *)
-  let cached = Array.make plan.folds None in
-  (match cache with
-  | None -> ()
-  | Some c ->
-      for q = 0 to plan.folds - 1 do
-        cached.(q) <- c.load q
-      done);
-  fold_results pool plan (fun q ~train ~held_out ->
-      match cached.(q) with
-      | Some curve -> curve
-      | None ->
-          let curve = fit_curve q ~train ~held_out in
-          (match cache with None -> () | Some c -> c.store q curve);
-          curve)
-
-(* Batched variant for fused fold fitting: all uncached folds are
-   handed to [fit_curves] in one call (fold order preserved), so the
-   caller can drive them in lockstep and share per-step work — the
-   fused multi-residual CV sweep in [Rsm.Select]. Cache discipline is
-   identical to [run_fold_curves]: loads happen sequentially up front,
-   fresh curves are stored as they come back. *)
-let run_fold_curves_batch ?cache plan ~fit_curves =
-  let cached = Array.make plan.folds None in
-  (match cache with
-  | None -> ()
-  | Some c ->
-      for q = 0 to plan.folds - 1 do
-        cached.(q) <- c.load q
-      done);
-  let pending = ref [] in
-  for q = plan.folds - 1 downto 0 do
-    if cached.(q) = None then begin
-      let train, held_out = fold_indices plan q in
-      pending := (q, train, held_out) :: !pending
-    end
-  done;
-  let pending = Array.of_list !pending in
-  let fresh = if Array.length pending = 0 then [||] else fit_curves pending in
-  if Array.length fresh <> Array.length pending then
-    invalid_arg "Crossval.run_fold_curves_batch: curve count mismatch";
-  Array.iteri
-    (fun i (q, _, _) ->
-      (match cache with None -> () | Some c -> c.store q fresh.(i));
-      cached.(q) <- Some fresh.(i))
-    pending;
-  Array.map (function Some r -> r | None -> assert false) cached
-
-(* Multi-output extension of the batch driver: R responses share one
-   fold plan, and every (output, fold) pair whose curve is not cached
-   is handed to [fit_curves] in one flat call (output-major, fold
-   ascending), so the caller can drive all R×Q solvers in lockstep and
-   share each step's column generation across the whole grid. Cache
-   discipline is per output — loads happen sequentially up front in
-   output-major order, fresh curves are stored per (output, fold). *)
+(* R responses share one fold plan, and every (output, fold) cell whose
+   curve is not cached is handed to [fit_curves] in one flat call
+   (output-major, fold ascending), so the caller picks how to drive the
+   grid: job at a time, or all R×Q solvers in lockstep. Loads happen
+   sequentially up front, so cache IO never races with the fits; each
+   fresh curve is stored the moment the caller finishes its cell, so a
+   killed grid resumes with every finished cell. *)
 let run_fold_curves_multi ?caches ~outputs plan ~fit_curves =
   if outputs < 1 then
     invalid_arg "Crossval.run_fold_curves_multi: outputs must be positive";
@@ -114,15 +50,12 @@ let run_fold_curves_multi ?caches ~outputs plan ~fit_curves =
           invalid_arg "Crossval.run_fold_curves_multi: cache count mismatch";
         cs.(r)
   in
-  let cached = Array.init outputs (fun _ -> Array.make plan.folds None) in
-  for r = 0 to outputs - 1 do
-    match cache_of r with
-    | None -> ()
-    | Some c ->
-        for q = 0 to plan.folds - 1 do
-          cached.(r).(q) <- c.load q
-        done
-  done;
+  let cached =
+    Array.init outputs (fun r ->
+        match cache_of r with
+        | None -> Array.make plan.folds None
+        | Some c -> Array.init plan.folds c.load)
+  in
   let pending = ref [] in
   for r = outputs - 1 downto 0 do
     for q = plan.folds - 1 downto 0 do
@@ -133,23 +66,19 @@ let run_fold_curves_multi ?caches ~outputs plan ~fit_curves =
     done
   done;
   let pending = Array.of_list !pending in
-  let fresh = if Array.length pending = 0 then [||] else fit_curves pending in
-  if Array.length fresh <> Array.length pending then
-    invalid_arg "Crossval.run_fold_curves_multi: curve count mismatch";
-  Array.iteri
-    (fun i (r, q, _, _) ->
-      (match cache_of r with None -> () | Some c -> c.store q fresh.(i));
-      cached.(r).(q) <- Some fresh.(i))
-    pending;
+  if Array.length pending > 0 then
+    fit_curves pending (fun i curve ->
+        let r, q, _, _ = pending.(i) in
+        (match cache_of r with None -> () | Some c -> c.store q curve);
+        cached.(r).(q) <- Some curve);
   Array.map
-    (Array.map (function Some c -> c | None -> assert false))
+    (Array.map (function
+      | Some c -> c
+      | None -> invalid_arg "Crossval.run_fold_curves_multi: a cell got no curve"))
     cached
 
 let run_curves ?pool plan ~fit_curve =
-  let curves =
-    run_fold_curves ?pool plan ~fit_curve:(fun _ ~train ~held_out ->
-        fit_curve ~train ~held_out)
-  in
+  let curves = fold_results pool plan fit_curve in
   let acc = ref [||] in
   for q = 0 to plan.folds - 1 do
     let curve = curves.(q) in

@@ -1,11 +1,9 @@
 (** Q-fold cross-validation (Section IV-C, Fig. 2 of the paper).
 
-    The driver is generic: a [fit] function is trained on the union of
-    Q−1 groups and an [error] function scores it on the held-out group;
-    the per-fold errors are averaged. For λ-sweeps the fit returns a
-    whole curve (error as a function of λ), matching the paper's
-    description that "εq is not simply a value, but a 1-D function
-    of λ". *)
+    Each run fits on the union of Q−1 groups and scores the held-out
+    group at every candidate λ, so a run returns a whole error curve,
+    matching the paper's description that "εq is not simply a value,
+    but a 1-D function of λ"; the curves are averaged. *)
 
 type plan = { folds : int; assignment : int array }
 (** A fold assignment over [n] sample indices. *)
@@ -16,92 +14,48 @@ val make_plan : Randkit.Prng.t -> n:int -> folds:int -> plan
 val fold_indices : plan -> int -> int array * int array
 (** [fold_indices plan q] is [(train, held_out)] for run [q]. *)
 
-val run :
-  ?pool:Parallel.Pool.t -> plan -> fit:(train:int array -> 'model) ->
-  error:('model -> held_out:int array -> float) -> float
-(** [run plan ~fit ~error] executes the Q runs and returns the average
-    held-out error [ (ε₁ + … + ε_Q)/Q ].
-
-    With [?pool] the Q runs execute fold-parallel (one fold per chunk);
-    [fit] and [error] are then called from several domains concurrently
-    and must not share mutable state (capture a per-fold
-    {!Randkit.Prng.split_n} stream, never one shared generator). The
-    per-fold errors are summed in fold order after all folds complete,
-    so the average is bitwise identical to the sequential run for every
-    domain count. Without [?pool] the folds run sequentially, exactly as
-    before — side-effecting closures remain safe. *)
-
 type fold_cache = {
   load : int -> float array option;
       (** [load q] returns fold [q]'s previously computed curve, or
           [None] to fit it. Called sequentially, in fold order, before
-          any fold body runs. *)
+          any fold is fitted. *)
   store : int -> float array -> unit;
-      (** [store q curve] persists a freshly fitted fold curve; called
-          from the fold body (possibly from a worker domain — stores for
-          distinct folds must not share unsynchronized state). *)
+      (** [store q curve] persists a freshly fitted fold curve, possibly
+          from a worker domain: stores for distinct folds must not share
+          unsynchronized state. *)
 }
 (** Hook for per-fold checkpointing of a λ-sweep: a killed CV run
-    resumes at the first fold [load] cannot supply. The IO itself (file
+    refits only the folds [load] cannot supply. The IO itself (file
     naming, validation against the plan) lives with the caller — see
     [Rsm.Select]. *)
-
-val run_fold_curves :
-  ?pool:Parallel.Pool.t -> ?cache:fold_cache -> plan ->
-  fit_curve:(int -> train:int array -> held_out:int array -> float array) ->
-  float array array
-(** [run_fold_curves plan ~fit_curve] is the per-fold layer under
-    {!run_curves}: it returns the Q raw curves in fold order without
-    averaging (the caller may need the spread, e.g. a one-SE rule).
-    [fit_curve] additionally receives the fold index. With [?cache],
-    folds whose curve [load]s are skipped entirely and fresh curves are
-    handed to [store]; because a stored curve is the bitwise result of
-    the fold fit (text checkpoints must round-trip at full precision,
-    e.g. ["%.17g"]), a resumed run averages to exactly the bits of an
-    uninterrupted one. [?pool] as in {!run}. *)
-
-val run_fold_curves_batch :
-  ?cache:fold_cache ->
-  plan ->
-  fit_curves:((int * int array * int array) array -> float array array) ->
-  float array array
-(** [run_fold_curves_batch plan ~fit_curves] is {!run_fold_curves} with
-    all uncached folds fitted by {e one} call:
-    [fit_curves [| (q, train, held_out); … |]] (ascending fold order)
-    must return one curve per entry, in order. This is the entry point
-    for fused fold fitting — the caller runs all fold solvers in
-    lockstep and shares each step's column generation across folds (see
-    [Rsm.Select]); with per-fold results bitwise equal to independent
-    fits, the returned curves equal {!run_fold_curves}'s. [?cache] as
-    in {!run_fold_curves}: loads happen sequentially before fitting,
-    fresh curves are stored per fold.
-    @raise Invalid_argument when [fit_curves] returns the wrong number
-    of curves. *)
 
 val run_fold_curves_multi :
   ?caches:fold_cache option array ->
   outputs:int ->
   plan ->
-  fit_curves:((int * int * int array * int array) array -> float array array) ->
+  fit_curves:
+    ((int * int * int array * int array) array ->
+    (int -> float array -> unit) -> unit) ->
   float array array array
-(** [run_fold_curves_multi ~outputs plan ~fit_curves] extends
-    {!run_fold_curves_batch} to [R = outputs] responses sharing one
-    fold plan: every (output, fold) pair whose curve is not cached is
-    handed to {e one} call
-    [fit_curves [| (r, q, train, held_out); … |]] (output-major, folds
-    ascending within each output), which must return one curve per
-    entry, in order. The result is indexed [.(r).(q)]. This is the
-    entry point for fused multi-output fitting — the caller runs all
-    R×Q fold solvers in lockstep and shares each step's column
-    generation across the whole grid (see [Rsm.Select]); with
-    per-(output, fold) results bitwise equal to independent fits, the
-    returned curves equal R separate {!run_fold_curves} runs. [?caches]
-    supplies one optional {!fold_cache} per output; loads happen
-    sequentially before fitting, fresh curves are stored per
-    (output, fold).
+(** [run_fold_curves_multi ~outputs plan ~fit_curves] runs the λ-curve
+    grid of [R = outputs] responses sharing one fold plan, indexed
+    [.(r).(q)]. Every (output, fold) cell whose curve is not cached is
+    handed to {e one} call [fit_curves jobs finish], with
+    [jobs = [| (r, q, train, held_out); … |]] output-major, folds
+    ascending within each output; the caller calls [finish i curve]
+    once per job [jobs.(i)], in any order and possibly from a worker
+    domain. One call lets the caller fit the cells one at a time or
+    drive all R×Q solvers in lockstep (see [Rsm.Select]).
+
+    [?caches] supplies one optional {!fold_cache} per output: loads run
+    sequentially, output-major, before [fit_curves]; [finish] stores
+    each fresh curve at once, so a killed grid resumes with every
+    finished cell. A stored curve is the bitwise result of the fit
+    (text checkpoints must round-trip at full precision, e.g.
+    ["%.17g"]), so a resumed grid returns exactly the bits of an
+    uninterrupted one.
     @raise Invalid_argument when [outputs < 1], when [caches] has the
-    wrong length, or when [fit_curves] returns the wrong number of
-    curves. *)
+    wrong length, or when [fit_curves] returns with a job unfinished. *)
 
 val run_curves :
   ?pool:Parallel.Pool.t -> plan ->
@@ -110,9 +64,11 @@ val run_curves :
 (** [run_curves plan ~fit_curve] supports λ-sweeps: each run returns the
     error at every candidate λ measured on its held-out group; the
     result is the pointwise average curve ε(λ). All runs must return
-    curves of equal length. [?pool] has the same contract and
-    determinism guarantee as in {!run}: fold-parallel fits, fold-order
-    averaging, bitwise-stable result.
+    curves of equal length. With [?pool] the Q runs execute fold-parallel (one fold per chunk),
+    so [fit_curve] must not share mutable state across calls; the
+    curves are averaged in fold order after all folds complete, so the
+    result is bitwise identical to the sequential run at every domain
+    count.
     @raise Invalid_argument on curves of different lengths. *)
 
 val argmin : float array -> int

@@ -88,11 +88,10 @@ let test_cv_two_points_two_folds () =
   let g = rng () in
   let plan = Stat.Crossval.make_plan g ~n:2 ~folds:2 in
   let e =
-    Stat.Crossval.run plan
-      ~fit:(fun ~train -> Array.length train)
-      ~error:(fun n ~held_out:_ -> float_of_int n)
+    Stat.Crossval.run_curves plan ~fit_curve:(fun ~train ~held_out:_ ->
+        [| float_of_int (Array.length train) |])
   in
-  check_float "each fold trains on 1" 1. e
+  check_float "each fold trains on 1" 1. e.(0)
 
 let test_select_minimum_viable () =
   (* Smallest workable CV problem: 8 samples, 4 folds. *)

@@ -6,18 +6,20 @@
      per-output run_robust with a copy of the same generator (finite
      evaluators); a single-simulator multi run equals run_robust
      exactly, report included.
-   - Crossval.run_fold_curves_multi equals the per-output fold loop and
+   - Crossval.run_fold_curves_multi equals the per-cell fold loop at one
+     output and at three, skips cached cells, stores fresh ones and
      validates its inputs.
-   - the fused multi-output grid (omp/star/lars_multi_p) is bitwise
-     equal to R independent single-output selections, dense and
-     streamed, at 1/2/4 domains, for every path solver — including the
-     Lars.Engine walk against Lars.path_p.
-   - Solver.fit_multi_p's fused (streamed design) and per-output (dense
-     design) drivers agree bitwise, and both agree with R independent
-     fit_cv_p calls.
+   - the multi-output grid (omp/star/lars_multi_p) is bitwise equal to
+     R independent single-output selections, dense (per-job driver) and
+     streamed (fused driver), at 1/2/4 domains, for every path solver —
+     including the Lars.Engine walk against Lars.path_p.
+   - Solver.fit_multi_p's fused (streamed design) and per-job (dense
+     design) drivers agree bitwise, both agree with R independent
+     fit_cv_p calls, and both leave the caller's generator where one
+     fit_cv_p leaves it.
    - the Multi checkpoint manifest + per-output Cv fold files resume
      bitwise after deleting arbitrary cells, resume across drivers
-     (fused grid <-> per-output), and reject mismatched shapes.
+     (fused grid <-> per-job), and reject mismatched shapes.
    - Select.fused_driver is the one rule: fused exactly when the design
      is streamed, the sweep exact and the fit unsharded;
      Pipeline.fit_multi rejects adaptive retry as Error (Config _).
@@ -168,22 +170,65 @@ let test_fold_curves_multi () =
       float_of_int (Array.length held_out);
     |]
   in
-  let reference =
-    Array.init 3 (fun r ->
-        Stat.Crossval.run_fold_curves plan ~fit_curve:(curve_of r))
+  let fit_curves seen jobs finish =
+    seen := Array.to_list (Array.map (fun (r, q, _, _) -> (r, q)) jobs);
+    (* Finish the cells last to first, as worker domains may. *)
+    for i = Array.length jobs - 1 downto 0 do
+      let r, q, train, held_out = jobs.(i) in
+      finish i (curve_of r q ~train ~held_out)
+    done
   in
-  let multi =
-    Stat.Crossval.run_fold_curves_multi ~outputs:3 plan
-      ~fit_curves:(fun pending ->
-        Array.map
-          (fun (r, q, train, held_out) -> curve_of r q ~train ~held_out)
-          pending)
-  in
-  check_bool "multi fold curves equal the per-output loop" true
-    (multi = reference);
+  List.iter
+    (fun outputs ->
+      let tag = Printf.sprintf "outputs=%d" outputs in
+      let reference =
+        Array.init outputs (fun r ->
+            Array.init 4 (fun q ->
+                let train, held_out = Stat.Crossval.fold_indices plan q in
+                curve_of r q ~train ~held_out))
+      in
+      check_bool (tag ^ ": grid equals the per-cell loop") true
+        (Stat.Crossval.run_fold_curves_multi ~outputs plan
+           ~fit_curves:(fit_curves (ref []))
+        = reference);
+      (* With fold 1 of every output cached, the grid hands only the
+         other cells to fit_curves, output-major, and stores each. *)
+      let stored = ref [] in
+      let caches =
+        Array.init outputs (fun r ->
+            Some
+              Stat.Crossval.
+                {
+                  load = (fun q -> if q = 1 then Some reference.(r).(1) else None);
+                  store = (fun q c -> stored := ((r, q), c) :: !stored);
+                })
+      in
+      let seen = ref [] in
+      let cached =
+        Stat.Crossval.run_fold_curves_multi ~caches ~outputs plan
+          ~fit_curves:(fit_curves seen)
+      in
+      let fresh =
+        List.concat_map
+          (fun r -> List.map (fun q -> (r, q)) [ 0; 2; 3 ])
+          (List.init outputs Fun.id)
+      in
+      check_bool (tag ^ ": cached cells skipped") true (!seen = fresh);
+      check_bool (tag ^ ": fresh cells stored") true
+        (List.sort compare !stored
+        = List.map (fun (r, q) -> ((r, q), reference.(r).(q))) fresh);
+      check_bool (tag ^ ": cached grid equals the per-cell loop") true
+        (cached = reference);
+      check_raises_invalid (tag ^ ": curve count mismatch") (fun () ->
+          Stat.Crossval.run_fold_curves_multi ~outputs plan
+            ~fit_curves:(fun _ _ -> ()));
+      check_raises_invalid (tag ^ ": cache count mismatch") (fun () ->
+          Stat.Crossval.run_fold_curves_multi ~caches:[| None; None |]
+            ~outputs plan ~fit_curves:(fit_curves (ref []))))
+    [ 1; 3 ];
   check_raises_invalid "outputs must be positive" (fun () ->
       Stat.Crossval.run_fold_curves_multi ~outputs:0 plan
-        ~fit_curves:(fun _ -> [||]))
+        ~fit_curves:(fun _ _ -> ()))
 
 (* --- fused multi-output selection vs independent fits --------------- *)
 
@@ -211,8 +256,8 @@ let prop_fused_multi_bitwise solver seed =
   in
   let single pool src f =
     (* An independent single-output selection from the same generator
-       state. On the dense design it runs the fold-at-a-time driver, so
-       the grid is checked against the plain path_p walks. *)
+       state. On the dense design it runs the per-job driver, so both
+       grids are checked against the plain path_p walks. *)
     let r0 = Randkit.Prng.create (seed + 11) in
     match solver with
     | `Omp -> Rsm.Select.omp_p ~pool r0 ~max_lambda:5 src f
@@ -234,32 +279,23 @@ let prop_fused_multi_bitwise solver seed =
                 in
                 check_bool
                   (Printf.sprintf
-                     "%s fused grid == independent fits (%d outputs)" name
+                     "%s grid == independent fits (%d outputs)" name
                      outputs)
                   true (grid = indep);
                 grid))
           pool_counts
       in
-      all_equal (Printf.sprintf "%s fused grid across domains" name) results)
+      all_equal (Printf.sprintf "%s grid across domains" name) results)
     [ src_d; src_s ];
-  (* Scaled duplicates of every column: once a column is active, its
-     duplicate ties it and is banned under `Fallback, so the lockstep
-     driver runs zero-length ban steps. The grid and fold-at-a-time CV
-     must still agree bitwise; so must single-output fused CV, which
-     runs on a streamed design — there the duplicates are repeated
-     basis terms, since a streamed column cannot be scaled. *)
+  (* Repeated basis terms: once a column is active, its duplicate ties
+     it and is banned under `Fallback, so the lockstep driver runs
+     zero-length ban steps. The fused grid and fused single-output CV,
+     both on the streamed design, must still equal the per-job driver
+     on the same design materialized. *)
   (match solver with
   | `Omp | `Star -> ()
   | (`Lar | `Lasso) as s ->
       let mode = if s = `Lar then Rsm.Lars.Lar else Rsm.Lars.Lasso in
-      let scale = 0.5 +. (3.5 *. Randkit.Prng.float rng) in
-      let m = Linalg.Mat.cols g in
-      let src_dup =
-        P.dense
-          (Linalg.Mat.init (Linalg.Mat.rows g) (2 * m) (fun i j ->
-               if j < m then Linalg.Mat.get g i j
-               else scale *. Linalg.Mat.get g i (j - m)))
-      in
       let terms = basis.Polybasis.Basis.terms in
       let src_rep =
         P.streamed
@@ -267,6 +303,7 @@ let prop_fused_multi_bitwise solver seed =
              (Array.append terms terms))
           pts
       in
+      let src_rep_d = P.dense (P.to_dense src_rep) in
       let results =
         List.map
           (fun d ->
@@ -275,7 +312,7 @@ let prop_fused_multi_bitwise solver seed =
                 let grid =
                   Array.map result_bits
                     (Rsm.Select.lars_multi_p ~pool ~mode ~on_singular:`Fallback
-                       (r0 ()) ~max_lambda:5 src_dup fs)
+                       (r0 ()) ~max_lambda:5 src_rep fs)
                 in
                 let cv src =
                   Array.map
@@ -285,10 +322,11 @@ let prop_fused_multi_bitwise solver seed =
                            (r0 ()) ~max_lambda:5 src f))
                     fs
                 in
-                check_bool "duplicated columns: fused grid == per-fold CV" true
-                  (grid = cv src_dup);
-                check_bool "duplicated columns: fused CV == per-fold CV" true
-                  (cv src_rep = cv (P.dense (P.to_dense src_rep)));
+                let per_job = cv src_rep_d in
+                check_bool "duplicated columns: fused grid == per-job CV" true
+                  (grid = per_job);
+                check_bool "duplicated columns: fused CV == per-job CV" true
+                  (cv src_rep = per_job);
                 grid))
           pool_counts
       in
@@ -300,16 +338,24 @@ let test_solver_fit_multi_parity () =
   let src_s = P.streamed basis pts in
   let src_d = P.dense g in
   let fs = Array.init 3 (fun _ -> sparse_response rng src_d) in
-  (* The streamed design runs the fused grid, the dense one the
-     per-output driver; each equals independent fit_cv_p calls on its
-     own design. *)
+  (* The caller's next draw after a fit: a multi-output fit must leave
+     the generator where one single-output fit does, whichever driver
+     ran — the CLI draws its test points from it next. *)
+  let next_draw fit =
+    let g = Randkit.Prng.create 99 in
+    let models = fit g in
+    (models, Randkit.Prng.float g)
+  in
+  (* The streamed design runs the fused grid, the dense one the per-job
+     driver (path methods) or output-at-a-time fits (StOMP); each
+     equals independent fit_cv_p calls on its own design. *)
   List.iter
     (fun meth ->
       let mname = Rsm.Solver.name meth in
       let fit src =
-        Array.map model_bits
-          (Rsm.Solver.fit_multi_p ~max_lambda:5 (Randkit.Prng.create 99) src
-             fs meth)
+        next_draw (fun g ->
+            Array.map model_bits
+              (Rsm.Solver.fit_multi_p ~max_lambda:5 g src fs meth))
       in
       let singles src =
         Array.map
@@ -319,33 +365,28 @@ let test_solver_fit_multi_parity () =
                  f meth))
           fs
       in
-      let fused = fit src_s and per = fit src_d in
+      let after_one src =
+        snd
+          (next_draw (fun g ->
+               Rsm.Solver.fit_cv_p ~max_lambda:5 g src fs.(0) meth))
+      in
+      let fused, fused_next = fit src_s and per, per_next = fit src_d in
       check_bool
-        (Printf.sprintf "%s fused (streamed) == per-output (dense)" mname)
+        (Printf.sprintf "%s fused (streamed) == per-job (dense)" mname)
         true (fused = per);
       check_bool
         (Printf.sprintf "streamed %s fused == independent fit_cv_p" mname)
         true (fused = singles src_s);
       check_bool
-        (Printf.sprintf "dense %s per-output == independent fit_cv_p" mname)
-        true (per = singles src_d))
-    [ Rsm.Solver.Lar; Rsm.Solver.Lasso; Rsm.Solver.Omp; Rsm.Solver.Star ];
-  (* A non-path method has no fused grid; fit_multi_p still fits every
-     output, identically to independent calls. *)
-  let stomp =
-    Array.map model_bits
-      (Rsm.Solver.fit_multi_p ~max_lambda:5 (Randkit.Prng.create 99) src_d fs
-         Rsm.Solver.Stomp)
-  in
-  let stomp_singles =
-    Array.map
-      (fun f ->
-        model_bits
-          (Rsm.Solver.fit_cv_p ~max_lambda:5 (Randkit.Prng.create 99) src_d f
-             Rsm.Solver.Stomp))
-      fs
-  in
-  check_bool "StOMP multi == independent fits" true (stomp = stomp_singles)
+        (Printf.sprintf "dense %s per-job == independent fit_cv_p" mname)
+        true (per = singles src_d);
+      check_bool
+        (Printf.sprintf "streamed %s leaves the generator as fit_cv_p" mname)
+        true (fused_next = after_one src_s);
+      check_bool
+        (Printf.sprintf "dense %s leaves the generator as fit_cv_p" mname)
+        true (per_next = after_one src_d))
+    Rsm.Solver.[ Lar; Lasso; Omp; Star; Stomp ]
 
 let test_fit_multi_validation () =
   let _, basis, pts, _ = random_setting 4 in
@@ -385,45 +426,57 @@ let with_ckpt_base name f =
 
 let test_multi_checkpoint_resume () =
   with_ckpt_base "multi_ckpt" (fun base ->
-      let rng, _, _, g = random_setting 8 in
-      let src = P.dense g in
-      let fs = Array.init 3 (fun _ -> sparse_response rng src) in
-      let run ?checkpoint ?resume () =
+      let rng, basis, pts, g = random_setting 8 in
+      let src_s = P.streamed basis pts and src_d = P.dense g in
+      let fs = Array.init 3 (fun _ -> sparse_response rng src_d) in
+      let module M = Rsm.Serialize.Checkpoint.Multi in
+      (* The streamed design runs the fused grid, the dense one the
+         per-job driver. *)
+      let run ?checkpoint ?resume src =
         Array.map result_bits
           (Rsm.Select.lars_multi_p ?checkpoint ?resume
              (Randkit.Prng.create 21) ~max_lambda:5 src fs)
       in
-      let reference = run () in
-      let first = run ~checkpoint:base () in
+      let reference = run src_s in
+      let first = run ~checkpoint:base src_s in
       check_bool "checkpointed run equals plain run" true (reference = first);
-      check_bool "manifest written" true
-        (Sys.file_exists (Rsm.Serialize.Checkpoint.Multi.manifest_file base));
+      check_bool "manifest written" true (Sys.file_exists (M.manifest_file base));
       (* Kill a few grid cells — one whole output and one stray fold —
          and resume: only those refit, result bitwise unchanged. *)
-      let out_base r = Rsm.Serialize.Checkpoint.Multi.output_base base r in
+      let cell r q = Rsm.Serialize.Checkpoint.Cv.fold_file (M.output_base base r) q in
       for q = 0 to 3 do
-        Sys.remove (Rsm.Serialize.Checkpoint.Cv.fold_file (out_base 1) q)
+        Sys.remove (cell 1 q)
       done;
-      Sys.remove (Rsm.Serialize.Checkpoint.Cv.fold_file (out_base 2) 0);
-      let resumed = run ~checkpoint:base ~resume:true () in
+      Sys.remove (cell 2 0);
+      let resumed = run ~checkpoint:base ~resume:true src_s in
       check_bool "resume after deleted cells is bitwise equal" true
         (reference = resumed);
-      (* Cross-driver resume: the per-output driver reads the same
-         per-output fold files the fused grid wrote. *)
-      Sys.remove (Rsm.Serialize.Checkpoint.Cv.fold_file (out_base 0) 2);
-      let per_output =
+      (* Cross-driver resume: the per-job driver reads the cell files
+         the fused grid wrote, refits the missing one and writes the
+         manifest too ... *)
+      Sys.remove (cell 0 2);
+      Sys.remove (M.manifest_file base);
+      let per_job =
         Array.map model_bits
-          (Rsm.Solver.fit_multi_p ~max_lambda:5 ~cv_checkpoint:base ~cv_resume:true (Randkit.Prng.create 21) src
-             fs Rsm.Solver.Lar)
+          (Rsm.Solver.fit_multi_p ~max_lambda:5 ~cv_checkpoint:base
+             ~cv_resume:true (Randkit.Prng.create 21) src_d fs Rsm.Solver.Lar)
       in
       let ref_models = Array.map (fun (_, _, m) -> m) reference in
-      check_bool "per-output resume from fused checkpoints is bitwise equal"
+      check_bool "per-job resume from fused checkpoints is bitwise equal"
+        true (per_job = ref_models);
+      check_bool "per-job driver writes the manifest" true
+        (Sys.file_exists (M.manifest_file base));
+      check_bool "per-job driver rewrites the missing cell" true
+        (Sys.file_exists (cell 0 2));
+      (* ... and the fused grid resumes from the per-job driver's. *)
+      Sys.remove (cell 2 3);
+      check_bool "fused resume from per-job checkpoints is bitwise equal"
         true
-        (per_output = ref_models);
+        (run ~checkpoint:base ~resume:true src_s = reference);
       (* A manifest that disagrees with the grid shape is rejected. *)
       check_raises_invalid "mismatched max_lambda rejected" (fun () ->
           Rsm.Select.lars_multi_p ~checkpoint:base ~resume:true
-            (Randkit.Prng.create 21) ~max_lambda:6 src fs))
+            (Randkit.Prng.create 21) ~max_lambda:6 src_d fs))
 
 (* --- the one driver rule ---------------------------------------------- *)
 
@@ -474,7 +527,7 @@ let test_pipeline_fit_multi () =
     | Error e -> Alcotest.failf "config: %s" (Robust.Error.to_string e)
   in
   (* The streamed design runs the fused grid, the dense one the
-     per-output driver. *)
+     per-job grid. *)
   let fit streamed =
     match
       Robust.Pipeline.fit_multi (cfg streamed) sims basis

@@ -59,20 +59,23 @@ let test_lars_cv_runs () =
     (Rsm.Model.coeff r.Rsm.Select.model 3 <> 0.
     && Rsm.Model.coeff r.Rsm.Select.model 30 <> 0.)
 
-let test_generic_pads_short_paths () =
-  (* A solver whose path stops after 2 models must still give a curve of
-     the requested length. *)
+let test_omp_p_pads_short_paths () =
+  (* A noise-free one-column response: OMP's path stops after one
+     model, on the full data and in every fold, yet the curve must
+     still have the requested length, each λ past the stop repeating
+     the last model's error. *)
   let g, f =
     sparse_problem ~k:40 ~m:20 ~support:[| 1 |] ~coeffs:[| 1. |] 35
   in
-  let r =
-    Rsm.Select.generic (rng ()) ~max_lambda:8
-      ~path_models:(fun ~rng:_ g f ~max_lambda ->
-        let n = min max_lambda 2 in
-        Array.init n (fun l -> Rsm.Omp.fit g f ~lambda:(l + 1)))
-      g f
-  in
-  check_int "curve padded" 8 (Array.length r.Rsm.Select.curve)
+  let src = Polybasis.Design.Provider.dense g in
+  check_int "path stops early" 1
+    (Array.length (Rsm.Omp.path_p src f ~max_lambda:8));
+  let r = Rsm.Select.omp_p (rng ()) ~max_lambda:8 src f in
+  let curve = r.Rsm.Select.curve in
+  check_int "curve padded" 8 (Array.length curve);
+  check_bool "padding repeats the last error" true
+    (Array.for_all (fun e -> e = curve.(0)) curve);
+  check_int "lambda" 1 r.Rsm.Select.lambda
 
 let test_folds_parameter () =
   let g, f =
@@ -210,7 +213,7 @@ let suite =
       case "cv curve shape" test_cv_curve_shape;
       case "star cv" test_star_cv_runs;
       case "lars cv" test_lars_cv_runs;
-      case "generic: pads short paths" test_generic_pads_short_paths;
+      case "omp_p: pads short paths" test_omp_p_pads_short_paths;
       case "fold count parameter" test_folds_parameter;
       case "solver: names" test_solver_names;
       case "solver: of_name" test_solver_of_name;

@@ -184,13 +184,14 @@ let test_plan_and_indices () =
 let test_run_average () =
   let g = rng () in
   let plan = Stat.Crossval.make_plan g ~n:12 ~folds:3 in
-  (* error = size of held-out group = 4 for every fold. *)
+  (* error = size of held-out group = 4 for every fold; the second
+     point is the fold's training size, 8. *)
   let e =
-    Stat.Crossval.run plan
-      ~fit:(fun ~train -> Array.length train)
-      ~error:(fun _model ~held_out -> float_of_int (Array.length held_out))
+    Stat.Crossval.run_curves plan ~fit_curve:(fun ~train ~held_out ->
+        [| float_of_int (Array.length held_out);
+           float_of_int (Array.length train) |])
   in
-  check_float "average" 4. e
+  check_vec ~eps:1e-12 "average" [| 4.; 8. |] e
 
 let test_run_curves () =
   let g = rng () in
@@ -215,19 +216,16 @@ let test_crossval_detects_overfit () =
   let values = Array.init n (fun _ -> Randkit.Gaussian.sample g) in
   let plan = Stat.Crossval.make_plan g ~n ~folds:4 in
   let e =
-    Stat.Crossval.run plan
-      ~fit:(fun ~train ->
+    Stat.Crossval.run_curves plan ~fit_curve:(fun ~train ~held_out ->
         let tbl = Hashtbl.create 16 in
         Array.iter (fun i -> Hashtbl.replace tbl i values.(i)) train;
-        tbl)
-      ~error:(fun tbl ~held_out ->
         let pred =
           Array.map (fun i -> try Hashtbl.find tbl i with Not_found -> 0.) held_out
         in
         let truth = Array.map (fun i -> values.(i)) held_out in
-        Stat.Metrics.rmse ~pred ~truth)
+        [| Stat.Metrics.rmse ~pred ~truth |])
   in
-  check_bool "held-out error not fooled by memorization" true (e > 0.5)
+  check_bool "held-out error not fooled by memorization" true (e.(0) > 0.5)
 
 let prop_quantile_monotone =
   qtest ~count:50 "quantile is monotone in p"
