@@ -42,4 +42,5 @@ let () =
       Test_sampler.suite;
       Test_multi.suite;
       Test_delivery.suite;
+      Test_known_answer.suite;
     ]
