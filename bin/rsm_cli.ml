@@ -395,7 +395,7 @@ let print_engines (cfg : Robust.Pipeline.config) ~cv ~recovered =
     | `Cv when fused -> ", fused CV"
     | `Cv when path -> ", per-fold CV"
     | `Outputs when fused -> ", fused outputs"
-    | `Outputs -> ", per-output"
+    | `Outputs -> ", per-job grid"
     | `Cv | `None -> "");
   if cfg.shards > 1 then
     Printf.printf "  shard engine  : %d shards (%s mode)\n" cfg.shards

@@ -63,17 +63,10 @@ let monte_carlo_values ?(samples = 10_000) ?eval
                  "Yield.monte_carlo_values: touched coordinate out of range"))
         touched;
       let dy = Array.make n 0. in
+      let words = Bytes.create (8 * n) in
       Array.init samples (fun s ->
-          let pk = Randkit.Counter.at key s in
-          (match touched with
-          | Some vars ->
-              Array.iter
-                (fun c -> dy.(c) <- Randkit.Ziggurat.normal_at pk ~coord:c)
-                vars
-          | None ->
-              for c = 0 to n - 1 do
-                dy.(c) <- Randkit.Ziggurat.normal_at pk ~coord:c
-              done);
+          Randkit.Ziggurat.fill_at (Randkit.Counter.at key s) ?vars:touched
+            ~words dy;
           eval dy)
 
 let joint_monte_carlo ?(samples = 10_000) specs basis rng =

@@ -16,7 +16,7 @@ let draw_stride = 0x165667B19E3779F9L
 (* The SplitMix64 output finalizer (as in Prng.splitmix64_next): a
    bijection on 64-bit words with full avalanche. Two applications
    separate any output from its (key, point, coord, draw) address. *)
-let finalize z =
+let[@inline] finalize z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -32,7 +32,7 @@ let of_prng g = Prng.bits64 g
 let key t = t
 let at t p = finalize (Int64.add t (Int64.mul (Int64.of_int p) golden))
 
-let bits64 pk ~coord ~draw =
+let[@inline] bits64 pk ~coord ~draw =
   finalize
     (Int64.add
        (Int64.add pk (Int64.mul (Int64.of_int coord) coord_stride))
@@ -42,3 +42,22 @@ let float pk ~coord ~draw =
   (* Top 53 bits → [0, 1), matching Prng.float's resolution. *)
   Int64.to_float (Int64.shift_right_logical (bits64 pk ~coord ~draw) 11)
   *. 0x1.0p-53
+
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* [bits64] is inlined here, so each word goes from the finalizer to the
+   buffer unboxed; a caller in another module would receive it boxed. *)
+let draw0_into pk ?vars n words =
+  if n < 0 || Bytes.length words < 8 * n then
+    invalid_arg "Counter.draw0_into: words buffer shorter than 8·n bytes";
+  match vars with
+  | None ->
+      for s = 0 to n - 1 do
+        set64 words (8 * s) (bits64 pk ~coord:s ~draw:0)
+      done
+  | Some vars ->
+      if Array.length vars < n then
+        invalid_arg "Counter.draw0_into: fewer than n coordinates";
+      for s = 0 to n - 1 do
+        set64 words (8 * s) (bits64 pk ~coord:(Array.unsafe_get vars s) ~draw:0)
+      done

@@ -15,16 +15,23 @@ let rec sample2 g =
 
 let sample g = fst (sample2 g)
 
+(* [sample2]'s loop, inline: no pair tuple and no boxed variates — the
+   accepted pair goes straight into [out], consuming the same stream. *)
 let fill g out =
   let n = Array.length out in
   let i = ref 0 in
   while !i < n do
-    let a, b = sample2 g in
-    out.(!i) <- a;
-    incr i;
-    if !i < n then begin
-      out.(!i) <- b;
-      incr i
+    let u = (2. *. Prng.float g) -. 1. in
+    let v = (2. *. Prng.float g) -. 1. in
+    let s = (u *. u) +. (v *. v) in
+    if s < 1. && s <> 0. then begin
+      let m = sqrt (-2. *. log s /. s) in
+      out.(!i) <- u *. m;
+      incr i;
+      if !i < n then begin
+        out.(!i) <- v *. m;
+        incr i
+      end
     end
   done
 

@@ -1,7 +1,16 @@
 (* xoshiro256++ (Blackman & Vigna), seeded by SplitMix64. Both are public
-   domain reference algorithms; implemented here directly on int64. *)
+   domain reference algorithms; implemented here directly on int64.
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+   The four state words live in one 32-byte [Bytes], read and written
+   through the unboxed 64-bit bytes primitives. Kept as mutable [int64]
+   record fields, every state update would box a fresh int64 (12 words
+   per output) wherever the compiler does not see through the record —
+   which, under [-opaque], is every cross-module call. *)
+
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let splitmix64_next state =
   let open Int64 in
@@ -11,44 +20,49 @@ let splitmix64_next state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
+(* Expand a SplitMix64 state into the four xoshiro words. *)
+let of_splitmix state =
   let s0 = splitmix64_next state in
   let s1 = splitmix64_next state in
   let s2 = splitmix64_next state in
   let s3 = splitmix64_next state in
   (* All-zero state is invalid for xoshiro; the SplitMix expansion cannot
      produce it for any seed, but guard anyway. *)
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+  let s0, s1, s2, s3 =
+    if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then (1L, 2L, 3L, 4L)
+    else (s0, s1, s2, s3)
+  in
+  let g = Bytes.create 32 in
+  set64 g 0 s0;
+  set64 g 8 s1;
+  set64 g 16 s2;
+  set64 g 24 s3;
+  g
 
-let rotl x k =
+let create seed = of_splitmix (ref (Int64.of_int seed))
+
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 g =
+let[@inline] bits64 g =
   let open Int64 in
-  let result = add (rotl (add g.s0 g.s3) 23) g.s0 in
-  let t = shift_left g.s1 17 in
-  g.s2 <- logxor g.s2 g.s0;
-  g.s3 <- logxor g.s3 g.s1;
-  g.s1 <- logxor g.s1 g.s2;
-  g.s0 <- logxor g.s0 g.s3;
-  g.s2 <- logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+  let s0 = get64 g 0 and s1 = get64 g 8 and s2 = get64 g 16 and s3 = get64 g 24 in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let t = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set64 g 0 s0;
+  set64 g 8 s1;
+  set64 g 16 (logxor s2 t);
+  set64 g 24 (rotl s3 45);
   result
 
 let split g =
   (* Expand a fresh state from the parent's next outputs through
      SplitMix64, so parent and child streams are decorrelated. *)
-  let state = ref (bits64 g) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+  of_splitmix (ref (bits64 g))
 
 let split_n g n =
   if n < 0 then invalid_arg "Prng.split_n: negative count";
@@ -61,7 +75,7 @@ let split_n g n =
   done;
   children
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let copy = Bytes.copy
 
 let float g =
   (* Top 53 bits → [0, 1) with full double resolution. *)

@@ -39,15 +39,17 @@ let xtab, ytab =
   done;
   (x, y)
 
-let idx_of bits = Int64.to_int (Int64.logand bits 0xFFL)
-let neg_of bits = Int64.logand bits 0x100L <> 0L
-let u_of bits = Int64.to_float (Int64.shift_right_logical bits 11) *. 0x1.0p-53
+let[@inline] idx_of bits = Int64.to_int (Int64.logand bits 0xFFL)
+let[@inline] neg_of bits = Int64.logand bits 0x100L <> 0L
+
+let[@inline] u_of bits =
+  Int64.to_float (Int64.shift_right_logical bits 11) *. 0x1.0p-53
 
 (* (0, 1] so the tail's logs are finite. *)
 let upos_of bits =
   (Int64.to_float (Int64.shift_right_logical bits 11) +. 1.) *. 0x1.0p-53
 
-let signed neg x = if neg then -.x else x
+let[@inline] signed neg x = if neg then -.x else x
 
 let rec sample g =
   let bits = Prng.bits64 g in
@@ -98,5 +100,24 @@ and tail_at pk ~coord j neg =
   else tail_at pk ~coord (j + 2) neg
 
 let normal_at pk ~coord = sample_at pk ~coord 0
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* Bulk counter draw: [Counter.draw0_into] writes every coordinate's
+   draw-0 word, decoded here unboxed on the one-compare fast path. Any
+   other case restarts [sample_at] at draw 0, which recomputes the same
+   word, so every value is bitwise [normal_at]'s. *)
+let fill_at pk ?vars ~words dy =
+  let n = match vars with Some v -> Array.length v | None -> Array.length dy in
+  Counter.draw0_into pk ?vars n words;
+  for s = 0 to n - 1 do
+    let coord = match vars with Some v -> Array.unsafe_get v s | None -> s in
+    let bits = get64 words (8 * s) in
+    let i = idx_of bits in
+    let x = u_of bits *. Array.unsafe_get xtab i in
+    dy.(coord) <-
+      (if x < Array.unsafe_get xtab (i + 1) then signed (neg_of bits) x
+       else sample_at pk ~coord 0)
+  done
 
 let tail_start = r

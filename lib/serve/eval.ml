@@ -8,12 +8,12 @@
    pre-resolved absolute offsets into that buffer.
 
    Bitwise contract: evaluation preserves exactly the arithmetic of
-   [Rsm.Model.predict_point] — the same Hermite recurrence
-   ([Hermite.eval_all_into], which [Term.eval] also runs one factor at a
-   time), the same left-to-right factor product starting from 1.0, and
-   the same support-order accumulation starting from 0.0. The batch
-   kernel re-blocks the memory layout, never the per-point operation
-   sequence. *)
+   [Rsm.Model.predict_point] — the same Hermite recurrence (the
+   expression of [Hermite.eval_all_into], which [Term.eval] also runs
+   one factor at a time), the same left-to-right factor product
+   starting from 1.0, and the same support-order accumulation starting
+   from 0.0. The batch kernel re-blocks the memory layout, never the
+   per-point operation sequence. *)
 
 type t = {
   basis_size : int;
@@ -107,13 +107,31 @@ let check_point t dy =
   if Array.length dy <> t.dim then
     invalid_arg "Serve.Eval: point dimension disagrees with the basis"
 
+(* Normalized Hermite values g_0 … g_deg of [y] at [buf.(base)],
+   [buf.(base + stride)], …: [Hermite.eval_all_into]'s recurrence,
+   expression for expression, kept in this module so that, inlined, [y]
+   is never boxed — a call into another module takes it boxed. *)
+let[@inline] hermite_into buf ~base ~stride ~deg y =
+  Array.unsafe_set buf base 1.;
+  if deg >= 1 then Array.unsafe_set buf (base + stride) y;
+  for k = 1 to deg - 1 do
+    let fk = float_of_int k in
+    Array.unsafe_set buf
+      (base + ((k + 1) * stride))
+      (((y *. Array.unsafe_get buf (base + (k * stride)))
+       -. (sqrt fk *. Array.unsafe_get buf (base + ((k - 1) * stride))))
+      /. sqrt (fk +. 1.))
+  done
+
 (* One Hermite recurrence per touched variable, to its max needed
    degree; every term then reads shared values. *)
 let fill t scratch dy =
   for s = 0 to Array.length t.var_of_slot - 1 do
-    Polybasis.Hermite.eval_all_into scratch ~pos:t.slot_offset.(s)
-      ~deg:t.slot_deg.(s)
-      dy.(t.var_of_slot.(s))
+    hermite_into scratch
+      ~base:(Array.unsafe_get t.slot_offset s)
+      ~stride:1
+      ~deg:(Array.unsafe_get t.slot_deg s)
+      (Array.unsafe_get dy (Array.unsafe_get t.var_of_slot s))
   done
 
 let eval_with t scratch dy =
@@ -150,19 +168,11 @@ let eval_block t ~hbuf ~prod ~block ~points ~out ~lo ~n =
     let dy = points.(lo + i) in
     check_point t dy;
     for s = 0 to nvars - 1 do
-      let y = Array.unsafe_get dy (Array.unsafe_get t.var_of_slot s) in
-      let base = (Array.unsafe_get t.slot_offset s * block) + i in
-      Array.unsafe_set hbuf base 1.;
-      let deg = Array.unsafe_get t.slot_deg s in
-      if deg >= 1 then Array.unsafe_set hbuf (base + block) y;
-      for k = 1 to deg - 1 do
-        let fk = float_of_int k in
-        Array.unsafe_set hbuf
-          (base + ((k + 1) * block))
-          (((y *. Array.unsafe_get hbuf (base + (k * block)))
-           -. (sqrt fk *. Array.unsafe_get hbuf (base + ((k - 1) * block))))
-          /. sqrt (fk +. 1.))
-      done
+      hermite_into hbuf
+        ~base:((Array.unsafe_get t.slot_offset s * block) + i)
+        ~stride:block
+        ~deg:(Array.unsafe_get t.slot_deg s)
+        (Array.unsafe_get dy (Array.unsafe_get t.var_of_slot s))
     done
   done;
   for p = 0 to Array.length t.coeffs - 1 do

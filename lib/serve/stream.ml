@@ -54,24 +54,15 @@ let filler_of ~sampler ~project t rng =
       let key = Randkit.Counter.of_prng rng in
       Ctr (key, if project then Some (Eval.touched_vars t) else None)
 
-let draw_point filler brng dy ~point =
+let draw_point filler brng dy words ~point =
   match filler with
   | Seq -> Randkit.Gaussian.fill brng dy
-  | Ctr (key, proj) -> (
-      let pk = Randkit.Counter.at key point in
-      match proj with
-      | Some vars ->
-          for s = 0 to Array.length vars - 1 do
-            let c = Array.unsafe_get vars s in
-            dy.(c) <- Randkit.Ziggurat.normal_at pk ~coord:c
-          done
-      | None ->
-          for c = 0 to Array.length dy - 1 do
-            dy.(c) <- Randkit.Ziggurat.normal_at pk ~coord:c
-          done)
+  | Ctr (key, vars) ->
+      Randkit.Ziggurat.fill_at (Randkit.Counter.at key point) ?vars ~words dy
 
-(* Run [body b rng scratch dy ~lo ~n] for every batch [b] over the pool
-   (or sequentially without one). [lo] is the batch's global sample
+(* Run [body b rng scratch dy words ~lo ~n] for every batch [b] over the
+   pool (or sequentially without one); [scratch], [dy] and the counter
+   fill's [words] are one set per chunk. [lo] is the batch's global sample
    offset and [n] its size (the last batch may be short). Batch [b]
    always receives child [b] of the caller's generator.
 
@@ -96,11 +87,12 @@ let over_batches ?pool ~batch ~samples t rng body =
     done;
     let scratch = Eval.make_scratch t in
     let dy = Array.make (Eval.dim t) 0. in
+    let words = Bytes.create (8 * Eval.dim t) in
     for b = b0 to b1 - 1 do
       let brng = Randkit.Prng.split parent in
       let lo = b * batch in
       let n = min batch (samples - lo) in
-      body b brng scratch dy ~lo ~n
+      body b brng scratch dy words ~lo ~n
     done
   in
   (match pool with
@@ -123,12 +115,13 @@ let estimate ?pool ?(batch = default_batch)
   let sum_of = Array.make nbatches0 0. in
   let sumsq_of = Array.make nbatches0 0. in
   let nbatches =
-    over_batches ?pool ~batch ~samples t rng (fun b brng scratch dy ~lo ~n ->
+    over_batches ?pool ~batch ~samples t rng
+      (fun b brng scratch dy words ~lo ~n ->
         let pass = ref 0 in
         let sum = ref 0. in
         let sumsq = ref 0. in
         for s = 0 to n - 1 do
-          draw_point filler brng dy ~point:(lo + s);
+          draw_point filler brng dy words ~point:(lo + s);
           let v = Eval.eval_with t scratch dy in
           if Rsm.Yield.passes spec v then incr pass;
           sum := !sum +. v;
@@ -169,9 +162,10 @@ let values ?pool ?(batch = default_batch)
   let filler = filler_of ~sampler ~project t rng in
   let out = Array.make samples 0. in
   let (_ : int) =
-    over_batches ?pool ~batch ~samples t rng (fun _ brng scratch dy ~lo ~n ->
+    over_batches ?pool ~batch ~samples t rng
+      (fun _ brng scratch dy words ~lo ~n ->
         for s = 0 to n - 1 do
-          draw_point filler brng dy ~point:(lo + s);
+          draw_point filler brng dy words ~point:(lo + s);
           out.(lo + s) <- Eval.eval_with t scratch dy
         done)
   in

@@ -761,20 +761,6 @@ let test_point_screen_allocation () =
   if words >= 1e6 then
     Alcotest.failf "point screen allocated %.0f minor words (bound 1e6)" words
 
-(* Fails when one call of [f] allocates [bound] minor words or more,
-   averaged over 10 calls after a warm-up call. *)
-let check_minor_words what ~bound f =
-  f ();
-  let reps = 10 in
-  let before = Gc.minor_words () in
-  for _ = 1 to reps do
-    f ()
-  done;
-  let words = (Gc.minor_words () -. before) /. float_of_int reps in
-  if words >= bound then
-    Alcotest.failf "%s allocated %.0f minor words per call (bound %.0f)" what
-      words bound
-
 let test_dense_multi_sweep_allocation () =
   (* K = 400, M = 300, Q = 4 training folds on a dense provider at one
      domain. The row-streaming kernel writes every fold's dots straight

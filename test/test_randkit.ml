@@ -108,29 +108,6 @@ let test_gaussian_matrix_shape () =
   check_int "rows" 3 (Linalg.Mat.rows m);
   check_int "cols" 4 (Linalg.Mat.cols m)
 
-(* --- Mvn --- *)
-
-let test_mvn_covariance_recovered () =
-  let open Linalg in
-  let sigma = Mat.of_arrays [| [| 2.; 0.8 |]; [| 0.8; 1. |] |] in
-  let s = Randkit.Mvn.of_covariance sigma in
-  check_int "dim" 2 (Randkit.Mvn.dim s);
-  let g = rng () in
-  let n = 30000 in
-  let data = Randkit.Mvn.sample_n s g n in
-  let cov = Stat.Descriptive.covariance_matrix data in
-  check_float ~eps:0.08 "var1" 2. (Mat.get cov 0 0);
-  check_float ~eps:0.05 "var2" 1. (Mat.get cov 1 1);
-  check_float ~eps:0.05 "cov" 0.8 (Mat.get cov 0 1)
-
-let test_mvn_factor () =
-  let open Linalg in
-  let sigma = Mat.of_arrays [| [| 4.; 0. |]; [| 0.; 9. |] |] in
-  let s = Randkit.Mvn.of_covariance sigma in
-  let l = Randkit.Mvn.covariance_factor s in
-  check_float "l00" 2. (Mat.get l 0 0);
-  check_float "l11" 3. (Mat.get l 1 1)
-
 (* --- Sampling --- *)
 
 let test_train_test_split () =
@@ -212,8 +189,6 @@ let suite =
       case "gaussian: tails" test_gaussian_tails;
       case "gaussian: scaled" test_gaussian_scaled;
       case "gaussian: matrix shape" test_gaussian_matrix_shape;
-      case "mvn: covariance recovered" test_mvn_covariance_recovered;
-      case "mvn: factor" test_mvn_factor;
       case "sampling: train/test split" test_train_test_split;
       case "sampling: folds balanced" test_fold_assignment_balanced;
       case "sampling: fold_split" test_fold_split;

@@ -117,14 +117,17 @@ let test_pca_roundtrip () =
 let test_pca_whitened_samples_standard () =
   let open Linalg in
   let sigma = Mat.of_arrays [| [| 2.; 0.9 |]; [| 0.9; 1. |] |] in
-  let s = Randkit.Mvn.of_covariance sigma in
+  (* Correlated draws x = L·z, with Σ = L·Lᵀ and z iid standard normal. *)
+  let l = Cholesky.factor sigma in
   let p = Stat.Pca.of_covariance sigma in
   let g = rng () in
   let n = 20000 in
   let whitened =
     Mat.init n 2 (fun _ _ -> 0.) |> fun m ->
     for i = 0 to n - 1 do
-      Mat.set_row m i (Stat.Pca.whiten p (Randkit.Mvn.sample s g))
+      let z = Randkit.Gaussian.vector g 2 in
+      let x = Array.init 2 (fun r -> Vec.dot (Mat.row l r) z) in
+      Mat.set_row m i (Stat.Pca.whiten p x)
     done;
     m
   in

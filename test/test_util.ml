@@ -30,3 +30,20 @@ let qtest ?(count = 100) name gen prop =
 let case name f = Alcotest.test_case name `Quick f
 
 let slow_case name f = Alcotest.test_case name `Slow f
+
+(* Fails when one call of [f] allocates [bound] minor words or more,
+   averaged over 10 calls after a warm-up call. The test build is
+   dune's dev profile ([-opaque]): a float or int64 that crosses a
+   module boundary is boxed there, so these bounds hold the unboxed
+   kernels to the build that runs them. *)
+let check_minor_words what ~bound f =
+  f ();
+  let reps = 10 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int reps in
+  if words >= bound then
+    Alcotest.failf "%s allocated %.0f minor words per call (bound %.0f)" what
+      words bound
