@@ -156,14 +156,12 @@ let run ~quick ~domains () =
           Randkit.Ziggurat.fill g buf
         done)
   in
+  let words = Bytes.create (8 * n) in
   let ctr_norm_s =
     Bench_util.median_of ~reps (fun () ->
         let key = Randkit.Counter.create 91 in
         for p = 0 to fills - 1 do
-          let pk = Randkit.Counter.at key p in
-          for c = 0 to n - 1 do
-            buf.(c) <- Randkit.Ziggurat.normal_at pk ~coord:c
-          done
+          Randkit.Ziggurat.fill_at (Randkit.Counter.at key p) ~words buf
         done)
   in
   let nrate s = float_of_int (fills * n) /. s in

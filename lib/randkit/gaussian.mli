@@ -3,7 +3,8 @@
     The paper's variation model is jointly Gaussian after PCA; every
     Monte-Carlo sample the "simulator" consumes is a vector of iid
     standard normals drawn here. The Marsaglia polar method is used: no
-    trig calls, and the discarded second variate is cached. *)
+    trig calls. {!fill} keeps both variates of each accepted pair;
+    {!sample} keeps the first, and nothing is cached between calls. *)
 
 val sample : Prng.t -> float
 (** One standard normal draw, N(0, 1). *)
