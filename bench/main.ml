@@ -106,9 +106,10 @@ let () =
         (Cmd.info "sweep"
            ~doc:
              "Gram-cached incremental LAR step (with its Gram builds) and \
-              fused multi-residual CV sweep: per-step cost vs the exact \
-              engines, with embedded parity checks (exit 1 on violation). \
-              Updates BENCH_speed.json.")
+              one fused CV round (4 fold lanes + the refit lane) at the \
+              Table II shape: per-step cost vs the exact engines, with \
+              embedded parity checks (exit 1 on violation). Updates \
+              BENCH_speed.json.")
         Term.(
           const (fun quick _ domains ->
               Speed.sweep_scenario ~quick ~domains ())

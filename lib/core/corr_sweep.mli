@@ -34,12 +34,15 @@
       which the entering column's Gram build would cost again, so they
       always sweep exactly ({!lar_only}).
     - {b Fused multi-residual sweeps} ({!gram_tr_multi} /
-      {!argmax_abs_multi}): generate each block of four columns once
-      and dot it against Q fold residuals, each column with its own
-      accumulator adding its fold rows in ascending order — bitwise
-      identical to Q independent sweeps; this is how fused CV pays
-      streamed column generation once per step instead of once per
-      fold.
+      {!argmax_abs_multi}): scatter the L residuals (Q fold residuals
+      and one all-rows refit residual per output in fused CV) into a
+      K×L lane matrix, +0 outside each residual's rows, and form each
+      block of two columns' products once for every lane; each
+      (column, lane) dot adds all K rows in ascending order from +0,
+      and a +0 row adds nothing to it — bitwise identical to L
+      independent sweeps. This is how fused CV pays streamed column
+      generation once per round instead of once per fold and again
+      for the refit.
 
     Passing no [?pool] uses {!Parallel.Pool.default}. *)
 
@@ -101,9 +104,9 @@ val gram_tr_multi :
   rows:int array array ->
   Linalg.Vec.t array ->
   Linalg.Vec.t array
-(** Re-export of {!Polybasis.Design.Provider.gram_tr_multi}: per-fold
-    [Gᵀ·r] with each column generated once — bitwise identical to the Q
-    independent per-fold sweeps. *)
+(** Re-export of {!Polybasis.Design.Provider.gram_tr_multi}: per-row-set
+    [Gᵀ·r] with each column generated once — bitwise identical to the
+    independent sweeps over each row set. *)
 
 val argmax_abs_multi :
   ?pool:Parallel.Pool.t ->

@@ -61,8 +61,11 @@ let held_out_curve ~max_lambda src f models held_out =
       Model.error_on_p m src_ho f_ho)
 
 (* Mean CV curve ε(λ) over the fold curves (averaged in fold order)
-   and the λ the rule picks from it, refit on all data. *)
-let choose ~folds ~rule ~max_lambda ~path_models ~rng src f fold_curves =
+   and the λ the rule picks from it, refit on all data: read from the
+   prefix of the lockstep's all-rows walk when the fused driver ran one
+   ([refit]), walked again otherwise. *)
+let choose ~folds ~rule ~max_lambda ~path_models ~rng ~refit src f
+    fold_curves =
   let fq = float_of_int folds in
   let curve =
     Array.init max_lambda (fun l ->
@@ -86,7 +89,11 @@ let choose ~folds ~rule ~max_lambda ~path_models ~rng src f fold_curves =
         done;
         !l + 1
   in
-  let final = path_models ~rng src f ~max_lambda:lambda in
+  let final =
+    match refit with
+    | Some prefix -> prefix ~max_lambda:lambda
+    | None -> path_models ~rng src f ~max_lambda:lambda
+  in
   { model = final.(Array.length final - 1); lambda; curve }
 
 (* Every selector checks its responses once, before the fold plan is
@@ -115,43 +122,61 @@ let lambda_cap ?(folds = 4) ~rows_bound ~max_lambda src =
 let fused_driver ~streamed ~sweep ~shards =
   streamed && sweep = Corr_sweep.Exact && shards <= 1
 
-(* Fused lockstep job fitting: one solver engine per (response,
-   training-rows) job — one (output, fold) cell of the grid — advanced
-   in lockstep; each [round] answers every live engine's pending
-   request with a single fused multi-residual sweep over the full
-   provider (per-job training rows as index sets). A job's sweep
-   accumulates over exactly its training rows in ascending order —
-   bitwise the sweep over its [select_rows] provider — and each engine
-   is the solver's own walk, so the resulting curves are bitwise
-   identical to job-at-a-time fitting while streamed column generation
-   is paid once per round instead of once per live job. Jobs are
-   [(f, train, held_out)] with [f] the job's full-length response. *)
-let lockstep ~create ~finished ~round ~models src ~max_lambda jobs =
+(* Fused lockstep job fitting: one solver engine per (response, rows)
+   job — an (output, fold) cell of the grid, or an output's all-rows
+   refit walk — advanced in lockstep; each round answers every live
+   engine's pending request with a single fused multi-residual [sweep]
+   over the full provider (per-job rows as index sets), and [advance]
+   feeds each engine its answer. A job's sweep accumulates over exactly
+   its rows in ascending order — bitwise the sweep over its
+   [select_rows] provider — and each engine is the solver's own walk,
+   so every job walks bitwise as it would alone while streamed column
+   generation is paid once per round instead of once per live job.
+
+   Jobs are [(f, rows, refit)] with [f] the job's full-length response;
+   the result is each job's [prefix] reader, [None] for a dropped refit
+   walk. A refit walk runs to the grid's λ budget, past the λ the curve
+   will choose and where the walk capped at that λ may never go: a
+   lasso drop's Gram rebuild there can fail under [`Stop]. Such a walk
+   is dropped, and [choose] walks the chosen λ on its own. *)
+let lockstep ~create ~finished ~sweep ~advance ~prefix src jobs =
+  let n = Provider.rows src in
   let engines =
     Array.map
-      (fun (f, train, _) ->
-        create (Provider.select_rows src train) (Array.map (fun i -> f.(i)) train))
+      (fun (f, rows, _) ->
+        let f_rows = Array.map (fun i -> f.(i)) rows in
+        (* A job over every row walks the provider itself. *)
+        if Array.length rows = n then create src f_rows
+        else create (Provider.select_rows src rows) f_rows)
       jobs
   in
+  let dropped = Array.make (Array.length jobs) false in
   let rec loop () =
     let live =
       List.filter
-        (fun i -> not (finished engines.(i)))
+        (fun i -> not (dropped.(i) || finished engines.(i)))
         (List.init (Array.length jobs) Fun.id)
     in
     if live <> [] then begin
       let live = Array.of_list live in
-      round
-        (Array.map (fun i -> engines.(i)) live)
-        ~rows:(Array.map (fun i -> (fun (_, train, _) -> train) jobs.(i)) live);
+      let answers =
+        sweep
+          (Array.map (fun i -> engines.(i)) live)
+          ~rows:(Array.map (fun i -> (fun (_, rows, _) -> rows) jobs.(i)) live)
+      in
+      Array.iteri
+        (fun a i ->
+          let _, _, refit = jobs.(i) in
+          match advance engines.(i) answers.(a) with
+          | () -> ()
+          | exception Linalg.Cholesky.Not_positive_definite _ when refit ->
+              dropped.(i) <- true)
+        live;
       loop ()
     end
   in
   loop ();
-  Array.map2
-    (fun e (f, _, held_out) ->
-      held_out_curve ~max_lambda src f (models e) held_out)
-    engines jobs
+  Array.mapi (fun i e -> if dropped.(i) then None else Some (prefix e)) engines
 
 (* File-backed caches of the grid's cells. A single-output selector
    keeps fold [q] at [<base>.fold<q>]; a multi-output one also writes a
@@ -222,14 +247,34 @@ let select ?(folds = 4) ?(rule = Min_error) ?pool ?(sweep = Corr_sweep.Exact)
       checkpoint
   in
   let fused = fused_driver ~streamed:(Provider.is_streamed src) ~sweep ~shards in
+  let refits = Array.make outputs None in
   let grid =
     Stat.Crossval.run_fold_curves_multi ?caches ~outputs plan
       ~fit_curves:(fun jobs finish ->
-        if fused then
-          Array.iteri finish
-            (fit_jobs
-               (Array.map (fun (r, _, train, held_out) -> (fs.(r), train, held_out))
-                  jobs))
+        if fused then begin
+          (* The grid's cells, then one all-rows refit walk per output:
+             each round's one pass serves them all. *)
+          let count = Array.length jobs in
+          let all_rows = Array.init n Fun.id in
+          let walks =
+            fit_jobs
+              (Array.append
+                 (Array.map
+                    (fun (r, _, train, _) -> (fs.(r), train, false))
+                    jobs)
+                 (Array.map (fun f -> (f, all_rows, true)) fs))
+          in
+          let curves =
+            Array.mapi
+              (fun i (r, _, _, held_out) ->
+                let prefix = Option.get walks.(i) in
+                held_out_curve ~max_lambda src fs.(r) (prefix ~max_lambda)
+                  held_out)
+              jobs
+          in
+          Array.iteri finish curves;
+          Array.iteri (fun r _ -> refits.(r) <- walks.(count + r)) fs
+        end
         else
           let count = Array.length jobs in
           Parallel.Pool.parallel_for pool ~chunks:count ~lo:0 ~hi:count
@@ -247,37 +292,45 @@ let select ?(folds = 4) ?(rule = Min_error) ?pool ?(sweep = Corr_sweep.Exact)
   Array.mapi
     (fun r fold_curves ->
       choose ~folds ~rule ~max_lambda ~path_models
-        ~rng:(Randkit.Prng.copy refit_rng) src fs.(r) fold_curves)
+        ~rng:(Randkit.Prng.copy refit_rng) ~refit:refits.(r) src fs.(r)
+        fold_curves)
     grid
 
-(* OMP/STAR: every live engine's selection from one fused argmax. *)
+(* OMP/STAR: every live engine's selection from one fused argmax. The
+   walk capped at λ is this walk's first min(λ, steps) steps: the cap
+   only ends a walk. *)
 let fused_greedy (type e) (module E : Greedy.ENGINE with type t = e) ?pool
-    ~create src ~max_lambda =
-  lockstep src ~max_lambda ~create ~finished:E.finished ~models:E.models
-    ~round:(fun es ~rows ->
-      let picks =
-        Corr_sweep.argmax_abs_multi ?pool ~skips:(Array.map E.skip_mask es)
-          src ~rows (Array.map E.residual es)
-      in
-      Array.iteri (fun i e -> ignore (E.advance e picks.(i))) es)
+    ~create src =
+  lockstep src ~create ~finished:E.finished
+    ~sweep:(fun es ~rows ->
+      Corr_sweep.argmax_abs_multi ?pool ~skips:(Array.map E.skip_mask es) src
+        ~rows (Array.map E.residual es))
+    ~advance:(fun e pick -> ignore (E.advance e pick))
+    ~prefix:(fun e ~max_lambda ->
+      let models = E.models e in
+      Array.sub models 0 (min max_lambda (Array.length models)))
 
 (* LAR round: each live walk's pending request — residual or
    equiangular direction, the walks are mutually independent — served
    from one [gram_tr_multi] pass. Each walk owns its λ budget: a LAR
    walk leaves the lockstep one step past λ bases, a lasso walk at its
-   step budget. *)
+   step budget. The walk a smaller λ drives is a prefix of this one:
+   cut to [step_budget λ] steps, this walk can only hold more LAR steps
+   past the first model with more than λ bases, which λ's models never
+   read. *)
 let fused_lars ?mode ?on_singular ?pool src ~max_lambda =
-  lockstep src ~max_lambda
+  lockstep src
     ~create:(fun src_tr f_tr ->
       Lars.Engine.create ?mode ?pool ?on_singular src_tr f_tr ~max_lambda)
     ~finished:Lars.Engine.finished
-    ~round:(fun es ~rows ->
-      let sweeps =
-        Corr_sweep.gram_tr_multi ?pool src ~rows
-          (Array.map Lars.Engine.request es)
-      in
-      Array.iteri (fun i e -> Lars.Engine.supply e sweeps.(i)) es)
-    ~models:(fun e -> Lars.lambda_models src ~max_lambda (Lars.Engine.steps e))
+    ~sweep:(fun es ~rows ->
+      Corr_sweep.gram_tr_multi ?pool src ~rows
+        (Array.map Lars.Engine.request es))
+    ~advance:Lars.Engine.supply
+    ~prefix:(fun e ~max_lambda:l ->
+      let steps = Lars.Engine.steps e in
+      Lars.lambda_models src ~max_lambda:l
+        (Array.sub steps 0 (min (Array.length steps) (Lars.step_budget l))))
 
 (* Each method's grid: its λ cap, its fused job fitter and its per-job
    (and refit) path models. *)
@@ -292,7 +345,7 @@ let omp_grid who ?folds ?rule ?pool ?on_singular ?(sweep = Corr_sweep.Exact)
   let cap src l = min l (min (Provider.rows src) (Provider.cols src)) in
   select ?folds ?rule ?pool ?shards ?checkpoint ?resume ~manifest
     ~fit_jobs:
-      (fused_greedy (module Omp.Engine) ?pool src ~max_lambda
+      (fused_greedy (module Omp.Engine) ?pool src
          ~create:(fun src_tr f_tr ->
            Omp.Engine.create ?on_singular src_tr f_tr
              ~max_lambda:(cap src_tr max_lambda)))
@@ -308,7 +361,7 @@ let star_grid ?folds ?rule ?pool ?shards ?shard_mode ?recovered ?checkpoint
   let max_lambda = lambda_cap ?folds ~rows_bound:false ~max_lambda src in
   select ?folds ?rule ?pool ?shards ?checkpoint ?resume ~manifest
     ~fit_jobs:
-      (fused_greedy (module Star.Engine) ?pool src ~max_lambda
+      (fused_greedy (module Star.Engine) ?pool src
          ~create:(fun src_tr f_tr ->
            Star.Engine.create src_tr f_tr ~max_lambda))
     ~path_models:(fun ~rng:_ src f ~max_lambda ->

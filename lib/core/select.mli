@@ -58,6 +58,19 @@ val fused_driver :
     generation to share. The incremental engine, which only {!lars_p}
     and {!lars_multi_p} accept, keeps per-walk state no shared sweep
     can serve, and the sharded engine owns each solver run's sweep.
+
+    The fused driver also walks each output's refit in the lockstep:
+    one all-rows walk per output runs beside the grid's cells to the
+    λ cap, so each round's one pass serves it too, and the refit at
+    the chosen λ is read from the prefix the λ-capped walk would have
+    taken — OMP and STAR stop after min(λ, steps) steps; a LAR or
+    lasso walk is cut to {!Lars.step_budget}[ λ] steps and read through
+    {!Lars.lambda_models}[ ~max_lambda:λ]. A refit walk that fails past
+    the chosen λ (a lasso drop's Gram rebuild under [`Stop]) is
+    dropped and the chosen λ walked on its own. The per-job driver,
+    and a resume with every cell cached, walk the refit after the
+    curve is known.
+
     Both drivers give bitwise-identical curves, λ and models, so the
     rule only decides speed and no caller overrides it. *)
 
@@ -126,7 +139,7 @@ val lars_p :
     is the Gram-cached LAR engine ({!Lars.path_p}), within 1e-10 of
     exact, and runs the per-job driver. [shards]/[shard_mode]/
     [recovered] and the fold driver as in {!omp_p}: the fused fold
-    driver runs each fold's walk on a
+    driver runs each fold's walk, and the refit walk, on a
     {!Lars.Engine} created with the same λ budget and serves both of its
     per-step sweeps from one {!Corr_sweep.gram_tr_multi} pass per
     lockstep round. *)

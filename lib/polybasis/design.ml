@@ -137,6 +137,54 @@ module Provider = struct
         | [| p; q |] -> Pair (off p, off q)
         | pairs -> Many (Array.map off pairs))
 
+  (* Every design entry a sweep forms must be finite: the lane kernel
+     adds x·(+0) for each row outside a lane's set, which leaves the
+     sum unchanged only for a finite x. So every table entry must be
+     finite, and so must every column's product of its factors' largest
+     magnitudes — rounding is monotone, so that bounds every entry the
+     column forms, factor by factor from 1.0 as [gen_column] does. *)
+  let check_finite b k vtab cterms =
+    let ord1 = Basis.max_degree b + 1 in
+    for v = 0 to Basis.dim b - 1 do
+      for d = 0 to ord1 - 1 do
+        for i = 0 to k - 1 do
+          let x = vtab.((((v * ord1) + d) * k) + i) in
+          if not (Float.is_finite x) then
+            invalid_arg
+              (Printf.sprintf
+                 "Design.Provider.streamed: non-finite Hermite table entry \
+                  He_%d(y) = %g at sample %d, variable %d"
+                 d x i v)
+        done
+      done
+    done;
+    if k > 0 then begin
+      let slice_max =
+        Array.init
+          (Array.length vtab / k)
+          (fun sl ->
+            let m = ref 0. in
+            for i = 0 to k - 1 do
+              m := Float.max !m (Float.abs vtab.((sl * k) + i))
+            done;
+            !m)
+      in
+      let bound = function
+        | Pair (a, b) -> slice_max.(a / k) *. slice_max.(b / k)
+        | Many offs ->
+            Array.fold_left (fun acc o -> acc *. slice_max.(o / k)) 1. offs
+      in
+      Array.iteri
+        (fun j t ->
+          if not (Float.is_finite (bound t)) then
+            invalid_arg
+              (Printf.sprintf
+                 "Design.Provider.streamed: column %d can overflow (its \
+                  factors' largest table magnitudes multiply to %g)"
+                 j (bound t)))
+        cterms
+    end
+
   let dense g = Dense g
 
   let streamed b samples =
@@ -146,14 +194,16 @@ module Provider = struct
           invalid_arg "Design.Provider.streamed: sample dimension mismatch")
       samples;
     let k = Array.length samples in
+    let vtab = build_vtab b samples k and cterms = compile_terms b k in
+    check_finite b k vtab cterms;
     Streamed
       {
         basis = b;
         samples;
         sk = k;
         sm = Basis.size b;
-        vtab = build_vtab b samples k;
-        cterms = compile_terms b k;
+        vtab;
+        cterms;
         scratch = Hashtbl.create 4;
         lock = Mutex.create ();
       }
@@ -188,10 +238,10 @@ module Provider = struct
     Stack.push buf st;
     Mutex.unlock s.lock
 
-  (* --- the streamed sweep kernel ------------------------------------ *)
+  (* --- the streamed sweep kernels ----------------------------------- *)
 
-  (* The rows a sweep visits: every row of the design, or one fold's
-     strictly ascending row set. *)
+  (* The rows a dense sweep visits: every row of the design, or one
+     fold's strictly ascending row set. *)
   type row_set = All | Fold of int array
 
   (* Column j's K entries into buf.(pos + i·stride), i ascending. Each
@@ -219,44 +269,218 @@ module Provider = struct
             done)
           offs
 
-  (* The one streamed sweep kernel: outs.(q).(off + j − lo) ←
-     Σᵢ g[row i, j]·rs.(q).(i) for j ∈ [lo, hi) and every residual q,
-     where row i is i itself ([All]) or idx.(i) ([Fold idx]). Columns go
-     four at a time, each with its own accumulator, so four independent
-     add chains share every row instead of one column waiting on its
-     previous add. Each column still adds its rows in ascending order
-     from 0 with the products of [gen_column] — the bits of a dense
-     sweep; the blocking only interleaves independent columns.
+  (* The lane kernel, two columns against every lane. Column c's entry
+     at row i is the product x.(a_c + i)·x.(b_c + i), formed inline once
+     per row; lanes are the columns of the row-major K×nl matrix
+     [lanes], and (column c, lane t) gets Σᵢ x_{c,i}·lanes.(i·nl + t)
+     over all K rows, ascending from +0, in outs.(t).(o + c) — column 0
+     only when [two] is false. Lanes go in groups of at most five, so
+     one pass over the rows keeps ten accumulators busy; a group of
+     w < 5 lanes runs a w-lane loop. The accumulators are local float
+     refs and stay unboxed. Both columns read one array and the rows
+     are counted from a0, which keeps the loop's operands in registers;
+     with the products staged through scratch instead, or with a call
+     in the function, the fused 4-fold sweep at K = 1000, M = 20 301
+     ran no faster than the per-fold gather it replaces (PERFORMANCE.md
+     has the timings). *)
+  let lane_pair k (x : float array) a0 b0 a1 b1 (lanes : float array) nl
+      (outs : float array array) ~o ~two =
+    let db0 = b0 - a0 and da1 = a1 - a0 and db1 = b1 - a0 in
+    let g = ref 0 in
+    while !g < nl do
+      let g0 = !g in
+      (* An int compare, not the polymorphic [min]: a call here would
+         spill the loop's arrays to the stack. *)
+      let w = if nl - g0 < 5 then nl - g0 else 5 in
+      let c00 = ref 0. and c01 = ref 0. and c02 = ref 0. and c03 = ref 0.
+      and c04 = ref 0. in
+      let c10 = ref 0. and c11 = ref 0. and c12 = ref 0. and c13 = ref 0.
+      and c14 = ref 0. in
+      (* Row i's entries are x.(a0 + i)·x.(b0 + i) and
+         x.(a1 + i)·x.(b1 + i), with the loop running over a0 + i; its
+         lanes start at lanes.(!row) = lanes.(i·nl + g0). *)
+      let row = ref g0 in
+      (match w with
+      | 5 ->
+          for i = a0 to a0 + k - 1 do
+            let x0 = Array.unsafe_get x i *. Array.unsafe_get x (i + db0)
+            and x1 =
+              Array.unsafe_get x (i + da1) *. Array.unsafe_get x (i + db1)
+            and p = !row in
+            row := p + nl;
+            let l = Array.unsafe_get lanes p in
+            c00 := !c00 +. (x0 *. l);
+            c10 := !c10 +. (x1 *. l);
+            let l = Array.unsafe_get lanes (p + 1) in
+            c01 := !c01 +. (x0 *. l);
+            c11 := !c11 +. (x1 *. l);
+            let l = Array.unsafe_get lanes (p + 2) in
+            c02 := !c02 +. (x0 *. l);
+            c12 := !c12 +. (x1 *. l);
+            let l = Array.unsafe_get lanes (p + 3) in
+            c03 := !c03 +. (x0 *. l);
+            c13 := !c13 +. (x1 *. l);
+            let l = Array.unsafe_get lanes (p + 4) in
+            c04 := !c04 +. (x0 *. l);
+            c14 := !c14 +. (x1 *. l)
+          done
+      | 4 ->
+          for i = a0 to a0 + k - 1 do
+            let x0 = Array.unsafe_get x i *. Array.unsafe_get x (i + db0)
+            and x1 =
+              Array.unsafe_get x (i + da1) *. Array.unsafe_get x (i + db1)
+            and p = !row in
+            row := p + nl;
+            let l = Array.unsafe_get lanes p in
+            c00 := !c00 +. (x0 *. l);
+            c10 := !c10 +. (x1 *. l);
+            let l = Array.unsafe_get lanes (p + 1) in
+            c01 := !c01 +. (x0 *. l);
+            c11 := !c11 +. (x1 *. l);
+            let l = Array.unsafe_get lanes (p + 2) in
+            c02 := !c02 +. (x0 *. l);
+            c12 := !c12 +. (x1 *. l);
+            let l = Array.unsafe_get lanes (p + 3) in
+            c03 := !c03 +. (x0 *. l);
+            c13 := !c13 +. (x1 *. l)
+          done
+      | 3 ->
+          for i = a0 to a0 + k - 1 do
+            let x0 = Array.unsafe_get x i *. Array.unsafe_get x (i + db0)
+            and x1 =
+              Array.unsafe_get x (i + da1) *. Array.unsafe_get x (i + db1)
+            and p = !row in
+            row := p + nl;
+            let l = Array.unsafe_get lanes p in
+            c00 := !c00 +. (x0 *. l);
+            c10 := !c10 +. (x1 *. l);
+            let l = Array.unsafe_get lanes (p + 1) in
+            c01 := !c01 +. (x0 *. l);
+            c11 := !c11 +. (x1 *. l);
+            let l = Array.unsafe_get lanes (p + 2) in
+            c02 := !c02 +. (x0 *. l);
+            c12 := !c12 +. (x1 *. l)
+          done
+      | 2 ->
+          for i = a0 to a0 + k - 1 do
+            let x0 = Array.unsafe_get x i *. Array.unsafe_get x (i + db0)
+            and x1 =
+              Array.unsafe_get x (i + da1) *. Array.unsafe_get x (i + db1)
+            and p = !row in
+            row := p + nl;
+            let l = Array.unsafe_get lanes p in
+            c00 := !c00 +. (x0 *. l);
+            c10 := !c10 +. (x1 *. l);
+            let l = Array.unsafe_get lanes (p + 1) in
+            c01 := !c01 +. (x0 *. l);
+            c11 := !c11 +. (x1 *. l)
+          done
+      | _ ->
+          for i = a0 to a0 + k - 1 do
+            let x0 = Array.unsafe_get x i *. Array.unsafe_get x (i + db0)
+            and x1 =
+              Array.unsafe_get x (i + da1) *. Array.unsafe_get x (i + db1)
+            and l = Array.unsafe_get lanes !row in
+            row := !row + nl;
+            c00 := !c00 +. (x0 *. l);
+            c10 := !c10 +. (x1 *. l)
+          done);
+      let out = Array.unsafe_get outs g0 in
+      Array.unsafe_set out o !c00;
+      if two then Array.unsafe_set out (o + 1) !c10;
+      if w > 1 then begin
+        let out = Array.unsafe_get outs (g0 + 1) in
+        Array.unsafe_set out o !c01;
+        if two then Array.unsafe_set out (o + 1) !c11
+      end;
+      if w > 2 then begin
+        let out = Array.unsafe_get outs (g0 + 2) in
+        Array.unsafe_set out o !c02;
+        if two then Array.unsafe_set out (o + 1) !c12
+      end;
+      if w > 3 then begin
+        let out = Array.unsafe_get outs (g0 + 3) in
+        Array.unsafe_set out o !c03;
+        if two then Array.unsafe_set out (o + 1) !c13
+      end;
+      if w > 4 then begin
+        let out = Array.unsafe_get outs (g0 + 4) in
+        Array.unsafe_set out o !c04;
+        if two then Array.unsafe_set out (o + 1) !c14
+      end;
+      g := g0 + 5
+    done
 
-     A single all-rows residual over four [Pair] columns forms the
-     products inline and stores no column. Otherwise (fold rows, or a
-     [Many] term in the block) the four columns are generated once,
-     interleaved, into scratch, and each residual makes one 4-column
-     pass over its rows — so fused CV generates every column once per
-     call however many folds it serves. Four [Pair] columns are
-     generated in one loop, and the pass is written out once per row
-     set: on a fused 4-fold sweep at K = 1000, M = 20 301, each measured
-     12–15% faster than a [gen_column] call per column or a per-row
-     [match]. Tail columns go one at a time. The accumulators are local
-     float refs and stay unboxed. *)
-  let streamed_sweep s rows rs outs ~lo ~hi ~off =
+  (* Columns [lo, hi) against all nl lanes, into outs.(t).(off + j − lo),
+     two columns per pass. A block of two [Pair] columns reads the
+     tables; a block holding a [Many] term, and the odd tail column,
+     are generated into scratch first and read against K ones
+     (x·1.0 = x). *)
+  let lane_sweep s lanes nl outs ~lo ~hi ~off =
     let k = s.sk and vt = s.vtab and ct = s.cterms in
-    let nq = Array.length rs in
-    let direct = match rows with [| All |] -> true | _ -> false in
-    let buf = acquire s (max 1 (4 * k)) in
+    (* K ones, then the generated columns at [k, 3k). *)
+    let buf = acquire s (max 1 (3 * k)) in
+    Array.fill buf 0 k 1.;
+    let j = ref lo in
+    while !j < hi do
+      let j0 = !j in
+      let o = off + j0 - lo in
+      (if j0 + 1 < hi then
+         match (Array.unsafe_get ct j0, Array.unsafe_get ct (j0 + 1)) with
+         | Pair (a0, b0), Pair (a1, b1) ->
+             lane_pair k vt a0 b0 a1 b1 lanes nl outs ~o ~two:true
+         | _ ->
+             gen_column s j0 buf ~pos:k ~stride:1;
+             gen_column s (j0 + 1) buf ~pos:(2 * k) ~stride:1;
+             lane_pair k buf k 0 (2 * k) 0 lanes nl outs ~o ~two:true
+       else begin
+         gen_column s j0 buf ~pos:k ~stride:1;
+         lane_pair k buf k 0 k 0 lanes nl outs ~o ~two:false
+       end);
+      j := j0 + 2
+    done;
+    release s buf
+
+  (* The lane matrix of one multi-residual call, K×L row-major: lane q
+     holds rs.(q).(i) at row rows.(q).(i) and +0 at every other row.
+     Built once per call and only read by the chunks. *)
+  let lane_matrix s fold_rows rs =
+    let nl = Array.length rs in
+    let lanes = acquire s (max 1 (s.sk * nl)) in
+    Array.fill lanes 0 (Array.length lanes) 0.;
+    for q = 0 to nl - 1 do
+      let idx = fold_rows.(q) and r = rs.(q) in
+      for i = 0 to Array.length idx - 1 do
+        Array.unsafe_set lanes
+          ((Array.unsafe_get idx i * nl) + q)
+          (Array.unsafe_get r i)
+      done
+    done;
+    lanes
+
+  (* The one-residual all-rows sweep behind [gram_tr], [argmax_abs] and
+     [col_dot]: out.(off + j − lo) ← Σᵢ g[i, j]·r.(i) for j ∈ [lo, hi).
+     Four [Pair] columns go per pass with their products formed inline
+     and no column stored, so four independent add chains share every
+     row instead of one column waiting on its previous add. A block
+     holding a [Many] term, and the tail, run the lane kernel with r as
+     its one lane. Each column adds its rows in ascending order from 0
+     with the products of [gen_column] — the bits of a dense sweep; the
+     blocking only interleaves independent columns. *)
+  let streamed_sweep s r out ~lo ~hi ~off =
+    let k = s.sk and vt = s.vtab and ct = s.cterms in
+    let outs = [| out |] in
     let j = ref lo in
     while !j + 4 <= hi do
       let j0 = !j in
       let o = off + j0 - lo in
       (match
-         ( direct,
-           Array.unsafe_get ct j0,
+         ( Array.unsafe_get ct j0,
            Array.unsafe_get ct (j0 + 1),
            Array.unsafe_get ct (j0 + 2),
            Array.unsafe_get ct (j0 + 3) )
        with
-      | true, Pair (a0, b0), Pair (a1, b1), Pair (a2, b2), Pair (a3, b3) ->
-          let r = Array.unsafe_get rs 0 in
+      | Pair (a0, b0), Pair (a1, b1), Pair (a2, b2), Pair (a3, b3) ->
           let c0 = ref 0. and c1 = ref 0. and c2 = ref 0. and c3 = ref 0. in
           for i = 0 to k - 1 do
             let ri = Array.unsafe_get r i in
@@ -277,78 +501,14 @@ module Provider = struct
               +. (Array.unsafe_get vt (a3 + i) *. Array.unsafe_get vt (b3 + i)
                  *. ri)
           done;
-          let out = Array.unsafe_get outs 0 in
           Array.unsafe_set out o !c0;
           Array.unsafe_set out (o + 1) !c1;
           Array.unsafe_set out (o + 2) !c2;
           Array.unsafe_set out (o + 3) !c3
-      | _, t0, t1, t2, t3 ->
-          (* Column c of the block at buf.(4·row + c). *)
-          (match (t0, t1, t2, t3) with
-          | Pair (a0, b0), Pair (a1, b1), Pair (a2, b2), Pair (a3, b3) ->
-              for i = 0 to k - 1 do
-                let p = 4 * i in
-                Array.unsafe_set buf p
-                  (Array.unsafe_get vt (a0 + i)
-                  *. Array.unsafe_get vt (b0 + i));
-                Array.unsafe_set buf (p + 1)
-                  (Array.unsafe_get vt (a1 + i)
-                  *. Array.unsafe_get vt (b1 + i));
-                Array.unsafe_set buf (p + 2)
-                  (Array.unsafe_get vt (a2 + i)
-                  *. Array.unsafe_get vt (b2 + i));
-                Array.unsafe_set buf (p + 3)
-                  (Array.unsafe_get vt (a3 + i)
-                  *. Array.unsafe_get vt (b3 + i))
-              done
-          | _ ->
-              for c = 0 to 3 do
-                gen_column s (j0 + c) buf ~pos:c ~stride:4
-              done);
-          for q = 0 to nq - 1 do
-            let r = Array.unsafe_get rs q in
-            let c0 = ref 0. and c1 = ref 0. and c2 = ref 0. and c3 = ref 0. in
-            (match Array.unsafe_get rows q with
-            | All ->
-                for i = 0 to Array.length r - 1 do
-                  let p = 4 * i and ri = Array.unsafe_get r i in
-                  c0 := !c0 +. (Array.unsafe_get buf p *. ri);
-                  c1 := !c1 +. (Array.unsafe_get buf (p + 1) *. ri);
-                  c2 := !c2 +. (Array.unsafe_get buf (p + 2) *. ri);
-                  c3 := !c3 +. (Array.unsafe_get buf (p + 3) *. ri)
-                done
-            | Fold idx ->
-                for i = 0 to Array.length r - 1 do
-                  let p = 4 * Array.unsafe_get idx i
-                  and ri = Array.unsafe_get r i in
-                  c0 := !c0 +. (Array.unsafe_get buf p *. ri);
-                  c1 := !c1 +. (Array.unsafe_get buf (p + 1) *. ri);
-                  c2 := !c2 +. (Array.unsafe_get buf (p + 2) *. ri);
-                  c3 := !c3 +. (Array.unsafe_get buf (p + 3) *. ri)
-                done);
-            let out = Array.unsafe_get outs q in
-            Array.unsafe_set out o !c0;
-            Array.unsafe_set out (o + 1) !c1;
-            Array.unsafe_set out (o + 2) !c2;
-            Array.unsafe_set out (o + 3) !c3
-          done);
+      | _ -> lane_sweep s r 1 outs ~lo:j0 ~hi:(j0 + 4) ~off:o);
       j := j0 + 4
     done;
-    for j0 = !j to hi - 1 do
-      gen_column s j0 buf ~pos:0 ~stride:1;
-      for q = 0 to nq - 1 do
-        let rows = Array.unsafe_get rows q and r = Array.unsafe_get rs q in
-        let c = ref 0. in
-        for i = 0 to Array.length r - 1 do
-          let row =
-            match rows with All -> i | Fold idx -> Array.unsafe_get idx i
-          in
-          c := !c +. (Array.unsafe_get buf row *. Array.unsafe_get r i)
-        done;
-        Array.unsafe_set (Array.unsafe_get outs q) (off + j0 - lo) !c
-      done
-    done;
-    release s buf
+    if !j < hi then lane_sweep s r 1 outs ~lo:!j ~hi ~off:(off + !j - lo)
 
   let check_col name p j =
     if j < 0 || j >= cols p then
@@ -379,7 +539,7 @@ module Provider = struct
     | Dense g -> Mat.col_dot g j x
     | Streamed s ->
         let out = [| 0. |] in
-        streamed_sweep s [| All |] [| x |] [| out |] ~lo:j ~hi:(j + 1) ~off:0;
+        streamed_sweep s x out ~lo:j ~hi:(j + 1) ~off:0;
         out.(0)
 
   let col_col_dot p i j =
@@ -516,16 +676,12 @@ module Provider = struct
       done
     done
 
-  (* Block [lo, hi) of Gᵀ·rs.(q) over the rows rows.(q), into
-     outs.(q).(off + j − lo) for every q; the slices must be zeroed for
-     a dense provider. *)
-  let sweep_block p rows rs outs ~lo ~hi ~off =
+  (* Block [lo, hi) of Gᵀ·r over all rows into out.(off + j − lo); the
+     slice must be zeroed for a dense provider. *)
+  let sweep_block p r out ~lo ~hi ~off =
     match p with
-    | Dense g ->
-        Array.iteri
-          (fun q r -> dense_sweep g rows.(q) r outs.(q) ~lo ~hi ~off)
-          rs
-    | Streamed s -> streamed_sweep s rows rs outs ~lo ~hi ~off
+    | Dense g -> dense_sweep g All r out ~lo ~hi ~off
+    | Streamed s -> streamed_sweep s r out ~lo ~hi ~off
 
   (* A per-chunk dots buffer of [len] floats, zeroed for the dense
      kernel's accumulation; streamed kernels overwrite every slot, so
@@ -540,11 +696,10 @@ module Provider = struct
     check_r p r;
     let m = cols p in
     let out = Array.make m 0. in
-    let rs = [| r |] and outs = [| out |] in
     let pool = match pool with Some q -> q | None -> Parallel.Pool.default () in
     Parallel.Pool.parallel_for_chunks pool
       ~grain:(Parallel.Pool.grain_for ~work:(rows p)) ~lo:0 ~hi:m
-      (fun ~lo ~hi -> sweep_block p [| All |] rs outs ~lo ~hi ~off:lo);
+      (fun ~lo ~hi -> sweep_block p r out ~lo ~hi ~off:lo);
     out
 
   let scan_argmax dots skip ~lo ~hi =
@@ -575,7 +730,7 @@ module Provider = struct
       ~init:(-1, 0.)
       ~fold:(fun ~lo ~hi ->
         let dots = chunk_buf p (hi - lo) in
-        sweep_block p [| All |] [| r |] [| dots |] ~lo ~hi ~off:0;
+        sweep_block p r dots ~lo ~hi ~off:0;
         let result = scan_argmax dots skip ~lo ~hi in
         release_buf p dots;
         result)
@@ -583,16 +738,21 @@ module Provider = struct
 
   (* --- fused multi-residual sweeps --------------------------------- *)
 
-  (* One call serves Q fold residuals: a streamed provider generates
-     each column once per call and runs all Q folds over it, four
-     columns per pass; a dense provider runs the row-streaming
-     [dense_sweep] over each fold's rows.
+  (* One call serves L residuals, each over its own row set: a dense
+     provider runs the row-streaming [dense_sweep] over each set's rows;
+     a streamed one scatters the residuals into a K×L lane matrix once
+     per call and runs the lane kernel, which forms every column's
+     products once for all L lanes.
 
-     Bitwise contract: fold row sets are strictly ascending, so for each
-     fold the dot accumulates over exactly the rows (in the same order)
-     that a sweep over [select_rows p rows.(q)] would visit, with the
-     products of [gen_column]. The fused result is therefore bitwise
-     identical to Q independent sweeps. *)
+     Bitwise contract: row sets are strictly ascending, so a dense dot
+     accumulates over exactly the rows (in the same order) that a sweep
+     over [select_rows p rows.(q)] would visit. A lane dot visits all K
+     rows in ascending order from +0 with the products of
+     [gen_column]; a row outside the lane's set adds x·(+0) = ±0 for a
+     finite x ([streamed] rejects tables that could give another), and
+     a round-to-nearest sum that starts at +0 is never −0, so adding ±0
+     leaves it unchanged. The fused result is therefore bitwise
+     identical to L independent sweeps. *)
 
   let multi_check name p fold_rows rs =
     let nq = Array.length rs in
@@ -621,17 +781,36 @@ module Provider = struct
           idx)
       fold_rows
 
+  (* The per-chunk kernel of one multi-residual call, writing block
+     [lo, hi) of every residual's sweep into outs.(q).(off + j − lo)
+     (zeroed slices for a dense provider), and the call's cleanup. *)
+  let multi_kernel p fold_rows rs =
+    match p with
+    | Dense g ->
+        ( (fun outs ~lo ~hi ~off ->
+            Array.iteri
+              (fun q r ->
+              dense_sweep g (Fold fold_rows.(q)) r outs.(q) ~lo ~hi ~off)
+              rs),
+          ignore )
+    | Streamed s ->
+        let lanes = lane_matrix s fold_rows rs in
+        let nl = Array.length rs in
+        ( (fun outs ~lo ~hi ~off -> lane_sweep s lanes nl outs ~lo ~hi ~off),
+          fun () -> release s lanes )
+
   let gram_tr_multi ?pool p ~rows:fold_rows rs =
     multi_check "gram_tr_multi" p fold_rows rs;
     let m = cols p in
     let nq = Array.length rs in
     let outs = Array.init nq (fun _ -> Array.make m 0.) in
-    let folds = Array.map (fun idx -> Fold idx) fold_rows in
+    let kernel, finish = multi_kernel p fold_rows rs in
     let pool = match pool with Some q -> q | None -> Parallel.Pool.default () in
     Parallel.Pool.parallel_for_chunks pool
       ~grain:(Parallel.Pool.grain_for ~work:(rows p * (nq + 1)))
       ~lo:0 ~hi:m
-      (fun ~lo ~hi -> sweep_block p folds rs outs ~lo ~hi ~off:lo);
+      (fun ~lo ~hi -> kernel outs ~lo ~hi ~off:lo);
+    finish ();
     outs
 
   let argmax_abs_multi ?pool ~skips p ~rows:fold_rows rs =
@@ -645,21 +824,25 @@ module Provider = struct
         if Array.length sk <> m then
           invalid_arg "Design.Provider.argmax_abs_multi: skip length mismatch")
       skips;
-    let folds = Array.map (fun idx -> Fold idx) fold_rows in
+    let kernel, finish = multi_kernel p fold_rows rs in
     let pool = match pool with Some q -> q | None -> Parallel.Pool.default () in
-    Parallel.Pool.parallel_reduce pool ?chunks:None
-      ~grain:(Parallel.Pool.grain_for ~work:(rows p * (nq + 1)))
-      ~lo:0 ~hi:m
-      ~init:(Array.make nq (-1, 0.))
-      ~fold:(fun ~lo ~hi ->
-        let dots = Array.init nq (fun _ -> chunk_buf p (hi - lo)) in
-        sweep_block p folds rs dots ~lo ~hi ~off:0;
-        let best =
-          Array.init nq (fun q -> scan_argmax dots.(q) skips.(q) ~lo ~hi)
-        in
-        Array.iter (release_buf p) dots;
-        best)
-      ~combine:(Array.map2 combine_argmax)
+    let best =
+      Parallel.Pool.parallel_reduce pool ?chunks:None
+        ~grain:(Parallel.Pool.grain_for ~work:(rows p * (nq + 1)))
+        ~lo:0 ~hi:m
+        ~init:(Array.make nq (-1, 0.))
+        ~fold:(fun ~lo ~hi ->
+          let dots = Array.init nq (fun _ -> chunk_buf p (hi - lo)) in
+          kernel dots ~lo ~hi ~off:0;
+          let best =
+            Array.init nq (fun q -> scan_argmax dots.(q) skips.(q) ~lo ~hi)
+          in
+          Array.iter (release_buf p) dots;
+          best)
+        ~combine:(Array.map2 combine_argmax)
+    in
+    finish ();
+    best
 
   let column_norms ?pool p =
     match p with

@@ -211,13 +211,17 @@ let prop_select_rows_bitwise seed =
 
 (* --- block edges ----------------------------------------------------- *)
 
-(* The streamed sweep takes columns four at a time with a one-column
-   tail. Every streamed kernel must still equal a dense provider over
+(* The one-residual streamed sweep takes columns four at a time, the
+   lane kernel two at a time in groups of at most five lanes, each with
+   a tail. Every streamed kernel must still equal a dense provider over
    [to_dense], bit for bit, on: every tail length (M mod 4 ∈ {0,1,2,3},
    from whole bases and from windows), blocks that start off a multiple
-   of 4 (odd window starts), blocks holding three-factor [Many] terms
-   beside two-factor ones (total degree 3), the dim-0 constant basis,
-   K ∈ {1, 2, 5, 13} and a fold with a single training row. *)
+   of 4 or 2 (odd window starts), blocks holding three-factor [Many]
+   terms beside two-factor ones (total degree 3), the dim-0 constant
+   basis, K ∈ {1, 2, 5, 13}, 1–6, 9 and 20 residuals (every lane-group
+   width, one lane to four groups) over all rows and fold row sets
+   mixed, a set with a single row, and residuals holding +0 and −0
+   entries, whose products the lanes' zero rows must not disturb. *)
 let block_edge_bases =
   [
     Polybasis.Basis.quadratic 3 (* M = 10 *);
@@ -238,7 +242,23 @@ let block_edge_windows m =
 
 let block_edge_folds k =
   let pick f = Array.of_list (List.filter f (List.init k Fun.id)) in
-  [| pick (fun _ -> true); [| k - 1 |]; pick (fun i -> i mod 2 = 0) |]
+  [|
+    pick (fun _ -> true);
+    [| k - 1 |];
+    pick (fun i -> i mod 2 = 0);
+    pick (fun i -> i mod 3 <> 1);
+    pick (fun i -> i > 0);
+  |]
+
+let block_edge_lanes = [ 1; 2; 3; 4; 5; 6; 9; 20 ]
+
+(* Gaussian entries, a quarter of them +0 and a quarter −0. *)
+let signed_zero_vector rng n =
+  Array.init n (fun _ ->
+      match Randkit.Prng.int rng 4 with
+      | 0 -> 0.
+      | 1 -> -0.
+      | _ -> Randkit.Gaussian.sample rng)
 
 let prop_block_edges_bitwise seed =
   let rng = Randkit.Prng.create seed in
@@ -262,22 +282,31 @@ let prop_block_edges_bitwise seed =
     List.map
       (fun win ->
         let k = P.rows win and m = P.cols win in
-        let rows = block_edge_folds k in
-        let r = Randkit.Gaussian.vector rng k in
-        let rs =
-          Array.map
-            (fun idx -> Randkit.Gaussian.vector rng (Array.length idx))
-            rows
-        in
+        let sets = block_edge_folds k in
+        let r = signed_zero_vector rng k in
         let skip () = Array.init m (fun _ -> Randkit.Prng.int rng 3 = 0) in
-        let skips = Array.map (fun _ -> skip ()) rows in
-        (win, r, rows, rs, skip (), skips))
+        let multis =
+          List.map
+            (fun lanes ->
+              let rows =
+                Array.init lanes (fun _ ->
+                    sets.(Randkit.Prng.int rng (Array.length sets)))
+              in
+              let rs =
+                Array.map
+                  (fun idx -> signed_zero_vector rng (Array.length idx))
+                  rows
+              in
+              (rows, rs, Array.map (fun _ -> skip ()) rows))
+            block_edge_lanes
+        in
+        (win, r, skip (), multis))
       settings
   in
   ignore
     (with_pools (fun pool ->
          List.iter
-           (fun (win, r, rows, rs, skip, skips) ->
+           (fun (win, r, skip, multis) ->
              let dn = P.dense (P.to_dense ~pool win) in
              let tag what =
                Printf.sprintf "%s: streamed == dense (K=%d, M=%d, %d domains)"
@@ -288,13 +317,19 @@ let prop_block_edges_bitwise seed =
              check "gram_tr" (both (fun p -> bits (P.gram_tr ~pool p r)));
              check "argmax_abs"
                (both (fun p -> arg_bits (P.argmax_abs ~pool ~skip p r)));
-             check "gram_tr_multi"
-               (both (fun p ->
-                    Array.map bits (P.gram_tr_multi ~pool p ~rows rs)));
-             check "argmax_abs_multi"
-               (both (fun p ->
-                    Array.map arg_bits
-                      (P.argmax_abs_multi ~pool ~skips p ~rows rs)));
+             List.iter
+               (fun (rows, rs, skips) ->
+                 let lanes what =
+                   Printf.sprintf "%s, %d residuals" what (Array.length rs)
+                 in
+                 check (lanes "gram_tr_multi")
+                   (both (fun p ->
+                        Array.map bits (P.gram_tr_multi ~pool p ~rows rs)));
+                 check (lanes "argmax_abs_multi")
+                   (both (fun p ->
+                        Array.map arg_bits
+                          (P.argmax_abs_multi ~pool ~skips p ~rows rs))))
+               multis;
              check "column_norms"
                (both (fun p -> bits (P.column_norms ~pool p))))
            cases));
@@ -342,6 +377,39 @@ let test_validation () =
   check_raises_invalid "select_rows out of bounds" (fun () ->
       P.select_rows src [| 1 |])
 
+(* The lane kernel adds x·(+0) for rows outside a lane's set, a no-op
+   only for a finite x, so a streamed provider refuses any table entry
+   or column product that is not finite, naming the first one; its row
+   subsets are built the same way. *)
+let test_non_finite_tables () =
+  let basis = Polybasis.Basis.quadratic 2 in
+  let raises_naming what needle f =
+    match f () with
+    | exception Invalid_argument msg ->
+        let n = String.length msg and m = String.length needle in
+        let rec has i =
+          i + m <= n && (String.sub msg i m = needle || has (i + 1))
+        in
+        check_bool (what ^ ": message names " ^ needle) true (has 0)
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  in
+  raises_naming "NaN sample" "sample 1, variable 0" (fun () ->
+      P.streamed basis [| [| 0.5; 1. |]; [| Float.nan; 0. |]; [| 0.; 0. |] |]);
+  raises_naming "infinite sample" "sample 0, variable 1" (fun () ->
+      P.streamed basis [| [| 0.5; Float.infinity |] |]);
+  raises_naming "square overflows" "He_2(y) = inf at sample 0, variable 0"
+    (fun () -> P.streamed basis [| [| 1e200; 0. |] |]);
+  (* Every table entry up to He₃ is finite at y = 5.85e102 (He₃ is
+     about y³/√6), but the product He₁·He₁·He₁ = y³ is not. *)
+  let triple =
+    Polybasis.Basis.create 3
+      [| Polybasis.Term.make [ (0, 1); (1, 1); (2, 1) ] |]
+  in
+  raises_naming "triple product overflows" "column 0 can overflow" (fun () ->
+      P.streamed triple [| [| 5.85e102; 5.85e102; 5.85e102 |] |]);
+  let ok = P.streamed basis [| [| 0.5; 1. |]; [| -2.; 0. |] |] in
+  check_int "finite tables build" 2 (P.rows (P.select_rows ok [| 1; 0 |]))
+
 let seed_gen = QCheck.int_range 1 10_000
 
 let suite =
@@ -351,6 +419,7 @@ let suite =
       case "Mat.col_col_dot == Vec.dot" test_col_col_dot_matches_vec_dot;
       case "dim-0 constant basis" test_dim_zero_constant_basis;
       case "validation errors" test_validation;
+      case "non-finite tables raise" test_non_finite_tables;
       qtest ~count:12 "to_dense: streamed == matrix_rows" seed_gen
         prop_to_dense_bitwise;
       qtest ~count:12 "columns: streamed == dense" seed_gen

@@ -844,6 +844,36 @@ let test_pipeline_end_to_end_with_faults () =
       check_bool "summary non-empty" true
         (String.length (Robust.Pipeline.outcome_summary o) > 0)
 
+(* A point the screens would drop reaches the matrix-free design when
+   screening is off: here the simulator returns a finite value but
+   writes a NaN into the point it was handed, which the dataset keeps.
+   The streamed provider refuses the non-finite Hermite table entry
+   and the pipeline reports it as invalid input instead of fitting
+   on it. *)
+let test_pipeline_streamed_nan_point () =
+  let sim =
+    Simulator.make ~name:"nan-point" ~dim:3 ~seconds_per_sample:1. (fun p ->
+        let v = p.(0) -. (0.5 *. p.(1)) in
+        if p.(2) > 1.5 then p.(1) <- Float.nan;
+        v)
+  in
+  let cfg =
+    match
+      Robust.Pipeline.config ~samples:80 ~folds:3 ~max_lambda:4 ~screen:false
+        ~streamed:true ()
+    with
+    | Ok cfg -> cfg
+    | Error e -> Alcotest.failf "config: %s" (Robust.Error.to_string e)
+  in
+  match
+    Robust.Pipeline.fit cfg sim (Polybasis.Basis.quadratic 3) (rng ())
+  with
+  | Error (Robust.Error.Invalid_input msg) ->
+      check_bool "diagnostic names the table entry" true
+        (contains msg "non-finite Hermite table entry")
+  | Error e -> Alcotest.failf "wrong category: %s" (Robust.Error.to_string e)
+  | Ok _ -> Alcotest.fail "expected an Invalid_input error"
+
 let test_pipeline_min_samples_failure () =
   let sim, dim = small_sim () in
   let basis = Polybasis.Basis.constant_linear dim in
@@ -943,5 +973,7 @@ let suite =
         test_pipeline_end_to_end_with_faults;
       case "pipeline: min_samples shortfall is a Simulation error"
         test_pipeline_min_samples_failure;
+      case "pipeline: streamed NaN point is a typed error"
+        test_pipeline_streamed_nan_point;
       case "errors: classification and guard" test_error_classification;
     ] )

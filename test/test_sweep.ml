@@ -771,6 +771,156 @@ let prop_fused_cv_bitwise solver seed =
   all_equal "fused CV across domains" results;
   true
 
+(* --- the refit walk in the lockstep -------------------------------- *)
+
+(* A streamed provider whose columns are [g]'s, bit for bit: one linear
+   term per column over samples that are [g]'s rows (He₁(y) = y, read
+   against the all-ones slice). *)
+let streamed_of_matrix g =
+  P.streamed
+    (Polybasis.Basis.linear_only (Linalg.Mat.cols g))
+    (Array.init (Linalg.Mat.rows g) (Linalg.Mat.row g))
+
+(* One method's selector over [fs]: the single-output entry point for
+   one response, the multi-output one for several. *)
+let select_all meth ~pool ~on_singular ~rule ~max_lambda src fs =
+  let rng = Randkit.Prng.create 11 in
+  let lars mode =
+    match fs with
+    | [| f |] ->
+        [| Rsm.Select.lars_p ~pool ~on_singular ~rule ~mode rng ~max_lambda
+             src f |]
+    | _ ->
+        Rsm.Select.lars_multi_p ~pool ~on_singular ~rule ~mode rng ~max_lambda
+          src fs
+  in
+  match (meth, fs) with
+  | `Omp, [| f |] ->
+      [| Rsm.Select.omp_p ~pool ~on_singular ~rule rng ~max_lambda src f |]
+  | `Omp, _ ->
+      Rsm.Select.omp_multi_p ~pool ~on_singular ~rule rng ~max_lambda src fs
+  | `Star, [| f |] -> [| Rsm.Select.star_p ~pool ~rule rng ~max_lambda src f |]
+  | `Star, _ -> Rsm.Select.star_multi_p ~pool ~rule rng ~max_lambda src fs
+  | `Lar, _ -> lars Rsm.Lars.Lar
+  | `Lasso, _ -> lars Rsm.Lars.Lasso
+
+let selection_bits (r : Rsm.Select.result) =
+  ( r.Rsm.Select.lambda,
+    Array.map Int64.bits_of_float r.Rsm.Select.curve,
+    Rsm.Serialize.to_string r.Rsm.Select.model )
+
+(* On a streamed design the fused driver also walks each output's
+   refit in the lockstep and reads the chosen λ's model from that
+   walk's prefix; the dense design runs the per-job driver and walks
+   the chosen λ again. Both must give the same λ, curve and model bytes
+   for OMP, STAR, LAR and lasso, one output or four, at 1 and 2
+   domains — on a random quadratic design, and on the design with
+   scaled duplicate columns whose `Fallback bans land at the λ budget.
+   Each seed must choose some λ strictly below the λ cap, where the
+   prefix is not the whole walk. *)
+let refit_setting seed =
+  let rng, basis, pts, g = random_setting seed in
+  let src_d = P.dense g in
+  let fs = Array.init 4 (fun _ -> sparse_response rng src_d) in
+  let copies = with_scaled_copies src_d fs.(0) in
+  ( fs,
+    [
+      ("quadratic", P.streamed basis pts, src_d, `Stop);
+      ( "scaled copies",
+        streamed_of_matrix (P.to_dense copies),
+        copies,
+        `Fallback );
+    ] )
+
+let prop_refit_prefix_bitwise seed =
+  let fs, designs = refit_setting seed in
+  let below_cap = ref 0 in
+  List.iter
+    (fun (dname, src_s, src_d, on_singular) ->
+      check_bool (dname ^ ": streamed columns == dense") true
+        (Linalg.Mat.to_arrays (P.to_dense src_s)
+        = Linalg.Mat.to_arrays (P.to_dense src_d));
+      List.iter
+        (fun meth ->
+          List.iter
+            (fun (outputs, rule) ->
+              let fs = Array.sub fs 0 outputs in
+              let run d src =
+                Parallel.Pool.with_pool ~domains:d (fun pool ->
+                    Array.map selection_bits
+                      (select_all meth ~pool ~on_singular ~rule ~max_lambda:12
+                         src fs))
+              in
+              let per_job = run 1 src_d in
+              Array.iter
+                (fun (lambda, curve, _) ->
+                  if lambda < Array.length curve then incr below_cap)
+                per_job;
+              List.iter
+                (fun d ->
+                  check_bool
+                    (Printf.sprintf
+                       "%s, %d output(s), %d domain(s): fused == per-job"
+                       dname outputs d)
+                    true
+                    (run d src_s = per_job))
+                [ 1; 2 ])
+            [ (1, Rsm.Select.Min_error); (4, Rsm.Select.One_se) ])
+        [ `Omp; `Star; `Lar; `Lasso ])
+    designs;
+  check_bool "some chosen lambda lies below the cap" true (!below_cap > 0);
+  true
+
+(* Seed 99's scaled-copies design, one output: LAR under `Fallback
+   chooses λ = 11 of 12, and the λ = 12 walk records bans past λ = 11's
+   step budget with 11 bases active, so read without the cut at
+   [Lars.step_budget 11] it hands back a later model, with more ban
+   notes, that the λ = 11 walk never reaches. The lockstep refit must
+   read the cut walk. *)
+let test_refit_prefix_bans_at_budget () =
+  let seed = 99 in
+  let fs, designs = refit_setting seed in
+  let _, _, copies, on_singular = List.nth designs 1 in
+  let f = fs.(0) in
+  let r =
+    Rsm.Select.lars_p ~on_singular (Randkit.Prng.create 11) ~max_lambda:12
+      copies f
+  in
+  check_int "cross-validation chooses 11 of 12" 11 r.Rsm.Select.lambda;
+  let steps = Rsm.Lars.lambda_path_p ~on_singular copies f ~max_lambda:12 in
+  let read steps =
+    Rsm.Serialize.to_string
+      (Rsm.Lars.lambda_models copies ~max_lambda:11 steps).(10)
+  in
+  check_bool "the uncut walk reads a later model at 11" true
+    (read steps
+    <> read (Array.sub steps 0 (Rsm.Lars.step_budget 11)));
+  check_bool "the refit is the cut walk's" true
+    (Rsm.Serialize.to_string r.Rsm.Select.model
+    = read (Array.sub steps 0 (Rsm.Lars.step_budget 11)));
+  ignore (prop_refit_prefix_bitwise seed)
+
+(* Seed 2's scaled-copies design, output 1, lasso under `Stop: the
+   full-data walk to the λ cap of 12 fails a Gram rebuild after a drop,
+   while cross-validation chooses λ = 6, whose own walk ends before
+   that. The lockstep drops its refit walk and walks λ = 6 on its own,
+   so the fused selection still equals the per-job one. *)
+let test_refit_prefix_drops_failed_walk () =
+  let fs, designs = refit_setting 2 in
+  let _, src_s, src_d, _ = List.nth designs 1 in
+  let f = fs.(1) and mode = Rsm.Lars.Lasso in
+  check_bool "the walk to the cap fails" true
+    (match Rsm.Lars.lambda_path_p ~mode src_d f ~max_lambda:12 with
+    | _ -> false
+    | exception Linalg.Cholesky.Not_positive_definite _ -> true);
+  let select src =
+    selection_bits
+      (Rsm.Select.lars_p ~mode (Randkit.Prng.create 11) ~max_lambda:12 src f)
+  in
+  let ((lambda, _, _) as per_job) = select src_d in
+  check_int "cross-validation chooses 6" 6 lambda;
+  check_bool "fused == per-job" true (select src_s = per_job)
+
 (* One output's folds handed to one batch call: the grid runner must
    equal the per-fold loop, skip cached folds and catch a batch that
    leaves a fold unfinished. *)
@@ -988,6 +1138,10 @@ let suite =
       case "OMP/STAR resume bitwise (exact x shards 1/3)"
         test_greedy_resume_bitwise;
       case "batched fold curves == per-fold" test_batch_fold_curves;
+      case "fused refit cuts the walk at the lambda's step budget"
+        test_refit_prefix_bans_at_budget;
+      case "fused refit drops a walk that fails past the chosen lambda"
+        test_refit_prefix_drops_failed_walk;
       case "screen_refit == cold refit" test_screen_refit_matches_cold;
       case "screen_refit keeps model when rows run out"
         test_screen_refit_too_few_rows;
@@ -1010,4 +1164,6 @@ let suite =
         (prop_fused_cv_bitwise `Omp);
       qtest ~count:6 "STAR fused CV == per-fold CV" seed_gen
         (prop_fused_cv_bitwise `Star);
+      qtest ~count:4 "fused refit from the lockstep prefix == per-job refit"
+        seed_gen prop_refit_prefix_bitwise;
     ] )
