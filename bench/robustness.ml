@@ -129,8 +129,8 @@ let cv_resume_roundtrip src f ~max_lambda =
     (fun () ->
       let base = Filename.concat dir "cv" in
       ignore (run ~checkpoint:base ());
-      Sys.remove (Rsm.Serialize.Checkpoint.Cv.fold_file base 2);
-      Sys.remove (Rsm.Serialize.Checkpoint.Cv.fold_file base 3);
+      Sys.remove (Rsm.Serialize.Checkpoint.Cell.file base ~outputs:1 0 2);
+      Sys.remove (Rsm.Serialize.Checkpoint.Cell.file base ~outputs:1 0 3);
       fingerprint (run ~checkpoint:base ~resume:true ()) = full)
 
 let run ~quick () =
@@ -238,7 +238,7 @@ let run ~quick () =
     (1e3 *. t_clean) (1e3 *. t_robust)
     (100. *. ((t_robust /. Float.max t_clean 1e-9) -. 1.))
     samples (1e3 *. t_screen) reps;
-  (* LARS event-log checkpointing: per-step capture + atomic file write
+  (* LARS walk-log checkpointing: per-step capture + atomic file write
      on the walk, and full-log replay against the provider on resume. *)
   let ckpt_file = Filename.temp_file "rsm-bench-lar" ".ckpt" in
   Fun.protect
@@ -253,11 +253,11 @@ let run ~quick () =
         timed_mean (fun () ->
             ignore
               (Rsm.Lars.path_p ~on_singular:`Fallback ~checkpoint_every:1
-                 ~on_checkpoint:(Rsm.Serialize.Checkpoint.Lars.save ckpt_file)
+                 ~on_checkpoint:(Rsm.Serialize.Checkpoint.save ckpt_file)
                  src f ~max_steps:lambda))
       in
       let terminal =
-        match Rsm.Serialize.Checkpoint.Lars.load ckpt_file with
+        match Rsm.Serialize.Checkpoint.load ckpt_file with
         | Ok c -> c
         | Error e -> failwith e
       in

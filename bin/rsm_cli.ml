@@ -636,10 +636,13 @@ let model_cmd =
         let lambda =
           min max_lambda (min (Polybasis.Design.Provider.rows src) m_cols)
         in
-        let load_resume load =
+        (* Every method writes and resumes the one walk log. *)
+        let module Ck = Rsm.Serialize.Checkpoint in
+        let on_checkpoint = Ck.save ckpt_file in
+        let loaded =
           if not resume then None
           else
-            match load ckpt_file with
+            match Ck.load ckpt_file with
             | Ok c -> Some c
             | Error e ->
                 err_exit
@@ -647,28 +650,23 @@ let model_cmd =
         in
         let model, fit_s =
           Circuit.Testbench.timed (fun () ->
-              let module Ck = Rsm.Serialize.Checkpoint in
               match meth with
               | Rsm.Solver.Omp ->
                   Rsm.Omp.fit_p ~pool ~on_singular:`Fallback ~checkpoint_every
-                    ~on_checkpoint:(Ck.save ckpt_file)
-                    ?resume:(load_resume Ck.load) ~shards ~shard_mode
+                    ~on_checkpoint ?resume:loaded ~shards ~shard_mode
                     ~recovered src f_tr ~lambda
               | Rsm.Solver.Star ->
-                  Rsm.Star.fit_p ~pool ~checkpoint_every
-                    ~on_checkpoint:(Ck.save ckpt_file)
-                    ?resume:(load_resume Ck.load) ~shards ~shard_mode
-                    ~recovered src f_tr ~lambda
+                  Rsm.Star.fit_p ~pool ~checkpoint_every ~on_checkpoint
+                    ?resume:loaded ~shards ~shard_mode ~recovered src f_tr
+                    ~lambda
               | _ ->
-                  (* lar / lasso: the event-log LARS checkpoint. *)
                   Rsm.Lars.fit_p
                     ~mode:
                       (if meth = Rsm.Solver.Lasso then Rsm.Lars.Lasso
                        else Rsm.Lars.Lar)
                     ~pool ~on_singular:`Fallback ~checkpoint_every
-                    ~on_checkpoint:(Ck.Lars.save ckpt_file)
-                    ?resume:(load_resume Ck.Lars.load) ~sweep ~shards
-                    ~shard_mode ~recovered src f_tr ~lambda)
+                    ~on_checkpoint ?resume:loaded ~sweep ~shards ~shard_mode
+                    ~recovered src f_tr ~lambda)
         in
         let model =
           (ok_or_exit (Robust.Pipeline.post_fit cfg d [| model |])).(0)

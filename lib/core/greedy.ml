@@ -26,19 +26,56 @@ type backend = Exact | Shards of Shard_sweep.t
 let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
     ?pool ?(checkpoint_every = 0) ?on_checkpoint ?resume ?(shards = 1)
     ?(shard_mode = Shard_sweep.Domains) ?recovered src create =
-  let prefix = String.capitalize_ascii E.solver ^ ".path: " in
-  let fail fmt = Printf.ksprintf (fun msg -> invalid_arg (prefix ^ msg)) fmt in
+  let who = String.capitalize_ascii E.solver ^ ".path: " in
+  let fail msg = invalid_arg (who ^ msg) in
   if checkpoint_every < 0 then fail "negative checkpoint interval";
   if shards < 1 then fail "shards must be positive";
   let eng = create () in
   let k = Provider.rows src and m = Provider.cols src in
+  (* The walk log of a greedy path: its support as entry events, and
+     its residual and last model's coefficients as the state digests. *)
+  let capture () =
+    let support = E.support eng and r = E.residual eng in
+    let notes, coeffs =
+      match E.models eng with
+      | [||] -> ([||], [||])
+      | ms ->
+          let md = ms.(Array.length ms - 1) in
+          (Model.notes md, md.Model.coeffs)
+    in
+    {
+      Ckpt.solver = E.solver;
+      k;
+      m;
+      scale = E.scale eng;
+      active = support;
+      signs =
+        Array.map
+          (fun j -> if Linalg.Vec.dot (E.column eng j) r >= 0. then 1 else -1)
+          support;
+      banned = [||];
+      events =
+        Array.map
+          (fun j -> { Ckpt.added = j; banned = -1; dropped = -1; gamma = 0. })
+          support;
+      notes;
+      mu_digest = Ckpt.digest r;
+      beta_digest = Ckpt.digest coeffs;
+    }
+  in
   (match resume with
   | None -> ()
   | Some (c : Ckpt.t) ->
-      if c.solver <> E.solver then fail "checkpoint is for solver %S" c.solver;
-      if c.k <> k || c.m <> m then
-        fail "checkpoint shape %dx%d disagrees with problem %dx%d" c.k c.m k m;
-      if Array.length c.support > E.max_lambda eng then
+      Ckpt.check_problem ~who ~solver:E.solver ~k ~m c;
+      let support =
+        Array.map
+          (fun (e : Ckpt.event) ->
+            if e.banned >= 0 || e.dropped >= 0 || e.gamma <> 0. then
+              fail "checkpoint event is not a greedy entry";
+            e.added)
+          c.events
+      in
+      if Array.length support > E.max_lambda eng then
         fail "checkpoint support exceeds max_lambda";
       let seen = Array.make m false in
       Array.iter
@@ -46,9 +83,13 @@ let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
           if j < 0 || j >= m then fail "checkpoint support index out of range";
           if seen.(j) then fail "duplicate support index in checkpoint";
           seen.(j) <- true)
-        c.support;
-      E.replay eng ~scale:c.scale c.support);
-  let last_ckpt = ref (E.size eng) in
+        support;
+      E.replay eng ~scale:c.scale support;
+      Ckpt.verify ~who ~expected:c (capture ()));
+  let emit =
+    Ckpt.emitter ~every:checkpoint_every ~start:(E.size eng) on_checkpoint
+      capture
+  in
   (* The fleet is built after any replay and re-activates the replayed
      support up front, so its skip masks match the uninterrupted run's. *)
   Shard_sweep.with_fleet ?pool ?recovered ~mode:shard_mode ~shards
@@ -62,20 +103,6 @@ let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
           (E.support eng);
         Shards e
     | None -> Exact
-  in
-  let emit () =
-    Option.iter
-      (fun cb ->
-        cb
-          {
-            Ckpt.solver = E.solver;
-            k;
-            m;
-            scale = E.scale eng;
-            support = E.support eng;
-          };
-        last_ckpt := E.size eng)
-      on_checkpoint
   in
   while not (E.finished eng) do
     (* Step 3: inner products of the residual with every basis vector.
@@ -94,12 +121,8 @@ let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
       | Shards e ->
           let j = fst pick in
           Shard_sweep.activate e j (E.column eng j));
-      if checkpoint_every > 0 && E.size eng mod checkpoint_every = 0 then
-        emit ()
+      emit ~final:false (E.size eng)
     end
   done;
-  (* Terminal checkpoint: when the path length is not a multiple of the
-     cadence the test above skips the final selections, and a resume
-     would replay a stale prefix — always leave the completed support. *)
-  if E.size eng > !last_ckpt then emit ();
+  emit ~final:true (E.size eng);
   E.steps eng

@@ -5,7 +5,7 @@
     differ only in the coefficient step: OMP re-fits every selected
     coefficient (Algorithm 1, Step 6), STAR keeps the inner-product
     estimate. Each solver writes that step as an {!ENGINE}; {!path_p}
-    owns everything else: checkpoint validation and replay, the sweep
+    owns everything else: the walk log's capture, replay and check, the sweep
     backend (the exact {!Corr_sweep.argmax_abs} or {!Shard_sweep}), the
     selection dispatch and the checkpoint cadence. The fused lockstep
     CV driver in {!Select} runs the same engines with one fused
@@ -90,13 +90,17 @@ val path_p :
     contract below is theirs.
 
     With [checkpoint_every = n > 0] and an [on_checkpoint] callback, the
-    selection state is handed out every [n] completed iterations (the
-    callback typically writes it with {!Serialize.Checkpoint.save}), and
-    once more when the path ends with selections past the last cadence
-    point — a completed path always leaves its full support. [resume]
-    replays a checkpoint (checked against the solver tag, the problem
-    shape, the column range, duplicates and [max_lambda]) without the
-    O(K·M) correlation sweeps, after which the path continues exactly
+    walk log ({!Serialize.Checkpoint.t}: the support as entry events,
+    the residual and coefficient digests) is handed out every [n]
+    completed iterations (the callback typically writes it with
+    {!Serialize.Checkpoint.save}), and once more when the path ends
+    with selections past the last cadence point — a completed path
+    always leaves its full log. [resume] replays a log (checked against
+    the solver tag, the problem shape, entry-only events, the column
+    range, duplicates and [max_lambda]) without the O(K·M) correlation
+    sweeps, then compares the replayed walk's log with it
+    ({!Serialize.Checkpoint.verify}), so a log written on other data of
+    the same shape is refused; after that the path continues exactly
     where it stopped: the final model is bitwise identical to an
     uninterrupted run with the same inputs. The replayed state is
     returned as one leading step.
@@ -114,4 +118,6 @@ val path_p :
     the replayed support activated on every shard.
 
     @raise Invalid_argument on a negative checkpoint interval,
-    [shards < 1], or a [resume] that disagrees with the problem. *)
+    [shards < 1], or a [resume] that disagrees with the problem or
+    whose replay disagrees with the log (e.g. ["Omp.path: fit-vector
+    digest mismatch (different data or flags?)"]). *)

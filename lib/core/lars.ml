@@ -140,7 +140,7 @@ let drop st ~on_singular ~on_stop j =
             "lars: stopped on non-SPD active set after drop" :: st.notes;
           true)
 
-module Ckpt = Serialize.Checkpoint.Lars
+module Ckpt = Serialize.Checkpoint
 
 let mode_tag = function Lar -> "lar" | Lasso -> "lasso"
 
@@ -152,8 +152,8 @@ let residual_signs st f =
   let res = Vec.sub f st.mu in
   Array.map
     (fun j ->
-      if Provider.Cache.col_dot st.cache j res /. st.norms.(j) >= 0. then 1.
-      else -1.)
+      if Provider.Cache.col_dot st.cache j res /. st.norms.(j) >= 0. then 1
+      else -1)
     (active_oldest_first st)
 
 let banned_columns st =
@@ -167,7 +167,7 @@ let banned_columns st =
    plus the derived terminal state used to validate a later replay. *)
 let capture st ~mode ~scale ~f events =
   {
-    Ckpt.mode = mode_tag mode;
+    Ckpt.solver = mode_tag mode;
     k = st.k;
     m = st.m;
     scale;
@@ -453,20 +453,14 @@ end
    recorded gammas replace the two O(K·M) sweeps of every live step, so
    replay costs O(E·p·K) (active-column dots only) yet reproduces
    mu/beta/active/chol — and every step record — bit-for-bit through the
-   walk's own direction/advance/drop helpers. The terminal
-   digests/sets in the checkpoint then guard against resuming with
-   different data, mode or [on_singular] policy. *)
+   walk's own direction/advance/drop helpers. The replayed walk's log
+   is then checked against the loaded one, which guards against
+   resuming with different data, mode or [on_singular] policy. *)
 let replay (t : Engine.t) (ck : Ckpt.t) =
   let st = t.Engine.st and mode = t.Engine.mode and f = t.Engine.f in
-  let fail msg = invalid_arg ("Lars.path: resume: " ^ msg) in
-  if ck.Ckpt.k <> st.k || ck.Ckpt.m <> st.m then
-    fail
-      (Printf.sprintf "checkpoint shape %dx%d disagrees with problem %dx%d"
-         ck.Ckpt.k ck.Ckpt.m st.k st.m);
-  if ck.Ckpt.mode <> mode_tag mode then
-    fail
-      (Printf.sprintf "checkpoint mode %s disagrees with requested mode %s"
-         ck.Ckpt.mode (mode_tag mode));
+  let who = "Lars.path: resume: " in
+  let fail msg = invalid_arg (who ^ msg) in
+  Ckpt.check_problem ~who ~solver:(mode_tag mode) ~k:st.k ~m:st.m ck;
   (* Exact per-column dots — bitwise the live sweep's entries. *)
   let active_corrs act =
     let res = Vec.sub f st.mu in
@@ -477,6 +471,9 @@ let replay (t : Engine.t) (ck : Ckpt.t) =
   Array.iter
     (fun (e : Ckpt.event) ->
       if t.Engine.stop then fail "events continue past a terminal state";
+      let out j = j < -1 || j >= st.m in
+      if out e.added || out e.banned || out e.dropped then
+        fail "event column out of range";
       if e.banned >= 0 then begin
         (* A live ban consumes its whole iteration as a zero-length
            step: no add, no drop, no movement. Replay it the same way. *)
@@ -521,18 +518,8 @@ let replay (t : Engine.t) (ck : Ckpt.t) =
             Engine.push t e ~cc:dir.cc
       end)
     ck.Ckpt.events;
-  if active_oldest_first st <> ck.Ckpt.active then
-    fail "replayed active set disagrees with the checkpoint";
-  if banned_columns st <> ck.Ckpt.banned then
-    fail "replayed banned set disagrees with the checkpoint";
-  if Array.of_list (List.rev st.notes) <> ck.Ckpt.notes then
-    fail "replayed notes disagree with the checkpoint";
-  if residual_signs st f <> ck.Ckpt.signs then
-    fail "replayed correlation signs disagree with the checkpoint";
-  if Ckpt.digest st.mu <> ck.Ckpt.mu_digest then
-    fail "fit-vector digest mismatch (different data or flags?)";
-  if Ckpt.digest st.beta <> ck.Ckpt.beta_digest then
-    fail "coefficient digest mismatch (different data or flags?)";
+  Ckpt.verify ~who ~expected:ck
+    (capture st ~mode ~scale:ck.Ckpt.scale ~f t.Engine.events);
   (* Every non-terminal live iteration pushes exactly one step, so the
      iteration counter resumes at the event count. *)
   t.Engine.nsteps <- t.Engine.nevents;
@@ -573,7 +560,6 @@ let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
   in
   let st = t.Engine.st in
   (match resume with None -> () | Some ck -> replay t ck);
-  let last_ckpt = ref t.Engine.nevents in
   (* Incremental correlation state, created after any resume replay so
      its initial exact sweep sees the resumed residual — the same
      refresh point the uninterrupted run hit when it emitted the
@@ -606,17 +592,16 @@ let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
         (fun j -> Shard_sweep.activate e j (Provider.Cache.column st.cache j))
         (List.rev st.active);
       Array.iter (fun j -> Shard_sweep.ban e j) (banned_columns st));
-  let emit_checkpoint () =
-    match on_checkpoint with
-    | None -> ()
-    | Some cb ->
-        cb (capture st ~mode ~scale:t.Engine.initial_c ~f t.Engine.events);
-        last_ckpt := t.Engine.nevents;
+  let emit =
+    Ckpt.emitter ~every:checkpoint_every ~start:t.Engine.nevents
+      ~after:(fun () ->
         (* Checkpoint-aligned exact refresh: see [inc] above. *)
         Option.iter
           (fun ic -> Corr_sweep.Inc.refresh ic (Vec.sub f st.mu))
           inc;
-        Option.iter (fun e -> Shard_sweep.refresh e (Vec.sub f st.mu)) eng
+        Option.iter (fun e -> Shard_sweep.refresh e (Vec.sub f st.mu)) eng)
+      on_checkpoint
+      (fun () -> capture st ~mode ~scale:t.Engine.initial_c ~f t.Engine.events)
   in
   while not (Engine.finished t) do
     (match t.Engine.phase with
@@ -690,16 +675,12 @@ let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
             in
             Shard_sweep.commit e ~gamma ~dir:sdir ~refresh;
             Option.iter (Shard_sweep.deactivate e) dropped));
-    if
-      checkpoint_every > 0
-      && t.Engine.nevents > !last_ckpt
-      && t.Engine.nevents mod checkpoint_every = 0
-    then emit_checkpoint ()
+    emit ~final:false t.Engine.nevents
   done;
   (* Terminal checkpoint: whatever the cadence, a completed path leaves
      a checkpoint of its full event log, so resuming from it replays the
      whole walk rather than a stale prefix. *)
-  if t.Engine.nevents > !last_ckpt then emit_checkpoint ();
+  emit ~final:true t.Engine.nevents;
   Engine.steps t
 
 let path_p ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint

@@ -49,8 +49,8 @@ val path_p :
   ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
   ?checkpoint_every:int ->
-  ?on_checkpoint:(Serialize.Checkpoint.Lars.t -> unit) ->
-  ?resume:Serialize.Checkpoint.Lars.t ->
+  ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
+  ?resume:Serialize.Checkpoint.t ->
   ?sweep:Corr_sweep.sweep ->
   ?shards:int ->
   ?shard_mode:Shard_sweep.mode ->
@@ -95,17 +95,19 @@ val path_p :
     product is accumulated whole).
 
     Checkpointing: with [checkpoint_every = n > 0],
-    [on_checkpoint] receives a {!Serialize.Checkpoint.Lars.t} event-log
-    snapshot of the walk every [n] completed steps, and (whatever the
-    cadence, including [checkpoint_every = 0]) once more when the path
-    ends, so a finished run always leaves its full log. [resume] replays
-    a snapshot's event log against the provider before any live step:
-    recorded gammas replace the two O(K·M) sweeps, so replay costs
-    O(steps·active·K) and reproduces every step record — models, notes,
-    order — bit-for-bit at any domain count. Resuming with a different
-    dataset, [mode] or [on_singular] policy than the checkpoint was
-    written under raises [Invalid_argument] (terminal digests and
-    active/banned/sign sets are all validated).
+    [on_checkpoint] receives the walk log ({!Serialize.Checkpoint.t},
+    solver tag ["lar"] or ["lasso"]) every [n] completed steps, and
+    (whatever the cadence, including [checkpoint_every = 0]) once more
+    when the path ends, so a finished run always leaves its full log —
+    the emission rule {!Greedy.path_p} shares. [resume] replays a log's
+    events against the provider before any live step: recorded gammas
+    replace the two O(K·M) sweeps, so replay costs O(steps·active·K)
+    and reproduces every step record — models, notes, order —
+    bit-for-bit at any domain count. Resuming with a different dataset,
+    [mode] or [on_singular] policy than the log was written under
+    raises [Invalid_argument]: {!Serialize.Checkpoint.verify} compares
+    the replayed walk's log with the loaded one (active, banned and
+    sign sets, notes, fit-vector and coefficient digests).
 
     [sweep] selects the correlation engine (default
     {!Corr_sweep.Exact}). [Incremental] is where the Gram cache pays on
@@ -182,8 +184,8 @@ val fit_p :
   ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
   ?checkpoint_every:int ->
-  ?on_checkpoint:(Serialize.Checkpoint.Lars.t -> unit) ->
-  ?resume:Serialize.Checkpoint.Lars.t ->
+  ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
+  ?resume:Serialize.Checkpoint.t ->
   ?sweep:Corr_sweep.sweep ->
   ?shards:int ->
   ?shard_mode:Shard_sweep.mode ->

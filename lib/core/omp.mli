@@ -61,7 +61,8 @@ val path_p :
 (** [path_p src f ~max_lambda] runs up to [max_lambda] iterations and
     returns one step record per iteration. It is {!Greedy.path_p}
     driving {!Engine} — one driver for OMP and {!Star}, whose contract
-    covers checkpointing and [resume] (the replayed leading step has
+    covers the walk log ({!Serialize.Checkpoint.t}, solver tag
+    ["omp"]) and [resume] (the replayed leading step has
     [correlation = 0]), [pool] and the [shards] options. Stops
     early when the largest residual correlation falls below [tol]
     (default [1e-12]) relative to the initial one, or when the residual

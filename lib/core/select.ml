@@ -4,49 +4,6 @@ type rule = Min_error | One_se
 
 type result = { model : Model.t; lambda : int; curve : float array }
 
-(* File-backed fold cache over [Serialize.Checkpoint.Cv]: every finished
-   fold writes [<base>.fold<q>]; on resume, files whose shape and plan
-   digest match are loaded back and their folds skipped. A checkpoint
-   from a different seed, dataset size, fold count or lambda grid is a
-   hard error, never silently blended into the average. *)
-let fold_cache ~base ~resume ~folds ~n ~max_lambda ~plan_digest =
-  let module Cv = Serialize.Checkpoint.Cv in
-  let load q =
-    if not resume then None
-    else
-      let path = Cv.fold_file base q in
-      if not (Sys.file_exists path) then None
-      else
-        match Cv.load path with
-        | Error e ->
-            invalid_arg (Printf.sprintf "Select: fold checkpoint %s: %s" path e)
-        | Ok c ->
-            if c.Cv.fold <> q then
-              invalid_arg
-                (Printf.sprintf "Select: fold checkpoint %s is for fold %d"
-                   path c.Cv.fold);
-            if c.Cv.folds <> folds || c.Cv.n <> n || c.Cv.max_lambda <> max_lambda
-            then
-              invalid_arg
-                (Printf.sprintf
-                   "Select: fold checkpoint %s shape (%d folds, n=%d, \
-                    max_lambda=%d) disagrees with the sweep (%d folds, n=%d, \
-                    max_lambda=%d)"
-                   path c.Cv.folds c.Cv.n c.Cv.max_lambda folds n max_lambda);
-            if c.Cv.plan_digest <> plan_digest then
-              invalid_arg
-                (Printf.sprintf
-                   "Select: fold checkpoint %s was written for a different \
-                    fold plan (different seed or data?)"
-                   path);
-            Some c.Cv.curve
-  in
-  let store q curve =
-    Cv.save (Cv.fold_file base q)
-      { Cv.fold = q; folds; n; max_lambda; plan_digest; curve }
-  in
-  { Stat.Crossval.load; store }
-
 (* Held-out error curve of a fitted fold path — shared verbatim by the
    per-job and fused drivers so their curves come from the same float
    sequence. A path shorter than [max_lambda] is padded by its last
@@ -178,40 +135,47 @@ let lockstep ~create ~finished ~sweep ~advance ~prefix src jobs =
   loop ();
   Array.mapi (fun i e -> if dropped.(i) then None else Some (prefix e)) engines
 
-(* File-backed caches of the grid's cells. A single-output selector
-   keeps fold [q] at [<base>.fold<q>]; a multi-output one also writes a
-   [Serialize.Checkpoint.Multi] manifest at [<base>.multi] (checked on
-   resume) and keeps output [r]'s folds under [Multi.output_base base
-   r]. *)
-let grid_caches ~manifest ~base ~resume ~outputs ~folds ~n ~max_lambda plan =
-  let plan_digest =
-    Serialize.Checkpoint.Cv.plan_digest plan.Stat.Crossval.assignment
+(* File-backed caches of the grid's cells over
+   [Serialize.Checkpoint.Cell]: every finished (output, fold) cell
+   writes [Cell.file base ~outputs r q]; on resume, a cell file must
+   name its own cell of this grid — output and fold counts, dataset
+   size, λ grid — and its fold plan, and is then loaded back and its
+   fit skipped. A cell from a different seed, dataset, fold count,
+   output count or λ grid is a hard error, never silently blended into
+   the average. *)
+let grid_caches ~base ~resume ~outputs ~folds ~n ~max_lambda plan =
+  let module Cell = Serialize.Checkpoint.Cell in
+  let plan_digest = Cell.plan_digest plan.Stat.Crossval.assignment in
+  let cell r q curve =
+    { Cell.output = r; outputs; fold = q; folds; n; max_lambda; plan_digest;
+      curve }
   in
-  let cache base =
-    Some (fold_cache ~base ~resume ~folds ~n ~max_lambda ~plan_digest)
+  let shape (c : Cell.t) =
+    Printf.sprintf "(output %d of %d, fold %d of %d, n=%d, max_lambda=%d)"
+      c.output c.outputs c.fold c.folds c.n c.max_lambda
   in
-  if not manifest then [| cache base |]
-  else begin
-    let module M = Serialize.Checkpoint.Multi in
-    let grid = { M.outputs; folds; n; max_lambda; plan_digest } in
-    let mpath = M.manifest_file base in
-    (if resume && Sys.file_exists mpath then
-       match M.load mpath with
-       | Error e ->
-           invalid_arg (Printf.sprintf "Select: multi checkpoint %s: %s" mpath e)
-       | Ok m ->
-           if m <> grid then
-             invalid_arg
-               (Printf.sprintf
-                  "Select: multi checkpoint %s grid (%d outputs, %d folds, \
-                   n=%d, max_lambda=%d) disagrees with the sweep (%d \
-                   outputs, %d folds, n=%d, max_lambda=%d) or was written \
-                   for a different fold plan"
-                  mpath m.M.outputs m.M.folds m.M.n m.M.max_lambda outputs
-                  folds n max_lambda));
-    M.save mpath grid;
-    Array.init outputs (fun r -> cache (M.output_base base r))
-  end
+  Array.init outputs (fun r ->
+      let file q = Cell.file base ~outputs r q in
+      let fail q msg =
+        invalid_arg ("Select: fold checkpoint " ^ file q ^ msg)
+      in
+      let load q =
+        if not (resume && Sys.file_exists (file q)) then None
+        else
+          match Cell.load (file q) with
+          | Error e -> fail q (": " ^ e)
+          | Ok c ->
+              let have = shape c and want = shape (cell r q c.Cell.curve) in
+              if have <> want then
+                fail q (" is cell " ^ have ^ "; the sweep expects " ^ want);
+              if c.Cell.plan_digest <> plan_digest then
+                fail q
+                  " was written for a different fold plan (different seed or \
+                   data?)";
+              Some c.Cell.curve
+      in
+      let store q curve = Cell.save (file q) (cell r q curve) in
+      Some { Stat.Crossval.load; store })
 
 (* The one CV selector, for R ≥ 1 responses over one design: one fold
    plan, Q fold streams and one refit stream, all drawn from the
@@ -225,8 +189,8 @@ let grid_caches ~manifest ~base ~resume ~outputs ~folds ~n ~max_lambda plan =
    in fold order, so output [r]'s result is bitwise independent of R,
    the driver and the domain count. *)
 let select ?(folds = 4) ?(rule = Min_error) ?pool ?(sweep = Corr_sweep.Exact)
-    ?(shards = 1) ?checkpoint ?(resume = false) ~manifest ~fit_jobs
-    ~path_models rng ~max_lambda src fs =
+    ?(shards = 1) ?checkpoint ?(resume = false) ~fit_jobs ~path_models rng
+    ~max_lambda src fs =
   if max_lambda <= 0 then invalid_arg "Select: max_lambda must be positive";
   let outputs = Array.length fs in
   if outputs = 0 then invalid_arg "Select: at least one output required";
@@ -243,7 +207,7 @@ let select ?(folds = 4) ?(rule = Min_error) ?pool ?(sweep = Corr_sweep.Exact)
   let caches =
     Option.map
       (fun base ->
-        grid_caches ~manifest ~base ~resume ~outputs ~folds ~n ~max_lambda plan)
+        grid_caches ~base ~resume ~outputs ~folds ~n ~max_lambda plan)
       checkpoint
   in
   let fused = fused_driver ~streamed:(Provider.is_streamed src) ~sweep ~shards in
@@ -333,17 +297,17 @@ let fused_lars ?mode ?on_singular ?pool src ~max_lambda =
         (Array.sub steps 0 (min (Array.length steps) (Lars.step_budget l))))
 
 (* Each method's grid: its λ cap, its fused job fitter and its per-job
-   (and refit) path models. *)
+   (and refit) path models. A single-output selector is its grid at
+   R = 1. *)
 let omp_grid who ?folds ?rule ?pool ?on_singular ?(sweep = Corr_sweep.Exact)
-    ?shards ?shard_mode ?recovered ?checkpoint ?resume ~manifest rng
-    ~max_lambda src fs =
+    ?shards ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src fs =
   Result.iter_error
     (fun msg -> invalid_arg (who ^ ": " ^ msg))
     (Corr_sweep.lar_only ~lar:false sweep);
   let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
   (* OMP's path is also bounded by its own training rows. *)
   let cap src l = min l (min (Provider.rows src) (Provider.cols src)) in
-  select ?folds ?rule ?pool ?shards ?checkpoint ?resume ~manifest
+  select ?folds ?rule ?pool ?shards ?checkpoint ?resume
     ~fit_jobs:
       (fused_greedy (module Omp.Engine) ?pool src
          ~create:(fun src_tr f_tr ->
@@ -356,10 +320,10 @@ let omp_grid who ?folds ?rule ?pool ?on_singular ?(sweep = Corr_sweep.Exact)
            ~max_lambda:(cap src max_lambda)))
     rng ~max_lambda src fs
 
-let star_grid ?folds ?rule ?pool ?shards ?shard_mode ?recovered ?checkpoint
-    ?resume ~manifest rng ~max_lambda src fs =
+let star_multi_p ?folds ?rule ?pool ?shards ?shard_mode ?recovered
+    ?checkpoint ?resume rng ~max_lambda src fs =
   let max_lambda = lambda_cap ?folds ~rows_bound:false ~max_lambda src in
-  select ?folds ?rule ?pool ?shards ?checkpoint ?resume ~manifest
+  select ?folds ?rule ?pool ?shards ?checkpoint ?resume
     ~fit_jobs:
       (fused_greedy (module Star.Engine) ?pool src
          ~create:(fun src_tr f_tr ->
@@ -372,11 +336,10 @@ let star_grid ?folds ?rule ?pool ?shards ?shard_mode ?recovered ?checkpoint
 
 (* LAR/lasso: the λ-driven walk, which in LAR mode stops one step past
    [max_lambda] bases. *)
-let lars_grid ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards
-    ?shard_mode ?recovered ?checkpoint ?resume ~manifest rng ~max_lambda src
-    fs =
+let lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards
+    ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src fs =
   let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
-  select ?folds ?rule ?pool ?sweep ?shards ?checkpoint ?resume ~manifest
+  select ?folds ?rule ?pool ?sweep ?shards ?checkpoint ?resume
     ~fit_jobs:(fused_lars ?mode ?on_singular ?pool src ~max_lambda)
     ~path_models:(fun ~rng:_ src f ~max_lambda ->
       Lars.lambda_models src ~max_lambda
@@ -384,38 +347,22 @@ let lars_grid ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards
            ?shard_mode ?recovered src f ~max_lambda))
     rng ~max_lambda src fs
 
+let omp_multi_p = omp_grid "Select.omp_multi_p"
+
 let omp_p ?folds ?rule ?pool ?on_singular ?sweep ?shards ?shard_mode
     ?recovered ?checkpoint ?resume rng ~max_lambda src f =
   (omp_grid "Select.omp_p" ?folds ?rule ?pool ?on_singular ?sweep ?shards
-     ?shard_mode ?recovered ?checkpoint ?resume ~manifest:false rng
-     ~max_lambda src [| f |]).(0)
+     ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src [| f |]).(0)
 
 let star_p ?folds ?rule ?pool ?shards ?shard_mode ?recovered ?checkpoint
     ?resume rng ~max_lambda src f =
-  (star_grid ?folds ?rule ?pool ?shards ?shard_mode ?recovered ?checkpoint
-     ?resume ~manifest:false rng ~max_lambda src [| f |]).(0)
+  (star_multi_p ?folds ?rule ?pool ?shards ?shard_mode ?recovered ?checkpoint
+     ?resume rng ~max_lambda src [| f |]).(0)
 
 let lars_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
     ?recovered ?checkpoint ?resume rng ~max_lambda src f =
-  (lars_grid ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
-     ?recovered ?checkpoint ?resume ~manifest:false rng ~max_lambda src
-     [| f |]).(0)
-
-let omp_multi_p ?folds ?rule ?pool ?on_singular ?sweep ?shards ?shard_mode
-    ?recovered ?checkpoint ?resume rng ~max_lambda src fs =
-  omp_grid "Select.omp_multi_p" ?folds ?rule ?pool ?on_singular ?sweep ?shards
-    ?shard_mode ?recovered ?checkpoint ?resume ~manifest:true rng ~max_lambda
-    src fs
-
-let star_multi_p ?folds ?rule ?pool ?shards ?shard_mode ?recovered
-    ?checkpoint ?resume rng ~max_lambda src fs =
-  star_grid ?folds ?rule ?pool ?shards ?shard_mode ?recovered ?checkpoint
-    ?resume ~manifest:true rng ~max_lambda src fs
-
-let lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards
-    ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src fs =
-  lars_grid ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
-    ?recovered ?checkpoint ?resume ~manifest:true rng ~max_lambda src fs
+  (lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards
+     ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src [| f |]).(0)
 
 let omp ?folds ?rule ?pool ?on_singular rng ~max_lambda g f =
   omp_p ?folds ?rule ?pool ?on_singular rng ~max_lambda (Provider.dense g) f

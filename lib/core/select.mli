@@ -89,16 +89,18 @@ val omp_p :
     its last model, so it keeps its final error for larger λ.
 
     With [checkpoint = base], every finished fold writes a
-    {!Serialize.Checkpoint.Cv} file at [base.fold<q>] (atomic rename).
-    With [resume = true] (requires [checkpoint]), matching fold files
-    are loaded back and their fits skipped, so a killed sweep refits
-    only its unfinished folds; fold streams are split before any fold
-    runs either way, and loaded curves round-trip at full precision,
-    so the selected λ, curve and refit model are bitwise identical to
-    an uninterrupted run at every domain count. A fold file whose shape
-    or fold-plan digest disagrees with the sweep (different seed, data
-    size, fold count or λ grid) raises [Invalid_argument] rather than
-    polluting the average.
+    {!Serialize.Checkpoint.Cell} file at
+    {!Serialize.Checkpoint.Cell.file}[ base ~outputs:1 0 q] =
+    [base.fold<q>] (atomic rename). With [resume = true] (requires
+    [checkpoint]), matching fold files are loaded back and their fits
+    skipped, so a killed sweep refits only its unfinished folds; fold
+    streams are split before any fold runs either way, and loaded
+    curves round-trip at full precision, so the selected λ, curve and
+    refit model are bitwise identical to an uninterrupted run at every
+    domain count. A fold file whose cell, grid shape or fold-plan
+    digest disagrees with the sweep (different seed, data size, fold
+    count, output count or λ grid) raises [Invalid_argument] rather
+    than polluting the average.
 
     [sweep] (default [Exact]) must be [Exact]: OMP sweeps exactly, and
     [Incremental] raises [Invalid_argument] before any fold work
@@ -168,14 +170,16 @@ val omp_multi_p :
   result array
 (** Multi-output {!omp_p}, one {!result} per response in order.
 
-    [checkpoint]/[resume]: with [checkpoint = base], the grid writes a
-    {!Serialize.Checkpoint.Multi} manifest at [base.multi] and each
-    finished (output, fold) cell as an ordinary Cv fold file at
-    [base.out<r>.fold<q>], in either driver; with [resume], matching
-    cell files are loaded and their fits skipped — bitwise identical to
-    an uninterrupted run, so a grid killed under one driver resumes
-    under the other. A manifest or cell file disagreeing with the grid
-    shape or fold plan raises [Invalid_argument]. *)
+    [checkpoint]/[resume]: with [checkpoint = base], the grid writes
+    each finished (output, fold) cell as a {!Serialize.Checkpoint.Cell}
+    file at {!Serialize.Checkpoint.Cell.file}[ base ~outputs r q] —
+    [base.out<r>.fold<q>], or [base.fold<q>] when R = 1 — in either
+    driver; with [resume], matching cell files are loaded and their
+    fits skipped — bitwise identical to an uninterrupted run, so a grid
+    killed under one driver resumes under the other. Every cell carries
+    the grid's shape, so a cell file disagreeing with the grid shape or
+    fold plan raises [Invalid_argument]. {!omp_p} is this selector at
+    R = 1. *)
 
 val star_multi_p :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->

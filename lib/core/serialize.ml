@@ -86,25 +86,40 @@ let of_string s =
   | first :: _ -> Error ("unrecognized header: " ^ first)
   | [] -> Error "empty input"
 
-let save path m =
-  let oc = open_out path in
+(* Write-then-rename: a crash mid-write never leaves a partial file in
+   place of the previous good one. Models and checkpoints both write
+   through it; the close is checked, so a failed flush never renames. *)
+let atomic_write path s =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string m))
+    (fun () ->
+      output_string oc s;
+      close_out oc);
+  Sys.rename tmp path
 
-(* FNV-1a 64 over raw bytes: the content digest the serving registry
-   keys compiled tapes by. Same primitive as the checkpoint digests,
-   but over the serialized text instead of float bit patterns. *)
+let read_file path parse =
+  match open_in path with
+  | exception Sys_error e -> Error e
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> parse (really_input_string ic (in_channel_length ic)))
+
+let save path m = atomic_write path (to_string m)
+
+let load path = read_file path of_string
+
+(* FNV-1a 64: one byte step, shared by the model content digest and the
+   checkpoints' state digests. *)
+let fnv_offset = 0xcbf29ce484222325L
+let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) 0x100000001b3L
+
+(* The content digest the serving registry keys compiled tapes by: over
+   the serialized text instead of float bit patterns. *)
 let digest_string s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h :=
-        Int64.mul
-          (Int64.logxor !h (Int64.of_int (Char.code c)))
-          0x100000001b3L)
-    s;
-  !h
+  String.fold_left (fun h c -> fnv_byte h (Char.code c)) fnv_offset s
 
 let digest m = digest_string (to_string m)
 
@@ -155,334 +170,263 @@ let to_expression m basis =
     Buffer.contents buf
   end
 
-let load path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          of_string s)
 
 module Checkpoint = struct
+  type event = { added : int; banned : int; dropped : int; gamma : float }
+
   type t = {
     solver : string;
     k : int;
     m : int;
     scale : float;
-    support : int array;
+    active : int array;
+    signs : int array;
+    banned : int array;
+    events : event array;
+    notes : string array;
+    mu_digest : int64;
+    beta_digest : int64;
   }
 
-  let to_string c =
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf "rsm-ckpt 1\n";
-    Buffer.add_string buf (Printf.sprintf "solver %s\n" c.solver);
-    Buffer.add_string buf (Printf.sprintf "k %d\n" c.k);
-    Buffer.add_string buf (Printf.sprintf "m %d\n" c.m);
-    Buffer.add_string buf (Printf.sprintf "scale %.17g\n" c.scale);
-    Buffer.add_string buf (Printf.sprintf "iter %d\n" (Array.length c.support));
-    Buffer.add_string buf "support";
-    Array.iter (fun j -> Buffer.add_string buf (Printf.sprintf " %d" j)) c.support;
-    Buffer.add_char buf '\n';
-    Buffer.contents buf
-
-  let of_string s =
-    let lines =
-      String.split_on_char '\n' s
-      |> List.map String.trim
-      |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-    in
-    let field name conv line =
-      match String.index_opt line ' ' with
-      | Some i when String.sub line 0 i = name -> (
-          let rest = String.sub line (i + 1) (String.length line - i - 1) in
-          match conv (String.trim rest) with
-          | Some v -> Ok v
-          | None -> Error (Printf.sprintf "malformed %s field: %s" name line))
-      | _ -> Error (Printf.sprintf "expected '%s <value>', got: %s" name line)
-    in
-    let ( let* ) = Result.bind in
-    match lines with
-    | header :: solver_l :: k_l :: m_l :: scale_l :: iter_l :: support_l :: []
-      when header = "rsm-ckpt 1" ->
-        let* solver = field "solver" Option.some solver_l in
-        let* k = field "k" int_of_string_opt k_l in
-        let* m = field "m" int_of_string_opt m_l in
-        let* scale = field "scale" float_of_string_opt scale_l in
-        let* iter = field "iter" int_of_string_opt iter_l in
-        let* support =
-          field "support"
-            (fun rest ->
-              let toks =
-                String.split_on_char ' ' rest
-                |> List.filter (fun t -> t <> "")
-              in
-              let parsed = List.map int_of_string_opt toks in
-              if List.exists Option.is_none parsed then None
-              else Some (Array.of_list (List.map Option.get parsed)))
-            support_l
-        in
-        if k <= 0 || m <= 0 then Error "non-positive problem shape"
-        else if not (Float.is_finite scale) then Error "non-finite scale"
-        else if Array.length support <> iter then
-          Error
-            (Printf.sprintf "iter %d disagrees with %d support entries" iter
-               (Array.length support))
-        else if Array.exists (fun j -> j < 0 || j >= m) support then
-          Error "support index out of range"
-        else Ok { solver; k; m; scale; support }
-    | first :: _ when first <> "rsm-ckpt 1" ->
-        Error ("unrecognized checkpoint header: " ^ first)
-    | _ -> Error "truncated checkpoint"
-
-  (* Write-then-rename: a crash mid-write never clobbers the previous
-     good checkpoint, which is the whole point of having one. *)
-  let atomic_write path s =
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc s);
-    Sys.rename tmp path
-
-  let read_file path of_string =
-    match open_in path with
-    | exception Sys_error e -> Error e
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let n = in_channel_length ic in
-            of_string (really_input_string ic n))
-
-  let save path c = atomic_write path (to_string c)
-
-  let load path = read_file path of_string
-
-  (* FNV-1a over the raw bytes, the state-digest primitive of the LARS
-     and CV checkpoint records. *)
-  let fnv_offset = 0xcbf29ce484222325L
-  let fnv_prime = 0x100000001b3L
-
-  let fnv_fold_int64 h bits =
+  (* FNV-1a over the 8 little-endian bytes of each entry, the
+     state-digest primitive of both records. *)
+  let fnv_fold h bits =
     let h = ref h in
     for b = 0 to 7 do
-      let byte =
-        Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * b)) 0xffL)
-      in
-      h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) fnv_prime
+      h :=
+        fnv_byte !h
+          (Int64.to_int
+             (Int64.logand (Int64.shift_right_logical bits (8 * b)) 0xffL))
     done;
     !h
 
-  let digest_floats v =
-    Array.fold_left
-      (fun h x -> fnv_fold_int64 h (Int64.bits_of_float x))
-      fnv_offset v
+  let digest v =
+    Array.fold_left (fun h x -> fnv_fold h (Int64.bits_of_float x)) fnv_offset v
 
-  let digest_ints v =
-    Array.fold_left (fun h x -> fnv_fold_int64 h (Int64.of_int x)) fnv_offset v
+  (* --- the one writer and the one line reader ---------------------- *)
 
-  (* Shared line-parsing helpers for the v2 records. *)
-  let field_of name conv line =
-    let fail () =
-      Error (Printf.sprintf "expected '%s <value>', got: %s" name line)
-    in
-    match String.index_opt line ' ' with
-    | Some i when String.sub line 0 i = name -> (
-        let rest = String.sub line (i + 1) (String.length line - i - 1) in
-        match conv (String.trim rest) with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "malformed %s field: %s" name line))
-    | None when line = name -> (
-        (* A list field with zero elements prints as the bare name. *)
-        match conv "" with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "malformed %s field: %s" name line))
-    | _ -> fail ()
-
-  let int_list_of_string s =
-    let toks = String.split_on_char ' ' s |> List.filter (fun t -> t <> "") in
-    let parsed = List.map int_of_string_opt toks in
-    if List.exists Option.is_none parsed then None
-    else Some (Array.of_list (List.map Option.get parsed))
-
-  let hex64_of_string s =
-    match Int64.of_string_opt ("0x" ^ s) with Some v -> Some v | None -> None
-
-  let rec take_fields acc n parse = function
-    | rest when n = 0 -> Ok (List.rev acc, rest)
-    | [] -> Error "truncated checkpoint: missing repeated fields"
-    | line :: rest -> (
-        match parse line with
-        | Ok v -> take_fields (v :: acc) (n - 1) parse rest
-        | Error e -> Error e)
-
-  module Lars = struct
-    type event = {
-      added : int;  (* entering column, or -1 *)
-      banned : int;  (* column banned as dependent this step, or -1 *)
-      dropped : int;  (* lasso drop, or -1 *)
-      gamma : float;  (* the step length actually taken *)
-    }
-
-    type t = {
-      mode : string;
-      k : int;
-      m : int;
-      scale : float;
-      active : int array;
-      signs : float array;
-      banned : int array;
-      events : event array;
-      notes : string array;
-      mu_digest : int64;
-      beta_digest : int64;
-    }
-
-    let digest = digest_floats
-
-    let to_string c =
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf "rsm-ckpt 2\n";
-      Buffer.add_string buf "solver lars\n";
-      Buffer.add_string buf (Printf.sprintf "mode %s\n" c.mode);
-      Buffer.add_string buf (Printf.sprintf "k %d\n" c.k);
-      Buffer.add_string buf (Printf.sprintf "m %d\n" c.m);
-      Buffer.add_string buf (Printf.sprintf "scale %.17g\n" c.scale);
-      let ints name a =
+  (* Each record is its header line, then one "<name> <value>" line per
+     field; an empty value prints as the bare name. *)
+  let render header fields =
+    let buf = Buffer.create 512 in
+    Buffer.add_string buf header;
+    Buffer.add_char buf '\n';
+    List.iter
+      (fun (name, v) ->
         Buffer.add_string buf name;
-        Array.iter (fun j -> Buffer.add_string buf (Printf.sprintf " %d" j)) a;
-        Buffer.add_char buf '\n'
-      in
-      ints "active" c.active;
-      ints "signs" (Array.map (fun s -> if s >= 0. then 1 else -1) c.signs);
-      ints "banned" c.banned;
-      Buffer.add_string buf (Printf.sprintf "nsteps %d\n" (Array.length c.events));
-      Array.iter
-        (fun e ->
-          Buffer.add_string buf
-            (Printf.sprintf "event %d %d %d %.17g\n" e.added e.banned e.dropped
-               e.gamma))
-        c.events;
-      Buffer.add_string buf (Printf.sprintf "nnotes %d\n" (Array.length c.notes));
-      Array.iter
-        (fun note ->
-          let flat =
-            String.map (function '\n' | '\r' -> ' ' | ch -> ch) note
-          in
-          Buffer.add_string buf (Printf.sprintf "note %s\n" flat))
-        c.notes;
-      Buffer.add_string buf (Printf.sprintf "mu_digest %Lx\n" c.mu_digest);
-      Buffer.add_string buf (Printf.sprintf "beta_digest %Lx\n" c.beta_digest);
-      Buffer.contents buf
+        if v <> "" then Buffer.add_char buf ' ';
+        Buffer.add_string buf v;
+        Buffer.add_char buf '\n')
+      fields;
+    Buffer.contents buf
 
-    let of_string s =
-      let lines =
-        String.split_on_char '\n' s
-        |> List.map String.trim
-        |> List.filter (fun l -> l <> "")
-      in
-      let ( let* ) = Result.bind in
-      match lines with
-      | header :: solver_l :: mode_l :: k_l :: m_l :: scale_l :: active_l
-        :: signs_l :: banned_l :: nsteps_l :: rest
-        when header = "rsm-ckpt 2" ->
-          let* solver = field_of "solver" Option.some solver_l in
-          if solver <> "lars" then
-            Error ("checkpoint is for solver " ^ solver ^ ", expected lars")
-          else
-            let* mode = field_of "mode" Option.some mode_l in
-            let* k = field_of "k" int_of_string_opt k_l in
-            let* m = field_of "m" int_of_string_opt m_l in
-            let* scale = field_of "scale" float_of_string_opt scale_l in
-            let* active = field_of "active" int_list_of_string active_l in
-            let* sign_ints = field_of "signs" int_list_of_string signs_l in
-            let* banned = field_of "banned" int_list_of_string banned_l in
-            let* nsteps = field_of "nsteps" int_of_string_opt nsteps_l in
-            let parse_event line =
-              match
-                String.split_on_char ' ' line
-                |> List.filter (fun t -> t <> "")
-              with
-              | [ "event"; a; b; d; g ] -> (
-                  match
-                    ( int_of_string_opt a,
-                      int_of_string_opt b,
-                      int_of_string_opt d,
-                      float_of_string_opt g )
-                  with
-                  | Some added, Some banned, Some dropped, Some gamma ->
-                      Ok { added; banned; dropped; gamma }
-                  | _ -> Error ("malformed event line: " ^ line))
-              | _ -> Error ("malformed event line: " ^ line)
-            in
-            let* events, rest = take_fields [] nsteps parse_event rest in
-            let* nnotes, rest =
-              match rest with
-              | l :: rest ->
-                  let* n = field_of "nnotes" int_of_string_opt l in
-                  if n < 0 then Error "negative note count" else Ok (n, rest)
-              | [] -> Error "truncated checkpoint: missing nnotes"
-            in
-            let* notes, rest =
-              take_fields [] nnotes (field_of "note" Option.some) rest
-            in
-            let* mu_digest, beta_digest =
-              match rest with
-              | [ mu_l; beta_l ] ->
-                  let* mu = field_of "mu_digest" hex64_of_string mu_l in
-                  let* beta = field_of "beta_digest" hex64_of_string beta_l in
-                  Ok (mu, beta)
-              | _ -> Error "truncated checkpoint: missing state digests"
-            in
-            if k <= 0 || m <= 0 then Error "non-positive problem shape"
-            else if mode <> "lar" && mode <> "lasso" then
-              Error ("unknown lars mode: " ^ mode)
-            else if not (Float.is_finite scale) then Error "non-finite scale"
-            else if Array.length sign_ints <> Array.length active then
-              Error "signs do not align with the active set"
-            else if
-              Array.exists (fun j -> j < 0 || j >= m) active
-              || Array.exists (fun j -> j < 0 || j >= m) banned
-            then Error "column index out of range"
-            else if Array.exists (fun v -> v <> 1 && v <> -1) sign_ints then
-              Error "signs must be +/-1"
-            else if
-              List.exists
-                (fun e ->
-                  e.added < -1 || e.added >= m || e.banned < -1 || e.banned >= m
-                  || e.dropped < -1 || e.dropped >= m
-                  || not (Float.is_finite e.gamma))
-                events
-            then Error "event out of range or non-finite gamma"
-            else
-              Ok
-                {
-                  mode;
-                  k;
-                  m;
-                  scale;
-                  active;
-                  signs = Array.map float_of_int sign_ints;
-                  banned;
-                  events = Array.of_list events;
-                  notes = Array.of_list notes;
-                  mu_digest;
-                  beta_digest;
-                }
-      | first :: _ when first <> "rsm-ckpt 2" ->
-          Error ("unrecognized checkpoint header: " ^ first)
-      | _ -> Error "truncated checkpoint"
+  let int = string_of_int
+  let float = Printf.sprintf "%.17g"
+  let hex = Printf.sprintf "%Lx"
+  let list conv a = String.concat " " (Array.to_list (Array.map conv a))
+  let flat = String.map (function '\n' | '\r' -> ' ' | c -> c)
 
-    let save path c = atomic_write path (to_string c)
+  (* Headers of the formats this reader replaced. Checkpoints are resume
+     state, not archives: an old file is refused by name, never
+     converted. *)
+  let retired =
+    [ "rsm-ckpt 1"; "rsm-ckpt 2"; "rsm-cv-ckpt 1"; "rsm-multi-ckpt 1" ]
 
-    let load path = read_file path of_string
-  end
+  exception Malformed of string
 
-  module Cv = struct
+  let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
+
+  type cursor = { mutable lines : string list }
+
+  (* The next line, which must be field [name]; [conv] parses its value. *)
+  let field cur name conv =
+    match cur.lines with
+    | [] | [ "" ] -> malformed "truncated checkpoint: missing %s" name
+    | line :: rest -> (
+        cur.lines <- rest;
+        let p = String.length name + 1 in
+        let value =
+          if line = name then Some ""
+          else if String.starts_with ~prefix:(name ^ " ") line then
+            Some (String.sub line p (String.length line - p))
+          else None
+        in
+        match value with
+        | None -> malformed "expected '%s <value>', got: %s" name line
+        | Some v -> (
+            match conv v with
+            | Some x -> x
+            | None -> malformed "malformed %s field: %s" name line))
+
+  let items conv v =
+    if v = "" then Some [||]
+    else
+      let parsed = List.map conv (String.split_on_char ' ' v) in
+      if List.mem None parsed then None
+      else Some (Array.of_list (List.map Option.get parsed))
+
+  let read_int cur name = field cur name int_of_string_opt
+  let read_float cur name = field cur name float_of_string_opt
+  let read_hex cur name =
+    field cur name (fun v -> Int64.of_string_opt ("0x" ^ v))
+  let read_ints cur name = field cur name (items int_of_string_opt)
+
+  (* [n] further records read by [one]; stops at the first missing line,
+     so a corrupt count never allocates ahead of the file. *)
+  let read_n cur what n one =
+    if n < 0 then malformed "negative %s count" what;
+    let acc = ref [] in
+    for _ = 1 to n do
+      acc := one cur :: !acc
+    done;
+    Array.of_list (List.rev !acc)
+
+  (* A file parses only when its bytes are exactly what [to_string]
+     writes for the record read, so every accepted file round-trips. *)
+  let parse ~header ~to_string read s =
+    match String.split_on_char '\n' s with
+    | h :: lines when h = header -> (
+        match read { lines } with
+        | exception Malformed e -> Error e
+        | c when to_string c = s -> Ok c
+        | _ -> Error "non-canonical checkpoint bytes")
+    | h :: _ when List.mem h retired ->
+        Error
+          (Printf.sprintf
+             "checkpoint format '%s' is no longer read; rerun without --resume"
+             h)
+    | h :: _ -> Error ("unrecognized checkpoint header: " ^ h)
+    | [] -> Error "empty checkpoint"
+
+  (* --- the walk log ------------------------------------------------- *)
+
+  let header = "rsm-ckpt 3"
+  let solvers = [ "omp"; "star"; "lar"; "lasso" ]
+
+  let to_string c =
+    render header
+      ([
+         ("solver", c.solver);
+         ("k", int c.k);
+         ("m", int c.m);
+         ("scale", float c.scale);
+         ("active", list int c.active);
+         ("signs", list int c.signs);
+         ("banned", list int c.banned);
+         ("nsteps", int (Array.length c.events));
+       ]
+      @ Array.to_list
+          (Array.map
+             (fun e ->
+               ( "event",
+                 Printf.sprintf "%d %d %d %s" e.added e.banned e.dropped
+                   (float e.gamma) ))
+             c.events)
+      @ [ ("nnotes", int (Array.length c.notes)) ]
+      @ Array.to_list (Array.map (fun n -> ("note", flat n)) c.notes)
+      @ [ ("mu_digest", hex c.mu_digest); ("beta_digest", hex c.beta_digest) ])
+
+  let read_event cur =
+    field cur "event" (fun v ->
+        match String.split_on_char ' ' v with
+        | [ a; b; d; g ] -> (
+            match
+              ( int_of_string_opt a,
+                int_of_string_opt b,
+                int_of_string_opt d,
+                float_of_string_opt g )
+            with
+            | Some added, Some banned, Some dropped, Some gamma ->
+                Some { added; banned; dropped; gamma }
+            | _ -> None)
+        | _ -> None)
+
+  let read_walk cur =
+    let solver = field cur "solver" Option.some in
+    let k = read_int cur "k" in
+    let m = read_int cur "m" in
+    let scale = read_float cur "scale" in
+    let active = read_ints cur "active" in
+    let signs = read_ints cur "signs" in
+    let banned = read_ints cur "banned" in
+    let events = read_n cur "step" (read_int cur "nsteps") read_event in
+    let notes =
+      read_n cur "note" (read_int cur "nnotes") (fun cur ->
+          field cur "note" Option.some)
+    in
+    let mu_digest = read_hex cur "mu_digest" in
+    let beta_digest = read_hex cur "beta_digest" in
+    let column j = j >= 0 && j < m and event_column j = j >= -1 && j < m in
+    if not (List.mem solver solvers) then malformed "unknown solver %s" solver;
+    if k <= 0 || m <= 0 then malformed "non-positive problem shape";
+    if not (Float.is_finite scale) then malformed "non-finite scale";
+    if Array.length signs <> Array.length active then
+      malformed "signs do not align with the active set";
+    if not (Array.for_all column active && Array.for_all column banned) then
+      malformed "column index out of range";
+    if not (Array.for_all (fun s -> s = 1 || s = -1) signs) then
+      malformed "signs must be +/-1";
+    if
+      not
+        (Array.for_all
+           (fun e ->
+             event_column e.added && event_column e.banned
+             && event_column e.dropped && Float.is_finite e.gamma)
+           events)
+    then malformed "event out of range or non-finite gamma";
+    { solver; k; m; scale; active; signs; banned; events; notes; mu_digest;
+      beta_digest }
+
+  let of_string s = parse ~header ~to_string read_walk s
+  let save path c = atomic_write path (to_string c)
+  let load path = read_file path of_string
+
+  (* --- the walk drivers' shared resume check and emission rule ------ *)
+
+  let check_problem ~who ~solver ~k ~m c =
+    if c.solver <> solver then
+      invalid_arg
+        (Printf.sprintf "%scheckpoint is for solver %s, not %s" who c.solver
+           solver);
+    if c.k <> k || c.m <> m then
+      invalid_arg
+        (Printf.sprintf "%scheckpoint shape %dx%d disagrees with problem %dx%d"
+           who c.k c.m k m)
+
+  let verify ~who ~expected got =
+    let check ok msg = if not ok then invalid_arg (who ^ msg) in
+    check (got.active = expected.active)
+      "replayed active set disagrees with the checkpoint";
+    check (got.banned = expected.banned)
+      "replayed banned set disagrees with the checkpoint";
+    check (got.notes = expected.notes)
+      "replayed notes disagree with the checkpoint";
+    check
+      (got.mu_digest = expected.mu_digest)
+      "fit-vector digest mismatch (different data or flags?)";
+    check
+      (got.beta_digest = expected.beta_digest)
+      "coefficient digest mismatch (different data or flags?)";
+    check (got.signs = expected.signs)
+      "replayed correlation signs disagree with the checkpoint";
+    check (got = expected) "replayed walk disagrees with the checkpoint"
+
+  let emitter ~every ~start ?(after = ignore) on_checkpoint capture =
+    let last = ref start in
+    fun ~final n ->
+      match on_checkpoint with
+      | Some cb when n > !last && (final || (every > 0 && n mod every = 0)) ->
+          cb (capture ());
+          last := n;
+          after ()
+      | _ -> ()
+
+  (* --- the CV cell -------------------------------------------------- *)
+
+  module Cell = struct
     type t = {
+      output : int;
+      outputs : int;
       fold : int;
       folds : int;
       n : int;
@@ -491,124 +435,51 @@ module Checkpoint = struct
       curve : float array;
     }
 
-    let plan_digest = digest_ints
+    let plan_digest v =
+      Array.fold_left (fun h x -> fnv_fold h (Int64.of_int x)) fnv_offset v
 
-    let fold_file base q = Printf.sprintf "%s.fold%d" base q
+    let file base ~outputs r q =
+      if outputs = 1 then Printf.sprintf "%s.fold%d" base q
+      else Printf.sprintf "%s.out%d.fold%d" base r q
 
-    let to_string c =
-      let buf = Buffer.create 512 in
-      Buffer.add_string buf "rsm-cv-ckpt 1\n";
-      Buffer.add_string buf (Printf.sprintf "fold %d\n" c.fold);
-      Buffer.add_string buf (Printf.sprintf "folds %d\n" c.folds);
-      Buffer.add_string buf (Printf.sprintf "n %d\n" c.n);
-      Buffer.add_string buf (Printf.sprintf "max_lambda %d\n" c.max_lambda);
-      Buffer.add_string buf (Printf.sprintf "plan_digest %Lx\n" c.plan_digest);
-      Buffer.add_string buf "curve";
-      Array.iter
-        (fun e -> Buffer.add_string buf (Printf.sprintf " %.17g" e))
-        c.curve;
-      Buffer.add_char buf '\n';
-      Buffer.contents buf
-
-    let of_string s =
-      let lines =
-        String.split_on_char '\n' s
-        |> List.map String.trim
-        |> List.filter (fun l -> l <> "")
-      in
-      let ( let* ) = Result.bind in
-      match lines with
-      | [ header; fold_l; folds_l; n_l; ml_l; digest_l; curve_l ]
-        when header = "rsm-cv-ckpt 1" ->
-          let* fold = field_of "fold" int_of_string_opt fold_l in
-          let* folds = field_of "folds" int_of_string_opt folds_l in
-          let* n = field_of "n" int_of_string_opt n_l in
-          let* max_lambda = field_of "max_lambda" int_of_string_opt ml_l in
-          let* plan_digest = field_of "plan_digest" hex64_of_string digest_l in
-          let* curve =
-            field_of "curve"
-              (fun rest ->
-                let toks =
-                  String.split_on_char ' ' rest
-                  |> List.filter (fun t -> t <> "")
-                in
-                let parsed = List.map float_of_string_opt toks in
-                if List.exists Option.is_none parsed then None
-                else Some (Array.of_list (List.map Option.get parsed)))
-              curve_l
-          in
-          if folds < 2 then Error "fewer than 2 folds"
-          else if fold < 0 || fold >= folds then Error "fold index out of range"
-          else if n <= 0 then Error "non-positive sample count"
-          else if max_lambda <= 0 then Error "non-positive max_lambda"
-          else if Array.length curve <> max_lambda then
-            Error
-              (Printf.sprintf "curve has %d entries, expected %d"
-                 (Array.length curve) max_lambda)
-          else Ok { fold; folds; n; max_lambda; plan_digest; curve }
-      | first :: _ when first <> "rsm-cv-ckpt 1" ->
-          Error ("unrecognized fold-checkpoint header: " ^ first)
-      | _ -> Error "truncated fold checkpoint"
-
-    let save path c = atomic_write path (to_string c)
-
-    let load path = read_file path of_string
-  end
-
-  (* Multi-output CV manifest: one file naming the (outputs × folds)
-     grid, with each output's fold curves checkpointed as ordinary Cv
-     files under a per-output base — a resumed multi-output sweep
-     validates the grid shape once here and then reuses the whole Cv
-     load/validate path per fold file. *)
-  module Multi = struct
-    type t = {
-      outputs : int;
-      folds : int;
-      n : int;
-      max_lambda : int;
-      plan_digest : int64;
-    }
-
-    let manifest_file base = base ^ ".multi"
-
-    let output_base base r = Printf.sprintf "%s.out%d" base r
+    let header = "rsm-cv-ckpt 2"
 
     let to_string c =
-      let buf = Buffer.create 128 in
-      Buffer.add_string buf "rsm-multi-ckpt 1\n";
-      Buffer.add_string buf (Printf.sprintf "outputs %d\n" c.outputs);
-      Buffer.add_string buf (Printf.sprintf "folds %d\n" c.folds);
-      Buffer.add_string buf (Printf.sprintf "n %d\n" c.n);
-      Buffer.add_string buf (Printf.sprintf "max_lambda %d\n" c.max_lambda);
-      Buffer.add_string buf (Printf.sprintf "plan_digest %Lx\n" c.plan_digest);
-      Buffer.contents buf
+      render header
+        [
+          ("output", int c.output);
+          ("outputs", int c.outputs);
+          ("fold", int c.fold);
+          ("folds", int c.folds);
+          ("n", int c.n);
+          ("max_lambda", int c.max_lambda);
+          ("plan_digest", hex c.plan_digest);
+          ("curve", list float c.curve);
+        ]
 
-    let of_string s =
-      let lines =
-        String.split_on_char '\n' s
-        |> List.map String.trim
-        |> List.filter (fun l -> l <> "")
-      in
-      let ( let* ) = Result.bind in
-      match lines with
-      | [ header; outputs_l; folds_l; n_l; ml_l; digest_l ]
-        when header = "rsm-multi-ckpt 1" ->
-          let* outputs = field_of "outputs" int_of_string_opt outputs_l in
-          let* folds = field_of "folds" int_of_string_opt folds_l in
-          let* n = field_of "n" int_of_string_opt n_l in
-          let* max_lambda = field_of "max_lambda" int_of_string_opt ml_l in
-          let* plan_digest = field_of "plan_digest" hex64_of_string digest_l in
-          if outputs < 1 then Error "non-positive output count"
-          else if folds < 2 then Error "fewer than 2 folds"
-          else if n <= 0 then Error "non-positive sample count"
-          else if max_lambda <= 0 then Error "non-positive max_lambda"
-          else Ok { outputs; folds; n; max_lambda; plan_digest }
-      | first :: _ when first <> "rsm-multi-ckpt 1" ->
-          Error ("unrecognized multi-checkpoint header: " ^ first)
-      | _ -> Error "truncated multi checkpoint"
+    let read cur =
+      let output = read_int cur "output" in
+      let outputs = read_int cur "outputs" in
+      let fold = read_int cur "fold" in
+      let folds = read_int cur "folds" in
+      let n = read_int cur "n" in
+      let max_lambda = read_int cur "max_lambda" in
+      let plan_digest = read_hex cur "plan_digest" in
+      let curve = field cur "curve" (items float_of_string_opt) in
+      if outputs < 1 then malformed "non-positive output count";
+      if output < 0 || output >= outputs then
+        malformed "output index out of range";
+      if folds < 2 then malformed "fewer than 2 folds";
+      if fold < 0 || fold >= folds then malformed "fold index out of range";
+      if n <= 0 then malformed "non-positive sample count";
+      if max_lambda <= 0 then malformed "non-positive max_lambda";
+      if Array.length curve <> max_lambda then
+        malformed "curve has %d entries, expected %d" (Array.length curve)
+          max_lambda;
+      { output; outputs; fold; folds; n; max_lambda; plan_digest; curve }
 
+    let of_string s = parse ~header ~to_string read s
     let save path c = atomic_write path (to_string c)
-
     let load path = read_file path of_string
   end
 end

@@ -24,7 +24,8 @@ val of_string : string -> (Model.t, string) result
     numbers). *)
 
 val save : string -> Model.t -> unit
-(** [save path m] writes the model to [path] (truncating).
+(** [save path m] writes the model to [path] through a temp file and a
+    rename, so a crash mid-write leaves the previous file whole.
     @raise Sys_error on IO failure. *)
 
 val load : string -> (Model.t, string) result
@@ -46,62 +47,36 @@ val file_digest : string -> (int64, string) result
 (** [file_digest path] digests the raw bytes of [path] (read in binary
     mode). IO failures are reported as [Error]. *)
 
-(** Crash-safe persistence of greedy-solver progress.
+(** Crash-safe persistence of walk and cross-validation progress.
 
-    A long OMP/STAR fit on a large dictionary can run for hours; a
-    killed process should not mean starting over. The checkpoint records
-    the selected support (plus the initial-correlation scale of the
-    relative stopping test) — everything else (Gram factor, coefficients,
-    residual) is replayed bit-for-bit from the design provider on
-    resume, at O(K·p²) replay cost instead of O(K·M·p) fitting cost.
-
-    Format (version 1):
-    {v
-    rsm-ckpt 1
-    solver <omp|star>
-    k <K>
-    m <M>
-    scale <initial correlation, %.17g>
-    iter <p>
-    support <j_0> ... <j_{p-1}>
-    v} *)
+    Two records share one writer — write-then-rename, like {!save} —
+    and one line reader: a header naming the format, then one
+    ["<name> <value>"] line per field, an empty value printing as the
+    bare name. A file parses only when its bytes are exactly what
+    [to_string] writes for the record read, so every accepted file
+    round-trips. Files of the formats these records replaced
+    ([rsm-ckpt 1], [rsm-ckpt 2], [rsm-cv-ckpt 1], [rsm-multi-ckpt 1])
+    are refused with an [Error] naming the old format: a checkpoint is
+    resume state, so the remedy is to rerun without resuming. *)
 module Checkpoint : sig
-  type t = {
-    solver : string;  (** "omp" or "star" *)
-    k : int;  (** sample count the fit ran with *)
-    m : int;  (** dictionary size the fit ran with *)
-    scale : float;  (** initial correlation (stopping-test reference) *)
-    support : int array;  (** columns selected so far, selection order *)
-  }
+  (** {2 The walk log}
 
-  val to_string : t -> string
+      Every solver the paper compares is a path walk, and one event log
+      describes each: the column that entered, was banned or was
+      dropped at each step, plus the step length γ where the walk has
+      one (LAR and lasso; a greedy walk records [0]). A resume replays
+      the events against the design provider without the O(K·M)
+      correlation sweeps, then captures the record the replayed walk
+      would emit and compares it with the loaded one ({!verify}), so a
+      log from different data, another solver or another
+      [on_singular] policy is refused. For a greedy walk (OMP, STAR)
+      [active] is the support in selection order, [banned] is empty and
+      every event is an entry.
 
-  val of_string : string -> (t, string) result
-
-  val save : string -> t -> unit
-  (** Atomic write (temp file + rename): a crash mid-checkpoint never
-      corrupts the previous good checkpoint.
-      @raise Sys_error on IO failure. *)
-
-  val load : string -> (t, string) result
-
-  (** Versioned checkpoint of the LARS equiangular walk.
-
-      Unlike OMP/STAR, the LARS path state is not just a support: the
-      walk's history (entering order, signs, per-step gamma, lasso
-      drops, banned dependent columns) determines every later step. The
-      record is an event log — one line per path step — replayed
-      bit-for-bit against the design provider on resume, at O(K·p²)
-      replay cost (no O(K·M) correlation sweeps). FNV-1a digests of the
-      [mu]/[beta] vectors guard against resuming with a different
-      dataset, mode or [on_singular] policy than the one that wrote the
-      checkpoint.
-
-      Format (version 2):
+      Format (version 3):
       {v
-      rsm-ckpt 2
-      solver lars
-      mode <lar|lasso>
+      rsm-ckpt 3
+      solver <omp|star|lar|lasso>
       k <K>
       m <M>
       scale <initial correlation, %.17g>
@@ -115,57 +90,93 @@ module Checkpoint : sig
       mu_digest <hex64>
       beta_digest <hex64>
       v} *)
-  module Lars : sig
-    type event = {
-      added : int;  (** entering column this step, or -1 *)
-      banned : int;  (** column banned as dependent this step, or -1 *)
-      dropped : int;  (** lasso zero-crossing drop this step, or -1 *)
-      gamma : float;  (** step length taken along the equiangular direction *)
-    }
 
-    type t = {
-      mode : string;  (** "lar" or "lasso" *)
-      k : int;
-      m : int;
-      scale : float;  (** initial correlation (stopping-test reference) *)
-      active : int array;  (** active set in insertion order *)
-      signs : float array;  (** correlation signs, aligned with [active] *)
-      banned : int array;  (** columns excluded as linearly dependent *)
-      events : event array;  (** one entry per completed path step *)
-      notes : string array;  (** degradation notes accumulated so far *)
-      mu_digest : int64;  (** FNV-1a digest of the fit vector's float bits *)
-      beta_digest : int64;  (** FNV-1a digest of the coefficient vector *)
-    }
+  type event = {
+    added : int;  (** entering column this step, or -1 *)
+    banned : int;  (** column banned as dependent this step, or -1 *)
+    dropped : int;  (** lasso zero-crossing drop this step, or -1 *)
+    gamma : float;  (** step length along the equiangular direction *)
+  }
 
-    val digest : float array -> int64
-    (** FNV-1a 64-bit over the IEEE-754 bit patterns, in index order.
-        Bitwise-sensitive: any ULP difference changes the digest. *)
+  type t = {
+    solver : string;  (** "omp", "star", "lar" or "lasso" *)
+    k : int;  (** sample count the walk ran with *)
+    m : int;  (** dictionary size the walk ran with *)
+    scale : float;  (** initial correlation (stopping-test reference) *)
+    active : int array;  (** active set (greedy: support) in insertion order *)
+    signs : int array;
+        (** signs of the active columns' residual correlations, +1/-1 *)
+    banned : int array;  (** columns excluded as linearly dependent *)
+    events : event array;  (** one entry per completed step *)
+    notes : string array;  (** degradation notes accumulated so far *)
+    mu_digest : int64;
+        (** digest of the walk's K-vector state: the fit vector of a
+            LAR/lasso walk, the residual of a greedy walk *)
+    beta_digest : int64;  (** digest of the coefficient vector *)
+  }
 
-    val to_string : t -> string
+  val digest : float array -> int64
+  (** FNV-1a 64-bit over the IEEE-754 bit patterns, in index order.
+      Bitwise-sensitive: any ULP difference changes the digest. *)
 
-    val of_string : string -> (t, string) result
+  val to_string : t -> string
 
-    val save : string -> t -> unit
-    (** Atomic write, like {!Checkpoint.save}.
-        @raise Sys_error on IO failure. *)
+  val of_string : string -> (t, string) result
+  (** [Error] names the first problem: an old or unknown header, a
+      missing or malformed field, an index out of range, a non-finite
+      scale or step length, or bytes [to_string] would not write. *)
 
-    val load : string -> (t, string) result
-  end
+  val save : string -> t -> unit
+  (** Atomic write (temp file + rename): a crash mid-checkpoint never
+      corrupts the previous good checkpoint.
+      @raise Sys_error on IO failure. *)
 
-  (** Per-fold checkpoints for cross-validation sweeps.
+  val load : string -> (t, string) result
 
-      A killed CV run resumes at the first unfinished fold: each
-      completed fold writes [<base>.fold<q>] holding its full error
-      curve at %.17g (exact double round-trip), so averaging loaded and
-      refitted curves in fold order is bitwise identical to the
-      uninterrupted sweep. [plan_digest] fingerprints the shuffled
-      fold-assignment plan, so a checkpoint from a different seed,
-      dataset size or fold count is rejected rather than silently
+  (** {2 The walk drivers' resume check and emission rule}
+
+      {!Greedy.path_p} (OMP, STAR) and the LARS walk ({!Lars.path_p})
+      both use these; [who] prefixes every message, e.g.
+      ["Omp.path: "]. *)
+
+  val check_problem : who:string -> solver:string -> k:int -> m:int -> t -> unit
+  (** Refuses a log of another solver or another problem shape.
+      @raise Invalid_argument naming the mismatch. *)
+
+  val verify : who:string -> expected:t -> t -> unit
+  (** [verify ~who ~expected got] compares a replayed walk's capture
+      [got] with the loaded log field by field: the active and banned
+      sets, the notes, the fit-vector and coefficient digests, the
+      signs, then the whole record.
+      @raise Invalid_argument on the first disagreement, e.g.
+      ["fit-vector digest mismatch (different data or flags?)"]. *)
+
+  val emitter :
+    every:int -> start:int -> ?after:(unit -> unit) -> (t -> unit) option ->
+    (unit -> t) -> final:bool -> int -> unit
+  (** [emitter ~every ~start on_checkpoint capture] is the one emission
+      rule: the returned [emit ~final n], called after each step with
+      the walk's event count [n], hands [capture ()] to the callback
+      when [n] passed the last emission ([start] at first) and either
+      [every > 0] divides [n] or [final] is set — so a finished walk
+      always leaves its full log. [after] runs after each emission. *)
+
+  (** {2 The CV cell}
+
+      One finished (output, fold) cell of a cross-validation grid: its
+      held-out error curve at %.17g (exact double round-trip), so
+      averaging loaded and refitted curves in fold order is bitwise
+      identical to the uninterrupted sweep. Each cell carries the
+      whole grid's shape and [plan_digest] fingerprints the shuffled
+      fold-assignment plan, so a cell from a different seed, dataset
+      size, fold count, output count or λ grid is refused rather than
       blended in.
 
-      Format (version 1):
+      Format (version 2):
       {v
-      rsm-cv-ckpt 1
+      rsm-cv-ckpt 2
+      output <r>
+      outputs <R>
       fold <q>
       folds <Q>
       n <samples>
@@ -173,61 +184,25 @@ module Checkpoint : sig
       plan_digest <hex64>
       curve <e_1> ... <e_L>          (%.17g)
       v} *)
-  module Cv : sig
+  module Cell : sig
     type t = {
+      output : int;  (** output index in [0, outputs) *)
+      outputs : int;
       fold : int;  (** fold index in [0, folds) *)
       folds : int;
       n : int;  (** dataset size the plan was built for *)
       max_lambda : int;
       plan_digest : int64;  (** FNV-1a digest of the fold-assignment plan *)
-      curve : float array;  (** held-out error per lambda, length max_lambda *)
+      curve : float array;  (** held-out error per λ, length max_lambda *)
     }
 
     val plan_digest : int array -> int64
     (** FNV-1a 64-bit over the per-sample fold assignments. *)
 
-    val fold_file : string -> int -> string
-    (** [fold_file base q] is the checkpoint path for fold [q]:
-        ["<base>.fold<q>"]. *)
-
-    val to_string : t -> string
-
-    val of_string : string -> (t, string) result
-
-    val save : string -> t -> unit
-    (** Atomic write, like {!Checkpoint.save}.
-        @raise Sys_error on IO failure. *)
-
-    val load : string -> (t, string) result
-  end
-
-  (** Multi-output CV manifest. One file at ["<base>.multi"] records
-      the (outputs × folds) grid shape; each output [r]'s fold curves
-      are ordinary {!Cv} files under the per-output base
-      [output_base base r], i.e. at ["<base>.out<r>.fold<q>"]. Format:
-      {v
-      rsm-multi-ckpt 1
-      outputs <R>
-      folds <Q>
-      n <samples>
-      max_lambda <L>
-      plan_digest <hex64>
-      v} *)
-  module Multi : sig
-    type t = {
-      outputs : int;
-      folds : int;
-      n : int;  (** dataset size the plan was built for *)
-      max_lambda : int;
-      plan_digest : int64;  (** FNV-1a digest of the fold-assignment plan *)
-    }
-
-    val manifest_file : string -> string
-    (** [manifest_file base] is ["<base>.multi"]. *)
-
-    val output_base : string -> int -> string
-    (** [output_base base r] is ["<base>.out<r>"] — the {!Cv} base for
-        output [r]'s fold files. *)
+    val file : string -> outputs:int -> int -> int -> string
+    (** [file base ~outputs r q] is cell [(r, q)]'s path:
+        ["<base>.fold<q>"] when [outputs = 1],
+        ["<base>.out<r>.fold<q>"] otherwise. *)
 
     val to_string : t -> string
 

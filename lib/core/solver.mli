@@ -112,11 +112,10 @@ val fit_multi_p :
     every domain count and in both provider forms, and [rng] ends where
     that one {!fit_cv_p} call leaves it.
 
-    [cv_checkpoint = base] writes a {!Serialize.Checkpoint.Multi}
-    manifest at [base.multi] and checkpoints output [r] under
-    {!Serialize.Checkpoint.Multi.output_base}[ base r] in either driver,
-    so a run interrupted in one driver — say a streamed fit — resumes
-    bitwise in the other, as a dense fit.
+    [cv_checkpoint = base] checkpoints cell [(r, q)] at
+    {!Serialize.Checkpoint.Cell.file}[ base ~outputs r q] in either
+    driver, so a run interrupted in one driver — say a streamed fit —
+    resumes bitwise in the other, as a dense fit.
 
     [notes] supplies one provenance-note array per output.
     @raise Invalid_argument when {!check_sweep} rejects [sweep], [fs]

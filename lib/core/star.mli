@@ -51,9 +51,10 @@ val path_p :
   step array
 (** {!Greedy.path_p} driving {!Engine} — the driver {!Omp.path_p} runs
     too, with the same contract and solver tag ["star"]: one record per
-    iteration, early stop on vanishing correlation, checkpoints storing
-    the selection order (a resume replays the matching-pursuit
-    coefficient and residual updates from the provider), and bitwise
+    iteration, early stop on vanishing correlation, the walk log
+    ({!Serialize.Checkpoint.t}) storing the selection order (a resume
+    replays the matching-pursuit coefficient and residual updates from
+    the provider and checks the replay's digests), and bitwise
     identical results for every domain count, provider form and shard
     count. [max_lambda] may not exceed [M] (there is no LS system to
     keep over-determined, so [K] is not a bound). *)

@@ -297,9 +297,9 @@ val fit_multi :
     ["degraded: ..."] note on {e every} model. The grid runs on the
     fused driver exactly when {!Rsm.Select.fused_driver} holds
     ([config.streamed], exact sweep, one shard), on the per-job driver
-    otherwise (see {!Rsm.Solver.fit_multi_p}); either way output [r]
-    checkpoints under
-    [Serialize.Checkpoint.Multi.output_base config.checkpoint r], the
+    otherwise (see {!Rsm.Solver.fit_multi_p}); either way cell
+    [(r, q)] checkpoints at
+    [Serialize.Checkpoint.Cell.file config.checkpoint ~outputs r q], the
     fitted models are bitwise identical across the two drivers, at
     every domain count, dense or streamed, and the fit leaves the
     generator in the same state. *)

@@ -537,8 +537,8 @@ let test_burst_cv_resume_bitwise () =
     (fun () ->
       let base = Filename.concat dir "cv" in
       ignore (run ~checkpoint:base ());
-      Sys.remove (Rsm.Serialize.Checkpoint.Cv.fold_file base 2);
-      Sys.remove (Rsm.Serialize.Checkpoint.Cv.fold_file base 3);
+      Sys.remove (Rsm.Serialize.Checkpoint.Cell.file base ~outputs:1 0 2);
+      Sys.remove (Rsm.Serialize.Checkpoint.Cell.file base ~outputs:1 0 3);
       let resumed = run ~checkpoint:base ~resume:true () in
       check_bool "burst-trained sweep resumes bitwise" true
         (fingerprint resumed = fingerprint full))

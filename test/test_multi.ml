@@ -17,9 +17,9 @@
      design) drivers agree bitwise, both agree with R independent
      fit_cv_p calls, and both leave the caller's generator where one
      fit_cv_p leaves it.
-   - the Multi checkpoint manifest + per-output Cv fold files resume
-     bitwise after deleting arbitrary cells, resume across drivers
-     (fused grid <-> per-job), and reject mismatched shapes.
+   - the grid's Cell checkpoint files resume bitwise after deleting
+     arbitrary cells, resume across drivers (fused grid <-> per-job),
+     and each cell rejects a sweep of another grid shape.
    - Select.fused_driver is the one rule: fused exactly when the design
      is streamed, the sweep exact and the fit unsharded;
      Pipeline.fit_multi rejects adaptive retry as Error (Config _).
@@ -429,7 +429,7 @@ let test_multi_checkpoint_resume () =
       let rng, basis, pts, g = random_setting 8 in
       let src_s = P.streamed basis pts and src_d = P.dense g in
       let fs = Array.init 3 (fun _ -> sparse_response rng src_d) in
-      let module M = Rsm.Serialize.Checkpoint.Multi in
+      let module Cell = Rsm.Serialize.Checkpoint.Cell in
       (* The streamed design runs the fused grid, the dense one the
          per-job driver. *)
       let run ?checkpoint ?resume src =
@@ -440,10 +440,16 @@ let test_multi_checkpoint_resume () =
       let reference = run src_s in
       let first = run ~checkpoint:base src_s in
       check_bool "checkpointed run equals plain run" true (reference = first);
-      check_bool "manifest written" true (Sys.file_exists (M.manifest_file base));
       (* Kill a few grid cells — one whole output and one stray fold —
          and resume: only those refit, result bitwise unchanged. *)
-      let cell r q = Rsm.Serialize.Checkpoint.Cv.fold_file (M.output_base base r) q in
+      let cell r q = Cell.file base ~outputs:3 r q in
+      check_bool "every cell written" true
+        (List.for_all
+           (fun (r, q) -> Sys.file_exists (cell r q))
+           (List.concat_map
+              (fun r -> List.init 4 (fun q -> (r, q)))
+              [ 0; 1; 2 ]));
+      check_bool "no manifest file" false (Sys.file_exists (base ^ ".multi"));
       for q = 0 to 3 do
         Sys.remove (cell 1 q)
       done;
@@ -452,10 +458,8 @@ let test_multi_checkpoint_resume () =
       check_bool "resume after deleted cells is bitwise equal" true
         (reference = resumed);
       (* Cross-driver resume: the per-job driver reads the cell files
-         the fused grid wrote, refits the missing one and writes the
-         manifest too ... *)
+         the fused grid wrote and refits the missing one ... *)
       Sys.remove (cell 0 2);
-      Sys.remove (M.manifest_file base);
       let per_job =
         Array.map model_bits
           (Rsm.Solver.fit_multi_p ~max_lambda:5 ~cv_checkpoint:base
@@ -464,8 +468,6 @@ let test_multi_checkpoint_resume () =
       let ref_models = Array.map (fun (_, _, m) -> m) reference in
       check_bool "per-job resume from fused checkpoints is bitwise equal"
         true (per_job = ref_models);
-      check_bool "per-job driver writes the manifest" true
-        (Sys.file_exists (M.manifest_file base));
       check_bool "per-job driver rewrites the missing cell" true
         (Sys.file_exists (cell 0 2));
       (* ... and the fused grid resumes from the per-job driver's. *)
@@ -473,10 +475,14 @@ let test_multi_checkpoint_resume () =
       check_bool "fused resume from per-job checkpoints is bitwise equal"
         true
         (run ~checkpoint:base ~resume:true src_s = reference);
-      (* A manifest that disagrees with the grid shape is rejected. *)
+      (* A cell that disagrees with the grid shape is rejected: another
+         λ grid, or another output count reading the same file names. *)
       check_raises_invalid "mismatched max_lambda rejected" (fun () ->
           Rsm.Select.lars_multi_p ~checkpoint:base ~resume:true
-            (Randkit.Prng.create 21) ~max_lambda:6 src_d fs))
+            (Randkit.Prng.create 21) ~max_lambda:6 src_d fs);
+      check_raises_invalid "mismatched output count rejected" (fun () ->
+          Rsm.Select.lars_multi_p ~checkpoint:base ~resume:true
+            (Randkit.Prng.create 21) ~max_lambda:5 src_d (Array.sub fs 0 2)))
 
 (* --- the one driver rule ---------------------------------------------- *)
 

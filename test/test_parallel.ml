@@ -311,7 +311,7 @@ let test_cv_resume_domain_parity () =
       Sys.rmdir dir)
     (fun () ->
       let base = Filename.concat dir "cv" in
-      let fold_file = Rsm.Serialize.Checkpoint.Cv.fold_file base in
+      let fold_file = Rsm.Serialize.Checkpoint.Cell.file base ~outputs:1 0 in
       ignore (run ~checkpoint:base ());
       let results =
         with_pools (fun pool ->

@@ -244,30 +244,42 @@ let test_lars_on_singular_bans_column () =
 
 (* --- checkpoint / resume ------------------------------------------- *)
 
+module Ckpt = Rsm.Serialize.Checkpoint
+module Cell = Rsm.Serialize.Checkpoint.Cell
+
+(* The walk log of a greedy path: its support as entry events. *)
+let greedy_log solver ?(k = 120) ?(m = 300) support =
+  {
+    Ckpt.solver;
+    k;
+    m;
+    scale = 17.25;
+    active = support;
+    signs = Array.map (fun j -> if j mod 2 = 0 then 1 else -1) support;
+    banned = [||];
+    events =
+      Array.map
+        (fun j -> { Ckpt.added = j; banned = -1; dropped = -1; gamma = 0. })
+        support;
+    notes = [||];
+    mu_digest = Ckpt.digest [| 1.5 |];
+    beta_digest = Ckpt.digest [| -2. |];
+  }
+
 let test_checkpoint_string_roundtrip () =
-  let c =
-    {
-      Rsm.Serialize.Checkpoint.solver = "omp";
-      k = 120;
-      m = 300;
-      scale = 17.25;
-      support = [| 4; 0; 299 |];
-    }
-  in
-  (match Rsm.Serialize.Checkpoint.of_string
-           (Rsm.Serialize.Checkpoint.to_string c)
-   with
+  let c = greedy_log "omp" [| 4; 0; 299 |] in
+  (match Ckpt.of_string (Ckpt.to_string c) with
   | Ok c' -> check_bool "record round-trips" true (c = c')
   | Error e -> Alcotest.failf "roundtrip: %s" e);
-  (match Rsm.Serialize.Checkpoint.of_string "not-a-checkpoint" with
+  (match Ckpt.of_string "not-a-checkpoint" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage header must not parse");
   let tmp = Filename.temp_file "ckpt" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove tmp)
     (fun () ->
-      Rsm.Serialize.Checkpoint.save tmp c;
-      match Rsm.Serialize.Checkpoint.load tmp with
+      Ckpt.save tmp c;
+      match Ckpt.load tmp with
       | Ok c' -> check_bool "file round-trips" true (c = c')
       | Error e -> Alcotest.failf "load: %s" e)
 
@@ -321,14 +333,12 @@ let check_raises_message msg expected f =
 
 let test_resume_validation () =
   let src, f = sparse_problem ~k:40 ~m:25 903 in
-  let ckpt solver support =
-    { Rsm.Serialize.Checkpoint.solver; k = 40; m = 25; scale = 1.; support }
-  in
+  let ckpt solver support = greedy_log solver ~k:40 ~m:25 support in
   check_raises_invalid "wrong solver tag" (fun () ->
       Rsm.Omp.fit_p ~resume:(ckpt "star" [| 0 |]) src f ~lambda:4);
   check_raises_invalid "wrong shape" (fun () ->
       Rsm.Omp.fit_p
-        ~resume:{ (ckpt "omp" [| 0 |]) with Rsm.Serialize.Checkpoint.m = 99 }
+        ~resume:{ (ckpt "omp" [| 0 |]) with Ckpt.m = 99 }
         src f ~lambda:4);
   check_raises_invalid "duplicate support" (fun () ->
       Rsm.Omp.fit_p ~resume:(ckpt "omp" [| 3; 3 |]) src f ~lambda:4);
@@ -346,7 +356,7 @@ let test_resume_validation () =
       Rsm.Star.fit_p ~resume:(ckpt "omp" [| 0 |]) src f ~lambda:4);
   check_raises_invalid "star: wrong shape" (fun () ->
       Rsm.Star.fit_p
-        ~resume:{ (ckpt "star" [| 0 |]) with Rsm.Serialize.Checkpoint.m = 99 }
+        ~resume:{ (ckpt "star" [| 0 |]) with Ckpt.m = 99 }
         src f ~lambda:4);
   check_raises_invalid "star: duplicate support" (fun () -> star [| 3; 3 |]);
   check_raises_invalid "star: support out of range" (fun () -> star [| 25 |]);
@@ -364,6 +374,36 @@ let test_resume_validation () =
         [ 25; -1 ])
     [ ("Omp", omp); ("Star", star) ]
 
+(* A walk log carries its state digests, so a greedy log resumed on
+   another response of the same shape is refused instead of continuing
+   from a support the new data never selected. *)
+let test_greedy_foreign_data_resume () =
+  let src, f1 = sparse_problem ~k:40 ~m:25 910 in
+  let f2 = Randkit.Gaussian.vector (Randkit.Prng.create 911) 40 in
+  List.iter
+    (fun (solver, path_p, fit_p) ->
+      let log = ref None in
+      ignore (path_p ~on_checkpoint:(fun c -> log := Some c) src f1);
+      let log = Option.get !log in
+      check_int (solver ^ ": one-step log") 1 (Array.length log.Ckpt.events);
+      check_raises_message (solver ^ ": foreign response refused")
+        (solver
+        ^ ".path: fit-vector digest mismatch (different data or flags?)")
+        (fun () -> fit_p (Some log) src f2);
+      check_bool (solver ^ ": same response resumes") true
+        (Rsm.Serialize.to_string (fit_p (Some log) src f1)
+        = Rsm.Serialize.to_string (fit_p None src f1)))
+    [
+      ( "Omp",
+        (fun ~on_checkpoint src f ->
+          ignore (Rsm.Omp.path_p ~on_checkpoint src f ~max_lambda:1)),
+        fun resume src f -> Rsm.Omp.fit_p ?resume src f ~lambda:4 );
+      ( "Star",
+        (fun ~on_checkpoint src f ->
+          ignore (Rsm.Star.path_p ~on_checkpoint src f ~max_lambda:1)),
+        fun resume src f -> Rsm.Star.fit_p ?resume src f ~lambda:4 );
+    ]
+
 let test_terminal_checkpoint_emitted () =
   (* A path whose length is not a multiple of the cadence must still
      leave a checkpoint of its completed self; and a callback with the
@@ -371,8 +411,8 @@ let test_terminal_checkpoint_emitted () =
   let src, f = sparse_problem ~k:40 ~m:25 908 in
   let terminal name path_with =
     let supports = ref [] in
-    path_with ~on_checkpoint:(fun (c : Rsm.Serialize.Checkpoint.t) ->
-        supports := Array.length c.Rsm.Serialize.Checkpoint.support :: !supports);
+    path_with ~on_checkpoint:(fun (c : Ckpt.t) ->
+        supports := Array.length c.Ckpt.active :: !supports);
     match !supports with
     | last :: _ -> check_int (name ^ ": terminal checkpoint is full") 5 last
     | [] -> Alcotest.fail (name ^ ": no checkpoint emitted")
@@ -389,9 +429,6 @@ let test_terminal_checkpoint_emitted () =
   check_int "cadence off: exactly the terminal checkpoint" 1 !count
 
 (* --- LARS checkpoint / resume -------------------------------------- *)
-
-module LarsCkpt = Rsm.Serialize.Checkpoint.Lars
-module CvCkpt = Rsm.Serialize.Checkpoint.Cv
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -457,72 +494,88 @@ let test_lars_checkpoint_roundtrip () =
      then a lasso drop of 3 — final active {0}. *)
   let c =
     {
-      LarsCkpt.mode = "lasso";
+      Ckpt.solver = "lasso";
       k = 20;
       m = 6;
       scale = 4.5;
       active = [| 0 |];
-      signs = [| -1. |];
+      signs = [| -1 |];
       banned = [| 2 |];
       events =
         [|
-          { LarsCkpt.added = 3; banned = -1; dropped = -1; gamma = 0.25 };
-          { LarsCkpt.added = -1; banned = 2; dropped = -1; gamma = 0. };
-          { LarsCkpt.added = 0; banned = -1; dropped = -1; gamma = 0.125 };
-          { LarsCkpt.added = -1; banned = -1; dropped = 3; gamma = 1e-3 };
+          { Ckpt.added = 3; banned = -1; dropped = -1; gamma = 0.25 };
+          { Ckpt.added = -1; banned = 2; dropped = -1; gamma = 0. };
+          { Ckpt.added = 0; banned = -1; dropped = -1; gamma = 0.125 };
+          { Ckpt.added = -1; banned = -1; dropped = 3; gamma = 1e-3 };
         |];
       notes = [| "lars: banned dependent column 2" |];
-      mu_digest = LarsCkpt.digest [| 0.5; -1.25 |];
-      beta_digest = LarsCkpt.digest [| 0.; 3.5 |];
+      mu_digest = Ckpt.digest [| 0.5; -1.25 |];
+      beta_digest = Ckpt.digest [| 0.; 3.5 |];
     }
   in
-  (match LarsCkpt.of_string (LarsCkpt.to_string c) with
+  (match Ckpt.of_string (Ckpt.to_string c) with
   | Ok c' -> check_bool "lars record round-trips" true (c = c')
   | Error e -> Alcotest.failf "lars roundtrip: %s" e);
-  (match LarsCkpt.of_string "not-a-checkpoint" with
+  (match Ckpt.of_string "not-a-checkpoint" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage must not parse");
-  (match
-     LarsCkpt.of_string (Rsm.Serialize.Checkpoint.to_string
-        { Rsm.Serialize.Checkpoint.solver = "omp"; k = 20; m = 6; scale = 1.;
-          support = [| 0 |] })
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a v1 checkpoint must not parse as a LARS log");
+  (* The formats the walk log replaced are refused by name, with the
+     remedy, never converted. *)
+  List.iter
+    (fun (header, reader) ->
+      match reader (header ^ "\nsolver lars\nk 20\nm 6\n") with
+      | Error e ->
+          check_bool (header ^ " refused by name") true
+            (contains e ("'" ^ header ^ "'")
+            && contains e "rerun without --resume")
+      | Ok () -> Alcotest.failf "%s must not parse" header)
+    [
+      ("rsm-ckpt 1", fun s -> Result.map ignore (Ckpt.of_string s));
+      ("rsm-ckpt 2", fun s -> Result.map ignore (Ckpt.of_string s));
+      ("rsm-cv-ckpt 1", fun s -> Result.map ignore (Cell.of_string s));
+      ("rsm-multi-ckpt 1", fun s -> Result.map ignore (Cell.of_string s));
+    ];
   let tmp = Filename.temp_file "lars-ckpt" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove tmp)
     (fun () ->
-      LarsCkpt.save tmp c;
-      match LarsCkpt.load tmp with
+      Ckpt.save tmp c;
+      match Ckpt.load tmp with
       | Ok c' -> check_bool "lars file round-trips" true (c = c')
       | Error e -> Alcotest.failf "lars load: %s" e)
 
 let test_cv_checkpoint_roundtrip () =
-  check_bool "fold file naming" true
-    (CvCkpt.fold_file "/tmp/x/cv" 3 = "/tmp/x/cv.fold3");
+  check_bool "single-output cell naming" true
+    (Cell.file "/tmp/x/cv" ~outputs:1 0 3 = "/tmp/x/cv.fold3");
+  check_bool "multi-output cell naming" true
+    (Cell.file "/tmp/x/cv" ~outputs:4 2 3 = "/tmp/x/cv.out2.fold3");
   let c =
     {
-      CvCkpt.fold = 1;
+      Cell.output = 2;
+      outputs = 3;
+      fold = 1;
       folds = 4;
       n = 80;
       max_lambda = 6;
-      plan_digest = CvCkpt.plan_digest [| 0; 1; 2; 3; 0; 1 |];
+      plan_digest = Cell.plan_digest [| 0; 1; 2; 3; 0; 1 |];
       curve = [| 0.5; 0.25; 0.125; 0.1; 0.25; 0.5 |];
     }
   in
-  (match CvCkpt.of_string (CvCkpt.to_string c) with
+  (match Cell.of_string (Cell.to_string c) with
   | Ok c' -> check_bool "cv record round-trips" true (c = c')
   | Error e -> Alcotest.failf "cv roundtrip: %s" e);
-  (match CvCkpt.of_string "rsm-cv-ckpt 9\n" with
+  (match Cell.of_string "rsm-cv-ckpt 9\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown cv version must not parse");
+  (match Cell.of_string (Cell.to_string { c with Cell.output = 3 }) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "output index past the grid must not parse");
   let tmp = Filename.temp_file "cv-ckpt" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove tmp)
     (fun () ->
-      CvCkpt.save tmp c;
-      match CvCkpt.load tmp with
+      Cell.save tmp c;
+      match Cell.load tmp with
       | Ok c' -> check_bool "cv file round-trips" true (c = c')
       | Error e -> Alcotest.failf "cv load: %s" e)
 
@@ -553,7 +606,7 @@ let test_lars_resume_bitwise () =
            src f ~max_steps:8);
       (* "Kill" after the first cadence checkpoint (two events in). *)
       let kill = List.hd (List.rev !ckpts) in
-      check_int "kill point is mid-path" 2 (Array.length kill.LarsCkpt.events);
+      check_int "kill point is mid-path" 2 (Array.length kill.Ckpt.events);
       let resumed =
         Rsm.Lars.path_p ~mode ~on_singular:`Fallback ~resume:kill src f
           ~max_steps:8
@@ -587,9 +640,9 @@ let test_lars_resume_with_ban_event () =
   (* The second checkpoint sits right after the ban's zero-length step. *)
   let kill = List.nth ordered 1 in
   check_bool "checkpoint carries the ban" true
-    (kill.LarsCkpt.banned = [| 1 |]
-    && Array.exists (fun (e : LarsCkpt.event) -> e.LarsCkpt.banned = 1)
-         kill.LarsCkpt.events);
+    (kill.Ckpt.banned = [| 1 |]
+    && Array.exists (fun (e : Ckpt.event) -> e.Ckpt.banned = 1)
+         kill.Ckpt.events);
   let resumed =
     Rsm.Lars.path_p ~tol:0. ~on_singular:`Fallback ~resume:kill src f
       ~max_steps:6
@@ -610,7 +663,7 @@ let test_lars_resume_validation () =
         src f ~max_steps:8);
   check_raises_invalid "wrong shape" (fun () ->
       Rsm.Lars.path_p ~on_singular:`Fallback
-        ~resume:{ ck with LarsCkpt.m = 99 }
+        ~resume:{ ck with Ckpt.m = 99 }
         src f ~max_steps:8);
   check_raises_invalid "different data" (fun () ->
       let src2, _ = sparse_problem ~k:40 ~m:25 906 in
@@ -652,14 +705,14 @@ let test_lars_checkpoint_at_budget () =
       src f ~max_steps:((2 * lambda) + 8)
   in
   let uncapped = Option.get !uncapped in
-  let n = Array.length capped.LarsCkpt.events in
+  let n = Array.length capped.Ckpt.events in
   let nnz i = Rsm.Model.nnz full.(i).Rsm.Lars.model in
   check_bool "capped log ends at the first step past lambda" true
     (nnz (n - 1) > lambda && nnz (n - 2) <= lambda);
   check_bool "uncapped log runs further" true
-    (Array.length uncapped.LarsCkpt.events > n);
+    (Array.length uncapped.Ckpt.events > n);
   check_bool "capped events are a prefix of the uncapped log" true
-    (capped.LarsCkpt.events = Array.sub uncapped.LarsCkpt.events 0 n);
+    (capped.Ckpt.events = Array.sub uncapped.Ckpt.events 0 n);
   let resumed, after = fit ~resume:uncapped () in
   check_bool "uncapped checkpoint resumes to the same model" true
     (resumed = model);
@@ -671,7 +724,7 @@ let test_lars_checkpoint_at_budget () =
        ~on_checkpoint:(fun c -> ckpts := c :: !ckpts)
        src f ~lambda);
   let kill = List.nth (List.rev !ckpts) 1 in
-  check_int "kill point is mid-walk" 2 (Array.length kill.LarsCkpt.events);
+  check_int "kill point is mid-walk" 2 (Array.length kill.Ckpt.events);
   let resumed, terminal = fit ~resume:kill () in
   check_bool "resumed capped fit is bitwise identical" true (resumed = model);
   check_bool "resumed walk ends with the same checkpoint" true
@@ -746,21 +799,22 @@ let test_cv_fold_checkpoint_resume () =
         check_bool
           (Printf.sprintf "fold %d checkpoint written" q)
           true
-          (Sys.file_exists (CvCkpt.fold_file base q))
+          (Sys.file_exists (Cell.file base ~outputs:1 0 q))
       done;
       (* Kill after two folds: later fold files never made it to disk. *)
-      Sys.remove (CvCkpt.fold_file base 2);
-      Sys.remove (CvCkpt.fold_file base 3);
+      Sys.remove (Cell.file base ~outputs:1 0 2);
+      Sys.remove (Cell.file base ~outputs:1 0 3);
       let resumed = run ~checkpoint:base ~resume:true () in
       check_bool "resumed sweep bitwise equals the full sweep" true
         (select_fingerprint resumed = select_fingerprint full);
       (* A fold record written under a different plan must be rejected,
          not silently averaged in. *)
-      (match CvCkpt.load (CvCkpt.fold_file base 0) with
+      let cell0 = Cell.file base ~outputs:1 0 0 in
+      (match Cell.load cell0 with
       | Error e -> Alcotest.failf "reload: %s" e
       | Ok c ->
-          CvCkpt.save (CvCkpt.fold_file base 0)
-            { c with CvCkpt.plan_digest = Int64.lognot c.CvCkpt.plan_digest });
+          Cell.save cell0
+            { c with Cell.plan_digest = Int64.lognot c.Cell.plan_digest });
       check_raises_invalid "foreign plan digest rejected" (fun () ->
           run ~checkpoint:base ~resume:true ()))
 
@@ -949,6 +1003,8 @@ let suite =
       case "resume: checkpoint validation" test_resume_validation;
       case "omp/star: terminal checkpoint always emitted"
         test_terminal_checkpoint_emitted;
+      case "omp/star: resume on another response is refused"
+        test_greedy_foreign_data_resume;
       case "lars: banned column takes a zero-length step"
         test_lars_ban_zero_step_regression;
       case "lars: checkpoint record round-trips"

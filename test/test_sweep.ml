@@ -471,7 +471,7 @@ let test_incremental_lar_resume_bitwise () =
         (List.length checkpoints >= 2);
       (* Resume from a mid-run snapshot (not the terminal one). *)
       let mid = List.nth checkpoints (List.length checkpoints / 2 - 1) in
-      let prefix = Array.length mid.Rsm.Serialize.Checkpoint.Lars.events in
+      let prefix = Array.length mid.Rsm.Serialize.Checkpoint.events in
       let resumed =
         Rsm.Lars.path_p ~mode:Rsm.Lars.Lasso ~pool ~sweep ~checkpoint_every:2
           ~on_checkpoint:(fun _ -> ())
@@ -704,7 +704,7 @@ let test_greedy_resume_bitwise () =
           let full =
             path ~shards
               ~on_checkpoint:(fun c ->
-                if Array.length c.Rsm.Serialize.Checkpoint.support = prefix
+                if Array.length c.Rsm.Serialize.Checkpoint.active = prefix
                 then saved := Some c)
               ~resume:None
           in
