@@ -70,6 +70,47 @@ let paper_table23 =
    bandwidth 2.94%, power 1.17%, offset 1.88% (1.5-3x better than \
    STAR/LAR)."
 
+(* The paper's Tables II–III orderings, as a gate: LAR and OMP each
+   beat LS (when its row ran) and STAR on every metric, OMP's mean
+   error over the metrics is at most LAR's, and OMP selects fewer bases
+   than LAR (Table III, metric gain). Returns one line per failed
+   ordering. *)
+let table23_orderings per_metric gain =
+  let find m os = List.find_opt (fun o -> o.method_ = m) os in
+  let name = Rsm.Solver.name in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  List.iter
+    (fun (metric, os) ->
+      List.iter
+        (fun w ->
+          List.iter
+            (fun l ->
+              match (find w os, find l os) with
+              | Some ow, Some ol when not (ow.error < ol.error) ->
+                  fail "%s: %s %s does not beat %s %s" metric (name w)
+                    (pct ow.error) (name l) (pct ol.error)
+              | _ -> ())
+            [ Rsm.Solver.Ls; Rsm.Solver.Star ])
+        [ Rsm.Solver.Lar; Rsm.Solver.Omp ])
+    per_metric;
+  let mean m =
+    let errs =
+      List.filter_map
+        (fun (_, os) -> Option.map (fun o -> o.error) (find m os))
+        per_metric
+    in
+    List.fold_left ( +. ) 0. errs /. float_of_int (List.length errs)
+  in
+  let omp = mean Rsm.Solver.Omp and lar = mean Rsm.Solver.Lar in
+  if not (omp <= lar) then
+    fail "mean error: OMP %s above LAR %s" (pct omp) (pct lar);
+  (match (find Rsm.Solver.Omp gain, find Rsm.Solver.Lar gain) with
+  | Some o, Some l when not (o.nnz < l.nnz) ->
+      fail "bases used: OMP %d not fewer than LAR %d" o.nnz l.nnz
+  | _ -> ());
+  List.rev !failures
+
 let tables_2_3 ~quick ~full () =
   let amp =
     if quick then Circuit.Opamp.build ~n_parasitics:50 ()
@@ -96,7 +137,7 @@ let tables_2_3 ~quick ~full () =
        infeasible, exactly the paper's point; LS row omitted.\n"
       k_ls m_quad m_quad;
   let lin_basis = Polybasis.Basis.constant_linear dim in
-  let err_rows = ref [] and cost_rows_acc = ref [] in
+  let err_rows = ref [] and per_metric = ref [] and gain = ref [] in
   List.iter
     (fun metric ->
       let sim = Circuit.Opamp.simulator amp metric in
@@ -120,12 +161,10 @@ let tables_2_3 ~quick ~full () =
               prep m)
           methods
       in
-      err_rows :=
-        (Circuit.Opamp.metric_name metric
-        :: List.map (fun o -> pct o.error) outcomes)
-        :: !err_rows;
-      if metric = Circuit.Opamp.Gain then
-        cost_rows_acc := cost_rows outcomes)
+      let name = Circuit.Opamp.metric_name metric in
+      err_rows := (name :: List.map (fun o -> pct o.error) outcomes) :: !err_rows;
+      per_metric := (name, outcomes) :: !per_metric;
+      if metric = Circuit.Opamp.Gain then gain := outcomes)
     Circuit.Opamp.all_metrics;
   let methods_hdr =
     if ls_feasible then List.map Rsm.Solver.name Rsm.Solver.all
@@ -135,7 +174,16 @@ let tables_2_3 ~quick ~full () =
     ~header:("metric" :: methods_hdr)
     (List.rev !err_rows);
   print_table ~title:"Table III: quadratic modeling cost (metric: gain)"
-    ~header:cost_header !cost_rows_acc
+    ~header:cost_header (cost_rows !gain);
+  match table23_orderings (List.rev !per_metric) !gain with
+  | [] ->
+      print_endline
+        "orderings: LAR, OMP beat LS, STAR on every metric; OMP mean <= LAR; \
+         OMP fewer bases than LAR - ok";
+      true
+  | failures ->
+      List.iter (Printf.printf "ordering failed: %s\n") failures;
+      false
 
 let paper_table4 =
   "Paper Table IV: SRAM read path, 21311 basis functions; LS 25000 \

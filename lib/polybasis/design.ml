@@ -1,45 +1,5 @@
 open Linalg
 
-let matrix_rows ?pool b samples =
-  let k = Array.length samples in
-  let m = Basis.size b in
-  let g = Mat.create k m in
-  if k > 0 then begin
-    Array.iter
-      (fun s ->
-        if Array.length s <> Basis.dim b then
-          invalid_arg "Design.matrix_rows: sample dimension mismatch")
-      samples;
-    let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
-    (* Row-parallel: each chunk owns a disjoint row block of [g] and its
-       own Hermite scratch tables, so rows are evaluated exactly as in a
-       sequential loop — the result is bitwise identical for every
-       domain count. *)
-    (* Per-row work is one term evaluation per column; the grain keeps
-       tiny designs on the sequential path. *)
-    let grain = Parallel.Pool.grain_for ~work:m in
-    if Basis.dim b = 0 then
-      Parallel.Pool.parallel_for pool ~grain ~lo:0 ~hi:k (fun i ->
-          for j = 0 to m - 1 do
-            Mat.unsafe_set g i j (Term.eval (Basis.term b j) samples.(i))
-          done)
-    else
-      Parallel.Pool.parallel_for_chunks pool ~grain ~lo:0 ~hi:k (fun ~lo ~hi ->
-          let tbl = Basis.make_tables b in
-          for i = lo to hi - 1 do
-            Basis.fill_tables b tbl samples.(i);
-            for j = 0 to m - 1 do
-              Mat.unsafe_set g i j (Term.eval_tables (Basis.term b j) tbl)
-            done
-          done)
-  end;
-  g
-
-let matrix ?pool b samples =
-  if Mat.cols samples <> Basis.dim b then
-    invalid_arg "Design.matrix: sample dimension mismatch";
-  matrix_rows ?pool b (Array.init (Mat.rows samples) (fun i -> Mat.row samples i))
-
 let row = Basis.eval_point
 
 let column_norms ?pool g =
@@ -187,26 +147,30 @@ module Provider = struct
 
   let dense g = Dense g
 
-  let streamed b samples =
+  (* The tables and compiled terms of (b, samples), unchecked for
+     finiteness; [name] labels the dimension check. *)
+  let tables name b samples =
     Array.iter
       (fun s ->
         if Array.length s <> Basis.dim b then
-          invalid_arg "Design.Provider.streamed: sample dimension mismatch")
+          invalid_arg (name ^ ": sample dimension mismatch"))
       samples;
     let k = Array.length samples in
-    let vtab = build_vtab b samples k and cterms = compile_terms b k in
-    check_finite b k vtab cterms;
-    Streamed
-      {
-        basis = b;
-        samples;
-        sk = k;
-        sm = Basis.size b;
-        vtab;
-        cterms;
-        scratch = Hashtbl.create 4;
-        lock = Mutex.create ();
-      }
+    {
+      basis = b;
+      samples;
+      sk = k;
+      sm = Basis.size b;
+      vtab = build_vtab b samples k;
+      cterms = compile_terms b k;
+      scratch = Hashtbl.create 4;
+      lock = Mutex.create ();
+    }
+
+  let streamed b samples =
+    let s = tables "Design.Provider.streamed" b samples in
+    check_finite b s.sk s.vtab s.cterms;
+    Streamed s
 
   let rows = function Dense g -> Mat.rows g | Streamed s -> s.sk
 
@@ -247,7 +211,9 @@ module Provider = struct
   (* Column j's K entries into buf.(pos + i·stride), i ascending. Each
      entry is the product [Term.eval_tables] forms, factors left to
      right from 1.0 (the leading 1.0· is exact, so a [Pair] is one
-     multiply) — bitwise the dense entry. *)
+     multiply) — bitwise the entry of [row]. Both design forms take
+     their entries from here: the dense matrix is this routine written
+     at stride M. *)
   let gen_column s j buf ~pos ~stride =
     let vt = s.vtab in
     match Array.unsafe_get s.cterms j with
@@ -556,9 +522,28 @@ module Provider = struct
         release s bj;
         d
 
+  (* The K×M matrix, column j written by [gen_column] straight into its
+     row-major slots. Column-parallel: each chunk owns disjoint columns,
+     and every entry is the one product [gen_column] forms, so the bits
+     do not depend on the domain count. Non-finite entries pass through:
+     only the lane kernel needs finite ones, and a dense sweep runs no
+     lanes. *)
+  let materialize ?pool s =
+    let k = s.sk and m = s.sm in
+    let g = Mat.create k m in
+    if k > 0 then begin
+      let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
+      Parallel.Pool.parallel_for_chunks pool
+        ~grain:(Parallel.Pool.grain_for ~work:k) ~lo:0 ~hi:m (fun ~lo ~hi ->
+          for j = lo to hi - 1 do
+            gen_column s j g.Mat.data ~pos:j ~stride:m
+          done)
+    end;
+    g
+
   let to_dense ?pool = function
     | Dense g -> g
-    | Streamed s -> matrix_rows ?pool s.basis s.samples
+    | Streamed s -> materialize ?pool s
 
   (* A column-range view [jlo, jhi) of the provider, reindexed to
      local columns 0 … jhi−jlo−1 — the per-shard unit of the sharded
@@ -636,43 +621,97 @@ module Provider = struct
   (* The one dense sweep kernel: out.(off + j − lo) += Σᵢ g[row i, j]·r.(i)
      for j ∈ [lo, hi), where row i is i itself ([All]) or idx.(i)
      ([Fold idx]). Rows are walked outermost, so the row-major matrix
-     streams through cache; each visited row is one axpy of r.(i) into
-     the output slice, unrolled 4-wide. Each column still adds its
-     rows in ascending order onto the caller's zeroed slice — the bits
-     of [Mat.col_dot] on the selected rows; the unroll only interleaves
-     independent columns. *)
+     streams through cache. Four visited rows go per pass: each output
+     slot is loaded once, gets the four rows' products added in
+     ascending row order, ((a + x₀·r₀) + x₁·r₁) + …, and is stored
+     once, so the slot's load and store are shared by four rows instead
+     of paid per row. The column loop runs four slots per iteration;
+     the n mod 4 leftover rows and the column tail go one at a time.
+     Each column still adds its rows in ascending order onto the
+     caller's zeroed slice — the bits of [Mat.col_dot] on the selected
+     rows; the blocking only groups the additions, never reorders
+     them. Forming each row's data index once per iteration, with the
+     next three slots at constant offsets from it, is what makes the
+     blocking pay: PERFORMANCE.md "Dense sweep: four rows per pass". *)
   let dense_sweep g rows r out ~lo ~hi ~off =
     let m = Mat.cols g in
     let data = g.Mat.data in
+    let n = Array.length r in
     let stop = off + hi - lo in
-    for i = 0 to Array.length r - 1 do
-      let row = match rows with All -> i | Fold idx -> Array.unsafe_get idx i in
-      (* Data index of output slot o is [base + o]. *)
-      let base = (row * m) + lo - off in
-      let ri = Array.unsafe_get r i in
+    (* Output slot o of a visited row with base b reads data.(b + o),
+       where b = row·m + shift. *)
+    let shift = lo - off in
+    let i = ref 0 in
+    while !i + 4 <= n do
+      let i0 = !i in
+      let b0, b1, b2, b3 =
+        match rows with
+        | All ->
+            let b0 = (i0 * m) + shift in
+            (b0, b0 + m, b0 + (2 * m), b0 + (3 * m))
+        | Fold idx ->
+            ( (Array.unsafe_get idx i0 * m) + shift,
+              (Array.unsafe_get idx (i0 + 1) * m) + shift,
+              (Array.unsafe_get idx (i0 + 2) * m) + shift,
+              (Array.unsafe_get idx (i0 + 3) * m) + shift )
+      in
+      let r0 = Array.unsafe_get r i0
+      and r1 = Array.unsafe_get r (i0 + 1)
+      and r2 = Array.unsafe_get r (i0 + 2)
+      and r3 = Array.unsafe_get r (i0 + 3) in
       let o = ref off in
       while !o + 4 <= stop do
         let o0 = !o in
+        (* The four rows' data indices of slot o0; slots o0 + 1 … o0 + 3
+           sit at constant offsets from them. *)
+        let p0 = b0 + o0 and p1 = b1 + o0 and p2 = b2 + o0 and p3 = b3 + o0 in
         Array.unsafe_set out o0
           (Array.unsafe_get out o0
-          +. (Array.unsafe_get data (base + o0) *. ri));
+           +. (Array.unsafe_get data p0 *. r0)
+           +. (Array.unsafe_get data p1 *. r1)
+           +. (Array.unsafe_get data p2 *. r2)
+           +. (Array.unsafe_get data p3 *. r3));
         Array.unsafe_set out (o0 + 1)
           (Array.unsafe_get out (o0 + 1)
-          +. (Array.unsafe_get data (base + o0 + 1) *. ri));
+           +. (Array.unsafe_get data (p0 + 1) *. r0)
+           +. (Array.unsafe_get data (p1 + 1) *. r1)
+           +. (Array.unsafe_get data (p2 + 1) *. r2)
+           +. (Array.unsafe_get data (p3 + 1) *. r3));
         Array.unsafe_set out (o0 + 2)
           (Array.unsafe_get out (o0 + 2)
-          +. (Array.unsafe_get data (base + o0 + 2) *. ri));
+           +. (Array.unsafe_get data (p0 + 2) *. r0)
+           +. (Array.unsafe_get data (p1 + 2) *. r1)
+           +. (Array.unsafe_get data (p2 + 2) *. r2)
+           +. (Array.unsafe_get data (p3 + 2) *. r3));
         Array.unsafe_set out (o0 + 3)
           (Array.unsafe_get out (o0 + 3)
-          +. (Array.unsafe_get data (base + o0 + 3) *. ri));
+           +. (Array.unsafe_get data (p0 + 3) *. r0)
+           +. (Array.unsafe_get data (p1 + 3) *. r1)
+           +. (Array.unsafe_get data (p2 + 3) *. r2)
+           +. (Array.unsafe_get data (p3 + 3) *. r3));
         o := o0 + 4
       done;
       while !o < stop do
         let o0 = !o in
         Array.unsafe_set out o0
           (Array.unsafe_get out o0
-          +. (Array.unsafe_get data (base + o0) *. ri));
+           +. (Array.unsafe_get data (b0 + o0) *. r0)
+           +. (Array.unsafe_get data (b1 + o0) *. r1)
+           +. (Array.unsafe_get data (b2 + o0) *. r2)
+           +. (Array.unsafe_get data (b3 + o0) *. r3));
         o := o0 + 1
+      done;
+      i := i0 + 4
+    done;
+    for i = !i to n - 1 do
+      let b =
+        ((match rows with All -> i | Fold idx -> Array.unsafe_get idx i) * m)
+        + shift
+      in
+      let ri = Array.unsafe_get r i in
+      for o = off to stop - 1 do
+        Array.unsafe_set out o
+          (Array.unsafe_get out o +. (Array.unsafe_get data (b + o) *. ri))
       done
     done
 
@@ -888,3 +927,11 @@ module Provider = struct
     let col_col_dot c i j = Vec.dot (column c i) (column c j)
   end
 end
+
+let matrix_rows ?pool b samples =
+  Provider.materialize ?pool (Provider.tables "Design.matrix_rows" b samples)
+
+let matrix ?pool b samples =
+  if Mat.cols samples <> Basis.dim b then
+    invalid_arg "Design.matrix: sample dimension mismatch";
+  matrix_rows ?pool b (Array.init (Mat.rows samples) (fun i -> Mat.row samples i))

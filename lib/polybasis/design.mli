@@ -10,19 +10,28 @@
 
 val matrix : ?pool:Parallel.Pool.t -> Basis.t -> Linalg.Mat.t -> Linalg.Mat.t
 (** [matrix b samples] for [samples] of shape [K×N] is the [K×M] design
-    matrix. Rows are evaluated in parallel over [pool] (default: the
-    shared {!Parallel.Pool.default} pool); each chunk fills a disjoint
-    row block from its own Hermite tables, so the result is bitwise
-    identical to the sequential evaluation for every domain count.
+    matrix, built as {!matrix_rows} builds it.
     @raise Invalid_argument when [N ≠ Basis.dim b]. *)
 
 val matrix_rows :
   ?pool:Parallel.Pool.t -> Basis.t -> Linalg.Vec.t array -> Linalg.Mat.t
-(** Same, from an array of sample vectors; identical parallelism and
-    determinism guarantee as {!matrix}. *)
+(** Same, from an array of sample vectors. The entries come from the
+    {!Provider}'s own generator: the sample-innermost Hermite tables
+    are built once, every term is compiled to table offsets, and each
+    column is generated straight into its row-major slots. Columns are
+    chunked over [pool] (default: the shared {!Parallel.Pool.default}
+    pool), each chunk owning whole columns, so the result is bitwise
+    identical for every domain count. Row [i] equals {!row}[ b
+    samples.(i)] bit for bit. Non-finite points are accepted: their
+    NaN or infinite entries land where {!row} puts them.
+    @raise Invalid_argument when a sample's length is not
+    [Basis.dim b]. *)
 
 val row : Basis.t -> Linalg.Vec.t -> Linalg.Vec.t
-(** [row b dy] is one design row (alias of [Basis.eval_point]). *)
+(** [row b dy] is one design row (alias of [Basis.eval_point]): the
+    per-point evaluation through [Basis.fill_tables] and
+    [Term.eval_tables], kept independent of the table generator behind
+    {!matrix_rows} and {!Provider} as their reference. *)
 
 val column_norms : ?pool:Parallel.Pool.t -> Linalg.Mat.t -> Linalg.Vec.t
 (** Euclidean norm of every column — used by LAR's normalization and to
@@ -42,18 +51,21 @@ val column_norms : ?pool:Parallel.Pool.t -> Linalg.Mat.t -> Linalg.Vec.t
     table offsets, so the correlation sweep's inner loop is pure float
     loads and multiplies.
 
-    {b Bitwise contract}: every streamed entry equals the dense entry
-    produced by {!matrix_rows} bit for bit (same recurrence, same
-    product order as [Term.eval_tables]), and every kernel below
-    accumulates whole columns over rows in ascending order. The
-    one-residual streamed sweep takes four columns per pass and the
-    multi-residual lane kernel two columns against up to five
+    {b Bitwise contract}: every design entry, streamed or in the dense
+    matrix of {!matrix_rows} (which is built by the same generator),
+    equals the entry of {!row} on that sample bit for bit (same
+    recurrence, same product order as [Term.eval_tables]), and every
+    kernel below accumulates whole columns over rows in ascending
+    order. The one-residual streamed sweep takes four columns per pass
+    and the multi-residual lane kernel two columns against up to five
     residuals; each dot keeps its own accumulator adding its rows in
-    ascending order from +0, so the blocking interleaves independent
-    dots and changes none. Dense
-    and streamed providers therefore yield bitwise-identical sweeps,
-    norms, dots — and hence identical solver paths — at every domain
-    count. *)
+    ascending order from +0. The dense kernel takes four visited rows
+    per pass and adds their products to each output slot in ascending
+    row order between one load and one store of the slot. So the
+    blocking interleaves independent dots, or groups a dot's additions
+    without reordering them, and changes no bit. Dense and streamed
+    providers therefore yield bitwise-identical sweeps, norms, dots —
+    and hence identical solver paths — at every domain count. *)
 module Provider : sig
   type t
 
@@ -81,9 +93,10 @@ module Provider : sig
   val is_streamed : t -> bool
 
   val to_dense : ?pool:Parallel.Pool.t -> t -> Linalg.Mat.t
-  (** The full [K×M] matrix. Free for [Dense]; materializes (via
-      {!matrix_rows}) for [Streamed] — only call this on paths that
-      genuinely need the dense form. *)
+  (** The full [K×M] matrix. Free for [Dense]; for [Streamed],
+      materializes it from the provider's own tables exactly as
+      {!matrix_rows} does — only call this on paths that genuinely
+      need the dense form. *)
 
   val select_rows : t -> int array -> t
   (** Row-subset provider (the CV folds). [Dense] gathers rows;
@@ -138,7 +151,9 @@ module Provider : sig
   (** [gram_tr p r] is the full correlation sweep [Gᵀ·r] (OMP step 3 /
       LAR step 2), column-chunked over [pool]. Streamed providers sweep
       four columns per pass, fusing generation into the four dot
-      products so quadratic columns are never stored. Bitwise identical
+      products so quadratic columns are never stored; dense providers
+      stream the row-major matrix four rows per pass, loading and
+      storing each output slot once per four rows. Bitwise identical
       dense vs streamed at every domain count. *)
 
   val argmax_abs :
@@ -169,7 +184,7 @@ module Provider : sig
       [x·(+0) = ±0], which leaves a sum that started at +0 unchanged
       for a finite [x] ({!streamed} guarantees it). A dense provider
       runs the row-streaming sweep of {!gram_tr} once per residual,
-      over its rows only. The result is bitwise identical to the L
+      over its rows only, four consecutive rows of the set per pass. The result is bitwise identical to the L
       independent sweeps at every domain count. Row sets must be
       strictly ascending (what {!Stat.Crossval.fold_indices}
       produces); a set may hold every row.

@@ -38,15 +38,61 @@ let random_setting seed =
 
 (* --- entry-level equality ------------------------------------------ *)
 
+(* Entry-for-entry equality: the same bits, or NaN on both sides. *)
+let same_entries a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         if Float.is_nan x then Float.is_nan y
+         else Int64.bits_of_float x = Int64.bits_of_float y)
+       a b
+
+(* Both dense forms — [matrix_rows] and a streamed provider's
+   [to_dense] — generate entries from the compiled term tables, so the
+   reference is the independent per-point evaluation [Design.row]
+   ([Basis.eval_point], then [Term.eval_tables]): row i of the matrix
+   must equal it on point i at every domain count. *)
+let check_rows_match what basis pts mats =
+  let reference = Array.map (Polybasis.Design.row basis) pts in
+  List.iter2
+    (fun d g ->
+      check_int (Printf.sprintf "%s: rows (%d domains)" what d)
+        (Array.length pts) (Linalg.Mat.rows g);
+      Array.iteri
+        (fun i row ->
+          check_bool
+            (Printf.sprintf "%s: row %d == Design.row (%d domains)" what i d)
+            true
+            (same_entries (Linalg.Mat.row g i) row))
+        reference)
+    pool_counts mats
+
 let prop_to_dense_bitwise seed =
-  let _, basis, pts, g = random_setting seed in
+  let rng, basis, pts, _ = random_setting seed in
   let src = P.streamed basis pts in
-  let dense_arrays =
-    with_pools (fun pool -> Linalg.Mat.to_arrays (P.to_dense ~pool src))
+  check_rows_match "streamed to_dense" basis pts
+    (with_pools (fun pool -> P.to_dense ~pool src));
+  let matrix_rows basis pts =
+    with_pools (fun pool -> Polybasis.Design.matrix_rows ~pool basis pts)
   in
-  all_equal "streamed to_dense bits" dense_arrays;
-  check_bool "streamed to_dense == matrix_rows" true
-    (Linalg.Mat.to_arrays g = List.hd dense_arrays);
+  check_rows_match "matrix_rows" basis pts (matrix_rows basis pts);
+  (* Edge designs: the dim-0 constant basis, no rows, and a degree-3
+     basis (three-factor [Many] terms) over points holding NaN and ∞,
+     which a dense design accepts and passes into the same entries as
+     the per-point evaluation. *)
+  let constant = Polybasis.Basis.create 0 [| Polybasis.Term.constant |] in
+  check_rows_match "dim-0 basis" constant (Array.make 3 [||])
+    (matrix_rows constant (Array.make 3 [||]));
+  check_rows_match "K = 0" basis [||] (matrix_rows basis [||]);
+  let cubic = Polybasis.Basis.total_degree 3 3 in
+  let bad =
+    Array.init 6 (fun i ->
+        let p = Randkit.Gaussian.vector rng 3 in
+        if i = 1 then p.(2) <- Float.nan;
+        if i = 4 then p.(0) <- Float.infinity;
+        p)
+  in
+  check_rows_match "non-finite points" cubic bad (matrix_rows cubic bad);
   true
 
 let prop_columns_bitwise seed =
@@ -212,16 +258,21 @@ let prop_select_rows_bitwise seed =
 (* --- block edges ----------------------------------------------------- *)
 
 (* The one-residual streamed sweep takes columns four at a time, the
-   lane kernel two at a time in groups of at most five lanes, each with
+   lane kernel two at a time in groups of at most five lanes, and the
+   dense kernel four visited rows by four columns per pass, each with
    a tail. Every streamed kernel must still equal a dense provider over
-   [to_dense], bit for bit, on: every tail length (M mod 4 ∈ {0,1,2,3},
-   from whole bases and from windows), blocks that start off a multiple
-   of 4 or 2 (odd window starts), blocks holding three-factor [Many]
-   terms beside two-factor ones (total degree 3), the dim-0 constant
-   basis, K ∈ {1, 2, 5, 13}, 1–6, 9 and 20 residuals (every lane-group
-   width, one lane to four groups) over all rows and fold row sets
-   mixed, a set with a single row, and residuals holding +0 and −0
-   entries, whose products the lanes' zero rows must not disturb. *)
+   [to_dense], and every dense kernel the per-column [Mat.col_dot] over
+   the same rows, bit for bit, on: every tail length (M mod 4 ∈
+   {0,1,2,3}, from whole bases and from windows, so chunk widths
+   [hi − lo] of every value mod 4), blocks that start off a multiple of
+   4 or 2 (odd window starts), blocks holding three-factor [Many] terms
+   beside two-factor ones (total degree 3), the dim-0 constant basis,
+   K from 0 to 9 and 13, fold row sets of every length from 0 to K
+   (so every leftover-row count mod 4), 1–6, 9 and 20 residuals (every
+   lane-group width, one lane to four groups) over all rows and fold
+   row sets mixed, a set with a single row, and residuals holding +0
+   and −0 entries, whose products the lanes' zero rows must not
+   disturb. *)
 let block_edge_bases =
   [
     Polybasis.Basis.quadratic 3 (* M = 10 *);
@@ -229,6 +280,8 @@ let block_edge_bases =
     Polybasis.Basis.total_degree 3 3 (* M = 20 *);
     Polybasis.Basis.create 0 [| Polybasis.Term.constant |] (* M = 1 *);
   ]
+
+let block_edge_ks = List.init 10 Fun.id @ [ 13 ]
 
 (* The whole provider, then windows of widths 4–7 at odd starts. *)
 let block_edge_windows m =
@@ -240,15 +293,31 @@ let block_edge_windows m =
            [ 4; 5; 6; 7 ])
        [ 1; 3 ]
 
+(* Strictly ascending row sets: the last row, a pattern with gaps, all
+   but the first, then n rows for every n from 0 to K (n = K is every
+   row) — the first n of the even rows followed by the odd ones,
+   sorted, so consecutive entries of a set skip rows. *)
 let block_edge_folds k =
-  let pick f = Array.of_list (List.filter f (List.init k Fun.id)) in
-  [|
-    pick (fun _ -> true);
-    [| k - 1 |];
-    pick (fun i -> i mod 2 = 0);
-    pick (fun i -> i mod 3 <> 1);
-    pick (fun i -> i > 0);
-  |]
+  let all = List.init k Fun.id in
+  let pick f = Array.of_list (List.filter f all) in
+  let order =
+    List.filter (fun i -> i mod 2 = 0) all
+    @ List.filter (fun i -> i mod 2 = 1) all
+  in
+  let first n =
+    let set = Array.of_list (List.filteri (fun p _ -> p < n) order) in
+    Array.sort compare set;
+    set
+  in
+  Array.append
+    (if k = 0 then [||]
+     else
+       [|
+         [| k - 1 |];
+         pick (fun i -> i mod 3 <> 1);
+         pick (fun i -> i > 0);
+       |])
+    (Array.init (k + 1) first)
 
 let block_edge_lanes = [ 1; 2; 3; 4; 5; 6; 9; 20 ]
 
@@ -275,7 +344,7 @@ let prop_block_edges_bitwise seed =
             List.map
               (fun (jlo, jhi) -> P.window src ~jlo ~jhi)
               (block_edge_windows (P.cols src)))
-          [ 1; 2; 5; 13 ])
+          block_edge_ks)
       block_edge_bases
   in
   let cases =
@@ -288,9 +357,12 @@ let prop_block_edges_bitwise seed =
         let multis =
           List.map
             (fun lanes ->
+              (* Consecutive sets from a random start, so the 20-lane
+                 call visits every set. *)
+              let start = Randkit.Prng.int rng (Array.length sets) in
               let rows =
-                Array.init lanes (fun _ ->
-                    sets.(Randkit.Prng.int rng (Array.length sets)))
+                Array.init lanes (fun q ->
+                    sets.((start + q) mod Array.length sets))
               in
               let rs =
                 Array.map
@@ -307,13 +379,41 @@ let prop_block_edges_bitwise seed =
     (with_pools (fun pool ->
          List.iter
            (fun (win, r, skip, multis) ->
-             let dn = P.dense (P.to_dense ~pool win) in
+             let g = P.to_dense ~pool win in
+             let dn = P.dense g in
              let tag what =
                Printf.sprintf "%s: streamed == dense (K=%d, M=%d, %d domains)"
                  what (P.rows win) (P.cols win) (Parallel.Pool.num_domains pool)
              in
              let both f = (f dn, f win) in
              let check what (d, s) = check_bool (tag what) true (d = s) in
+             (* The dense kernels against per-column dots over the same
+                rows, and the argmax a strict left-to-right scan picks. *)
+             let dots g r =
+               Array.init (Linalg.Mat.cols g) (fun j ->
+                   Linalg.Mat.col_dot g j r)
+             in
+             let fold_dots idx r = dots (Linalg.Mat.select_rows g idx) r in
+             let scan skip d =
+               let best = ref (-1, 0.) in
+               Array.iteri
+                 (fun j c ->
+                   if (not skip.(j)) && Float.abs c > snd !best then
+                     best := (j, Float.abs c))
+                 d;
+               arg_bits !best
+             in
+             let check_dense what (got, want) =
+               check_bool
+                 (Printf.sprintf "%s: dense == Mat.col_dot (K=%d, M=%d, %d domains)"
+                    what (P.rows win) (P.cols win)
+                    (Parallel.Pool.num_domains pool))
+                 true (got = want)
+             in
+             check_dense "gram_tr" (bits (P.gram_tr ~pool dn r), bits (dots g r));
+             check_dense "argmax_abs"
+               ( arg_bits (P.argmax_abs ~pool ~skip dn r),
+                 scan skip (dots g r) );
              check "gram_tr" (both (fun p -> bits (P.gram_tr ~pool p r)));
              check "argmax_abs"
                (both (fun p -> arg_bits (P.argmax_abs ~pool ~skip p r)));
@@ -322,6 +422,15 @@ let prop_block_edges_bitwise seed =
                  let lanes what =
                    Printf.sprintf "%s, %d residuals" what (Array.length rs)
                  in
+                 check_dense (lanes "gram_tr_multi")
+                   ( Array.map bits (P.gram_tr_multi ~pool dn ~rows rs),
+                     Array.map2 (fun idx r -> bits (fold_dots idx r)) rows rs );
+                 check_dense (lanes "argmax_abs_multi")
+                   ( Array.map arg_bits
+                       (P.argmax_abs_multi ~pool ~skips dn ~rows rs),
+                     Array.mapi
+                       (fun q idx -> scan skips.(q) (fold_dots idx rs.(q)))
+                       rows );
                  check (lanes "gram_tr_multi")
                    (both (fun p ->
                         Array.map bits (P.gram_tr_multi ~pool p ~rows rs)));
