@@ -36,6 +36,13 @@ let print_table ~title ~header rows =
   List.iter (fun row -> print_endline (render_row widths row)) rows;
   print_endline (hrule widths)
 
+(* The engine values' constructors return [result]; a bench builds
+   only valid ones. *)
+let ok = function Ok v -> v | Error e -> invalid_arg e
+
+let walk_log ?every ?save ?resume () =
+  ok (Rsm.Serialize.Checkpoint.log ?every ?save ?resume ())
+
 let pct x = Printf.sprintf "%.2f%%" (100. *. x)
 
 (* Process peak resident set (VmHWM) in MB, or -1 where /proc is

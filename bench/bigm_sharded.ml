@@ -59,11 +59,9 @@ let run ?(quick = false) ?domains () =
      sweep done, one selection answered) queried for each worker's
      VmHWM. Probed before the fits so the workers' high-water marks
      reflect exactly this engine. *)
+  let plan = Bench_util.ok (Rsm.Shard_sweep.plan ~mode:"process" shards) in
   let shard_rss_kb =
-    let e =
-      Rsm.Shard_sweep.create ~pool ~mode:Rsm.Shard_sweep.Procs ~shards ~sweep
-        src ~r0:f
-    in
+    let e = Rsm.Shard_sweep.create ~pool plan ~sweep src ~r0:f in
     ignore (Rsm.Shard_sweep.raw_norms e);
     ignore (Rsm.Shard_sweep.lars_select e ~r:f);
     let rss = Rsm.Shard_sweep.peak_rss_kb e in
@@ -85,11 +83,10 @@ let run ?(quick = false) ?domains () =
     timed (fun () ->
         Rsm.Lars.path_p ~pool ~on_singular:`Fallback ~sweep src f ~max_steps)
   in
-  let recovered = ref 0 in
   let sh_steps, sh_s =
     timed (fun () ->
-        Rsm.Lars.path_p ~pool ~on_singular:`Fallback ~sweep ~shards
-          ~shard_mode:Rsm.Shard_sweep.Procs ~recovered src f ~max_steps)
+        Rsm.Lars.path_p ~pool ~on_singular:`Fallback ~sweep ~shards:plan src f
+          ~max_steps)
   in
   let parity = fingerprint seq_steps = fingerprint sh_steps in
   Printf.printf

@@ -77,7 +77,8 @@ let checkpoint_roundtrip ~fit_p ~path_p ~lambda ~kill_at =
   let full = fit_p None ~lambda in
   let last = ref None in
   ignore
-    (path_p ~checkpoint_every:5 ~on_checkpoint:(fun c -> last := Some c)
+    (path_p
+       ~log:(walk_log ~every:5 ~save:(fun c -> last := Some c) ())
        ~max_lambda:kill_at);
   match !last with
   | None -> false
@@ -91,15 +92,16 @@ let checkpoint_roundtrip_lar src f ~lambda ~kill_at =
   let full = Rsm.Lars.fit_p ~on_singular:`Fallback src f ~lambda in
   let last = ref None in
   let _interrupted : Rsm.Lars.step array =
-    Rsm.Lars.path_p ~on_singular:`Fallback ~checkpoint_every:5
-      ~on_checkpoint:(fun c -> last := Some c)
+    Rsm.Lars.path_p ~on_singular:`Fallback
+      ~log:(walk_log ~every:5 ~save:(fun c -> last := Some c) ())
       src f ~max_steps:kill_at
   in
   match !last with
   | None -> false
   | Some ckpt ->
       let resumed =
-        Rsm.Lars.fit_p ~on_singular:`Fallback ?resume:(Some ckpt) src f ~lambda
+        Rsm.Lars.fit_p ~on_singular:`Fallback ~log:(walk_log ~resume:ckpt ())
+          src f ~lambda
       in
       Rsm.Serialize.to_string resumed = Rsm.Serialize.to_string full
 
@@ -107,7 +109,9 @@ let checkpoint_roundtrip_lar src f ~lambda ~kill_at =
    checkpoint files must carry the resumed sweep to the same bits. *)
 let cv_resume_roundtrip src f ~max_lambda =
   let run ?checkpoint ?resume () =
-    Rsm.Select.lars_p ?checkpoint ?resume ~on_singular:`Fallback
+    Rsm.Select.lars_p
+      ?store:(ok (Rsm.Select.store ?resume checkpoint))
+      ~on_singular:`Fallback
       (Randkit.Prng.create default_seed)
       ~max_lambda src f
   in
@@ -191,16 +195,14 @@ let run ~quick () =
   let lambda = min max_lambda (min samples (Polybasis.Basis.size basis)) in
   check failures "OMP killed-at-10-then-resumed fit is bitwise identical"
     (checkpoint_roundtrip
-       ~fit_p:(fun resume -> Rsm.Omp.fit_p ?resume src f)
-       ~path_p:(fun ~checkpoint_every ~on_checkpoint ->
-         Rsm.Omp.path_p ~checkpoint_every ~on_checkpoint src f)
+       ~fit_p:(fun resume -> Rsm.Omp.fit_p ~log:(walk_log ?resume ()) src f)
+       ~path_p:(fun ~log -> Rsm.Omp.path_p ~log src f)
        ~lambda ~kill_at:(min 10 lambda))
     "";
   check failures "STAR killed-at-10-then-resumed fit is bitwise identical"
     (checkpoint_roundtrip
-       ~fit_p:(fun resume -> Rsm.Star.fit_p ?resume src f)
-       ~path_p:(fun ~checkpoint_every ~on_checkpoint ->
-         Rsm.Star.path_p ~checkpoint_every ~on_checkpoint src f)
+       ~fit_p:(fun resume -> Rsm.Star.fit_p ~log:(walk_log ?resume ()) src f)
+       ~path_p:(fun ~log -> Rsm.Star.path_p ~log src f)
        ~lambda ~kill_at:(min 10 lambda))
     "";
   check failures "LAR killed-at-10-then-resumed fit is bitwise identical"
@@ -252,8 +254,10 @@ let run ~quick () =
       let t_lar_ckpt =
         timed_mean (fun () ->
             ignore
-              (Rsm.Lars.path_p ~on_singular:`Fallback ~checkpoint_every:1
-                 ~on_checkpoint:(Rsm.Serialize.Checkpoint.save ckpt_file)
+              (Rsm.Lars.path_p ~on_singular:`Fallback
+                 ~log:
+                   (walk_log ~every:1
+                      ~save:(Rsm.Serialize.Checkpoint.save ckpt_file) ())
                  src f ~max_steps:lambda))
       in
       let terminal =
@@ -264,8 +268,9 @@ let run ~quick () =
       let t_lar_replay =
         timed_mean (fun () ->
             ignore
-              (Rsm.Lars.path_p ~on_singular:`Fallback ~resume:terminal src f
-                 ~max_steps:lambda))
+              (Rsm.Lars.path_p ~on_singular:`Fallback
+                 ~log:(walk_log ~resume:terminal ())
+                 src f ~max_steps:lambda))
       in
       Printf.printf
         "  checkpoint: LAR %d-step path %.2f ms plain, %.2f ms with \

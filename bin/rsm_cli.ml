@@ -303,14 +303,7 @@ let shards_arg =
 
 let shard_mode_arg =
   Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("domain", Rsm.Shard_sweep.Domains);
-             ("process", Rsm.Shard_sweep.Procs);
-           ])
-        Rsm.Shard_sweep.Domains
+    value & opt string "domain"
     & info [ "shard-mode" ] ~docv:"MODE"
         ~doc:
           "$(b,domain) keeps the shard slabs in-image; $(b,process) re-execs \
@@ -380,12 +373,12 @@ let ok_or_exit = function
 (* The CV driver that runs, named by the rule that picks it: [`Cv] for
    a single-output cross-validated fit, [`Outputs] for a multi-output
    fit, [`None] for a fixed-λ fit, which has no driver. *)
-let print_engines (cfg : Robust.Pipeline.config) ~cv ~recovered =
+let print_engines (cfg : Robust.Pipeline.config) ~cv =
   let path = Rsm.Solver.path_method cfg.method_ in
+  let shards = match cfg.shards with Some p -> p.shards | None -> 1 in
   let fused =
     path
-    && Rsm.Select.fused_driver ~streamed:cfg.streamed ~sweep:cfg.sweep
-         ~shards:cfg.shards
+    && Rsm.Select.fused_driver ~streamed:cfg.streamed ~sweep:cfg.sweep ~shards
   in
   Printf.printf "  design engine : %s\n"
     (if cfg.streamed then "matrix-free" else "dense");
@@ -397,21 +390,25 @@ let print_engines (cfg : Robust.Pipeline.config) ~cv ~recovered =
     | `Outputs when fused -> ", fused outputs"
     | `Outputs -> ", per-job grid"
     | `Cv | `None -> "");
-  if cfg.shards > 1 then
-    Printf.printf "  shard engine  : %d shards (%s mode)\n" cfg.shards
-      (Rsm.Shard_sweep.mode_to_string cfg.shard_mode);
-  if recovered > 0 then
-    Printf.printf
-      "  shard recovery: %d worker respawn(s), log replayed, results bitwise \
-       unchanged\n"
-      recovered
+  Option.iter
+    (fun (p : Rsm.Shard_sweep.plan) ->
+      if p.shards > 1 then
+        Printf.printf "  shard engine  : %d shards (%s mode)\n" p.shards
+          (Rsm.Shard_sweep.mode_to_string p.mode);
+      let recovered = Atomic.get p.recovered in
+      if recovered > 0 then
+        Printf.printf
+          "  shard recovery: %d worker respawn(s), log replayed, results \
+           bitwise unchanged\n"
+          recovered)
+    cfg.shards
 
 let print_cv_checkpoint (cfg : Robust.Pipeline.config) ~files =
   Option.iter
-    (fun base ->
-      Printf.printf "  checkpoint    : %s%s (per-fold CV%s)\n" base files
-        (if cfg.resume then ", resumed" else ""))
-    cfg.checkpoint
+    (fun (st : Rsm.Select.store) ->
+      Printf.printf "  checkpoint    : %s%s (per-fold CV%s)\n" st.base files
+        (if st.resume then ", resumed" else ""))
+    cfg.store
 
 let print_hygiene ~names h =
   List.iter
@@ -481,7 +478,11 @@ let model_cmd =
     check_at_least "folds" 2 folds_n;
     check_at_least "retries" 1 retries;
     check_at_least "checkpoint-every" 1 checkpoint_every;
-    check_at_least "shards" 1 shards;
+    let shards =
+      match Rsm.Shard_sweep.plan ~mode:shard_mode shards with
+      | Ok p -> p
+      | Error e -> err_exit ("--" ^ e)
+    in
     check_at_least "sweep-refresh" 0 sweep_refresh;
     check_at_least "breaker-threshold" 0 breaker_threshold;
     let sweep =
@@ -509,8 +510,11 @@ let model_cmd =
       err_exit
         (Printf.sprintf "--screen-threshold must be positive (got %g)"
            screen_threshold);
-    if resume && checkpoint = None then
-      err_exit "--resume needs --checkpoint FILE to resume from";
+    let store =
+      match Rsm.Select.store ~resume checkpoint with
+      | Ok st -> st
+      | Error _ -> err_exit "--resume needs --checkpoint FILE to resume from"
+    in
     check_sizes ~cells ~parasitics;
     let burst =
       if burst_rate > 0. then
@@ -561,10 +565,9 @@ let model_cmd =
            ~faults ~retry ?adaptive ~quorum
            ~min_samples:(min samples (max 8 (samples / 2)))
            ~streamed:(choose_streamed engine ~k:samples ~m:m_cols)
-           ?checkpoint ~resume ~sweep ~shards ~shard_mode ~rescreen ())
+           ?store ~sweep ~shards ~rescreen ())
     in
     let validate = print_validation ~pool ~engine ~basis ~rng ~test sims.(0) in
-    let recovered = ref 0 in
     match (outputs, checkpoint) with
     | Some _, _ ->
         (* Multi-output fit: R opamp metrics over one simulation batch,
@@ -572,7 +575,7 @@ let model_cmd =
            design, one fused selection grid. Always cross-validated. *)
         let o, fit_s =
           Circuit.Testbench.timed (fun () ->
-              Robust.Pipeline.fit_multi ~pool ~recovered cfg sims basis rng)
+              Robust.Pipeline.fit_multi ~pool cfg sims basis rng)
         in
         let o = ok_or_exit o in
         let outputs = Array.length sims in
@@ -581,7 +584,7 @@ let model_cmd =
           label (Rsm.Solver.name meth)
           (Circuit.Simulator.dataset_size o.Robust.Pipeline.datasets.(0))
           m_cols outputs;
-        print_engines cfg ~cv:`Outputs ~recovered:!recovered;
+        print_engines cfg ~cv:`Outputs;
         print_cv_checkpoint cfg ~files:".out<r>.fold<q>";
         print_hygiene ~names (Robust.Pipeline.multi_hygiene o);
         (* One fresh point set tests every metric — the same sharing the
@@ -638,7 +641,6 @@ let model_cmd =
         in
         (* Every method writes and resumes the one walk log. *)
         let module Ck = Rsm.Serialize.Checkpoint in
-        let on_checkpoint = Ck.save ckpt_file in
         let loaded =
           if not resume then None
           else
@@ -648,25 +650,15 @@ let model_cmd =
                 err_exit
                   (Printf.sprintf "cannot load checkpoint %s: %s" ckpt_file e)
         in
+        let log =
+          Result.fold ~ok:Fun.id ~error:err_exit
+            (Ck.log ~every:checkpoint_every ~save:(Ck.save ckpt_file)
+               ?resume:loaded ())
+        in
         let model, fit_s =
           Circuit.Testbench.timed (fun () ->
-              match meth with
-              | Rsm.Solver.Omp ->
-                  Rsm.Omp.fit_p ~pool ~on_singular:`Fallback ~checkpoint_every
-                    ~on_checkpoint ?resume:loaded ~shards ~shard_mode
-                    ~recovered src f_tr ~lambda
-              | Rsm.Solver.Star ->
-                  Rsm.Star.fit_p ~pool ~checkpoint_every ~on_checkpoint
-                    ?resume:loaded ~shards ~shard_mode ~recovered src f_tr
-                    ~lambda
-              | _ ->
-                  Rsm.Lars.fit_p
-                    ~mode:
-                      (if meth = Rsm.Solver.Lasso then Rsm.Lars.Lasso
-                       else Rsm.Lars.Lar)
-                    ~pool ~on_singular:`Fallback ~checkpoint_every
-                    ~on_checkpoint ?resume:loaded ~sweep ~shards ~shard_mode
-                    ~recovered src f_tr ~lambda)
+              Rsm.Solver.fit_p ~lambda ~pool ~on_singular:`Fallback ~sweep ~log
+                ?shards:cfg.shards src f_tr meth)
         in
         let model =
           (ok_or_exit (Robust.Pipeline.post_fit cfg d [| model |])).(0)
@@ -675,7 +667,7 @@ let model_cmd =
           "%s | %s | K = %d training samples, M = %d bases | fixed lambda = %d \
            (checkpointed)\n"
           label (Rsm.Solver.name meth) samples m_cols lambda;
-        print_engines cfg ~cv:`None ~recovered:!recovered;
+        print_engines cfg ~cv:`None;
         print_hygiene ~names d.Robust.Pipeline.hygiene;
         Printf.printf "  checkpoint    : %s (every %d iterations%s)\n" ckpt_file
           checkpoint_every
@@ -688,7 +680,7 @@ let model_cmd =
            the sweep writes per-fold checkpoint files. *)
         let o, fit_s =
           Circuit.Testbench.timed (fun () ->
-              Robust.Pipeline.fit ~pool ~recovered cfg sims.(0) basis rng)
+              Robust.Pipeline.fit ~pool cfg sims.(0) basis rng)
         in
         let o = ok_or_exit o in
         let model = o.Robust.Pipeline.model in
@@ -696,7 +688,7 @@ let model_cmd =
           (Rsm.Solver.name meth)
           (Circuit.Simulator.dataset_size o.Robust.Pipeline.dataset)
           m_cols;
-        print_engines cfg ~cv:`Cv ~recovered:!recovered;
+        print_engines cfg ~cv:`Cv;
         print_cv_checkpoint cfg ~files:".fold<q>";
         print_hygiene ~names (Robust.Pipeline.outcome_hygiene o);
         validate model;

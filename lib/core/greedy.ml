@@ -24,12 +24,9 @@ end
 type backend = Exact | Shards of Shard_sweep.t
 
 let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
-    ?pool ?(checkpoint_every = 0) ?on_checkpoint ?resume ?(shards = 1)
-    ?(shard_mode = Shard_sweep.Domains) ?recovered src create =
+    ?pool ?log ?shards src create =
   let who = String.capitalize_ascii E.solver ^ ".path: " in
   let fail msg = invalid_arg (who ^ msg) in
-  if checkpoint_every < 0 then fail "negative checkpoint interval";
-  if shards < 1 then fail "shards must be positive";
   let eng = create () in
   let k = Provider.rows src and m = Provider.cols src in
   (* The walk log of a greedy path: its support as entry events, and
@@ -63,7 +60,7 @@ let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
       beta_digest = Ckpt.digest coeffs;
     }
   in
-  (match resume with
+  (match Option.bind log (fun l -> l.Ckpt.resume) with
   | None -> ()
   | Some (c : Ckpt.t) ->
       Ckpt.check_problem ~who ~solver:E.solver ~k ~m c;
@@ -86,14 +83,11 @@ let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
         support;
       E.replay eng ~scale:c.scale support;
       Ckpt.verify ~who ~expected:c (capture ()));
-  let emit =
-    Ckpt.emitter ~every:checkpoint_every ~start:(E.size eng) on_checkpoint
-      capture
-  in
+  let emit = Ckpt.emitter log ~start:(E.size eng) capture in
   (* The fleet is built after any replay and re-activates the replayed
      support up front, so its skip masks match the uninterrupted run's. *)
-  Shard_sweep.with_fleet ?pool ?recovered ~mode:shard_mode ~shards
-    ~sweep:Corr_sweep.Exact src ~r0:(E.residual eng)
+  Shard_sweep.with_fleet ?pool ?shards ~sweep:Corr_sweep.Exact src
+    ~r0:(E.residual eng)
   @@ fun fleet ->
   let backend =
     match fleet with

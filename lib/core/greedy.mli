@@ -75,30 +75,24 @@ end
 val path_p :
   (module ENGINE with type t = 'e and type step = 's) ->
   ?pool:Parallel.Pool.t ->
-  ?checkpoint_every:int ->
-  ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
-  ?resume:Serialize.Checkpoint.t ->
-  ?shards:int ->
-  ?shard_mode:Shard_sweep.mode ->
-  ?recovered:int ref ->
+  ?log:Serialize.Checkpoint.log ->
+  ?shards:Shard_sweep.plan ->
   Polybasis.Design.Provider.t ->
   (unit -> 'e) ->
   's array
 (** [path_p (module E) src create] creates the engine, replays
-    [resume], then advances the engine until it finishes and returns
-    its steps. {!Omp.path_p} and {!Star.path_p} are this driver; the
-    contract below is theirs.
+    [log.resume], then advances the engine until it finishes and
+    returns its steps. {!Omp.path_p} and {!Star.path_p} are this
+    driver; the contract below is theirs.
 
-    With [checkpoint_every = n > 0] and an [on_checkpoint] callback, the
-    walk log ({!Serialize.Checkpoint.t}: the support as entry events,
-    the residual and coefficient digests) is handed out every [n]
-    completed iterations (the callback typically writes it with
-    {!Serialize.Checkpoint.save}), and once more when the path ends
-    with selections past the last cadence point — a completed path
-    always leaves its full log. [resume] replays a log (checked against
-    the solver tag, the problem shape, entry-only events, the column
-    range, duplicates and [max_lambda]) without the O(K·M) correlation
-    sweeps, then compares the replayed walk's log with it
+    The walk log ({!Serialize.Checkpoint.t}: the support as entry
+    events, the residual and coefficient digests) goes to [log.save]
+    every [log.every] completed iterations, and once more when the path
+    ends with selections past the last cadence point — a completed path
+    always leaves its full log. [log.resume] replays a log (checked
+    against the solver tag, the problem shape, entry-only events, the
+    column range, duplicates and [max_lambda]) without the O(K·M)
+    correlation sweeps, then compares the replayed walk's log with it
     ({!Serialize.Checkpoint.verify}), so a log written on other data of
     the same shape is refused; after that the path continues exactly
     where it stopped: the final model is bitwise identical to an
@@ -109,15 +103,14 @@ val path_p :
     [pool], bitwise identical to the sequential dense scan for every
     domain count and either provider form.
 
-    [shards > 1] routes the selection sweep through {!Shard_sweep}:
-    bitwise identical to [shards = 1] at every shard count, in both
-    shard modes ([Domains] in-image, [Procs] re-exec'd workers with
-    crash recovery). The fleet is shut down however the path exits;
-    [recovered] (when given) accumulates its worker recoveries. The
-    fleet is built after the replay, from the resumed residual, with
-    the replayed support activated on every shard.
+    A plan of more than one shard ({!type:Shard_sweep.plan}) routes the
+    selection sweep through {!Shard_sweep}: bitwise identical to the
+    unsharded walk at every shard count, in both shard modes ([Domains]
+    in-image, [Procs] re-exec'd workers with crash recovery, counted in
+    the plan). The fleet is shut down however the path exits. It is
+    built after the replay, from the resumed residual, with the
+    replayed support activated on every shard.
 
-    @raise Invalid_argument on a negative checkpoint interval,
-    [shards < 1], or a [resume] that disagrees with the problem or
-    whose replay disagrees with the log (e.g. ["Omp.path: fit-vector
-    digest mismatch (different data or flags?)"]). *)
+    @raise Invalid_argument on a [log.resume] that disagrees with the
+    problem or whose replay disagrees with the log (e.g. ["Omp.path:
+    fit-vector digest mismatch (different data or flags?)"]). *)

@@ -532,22 +532,16 @@ let replay (t : Engine.t) (ck : Ckpt.t) =
    shard masks, incremental retreat/refresh) and checkpoint emission.
    [max_lambda] is the walk's λ budget ([None]: walk the whole step
    budget). *)
-let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
-    ?(checkpoint_every = 0) ?on_checkpoint ?resume
-    ?(sweep = Corr_sweep.Exact) ?(shards = 1)
-    ?(shard_mode = Shard_sweep.Domains) ?recovered src f ~max_lambda
-    ~max_steps =
+let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) ?log
+    ?(sweep = Corr_sweep.Exact) ?shards src f ~max_lambda ~max_steps =
   validate src f ~max_steps;
-  if checkpoint_every < 0 then
-    invalid_arg "Lars.path: negative checkpoint interval";
-  if shards < 1 then invalid_arg "Lars.path: shards must be positive";
+  let resume = Option.bind log (fun (l : Ckpt.log) -> l.resume) in
   (* Column-sharded sweep engine: the per-step O(K·M) scans decompose
      over contiguous column shards and merge bitwise (see Shard_sweep).
      Created against f — with a resume, the post-replay residual is
      re-swept below, which is exactly the refresh the checkpoint
      emission ran. *)
-  Shard_sweep.with_fleet ?pool ?recovered ~mode:shard_mode ~shards ~sweep src
-    ~r0:f
+  Shard_sweep.with_fleet ?pool ?shards ~sweep src ~r0:f
   @@ fun eng ->
   let norms =
     match eng with
@@ -593,14 +587,13 @@ let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
         (List.rev st.active);
       Array.iter (fun j -> Shard_sweep.ban e j) (banned_columns st));
   let emit =
-    Ckpt.emitter ~every:checkpoint_every ~start:t.Engine.nevents
+    Ckpt.emitter log ~start:t.Engine.nevents
       ~after:(fun () ->
         (* Checkpoint-aligned exact refresh: see [inc] above. *)
         Option.iter
           (fun ic -> Corr_sweep.Inc.refresh ic (Vec.sub f st.mu))
           inc;
         Option.iter (fun e -> Shard_sweep.refresh e (Vec.sub f st.mu)) eng)
-      on_checkpoint
       (fun () -> capture st ~mode ~scale:t.Engine.initial_c ~f t.Engine.events)
   in
   while not (Engine.finished t) do
@@ -683,14 +676,12 @@ let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop)
   emit ~final:true t.Engine.nevents;
   Engine.steps t
 
-let path_p ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint
-    ?resume ?sweep ?shards ?shard_mode ?recovered src f ~max_steps =
-  walk ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint ?resume
-    ?sweep ?shards ?shard_mode ?recovered src f ~max_lambda:None ~max_steps
+let path_p ?mode ?tol ?pool ?on_singular ?log ?sweep ?shards src f ~max_steps =
+  walk ?mode ?tol ?pool ?on_singular ?log ?sweep ?shards src f ~max_lambda:None
+    ~max_steps
 
-let lambda_path_p ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
-    ?recovered src f ~max_lambda =
-  walk ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode ?recovered src f
+let lambda_path_p ?mode ?pool ?on_singular ?sweep ?shards src f ~max_lambda =
+  walk ?mode ?pool ?on_singular ?sweep ?shards src f
     ~max_lambda:(Some max_lambda) ~max_steps:(step_budget max_lambda)
 
 (* λ-indexed models from a step sequence: entry λ−1 holds the last path
@@ -715,15 +706,13 @@ let lambda_models src ~max_lambda steps =
     models
   end
 
-let fit_p ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint
-    ?resume ?sweep ?shards ?shard_mode ?recovered src f ~lambda =
+let fit_p ?mode ?tol ?pool ?on_singular ?log ?sweep ?shards src f ~lambda =
   if lambda <= 0 then invalid_arg "Lars.fit: lambda must be positive";
   (* Drops can make the path longer than the target support size. *)
   let base_steps = (2 * lambda) + 8 in
   let rec run max_steps =
     let steps =
-      walk ?mode ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint
-        ?resume ?sweep ?shards ?shard_mode ?recovered src f
+      walk ?mode ?tol ?pool ?on_singular ?log ?sweep ?shards src f
         ~max_lambda:(Some lambda) ~max_steps
     in
     let best = ref None in

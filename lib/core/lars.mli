@@ -48,13 +48,9 @@ val path_p :
   ?tol:float ->
   ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
-  ?checkpoint_every:int ->
-  ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
-  ?resume:Serialize.Checkpoint.t ->
+  ?log:Serialize.Checkpoint.log ->
   ?sweep:Corr_sweep.sweep ->
-  ?shards:int ->
-  ?shard_mode:Shard_sweep.mode ->
-  ?recovered:int ref ->
+  ?shards:Shard_sweep.plan ->
   Polybasis.Design.Provider.t ->
   Linalg.Vec.t ->
   max_steps:int ->
@@ -94,13 +90,13 @@ val path_p :
     sweeps for every domain count and either provider form (each dot
     product is accumulated whole).
 
-    Checkpointing: with [checkpoint_every = n > 0],
-    [on_checkpoint] receives the walk log ({!Serialize.Checkpoint.t},
-    solver tag ["lar"] or ["lasso"]) every [n] completed steps, and
-    (whatever the cadence, including [checkpoint_every = 0]) once more
-    when the path ends, so a finished run always leaves its full log —
-    the emission rule {!Greedy.path_p} shares. [resume] replays a log's
-    events against the provider before any live step: recorded gammas
+    Checkpointing: [log.save] receives the walk log
+    ({!Serialize.Checkpoint.t}, solver tag ["lar"] or ["lasso"]) every
+    [log.every] completed steps, and (whatever the cadence, including
+    [0]) once more when the path ends, so a finished run always leaves
+    its full log — the emission rule {!Greedy.path_p} shares.
+    [log.resume] replays a log's events against the provider before any
+    live step: recorded gammas
     replace the two O(K·M) sweeps, so replay costs O(steps·active·K)
     and reproduces every step record — models, notes, order —
     bit-for-bit at any domain count. Resuming with a different dataset,
@@ -127,19 +123,17 @@ val path_p :
     is bitwise, [max_corr] included). Against [Exact] the mode is
     ≤1e-10-validated, not bitwise — hence opt-in.
 
-    [shards > 1] routes both per-step sweeps through the
-    column-sharded engine ({!Shard_sweep}): each shard owns a
-    contiguous column window (and, incremental mode, its own Gram
-    slab), local scans merge through exact left-biased reductions, and
-    the path — entries, bans, drops, step lengths, models — is bitwise
-    identical to [shards = 1] at every shard count, in both provider
-    forms and both sweep modes. [shard_mode] picks in-image shards
-    ([Domains], the default) or re-exec'd worker processes ([Procs]),
-    whose per-worker memory is O(K·M/S) and which survive worker death
-    by replaying the engine's command log — also bitwise. [recovered]
-    (when given) accumulates the number of worker recoveries, so
-    drivers can report survived crashes without touching model
-    notes. *)
+    A [shards] plan of more than one shard ({!type:Shard_sweep.plan}) routes
+    both per-step sweeps through the column-sharded engine
+    ({!Shard_sweep}): each shard owns a contiguous column window (and,
+    incremental mode, its own Gram slab), local scans merge through
+    exact left-biased reductions, and the path — entries, bans, drops,
+    step lengths, models — is bitwise identical to the unsharded walk
+    at every shard count, in both provider forms and both sweep modes.
+    The plan's mode picks in-image shards ([Domains]) or re-exec'd
+    worker processes ([Procs]), whose per-worker memory is O(K·M/S) and
+    which survive worker death by replaying the engine's command log —
+    also bitwise; the plan counts the recoveries. *)
 
 val step_budget : int -> int
 (** [step_budget max_lambda] = [min (2·max_lambda + 8) (4·max_lambda)]
@@ -152,9 +146,7 @@ val lambda_path_p :
   ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
   ?sweep:Corr_sweep.sweep ->
-  ?shards:int ->
-  ?shard_mode:Shard_sweep.mode ->
-  ?recovered:int ref ->
+  ?shards:Shard_sweep.plan ->
   Polybasis.Design.Provider.t ->
   Linalg.Vec.t ->
   max_lambda:int ->
@@ -183,13 +175,9 @@ val fit_p :
   ?tol:float ->
   ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
-  ?checkpoint_every:int ->
-  ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
-  ?resume:Serialize.Checkpoint.t ->
+  ?log:Serialize.Checkpoint.log ->
   ?sweep:Corr_sweep.sweep ->
-  ?shards:int ->
-  ?shard_mode:Shard_sweep.mode ->
-  ?recovered:int ref ->
+  ?shards:Shard_sweep.plan ->
   Polybasis.Design.Provider.t ->
   Linalg.Vec.t ->
   lambda:int ->
@@ -204,9 +192,9 @@ val fit_p :
     step past [lambda] bases and a [Lasso] walk keeps its step budget;
     the result is bitwise the uncapped walk's.
 
-    Checkpoint arguments behave as in {!path_p}, so a [Lar] fit's
-    terminal checkpoint ends one step past [lambda] bases; its event
-    log is a prefix of the uncapped walk's. [resume] accepts any
+    [log] behaves as in {!path_p}, so a [Lar] fit's terminal checkpoint
+    ends one step past [lambda] bases; its event log is a prefix of the
+    uncapped walk's. [log.resume] accepts any
     checkpoint of the same problem, including one written by an
     uncapped walk that ran past the budget: the replay restores it
     whole and the walk is already done. *)

@@ -191,19 +191,15 @@ module Engine = struct
       refit_and_record t ~index:t.support.(t.p - 1) ~correlation:0.
 end
 
-let path_p ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint ?resume
-    ?shards ?shard_mode ?recovered src f ~max_lambda =
+let path_p ?tol ?pool ?on_singular ?log ?shards src f ~max_lambda =
   Greedy.path_p
     (module Engine)
-    ?pool ?checkpoint_every ?on_checkpoint ?resume ?shards ?shard_mode
-    ?recovered src
+    ?pool ?log ?shards src
     (fun () -> Engine.create ?tol ?on_singular src f ~max_lambda)
 
-let fit_p ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint ?resume
-    ?shards ?shard_mode ?recovered src f ~lambda =
+let fit_p ?tol ?pool ?on_singular ?log ?shards src f ~lambda =
   let steps =
-    path_p ?tol ?pool ?on_singular ?checkpoint_every ?on_checkpoint ?resume
-      ?shards ?shard_mode ?recovered src f ~max_lambda:lambda
+    path_p ?tol ?pool ?on_singular ?log ?shards src f ~max_lambda:lambda
   in
   if Array.length steps = 0 then
     Model.make ~basis_size:(Provider.cols src) ~support:[||] ~coeffs:[||]

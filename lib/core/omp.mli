@@ -48,12 +48,8 @@ val path_p :
   ?tol:float ->
   ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
-  ?checkpoint_every:int ->
-  ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
-  ?resume:Serialize.Checkpoint.t ->
-  ?shards:int ->
-  ?shard_mode:Shard_sweep.mode ->
-  ?recovered:int ref ->
+  ?log:Serialize.Checkpoint.log ->
+  ?shards:Shard_sweep.plan ->
   Polybasis.Design.Provider.t ->
   Linalg.Vec.t ->
   max_lambda:int ->
@@ -61,9 +57,8 @@ val path_p :
 (** [path_p src f ~max_lambda] runs up to [max_lambda] iterations and
     returns one step record per iteration. It is {!Greedy.path_p}
     driving {!Engine} — one driver for OMP and {!Star}, whose contract
-    covers the walk log ({!Serialize.Checkpoint.t}, solver tag
-    ["omp"]) and [resume] (the replayed leading step has
-    [correlation = 0]), [pool] and the [shards] options. Stops
+    covers [log] (solver tag ["omp"]; a resume's replayed leading step
+    has [correlation = 0]), [pool] and the [shards] plan. Stops
     early when the largest residual correlation falls below [tol]
     (default [1e-12]) relative to the initial one, or when the residual
     is numerically zero.
@@ -83,12 +78,8 @@ val fit_p :
   ?tol:float ->
   ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
-  ?checkpoint_every:int ->
-  ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
-  ?resume:Serialize.Checkpoint.t ->
-  ?shards:int ->
-  ?shard_mode:Shard_sweep.mode ->
-  ?recovered:int ref ->
+  ?log:Serialize.Checkpoint.log ->
+  ?shards:Shard_sweep.plan ->
   Polybasis.Design.Provider.t ->
   Linalg.Vec.t ->
   lambda:int ->

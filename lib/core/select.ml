@@ -135,6 +135,13 @@ let lockstep ~create ~finished ~sweep ~advance ~prefix src jobs =
   loop ();
   Array.mapi (fun i e -> if dropped.(i) then None else Some (prefix e)) engines
 
+type store = { base : string; resume : bool }
+
+let store ?(resume = false) = function
+  | None when resume -> Error "resume requires a checkpoint path"
+  | None -> Ok None
+  | Some base -> Ok (Some { base; resume })
+
 (* File-backed caches of the grid's cells over
    [Serialize.Checkpoint.Cell]: every finished (output, fold) cell
    writes [Cell.file base ~outputs r q]; on resume, a cell file must
@@ -143,7 +150,7 @@ let lockstep ~create ~finished ~sweep ~advance ~prefix src jobs =
    fit skipped. A cell from a different seed, dataset, fold count,
    output count or λ grid is a hard error, never silently blended into
    the average. *)
-let grid_caches ~base ~resume ~outputs ~folds ~n ~max_lambda plan =
+let grid_caches { base; resume } ~outputs ~folds ~n ~max_lambda plan =
   let module Cell = Serialize.Checkpoint.Cell in
   let plan_digest = Cell.plan_digest plan.Stat.Crossval.assignment in
   let cell r q curve =
@@ -189,8 +196,7 @@ let grid_caches ~base ~resume ~outputs ~folds ~n ~max_lambda plan =
    in fold order, so output [r]'s result is bitwise independent of R,
    the driver and the domain count. *)
 let select ?(folds = 4) ?(rule = Min_error) ?pool ?(sweep = Corr_sweep.Exact)
-    ?(shards = 1) ?checkpoint ?(resume = false) ~fit_jobs ~path_models rng
-    ~max_lambda src fs =
+    ?shards ?store ~fit_jobs ~path_models rng ~max_lambda src fs =
   if max_lambda <= 0 then invalid_arg "Select: max_lambda must be positive";
   let outputs = Array.length fs in
   if outputs = 0 then invalid_arg "Select: at least one output required";
@@ -206,11 +212,13 @@ let select ?(folds = 4) ?(rule = Min_error) ?pool ?(sweep = Corr_sweep.Exact)
   let pool = match pool with Some p -> p | None -> Parallel.Pool.default () in
   let caches =
     Option.map
-      (fun base ->
-        grid_caches ~base ~resume ~outputs ~folds ~n ~max_lambda plan)
-      checkpoint
+      (fun st -> grid_caches st ~outputs ~folds ~n ~max_lambda plan)
+      store
   in
-  let fused = fused_driver ~streamed:(Provider.is_streamed src) ~sweep ~shards in
+  let fused =
+    fused_driver ~streamed:(Provider.is_streamed src) ~sweep
+      ~shards:(match shards with Some p -> p.Shard_sweep.shards | None -> 1)
+  in
   let refits = Array.make outputs None in
   let grid =
     Stat.Crossval.run_fold_curves_multi ?caches ~outputs plan
@@ -300,14 +308,14 @@ let fused_lars ?mode ?on_singular ?pool src ~max_lambda =
    (and refit) path models. A single-output selector is its grid at
    R = 1. *)
 let omp_grid who ?folds ?rule ?pool ?on_singular ?(sweep = Corr_sweep.Exact)
-    ?shards ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src fs =
+    ?shards ?store rng ~max_lambda src fs =
   Result.iter_error
     (fun msg -> invalid_arg (who ^ ": " ^ msg))
     (Corr_sweep.lar_only ~lar:false sweep);
   let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
   (* OMP's path is also bounded by its own training rows. *)
   let cap src l = min l (min (Provider.rows src) (Provider.cols src)) in
-  select ?folds ?rule ?pool ?shards ?checkpoint ?resume
+  select ?folds ?rule ?pool ?shards ?store
     ~fit_jobs:
       (fused_greedy (module Omp.Engine) ?pool src
          ~create:(fun src_tr f_tr ->
@@ -316,14 +324,13 @@ let omp_grid who ?folds ?rule ?pool ?on_singular ?(sweep = Corr_sweep.Exact)
     ~path_models:(fun ~rng:_ src f ~max_lambda ->
       Array.map
         (fun s -> s.Omp.model)
-        (Omp.path_p ?pool ?on_singular ?shards ?shard_mode ?recovered src f
+        (Omp.path_p ?pool ?on_singular ?shards src f
            ~max_lambda:(cap src max_lambda)))
     rng ~max_lambda src fs
 
-let star_multi_p ?folds ?rule ?pool ?shards ?shard_mode ?recovered
-    ?checkpoint ?resume rng ~max_lambda src fs =
+let star_multi_p ?folds ?rule ?pool ?shards ?store rng ~max_lambda src fs =
   let max_lambda = lambda_cap ?folds ~rows_bound:false ~max_lambda src in
-  select ?folds ?rule ?pool ?shards ?checkpoint ?resume
+  select ?folds ?rule ?pool ?shards ?store
     ~fit_jobs:
       (fused_greedy (module Star.Engine) ?pool src
          ~create:(fun src_tr f_tr ->
@@ -331,38 +338,37 @@ let star_multi_p ?folds ?rule ?pool ?shards ?shard_mode ?recovered
     ~path_models:(fun ~rng:_ src f ~max_lambda ->
       Array.map
         (fun s -> s.Star.model)
-        (Star.path_p ?pool ?shards ?shard_mode ?recovered src f ~max_lambda))
+        (Star.path_p ?pool ?shards src f ~max_lambda))
     rng ~max_lambda src fs
 
 (* LAR/lasso: the λ-driven walk, which in LAR mode stops one step past
    [max_lambda] bases. *)
-let lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards
-    ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src fs =
+let lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?store
+    rng ~max_lambda src fs =
   let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
-  select ?folds ?rule ?pool ?sweep ?shards ?checkpoint ?resume
+  select ?folds ?rule ?pool ?sweep ?shards ?store
     ~fit_jobs:(fused_lars ?mode ?on_singular ?pool src ~max_lambda)
     ~path_models:(fun ~rng:_ src f ~max_lambda ->
       Lars.lambda_models src ~max_lambda
-        (Lars.lambda_path_p ?mode ?pool ?on_singular ?sweep ?shards
-           ?shard_mode ?recovered src f ~max_lambda))
+        (Lars.lambda_path_p ?mode ?pool ?on_singular ?sweep ?shards src f
+           ~max_lambda))
     rng ~max_lambda src fs
 
 let omp_multi_p = omp_grid "Select.omp_multi_p"
 
-let omp_p ?folds ?rule ?pool ?on_singular ?sweep ?shards ?shard_mode
-    ?recovered ?checkpoint ?resume rng ~max_lambda src f =
+let omp_p ?folds ?rule ?pool ?on_singular ?sweep ?shards ?store rng
+    ~max_lambda src f =
   (omp_grid "Select.omp_p" ?folds ?rule ?pool ?on_singular ?sweep ?shards
-     ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src [| f |]).(0)
+     ?store rng ~max_lambda src [| f |]).(0)
 
-let star_p ?folds ?rule ?pool ?shards ?shard_mode ?recovered ?checkpoint
-    ?resume rng ~max_lambda src f =
-  (star_multi_p ?folds ?rule ?pool ?shards ?shard_mode ?recovered ?checkpoint
-     ?resume rng ~max_lambda src [| f |]).(0)
+let star_p ?folds ?rule ?pool ?shards ?store rng ~max_lambda src f =
+  (star_multi_p ?folds ?rule ?pool ?shards ?store rng ~max_lambda src
+     [| f |]).(0)
 
-let lars_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?shard_mode
-    ?recovered ?checkpoint ?resume rng ~max_lambda src f =
-  (lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards
-     ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src [| f |]).(0)
+let lars_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?store rng
+    ~max_lambda src f =
+  (lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?store
+     rng ~max_lambda src [| f |]).(0)
 
 let omp ?folds ?rule ?pool ?on_singular rng ~max_lambda g f =
   omp_p ?folds ?rule ?pool ?on_singular rng ~max_lambda (Provider.dense g) f

@@ -45,6 +45,40 @@ type result = {
   curve : float array;  (** ε(λ) for λ = 1 … max_lambda *)
 }
 
+(** {2 Engine values}
+
+    Every path selector takes the same two values besides its
+    algorithm labels: the shard plan [?shards] ({!type:Shard_sweep.plan},
+    forwarded to every fold fit and the refit — the selected λ, curve
+    and model stay bitwise identical to the unsharded run, and the plan
+    counts worker recoveries) and the CV cell store [?store]. *)
+
+type store = private {
+  base : string;  (** cell files are {!Serialize.Checkpoint.Cell.file}[ base] *)
+  resume : bool;  (** load matching cell files before fitting *)
+}
+(** Where a CV grid keeps its finished cells. With a store, every
+    finished (output, fold) cell writes a {!Serialize.Checkpoint.Cell}
+    file at {!Serialize.Checkpoint.Cell.file}[ base ~outputs r q] —
+    [base.out<r>.fold<q>], or [base.fold<q>] when R = 1 — in either
+    driver (atomic rename). With [resume], matching cell files are
+    loaded back and their fits skipped, so a killed grid refits only
+    its unfinished cells. Fold streams are split before any cell runs
+    either way, and loaded curves round-trip at full precision, so the
+    selected λ, curve and refit model are bitwise identical to an
+    uninterrupted run at every domain count, and a grid killed under
+    one driver resumes under the other. Every cell carries the grid's
+    shape: a cell file whose cell, grid shape or fold-plan digest
+    disagrees with the grid (different seed, data size, fold count,
+    output count or λ grid) raises [Invalid_argument] rather than
+    polluting the average. *)
+
+val store :
+  ?resume:bool -> string option -> (store option, string) Stdlib.result
+(** [store ~resume base] is the store at [base] ([None] without one).
+    [Error "resume requires a checkpoint path"] for [resume] without a
+    [base]. *)
+
 val fused_driver :
   streamed:bool -> sweep:Corr_sweep.sweep -> shards:int -> bool
 (** The one CV-driver rule. A path selector runs its grid on the
@@ -78,8 +112,7 @@ val omp_p :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
   ?sweep:Corr_sweep.sweep ->
-  ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
-  ?checkpoint:string -> ?resume:bool -> Randkit.Prng.t ->
+  ?shards:Shard_sweep.plan -> ?store:store -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t -> result
 (** Default [folds = 4] (the paper's Fig. 2 setting) and
     [rule = Min_error]; every selector raises [Invalid_argument] on
@@ -88,28 +121,12 @@ val omp_p :
     shorter than [max_lambda] (an early stop) is padded by repeating
     its last model, so it keeps its final error for larger λ.
 
-    With [checkpoint = base], every finished fold writes a
-    {!Serialize.Checkpoint.Cell} file at
-    {!Serialize.Checkpoint.Cell.file}[ base ~outputs:1 0 q] =
-    [base.fold<q>] (atomic rename). With [resume = true] (requires
-    [checkpoint]), matching fold files are loaded back and their fits
-    skipped, so a killed sweep refits only its unfinished folds; fold
-    streams are split before any fold runs either way, and loaded
-    curves round-trip at full precision, so the selected λ, curve and
-    refit model are bitwise identical to an uninterrupted run at every
-    domain count. A fold file whose cell, grid shape or fold-plan
-    digest disagrees with the sweep (different seed, data size, fold
-    count, output count or λ grid) raises [Invalid_argument] rather
-    than polluting the average.
-
     [sweep] (default [Exact]) must be [Exact]: OMP sweeps exactly, and
     [Incremental] raises [Invalid_argument] before any fold work
-    ({!Corr_sweep.lar_only}). [shards]/[shard_mode]/[recovered] (see
-    {!Omp.path_p}) are forwarded to every fold fit and the final refit;
-    the selected λ, curve and model stay bitwise identical to the
-    unsharded run. The fold driver is {!fused_driver}'s: on a streamed
-    provider with the unsharded sweep, every round computes all live
-    folds' selections with one {!Corr_sweep.argmax_abs_multi} sweep.
+    ({!Corr_sweep.lar_only}). The fold driver is {!fused_driver}'s: on
+    a streamed provider with the unsharded sweep, every round computes
+    all live folds' selections with one {!Corr_sweep.argmax_abs_multi}
+    sweep.
     @raise Invalid_argument if a fold produces an empty path.
 
     Every selector also raises [Invalid_argument "Select: response
@@ -118,30 +135,26 @@ val omp_p :
 
 val star_p :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
-  ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
-  ?checkpoint:string -> ?resume:bool -> Randkit.Prng.t ->
+  ?shards:Shard_sweep.plan -> ?store:store -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t -> result
-(** [shards]/[shard_mode]/[recovered] and the fold driver as in
-    {!omp_p}. *)
+(** The fold driver as in {!omp_p}. *)
 
 val lars_p :
   ?folds:int -> ?rule:rule -> ?mode:Lars.mode -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
   ?sweep:Corr_sweep.sweep ->
-  ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
-  ?checkpoint:string -> ?resume:bool ->
+  ?shards:Shard_sweep.plan -> ?store:store ->
   Randkit.Prng.t -> max_lambda:int -> Polybasis.Design.Provider.t ->
   Linalg.Vec.t -> result
 (** Every fold fit and the final refit is the λ-driven walk
     {!Lars.lambda_path_p} (a [Lar] walk ends one step past [max_lambda]
     bases, a [Lasso] walk at {!Lars.step_budget}), read through
-    {!Lars.lambda_models}; [on_singular] is forwarded to it.
-    [checkpoint]/[resume] as in {!omp_p}. [sweep] (default [Exact])
-    is forwarded to every fold fit and the final refit; [Incremental]
-    is the Gram-cached LAR engine ({!Lars.path_p}), within 1e-10 of
-    exact, and runs the per-job driver. [shards]/[shard_mode]/
-    [recovered] and the fold driver as in {!omp_p}: the fused fold
-    driver runs each fold's walk, and the refit walk, on a
+    {!Lars.lambda_models}; [on_singular] is forwarded to it. [sweep]
+    (default [Exact]) is forwarded to every fold fit and the final
+    refit; [Incremental] is the Gram-cached LAR engine
+    ({!Lars.path_p}), within 1e-10 of exact, and runs the per-job
+    driver. The fold driver as in {!omp_p}: the fused fold driver runs
+    each fold's walk, and the refit walk, on a
     {!Lars.Engine} created with the same λ budget and serves both of its
     per-step sweeps from one {!Corr_sweep.gram_tr_multi} pass per
     lockstep round. *)
@@ -154,8 +167,8 @@ val lars_p :
     on a streamed provider one lockstep grid whose steps are all served
     by a single multi-residual sweep per round, each streamed column
     generated {e once} per step for every output and fold — and R
-    per-output refits. They take the engine labels of the matching
-    [_p] selector, with the same meaning. Output [r]'s result — λ,
+    per-output refits. They take the labels of the matching [_p]
+    selector, with the same meaning. Output [r]'s result — λ,
     curve, model — is bitwise identical to the corresponding [_p] call
     on [fs.(r)] with a {!Randkit.Prng.copy} of the same generator, and
     the caller's generator ends where that one call leaves it. *)
@@ -164,27 +177,15 @@ val omp_multi_p :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
   ?sweep:Corr_sweep.sweep ->
-  ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
-  ?checkpoint:string -> ?resume:bool -> Randkit.Prng.t ->
+  ?shards:Shard_sweep.plan -> ?store:store -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t array ->
   result array
 (** Multi-output {!omp_p}, one {!result} per response in order.
-
-    [checkpoint]/[resume]: with [checkpoint = base], the grid writes
-    each finished (output, fold) cell as a {!Serialize.Checkpoint.Cell}
-    file at {!Serialize.Checkpoint.Cell.file}[ base ~outputs r q] —
-    [base.out<r>.fold<q>], or [base.fold<q>] when R = 1 — in either
-    driver; with [resume], matching cell files are loaded and their
-    fits skipped — bitwise identical to an uninterrupted run, so a grid
-    killed under one driver resumes under the other. Every cell carries
-    the grid's shape, so a cell file disagreeing with the grid shape or
-    fold plan raises [Invalid_argument]. {!omp_p} is this selector at
-    R = 1. *)
+    {!omp_p} is this selector at R = 1. *)
 
 val star_multi_p :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
-  ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
-  ?checkpoint:string -> ?resume:bool -> Randkit.Prng.t ->
+  ?shards:Shard_sweep.plan -> ?store:store -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t array ->
   result array
 (** As {!omp_multi_p} for STAR. *)
@@ -193,8 +194,7 @@ val lars_multi_p :
   ?folds:int -> ?rule:rule -> ?mode:Lars.mode -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
   ?sweep:Corr_sweep.sweep ->
-  ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
-  ?checkpoint:string -> ?resume:bool -> Randkit.Prng.t ->
+  ?shards:Shard_sweep.plan -> ?store:store -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t array ->
   result array
 (** As {!omp_multi_p} for the LAR/lasso walk of {!lars_p}: on the fused

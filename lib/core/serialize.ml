@@ -411,11 +411,18 @@ module Checkpoint = struct
       "replayed correlation signs disagree with the checkpoint";
     check (got = expected) "replayed walk disagrees with the checkpoint"
 
-  let emitter ~every ~start ?(after = ignore) on_checkpoint capture =
+  type log = { every : int; save : (t -> unit) option; resume : t option }
+
+  let log ?(every = 0) ?save ?resume () =
+    if every < 0 then Error "negative checkpoint interval"
+    else Ok { every; save; resume }
+
+  let emitter log ~start ?(after = ignore) capture =
     let last = ref start in
     fun ~final n ->
-      match on_checkpoint with
-      | Some cb when n > !last && (final || (every > 0 && n mod every = 0)) ->
+      match log with
+      | Some { every; save = Some cb; _ }
+        when n > !last && (final || (every > 0 && n mod every = 0)) ->
           cb (capture ());
           last := n;
           after ()

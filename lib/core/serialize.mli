@@ -133,11 +133,29 @@ module Checkpoint : sig
 
   val load : string -> (t, string) result
 
-  (** {2 The walk drivers' resume check and emission rule}
+  (** {2 The walk drivers' log, resume check and emission rule}
 
       {!Greedy.path_p} (OMP, STAR) and the LARS walk ({!Lars.path_p})
       both use these; [who] prefixes every message, e.g.
       ["Omp.path: "]. *)
+
+  type log = private {
+    every : int;
+        (** emission cadence in completed steps; 0 = only the final log *)
+    save : (t -> unit) option;
+        (** receives each emitted log (typically {!val:save}[ file]); no
+            emission without it *)
+    resume : t option;  (** a log to replay before the first live step *)
+  }
+  (** How one walk writes and resumes its log. Every walk entry point
+      takes it as [?log]; without one the walk neither emits nor
+      resumes. *)
+
+  val log :
+    ?every:int -> ?save:(t -> unit) -> ?resume:t -> unit ->
+    (log, string) result
+  (** [log ~every ~save ~resume ()] (defaults: [every = 0], no [save], no
+      [resume]). [Error "negative checkpoint interval"] on [every < 0]. *)
 
   val check_problem : who:string -> solver:string -> k:int -> m:int -> t -> unit
   (** Refuses a log of another solver or another problem shape.
@@ -152,14 +170,14 @@ module Checkpoint : sig
       ["fit-vector digest mismatch (different data or flags?)"]. *)
 
   val emitter :
-    every:int -> start:int -> ?after:(unit -> unit) -> (t -> unit) option ->
-    (unit -> t) -> final:bool -> int -> unit
-  (** [emitter ~every ~start on_checkpoint capture] is the one emission
-      rule: the returned [emit ~final n], called after each step with
-      the walk's event count [n], hands [capture ()] to the callback
-      when [n] passed the last emission ([start] at first) and either
-      [every > 0] divides [n] or [final] is set — so a finished walk
-      always leaves its full log. [after] runs after each emission. *)
+    log option -> start:int -> ?after:(unit -> unit) -> (unit -> t) ->
+    final:bool -> int -> unit
+  (** [emitter log ~start capture] is the one emission rule: the
+      returned [emit ~final n], called after each step with the walk's
+      event count [n], hands [capture ()] to [log.save] when [n] passed
+      the last emission ([start] at first) and either [log.every > 0]
+      divides [n] or [final] is set — so a finished walk always leaves
+      its full log. [after] runs after each emission. *)
 
   (** {2 The CV cell}
 
@@ -209,7 +227,7 @@ module Checkpoint : sig
     val of_string : string -> (t, string) result
 
     val save : string -> t -> unit
-    (** Atomic write, like {!Checkpoint.save}.
+    (** Atomic write, like {!val:Checkpoint.save}.
         @raise Sys_error on IO failure. *)
 
     val load : string -> (t, string) result

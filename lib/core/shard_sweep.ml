@@ -12,6 +12,17 @@ let mode_of_string = function
 
 let mode_to_string = function Domains -> "domain" | Procs -> "process"
 
+type plan = { shards : int; mode : mode; recovered : int Atomic.t }
+
+let plan ?(mode = "domain") shards =
+  match mode_of_string mode with
+  | None ->
+      Error
+        (Printf.sprintf "shard-mode must be domain or process (got %S)" mode)
+  | Some _ when shards < 1 ->
+      Error (Printf.sprintf "shards must be at least 1 (got %d)" shards)
+  | Some mode -> Ok { shards; mode; recovered = Atomic.make 0 }
+
 type dir = Dense of Vec.t | Weights of (int * float) array
 
 type pick = {
@@ -595,15 +606,14 @@ let exec t (c : cmd) : reply array =
       if logged c then ps.wlog <- c :: ps.wlog;
       rs
 
-let create ?pool ~mode ~shards ~sweep src ~r0 =
-  if shards < 1 then invalid_arg "Shard_sweep.create: shards must be >= 1";
+let create ?pool (plan : plan) ~sweep src ~r0 =
   let m = Provider.cols src in
   if Array.length r0 <> Provider.rows src then
     invalid_arg "Shard_sweep.create: residual length mismatch";
-  let ranges = Shard.ranges ~n:m ~shards in
+  let ranges = Shard.ranges ~n:m ~shards:plan.shards in
   let r0 = Array.copy r0 in
   let backend =
-    match mode with
+    match plan.mode with
     | Domains ->
         InImage
           (Array.mapi
@@ -627,8 +637,6 @@ let create ?pool ~mode ~shards ~sweep src ~r0 =
   in
   { src; sweep; ranges; r0; backend; recovered = 0; since = 0 }
 
-let shards t = Array.length t.ranges
-let recovered t = t.recovered
 
 let incremental t =
   match t.sweep with
@@ -648,16 +656,16 @@ let shutdown t =
           dispose_worker w)
         ps.workers
 
-let with_fleet ?pool ?recovered ~mode ~shards ~sweep src ~r0 f =
-  if shards <= 1 then f None
-  else begin
-    let t = create ?pool ~mode ~shards ~sweep src ~r0 in
-    Fun.protect
-      ~finally:(fun () ->
-        Option.iter (fun r -> r := !r + t.recovered) recovered;
-        shutdown t)
-      (fun () -> f (Some t))
-  end
+let with_fleet ?pool ?shards ~sweep src ~r0 f =
+  match shards with
+  | Some plan when plan.shards > 1 ->
+      let t = create ?pool plan ~sweep src ~r0 in
+      Fun.protect
+        ~finally:(fun () ->
+          ignore (Atomic.fetch_and_add plan.recovered t.recovered);
+          shutdown t)
+        (fun () -> f (Some t))
+  | _ -> f None
 
 (* Gathered raw column norms — per-column sums over ascending rows on
    each window, hence bitwise the full provider's column_norms. *)

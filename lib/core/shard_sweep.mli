@@ -32,10 +32,33 @@
 
 type mode = Domains | Procs
 
-val mode_of_string : string -> mode option
-(** ["domain"]/["domains"] and ["process"]/["procs"]. *)
-
 val mode_to_string : mode -> string
+
+(** {2 The shard plan}
+
+    How one fit shards its sweeps, and how many worker recoveries its
+    fleets have survived. Every solver entry point takes the plan as
+    [?shards]; without one (or with one shard) the sweeps run
+    unsharded. Results are bitwise identical to the unsharded run at
+    every shard count, in both modes. *)
+
+type plan = private {
+  shards : int;  (** column shards; 1 = unsharded *)
+  mode : mode;
+  recovered : int Atomic.t;
+      (** worker respawn+replay recoveries summed over every fleet run
+          under this plan ({!with_fleet} adds each fleet's count as it
+          shuts down, atomically, since the per-job CV driver runs
+          sharded cells on several domains at once), so a driver reports
+          survived crashes without touching model notes *)
+}
+
+val plan : ?mode:string -> int -> (plan, string) result
+(** [plan ~mode shards] is the plan of [shards] column shards in [mode]
+    (["domain"], the default, or ["process"]; ["domains"] and ["procs"]
+    are accepted too), with no recoveries yet. [Error] names the
+    rejected value: ["shards must be at least 1 (got 0)"] or
+    ["shard-mode must be domain or process (got \"x\")"]. *)
 
 (** A step direction shipped to the shards for the LARS γ-scan and
     commit: the K-vector u itself (exact sweep mode), or the active-set
@@ -88,18 +111,17 @@ type t
 
 val create :
   ?pool:Parallel.Pool.t ->
-  mode:mode ->
-  shards:int ->
+  plan ->
   sweep:Corr_sweep.sweep ->
   Polybasis.Design.Provider.t ->
   r0:Linalg.Vec.t ->
   t
-(** [create ~mode ~shards ~sweep src ~r0] partitions [src]'s columns
-    into [min shards (cols src)] contiguous shards and initializes
-    every shard against the starting residual [r0] (incremental mode
-    runs each window's initial exact sweep).  [pool] is used by
-    in-image shards; process workers run single-domain pools of their
-    own.  @raise Invalid_argument on [shards < 1] or a residual length
+(** [create plan ~sweep src ~r0] partitions [src]'s columns into
+    [min plan.shards (cols src)] contiguous shards in [plan.mode] and
+    initializes every shard against the starting residual [r0]
+    (incremental mode runs each window's initial exact sweep).  [pool]
+    is used by in-image shards; process workers run single-domain pools
+    of their own.  @raise Invalid_argument on a residual length
     mismatch. *)
 
 val shutdown : t -> unit
@@ -108,25 +130,17 @@ val shutdown : t -> unit
 
 val with_fleet :
   ?pool:Parallel.Pool.t ->
-  ?recovered:int ref ->
-  mode:mode ->
-  shards:int ->
+  ?shards:plan ->
   sweep:Corr_sweep.sweep ->
   Polybasis.Design.Provider.t ->
   r0:Linalg.Vec.t ->
   (t option -> 'a) ->
   'a
-(** [with_fleet ~mode ~shards ~sweep src ~r0 f] is [f None] when
-    [shards <= 1], else [f (Some e)] for a fresh {!create}d engine that
-    is shut down however [f] exits, its {!recovered} count added to
-    [recovered] (when given) first — the fleet lifecycle of every
+(** [with_fleet ~shards ~sweep src ~r0 f] is [f None] without a plan or
+    with a one-shard plan, else [f (Some e)] for a fresh {!create}d
+    engine that is shut down however [f] exits, its worker recoveries
+    added to the plan's count first — the fleet lifecycle of every
     sharded solver run. *)
-
-val shards : t -> int
-(** Actual shard count after clamping to the column count. *)
-
-val recovered : t -> int
-(** Number of worker respawn+replay recoveries performed so far. *)
 
 val incremental : t -> bool
 (** Whether the fleet maintains correlations ([sweep = Incremental], a

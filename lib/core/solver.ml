@@ -38,19 +38,32 @@ let require_sweep who m sweep =
   Result.iter_error (fun msg -> invalid_arg (who ^ ": " ^ msg))
     (check_sweep m sweep)
 
-let default_lambda g = max 1 (min (Mat.rows g) (Mat.cols g) / 2)
+let lars_mode = function Lasso -> Lars.Lasso | _ -> Lars.Lar
 
-let fit ?lambda g f m =
-  let lambda = match lambda with Some l -> l | None -> default_lambda g in
+let fit_p ?lambda ?pool ?on_singular ?(sweep = Corr_sweep.Exact) ?log ?shards
+    src f m =
+  require_sweep "Solver.fit_p" m sweep;
+  let rows = Provider.rows src and cols = Provider.cols src in
+  let lambda =
+    match lambda with Some l -> l | None -> max 1 (min rows cols / 2)
+  in
   match m with
-  | Ls -> Ls.fit g f
-  | Star -> Star.fit g f ~lambda
-  | Lar -> Lars.fit ~mode:Lars.Lar g f ~lambda
-  | Lasso -> Lars.fit ~mode:Lars.Lasso g f ~lambda
-  | Omp -> Omp.fit g f ~lambda:(min lambda (min (Mat.rows g) (Mat.cols g)))
-  | Stomp -> Stomp.fit ~max_selected:(min lambda (min (Mat.rows g) (Mat.cols g))) g f
+  | Star -> Star.fit_p ?pool ?log ?shards src f ~lambda
+  | Lar | Lasso ->
+      Lars.fit_p ~mode:(lars_mode m) ?pool ?on_singular ?log ~sweep ?shards
+        src f ~lambda
+  | Omp ->
+      Omp.fit_p ?pool ?on_singular ?log ?shards src f
+        ~lambda:(min lambda (min rows cols))
+  | Ls -> Ls.fit (Provider.to_dense src) f
+  | Stomp ->
+      Stomp.fit ~max_selected:(min lambda (min rows cols))
+        (Provider.to_dense src) f
   | Cosamp ->
-      Cosamp.fit g f ~s:(max 1 (min lambda (min (Mat.rows g / 3) (Mat.cols g))))
+      Cosamp.fit (Provider.to_dense src) f
+        ~s:(max 1 (min lambda (min (rows / 3) cols)))
+
+let fit ?lambda g f m = fit_p ?lambda (Provider.dense g) f m
 
 (* CV for the methods whose knob is not a λ path (StOMP's threshold,
    CoSaMP's sparsity): the grid entry with the lowest mean held-out
@@ -73,19 +86,9 @@ let cv_knob ?(folds = 4) rng g f grid fit =
   in
   grid.(Stat.Crossval.argmin curve)
 
-let fit_cv ?folds ?max_lambda rng g f m =
-  let max_lambda =
-    match max_lambda with
-    | Some l -> l
-    | None -> max 1 (min (min (Mat.rows g / 2) (Mat.cols g)) 200)
-  in
-  match m with
-  | Ls -> Ls.fit g f
-  | Star -> (Select.star ?folds rng ~max_lambda g f).Select.model
-  | Lar -> (Select.lars ?folds ~mode:Lars.Lar rng ~max_lambda g f).Select.model
-  | Lasso ->
-      (Select.lars ?folds ~mode:Lars.Lasso rng ~max_lambda g f).Select.model
-  | Omp -> (Select.omp ?folds rng ~max_lambda g f).Select.model
+(* The methods without a λ path, on the materialized matrix (full LS /
+   batch thresholding; free for a dense provider). *)
+let fit_knob ?folds ~max_lambda rng g f = function
   | Stomp ->
       (* StOMP's threshold, not lambda, is its knob. *)
       let threshold =
@@ -104,64 +107,25 @@ let fit_cv ?folds ?max_lambda rng g f m =
             | exception Invalid_argument _ -> None)
       in
       Cosamp.fit g f ~s
+  | _ -> (* LS: λ is meaningless there. *) Ls.fit g f
 
-let fit_cv_p ?folds ?max_lambda ?on_singular ?(sweep = Corr_sweep.Exact)
-    ?shards ?shard_mode ?recovered ?cv_checkpoint ?cv_resume ?(notes = [||])
-    rng src f m =
-  require_sweep "Solver.fit_cv_p" m sweep;
-  let max_lambda =
-    match max_lambda with
-    | Some l -> l
-    | None ->
-        max 1 (min (min (Provider.rows src / 2) (Provider.cols src)) 200)
-  in
-  let checkpoint = cv_checkpoint and resume = cv_resume in
-  let model =
-  match m with
-  | Star ->
-      (Select.star_p ?folds ?shards ?shard_mode ?recovered ?checkpoint
-         ?resume rng ~max_lambda src f)
-        .Select.model
-  | Lar ->
-      (Select.lars_p ?folds ~mode:Lars.Lar ?on_singular ~sweep ?shards
-         ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src f)
-        .Select.model
-  | Lasso ->
-      (Select.lars_p ?folds ~mode:Lars.Lasso ?on_singular ~sweep ?shards
-         ?shard_mode ?recovered ?checkpoint ?resume rng ~max_lambda src f)
-        .Select.model
-  | Omp ->
-      (Select.omp_p ?folds ?on_singular ?shards ?shard_mode ?recovered
-         ?checkpoint ?resume rng ~max_lambda src f)
-        .Select.model
-  | Ls | Stomp | Cosamp ->
-      (* These paths need the materialized matrix (full LS / batch
-         thresholding); free for a dense provider. *)
-      fit_cv ?folds ~max_lambda rng (Provider.to_dense src) f m
-  in
-  (* Provenance notes (e.g. a quorum-degraded delivery) ride on the
-     model itself so a served artifact carries its history. *)
-  Array.fold_left Model.add_note model notes
-
-(* Multi-output fitting: R responses over one design. A path method
-   is one [Select.*_multi_p] grid, which follows [Select.fused_driver]
-   like single-output CV. The other methods fit output at a time:
+(* Cross-validated fitting of R responses over one design. A path
+   method is one [Select.*_multi_p] grid, which follows
+   [Select.fused_driver]. The other methods fit output at a time:
    output 0 on the caller's generator, the others on copies taken
    first, so every output sees the same plan and the caller's
-   generator ends where one [fit_cv_p] leaves it. *)
-let fit_multi_p ?folds ?max_lambda ?on_singular ?(sweep = Corr_sweep.Exact)
-    ?shards ?shard_mode ?recovered ?cv_checkpoint ?cv_resume ?notes rng src
-    fs m =
-  require_sweep "Solver.fit_multi_p" m sweep;
+   generator ends where one single-output fit leaves it. *)
+let fit_grid who ?folds ?max_lambda ?on_singular ?(sweep = Corr_sweep.Exact)
+    ?shards ?store ?notes rng src fs m =
+  require_sweep who m sweep;
   let outputs = Array.length fs in
-  if outputs = 0 then
-    invalid_arg "Solver.fit_multi_p: at least one output required";
+  if outputs = 0 then invalid_arg (who ^ ": at least one output required");
   let notes =
     match notes with
     | None -> Array.make outputs [||]
     | Some ns ->
         if Array.length ns <> outputs then
-          invalid_arg "Solver.fit_multi_p: notes count disagrees with outputs";
+          invalid_arg (who ^ ": notes count disagrees with outputs");
         ns
   in
   let max_lambda =
@@ -170,35 +134,40 @@ let fit_multi_p ?folds ?max_lambda ?on_singular ?(sweep = Corr_sweep.Exact)
     | None ->
         max 1 (min (min (Provider.rows src / 2) (Provider.cols src)) 200)
   in
-  let checkpoint = cv_checkpoint and resume = cv_resume in
   let models sels = Array.map (fun s -> s.Select.model) sels in
   let fitted =
     match m with
     | Star ->
         models
-          (Select.star_multi_p ?folds ?shards ?shard_mode ?recovered
-             ?checkpoint ?resume rng ~max_lambda src fs)
-    | Lar ->
+          (Select.star_multi_p ?folds ?shards ?store rng ~max_lambda src fs)
+    | Lar | Lasso ->
         models
-          (Select.lars_multi_p ?folds ~mode:Lars.Lar ?on_singular ~sweep
-             ?shards ?shard_mode ?recovered ?checkpoint ?resume rng
-             ~max_lambda src fs)
-    | Lasso ->
-        models
-          (Select.lars_multi_p ?folds ~mode:Lars.Lasso ?on_singular ~sweep
-             ?shards ?shard_mode ?recovered ?checkpoint ?resume rng
-             ~max_lambda src fs)
+          (Select.lars_multi_p ?folds ~mode:(lars_mode m) ?on_singular ~sweep
+             ?shards ?store rng ~max_lambda src fs)
     | Omp ->
         models
-          (Select.omp_multi_p ?folds ?on_singular ?shards ?shard_mode
-             ?recovered ?checkpoint ?resume rng ~max_lambda src fs)
+          (Select.omp_multi_p ?folds ?on_singular ?shards ?store rng
+             ~max_lambda src fs)
     | Ls | Stomp | Cosamp ->
         let copies = Array.init (outputs - 1) (fun _ -> Randkit.Prng.copy rng) in
+        let g = Provider.to_dense src in
         Array.mapi
           (fun r f ->
-            fit_cv_p ?folds ~max_lambda
+            fit_knob ?folds ~max_lambda
               (if r = 0 then rng else copies.(r - 1))
-              src f m)
+              g f m)
           fs
   in
+  (* Provenance notes (e.g. a quorum-degraded delivery) ride on the
+     models themselves so a served artifact carries its history. *)
   Array.map2 (Array.fold_left Model.add_note) fitted notes
+
+let fit_multi_p = fit_grid "Solver.fit_multi_p"
+
+let fit_cv_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?store
+    ?(notes = [||]) rng src f m =
+  (fit_grid "Solver.fit_cv_p" ?folds ?max_lambda ?on_singular ?sweep ?shards
+     ?store ~notes:[| notes |] rng src [| f |] m).(0)
+
+let fit_cv ?folds ?max_lambda rng g f m =
+  fit_cv_p ?folds ?max_lambda rng (Provider.dense g) f m

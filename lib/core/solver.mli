@@ -31,92 +31,94 @@ val path_method : method_ -> bool
 val check_sweep : method_ -> Corr_sweep.sweep -> (unit, string) result
 (** [check_sweep m sweep] is {!Corr_sweep.lar_only}: [Error] for an
     [Incremental] sweep with any method but [Lar] and [Lasso], whose
-    walk is the only one the Gram cache speeds up. {!fit_cv_p} and
-    {!fit_multi_p} raise [Invalid_argument] on that [Error] before any
-    fold work; [Robust.Pipeline.config] returns it typed. *)
+    walk is the only one the Gram cache speeds up. {!fit_p},
+    {!fit_cv_p} and {!fit_multi_p} raise [Invalid_argument] on that
+    [Error] before any work; [Robust.Pipeline.config] returns it
+    typed. *)
 
-val fit :
-  ?lambda:int -> Linalg.Mat.t -> Linalg.Vec.t -> method_ -> Model.t
-(** [fit g f m] with a fixed sparsity budget [lambda] (ignored by [Ls]).
-    Default [lambda] is [min(K, M)/2] — prefer {!fit_cv} in real use.
-    @raise Invalid_argument when [Ls] is asked to fit an
-    underdetermined system. *)
+(** {2 Engine values}
 
-val fit_cv :
-  ?folds:int -> ?max_lambda:int -> Randkit.Prng.t -> Linalg.Mat.t ->
-  Linalg.Vec.t -> method_ -> Model.t
-(** Cross-validated fit: sparsity chosen per Section IV-C for the path
-    methods; plain LS for [Ls] (λ is meaningless there). Default
-    [max_lambda] is [min(K/2, M, 200)]. *)
-
-val fit_cv_p :
-  ?folds:int -> ?max_lambda:int -> ?on_singular:[ `Stop | `Fallback ] ->
-  ?sweep:Corr_sweep.sweep ->
-  ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
-  ?cv_checkpoint:string -> ?cv_resume:bool -> ?notes:string array ->
-  Randkit.Prng.t ->
-  Polybasis.Design.Provider.t -> Linalg.Vec.t -> method_ -> Model.t
-(** {!fit_cv} over a design provider. The greedy path methods (STAR,
-    LAR, LASSO, OMP) run fully matrix-free on a streamed provider,
-    bitwise matching the dense run; [Ls], [Stomp] and [Cosamp]
-    materialize the matrix (free when the provider is dense).
+    The path methods take the same engine values as the solvers they
+    dispatch to, and [Ls]/[Stomp]/[Cosamp] ignore them:
+    - [shards], the shard plan ({!type:Shard_sweep.plan}): the selection
+      sweeps run column-sharded, bitwise identical to the unsharded run
+      at every shard count, and the plan counts worker recoveries;
+    - [log], the walk log of a fixed-λ fit
+      ({!type:Serialize.Checkpoint.log}, see {!Greedy.path_p} and
+      {!Lars.path_p});
+    - [store], the CV cell store of a cross-validated fit
+      ({!type:Select.store}): a run interrupted in one CV driver — say a
+      streamed fit — resumes bitwise in the other, as a dense fit.
 
     [on_singular] selects the degenerate-Gram policy for the OMP and
     LAR/LASSO fits (see {!Omp.path_p} and {!Lars.path_p}); [`Fallback]
     routes singular active-set re-fits through the {!Refit} ladder
-    instead of stopping, recording the rung in {!Model.notes}. Ignored
-    by the other methods.
+    instead of stopping, recording the rung in {!Model.notes}. [sweep]
+    selects the correlation engine (default {!Corr_sweep.Exact}) of the
+    LAR/LASSO walk; every other method sweeps exactly and raises
+    [Invalid_argument] on an [Incremental] sweep ({!check_sweep})
+    before any work. Both are ignored by [Ls]/[Stomp]/[Cosamp]. *)
 
-    [sweep] selects the correlation engine (default
-    {!Corr_sweep.Exact}) of the LAR/LASSO walk, forwarded to
-    {!Select.lars_p}; the CV fold driver follows {!Select.fused_driver}.
-    Every other method sweeps exactly and raises [Invalid_argument] on
-    an [Incremental] sweep ({!check_sweep}).
+val fit_p :
+  ?lambda:int -> ?pool:Parallel.Pool.t ->
+  ?on_singular:[ `Stop | `Fallback ] -> ?sweep:Corr_sweep.sweep ->
+  ?log:Serialize.Checkpoint.log -> ?shards:Shard_sweep.plan ->
+  Polybasis.Design.Provider.t -> Linalg.Vec.t -> method_ -> Model.t
+(** [fit_p src f m] with a fixed sparsity budget [lambda] (ignored by
+    [Ls]; OMP and StOMP cap it at [min(K, M)]): {!Omp.fit_p},
+    {!Star.fit_p} or {!Lars.fit_p} for the path methods, which run
+    matrix-free on a streamed provider; [Ls], [Stomp] and [Cosamp]
+    materialize the matrix. Default [lambda] is [min(K, M)/2] — prefer
+    {!fit_cv_p} in real use.
+    @raise Invalid_argument when [Ls] is asked to fit an
+    underdetermined system. *)
 
-    [shards]/[shard_mode]/[recovered] route the path methods' selection
-    sweeps through the column-sharded engine ({!Shard_sweep}, see
-    {!Select.omp_p}): selections stay bitwise identical to the
-    unsharded run at every shard count. Ignored by
-    [Ls]/[Stomp]/[Cosamp].
-
-    [cv_checkpoint]/[cv_resume] enable per-fold CV checkpointing for the
-    path methods (STAR, LAR, LASSO, OMP) — see {!Select.omp_p}.
-    Ignored by [Ls]/[Stomp]/[Cosamp], which have no λ sweep to
-    checkpoint.
-
-    [notes] are provenance lines appended to the fitted model's
-    {!Model.notes} (deduplicated by {!Model.add_note}) — how the
-    pipeline records a quorum-degraded delivery on the artifact itself,
-    so the note survives serialization and serving. *)
+val fit :
+  ?lambda:int -> Linalg.Mat.t -> Linalg.Vec.t -> method_ -> Model.t
+(** {!fit_p} over [Provider.dense g]. *)
 
 val fit_multi_p :
   ?folds:int -> ?max_lambda:int -> ?on_singular:[ `Stop | `Fallback ] ->
   ?sweep:Corr_sweep.sweep ->
-  ?shards:int -> ?shard_mode:Shard_sweep.mode -> ?recovered:int ref ->
-  ?cv_checkpoint:string -> ?cv_resume:bool -> ?notes:string array array ->
+  ?shards:Shard_sweep.plan -> ?store:Select.store ->
+  ?notes:string array array ->
   Randkit.Prng.t ->
   Polybasis.Design.Provider.t -> Linalg.Vec.t array -> method_ ->
   Model.t array
-(** [fit_multi_p rng src fs m] fits one model per response in [fs] over
-    the shared design — the multi-output extension of {!fit_cv_p}, one
-    model per output in order.
+(** [fit_multi_p rng src fs m] fits one cross-validated model per
+    response in [fs] over the shared design, in order: sparsity chosen
+    per Section IV-C for the path methods, plain LS for [Ls] (λ is
+    meaningless there). Default [max_lambda] is [min(K/2, M, 200)].
 
     A path method runs one grid of outputs×folds cells
     ({!Select.omp_multi_p}, {!Select.star_multi_p},
     {!Select.lars_multi_p}) on the driver {!Select.fused_driver} picks
-    for the provider's form, [sweep] and [shards] — the rule
-    single-output CV follows. Non-path methods ([Ls]/[Stomp]/[Cosamp]) fit output at
-    a time: output 0 on [rng], the others on {!Randkit.Prng.copy}s of
-    it taken first. Either way output [r]'s model is bitwise the
-    {!fit_cv_p} model for [fs.(r)] from the same generator state, at
-    every domain count and in both provider forms, and [rng] ends where
-    that one {!fit_cv_p} call leaves it.
+    for the provider's form, [sweep] and [shards], fully matrix-free on
+    a streamed provider and bitwise matching the dense run.
+    Non-path methods ([Ls]/[Stomp]/[Cosamp]) materialize the matrix
+    (free when the provider is dense) and fit output at a time: output
+    0 on [rng], the others on {!Randkit.Prng.copy}s of it taken first.
+    Either way output [r]'s model is bitwise the {!fit_cv_p} model for
+    [fs.(r)] from the same generator state, at every domain count and
+    in both provider forms, and [rng] ends where that one {!fit_cv_p}
+    call leaves it.
 
-    [cv_checkpoint = base] checkpoints cell [(r, q)] at
-    {!Serialize.Checkpoint.Cell.file}[ base ~outputs r q] in either
-    driver, so a run interrupted in one driver — say a streamed fit —
-    resumes bitwise in the other, as a dense fit.
-
-    [notes] supplies one provenance-note array per output.
+    [notes] supplies one provenance-note array per output, appended to
+    that output's {!Model.notes} (deduplicated by {!Model.add_note}) —
+    how the pipeline records a quorum-degraded delivery on the artifact
+    itself, so the note survives serialization and serving.
     @raise Invalid_argument when {!check_sweep} rejects [sweep], [fs]
     is empty or [notes] disagrees in length, before any fitting. *)
+
+val fit_cv_p :
+  ?folds:int -> ?max_lambda:int -> ?on_singular:[ `Stop | `Fallback ] ->
+  ?sweep:Corr_sweep.sweep ->
+  ?shards:Shard_sweep.plan -> ?store:Select.store -> ?notes:string array ->
+  Randkit.Prng.t ->
+  Polybasis.Design.Provider.t -> Linalg.Vec.t -> method_ -> Model.t
+(** {!fit_multi_p} at R = 1. *)
+
+val fit_cv :
+  ?folds:int -> ?max_lambda:int -> Randkit.Prng.t -> Linalg.Mat.t ->
+  Linalg.Vec.t -> method_ -> Model.t
+(** {!fit_cv_p} over [Provider.dense g]. *)

@@ -122,20 +122,14 @@ module Engine = struct
         ~coefficient:(List.hd t.coeffs_rev)
 end
 
-let path_p ?tol ?pool ?checkpoint_every ?on_checkpoint ?resume ?shards
-    ?shard_mode ?recovered src f ~max_lambda =
+let path_p ?tol ?pool ?log ?shards src f ~max_lambda =
   Greedy.path_p
     (module Engine)
-    ?pool ?checkpoint_every ?on_checkpoint ?resume ?shards ?shard_mode
-    ?recovered src
+    ?pool ?log ?shards src
     (fun () -> Engine.create ?tol src f ~max_lambda)
 
-let fit_p ?tol ?pool ?checkpoint_every ?on_checkpoint ?resume ?shards
-    ?shard_mode ?recovered src f ~lambda =
-  let steps =
-    path_p ?tol ?pool ?checkpoint_every ?on_checkpoint ?resume ?shards
-      ?shard_mode ?recovered src f ~max_lambda:lambda
-  in
+let fit_p ?tol ?pool ?log ?shards src f ~lambda =
+  let steps = path_p ?tol ?pool ?log ?shards src f ~max_lambda:lambda in
   if Array.length steps = 0 then
     Model.make ~basis_size:(Provider.cols src) ~support:[||] ~coeffs:[||]
   else steps.(Array.length steps - 1).model

@@ -39,12 +39,8 @@ end
 val path_p :
   ?tol:float ->
   ?pool:Parallel.Pool.t ->
-  ?checkpoint_every:int ->
-  ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
-  ?resume:Serialize.Checkpoint.t ->
-  ?shards:int ->
-  ?shard_mode:Shard_sweep.mode ->
-  ?recovered:int ref ->
+  ?log:Serialize.Checkpoint.log ->
+  ?shards:Shard_sweep.plan ->
   Polybasis.Design.Provider.t ->
   Linalg.Vec.t ->
   max_lambda:int ->
@@ -62,12 +58,8 @@ val path_p :
 val fit_p :
   ?tol:float ->
   ?pool:Parallel.Pool.t ->
-  ?checkpoint_every:int ->
-  ?on_checkpoint:(Serialize.Checkpoint.t -> unit) ->
-  ?resume:Serialize.Checkpoint.t ->
-  ?shards:int ->
-  ?shard_mode:Shard_sweep.mode ->
-  ?recovered:int ref ->
+  ?log:Serialize.Checkpoint.log ->
+  ?shards:Shard_sweep.plan ->
   Polybasis.Design.Provider.t ->
   Linalg.Vec.t ->
   lambda:int ->

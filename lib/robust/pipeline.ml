@@ -31,11 +31,9 @@ type config = {
   min_samples : int;
   quorum : float;
   streamed : bool;
-  checkpoint : string option;
-  resume : bool;
+  store : Rsm.Select.store option;
   sweep : Rsm.Corr_sweep.sweep;
-  shards : int;
-  shard_mode : Rsm.Shard_sweep.mode;
+  shards : Rsm.Shard_sweep.plan option;
   rescreen : bool;
 }
 
@@ -47,9 +45,8 @@ let config ?(method_ = Rsm.Solver.Omp) ?(folds = 4) ?(max_lambda = 100)
     ?(faults = Circuit.Simulator.no_faults)
     ?(retry = Circuit.Simulator.retry_policy ()) ?adaptive
     ?(min_samples = 30) ?(quorum = default_quorum)
-    ?(streamed = false) ?checkpoint ?(resume = false)
-    ?(sweep = Rsm.Corr_sweep.Exact) ?(shards = 1)
-    ?(shard_mode = Rsm.Shard_sweep.Domains) ?(rescreen = false) () =
+    ?(streamed = false) ?store ?(sweep = Rsm.Corr_sweep.Exact) ?shards
+    ?(rescreen = false) () =
   let fail fmt = Printf.ksprintf (fun m -> Error (Error.Invalid_input m)) fmt in
   if folds < 2 then fail "folds must be at least 2, got %d" folds
   else if
@@ -57,7 +54,6 @@ let config ?(method_ = Rsm.Solver.Omp) ?(folds = 4) ?(max_lambda = 100)
     | Rsm.Corr_sweep.Incremental { refresh } -> refresh < 0
     | Rsm.Corr_sweep.Exact -> false
   then fail "incremental sweep refresh cadence must be non-negative"
-  else if shards < 1 then fail "shards must be positive, got %d" shards
   else if max_lambda < 1 then fail "max_lambda must be positive, got %d" max_lambda
   else if samples < 1 then fail "samples must be positive, got %d" samples
   else if screen_threshold <= 0. then
@@ -71,9 +67,7 @@ let config ?(method_ = Rsm.Solver.Omp) ?(folds = 4) ?(max_lambda = 100)
       samples
   else if not (quorum > 0. && quorum <= 1.) then
     fail "quorum must lie in (0, 1], got %g" quorum
-  else if resume && checkpoint = None then
-    fail "resume requires a checkpoint path"
-  else if checkpoint <> None && not (Rsm.Solver.path_method method_) then
+  else if store <> None && not (Rsm.Solver.path_method method_) then
     fail "checkpointing supports the star, lar, lasso and omp methods only"
   else
     match Rsm.Solver.check_sweep method_ sweep with
@@ -95,11 +89,9 @@ let config ?(method_ = Rsm.Solver.Omp) ?(folds = 4) ?(max_lambda = 100)
             min_samples;
             quorum;
             streamed;
-            checkpoint;
-            resume;
+            store;
             sweep;
             shards;
-            shard_mode;
             rescreen;
           }
 
@@ -397,16 +389,22 @@ let post_fit cfg d models =
                  d.rows.(r).Circuit.Simulator.values model))
         models)
 
-let fit ?pool ?recovered cfg sim basis rng =
-  let* d = deliver ~pool cfg [| sim |] basis rng in
-  let* model =
+(* The solver stage of both fits: one cross-validated grid over every
+   delivered output, then the post-fit stage. *)
+let solve cfg d rng =
+  let* models =
     Error.guard (fun () ->
-        Rsm.Solver.fit_cv_p ~folds:cfg.folds ~max_lambda:cfg.max_lambda
-          ~on_singular:`Fallback ~sweep:cfg.sweep ~shards:cfg.shards
-          ~shard_mode:cfg.shard_mode ?recovered ?cv_checkpoint:cfg.checkpoint ~cv_resume:cfg.resume rng d.src
-          d.rows.(0).Circuit.Simulator.values cfg.method_)
+        Rsm.Solver.fit_multi_p ~folds:cfg.folds ~max_lambda:cfg.max_lambda
+          ~on_singular:`Fallback ~sweep:cfg.sweep ?shards:cfg.shards
+          ?store:cfg.store rng d.src
+          (Array.map (fun r -> r.Circuit.Simulator.values) d.rows)
+          cfg.method_)
   in
-  let* models = post_fit cfg d [| model |] in
+  post_fit cfg d models
+
+let fit ?pool cfg sim basis rng =
+  let* d = deliver ~pool cfg [| sim |] basis rng in
+  let* models = solve cfg d rng in
   Ok
     {
       model = models.(0);
@@ -425,18 +423,9 @@ type multi_outcome = {
   m_point_report : Screen.point_report option;
 }
 
-let fit_multi ?pool ?recovered cfg sims basis rng =
+let fit_multi ?pool cfg sims basis rng =
   let* d = deliver ~pool cfg sims basis rng in
-  let* models =
-    Error.guard (fun () ->
-        Rsm.Solver.fit_multi_p ~folds:cfg.folds ~max_lambda:cfg.max_lambda
-          ~on_singular:`Fallback ~sweep:cfg.sweep ~shards:cfg.shards
-          ~shard_mode:cfg.shard_mode ?recovered ?cv_checkpoint:cfg.checkpoint
-          ~cv_resume:cfg.resume rng d.src
-          (Array.map (fun r -> r.Circuit.Simulator.values) d.rows)
-          cfg.method_)
-  in
-  let* models = post_fit cfg d models in
+  let* models = solve cfg d rng in
   Ok
     {
       models;

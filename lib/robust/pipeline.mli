@@ -9,7 +9,8 @@
     outlier and far-point rows before any basis function is evaluated,
     and the min-sample and quorum floors decide whether what survived
     is enough. Single-output {!fit} is the one-simulator case of
-    multi-output {!fit_multi}; the two differ only in the solver call.
+    multi-output {!fit_multi}; the two differ only in the outcome they
+    return.
     The solver runs with [~on_singular:`Fallback] so a degenerate
     active-set Gram matrix degrades through the {!Rsm.Refit} ladder
     instead of aborting. Nothing in this module raises on the expected
@@ -52,18 +53,17 @@ type config = {
           screening, in (0, 1]; a shortfall above the quorum degrades
           the fit (noted on the model), below it fails typed *)
   streamed : bool;  (** matrix-free design instead of materialized *)
-  checkpoint : string option;
-      (** base path for per-fold CV checkpoints ({!Rsm.Select}) *)
-  resume : bool;  (** load matching fold checkpoints before fitting *)
+  store : Rsm.Select.store option;
+      (** the CV cell store ({!type:Rsm.Select.store}); [None] = no CV
+          checkpointing *)
   sweep : Rsm.Corr_sweep.sweep;
       (** correlation engine ({!Rsm.Corr_sweep}); [Incremental] serves
           the LAR/LASSO walk only *)
-  shards : int;
-      (** column shards for the selection sweeps ({!Rsm.Shard_sweep});
-          1 = unsharded. Fits are bitwise identical at every count. *)
-  shard_mode : Rsm.Shard_sweep.mode;
-      (** [Domains] in-image slabs, [Procs] re-exec'd worker processes
-          with crash recovery *)
+  shards : Rsm.Shard_sweep.plan option;
+      (** the shard plan of the selection sweeps
+          ({!type:Rsm.Shard_sweep.plan}); [None] = unsharded. Fits are
+          bitwise identical at every shard count, and the plan counts
+          the worker recoveries of every fit run with this config. *)
   rescreen : bool;  (** residual rescreen + down-date refit after the fit *)
 }
 
@@ -82,11 +82,9 @@ val config :
   ?min_samples:int ->
   ?quorum:float ->
   ?streamed:bool ->
-  ?checkpoint:string ->
-  ?resume:bool ->
+  ?store:Rsm.Select.store ->
   ?sweep:Rsm.Corr_sweep.sweep ->
-  ?shards:int ->
-  ?shard_mode:Rsm.Shard_sweep.mode ->
+  ?shards:Rsm.Shard_sweep.plan ->
   ?rescreen:bool ->
   unit ->
   (config, Error.t) result
@@ -99,10 +97,11 @@ val config :
     exact sweep, no rescreen. Returns
     [Error (Invalid_input _)] on non-positive counts or thresholds, a
     confidence or quorum outside its range, a negative incremental
-    refresh cadence, [min_samples > samples], [resume] without
-    [checkpoint], [checkpoint] with a method that has no λ sweep
-    (LS/StOMP/CoSaMP), or an incremental [sweep] with a method other
-    than LAR/LASSO ({!Rsm.Solver.check_sweep}).
+    refresh cadence, [min_samples > samples], a [store] with a method
+    that has no λ sweep (LS/StOMP/CoSaMP), or an incremental [sweep]
+    with a method other than LAR/LASSO ({!Rsm.Solver.check_sweep}).
+    The shard plan and the cell store arrive validated by their own
+    constructors ({!val:Rsm.Shard_sweep.plan}, {!val:Rsm.Select.store}).
 
     No field picks the CV driver: {!Rsm.Select.fused_driver} derives it
     from [streamed], [sweep] and [shards], and both drivers give the
@@ -224,18 +223,18 @@ val post_fit :
 
 val fit :
   ?pool:Parallel.Pool.t ->
-  ?recovered:int ref ->
   config ->
   Circuit.Simulator.t ->
   Polybasis.Basis.t ->
   Randkit.Prng.t ->
   (outcome, Error.t) result
 (** Run the full pipeline: {!deliver} for the one simulator, the
-    cross-validated solver ({!Rsm.Solver.fit_cv_p}), then {!post_fit}.
+    cross-validated solver ({!Rsm.Solver.fit_multi_p} at one output,
+    which is {!Rsm.Solver.fit_cv_p}), then {!post_fit}.
     Deterministic for a fixed seed at every domain count (the
-    underlying stages all pre-split their PRNG streams). [recovered]
-    (with [config.shards > 1] in [Procs] mode) accumulates
-    worker-process crash recoveries across the fold fits and the refit.
+    underlying stages all pre-split their PRNG streams). Worker-process
+    crash recoveries across the fold fits and the refit (a
+    [config.shards] plan in [Procs] mode) accumulate in the plan.
 
     Quorum semantics are {!deliver}'s: below either floor the fit fails
     with [Simulation _] (the typed one-line diagnostic in the CLI); a
@@ -278,7 +277,6 @@ type multi_outcome = {
 
 val fit_multi :
   ?pool:Parallel.Pool.t ->
-  ?recovered:int ref ->
   config ->
   Circuit.Simulator.t array ->
   Polybasis.Basis.t ->
@@ -299,7 +297,7 @@ val fit_multi :
     ([config.streamed], exact sweep, one shard), on the per-job driver
     otherwise (see {!Rsm.Solver.fit_multi_p}); either way cell
     [(r, q)] checkpoints at
-    [Serialize.Checkpoint.Cell.file config.checkpoint ~outputs r q], the
+    [Serialize.Checkpoint.Cell.file store.base ~outputs r q], the
     fitted models are bitwise identical across the two drivers, at
     every domain count, dense or streamed, and the fit leaves the
     generator in the same state. *)

@@ -516,7 +516,7 @@ let test_burst_cv_resume_bitwise () =
   in
   let f = data.Simulator.values in
   let run ?checkpoint ?resume () =
-    Rsm.Select.omp_p ?checkpoint ?resume ~folds:4
+    Rsm.Select.omp_p ?store:(store ?resume checkpoint) ~folds:4
       (Randkit.Prng.create 77)
       ~max_lambda:5 src f
   in

@@ -434,7 +434,7 @@ let test_multi_checkpoint_resume () =
          per-job driver. *)
       let run ?checkpoint ?resume src =
         Array.map result_bits
-          (Rsm.Select.lars_multi_p ?checkpoint ?resume
+          (Rsm.Select.lars_multi_p ?store:(store ?resume checkpoint)
              (Randkit.Prng.create 21) ~max_lambda:5 src fs)
       in
       let reference = run src_s in
@@ -462,8 +462,9 @@ let test_multi_checkpoint_resume () =
       Sys.remove (cell 0 2);
       let per_job =
         Array.map model_bits
-          (Rsm.Solver.fit_multi_p ~max_lambda:5 ~cv_checkpoint:base
-             ~cv_resume:true (Randkit.Prng.create 21) src_d fs Rsm.Solver.Lar)
+          (Rsm.Solver.fit_multi_p ~max_lambda:5
+             ?store:(store ~resume:true (Some base))
+             (Randkit.Prng.create 21) src_d fs Rsm.Solver.Lar)
       in
       let ref_models = Array.map (fun (_, _, m) -> m) reference in
       check_bool "per-job resume from fused checkpoints is bitwise equal"
@@ -478,10 +479,10 @@ let test_multi_checkpoint_resume () =
       (* A cell that disagrees with the grid shape is rejected: another
          λ grid, or another output count reading the same file names. *)
       check_raises_invalid "mismatched max_lambda rejected" (fun () ->
-          Rsm.Select.lars_multi_p ~checkpoint:base ~resume:true
+          Rsm.Select.lars_multi_p ?store:(store ~resume:true (Some base))
             (Randkit.Prng.create 21) ~max_lambda:6 src_d fs);
       check_raises_invalid "mismatched output count rejected" (fun () ->
-          Rsm.Select.lars_multi_p ~checkpoint:base ~resume:true
+          Rsm.Select.lars_multi_p ?store:(store ~resume:true (Some base))
             (Randkit.Prng.create 21) ~max_lambda:5 src_d (Array.sub fs 0 2)))
 
 (* --- the one driver rule ---------------------------------------------- *)

@@ -268,15 +268,15 @@ let test_lars_resume_domain_parity () =
   in
   let ck = ref None in
   ignore
-    (Rsm.Lars.path_p ~on_singular:`Fallback ~checkpoint_every:2
-       ~on_checkpoint:(fun c -> ck := Some c)
+    (Rsm.Lars.path_p ~on_singular:`Fallback
+       ~log:(walk_log ~every:2 ~save:(fun c -> ck := Some c) ())
        src f ~max_steps:3);
   let ck = Option.get !ck in
   let fits =
     with_pools (fun pool ->
         Rsm.Serialize.to_string
-          (Rsm.Lars.fit_p ~pool ~on_singular:`Fallback ~resume:ck src f
-             ~lambda:4))
+          (Rsm.Lars.fit_p ~pool ~on_singular:`Fallback
+             ~log:(walk_log ~resume:ck ()) src f ~lambda:4))
   in
   all_equal "resumed LARS model bits" fits;
   List.iter
@@ -290,7 +290,7 @@ let test_cv_resume_domain_parity () =
   let g, f = sparse_problem ~k:48 ~m:12 914 in
   let src = Polybasis.Design.Provider.dense g in
   let run ?pool ?checkpoint ?resume () =
-    Rsm.Select.omp_p ?pool ?checkpoint ?resume ~folds:4
+    Rsm.Select.omp_p ?pool ?store:(store ?resume checkpoint) ~folds:4
       (Randkit.Prng.create 55)
       ~max_lambda:5 src f
   in

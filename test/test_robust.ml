@@ -310,18 +310,23 @@ let resume_bitwise ~fit_p ~interrupted_path ~lambda ~kill_at src f =
 let test_omp_resume_bitwise () =
   let src, f = sparse_problem ~k:40 ~m:25 901 in
   resume_bitwise
-    ~fit_p:(fun ?resume src f ~lambda -> Rsm.Omp.fit_p ?resume src f ~lambda)
+    ~fit_p:(fun ?resume src f ~lambda ->
+      Rsm.Omp.fit_p ~log:(walk_log ?resume ()) src f ~lambda)
     ~interrupted_path:(fun ~on_checkpoint ~max_lambda src f ->
-      ignore (Rsm.Omp.path_p ~checkpoint_every:2 ~on_checkpoint src f ~max_lambda))
+      ignore
+        (Rsm.Omp.path_p ~log:(walk_log ~every:2 ~save:on_checkpoint ()) src f
+           ~max_lambda))
     ~lambda:6 ~kill_at:4 src f
 
 let test_star_resume_bitwise () =
   let src, f = sparse_problem ~k:40 ~m:25 902 in
   resume_bitwise
-    ~fit_p:(fun ?resume src f ~lambda -> Rsm.Star.fit_p ?resume src f ~lambda)
+    ~fit_p:(fun ?resume src f ~lambda ->
+      Rsm.Star.fit_p ~log:(walk_log ?resume ()) src f ~lambda)
     ~interrupted_path:(fun ~on_checkpoint ~max_lambda src f ->
       ignore
-        (Rsm.Star.path_p ~checkpoint_every:2 ~on_checkpoint src f ~max_lambda))
+        (Rsm.Star.path_p ~log:(walk_log ~every:2 ~save:on_checkpoint ()) src f
+           ~max_lambda))
     ~lambda:6 ~kill_at:4 src f
 
 let check_raises_message msg expected f =
@@ -335,28 +340,34 @@ let test_resume_validation () =
   let src, f = sparse_problem ~k:40 ~m:25 903 in
   let ckpt solver support = greedy_log solver ~k:40 ~m:25 support in
   check_raises_invalid "wrong solver tag" (fun () ->
-      Rsm.Omp.fit_p ~resume:(ckpt "star" [| 0 |]) src f ~lambda:4);
+      Rsm.Omp.fit_p ~log:(walk_log ~resume:(ckpt "star" [| 0 |]) ()) src f
+        ~lambda:4);
   check_raises_invalid "wrong shape" (fun () ->
       Rsm.Omp.fit_p
-        ~resume:{ (ckpt "omp" [| 0 |]) with Ckpt.m = 99 }
+        ~log:(walk_log ~resume:{ (ckpt "omp" [| 0 |]) with Ckpt.m = 99 } ())
         src f ~lambda:4);
   check_raises_invalid "duplicate support" (fun () ->
-      Rsm.Omp.fit_p ~resume:(ckpt "omp" [| 3; 3 |]) src f ~lambda:4);
+      Rsm.Omp.fit_p ~log:(walk_log ~resume:(ckpt "omp" [| 3; 3 |]) ()) src f
+        ~lambda:4);
   check_raises_invalid "support out of range" (fun () ->
-      Rsm.Omp.fit_p ~resume:(ckpt "omp" [| 25 |]) src f ~lambda:4);
+      Rsm.Omp.fit_p ~log:(walk_log ~resume:(ckpt "omp" [| 25 |]) ()) src f
+        ~lambda:4);
   (* STAR resumes through the same driver; both solvers also cap the
      support length and name the out-of-range error. *)
   let omp support =
-    Rsm.Omp.fit_p ~resume:(ckpt "omp" support) src f ~lambda:4
+    Rsm.Omp.fit_p ~log:(walk_log ~resume:(ckpt "omp" support) ()) src f
+      ~lambda:4
   in
   let star support =
-    Rsm.Star.fit_p ~resume:(ckpt "star" support) src f ~lambda:4
+    Rsm.Star.fit_p ~log:(walk_log ~resume:(ckpt "star" support) ()) src f
+      ~lambda:4
   in
   check_raises_invalid "star: wrong solver tag" (fun () ->
-      Rsm.Star.fit_p ~resume:(ckpt "omp" [| 0 |]) src f ~lambda:4);
+      Rsm.Star.fit_p ~log:(walk_log ~resume:(ckpt "omp" [| 0 |]) ()) src f
+        ~lambda:4);
   check_raises_invalid "star: wrong shape" (fun () ->
       Rsm.Star.fit_p
-        ~resume:{ (ckpt "star" [| 0 |]) with Ckpt.m = 99 }
+        ~log:(walk_log ~resume:{ (ckpt "star" [| 0 |]) with Ckpt.m = 99 } ())
         src f ~lambda:4);
   check_raises_invalid "star: duplicate support" (fun () -> star [| 3; 3 |]);
   check_raises_invalid "star: support out of range" (fun () -> star [| 25 |]);
@@ -396,12 +407,18 @@ let test_greedy_foreign_data_resume () =
     [
       ( "Omp",
         (fun ~on_checkpoint src f ->
-          ignore (Rsm.Omp.path_p ~on_checkpoint src f ~max_lambda:1)),
-        fun resume src f -> Rsm.Omp.fit_p ?resume src f ~lambda:4 );
+          ignore
+            (Rsm.Omp.path_p ~log:(walk_log ~save:on_checkpoint ()) src f
+               ~max_lambda:1)),
+        fun resume src f ->
+          Rsm.Omp.fit_p ~log:(walk_log ?resume ()) src f ~lambda:4 );
       ( "Star",
         (fun ~on_checkpoint src f ->
-          ignore (Rsm.Star.path_p ~on_checkpoint src f ~max_lambda:1)),
-        fun resume src f -> Rsm.Star.fit_p ?resume src f ~lambda:4 );
+          ignore
+            (Rsm.Star.path_p ~log:(walk_log ~save:on_checkpoint ()) src f
+               ~max_lambda:1)),
+        fun resume src f ->
+          Rsm.Star.fit_p ~log:(walk_log ?resume ()) src f ~lambda:4 );
     ]
 
 let test_terminal_checkpoint_emitted () =
@@ -419,13 +436,16 @@ let test_terminal_checkpoint_emitted () =
   in
   terminal "omp" (fun ~on_checkpoint ->
       ignore
-        (Rsm.Omp.path_p ~checkpoint_every:2 ~on_checkpoint src f ~max_lambda:5));
+        (Rsm.Omp.path_p ~log:(walk_log ~every:2 ~save:on_checkpoint ()) src f
+           ~max_lambda:5));
   terminal "star" (fun ~on_checkpoint ->
       ignore
-        (Rsm.Star.path_p ~checkpoint_every:2 ~on_checkpoint src f
+        (Rsm.Star.path_p ~log:(walk_log ~every:2 ~save:on_checkpoint ()) src f
            ~max_lambda:5));
   let count = ref 0 in
-  ignore (Rsm.Omp.path_p ~on_checkpoint:(fun _ -> incr count) src f ~max_lambda:5);
+  ignore
+    (Rsm.Omp.path_p ~log:(walk_log ~save:(fun _ -> incr count) ()) src f
+       ~max_lambda:5);
   check_int "cadence off: exactly the terminal checkpoint" 1 !count
 
 (* --- LARS checkpoint / resume -------------------------------------- *)
@@ -601,15 +621,15 @@ let test_lars_resume_bitwise () =
       in
       let ckpts = ref [] in
       ignore
-        (Rsm.Lars.path_p ~mode ~on_singular:`Fallback ~checkpoint_every:2
-           ~on_checkpoint:(fun c -> ckpts := c :: !ckpts)
+        (Rsm.Lars.path_p ~mode ~on_singular:`Fallback
+           ~log:(walk_log ~every:2 ~save:(fun c -> ckpts := c :: !ckpts) ())
            src f ~max_steps:8);
       (* "Kill" after the first cadence checkpoint (two events in). *)
       let kill = List.hd (List.rev !ckpts) in
       check_int "kill point is mid-path" 2 (Array.length kill.Ckpt.events);
       let resumed =
-        Rsm.Lars.path_p ~mode ~on_singular:`Fallback ~resume:kill src f
-          ~max_steps:8
+        Rsm.Lars.path_p ~mode ~on_singular:`Fallback
+          ~log:(walk_log ~resume:kill ()) src f ~max_steps:8
       in
       check_bool "resumed path is bitwise identical" true
         (lars_steps_fingerprint resumed = lars_steps_fingerprint full);
@@ -617,8 +637,8 @@ let test_lars_resume_bitwise () =
         Rsm.Lars.fit_p ~mode ~on_singular:`Fallback src f ~lambda:3
       in
       let m_res =
-        Rsm.Lars.fit_p ~mode ~on_singular:`Fallback ~resume:kill src f
-          ~lambda:3
+        Rsm.Lars.fit_p ~mode ~on_singular:`Fallback
+          ~log:(walk_log ~resume:kill ()) src f ~lambda:3
       in
       check_bool "resumed fit is bitwise identical" true
         (Rsm.Serialize.to_string m_res = Rsm.Serialize.to_string m_full))
@@ -633,8 +653,8 @@ let test_lars_resume_with_ban_event () =
   in
   let ckpts = ref [] in
   ignore
-    (Rsm.Lars.path_p ~tol:0. ~on_singular:`Fallback ~checkpoint_every:1
-       ~on_checkpoint:(fun c -> ckpts := c :: !ckpts)
+    (Rsm.Lars.path_p ~tol:0. ~on_singular:`Fallback
+       ~log:(walk_log ~every:1 ~save:(fun c -> ckpts := c :: !ckpts) ())
        src f ~max_steps:6);
   let ordered = List.rev !ckpts in
   (* The second checkpoint sits right after the ban's zero-length step. *)
@@ -644,8 +664,8 @@ let test_lars_resume_with_ban_event () =
     && Array.exists (fun (e : Ckpt.event) -> e.Ckpt.banned = 1)
          kill.Ckpt.events);
   let resumed =
-    Rsm.Lars.path_p ~tol:0. ~on_singular:`Fallback ~resume:kill src f
-      ~max_steps:6
+    Rsm.Lars.path_p ~tol:0. ~on_singular:`Fallback
+      ~log:(walk_log ~resume:kill ()) src f ~max_steps:6
   in
   check_bool "path with a replayed ban is bitwise identical" true
     (lars_steps_fingerprint resumed = lars_steps_fingerprint full)
@@ -654,29 +674,31 @@ let test_lars_resume_validation () =
   let src, f = sparse_problem ~k:40 ~m:25 905 in
   let ck = ref None in
   ignore
-    (Rsm.Lars.path_p ~on_singular:`Fallback ~checkpoint_every:2
-       ~on_checkpoint:(fun c -> ck := Some c)
+    (Rsm.Lars.path_p ~on_singular:`Fallback
+       ~log:(walk_log ~every:2 ~save:(fun c -> ck := Some c) ())
        src f ~max_steps:4);
   let ck = Option.get !ck in
   check_raises_invalid "wrong mode" (fun () ->
-      Rsm.Lars.path_p ~mode:Rsm.Lars.Lasso ~on_singular:`Fallback ~resume:ck
-        src f ~max_steps:8);
+      Rsm.Lars.path_p ~mode:Rsm.Lars.Lasso ~on_singular:`Fallback
+        ~log:(walk_log ~resume:ck ()) src f ~max_steps:8);
   check_raises_invalid "wrong shape" (fun () ->
       Rsm.Lars.path_p ~on_singular:`Fallback
-        ~resume:{ ck with Ckpt.m = 99 }
+        ~log:(walk_log ~resume:{ ck with Ckpt.m = 99 } ())
         src f ~max_steps:8);
   check_raises_invalid "different data" (fun () ->
       let src2, _ = sparse_problem ~k:40 ~m:25 906 in
-      Rsm.Lars.path_p ~on_singular:`Fallback ~resume:ck src2 f ~max_steps:8);
+      Rsm.Lars.path_p ~on_singular:`Fallback ~log:(walk_log ~resume:ck ())
+        src2 f ~max_steps:8);
   let g, fb = near_tie_ban_problem 4 in
   let srcb = Polybasis.Design.Provider.dense g in
   let ckb = ref None in
   ignore
-    (Rsm.Lars.path_p ~tol:0. ~on_singular:`Fallback ~checkpoint_every:2
-       ~on_checkpoint:(fun c -> ckb := Some c)
+    (Rsm.Lars.path_p ~tol:0. ~on_singular:`Fallback
+       ~log:(walk_log ~every:2 ~save:(fun c -> ckb := Some c) ())
        srcb fb ~max_steps:4);
   check_raises_invalid "ban event under `Stop" (fun () ->
-      Rsm.Lars.path_p ~tol:0. ~on_singular:`Stop ~resume:(Option.get !ckb)
+      Rsm.Lars.path_p ~tol:0. ~on_singular:`Stop
+        ~log:(walk_log ~resume:(Option.get !ckb) ())
         srcb fb ~max_steps:6)
 
 (* A LAR fit stops one step past its λ budget, so its terminal
@@ -691,8 +713,8 @@ let test_lars_checkpoint_at_budget () =
     let last = ref None in
     let m =
       Rsm.Lars.fit_p ~on_singular:`Fallback
-        ~on_checkpoint:(fun c -> last := Some c)
-        ?resume src f ~lambda
+        ~log:(walk_log ~save:(fun c -> last := Some c) ?resume ())
+        src f ~lambda
     in
     (Rsm.Serialize.to_string m, !last)
   in
@@ -701,7 +723,7 @@ let test_lars_checkpoint_at_budget () =
   let uncapped = ref None in
   let full =
     Rsm.Lars.path_p ~on_singular:`Fallback
-      ~on_checkpoint:(fun c -> uncapped := Some c)
+      ~log:(walk_log ~save:(fun c -> uncapped := Some c) ())
       src f ~max_steps:((2 * lambda) + 8)
   in
   let uncapped = Option.get !uncapped in
@@ -720,8 +742,8 @@ let test_lars_checkpoint_at_budget () =
     (after = None);
   let ckpts = ref [] in
   ignore
-    (Rsm.Lars.fit_p ~on_singular:`Fallback ~checkpoint_every:1
-       ~on_checkpoint:(fun c -> ckpts := c :: !ckpts)
+    (Rsm.Lars.fit_p ~on_singular:`Fallback
+       ~log:(walk_log ~every:1 ~save:(fun c -> ckpts := c :: !ckpts) ())
        src f ~lambda);
   let kill = List.nth (List.rev !ckpts) 1 in
   check_int "kill point is mid-walk" 2 (Array.length kill.Ckpt.events);
@@ -785,7 +807,7 @@ let select_fingerprint (r : Rsm.Select.result) =
 let test_cv_fold_checkpoint_resume () =
   let src, f = sparse_problem ~k:48 ~m:12 909 in
   let run ?checkpoint ?resume () =
-    Rsm.Select.omp_p ?checkpoint ?resume ~folds:4
+    Rsm.Select.omp_p ?store:(store ?resume checkpoint) ~folds:4
       (Randkit.Prng.create 77)
       ~max_lambda:5 src f
   in
@@ -817,6 +839,28 @@ let test_cv_fold_checkpoint_resume () =
             { c with Cell.plan_digest = Int64.lognot c.Cell.plan_digest });
       check_raises_invalid "foreign plan digest rejected" (fun () ->
           run ~checkpoint:base ~resume:true ()))
+
+(* The walk log and the CV cell store are built by one validating
+   constructor each; a rejected value names the old check's message. *)
+let test_log_and_store_constructors () =
+  let expect_error what expected = function
+    | Error e -> Alcotest.(check string) what expected e
+    | Ok _ -> Alcotest.failf "%s: expected Error" what
+  in
+  expect_error "negative interval" "negative checkpoint interval"
+    (Ckpt.log ~every:(-1) ());
+  let l = walk_log () in
+  check_bool "default log: final emission only, no resume" true
+    (l.Ckpt.every = 0 && l.Ckpt.save = None && l.Ckpt.resume = None);
+  check_int "interval kept" 3 (walk_log ~every:3 ()).Ckpt.every;
+  expect_error "resume without a store" "resume requires a checkpoint path"
+    (Rsm.Select.store ~resume:true None);
+  check_bool "no base, no store" true (store None = None);
+  match store ~resume:true (Some "cv") with
+  | Some st ->
+      check_bool "store keeps base and resume" true
+        (st.Rsm.Select.base = "cv" && st.Rsm.Select.resume)
+  | None -> Alcotest.fail "a base builds a store"
 
 let test_model_notes_roundtrip () =
   let m =
@@ -1022,6 +1066,8 @@ let suite =
         test_screen_all_non_finite_error;
       case "cv: killed-then-resumed sweep is bitwise identical"
         test_cv_fold_checkpoint_resume;
+      case "walk log and cell store: validating constructors"
+        test_log_and_store_constructors;
       case "model notes round-trip through serialization"
         test_model_notes_roundtrip;
       case "pipeline: config validation" test_pipeline_config_validation;

@@ -157,7 +157,7 @@ let test_raw_norms_bitwise () =
       List.iter
         (fun shards ->
           let e =
-            SS.create ~mode:SS.Domains ~shards ~sweep:Rsm.Corr_sweep.Exact src
+            SS.create (plan shards) ~sweep:Rsm.Corr_sweep.Exact src
               ~r0:(Array.make (P.rows src) 0.)
           in
           check_bool
@@ -169,8 +169,9 @@ let test_raw_norms_bitwise () =
 
 (* --- solver parity, Domains mode ----------------------------------- *)
 
-let lars_steps ?(mode = Rsm.Lars.Lar) ?shards ?shard_mode ~sweep src f =
-  Rsm.Lars.path_p ~mode ~on_singular:`Fallback ~sweep ?shards ?shard_mode src
+let lars_steps ?(mode = Rsm.Lars.Lar) ?shards ~sweep src f =
+  Rsm.Lars.path_p ~mode ~on_singular:`Fallback ~sweep
+    ?shards:(Option.map plan shards) src
     f ~max_steps:12
 
 let test_lars_sharded_bitwise () =
@@ -245,11 +246,13 @@ let test_omp_star_sharded_bitwise () =
           check_bool
             (Printf.sprintf "omp %s shards=%d" tag shards)
             true
-            (omp_bits (Rsm.Omp.path_p ~shards src f ~max_lambda:6) = omp_ref);
+            (omp_bits (Rsm.Omp.path_p ~shards:(plan shards) src f ~max_lambda:6)
+            = omp_ref);
           check_bool
             (Printf.sprintf "star %s shards=%d" tag shards)
             true
-            (star_bits (Rsm.Star.path_p ~shards src f ~max_lambda:6)
+            (star_bits
+               (Rsm.Star.path_p ~shards:(plan shards) src f ~max_lambda:6)
             = star_ref))
         shard_counts)
     [ ("dense", P.dense g); ("streamed", P.streamed basis pts) ]
@@ -264,18 +267,18 @@ let test_lars_process_shards_bitwise () =
       List.iter
         (fun sweep ->
           let reference = lars_bits (lars_steps ~sweep src f) in
-          let recovered = ref 0 in
+          let procs = plan ~mode:"process" 3 in
           let sharded =
             lars_bits
-              (Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:3
-                 ~shard_mode:SS.Procs ~recovered src f ~max_steps:12)
+              (Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:procs src
+                 f ~max_steps:12)
           in
           check_bool
             (Printf.sprintf "lars procs %s %s bitwise" tag (sweep_tag sweep))
             true (sharded = reference);
           check_int
             (Printf.sprintf "no recoveries %s %s" tag (sweep_tag sweep))
-            0 !recovered)
+            0 (Atomic.get procs.recovered))
         sweeps)
     [ ("dense", P.dense g); ("streamed", P.streamed basis pts) ]
 
@@ -286,13 +289,13 @@ let test_omp_process_shards_bitwise () =
   let reference = omp_bits (Rsm.Omp.path_p src f ~max_lambda:5) in
   let sharded =
     omp_bits
-      (Rsm.Omp.path_p ~shards:2 ~shard_mode:SS.Procs src f ~max_lambda:5)
+      (Rsm.Omp.path_p ~shards:(plan ~mode:"process" 2) src f ~max_lambda:5)
   in
   check_bool "omp procs bitwise" true (sharded = reference);
   let reference = star_bits (Rsm.Star.path_p src f ~max_lambda:5) in
   let sharded =
     star_bits
-      (Rsm.Star.path_p ~shards:2 ~shard_mode:SS.Procs src f ~max_lambda:5)
+      (Rsm.Star.path_p ~shards:(plan ~mode:"process" 2) src f ~max_lambda:5)
   in
   check_bool "star procs bitwise" true (sharded = reference)
 
@@ -308,21 +311,21 @@ let test_process_shard_kill_recovery () =
     (fun sweep ->
       let reference = lars_bits (lars_steps ~sweep src f) in
       Unix.putenv "RSM_SHARD_FAULT" "1:2";
-      let recovered = ref 0 in
+      let procs = plan ~mode:"process" 3 in
       let killed =
         Fun.protect
           ~finally:(fun () -> Unix.putenv "RSM_SHARD_FAULT" "")
           (fun () ->
             lars_bits
-              (Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:3
-                 ~shard_mode:SS.Procs ~recovered src f ~max_steps:12))
+              (Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:procs src
+                 f ~max_steps:12))
       in
       check_bool
         (Printf.sprintf "killed-shard run bitwise (%s)" (sweep_tag sweep))
         true (killed = reference);
       check_bool
         (Printf.sprintf "recovery happened (%s)" (sweep_tag sweep))
-        true (!recovered >= 1))
+        true (Atomic.get procs.recovered >= 1))
     sweeps
 
 (* --- checkpoint/resume under sharding ------------------------------ *)
@@ -334,15 +337,17 @@ let test_lars_sharded_resume_bitwise () =
   let sweep = Rsm.Corr_sweep.incremental ~refresh:2 () in
   let reference =
     lars_bits
-      (Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:3 src f
+      (Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:(plan 3) src f
          ~max_steps:10)
   in
   (* Capture a mid-path checkpoint from the sharded run... *)
   let saved = ref None in
   ignore
-    (Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:3
-       ~checkpoint_every:2
-       ~on_checkpoint:(fun ck -> if !saved = None then saved := Some ck)
+    (Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:(plan 3)
+       ~log:
+         (walk_log ~every:2
+            ~save:(fun ck -> if !saved = None then saved := Some ck)
+            ())
        src f ~max_steps:10);
   let ck = Option.get !saved in
   (* ...and resume it sharded: replay + live continuation must equal the
@@ -350,14 +355,48 @@ let test_lars_sharded_resume_bitwise () =
      diagnostic on replayed steps (exact replay dots vs the live run's
      delta-maintained vector), which we exclude by comparing models. *)
   let resumed =
-    Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:3 ~resume:ck src f
-      ~max_steps:10
+    Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:(plan 3)
+      ~log:(walk_log ~resume:ck ()) src f ~max_steps:10
   in
   let strip bits =
     Array.map (fun (a, d, _, mb) -> (a, d, mb)) bits
   in
   check_bool "sharded resume bitwise (modulo replayed max_corr)" true
     (strip (lars_bits resumed) = strip reference)
+
+(* --- the shard plan ----------------------------------------------- *)
+
+let test_plan_constructor () =
+  let expect_error what expected r =
+    match r with
+    | Error e -> Alcotest.(check string) what expected e
+    | Ok _ -> Alcotest.failf "%s: expected Error" what
+  in
+  expect_error "zero shards" "shards must be at least 1 (got 0)" (SS.plan 0);
+  expect_error "negative shards" "shards must be at least 1 (got -3)"
+    (SS.plan ~mode:"process" (-3));
+  expect_error "unknown mode"
+    "shard-mode must be domain or process (got \"threads\")"
+    (SS.plan ~mode:"threads" 2);
+  List.iter
+    (fun (mode, expected) ->
+      let p = plan ?mode 4 in
+      check_int "shards kept" 4 p.SS.shards;
+      check_bool "mode parsed" true (p.SS.mode = expected);
+      check_int "no recoveries yet" 0 (Atomic.get p.SS.recovered))
+    [
+      (None, SS.Domains);
+      (Some "domain", SS.Domains);
+      (Some "domains", SS.Domains);
+      (Some "process", SS.Procs);
+      (Some "procs", SS.Procs);
+    ];
+  (* A one-shard plan runs unsharded: no fleet is built. *)
+  let _, _, _, g = random_setting 5 in
+  let src = P.dense g in
+  check_bool "one shard, no fleet" true
+    (SS.with_fleet ~shards:(plan 1) ~sweep:Rsm.Corr_sweep.Exact src
+       ~r0:(Array.make (P.rows src) 0.) Option.is_none)
 
 let suite =
   ( "shard",
@@ -377,4 +416,5 @@ let suite =
       slow_case "killed process shard recovers bitwise"
         test_process_shard_kill_recovery;
       case "sharded checkpoint resume bitwise" test_lars_sharded_resume_bitwise;
+      case "plan: validating constructor" test_plan_constructor;
     ] )

@@ -462,8 +462,8 @@ let test_incremental_lar_resume_bitwise () =
   Parallel.Pool.with_pool ~domains:2 (fun pool ->
       let saved = ref [] in
       let full =
-        Rsm.Lars.path_p ~mode:Rsm.Lars.Lasso ~pool ~sweep ~checkpoint_every:2
-          ~on_checkpoint:(fun c -> saved := c :: !saved)
+        Rsm.Lars.path_p ~mode:Rsm.Lars.Lasso ~pool ~sweep
+          ~log:(walk_log ~every:2 ~save:(fun c -> saved := c :: !saved) ())
           src f ~max_steps:8
       in
       let checkpoints = List.rev !saved in
@@ -473,9 +473,9 @@ let test_incremental_lar_resume_bitwise () =
       let mid = List.nth checkpoints (List.length checkpoints / 2 - 1) in
       let prefix = Array.length mid.Rsm.Serialize.Checkpoint.events in
       let resumed =
-        Rsm.Lars.path_p ~mode:Rsm.Lars.Lasso ~pool ~sweep ~checkpoint_every:2
-          ~on_checkpoint:(fun _ -> ())
-          ~resume:mid src f ~max_steps:8
+        Rsm.Lars.path_p ~mode:Rsm.Lars.Lasso ~pool ~sweep
+          ~log:(walk_log ~every:2 ~save:(fun _ -> ()) ~resume:mid ())
+          src f ~max_steps:8
       in
       (* Every step's state (adds, drops, models) is bitwise equal; the
          diagnostic max_corr is bitwise only for the live continuation —
@@ -523,12 +523,12 @@ let check_lambda_cap ~pool ~tag ~on_singular ~sweep ~shards src f l =
   let mode = Rsm.Lars.Lar in
   let nnz (s : Rsm.Lars.step) = Rsm.Model.nnz s.Rsm.Lars.model in
   let full =
-    Rsm.Lars.path_p ~mode ~pool ~on_singular ~sweep ~shards src f
+    Rsm.Lars.path_p ~mode ~pool ~on_singular ~sweep ~shards:(plan shards) src f
       ~max_steps:(Rsm.Lars.step_budget l)
   in
   let capped =
-    Rsm.Lars.lambda_path_p ~mode ~pool ~on_singular ~sweep ~shards src f
-      ~max_lambda:l
+    Rsm.Lars.lambda_path_p ~mode ~pool ~on_singular ~sweep
+      ~shards:(plan shards) src f ~max_lambda:l
   in
   let rec ends i =
     if i >= Array.length full then i
@@ -548,15 +548,15 @@ let check_lambda_cap ~pool ~tag ~on_singular ~sweep ~shards src f l =
       (fun acc (s : Rsm.Lars.step) ->
         if nnz s <= l then Some s.Rsm.Lars.model else acc)
       None
-      (Rsm.Lars.path_p ~mode ~pool ~on_singular ~sweep ~shards src f
-         ~max_steps:((2 * l) + 8))
+      (Rsm.Lars.path_p ~mode ~pool ~on_singular ~sweep ~shards:(plan shards)
+         src f ~max_steps:((2 * l) + 8))
   in
   Option.iter
     (fun m ->
       check_bool (tag "fit_p") true
         (Rsm.Serialize.to_string
-           (Rsm.Lars.fit_p ~mode ~pool ~on_singular ~sweep ~shards src f
-              ~lambda:l)
+           (Rsm.Lars.fit_p ~mode ~pool ~on_singular ~sweep
+              ~shards:(plan shards) src f ~lambda:l)
         = Rsm.Serialize.to_string m))
     last_within;
   (* The fused drivers' walk: the engine answered from exact sweeps
@@ -685,13 +685,15 @@ let test_greedy_resume_bitwise () =
   let omp ~shards ~on_checkpoint ~resume =
     Array.map
       (fun (s : Rsm.Omp.step) -> bits s.model s.correlation)
-      (Rsm.Omp.path_p ~shards ~checkpoint_every:2 ~on_checkpoint ?resume src
-         f ~max_lambda:8)
+      (Rsm.Omp.path_p ~shards:(plan shards)
+         ~log:(walk_log ~every:2 ~save:on_checkpoint ?resume ())
+         src f ~max_lambda:8)
   in
   let star ~shards ~on_checkpoint ~resume =
     Array.map
       (fun (s : Rsm.Star.step) -> bits s.model s.coefficient)
-      (Rsm.Star.path_p ~shards ~checkpoint_every:2 ~on_checkpoint ?resume
+      (Rsm.Star.path_p ~shards:(plan shards)
+         ~log:(walk_log ~every:2 ~save:on_checkpoint ?resume ())
          src f ~max_lambda:8)
   in
   let prefix = 4 in

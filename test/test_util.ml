@@ -27,6 +27,17 @@ let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name gen prop)
 
+(* The engine values, built by their validating constructors; a test
+   that needs a rejection calls the constructor itself. *)
+let ok = function Ok v -> v | Error e -> Alcotest.failf "unexpected Error %S" e
+
+let walk_log ?every ?save ?resume () =
+  ok (Rsm.Serialize.Checkpoint.log ?every ?save ?resume ())
+
+let plan ?mode shards = ok (Rsm.Shard_sweep.plan ?mode shards)
+
+let store ?resume base = ok (Rsm.Select.store ?resume base)
+
 let case name f = Alcotest.test_case name `Quick f
 
 let slow_case name f = Alcotest.test_case name `Slow f
