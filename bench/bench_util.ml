@@ -45,6 +45,16 @@ let walk_log ?every ?save ?resume () =
 
 let pct x = Printf.sprintf "%.2f%%" (100. *. x)
 
+(* A paper gate's verdict: one line per failure, or one "ok" line;
+   true when nothing failed. *)
+let report_gate name = function
+  | [] ->
+      Printf.printf "%s gate: ok\n" name;
+      true
+  | failures ->
+      List.iter (Printf.printf "%s gate failed: %s\n" name) failures;
+      false
+
 (* Process peak resident set (VmHWM) in MB, or -1 where /proc is
    unavailable. A lifetime high-water mark: read it right after the
    scenario whose footprint is being measured. *)

@@ -161,7 +161,7 @@ let run ~quick ~domains () =
     Bench_util.median_of ~reps (fun () ->
         let key = Randkit.Counter.create 91 in
         for p = 0 to fills - 1 do
-          Randkit.Ziggurat.fill_at (Randkit.Counter.at key p) ~words buf
+          Randkit.Ziggurat.fill_at key ~point:p ~words buf
         done)
   in
   let nrate s = float_of_int (fills * n) /. s in

@@ -2,7 +2,12 @@
    estimated by OMP — a sorted spectrum showing that out of the full
    dictionary only a few dozen coefficients are materially non-zero,
    plus the paper's headline count ("only 36 basis functions are
-   selected"). Rendered as a text histogram over coefficient rank. *)
+   selected"). Rendered as a text histogram over coefficient rank.
+
+   Gate ([run] returns false): the largest selected coefficient is at
+   least [min_ratio] times the largest unselected-coefficient estimate. *)
+
+let min_ratio = 10.
 
 let run ~quick ~full () =
   let cells =
@@ -69,8 +74,15 @@ let run ~quick ~full () =
         Float.max !max_unselected
           (Float.abs (Linalg.Mat.col_dot prep.Bench_util.g_train j res) /. kf)
   done;
+  let ratio = top /. Float.max !max_unselected 1e-12 in
   Printf.printf
     "\nLargest unselected-coefficient estimate: %.4f ps (%.1fx below the \
      largest selected) - the near-zero background of Fig. 6.\n"
-    !max_unselected
-    (top /. Float.max !max_unselected 1e-12)
+    !max_unselected ratio;
+  Bench_util.report_gate "Fig. 6 sparsity"
+    (if ratio >= min_ratio then []
+     else
+       [
+         Printf.sprintf "selected-to-unselected ratio %.1fx below %.0fx" ratio
+           min_ratio;
+       ])

@@ -23,17 +23,21 @@ let full =
            quadratic). Slow; needs several GB of memory.")
 
 let run_all quick full =
-  Fig4.run ~quick ();
+  let fig4_ok = Fig4.run ~quick () in
   Tables.table1 ~quick ();
   let orderings_ok = Tables.tables_2_3 ~quick ~full () in
   Tables.table4 ~quick ~full ();
-  Fig6.run ~quick ~full ();
+  let fig6_ok = Fig6.run ~quick ~full () in
   Ablation.run ~quick ();
-  Recovery.run ~quick ();
+  let recovery_ok = Recovery.run ~quick () in
   let robust_ok = Robustness.run ~quick () in
   Printf.printf "\nAll experiments complete. See EXPERIMENTS.md for the \
                  paper-vs-measured record.\n";
-  if not (robust_ok && orderings_ok) then exit 1
+  if not (fig4_ok && orderings_ok && fig6_ok && recovery_ok && robust_ok) then
+    exit 1
+
+(* A gated experiment: exit 1 when its paper gate fails. *)
+let gated ok = if not ok then exit 1
 
 let positive_int =
   let parse s =
@@ -78,8 +82,11 @@ let () =
   in
   let cmds =
     [
-      cmd_of "fig4" "OpAmp linear error vs training samples (Fig. 4)"
-        (fun quick _ -> Fig4.run ~quick ());
+      cmd_of "fig4"
+        "OpAmp linear error vs training samples (Fig. 4), gated on LAR and \
+         OMP beating STAR everywhere and OMP beating LAR at the smallest K \
+         (exit 1 on violation)"
+        (fun quick _ -> gated (Fig4.run ~quick ()));
       cmd_of "table1" "OpAmp linear modeling cost (Table I)"
         (fun quick _ -> Tables.table1 ~quick ());
       cmd_of "table2"
@@ -92,12 +99,16 @@ let () =
         tables_2_3;
       cmd_of "table4" "SRAM read path error and cost (Table IV)"
         (fun quick full -> Tables.table4 ~quick ~full ());
-      cmd_of "fig6" "SRAM coefficient sparsity spectrum (Fig. 6)"
-        (fun quick full -> Fig6.run ~quick ~full ());
+      cmd_of "fig6"
+        "SRAM coefficient sparsity spectrum (Fig. 6), gated on a 10x \
+         selected-to-unselected ratio (exit 1 on violation)"
+        (fun quick full -> gated (Fig6.run ~quick ~full ()));
       cmd_of "ablation" "Design-choice ablations (A1)"
         (fun quick _ -> Ablation.run ~quick ());
-      cmd_of "recovery" "K = O(P log M) recovery phase diagram (A2)"
-        (fun quick _ -> Recovery.run ~quick ());
+      cmd_of "recovery"
+        "K = O(P log M) recovery phase diagram (A2), gated on K90/(P log M) \
+         varying at most 1.5x over P (exit 1 on violation)"
+        (fun quick _ -> gated (Recovery.run ~quick ()));
       cmd_of "robustness"
         "Fault injection, screening and checkpoint/resume checks"
         (fun quick _ -> if not (Robustness.run ~quick ()) then exit 1);

@@ -2,7 +2,11 @@
    guarantee (Tropp & Gilbert). For random Gaussian dictionaries of M
    columns and P-sparse ground truth, measure the empirical probability
    that OMP recovers the exact support from K samples. The transition
-   front should move as P log M. *)
+   front should move as P log M.
+
+   Gate ([run] returns false): K90/(P log M), the samples needed for
+   90% recovery over P log M, is found for every P and varies by at
+   most [max_spread] (largest over smallest) across P. *)
 
 open Bench_util
 
@@ -35,6 +39,8 @@ let recovery_rate rng ~k ~m ~p ~trials =
   done;
   float_of_int !ok /. float_of_int trials
 
+let max_spread = 1.5
+
 let run ~quick () =
   let trials = if quick then 10 else 25 in
   let m = if quick then 200 else 400 in
@@ -64,19 +70,24 @@ let run ~quick () =
   (* The scaling-law check the paper cites: K needed for >=90% recovery,
      divided by P log M, should be roughly constant in P. *)
   let logm = log (float_of_int m) in
-  List.iter
-    (fun p ->
-      let needed =
-        List.find_opt
-          (fun k -> k > p && recovery_rate rng ~k ~m ~p ~trials >= 0.9)
-          ks
-      in
-      match needed with
-      | Some k ->
-          Printf.printf "P = %2d: K90 ~ %3d, K90 / (P log M) = %.2f\n" p k
-            (float_of_int k /. (float_of_int p *. logm))
-      | None -> Printf.printf "P = %2d: K90 beyond the sweep\n" p)
-    ps;
+  let scaled =
+    List.map
+      (fun p ->
+        let needed =
+          List.find_opt
+            (fun k -> k > p && recovery_rate rng ~k ~m ~p ~trials >= 0.9)
+            ks
+        in
+        match needed with
+        | Some k ->
+            let r = float_of_int k /. (float_of_int p *. logm) in
+            Printf.printf "P = %2d: K90 ~ %3d, K90 / (P log M) = %.2f\n" p k r;
+            Some r
+        | None ->
+            Printf.printf "P = %2d: K90 beyond the sweep\n" p;
+            None)
+      ps
+  in
   (* Dictionary conditioning: the "well-conditioned" premise of
      Section IV-B, measured on both a random Gaussian dictionary and a
      sampled Hermite dictionary of the same shape. *)
@@ -99,4 +110,17 @@ let run ~quick () =
         "  %-18s coherence %.3f, certified P < %.1f, 12-column condition \
          mean/max %.2f / %.2f\n"
         name mu bound mean_k max_k)
-    [ ("random Gaussian", gauss); ("sampled Hermite", hermite) ]
+    [ ("random Gaussian", gauss); ("sampled Hermite", hermite) ];
+  report_gate "K = O(P log M) scaling"
+    (if List.mem None scaled then [ "K90 beyond the sweep for some P" ]
+     else
+       let rs = List.filter_map Fun.id scaled in
+       let spread =
+         List.fold_left Float.max 0. rs /. List.fold_left Float.min infinity rs
+       in
+       if spread <= max_spread then []
+       else
+         [
+           Printf.sprintf "K90 / (P log M) spreads %.2fx over P (bound %.1fx)"
+             spread max_spread;
+         ])

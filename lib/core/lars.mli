@@ -32,7 +32,11 @@
     {!Shard_sweep.lars_scan} and {!Shard_sweep.gamma_scan}, so every
     driver walks the same steps bit for bit; checkpoint replay feeds
     the recorded entries and step lengths through the walk's own
-    direction, advance and drop arithmetic. *)
+    direction, advance and drop arithmetic. The two exact unsharded
+    drivers answer the step length from a screen instead whenever it
+    holds ({!Engine.screen}): only the columns that can set the step
+    get their image computed, and the committed step is the full
+    scan's bit for bit. *)
 
 type mode = Lar | Lasso
 
@@ -88,7 +92,10 @@ val path_p :
     {!Parallel.Pool.default}); entering/leaving variables, step lengths
     and coefficients are bitwise identical to the sequential dense
     sweeps for every domain count and either provider form (each dot
-    product is accumulated whole).
+    product is accumulated whole). With the exact unsharded sweep, a
+    step whose {!Engine.screen} holds computes [Gᵀ·u] only for the
+    columns that can set its length, sequentially, and commits the
+    same step length.
 
     Checkpointing: [log.save] receives the walk log
     ({!Serialize.Checkpoint.t}, solver tag ["lar"] or ["lasso"]) every
@@ -251,6 +258,35 @@ module Engine : sig
       @raise Invalid_argument on a length mismatch or once {!finished};
       propagates {!Linalg.Cholesky.Not_positive_definite} after a lasso
       drop under [~on_singular:`Stop], as {!path_p} does. *)
+
+  val screen : t -> int array option
+  (** The step-length screen of the pending direction (Efron et al.,
+      eq. 2.13), run once per step on the first call: [Some kept] lists,
+      ascending, the inactive, non-banned columns whose candidates can
+      set γ, and {!supply_screened} may answer from their exact images;
+      [None] in the correlation phase, once {!finished}, or when the
+      screen keeps more than a fixed share of the columns and the full
+      sweep must answer.
+
+      Columns are unit norm, so |a_j| ≤ ‖u‖, and a positive candidate
+      of column j is at least gap_j/(A + ‖u‖) with gap_j = C − |c_j|.
+      The exact candidates of the 8 columns nearest the tie give
+      thr = min(C/A, their minimum) ≥ the committed γ; column j is
+      skipped only when gap_j·(1 − 1e-9)/(A + ‖u‖·(1 + 1e-9)) >
+      thr·(1 + 1e-9) with gap_j > 0. The margins exceed the rounding of
+      the dots, norms and quotients (a few K·ε) for any K below 10⁶,
+      and a NaN anywhere keeps the column. *)
+
+  val supply_screened : t -> unit
+  (** [supply_screened t] answers the pending step-length request from
+      the {!screen}ed columns: their exact images, from the engine's
+      own provider ({!Polybasis.Design.Provider.col_dots}, bitwise the
+      full sweep's slots), reduced by {!Shard_sweep.gamma_scan_at}. A
+      skipped column cannot set γ, so the committed γ, the step record
+      and the event are bitwise those of {!supply} with the full
+      sweep, and the walk advances as {!supply} advances it.
+      @raise Invalid_argument unless {!screen} holds; propagates
+      {!Linalg.Cholesky.Not_positive_definite} as {!supply} does. *)
 
   val steps : t -> step array
   (** Steps recorded so far, oldest first. *)

@@ -284,7 +284,10 @@ let fused_greedy (type e) (module E : Greedy.ENGINE with type t = e) ?pool
 
 (* LAR round: each live walk's pending request — residual or
    equiangular direction, the walks are mutually independent — served
-   from one [gram_tr_multi] pass. Each walk owns its λ budget: a LAR
+   from one [gram_tr_multi] pass, except a direction whose step-length
+   screen holds: that walk answers from its own provider (a fold's
+   row copy included) inside [advance], where a refit lane's
+   [Not_positive_definite] is still caught. Each walk owns its λ budget: a LAR
    walk leaves the lockstep one step past λ bases, a lasso walk at its
    step budget. The walk a smaller λ drives is a prefix of this one:
    cut to [step_budget λ] steps, this walk can only hold more LAR steps
@@ -296,9 +299,23 @@ let fused_lars ?mode ?on_singular ?pool src ~max_lambda =
       Lars.Engine.create ?mode ?pool ?on_singular src_tr f_tr ~max_lambda)
     ~finished:Lars.Engine.finished
     ~sweep:(fun es ~rows ->
-      Corr_sweep.gram_tr_multi ?pool src ~rows
-        (Array.map Lars.Engine.request es))
-    ~advance:Lars.Engine.supply
+      let swept =
+        List.filter
+          (fun i -> Option.is_none (Lars.Engine.screen es.(i)))
+          (List.init (Array.length es) Fun.id)
+        |> Array.of_list
+      in
+      let answers = Array.make (Array.length es) None in
+      if swept <> [||] then
+        Array.iteri
+          (fun a g -> answers.(swept.(a)) <- Some g)
+          (Corr_sweep.gram_tr_multi ?pool src
+             ~rows:(Array.map (fun i -> rows.(i)) swept)
+             (Array.map (fun i -> Lars.Engine.request es.(i)) swept));
+      answers)
+    ~advance:(fun e -> function
+      | Some g -> Lars.Engine.supply e g
+      | None -> Lars.Engine.supply_screened e)
     ~prefix:(fun e ~max_lambda:l ->
       let steps = Lars.Engine.steps e in
       Lars.lambda_models src ~max_lambda:l

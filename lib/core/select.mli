@@ -155,9 +155,11 @@ val lars_p :
     ({!Lars.path_p}), within 1e-10 of exact, and runs the per-job
     driver. The fold driver as in {!omp_p}: the fused fold driver runs
     each fold's walk, and the refit walk, on a
-    {!Lars.Engine} created with the same λ budget and serves both of its
+    {!Lars.Engine} created with the same λ budget and serves its
     per-step sweeps from one {!Corr_sweep.gram_tr_multi} pass per
-    lockstep round. *)
+    lockstep round, except a step length whose {!Lars.Engine.screen}
+    holds: that walk answers it from the screened columns of its own
+    provider ({!Lars.Engine.supply_screened}), with the same bits. *)
 
 (** {2 Multi-output selection}
 

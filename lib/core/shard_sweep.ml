@@ -160,6 +160,14 @@ let lars_scan ~norms ~active ~banned ~jlo gtr =
       act_c = Array.of_list !act;
     } )
 
+(* Column j's two candidates folded into the running minimum [best]:
+   the one step-length arithmetic of every scan below. *)
+let[@inline] fold_gamma best ~cc ~a_a cj aj =
+  let cand1 = (cc -. cj) /. (a_a -. aj) in
+  let cand2 = (cc +. cj) /. (a_a +. aj) in
+  let best = if cand1 > 1e-12 && cand1 < best then cand1 else best in
+  if cand2 > 1e-12 && cand2 < best then cand2 else best
+
 (* Step-length scan: the minimum gamma candidate over the window's
    inactive, non-banned columns ([infinity] when none).  The running-min
    acceptance (cand > 1e-12 && cand < gamma) reduces to min(init, min of
@@ -172,15 +180,49 @@ let gamma_scan ~norms ~active ~banned ~c ~cc ~a_a gu =
     invalid_arg "Shard_sweep.gamma_scan: length mismatch (scan before select?)";
   let best = ref infinity in
   for j = 0 to w - 1 do
-    if (not active.(j)) && not banned.(j) then begin
-      let aj = gu.(j) /. norms.(j) in
-      let cand1 = (cc -. c.(j)) /. (a_a -. aj) in
-      let cand2 = (cc +. c.(j)) /. (a_a +. aj) in
-      if cand1 > 1e-12 && cand1 < !best then best := cand1;
-      if cand2 > 1e-12 && cand2 < !best then best := cand2
-    end
+    if (not active.(j)) && not banned.(j) then
+      best := fold_gamma !best ~cc ~a_a c.(j) (gu.(j) /. norms.(j))
   done;
   !best
+
+(* The same candidates over the listed columns only, [gu_at.(t)] being
+   column idx.(t)'s raw image: the screened step length. *)
+let gamma_scan_at ~norms ~c ~cc ~a_a idx gu_at =
+  if Array.length gu_at <> Array.length idx then
+    invalid_arg "Shard_sweep.gamma_scan_at: length mismatch";
+  let best = ref infinity in
+  for t = 0 to Array.length idx - 1 do
+    let j = idx.(t) in
+    best := fold_gamma !best ~cc ~a_a c.(j) (gu_at.(t) /. norms.(j))
+  done;
+  !best
+
+(* The step-length screen's bound (Efron et al. eq. 2.13): with
+   |a_j| ≤ ‖u‖, a positive candidate of a column with gap = C − |c_j| > 0
+   is at least gap/(A + ‖u‖), so a column whose bound exceeds [thr] —
+   with 1e-9 margins on ‖u‖, the gap and [thr] against rounding — cannot
+   set a step of at most [thr]. Every comparison is false on a NaN,
+   which keeps the column. *)
+let gamma_screen ~active ~banned ~c ~cc ~a_a ~u_norm ~thr ~top ~limit =
+  let w = Array.length c in
+  let den = a_a +. (u_norm *. (1. +. 1e-9)) and lim = thr *. (1. +. 1e-9) in
+  let kept = Array.make (max limit 0 + 1) 0 in
+  let n = ref 0 and j = ref 0 in
+  while !n <= limit && !j < w do
+    let jj = !j in
+    if (not active.(jj)) && not banned.(jj) then begin
+      let gap = cc -. Float.abs c.(jj) in
+      if
+        (not (gap > 0. && gap *. (1. -. 1e-9) /. den > lim))
+        && not (Array.mem jj top)
+      then begin
+        kept.(!n) <- jj;
+        incr n
+      end
+    end;
+    incr j
+  done;
+  if !n > limit then None else Some (Array.sub kept 0 !n)
 
 let local_lars_select l r =
   let c, pick =

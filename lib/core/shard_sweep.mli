@@ -107,6 +107,49 @@ val gamma_scan :
     and the [c] of the same step's {!lars_scan}. Folding it against C/A
     is bitwise the sequential running-minimum scan. *)
 
+val gamma_scan_at :
+  norms:Linalg.Vec.t ->
+  c:Linalg.Vec.t ->
+  cc:float ->
+  a_a:float ->
+  int array ->
+  Linalg.Vec.t ->
+  float
+(** [gamma_scan_at ~norms ~c ~cc ~a_a idx gu_at] is {!gamma_scan}'s
+    minimum over the listed columns only, with [gu_at.(t)] the raw
+    image of column [idx.(t)] ({!Polybasis.Design.Provider.col_dots}):
+    each column's candidates come from the same float operations, so
+    the minimum over a set that holds every column able to set the
+    step is bitwise the full scan's. The caller lists inactive,
+    non-banned columns.
+    @raise Invalid_argument when [idx] and [gu_at] differ in length. *)
+
+val gamma_screen :
+  active:bool array ->
+  banned:bool array ->
+  c:Linalg.Vec.t ->
+  cc:float ->
+  a_a:float ->
+  u_norm:float ->
+  thr:float ->
+  top:int array ->
+  limit:int ->
+  int array option
+(** [gamma_screen ~active ~banned ~c ~cc ~a_a ~u_norm ~thr ~top ~limit]
+    is the LAR step-length screen (Efron et al., eq. 2.13): the
+    inactive, non-banned columns outside [top], ascending, whose
+    candidates may be at most [thr], or [None] once more than [limit]
+    of them survive. Given the normalized correlations [c] of the
+    step's {!lars_scan}, C = [cc], A = [a_a] and ‖u‖ = [u_norm], a
+    column is ruled out only when gap = C − |c_j| > 0 and
+    gap·(1 − 1e-9)/(A + ‖u‖·(1 + 1e-9)) > thr·(1 + 1e-9): unit columns
+    have |a_j| ≤ ‖u‖, so each of its positive candidates exceeds
+    [thr] — the margins cover the rounding of the dots, norms and
+    quotients, a few K·ε for K below 10⁶. A NaN anywhere keeps the
+    column. With [thr] at least the committed step, the minimum of
+    {!gamma_scan_at} over the survivors and [top] is the full scan's
+    against C/A, bit for bit. *)
+
 type t
 
 val create :

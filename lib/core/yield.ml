@@ -65,8 +65,7 @@ let monte_carlo_values ?(samples = 10_000) ?eval
       let dy = Array.make n 0. in
       let words = Bytes.create (8 * n) in
       Array.init samples (fun s ->
-          Randkit.Ziggurat.fill_at (Randkit.Counter.at key s) ?vars:touched
-            ~words dy;
+          Randkit.Ziggurat.fill_at key ~point:s ?vars:touched ~words dy;
           eval dy)
 
 let joint_monte_carlo ?(samples = 10_000) specs basis rng =

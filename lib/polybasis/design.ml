@@ -741,6 +741,74 @@ module Provider = struct
       (fun ~lo ~hi -> sweep_block p r out ~lo ~hi ~off:lo);
     out
 
+  (* Slot t ← Σᵢ g[i, idx.(t)]·r.(i), rows ascending from +0 — bitwise
+     slot idx.(t) of [gram_tr]. Dense: rows outermost over the index
+     set, four rows per pass with each slot's products added in
+     ascending row order between one load and one store, as
+     [dense_sweep] adds them. Streamed: each column's products formed
+     as [gen_column] forms them ([Pair] inline, [Many] through a
+     scratch column) and added into its own accumulator. *)
+  let col_dots p idx r out =
+    check_r p r;
+    let n = Array.length idx in
+    if Array.length out <> n then
+      invalid_arg "Design.Provider.col_dots: output length mismatch";
+    Array.iter (check_col "col_dots" p) idx;
+    match p with
+    | Dense g ->
+        let m = Mat.cols g and data = g.Mat.data and k = Mat.rows g in
+        Array.fill out 0 n 0.;
+        let i = ref 0 in
+        while !i + 4 <= k do
+          let i0 = !i in
+          let b0 = i0 * m in
+          let b1 = b0 + m and b2 = b0 + (2 * m) and b3 = b0 + (3 * m) in
+          let r0 = Array.unsafe_get r i0
+          and r1 = Array.unsafe_get r (i0 + 1)
+          and r2 = Array.unsafe_get r (i0 + 2)
+          and r3 = Array.unsafe_get r (i0 + 3) in
+          for t = 0 to n - 1 do
+            let j = Array.unsafe_get idx t in
+            Array.unsafe_set out t
+              (Array.unsafe_get out t
+               +. (Array.unsafe_get data (b0 + j) *. r0)
+               +. (Array.unsafe_get data (b1 + j) *. r1)
+               +. (Array.unsafe_get data (b2 + j) *. r2)
+               +. (Array.unsafe_get data (b3 + j) *. r3))
+          done;
+          i := i0 + 4
+        done;
+        for i = !i to k - 1 do
+          let b = i * m and ri = Array.unsafe_get r i in
+          for t = 0 to n - 1 do
+            Array.unsafe_set out t
+              (Array.unsafe_get out t
+               +. (Array.unsafe_get data (b + Array.unsafe_get idx t) *. ri))
+          done
+        done
+    | Streamed s ->
+        let k = s.sk and vt = s.vtab in
+        let buf = acquire s k in
+        Array.iteri
+          (fun t j ->
+            let acc = ref 0. in
+            (match Array.unsafe_get s.cterms j with
+            | Pair (a, b) ->
+                for i = 0 to k - 1 do
+                  acc :=
+                    !acc
+                    +. (Array.unsafe_get vt (a + i) *. Array.unsafe_get vt (b + i)
+                       *. Array.unsafe_get r i)
+                done
+            | Many _ ->
+                gen_column s j buf ~pos:0 ~stride:1;
+                for i = 0 to k - 1 do
+                  acc := !acc +. (Array.unsafe_get buf i *. Array.unsafe_get r i)
+                done);
+            Array.unsafe_set out t !acc)
+          idx;
+        release s buf
+
   let scan_argmax dots skip ~lo ~hi =
     let best = ref (-1) and best_abs = ref 0. in
     for j = lo to hi - 1 do

@@ -156,6 +156,17 @@ module Provider : sig
       storing each output slot once per four rows. Bitwise identical
       dense vs streamed at every domain count. *)
 
+  val col_dots : t -> int array -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+  (** [col_dots p idx r out] sets [out.(t)] to slot [idx.(t)] of
+      {!gram_tr}[ p r], bit for bit, for every [t]: the sweep restricted
+      to a column subset (LAR's screened step length). Dense providers
+      stream the rows outermost over the index set, four rows per pass
+      as {!gram_tr} does; streamed providers generate each listed
+      column and add its products in ascending row order from +0.
+      Sequential; [idx] may repeat or be empty.
+      @raise Invalid_argument on a length mismatch or an out-of-bounds
+      column. *)
+
   val argmax_abs :
     ?pool:Parallel.Pool.t -> skip:bool array -> t -> Linalg.Vec.t -> int * float
   (** [argmax_abs ~skip p r] is [(j*, |⟨g_{j*}, r⟩|)] over columns with

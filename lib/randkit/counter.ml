@@ -30,7 +30,7 @@ let create seed =
 
 let of_prng g = Prng.bits64 g
 let key t = t
-let at t p = finalize (Int64.add t (Int64.mul (Int64.of_int p) golden))
+let[@inline] at t p = finalize (Int64.add t (Int64.mul (Int64.of_int p) golden))
 
 let[@inline] bits64 pk ~coord ~draw =
   finalize
@@ -45,11 +45,13 @@ let float pk ~coord ~draw =
 
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* [bits64] is inlined here, so each word goes from the finalizer to the
-   buffer unboxed; a caller in another module would receive it boxed. *)
-let draw0_into pk ?vars n words =
+(* [at] and [bits64] are inlined here, so the point key and each word
+   go from the finalizer to the buffer unboxed; a caller in another
+   module would receive them boxed. *)
+let draw0_into key ~point ?vars n words =
   if n < 0 || Bytes.length words < 8 * n then
     invalid_arg "Counter.draw0_into: words buffer shorter than 8·n bytes";
+  let pk = at key point in
   match vars with
   | None ->
       for s = 0 to n - 1 do

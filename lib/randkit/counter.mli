@@ -64,13 +64,13 @@ val float : point -> coord:int -> draw:int -> float
 (** Top 53 bits of {!bits64} as a float in [0, 1) (same resolution as
     [Prng.float]). *)
 
-val draw0_into : point -> ?vars:int array -> int -> Bytes.t -> unit
-(** [draw0_into pk ?vars n words] writes, for every [s] in [[0, n)],
-    the word [bits64 pk ~coord ~draw:0] at byte offset [8·s] of [words]
-    (native byte order), where [coord] is [vars.(s)], or [s] itself
-    without [?vars]. These are the first words of each coordinate's
-    rejection substream — what a sampler that accepts on its first word
-    (e.g. {!Ziggurat.fill_at}) needs — computed in one pass without
-    boxing a word per coordinate.
+val draw0_into : t -> point:int -> ?vars:int array -> int -> Bytes.t -> unit
+(** [draw0_into key ~point ?vars n words] writes, for every [s] in
+    [[0, n)], the word [bits64 (at key point) ~coord ~draw:0] at byte
+    offset [8·s] of [words] (native byte order), where [coord] is
+    [vars.(s)], or [s] itself without [?vars]. These are the first
+    words of each coordinate's rejection substream — what a sampler
+    that accepts on its first word (e.g. {!Ziggurat.fill_at}) needs —
+    computed in one pass without boxing the point key or a word.
     @raise Invalid_argument if [n < 0], [words] is shorter than [8·n]
     bytes, or [vars] has fewer than [n] entries. *)

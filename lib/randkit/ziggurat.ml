@@ -103,13 +103,14 @@ let normal_at pk ~coord = sample_at pk ~coord 0
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
-(* Bulk counter draw: [Counter.draw0_into] writes every coordinate's
-   draw-0 word, decoded here unboxed on the one-compare fast path. Any
-   other case restarts [sample_at] at draw 0, which recomputes the same
-   word, so every value is bitwise [normal_at]'s. *)
-let fill_at pk ?vars ~words dy =
+(* Bulk counter draw: [Counter.draw0_into] forms the point key and
+   writes every coordinate's draw-0 word, decoded here unboxed on the
+   one-compare fast path. Any other case restarts [sample_at] at draw 0
+   from a point key built here, boxed, which recomputes the same word,
+   so every value is bitwise [normal_at]'s. *)
+let fill_at key ~point ?vars ~words dy =
   let n = match vars with Some v -> Array.length v | None -> Array.length dy in
-  Counter.draw0_into pk ?vars n words;
+  Counter.draw0_into key ~point ?vars n words;
   for s = 0 to n - 1 do
     let coord = match vars with Some v -> Array.unsafe_get v s | None -> s in
     let bits = get64 words (8 * s) in
@@ -117,7 +118,7 @@ let fill_at pk ?vars ~words dy =
     let x = u_of bits *. Array.unsafe_get xtab i in
     dy.(coord) <-
       (if x < Array.unsafe_get xtab (i + 1) then signed (neg_of bits) x
-       else sample_at pk ~coord 0)
+       else sample_at (Counter.at key point) ~coord 0)
   done
 
 let tail_start = r

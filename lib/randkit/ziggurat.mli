@@ -40,13 +40,17 @@ val normal_at : Counter.point -> coord:int -> float
     [(key, point, coord)]. *)
 
 val fill_at :
-  Counter.point -> ?vars:int array -> words:Bytes.t -> float array -> unit
-(** [fill_at pk ?vars ~words dy] sets [dy.(c) <- normal_at pk ~coord:c]
-    for every coordinate [c] of [vars] (default: every index of [dy]),
-    bitwise. The coordinates' first words are drawn in one pass into
-    [words] (caller-owned scratch of at least 8 bytes per coordinate,
-    reusable across calls) and decoded without allocation whenever the
-    first word accepts; the rare rejection re-runs {!normal_at}. Entries
+  Counter.t -> point:int -> ?vars:int array -> words:Bytes.t -> float array ->
+  unit
+(** [fill_at key ~point ?vars ~words dy] sets
+    [dy.(c) <- normal_at (Counter.at key point) ~coord:c] for every
+    coordinate [c] of [vars] (default: every index of [dy]), bitwise.
+    The point key is formed inside {!Counter.draw0_into}, and the
+    coordinates' first words are drawn in one pass into [words]
+    (caller-owned scratch of at least 8 bytes per coordinate, reusable
+    across calls) and decoded without allocation whenever the first
+    word accepts; the rare rejection builds the point key and re-runs
+    {!normal_at}. Entries
     of [dy] outside [vars] are left untouched. This is the one counter
     fill behind streamed and single-generator ziggurat Monte Carlo.
     @raise Invalid_argument if [words] is too short or a coordinate of

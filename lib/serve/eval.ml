@@ -134,7 +134,7 @@ let fill t scratch dy =
       (Array.unsafe_get dy (Array.unsafe_get t.var_of_slot s))
   done
 
-let eval_with t scratch dy =
+let[@inline] eval_with t scratch dy =
   check_point t dy;
   fill t scratch dy;
   let acc = ref 0. in
@@ -148,6 +148,10 @@ let eval_with t scratch dy =
     acc := !acc +. (Array.unsafe_get t.coeffs p *. !prod)
   done;
   !acc
+
+(* The value goes straight into the caller's float slot: a float
+   returned to another module is boxed. *)
+let eval_into t scratch dy out i = out.(i) <- eval_with t scratch dy
 
 let eval_point t dy = eval_with t t.scratch0 dy
 

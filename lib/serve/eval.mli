@@ -90,6 +90,13 @@ val eval_with : t -> scratch -> Linalg.Vec.t -> float
     [Rsm.Model.predict_point model basis dy].
     @raise Invalid_argument when [dy] has length ≠ {!dim}. *)
 
+val eval_into : t -> scratch -> Linalg.Vec.t -> float array -> int -> unit
+(** [eval_into t s dy out i] sets [out.(i)] to {!eval_with}[ t s dy],
+    bitwise, without boxing the value on its way out — the streamed
+    yield loops read it from the slot.
+    @raise Invalid_argument as {!eval_with}, or when [i] is outside
+    [out]. *)
+
 val eval_point : t -> Linalg.Vec.t -> float
 (** {!eval_with} on the tape's internal scratch. Convenient and
     allocation-free, but not thread-safe — never call it from pool

@@ -58,7 +58,7 @@ let draw_point filler brng dy words ~point =
   match filler with
   | Seq -> Randkit.Gaussian.fill brng dy
   | Ctr (key, vars) ->
-      Randkit.Ziggurat.fill_at (Randkit.Counter.at key point) ?vars ~words dy
+      Randkit.Ziggurat.fill_at key ~point ?vars ~words dy
 
 (* Run [body b rng scratch dy words ~lo ~n] for every batch [b] over the
    pool (or sequentially without one); [scratch], [dy] and the counter
@@ -120,10 +120,16 @@ let estimate ?pool ?(batch = default_batch)
         let pass = ref 0 in
         let sum = ref 0. in
         let sumsq = ref 0. in
+        (* The tape value arrives in a float slot and the spec test is
+           [Rsm.Yield.passes] written out: either call across modules
+           would box it. *)
+        let slot = [| 0. |] in
         for s = 0 to n - 1 do
           draw_point filler brng dy words ~point:(lo + s);
-          let v = Eval.eval_with t scratch dy in
-          if Rsm.Yield.passes spec v then incr pass;
+          Eval.eval_into t scratch dy slot 0;
+          let v = slot.(0) in
+          if v >= spec.Rsm.Yield.lower && v <= spec.Rsm.Yield.upper then
+            incr pass;
           sum := !sum +. v;
           sumsq := !sumsq +. (v *. v)
         done;
@@ -166,7 +172,7 @@ let values ?pool ?(batch = default_batch)
       (fun _ brng scratch dy words ~lo ~n ->
         for s = 0 to n - 1 do
           draw_point filler brng dy words ~point:(lo + s);
-          out.(lo + s) <- Eval.eval_with t scratch dy
+          Eval.eval_into t scratch dy out (lo + s)
         done)
   in
   out

@@ -43,4 +43,5 @@ let () =
       Test_multi.suite;
       Test_delivery.suite;
       Test_known_answer.suite;
+      Test_screen.suite;
     ]

@@ -187,11 +187,11 @@ let test_fill_at_matches_normal_at () =
       in
       paths.(k) <- paths.(k) + 1
     done;
-    Ziggurat.fill_at pk ~words full;
+    Ziggurat.fill_at key ~point:p ~words full;
     if bits full <> bits expected then
       Alcotest.failf "point %d: fill_at differs from normal_at" p;
     Array.fill sub 0 coords Float.nan;
-    Ziggurat.fill_at pk ~vars ~words sub;
+    Ziggurat.fill_at key ~point:p ~vars ~words sub;
     Array.iteri
       (fun c x ->
         let wanted = Array.mem c vars in
@@ -204,7 +204,7 @@ let test_fill_at_matches_normal_at () =
   check_bool "wedge and tail addresses compared" true
     (paths.(1) > 100 && paths.(2) > 10);
   check_raises_invalid "short words buffer" (fun () ->
-      Ziggurat.fill_at (Counter.at key 0) ~words:(Bytes.create 8) full)
+      Ziggurat.fill_at key ~point:0 ~words:(Bytes.create 8) full)
 
 (* --- streamed yield, Monte-Carlo values, compiled evaluation ---------- *)
 

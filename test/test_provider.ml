@@ -272,7 +272,8 @@ let prop_select_rows_bitwise seed =
    lane-group width, one lane to four groups) over all rows and fold
    row sets mixed, a set with a single row, and residuals holding +0
    and −0 entries, whose products the lanes' zero rows must not
-   disturb. *)
+   disturb. [col_dots] must equal the listed slots of [gram_tr] on
+   empty, single-column, random and full index sets. *)
 let block_edge_bases =
   [
     Polybasis.Basis.quadratic 3 (* M = 10 *);
@@ -440,7 +441,36 @@ let prop_block_edges_bitwise seed =
                           (P.argmax_abs_multi ~pool ~skips p ~rows rs))))
                multis;
              check "column_norms"
-               (both (fun p -> bits (P.column_norms ~pool p))))
+               (both (fun p -> bits (P.column_norms ~pool p)));
+             (* col_dots: the listed slots of gram_tr, on the empty set,
+                every single column, a random subset (any order,
+                repeats allowed) and every column. *)
+             let m = P.cols win in
+             let sets =
+               ([||] :: List.init m (fun j -> [| j |]))
+               @ [
+                   Array.init (Randkit.Prng.int rng (m + 1)) (fun _ ->
+                       Randkit.Prng.int rng m);
+                   Array.init m Fun.id;
+                 ]
+             in
+             List.iter
+               (fun idx ->
+                 let slots p =
+                   let g = P.gram_tr ~pool p r in
+                   bits (Array.map (fun j -> g.(j)) idx)
+                 in
+                 let col_dots p =
+                   let out = Array.make (Array.length idx) Float.nan in
+                   P.col_dots p idx r out;
+                   bits out
+                 in
+                 let what = Printf.sprintf "col_dots of %d columns" (Array.length idx) in
+                 check_dense what (col_dots dn, slots dn);
+                 check what (both col_dots);
+                 check_bool (tag (what ^ " == gram_tr slots")) true
+                   (col_dots win = slots win))
+               sets)
            cases));
   true
 
