@@ -7,9 +7,10 @@
    on violation, so this doubles as the determinism smoke for CI).
 
    Process mode is the point at this scale: each re-exec'd worker owns
-   only its M/S column slice (Hermite tables + Gram-cache slab), so the
+   only its M/S column slice (its Hermite tables and norms), so the
    per-process peak RSS stays bounded while the single-image fit carries
-   the whole dictionary. The per-shard VmHWM of a probed engine is
+   the whole dictionary. Both fits run the exact sweep, the sharded one
+   screening each step length inside every shard. The per-shard VmHWM of a probed engine is
    recorded next to the fit times in BENCH_speed.json. *)
 
 let quick_cfg = (60, 80, 6, 3)
@@ -49,19 +50,17 @@ let run ?(quick = false) ?domains () =
         f.(i) <- f.(i) +. col.(i)
       done)
     support;
-  let sweep = Rsm.Corr_sweep.incremental ~refresh:4 () in
   Printf.printf
     "\n=== Column-sharded LAR: K=%d M=%d steps=%d shards=%d (process mode) \
      ===\n\
      %!"
     k m max_steps shards;
-  (* Per-shard footprint probe: a live engine (slabs built, initial
-     sweep done, one selection answered) queried for each worker's
-     VmHWM. Probed before the fits so the workers' high-water marks
+  (* Per-shard footprint probe: a live engine (norms gathered, one
+     selection answered) queried for each worker's VmHWM. Probed before the fits so the workers' high-water marks
      reflect exactly this engine. *)
   let plan = Bench_util.ok (Rsm.Shard_sweep.plan ~mode:"process" shards) in
   let shard_rss_kb =
-    let e = Rsm.Shard_sweep.create ~pool plan ~sweep src ~r0:f in
+    let e = Rsm.Shard_sweep.create ~pool plan src in
     ignore (Rsm.Shard_sweep.raw_norms e);
     ignore (Rsm.Shard_sweep.lars_select e ~r:f);
     let rss = Rsm.Shard_sweep.peak_rss_kb e in
@@ -81,11 +80,11 @@ let run ?(quick = false) ?domains () =
   in
   let seq_steps, seq_s =
     timed (fun () ->
-        Rsm.Lars.path_p ~pool ~on_singular:`Fallback ~sweep src f ~max_steps)
+        Rsm.Lars.path_p ~pool ~on_singular:`Fallback src f ~max_steps)
   in
   let sh_steps, sh_s =
     timed (fun () ->
-        Rsm.Lars.path_p ~pool ~on_singular:`Fallback ~sweep ~shards:plan src f
+        Rsm.Lars.path_p ~pool ~on_singular:`Fallback ~shards:plan src f
           ~max_steps)
   in
   let parity = fingerprint seq_steps = fingerprint sh_steps in

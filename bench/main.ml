@@ -123,11 +123,10 @@ let () =
       Cmd.v
         (Cmd.info "sweep"
            ~doc:
-             "Gram-cached incremental LAR step (with its Gram builds) and \
-              one fused CV round (4 fold lanes + the refit lane) at the \
-              Table II shape: per-step cost vs the exact engines, with \
-              embedded parity checks (exit 1 on violation). Updates \
-              BENCH_speed.json.")
+             "One fused CV round (4 fold lanes + the refit lane) at the \
+              Table II shape against the per-fold sweeps it replaces, with \
+              embedded bitwise parity checks (exit 1 on violation). \
+              Updates BENCH_speed.json.")
         Term.(
           const (fun quick _ domains ->
               Speed.sweep_scenario ~quick ~domains ())

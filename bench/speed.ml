@@ -296,33 +296,21 @@ let speedup ~quick ~domains () =
   Bench_util.update_summary ~scenario:"speed" ~payload;
   Printf.printf "summary updated in %s\n%!" Bench_util.summary_file
 
-(* --- gram-cached sweep engine scenario ----------------------------- *)
+(* --- fused CV sweep scenario ----------------------------------------- *)
 
-let rel_gap a b =
-  let scale = max (Float.abs a) (Float.abs b) in
-  if scale = 0. then 0. else Float.abs (a -. b) /. scale
-
-(* An exact LAR step runs two sweeps (Gᵀr, Gᵀu); an incremental one runs
-   the cached step plus one Gram build per entering column. *)
-let lar_step_speedup ~exact_sweep_s ~inc_step_s ~gram_build_s =
-  2. *. exact_sweep_s /. (inc_step_s +. gram_build_s)
-
-(* Per-step sweep-phase cost of the gram-cached incremental LAR step
-   against the exact sweep it replaces, and one fused CV round — Q fold
-   lanes plus the all-rows refit lane in one multi-residual sweep —
-   against Q + 1 sweeps of row-subset copies, at the paper's Table II
-   shape (quadratic dictionary over N = 200 factors, M = 20 301,
-   K = 1000) unless --quick. Every timed kernel is guarded by its parity
-   contract (incremental ≤ 1e-10 relative, fused bitwise); a violation
-   fails the bench with exit 1, so this scenario doubles as the
-   sweep-parity smoke for CI. *)
+(* One fused CV round — Q fold lanes plus the all-rows refit lane in one
+   multi-residual sweep — against Q + 1 sweeps of row-subset copies, at
+   the paper's Table II shape (quadratic dictionary over N = 200
+   factors, M = 20 301, K = 1000) unless --quick. The fused kernels are
+   guarded by their bitwise parity contract; a violation fails the
+   bench with exit 1, so this scenario doubles as the sweep-parity
+   smoke for CI. *)
 let sweep_scenario ~quick ~domains () =
   let domains =
     match domains with Some d -> d | None -> Parallel.Pool.default_domains ()
   in
   let n = if quick then 60 else 200 in
   let k = if quick then 120 else 1000 in
-  let p = if quick then 8 else 20 in
   let q = 4 in
   let reps = if quick then 3 else 5 in
   let basis = Polybasis.Basis.quadratic n in
@@ -331,8 +319,6 @@ let sweep_scenario ~quick ~domains () =
   let pts = Array.init k (fun _ -> Randkit.Gaussian.vector rng n) in
   let src = Polybasis.Design.Provider.streamed basis pts in
   let res = Randkit.Gaussian.vector rng k in
-  let support = Randkit.Sampling.subsample rng (Array.init m Fun.id) p in
-  Array.sort compare support;
   let assignment =
     Randkit.Sampling.fold_assignment (Randkit.Prng.create 53) ~n:k ~folds:q
   in
@@ -355,70 +341,13 @@ let sweep_scenario ~quick ~domains () =
       Printf.printf "PARITY FAILURE: %s\n%!" name
     end
   in
-  let worst_gap exact approx =
-    let worst = ref 0. in
-    Array.iteri (fun j v -> worst := Float.max !worst (rel_gap v approx.(j))) exact;
-    !worst
-  in
-  (* A LAR direction over the support, u = Σ w_p·g_{j_p}. *)
-  let cols = Array.map (Polybasis.Design.Provider.column src) support in
-  let weights =
-    Array.mapi (fun i j -> (j, if i mod 2 = 0 then 0.5 else -0.25)) support
-  in
-  let u = Array.make k 0. in
-  Array.iteri
-    (fun i (_, w) ->
-      for r = 0 to k - 1 do
-        u.(r) <- u.(r) +. (w *. cols.(i).(r))
-      done)
-    weights;
-  let gamma = 1e-3 in
-  Printf.printf
-    "\n=== Sweep engine scenario: K=%d M=%d p=%d Q=%d (%d domain%s) ===\n%!"
-    k m p q domains (if domains = 1 then "" else "s");
+  Printf.printf "\n=== Sweep engine scenario: K=%d M=%d Q=%d (%d domain%s) ===\n%!"
+    k m q domains (if domains = 1 then "" else "s");
   let measure domains =
     let pool = Parallel.Pool.create ~domains () in
-    (* Incremental arm — LAR's step: with the p active Gram columns
-       cached, the direction image Gᵀu is their O(p·M) combination and
-       the correlations retreat along it at O(M), against one exact
-       O(K·M) sweep of u with streamed column generation. Each entering
-       column pays one Gram build (an exact sweep of its column), timed
-       here over the p builds. *)
-    let inc = Rsm.Corr_sweep.Inc.create ~pool ~refresh:0 src res in
-    let t0 = Unix.gettimeofday () in
-    Array.iteri (fun i j -> Rsm.Corr_sweep.Inc.ensure_gram inc j cols.(i)) support;
-    let gram_build_s = (Unix.gettimeofday () -. t0) /. float_of_int p in
-    (* Parity: the cached combination against an exact sweep of u, and
-       one retreat against an exact sweep of the moved residual. *)
-    let a = Rsm.Corr_sweep.Inc.combination inc weights in
-    let comb_gap = worst_gap (Rsm.Corr_sweep.gram_tr ~pool src u) a in
-    check (Printf.sprintf "combination vs exact G^T.u (%.2e rel)" comb_gap)
-      (comb_gap <= 1e-10);
-    Rsm.Corr_sweep.Inc.retreat inc gamma a;
-    let moved = Array.mapi (fun r x -> x -. (gamma *. u.(r))) res in
-    let retreat_gap =
-      worst_gap
-        (Rsm.Corr_sweep.gram_tr ~pool src moved)
-        (Rsm.Corr_sweep.Inc.correlations inc)
-    in
-    check
-      (Printf.sprintf "retreat vs exact correlations (%.2e rel)" retreat_gap)
-      (retreat_gap <= 1e-10);
-    Printf.printf
-      "domains=%d  parity: combination %.1e, retreat %.1e rel (gate 1e-10)\n%!"
-      domains comb_gap retreat_gap;
-    let exact_sweep_s =
-      Bench_util.median_of ~reps (fun () ->
-          ignore (Rsm.Corr_sweep.gram_tr ~pool src u))
-    in
-    let inc_step_s =
-      Bench_util.median_of ~reps (fun () ->
-          Rsm.Corr_sweep.Inc.retreat inc 0.
-            (Rsm.Corr_sweep.Inc.combination inc weights))
-    in
-    (* Fused arm: one multi-residual sweep against Q + 1 sweeps of
-       row-subset providers, each built once as a per-job driver builds
-       its copies — same numbers, column generation paid once. *)
+    (* One multi-residual sweep against Q + 1 sweeps of row-subset
+       providers, each built once as a per-job driver builds its copies
+       — same numbers, column generation paid once. *)
     let copies =
       Array.map (Polybasis.Design.Provider.select_rows src) fold_rows
     in
@@ -457,19 +386,10 @@ let sweep_scenario ~quick ~domains () =
     let fold_sweep_s = Bench_util.median_of ~reps (fun () -> ignore (per_fold ())) in
     let fused_sweep_s = Bench_util.median_of ~reps (fun () -> ignore (fused ())) in
     Parallel.Pool.shutdown pool;
-    Printf.printf
-      "domains=%d  exact G^T.u %8.2f ms  incremental step %8.2f ms  (%.1fx)  \
-       + Gram build %8.2f ms per entering column\n\
-       domains=%d  LAR step: exact 2 sweeps %8.2f ms  incremental %8.2f ms  \
-       (%.2fx)\n\
-       domains=%d  %d-fold + refit %8.2f ms  fused round %8.2f ms  (%.1fx)\n%!"
-      domains (1e3 *. exact_sweep_s) (1e3 *. inc_step_s)
-      (exact_sweep_s /. inc_step_s) (1e3 *. gram_build_s)
-      domains (2e3 *. exact_sweep_s) (1e3 *. (inc_step_s +. gram_build_s))
-      (lar_step_speedup ~exact_sweep_s ~inc_step_s ~gram_build_s)
+    Printf.printf "domains=%d  %d-fold + refit %8.2f ms  fused round %8.2f ms  (%.1fx)\n%!"
       domains q (1e3 *. fold_sweep_s) (1e3 *. fused_sweep_s)
       (fold_sweep_s /. fused_sweep_s);
-    (exact_sweep_s, inc_step_s, gram_build_s, fold_sweep_s, fused_sweep_s)
+    (fold_sweep_s, fused_sweep_s)
   in
   let arms =
     if domains = 1 then [ (1, measure 1) ]
@@ -497,23 +417,18 @@ let sweep_scenario ~quick ~domains () =
     let b = Buffer.create 256 in
     Buffer.add_string b
       (Printf.sprintf
-         "{\"m\": %d, \"k\": %d, \"p\": %d, \"q\": %d, \"lanes\": %d, \
+         "{\"m\": %d, \"k\": %d, \"q\": %d, \"lanes\": %d, \
           \"gen_rows_per_fold\": %d, \"gen_rows_fused\": %d, \
           \"gen_work_ratio\": %.2f, \"per_domains\": {"
-         m k p q lanes gen_rows_per_fold k gen_work_ratio);
+         m k q lanes gen_rows_per_fold k gen_work_ratio);
     List.iteri
-      (fun i (d, (ex, inc, gram, fold, fused)) ->
+      (fun i (d, (fold, fused)) ->
         Buffer.add_string b
           (Printf.sprintf
-             "%s\"%d\": {\"exact_sweep_s\": %.6f, \"inc_step_s\": %.6f, \
-              \"gram_build_s\": %.6f, \"lar_step_speedup\": %.2f, \
-              \"fold_sweep_s\": %.6f, \"fused_sweep_s\": %.6f, \
+             "%s\"%d\": {\"fold_sweep_s\": %.6f, \"fused_sweep_s\": %.6f, \
               \"fused_speedup\": %.2f}"
              (if i = 0 then "" else ", ")
-             d ex inc gram
-             (lar_step_speedup ~exact_sweep_s:ex ~inc_step_s:inc
-                ~gram_build_s:gram)
-             fold fused (fold /. fused)))
+             d fold fused (fold /. fused)))
       arms;
     Buffer.add_string b (Printf.sprintf "}, \"peak_rss_mb\": %.1f}" rss_mb);
     Buffer.contents b

@@ -271,42 +271,22 @@ let checkpoint_every_arg =
   Arg.(value & opt int 10 & info [ "checkpoint-every" ] ~docv:"N"
          ~doc:"Iterations between checkpoint writes.")
 
-let sweep_arg =
-  Arg.(
-    value
-    & opt (enum [ ("exact", `Exact); ("incremental", `Incremental) ]) `Exact
-    & info [ "sweep" ] ~docv:"MODE"
-        ~doc:
-          "Correlation engine for the path solvers: $(b,exact) recomputes \
-           the full G^T.r sweep every step (bitwise-reference mode); \
-           $(b,incremental) (lar and lasso only) builds each LAR step's \
-           direction sweep G^T.u from cached Gram columns at O(p.M) and \
-           moves the correlations without a sweep — validated against \
-           exact to 1e-10 relative, not bitwise. Other methods reject it.")
-
-let sweep_refresh_arg =
-  Arg.(value & opt int Rsm.Corr_sweep.default_refresh
-       & info [ "sweep-refresh" ] ~docv:"N"
-           ~doc:"Exact-refresh cadence of the incremental sweep (lar and \
-                 lasso only): every N movement steps the correlations are \
-                 recomputed from scratch to wash out drift (0 = never).")
-
 let shards_arg =
   Arg.(
     value & opt int 1
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Partition the dictionary into N contiguous column shards, each \
-           sweeping its own column slice with its own Gram-cache slab. \
-           Selections, coefficients and the chosen model are bitwise \
-           identical to the unsharded sweep at every shard count.")
+           sweeping and screening its own column slice. Selections, \
+           coefficients and the chosen model are bitwise identical to the \
+           unsharded sweep at every shard count.")
 
 let shard_mode_arg =
   Arg.(
     value & opt string "domain"
     & info [ "shard-mode" ] ~docv:"MODE"
         ~doc:
-          "$(b,domain) keeps the shard slabs in-image; $(b,process) re-execs \
+          "$(b,domain) keeps the shards in-image; $(b,process) re-execs \
            one worker process per shard, so peak per-process memory is \
            bounded by the shard slice and a crashed worker is respawned and \
            replayed from the command log with bitwise-unchanged results.")
@@ -378,7 +358,7 @@ let print_engines (cfg : Robust.Pipeline.config) ~cv =
   let shards = match cfg.shards with Some p -> p.shards | None -> 1 in
   let fused =
     path
-    && Rsm.Select.fused_driver ~streamed:cfg.streamed ~sweep:cfg.sweep ~shards
+    && Rsm.Select.fused_driver ~streamed:cfg.streamed ~shards
   in
   Printf.printf "  design engine : %s\n"
     (if cfg.streamed then "matrix-free" else "dense");
@@ -468,8 +448,7 @@ let opamp_outputs ~circuit ~parasitics spec =
 let model_cmd =
   let run circuit metric cells parasitics seed samples test method_name
       max_lambda save_model domains engine folds fault_rate retries no_screen
-      screen_threshold checkpoint resume checkpoint_every sweep_mode
-      sweep_refresh rescreen shards shard_mode burst_rate burst_len quorum
+      screen_threshold checkpoint resume checkpoint_every rescreen shards shard_mode burst_rate burst_len quorum
       screen_space_s breaker_threshold outputs =
     check_at_least "samples" 1 samples;
     check_at_least "test" 1 test;
@@ -483,13 +462,7 @@ let model_cmd =
       | Ok p -> p
       | Error e -> err_exit ("--" ^ e)
     in
-    check_at_least "sweep-refresh" 0 sweep_refresh;
     check_at_least "breaker-threshold" 0 breaker_threshold;
-    let sweep =
-      match sweep_mode with
-      | `Exact -> Rsm.Corr_sweep.Exact
-      | `Incremental -> Rsm.Corr_sweep.incremental ~refresh:sweep_refresh ()
-    in
     check_unit_interval "fault-rate" fault_rate;
     check_unit_interval "burst-rate" burst_rate;
     if not (Float.is_finite burst_len) || burst_len < 1. then
@@ -565,7 +538,7 @@ let model_cmd =
            ~faults ~retry ?adaptive ~quorum
            ~min_samples:(min samples (max 8 (samples / 2)))
            ~streamed:(choose_streamed engine ~k:samples ~m:m_cols)
-           ?store ~sweep ~shards ~rescreen ())
+           ?store ~shards ~rescreen ())
     in
     let validate = print_validation ~pool ~engine ~basis ~rng ~test sims.(0) in
     match (outputs, checkpoint) with
@@ -657,7 +630,7 @@ let model_cmd =
         in
         let model, fit_s =
           Circuit.Testbench.timed (fun () ->
-              Rsm.Solver.fit_p ~lambda ~pool ~on_singular:`Fallback ~sweep ~log
+              Rsm.Solver.fit_p ~lambda ~pool ~on_singular:`Fallback ~log
                 ?shards:cfg.shards src f_tr meth)
         in
         let model =
@@ -710,7 +683,7 @@ let model_cmd =
       $ test_arg $ method_arg $ max_lambda_arg $ save_model_arg $ domains
       $ engine $ folds_arg $ fault_rate_arg $ retries_arg $ no_screen_arg
       $ screen_threshold_arg $ checkpoint_arg $ resume_arg
-      $ checkpoint_every_arg $ sweep_arg $ sweep_refresh_arg $ rescreen_arg
+      $ checkpoint_every_arg $ rescreen_arg
       $ shards_arg $ shard_mode_arg $ burst_rate_arg $ burst_len_arg
       $ quorum_arg $ screen_space_arg $ breaker_threshold_arg $ outputs_arg)
 

@@ -86,15 +86,12 @@ let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
   let emit = Ckpt.emitter log ~start:(E.size eng) capture in
   (* The fleet is built after any replay and re-activates the replayed
      support up front, so its skip masks match the uninterrupted run's. *)
-  Shard_sweep.with_fleet ?pool ?shards ~sweep:Corr_sweep.Exact src
-    ~r0:(E.residual eng)
+  Shard_sweep.with_fleet ?pool ?shards src
   @@ fun fleet ->
   let backend =
     match fleet with
     | Some e ->
-        Array.iter
-          (fun j -> Shard_sweep.activate e j (E.column eng j))
-          (E.support eng);
+        Array.iter (Shard_sweep.activate e) (E.support eng);
         Shards e
     | None -> Exact
   in
@@ -112,9 +109,7 @@ let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
     if E.advance eng pick then begin
       (match backend with
       | Exact -> ()
-      | Shards e ->
-          let j = fst pick in
-          Shard_sweep.activate e j (E.column eng j));
+      | Shards e -> Shard_sweep.activate e (fst pick));
       emit ~final:false (E.size eng)
     end
   done;

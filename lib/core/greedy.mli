@@ -9,12 +9,7 @@
     backend (the exact {!Corr_sweep.argmax_abs} or {!Shard_sweep}), the
     selection dispatch and the checkpoint cadence. The fused lockstep
     CV driver in {!Select} runs the same engines with one fused
-    multi-residual sweep per round.
-
-    Every step runs exactly one O(K·M) sweep, so the Gram-cached
-    incremental engine ({!Corr_sweep.Inc}) has nothing to remove here:
-    caching the entering column's Gram image costs the sweep it would
-    replace. It serves the LAR walk only ({!Lars.path_p}). *)
+    multi-residual sweep per round. *)
 
 (** One greedy solver's per-step state machine. Driving an engine with
     the selections {!Corr_sweep.argmax_abs} produces on its own

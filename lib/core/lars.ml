@@ -124,8 +124,7 @@ let advance st dir gamma =
 (* Lasso drop of a coefficient that crossed zero: leave the active set
    and refactor. A non-SPD refactor leaves no usable direction; under
    [`Fallback] the path ends at the last consistent model (returns
-   [true]: stop), under [`Stop] it is handed to [on_stop]. The drop
-   does not move mu, so maintained correlations need no update. *)
+   [true]: stop), under [`Stop] it is handed to [on_stop]. *)
 let drop st ~on_singular ~on_stop j =
   st.beta.(j) <- 0.;
   st.active <- List.filter (fun i -> i <> j) st.active;
@@ -196,40 +195,22 @@ let step_budget max_lambda =
   if max_lambda <= 0 then invalid_arg "Lars: max_lambda must be positive";
   min ((2 * max_lambda) + 8) (4 * max_lambda)
 
-(* Step-length screen constants. The [screen_top] columns nearest the
-   correlation tie get exact candidates before the bound is applied.
-   Share of columns whose image a step computed (a fallback step
-   counting all M), for 4 / 8 / 16 / 32 nearest columns: 10.9 / 10.8 /
-   11.0 / 11.5% on the dense Table II LAR flow (K = 1000, M = 1891),
-   10.6 / 10.9 / 11.6 / 13.6% on the 4-output op-amp fit; 4 fell back
-   on 5 more of 3025 steps than 8 on the Table II flow. A screen keeping
-   more than [screen_share] of the columns falls back to the full
-   sweep: on a dense 1000 × 1891 design, [col_dots] over a random
-   ascending 10 / 25 / 50% of the columns took 0.64 / 0.82 / 1.14× the
-   time of the full [gram_tr] (rows stream through cache either way). *)
-let screen_top = 8
-let screen_share = 0.25
-
 (* The LAR walk. Each step suspends twice for an O(K·M) answer — the
    correlation pick (C, the entrant, its value, the active columns'
    correlations) and the minimum step-length candidate — and whoever
-   drives the engine supplies them: the local scans over a dense,
-   streamed or incremental sweep, the shard reduction tree, or a fused
-   multi-residual sweep. Every driver therefore walks the same steps
-   with the same float sequences. *)
+   drives the engine supplies them: the local scans over a dense or
+   streamed sweep, the shard reduction tree, or a fused multi-residual
+   sweep. Every driver therefore walks the same steps with the same
+   float sequences. *)
 module Engine = struct
-  (* The step-length screen of one direction: not yet run, unable to
-     answer (the full sweep must), or the columns that can set γ — the
-     [top] columns nearest the tie, whose candidate minimum is [g_top],
-     and the [rest] that survived the bound. *)
-  type screen =
-    | Unscreened
-    | Sweep
-    | Kept of { top : int array; g_top : float; rest : int array }
-
+  (* A direction's step-length screen is run once, on first asking. *)
   type phase =
     | Corr
-    | Dir of { added : int option; dir : dir; mutable screen : screen }
+    | Dir of {
+        added : int option;
+        dir : dir;
+        mutable screen : Shard_sweep.screen option;
+      }
     | Done
 
   type t = {
@@ -404,7 +385,7 @@ module Engine = struct
              | None -> t.stop <- true
              | Some dir ->
                  let added = match entry with Entered j -> Some j | _ -> None in
-                 t.phase <- Dir { added; dir; screen = Unscreened }));
+                 t.phase <- Dir { added; dir; screen = None }));
       (match t.phase with Dir _ -> () | Corr | Done -> settle t);
       entry
     end
@@ -474,91 +455,36 @@ module Engine = struct
     | Dir _ -> ignore (answer_dir t (scan_gamma t g))
     | Done -> invalid_arg "Lars.Engine.supply: engine is finished"
 
-  (* The [screen_top] inactive, non-banned columns of largest |c_j|,
-     ascending. A NaN correlation never ranks: the bound keeps it. *)
-  let nearest_tie st c =
-    let tv = Array.make screen_top 0. and ti = Array.make screen_top 0 in
-    let nt = ref 0 in
-    for j = 0 to st.m - 1 do
-      if (not st.in_active.(j)) && not st.banned.(j) then begin
-        let a = Float.abs c.(j) in
-        if a >= 0. && (!nt < screen_top || a > tv.(screen_top - 1)) then begin
-          let p = ref (min !nt (screen_top - 1)) in
-          if !nt < screen_top then incr nt;
-          while !p > 0 && a > tv.(!p - 1) do
-            tv.(!p) <- tv.(!p - 1);
-            ti.(!p) <- ti.(!p - 1);
-            decr p
-          done;
-          tv.(!p) <- a;
-          ti.(!p) <- j
-        end
-      end
-    done;
-    let top = Array.sub ti 0 !nt in
-    Array.sort Int.compare top;
-    top
-
-  (* The step-length screen: the exact candidates of the columns
-     nearest the tie bound the step from above by thr = min(C/A, their
-     minimum), and [Shard_sweep.gamma_screen] rules out every column
-     whose candidates must exceed thr. More than [screen_share]·M
-     survivors: [Sweep]. *)
-  let run_screen t dir =
-    let st = t.st and c = t.c in
-    let top = nearest_tie st c in
-    let top_dots = Array.make (Array.length top) 0. in
-    Provider.col_dots t.src top dir.u top_dots;
-    let g_top =
-      Shard_sweep.gamma_scan_at ~norms:st.norms ~c ~cc:dir.cc ~a_a:dir.a_a top
-        top_dots
-    in
-    let ca = dir.cc /. dir.a_a in
-    match
-      Shard_sweep.gamma_screen ~active:st.in_active ~banned:st.banned ~c
-        ~cc:dir.cc ~a_a:dir.a_a
-        ~u_norm:(sqrt (Vec.nrm2_sq dir.u))
-        ~thr:(if g_top < ca then g_top else ca)
-        ~top
-        ~limit:
-          (int_of_float (screen_share *. float_of_int st.m) - Array.length top)
-    with
-    | Some rest -> Kept { top; g_top; rest }
-    | None -> Sweep
-
+  (* The step-length screen over the whole dictionary
+     ([Shard_sweep.screen_gamma]); [Sweep] outside the direction
+     phase. *)
   let screen_state t =
     match t.phase with
-    | Corr | Done -> Sweep
-    | Dir d ->
-        (match d.screen with
-        | Unscreened -> d.screen <- run_screen t d.dir
-        | Sweep | Kept _ -> ());
-        d.screen
+    | Corr | Done -> Shard_sweep.Sweep
+    | Dir d -> (
+        match d.screen with
+        | Some s -> s
+        | None ->
+            let st = t.st in
+            let s =
+              Shard_sweep.screen_gamma t.src ~norms:st.norms
+                ~active:st.in_active ~banned:st.banned ~c:t.c ~cc:d.dir.cc
+                ~a_a:d.dir.a_a d.dir.u
+            in
+            d.screen <- Some s;
+            s)
 
   let screen t =
     match screen_state t with
-    | Kept { top; rest; _ } ->
-        let kept = Array.append top rest in
-        Array.sort Int.compare kept;
-        Some kept
-    | Unscreened | Sweep -> None
+    | Shard_sweep.Kept { kept; _ } -> Some kept
+    | Sweep -> None
 
-  (* The screened answer: exact images of the surviving columns only.
-     A skipped column's candidates all exceed thr ≥ the minimum over
-     the survivors, so min(C/A, ·) commits the full scan's γ bit for
-     bit. *)
+  (* The screened answer: min(C/A, ·) of the screen's minimum commits
+     the full scan's γ bit for bit. *)
   let supply_screened t =
-    match (t.phase, screen_state t) with
-    | Dir { dir; _ }, Kept { g_top; rest; _ } ->
-        let st = t.st in
-        let dots = Array.make (Array.length rest) 0. in
-        Provider.col_dots t.src rest dir.u dots;
-        let g_rest =
-          Shard_sweep.gamma_scan_at ~norms:st.norms ~c:t.c ~cc:dir.cc
-            ~a_a:dir.a_a rest dots
-        in
-        ignore (answer_dir t (if g_rest < g_top then g_rest else g_top))
-    | _ -> invalid_arg "Lars.Engine.supply_screened: the screen does not hold"
+    match screen_state t with
+    | Shard_sweep.Kept { gamma; _ } -> ignore (answer_dir t gamma)
+    | Sweep -> invalid_arg "Lars.Engine.supply_screened: the screen does not hold"
 
   let steps t = Array.of_list (List.rev t.steps_rev)
 end
@@ -640,22 +566,19 @@ let replay (t : Engine.t) (ck : Ckpt.t) =
   t.Engine.initial_c <- ck.Ckpt.scale;
   Engine.settle t
 
-(* The engine driven by this solver's own answerers: exact or
-   incremental sweeps over the whole dictionary, or the column-sharded
-   engine — plus each step's side effects on them (Gram-cache builds,
-   shard masks, incremental retreat/refresh) and checkpoint emission.
+(* The engine driven by this solver's own answerers: the exact sweep
+   over the whole dictionary, screened where the screen holds, or the
+   column-sharded engine, which screens inside each shard — plus each
+   step's side effects on the shard masks and checkpoint emission.
    [max_lambda] is the walk's λ budget ([None]: walk the whole step
    budget). *)
 let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) ?log
-    ?(sweep = Corr_sweep.Exact) ?shards src f ~max_lambda ~max_steps =
+    ?shards src f ~max_lambda ~max_steps =
   validate src f ~max_steps;
   let resume = Option.bind log (fun (l : Ckpt.log) -> l.resume) in
   (* Column-sharded sweep engine: the per-step O(K·M) scans decompose
-     over contiguous column shards and merge bitwise (see Shard_sweep).
-     Created against f — with a resume, the post-replay residual is
-     re-swept below, which is exactly the refresh the checkpoint
-     emission ran. *)
-  Shard_sweep.with_fleet ?pool ?shards ~sweep src ~r0:f
+     over contiguous column shards and merge bitwise (see Shard_sweep). *)
+  Shard_sweep.with_fleet ?pool ?shards src
   @@ fun eng ->
   let norms =
     match eng with
@@ -668,47 +591,15 @@ let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) ?log
   in
   let st = t.Engine.st in
   (match resume with None -> () | Some ck -> replay t ck);
-  (* Incremental correlation state, created after any resume replay so
-     its initial exact sweep sees the resumed residual — the same
-     refresh point the uninterrupted run hit when it emitted the
-     checkpoint (emission forces an exact refresh below), which is what
-     keeps resumed incremental runs bitwise equal to uninterrupted
-     ones. Replayed active columns get their Gram columns rebuilt here
-     (same O(K·M) sweeps, hence same values, as the original run's
-     [ensure_gram] calls). *)
-  let inc =
-    match (sweep, eng) with
-    | _, Some _ | Corr_sweep.Exact, None -> None
-    | Corr_sweep.Incremental { refresh }, None ->
-        let ic =
-          Corr_sweep.Inc.create ?pool ~refresh src (Vec.sub f st.mu)
-        in
-        List.iter
-          (fun j ->
-            Corr_sweep.Inc.ensure_gram ic j (Provider.Cache.column st.cache j))
-          (List.rev st.active);
-        Some ic
-  in
-  (* Sharded post-replay sync — the same rebuild [inc] runs above: an
-     exact re-sweep of the resumed residual, the replayed active set's
-     Gram slices (oldest first), and the replayed bans. *)
-  (match eng with
-  | None -> ()
-  | Some e ->
-      if Option.is_some resume then Shard_sweep.refresh e (Vec.sub f st.mu);
-      List.iter
-        (fun j -> Shard_sweep.activate e j (Provider.Cache.column st.cache j))
-        (List.rev st.active);
-      Array.iter (fun j -> Shard_sweep.ban e j) (banned_columns st));
+  (* Sharded post-replay sync: the replayed active set and bans. *)
+  Option.iter
+    (fun e ->
+      List.iter (Shard_sweep.activate e) (List.rev st.active);
+      Array.iter (Shard_sweep.ban e) (banned_columns st))
+    eng;
   let emit =
-    Ckpt.emitter log ~start:t.Engine.nevents
-      ~after:(fun () ->
-        (* Checkpoint-aligned exact refresh: see [inc] above. *)
-        Option.iter
-          (fun ic -> Corr_sweep.Inc.refresh ic (Vec.sub f st.mu))
-          inc;
-        Option.iter (fun e -> Shard_sweep.refresh e (Vec.sub f st.mu)) eng)
-      (fun () -> capture st ~mode ~scale:t.Engine.initial_c ~f t.Engine.events)
+    Ckpt.emitter log ~start:t.Engine.nevents (fun () ->
+        capture st ~mode ~scale:t.Engine.initial_c ~f t.Engine.events)
   in
   while not (Engine.finished t) do
     (match t.Engine.phase with
@@ -716,69 +607,34 @@ let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) ?log
     | Engine.Corr -> (
         (* Correlations of every column with the residual: the
            column-parallel Gᵀ·r sweep (bitwise equal to the sequential
-           per-column xdot), the delta-maintained incremental vector —
-           O(M) instead of O(K·M) — or the shards' merged picks. *)
+           per-column xdot), or the shards' merged picks. *)
         let pick =
-          match (eng, inc) with
-          | Some e, _ -> Shard_sweep.lars_select e ~r:(Engine.request t)
-          | None, Some ic ->
-              Engine.scan_corr t (Corr_sweep.Inc.correlations ic)
-          | None, None ->
+          match eng with
+          | Some e -> Shard_sweep.lars_select e ~r:(Engine.request t)
+          | None ->
               Engine.scan_corr t
                 (Corr_sweep.gram_tr ?pool src (Engine.request t))
         in
-        match Engine.answer_corr t pick with
-        | Engine.Entered j ->
-            (* Entering column: cache v_j = Gᵀ·g_j once — the O(K·M)
-               build that every later delta update amortizes. *)
-            let col = Provider.Cache.column st.cache j in
-            Option.iter (fun ic -> Corr_sweep.Inc.ensure_gram ic j col) inc;
-            Option.iter (fun e -> Shard_sweep.activate e j col) eng
-        | Engine.Banned j -> Option.iter (fun e -> Shard_sweep.ban e j) eng
-        | Engine.No_entry -> ())
+        match (Engine.answer_corr t pick, eng) with
+        | Engine.Entered j, Some e -> Shard_sweep.activate e j
+        | Engine.Banned j, Some e -> Shard_sweep.ban e j
+        | _ -> ())
     | Engine.Dir { dir; _ } -> (
         (* Step lengths: the inner products of the columns with the
            equiangular direction u are the second Gᵀ·r-shaped sweep of
-           the iteration. The exact engine computes them only for the
-           columns its screen keeps, or sweeps all of them when it
-           keeps too many. Incremental mode assembles Gᵀ·u from the
-           cached Gram columns of the active set (u = Σ w_p·x_{j_p}) at
-           O(p·M) — the sweep the Gram cache eliminates outright.
-           Sharded runs push the sweep and the min scan into the shards
-           and fold the exact local minima. *)
-        let weights () =
-          Array.mapi (fun p j -> (j, dir.d.(p) /. st.norms.(j))) dir.act
-        in
-        match (eng, inc) with
-        | None, None ->
+           the iteration. The screen computes them only for the columns
+           that can set γ, or sweeps all of them when it keeps too
+           many; sharded runs screen inside each shard and fold the
+           local minima. *)
+        match eng with
+        | None ->
             if Option.is_some (Engine.screen t) then Engine.supply_screened t
             else Engine.supply t (Corr_sweep.gram_tr ?pool src dir.u)
-        | None, Some ic ->
-            let gu = Corr_sweep.Inc.combination ic (weights ()) in
-            let gamma, _ = Engine.answer_dir t (Engine.scan_gamma t gu) in
-            (* The residual moved by −γ·u, so c moved by −γ·(Gᵀ·u) — the
-               delta update replacing the next iteration's full sweep. *)
-            Corr_sweep.Inc.retreat ic gamma gu;
-            Corr_sweep.Inc.note_step ic;
-            if Corr_sweep.Inc.due ic then
-              Corr_sweep.Inc.refresh ic (Vec.sub f st.mu)
-        | Some e, _ ->
-            let sdir =
-              if Shard_sweep.incremental e then
-                Shard_sweep.Weights (weights ())
-              else Shard_sweep.Dense dir.u
-            in
-            let gamma, dropped =
+        | Some e ->
+            let _, dropped =
               Engine.answer_dir t
-                (Shard_sweep.lars_gamma e ~cc:dir.cc ~a_a:dir.a_a sdir)
+                (Shard_sweep.lars_gamma e ~cc:dir.cc ~a_a:dir.a_a dir.u)
             in
-            (* The fleet keeps the same cadence as the unsharded Inc;
-               retreat and the due refresh travel as one command. *)
-            Shard_sweep.note_step e;
-            let refresh =
-              if Shard_sweep.due e then Some (Vec.sub f st.mu) else None
-            in
-            Shard_sweep.commit e ~gamma ~dir:sdir ~refresh;
             Option.iter (Shard_sweep.deactivate e) dropped));
     emit ~final:false t.Engine.nevents
   done;
@@ -788,13 +644,13 @@ let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) ?log
   emit ~final:true t.Engine.nevents;
   Engine.steps t
 
-let path_p ?mode ?tol ?pool ?on_singular ?log ?sweep ?shards src f ~max_steps =
-  walk ?mode ?tol ?pool ?on_singular ?log ?sweep ?shards src f ~max_lambda:None
+let path_p ?mode ?tol ?pool ?on_singular ?log ?shards src f ~max_steps =
+  walk ?mode ?tol ?pool ?on_singular ?log ?shards src f ~max_lambda:None
     ~max_steps
 
-let lambda_path_p ?mode ?pool ?on_singular ?sweep ?shards src f ~max_lambda =
-  walk ?mode ?pool ?on_singular ?sweep ?shards src f
-    ~max_lambda:(Some max_lambda) ~max_steps:(step_budget max_lambda)
+let lambda_path_p ?mode ?pool ?on_singular ?shards src f ~max_lambda =
+  walk ?mode ?pool ?on_singular ?shards src f ~max_lambda:(Some max_lambda)
+    ~max_steps:(step_budget max_lambda)
 
 (* λ-indexed models from a step sequence: entry λ−1 holds the last path
    model with at most λ active coefficients, so curves are indexed by
@@ -818,13 +674,13 @@ let lambda_models src ~max_lambda steps =
     models
   end
 
-let fit_p ?mode ?tol ?pool ?on_singular ?log ?sweep ?shards src f ~lambda =
+let fit_p ?mode ?tol ?pool ?on_singular ?log ?shards src f ~lambda =
   if lambda <= 0 then invalid_arg "Lars.fit: lambda must be positive";
   (* Drops can make the path longer than the target support size. *)
   let base_steps = (2 * lambda) + 8 in
   let rec run max_steps =
     let steps =
-      walk ?mode ?tol ?pool ?on_singular ?log ?sweep ?shards src f
+      walk ?mode ?tol ?pool ?on_singular ?log ?shards src f
         ~max_lambda:(Some lambda) ~max_steps
     in
     let best = ref None in

@@ -26,17 +26,18 @@
     cost an O(K·M) sweep — which column enters (the correlation pick)
     and how far to go (the minimum step-length candidate) — and every
     entry point differs only in who answers them: {!path_p} answers
-    from an exact, incremental or column-sharded sweep, the fused CV
-    drivers in {!Select} from one {!Corr_sweep.gram_tr_multi} pass
-    shared by many walks. Both answers reduce through the scan kernels
+    from the exact or the column-sharded sweep, the fused CV drivers
+    in {!Select} from one {!Corr_sweep.gram_tr_multi} pass shared by
+    many walks. Both answers reduce through the scan kernels
     {!Shard_sweep.lars_scan} and {!Shard_sweep.gamma_scan}, so every
     driver walks the same steps bit for bit; checkpoint replay feeds
     the recorded entries and step lengths through the walk's own
-    direction, advance and drop arithmetic. The two exact unsharded
-    drivers answer the step length from a screen instead whenever it
-    holds ({!Engine.screen}): only the columns that can set the step
-    get their image computed, and the committed step is the full
-    scan's bit for bit. *)
+    direction, advance and drop arithmetic. Every driver answers the
+    step length from one screen, {!Shard_sweep.screen_gamma}, whenever
+    it holds — over the whole dictionary ({!Engine.screen}) or inside
+    each shard: only the columns that can set the step get their image
+    computed, and the committed step is the full scan's bit for
+    bit. *)
 
 type mode = Lar | Lasso
 
@@ -53,7 +54,6 @@ val path_p :
   ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
   ?log:Serialize.Checkpoint.log ->
-  ?sweep:Corr_sweep.sweep ->
   ?shards:Shard_sweep.plan ->
   Polybasis.Design.Provider.t ->
   Linalg.Vec.t ->
@@ -61,10 +61,9 @@ val path_p :
   step array
 (** [path_p src f ~max_steps] traces up to [max_steps] path steps
     (default mode [Lar]) by driving the {!Engine} walk: it answers the
-    walk's two requests from the sweep engine chosen below and applies
-    each step's side effects to it (Gram-cache builds, shard masks,
-    incremental retreats and refreshes), plus the event log and
-    checkpoint emission. Stops early when the maximal correlation falls
+    walk's two requests from the exact sweep or the shards chosen
+    below and applies each step's side effects to them (shard masks),
+    plus the event log and checkpoint emission. Stops early when the maximal correlation falls
     below [tol] relative to its initial value (default [1e-10]), when
     the active set saturates at [min(K, M)], or at the final
     unrestricted LS point of the active set. [path_p] has no λ budget:
@@ -92,10 +91,10 @@ val path_p :
     {!Parallel.Pool.default}); entering/leaving variables, step lengths
     and coefficients are bitwise identical to the sequential dense
     sweeps for every domain count and either provider form (each dot
-    product is accumulated whole). With the exact unsharded sweep, a
-    step whose {!Engine.screen} holds computes [Gᵀ·u] only for the
-    columns that can set its length, sequentially, and commits the
-    same step length.
+    product is accumulated whole). A step whose screen holds
+    ({!Shard_sweep.screen_gamma}) computes [Gᵀ·u] only for the columns
+    that can set its length, sequentially, and commits the same step
+    length.
 
     Checkpointing: [log.save] receives the walk log
     ({!Serialize.Checkpoint.t}, solver tag ["lar"] or ["lasso"]) every
@@ -112,31 +111,13 @@ val path_p :
     the replayed walk's log with the loaded one (active, banned and
     sign sets, notes, fit-vector and coefficient digests).
 
-    [sweep] selects the correlation engine (default
-    {!Corr_sweep.Exact}). [Incremental] is where the Gram cache pays on
-    this solver: of the two O(K·M) sweeps per step, the correlation
-    sweep becomes an O(M) read of the delta-maintained vector and the
-    [Gᵀ·u] sweep becomes an O(p·M) combination of cached Gram columns —
-    only entering columns still cost one O(K·M) cache build. Exact
-    refreshes run on the [refresh] cadence of movement steps and at
-    every checkpoint emission, so a resumed incremental run (whose
-    replay rebuilds the cache and re-sweeps at the checkpoint) stays
-    bitwise equal to an uninterrupted incremental run in every step's
-    state — entries, drops, coefficients, models. The one exception is
-    the diagnostic [max_corr] of {e replayed} steps: replay recomputes
-    it with exact per-column dots, while the interrupted run read it
-    from the delta-maintained vector, so the two may differ by ~1 ulp
-    between refresh points (the live continuation past the checkpoint
-    is bitwise, [max_corr] included). Against [Exact] the mode is
-    ≤1e-10-validated, not bitwise — hence opt-in.
-
-    A [shards] plan of more than one shard ({!type:Shard_sweep.plan}) routes
-    both per-step sweeps through the column-sharded engine
-    ({!Shard_sweep}): each shard owns a contiguous column window (and,
-    incremental mode, its own Gram slab), local scans merge through
-    exact left-biased reductions, and the path — entries, bans, drops,
-    step lengths, models — is bitwise identical to the unsharded walk
-    at every shard count, in both provider forms and both sweep modes.
+    A [shards] plan of more than one shard ({!type:Shard_sweep.plan})
+    routes both per-step sweeps through the column-sharded engine
+    ({!Shard_sweep}): each shard owns a contiguous column window and
+    screens its own step length, local scans merge through exact
+    left-biased reductions, and the path — entries, bans, drops, step
+    lengths, models — is bitwise identical to the unsharded walk at
+    every shard count and in both provider forms.
     The plan's mode picks in-image shards ([Domains]) or re-exec'd
     worker processes ([Procs]), whose per-worker memory is O(K·M/S) and
     which survive worker death by replaying the engine's command log —
@@ -152,7 +133,6 @@ val lambda_path_p :
   ?mode:mode ->
   ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
-  ?sweep:Corr_sweep.sweep ->
   ?shards:Shard_sweep.plan ->
   Polybasis.Design.Provider.t ->
   Linalg.Vec.t ->
@@ -183,7 +163,6 @@ val fit_p :
   ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
   ?log:Serialize.Checkpoint.log ->
-  ?sweep:Corr_sweep.sweep ->
   ?shards:Shard_sweep.plan ->
   Polybasis.Design.Provider.t ->
   Linalg.Vec.t ->
@@ -261,12 +240,13 @@ module Engine : sig
 
   val screen : t -> int array option
   (** The step-length screen of the pending direction (Efron et al.,
-      eq. 2.13), run once per step on the first call: [Some kept] lists,
+      eq. 2.13), {!Shard_sweep.screen_gamma} over the whole dictionary,
+      run once per step on the first call: [Some kept] lists,
       ascending, the inactive, non-banned columns whose candidates can
-      set γ, and {!supply_screened} may answer from their exact images;
-      [None] in the correlation phase, once {!finished}, or when the
-      screen keeps more than a fixed share of the columns and the full
-      sweep must answer.
+      set γ, whose exact images the screen computed, and
+      {!supply_screened} answers from them; [None] in the correlation
+      phase, once {!finished}, or when the screen keeps more than a
+      quarter of the columns and the full sweep must answer.
 
       Columns are unit norm, so |a_j| ≤ ‖u‖, and a positive candidate
       of column j is at least gap_j/(A + ‖u‖) with gap_j = C − |c_j|.

@@ -70,14 +70,11 @@ let lambda_cap ?(folds = 4) ~rows_bound ~max_lambda src =
   min max_lambda (if rows_bound then min (n - ((n + folds - 1) / folds)) m else m)
 
 (* The one CV-driver rule: a path method fuses its output × fold grid
-   exactly when the provider is streamed, the sweep is exact and the
-   selection sweeps are unsharded. Fusing shares column generation,
-   which only streamed providers pay per sweep; the incremental LAR
-   engine keeps per-walk state no shared sweep can serve, and the
-   sharded engine owns each solver run's sweep. Both drivers give the
-   same bits. *)
-let fused_driver ~streamed ~sweep ~shards =
-  streamed && sweep = Corr_sweep.Exact && shards <= 1
+   exactly when the provider is streamed and the selection sweeps are
+   unsharded. Fusing shares column generation, which only streamed
+   providers pay per sweep; the sharded engine owns each solver run's
+   sweep. Both drivers give the same bits. *)
+let fused_driver ~streamed ~shards = streamed && shards <= 1
 
 (* Fused lockstep job fitting: one solver engine per (response, rows)
    job — an (output, fold) cell of the grid, or an output's all-rows
@@ -92,11 +89,13 @@ let fused_driver ~streamed ~sweep ~shards =
 
    Jobs are [(f, rows, refit)] with [f] the job's full-length response;
    the result is each job's [prefix] reader, [None] for a dropped refit
-   walk. A refit walk runs to the grid's λ budget, past the λ the curve
-   will choose and where the walk capped at that λ may never go: a
-   lasso drop's Gram rebuild there can fail under [`Stop]. Such a walk
-   is dropped, and [choose] walks the chosen λ on its own. *)
-let lockstep ~create ~finished ~sweep ~advance ~prefix src jobs =
+   walk, and [on_done i prefix] runs in the round job [i]'s walk
+   finishes, so a grid cell is stored while the lockstep still runs. A
+   refit walk runs to the grid's λ budget, past the λ the curve will
+   choose and where the walk capped at that λ may never go: a lasso
+   drop's Gram rebuild there can fail under [`Stop]. Such a walk is
+   dropped, and [choose] walks the chosen λ on its own. *)
+let lockstep ~create ~finished ~sweep ~advance ~prefix ~on_done src jobs =
   let n = Provider.rows src in
   let engines =
     Array.map
@@ -108,11 +107,18 @@ let lockstep ~create ~finished ~sweep ~advance ~prefix src jobs =
       jobs
   in
   let dropped = Array.make (Array.length jobs) false in
-  let rec loop () =
+  let rec loop live =
+    (* A walk that finished last round is reported as it leaves. *)
     let live =
       List.filter
-        (fun i -> not (dropped.(i) || finished engines.(i)))
-        (List.init (Array.length jobs) Fun.id)
+        (fun i ->
+          if dropped.(i) then false
+          else if finished engines.(i) then begin
+            on_done i (prefix engines.(i));
+            false
+          end
+          else true)
+        live
     in
     if live <> [] then begin
       let live = Array.of_list live in
@@ -129,10 +135,10 @@ let lockstep ~create ~finished ~sweep ~advance ~prefix src jobs =
           | exception Linalg.Cholesky.Not_positive_definite _ when refit ->
               dropped.(i) <- true)
         live;
-      loop ()
+      loop (Array.to_list live)
     end
   in
-  loop ();
+  loop (List.init (Array.length jobs) Fun.id);
   Array.mapi (fun i e -> if dropped.(i) then None else Some (prefix e)) engines
 
 type store = { base : string; resume : bool }
@@ -195,8 +201,8 @@ let grid_caches { base; resume } ~outputs ~folds ~n ~max_lambda plan =
    a mutable generator. Each cell owns its slot and the averaging runs
    in fold order, so output [r]'s result is bitwise independent of R,
    the driver and the domain count. *)
-let select ?(folds = 4) ?(rule = Min_error) ?pool ?(sweep = Corr_sweep.Exact)
-    ?shards ?store ~fit_jobs ~path_models rng ~max_lambda src fs =
+let select ?(folds = 4) ?(rule = Min_error) ?pool ?shards ?store ~fit_jobs
+    ~path_models rng ~max_lambda src fs =
   if max_lambda <= 0 then invalid_arg "Select: max_lambda must be positive";
   let outputs = Array.length fs in
   if outputs = 0 then invalid_arg "Select: at least one output required";
@@ -216,7 +222,7 @@ let select ?(folds = 4) ?(rule = Min_error) ?pool ?(sweep = Corr_sweep.Exact)
       store
   in
   let fused =
-    fused_driver ~streamed:(Provider.is_streamed src) ~sweep
+    fused_driver ~streamed:(Provider.is_streamed src)
       ~shards:(match shards with Some p -> p.Shard_sweep.shards | None -> 1)
   in
   let refits = Array.make outputs None in
@@ -225,26 +231,25 @@ let select ?(folds = 4) ?(rule = Min_error) ?pool ?(sweep = Corr_sweep.Exact)
       ~fit_curves:(fun jobs finish ->
         if fused then begin
           (* The grid's cells, then one all-rows refit walk per output:
-             each round's one pass serves them all. *)
+             each round's one pass serves them all. A cell is finished
+             — and stored — in the round its walk ends. *)
           let count = Array.length jobs in
           let all_rows = Array.init n Fun.id in
           let walks =
             fit_jobs
+              ~on_done:(fun i prefix ->
+                if i < count then begin
+                  let r, _, _, held_out = jobs.(i) in
+                  finish i
+                    (held_out_curve ~max_lambda src fs.(r)
+                       (prefix ~max_lambda) held_out)
+                end)
               (Array.append
                  (Array.map
                     (fun (r, _, train, _) -> (fs.(r), train, false))
                     jobs)
                  (Array.map (fun f -> (f, all_rows, true)) fs))
           in
-          let curves =
-            Array.mapi
-              (fun i (r, _, _, held_out) ->
-                let prefix = Option.get walks.(i) in
-                held_out_curve ~max_lambda src fs.(r) (prefix ~max_lambda)
-                  held_out)
-              jobs
-          in
-          Array.iteri finish curves;
           Array.iteri (fun r _ -> refits.(r) <- walks.(count + r)) fs
         end
         else
@@ -324,11 +329,8 @@ let fused_lars ?mode ?on_singular ?pool src ~max_lambda =
 (* Each method's grid: its λ cap, its fused job fitter and its per-job
    (and refit) path models. A single-output selector is its grid at
    R = 1. *)
-let omp_grid who ?folds ?rule ?pool ?on_singular ?(sweep = Corr_sweep.Exact)
-    ?shards ?store rng ~max_lambda src fs =
-  Result.iter_error
-    (fun msg -> invalid_arg (who ^ ": " ^ msg))
-    (Corr_sweep.lar_only ~lar:false sweep);
+let omp_multi_p ?folds ?rule ?pool ?on_singular ?shards ?store rng
+    ~max_lambda src fs =
   let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
   (* OMP's path is also bounded by its own training rows. *)
   let cap src l = min l (min (Provider.rows src) (Provider.cols src)) in
@@ -360,32 +362,31 @@ let star_multi_p ?folds ?rule ?pool ?shards ?store rng ~max_lambda src fs =
 
 (* LAR/lasso: the λ-driven walk, which in LAR mode stops one step past
    [max_lambda] bases. *)
-let lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?store
-    rng ~max_lambda src fs =
+let lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?shards ?store rng
+    ~max_lambda src fs =
   let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
-  select ?folds ?rule ?pool ?sweep ?shards ?store
+  select ?folds ?rule ?pool ?shards ?store
     ~fit_jobs:(fused_lars ?mode ?on_singular ?pool src ~max_lambda)
     ~path_models:(fun ~rng:_ src f ~max_lambda ->
       Lars.lambda_models src ~max_lambda
-        (Lars.lambda_path_p ?mode ?pool ?on_singular ?sweep ?shards src f
+        (Lars.lambda_path_p ?mode ?pool ?on_singular ?shards src f
            ~max_lambda))
     rng ~max_lambda src fs
 
-let omp_multi_p = omp_grid "Select.omp_multi_p"
-
-let omp_p ?folds ?rule ?pool ?on_singular ?sweep ?shards ?store rng
-    ~max_lambda src f =
-  (omp_grid "Select.omp_p" ?folds ?rule ?pool ?on_singular ?sweep ?shards
-     ?store rng ~max_lambda src [| f |]).(0)
+(* [?sweep] is [Exact], the one sweep. *)
+let omp_p ?folds ?rule ?pool ?on_singular ?sweep:(_ : Corr_sweep.sweep option)
+    ?shards ?store rng ~max_lambda src f =
+  (omp_multi_p ?folds ?rule ?pool ?on_singular ?shards ?store rng ~max_lambda
+     src [| f |]).(0)
 
 let star_p ?folds ?rule ?pool ?shards ?store rng ~max_lambda src f =
   (star_multi_p ?folds ?rule ?pool ?shards ?store rng ~max_lambda src
      [| f |]).(0)
 
-let lars_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?store rng
-    ~max_lambda src f =
-  (lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?sweep ?shards ?store
-     rng ~max_lambda src [| f |]).(0)
+let lars_p ?folds ?rule ?mode ?pool ?on_singular
+    ?sweep:(_ : Corr_sweep.sweep option) ?shards ?store rng ~max_lambda src f =
+  (lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?shards ?store rng
+     ~max_lambda src [| f |]).(0)
 
 let omp ?folds ?rule ?pool ?on_singular rng ~max_lambda g f =
   omp_p ?folds ?rule ?pool ?on_singular rng ~max_lambda (Provider.dense g) f

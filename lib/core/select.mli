@@ -61,7 +61,9 @@ type store = private {
     finished (output, fold) cell writes a {!Serialize.Checkpoint.Cell}
     file at {!Serialize.Checkpoint.Cell.file}[ base ~outputs r q] —
     [base.out<r>.fold<q>], or [base.fold<q>] when R = 1 — in either
-    driver (atomic rename). With [resume], matching cell files are
+    driver (atomic rename), as soon as its fit is done: the per-job
+    driver when the cell's path is, the fused driver in the lockstep
+    round the cell's walk ends. With [resume], matching cell files are
     loaded back and their fits skipped, so a killed grid refits only
     its unfinished cells. Fold streams are split before any cell runs
     either way, and loaded curves round-trip at full precision, so the
@@ -79,19 +81,16 @@ val store :
     [Error "resume requires a checkpoint path"] for [resume] without a
     [base]. *)
 
-val fused_driver :
-  streamed:bool -> sweep:Corr_sweep.sweep -> shards:int -> bool
+val fused_driver : streamed:bool -> shards:int -> bool
 (** The one CV-driver rule. A path selector runs its grid on the
-    {e fused lockstep} driver exactly when the provider is streamed,
-    [sweep] is [Exact] and [shards <= 1]; otherwise it runs the
-    {e per-job} driver, which fits each (output, fold) cell's path on
-    its own training rows, cells in parallel. The fused driver advances
-    every cell's solver in lockstep and serves each round from one
-    multi-residual sweep, so streamed column generation is paid once
-    per round instead of once per cell; a dense provider has no
-    generation to share. The incremental engine, which only {!lars_p}
-    and {!lars_multi_p} accept, keeps per-walk state no shared sweep
-    can serve, and the sharded engine owns each solver run's sweep.
+    {e fused lockstep} driver exactly when the provider is streamed
+    and [shards <= 1]; otherwise it runs the {e per-job} driver, which
+    fits each (output, fold) cell's path on its own training rows,
+    cells in parallel. The fused driver advances every cell's solver
+    in lockstep and serves each round from one multi-residual sweep,
+    so streamed column generation is paid once per round instead of
+    once per cell; a dense provider has no generation to share, and
+    the sharded engine owns each solver run's sweep.
 
     The fused driver also walks each output's refit in the lockstep:
     one all-rows walk per output runs beside the grid's cells to the
@@ -121,9 +120,8 @@ val omp_p :
     shorter than [max_lambda] (an early stop) is padded by repeating
     its last model, so it keeps its final error for larger λ.
 
-    [sweep] (default [Exact]) must be [Exact]: OMP sweeps exactly, and
-    [Incremental] raises [Invalid_argument] before any fold work
-    ({!Corr_sweep.lar_only}). The fold driver is {!fused_driver}'s: on
+    [sweep] is {!Corr_sweep.Exact}, the one sweep; it is kept for
+    callers that name it. The fold driver is {!fused_driver}'s: on
     a streamed provider with the unsharded sweep, every round computes
     all live folds' selections with one {!Corr_sweep.argmax_abs_multi}
     sweep.
@@ -149,11 +147,8 @@ val lars_p :
 (** Every fold fit and the final refit is the λ-driven walk
     {!Lars.lambda_path_p} (a [Lar] walk ends one step past [max_lambda]
     bases, a [Lasso] walk at {!Lars.step_budget}), read through
-    {!Lars.lambda_models}; [on_singular] is forwarded to it. [sweep]
-    (default [Exact]) is forwarded to every fold fit and the final
-    refit; [Incremental] is the Gram-cached LAR engine
-    ({!Lars.path_p}), within 1e-10 of exact, and runs the per-job
-    driver. The fold driver as in {!omp_p}: the fused fold driver runs
+    {!Lars.lambda_models}; [on_singular] is forwarded to it. [sweep] as
+    in {!omp_p}. The fold driver as in {!omp_p}: the fused fold driver runs
     each fold's walk, and the refit walk, on a
     {!Lars.Engine} created with the same λ budget and serves its
     per-step sweeps from one {!Corr_sweep.gram_tr_multi} pass per
@@ -170,15 +165,14 @@ val lars_p :
     by a single multi-residual sweep per round, each streamed column
     generated {e once} per step for every output and fold — and R
     per-output refits. They take the labels of the matching [_p]
-    selector, with the same meaning. Output [r]'s result — λ,
-    curve, model — is bitwise identical to the corresponding [_p] call
-    on [fs.(r)] with a {!Randkit.Prng.copy} of the same generator, and
-    the caller's generator ends where that one call leaves it. *)
+    selector but [?sweep], with the same meaning. Output [r]'s result —
+    λ, curve, model — is bitwise identical to the corresponding [_p]
+    call on [fs.(r)] with a {!Randkit.Prng.copy} of the same generator,
+    and the caller's generator ends where that one call leaves it. *)
 
 val omp_multi_p :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
-  ?sweep:Corr_sweep.sweep ->
   ?shards:Shard_sweep.plan -> ?store:store -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t array ->
   result array
@@ -195,7 +189,6 @@ val star_multi_p :
 val lars_multi_p :
   ?folds:int -> ?rule:rule -> ?mode:Lars.mode -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
-  ?sweep:Corr_sweep.sweep ->
   ?shards:Shard_sweep.plan -> ?store:store -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t array ->
   result array

@@ -417,15 +417,14 @@ module Checkpoint = struct
     if every < 0 then Error "negative checkpoint interval"
     else Ok { every; save; resume }
 
-  let emitter log ~start ?(after = ignore) capture =
+  let emitter log ~start capture =
     let last = ref start in
     fun ~final n ->
       match log with
       | Some { every; save = Some cb; _ }
         when n > !last && (final || (every > 0 && n mod every = 0)) ->
           cb (capture ());
-          last := n;
-          after ()
+          last := n
       | _ -> ()
 
   (* --- the CV cell -------------------------------------------------- *)

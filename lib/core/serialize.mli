@@ -170,14 +170,13 @@ module Checkpoint : sig
       ["fit-vector digest mismatch (different data or flags?)"]. *)
 
   val emitter :
-    log option -> start:int -> ?after:(unit -> unit) -> (unit -> t) ->
-    final:bool -> int -> unit
+    log option -> start:int -> (unit -> t) -> final:bool -> int -> unit
   (** [emitter log ~start capture] is the one emission rule: the
       returned [emit ~final n], called after each step with the walk's
       event count [n], hands [capture ()] to [log.save] when [n] passed
       the last emission ([start] at first) and either [log.every > 0]
       divides [n] or [final] is set — so a finished walk always leaves
-      its full log. [after] runs after each emission. *)
+      its full log. *)
 
   (** {2 The CV cell}
 

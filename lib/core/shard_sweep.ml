@@ -23,8 +23,6 @@ let plan ?(mode = "domain") shards =
       Error (Printf.sprintf "shards must be at least 1 (got %d)" shards)
   | Some mode -> Ok { shards; mode; recovered = Atomic.make 0 }
 
-type dir = Dense of Vec.t | Weights of (int * float) array
-
 type pick = {
   big_c : float;
   enter : int;
@@ -36,12 +34,11 @@ type pick = {
 (* ------------------------------------------------------------------ *)
 (* Shard-local state.  One [local] owns a contiguous column window
    [jlo, jhi) of the dictionary: its own provider window, its own
-   norms, its own skip masks, and (incremental LAR) its own Gram-cache
-   slab.  Every operation below touches local columns only, with the
-   exact per-column float sequences of the full-dictionary kernels, so
-   shard-local results merge bitwise into the sequential scan.  The
-   same code runs in-image (Domains) and inside worker processes
-   (Procs). *)
+   norms and its own skip masks.  Every operation below touches local
+   columns only, with the exact per-column float sequences of the
+   full-dictionary kernels, so shard-local results merge bitwise into
+   the sequential scan.  The same code runs in-image (Domains) and
+   inside worker processes (Procs). *)
 
 type local = {
   shard : int;
@@ -53,24 +50,13 @@ type local = {
   active : bool array; (* local index *)
   banned : bool array;
   mutable c : Vec.t; (* normalized correlations from the last select *)
-  mutable gu : Vec.t option; (* raw Gᵀu slice retained select->commit *)
-  inc : Corr_sweep.Inc.t option;
   lpool : Parallel.Pool.t option;
 }
 
-let local_create ?pool ~sweep ~shard ~jlo ~jhi win r0 =
+let local_create ?pool ~shard ~jlo ~jhi win =
   let raw = Provider.column_norms ?pool win in
   let norms = Array.map (fun n -> if n <= 0. then 1. else n) raw in
   let w = jhi - jlo in
-  let inc =
-    match sweep with
-    | Corr_sweep.Exact -> None
-    | Corr_sweep.Incremental _ ->
-        (* refresh:0 — the parent keeps the cadence ([note_step]/[due])
-           and ships refresh residuals explicitly, so every shard
-           refreshes on exactly the steps the non-sharded Inc did. *)
-        Some (Corr_sweep.Inc.create ?pool ~refresh:0 win r0)
-  in
   {
     shard;
     jlo;
@@ -81,33 +67,18 @@ let local_create ?pool ~sweep ~shard ~jlo ~jhi win r0 =
     active = Array.make w false;
     banned = Array.make w false;
     c = [||];
-    gu = None;
-    inc;
     lpool = pool;
   }
 
 let local_width l = l.jhi - l.jlo
 
-let raw_corr l r =
-  match l.inc with
-  | Some ic -> Corr_sweep.Inc.correlations ic
-  | None -> Provider.gram_tr ?pool:l.lpool l.win r
-
-(* Gram-cache slabs are keyed by *global* column index so the parent's
-   delta and direction weights apply unchanged on every shard. *)
-let local_activate l j col =
-  if j >= l.jlo && j < l.jhi then l.active.(j - l.jlo) <- true;
-  match l.inc with
-  | Some ic -> Corr_sweep.Inc.ensure_gram ic j col
-  | None -> ()
+let local_activate l j =
+  if j >= l.jlo && j < l.jhi then l.active.(j - l.jlo) <- true
 
 let local_deactivate l j =
   if j >= l.jlo && j < l.jhi then l.active.(j - l.jlo) <- false
 
 let local_ban l j = if j >= l.jlo && j < l.jhi then l.banned.(j - l.jlo) <- true
-
-let local_refresh l r =
-  match l.inc with Some ic -> Corr_sweep.Inc.refresh ic r | None -> ()
 
 (* OMP/STAR selection: the exact local argmax over non-skipped columns,
    strict [>] so the lowest local (hence global) index wins ties — the
@@ -224,39 +195,98 @@ let gamma_screen ~active ~banned ~c ~cc ~a_a ~u_norm ~thr ~top ~limit =
   done;
   if !n > limit then None else Some (Array.sub kept 0 !n)
 
+(* Step-length screen constants. The [screen_top] columns nearest the
+   correlation tie get exact candidates before the bound is applied.
+   Share of columns whose image a step computed (a fallback step
+   counting all M), for 4 / 8 / 16 / 32 nearest columns: 10.9 / 10.8 /
+   11.0 / 11.5% on the dense Table II LAR flow (K = 1000, M = 1891),
+   10.6 / 10.9 / 11.6 / 13.6% on the 4-output op-amp fit; 4 fell back
+   on 5 more of 3025 steps than 8 on the Table II flow. A screen keeping
+   more than [screen_share] of the columns falls back to the full
+   sweep: on a dense 1000 × 1891 design, [col_dots] over a random
+   ascending 10 / 25 / 50% of the columns took 0.64 / 0.82 / 1.14× the
+   time of the full [gram_tr] (rows stream through cache either way). *)
+let screen_top = 8
+let screen_share = 0.25
+
+(* The [screen_top] inactive, non-banned columns of largest |c_j|,
+   ascending. A NaN correlation never ranks: the bound keeps it. *)
+let nearest_tie ~active ~banned c =
+  let tv = Array.make screen_top 0. and ti = Array.make screen_top 0 in
+  let nt = ref 0 in
+  for j = 0 to Array.length c - 1 do
+    if (not active.(j)) && not banned.(j) then begin
+      let a = Float.abs c.(j) in
+      if a >= 0. && (!nt < screen_top || a > tv.(screen_top - 1)) then begin
+        let p = ref (min !nt (screen_top - 1)) in
+        if !nt < screen_top then incr nt;
+        while !p > 0 && a > tv.(!p - 1) do
+          tv.(!p) <- tv.(!p - 1);
+          ti.(!p) <- ti.(!p - 1);
+          decr p
+        done;
+        tv.(!p) <- a;
+        ti.(!p) <- j
+      end
+    end
+  done;
+  let top = Array.sub ti 0 !nt in
+  Array.sort Int.compare top;
+  top
+
+type screen = Sweep | Kept of { kept : int array; gamma : float }
+
+(* The step-length screen over one window: the exact candidates of the
+   columns nearest the tie bound the step from above by
+   thr = min(C/A, their minimum), [gamma_screen] rules out every column
+   whose candidates must exceed thr, and the survivors' images give the
+   rest of the minimum. A ruled-out column's candidates all exceed
+   thr ≥ that minimum, so it is the full scan's minimum whenever the
+   full scan's is at most C/A, and above C/A otherwise: folded against
+   C/A, bit for bit the same step. More than [screen_share] of the
+   window surviving: [Sweep]. *)
+let screen_gamma win ~norms ~active ~banned ~c ~cc ~a_a u =
+  let w = Array.length norms in
+  if Array.length c <> w then
+    invalid_arg "Shard_sweep.screen_gamma: length mismatch (scan before select?)";
+  let dots idx =
+    let out = Array.make (Array.length idx) 0. in
+    Provider.col_dots win idx u out;
+    gamma_scan_at ~norms ~c ~cc ~a_a idx out
+  in
+  let top = nearest_tie ~active ~banned c in
+  let g_top = dots top and ca = cc /. a_a in
+  match
+    gamma_screen ~active ~banned ~c ~cc ~a_a
+      ~u_norm:(sqrt (Vec.nrm2_sq u))
+      ~thr:(if g_top < ca then g_top else ca)
+      ~top
+      ~limit:(int_of_float (screen_share *. float_of_int w) - Array.length top)
+  with
+  | None -> Sweep
+  | Some rest ->
+      let g_rest = dots rest in
+      let kept = Array.append top rest in
+      Array.sort Int.compare kept;
+      Kept { kept; gamma = (if g_rest < g_top then g_rest else g_top) }
+
 let local_lars_select l r =
   let c, pick =
     lars_scan ~norms:l.norms ~active:l.active ~banned:l.banned ~jlo:l.jlo
-      (raw_corr l r)
+      (Provider.gram_tr ?pool:l.lpool l.win r)
   in
   l.c <- c;
   pick
 
-let local_gu l dirv =
-  match (dirv, l.inc) with
-  | Dense u, _ -> Provider.gram_tr ?pool:l.lpool l.win u
-  | Weights terms, Some ic -> Corr_sweep.Inc.combination ic terms
-  | Weights _, None ->
-      invalid_arg "Shard_sweep: weighted direction requires incremental sweep"
-
-let local_gamma l ~cc ~a_a dirv =
-  let gu = local_gu l dirv in
-  l.gu <- Some gu;
-  gamma_scan ~norms:l.norms ~active:l.active ~banned:l.banned ~c:l.c ~cc ~a_a
-    gu
-
-(* Advance the maintained correlations by the committed step.  The
-   direction travels with the command so a respawned worker (whose
-   retained [gu] died with it) recomputes the identical slice from its
-   replayed Gram cache. *)
-let local_commit l ~gamma ~dirv ~refresh =
-  (match l.inc with
-  | None -> ()
-  | Some ic ->
-      let gu = match l.gu with Some g -> g | None -> local_gu l dirv in
-      Corr_sweep.Inc.retreat ic gamma gu);
-  l.gu <- None;
-  match refresh with None -> () | Some r -> local_refresh l r
+(* The window's step length: screened, or swept when the screen keeps
+   too many columns. *)
+let local_gamma l ~cc ~a_a u =
+  let norms = l.norms and active = l.active and banned = l.banned in
+  match screen_gamma l.win ~norms ~active ~banned ~c:l.c ~cc ~a_a u with
+  | Kept { gamma; _ } -> gamma
+  | Sweep ->
+      gamma_scan ~norms ~active ~banned ~c:l.c ~cc ~a_a
+        (Provider.gram_tr ?pool:l.lpool l.win u)
 
 (* ------------------------------------------------------------------ *)
 (* Wire protocol (Procs mode).  Commands flow parent -> worker, each
@@ -272,21 +302,17 @@ type init_payload = {
   i_shard : int;
   i_jlo : int;
   i_jhi : int;
-  i_sweep : Corr_sweep.sweep;
   i_spec : spec_payload;
-  i_r0 : Vec.t;
 }
 
 type cmd =
   | Init of init_payload
-  | Activate of int * Vec.t
+  | Activate of int
   | Deactivate of int
   | Ban of int
-  | Refresh of Vec.t
-  | Commit of { gamma : float; cdir : dir; refresh : Vec.t option }
   | Select of Vec.t
   | LarsSelect of Vec.t
-  | Gamma of { cc : float; a_a : float; gdir : dir }
+  | Gamma of { cc : float; a_a : float; u : Vec.t }
   | Norms
   | PeakRss
   | Quit
@@ -332,8 +358,8 @@ let build_window = function
 let exec_local l (c : cmd) : reply =
   match c with
   | Init _ | Quit -> RUnit
-  | Activate (j, col) ->
-      local_activate l j col;
+  | Activate j ->
+      local_activate l j;
       RUnit
   | Deactivate j ->
       local_deactivate l j;
@@ -341,17 +367,11 @@ let exec_local l (c : cmd) : reply =
   | Ban j ->
       local_ban l j;
       RUnit
-  | Refresh r ->
-      local_refresh l r;
-      RUnit
-  | Commit { gamma; cdir; refresh } ->
-      local_commit l ~gamma ~dirv:cdir ~refresh;
-      RUnit
   | Select r ->
       let j, a = local_select l r in
       RSelect (j, a)
   | LarsSelect r -> RPick (local_lars_select l r)
-  | Gamma { cc; a_a; gdir } -> RGamma (local_gamma l ~cc ~a_a gdir)
+  | Gamma { cc; a_a; u } -> RGamma (local_gamma l ~cc ~a_a u)
   | Norms -> RNorms (Array.copy l.raw_norms)
   | PeakRss -> RRss (vmhwm_kb ())
 
@@ -417,8 +437,8 @@ let worker_loop ic oc =
         let pool = Parallel.Pool.create ~domains:1 () in
         l :=
           Some
-            (local_create ~pool ~sweep:p.i_sweep ~shard:p.i_shard
-               ~jlo:p.i_jlo ~jhi:p.i_jhi (build_window p.i_spec) p.i_r0);
+            (local_create ~pool ~shard:p.i_shard ~jlo:p.i_jlo ~jhi:p.i_jhi
+               (build_window p.i_spec));
         reply RUnit;
         loop ()
     | c ->
@@ -451,11 +471,9 @@ type worker = {
 
 type pstate = {
   workers : worker array;
-  (* Replay log, newest first: every state-changing command already
-     acknowledged by the fleet.  A respawned shard re-runs it in order
-     — each command is deterministic on the shard's slice, so the
-     rebuilt slab, masks and maintained correlations are bitwise the
-     dead worker's. *)
+  (* Replay log, newest first: every mask-changing command already
+     acknowledged by the fleet.  A respawned shard re-runs it in order,
+     so its rebuilt masks are the dead worker's. *)
   mutable wlog : cmd list;
   (* The current step's selection query: re-issued after a replay so
      the worker's retained [c] matches the live step again. *)
@@ -466,14 +484,9 @@ type backend = InImage of local array | Procs of pstate
 
 type t = {
   src : Provider.t;
-  sweep : Corr_sweep.sweep;
   ranges : Shard.range array;
-  r0 : Vec.t;
   backend : backend;
   mutable recovered : int;
-  (* Movement steps since the last exact refresh — the parent-side
-     cadence counter of incremental mode (see [Corr_sweep.Inc]). *)
-  mutable since : int;
 }
 
 exception Worker_dead
@@ -493,7 +506,7 @@ let expect_unit = function
   | RUnit -> ()
   | _ -> failwith "Shard_sweep: protocol error (expected ack)"
 
-let payload ~src ~sweep ~r0 (rg : Shard.range) shard =
+let payload ~src (rg : Shard.range) shard =
   let spec =
     match Provider.spec src with
     | `Dense _ -> (
@@ -511,9 +524,7 @@ let payload ~src ~sweep ~r0 (rg : Shard.range) shard =
       i_shard = shard;
       i_jlo = rg.Shard.lo;
       i_jhi = rg.hi;
-      i_sweep = sweep;
       i_spec = spec;
-      i_r0 = r0;
     }
 
 let spawn_process ~strip_fault =
@@ -560,7 +571,7 @@ let await_sentinel from_w =
   in
   scan 0
 
-let start_worker ~strip_fault ~src ~sweep ~r0 ranges shard =
+let start_worker ~strip_fault ~src ranges shard =
   let pid, to_w, from_w = spawn_process ~strip_fault in
   let w = { wshard = shard; pid; to_w; from_w } in
   (match if await_sentinel from_w then recv w else RUnit with
@@ -569,7 +580,7 @@ let start_worker ~strip_fault ~src ~sweep ~r0 ranges shard =
       failwith
         "Shard_sweep: worker handshake failed — the host executable must \
          call Shard_sweep.worker_entry_if_requested () before anything else");
-  send w (payload ~src ~sweep ~r0 ranges.(shard) shard);
+  send w (payload ~src ranges.(shard) shard);
   expect_unit (recv w);
   w
 
@@ -592,8 +603,7 @@ let recover t ps w =
     dispose_worker w;
     match
       let nw =
-        start_worker ~strip_fault:true ~src:t.src ~sweep:t.sweep ~r0:t.r0
-          t.ranges w.wshard
+        start_worker ~strip_fault:true ~src:t.src t.ranges w.wshard
       in
       w.pid <- nw.pid;
       w.to_w <- nw.to_w;
@@ -628,7 +638,7 @@ let rec roundtrip ?(tries = 3) t ps w c =
       roundtrip ~tries:(tries - 1) t ps w c
 
 let logged = function
-  | Activate _ | Deactivate _ | Ban _ | Refresh _ | Commit _ -> true
+  | Activate _ | Deactivate _ | Ban _ -> true
   | Init _ | Select _ | LarsSelect _ | Gamma _ | Norms | PeakRss | Quit ->
       false
 
@@ -648,22 +658,16 @@ let exec t (c : cmd) : reply array =
       if logged c then ps.wlog <- c :: ps.wlog;
       rs
 
-let create ?pool (plan : plan) ~sweep src ~r0 =
-  let m = Provider.cols src in
-  if Array.length r0 <> Provider.rows src then
-    invalid_arg "Shard_sweep.create: residual length mismatch";
-  let ranges = Shard.ranges ~n:m ~shards:plan.shards in
-  let r0 = Array.copy r0 in
+let create ?pool (plan : plan) src =
+  let ranges = Shard.ranges ~n:(Provider.cols src) ~shards:plan.shards in
   let backend =
     match plan.mode with
     | Domains ->
         InImage
           (Array.mapi
              (fun i (rg : Shard.range) ->
-               local_create ?pool ~sweep ~shard:i ~jlo:rg.Shard.lo
-                 ~jhi:rg.hi
-                 (Provider.window src ~jlo:rg.Shard.lo ~jhi:rg.hi)
-                 r0)
+               local_create ?pool ~shard:i ~jlo:rg.Shard.lo ~jhi:rg.hi
+                 (Provider.window src ~jlo:rg.Shard.lo ~jhi:rg.hi))
              ranges)
     | Procs ->
         (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -672,18 +676,12 @@ let create ?pool (plan : plan) ~sweep src ~r0 =
           {
             workers =
               Array.init (Array.length ranges)
-                (start_worker ~strip_fault:false ~src ~sweep ~r0 ranges);
+                (start_worker ~strip_fault:false ~src ranges);
             wlog = [];
             cur_select = None;
           }
   in
-  { src; sweep; ranges; r0; backend; recovered = 0; since = 0 }
-
-
-let incremental t =
-  match t.sweep with
-  | Corr_sweep.Incremental _ -> true
-  | Corr_sweep.Exact -> false
+  { src; ranges; backend; recovered = 0 }
 
 let shutdown t =
   match t.backend with
@@ -698,10 +696,10 @@ let shutdown t =
           dispose_worker w)
         ps.workers
 
-let with_fleet ?pool ?shards ~sweep src ~r0 f =
+let with_fleet ?pool ?shards src f =
   match shards with
   | Some plan when plan.shards > 1 ->
-      let t = create ?pool plan ~sweep src ~r0 in
+      let t = create ?pool plan src in
       Fun.protect
         ~finally:(fun () ->
           ignore (Atomic.fetch_and_add plan.recovered t.recovered);
@@ -722,38 +720,9 @@ let raw_norms t =
     (exec t Norms);
   out
 
-let activate t j col = Array.iter expect_unit (exec t (Activate (j, col)))
+let activate t j = Array.iter expect_unit (exec t (Activate j))
 let deactivate t j = Array.iter expect_unit (exec t (Deactivate j))
 let ban t j = Array.iter expect_unit (exec t (Ban j))
-
-(* The maintained-correlation commands below are no-ops on exact
-   shards, so exact fleets skip the round trip (and the replay log
-   entry) altogether. *)
-let refresh t r =
-  if incremental t then begin
-    Array.iter expect_unit (exec t (Refresh (Array.copy r)));
-    t.since <- 0
-  end
-
-let note_step t = t.since <- t.since + 1
-
-let due t =
-  match t.sweep with
-  | Corr_sweep.Incremental { refresh } -> refresh > 0 && t.since >= refresh
-  | Corr_sweep.Exact -> false
-
-let commit t ~gamma ~dir ~refresh =
-  if incremental t then begin
-    Array.iter expect_unit
-      (exec t
-         (Commit
-            {
-              gamma;
-              cdir = dir;
-              refresh = Option.map Array.copy refresh;
-            }));
-    if Option.is_some refresh then t.since <- 0
-  end
 
 (* Left-biased tree merge: on a tie in |correlation| the earlier shard
    — hence the lower global index — survives, matching the sequential
@@ -791,13 +760,13 @@ let lars_select t ~r =
   in
   Shard.tree_reduce merge_pick picks
 
-let lars_gamma t ~cc ~a_a dir =
+let lars_gamma t ~cc ~a_a u =
   let best = ref infinity in
   Array.iter
     (function
       | RGamma g -> if g < !best then best := g
       | _ -> failwith "Shard_sweep: protocol error (gamma)")
-    (exec t (Gamma { cc; a_a; gdir = dir }));
+    (exec t (Gamma { cc; a_a; u }));
   !best
 
 let peak_rss_kb t =

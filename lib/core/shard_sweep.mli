@@ -2,16 +2,15 @@
 
     Partitions the dictionary's columns into contiguous shards; each
     shard owns a {!Polybasis.Design.Provider.window} of the design
-    source, its own column norms and skip masks, and (incremental
-    mode, which only the LAR/lasso walk uses — see
-    {!Corr_sweep.lar_only}) its own Gram-cache slab keyed by global
-    column index.  The per-step O(K·M) sweeps of LAR/OMP/STAR then
-    decompose into
-    shard-local scans whose results merge through fixed-shape,
-    left-biased tree reductions — bitwise identical to the sequential
-    full-dictionary scan at {e any} shard count, because every local
-    kernel runs the exact per-column float sequence of the full kernel
-    and every combine (max, min, lowest-index argmax) is exact.
+    source and its own column norms and skip masks.  The per-step
+    O(K·M) sweeps of LAR/OMP/STAR then decompose into shard-local
+    scans whose results merge through fixed-shape, left-biased tree
+    reductions — bitwise identical to the sequential full-dictionary
+    scan at {e any} shard count, because every local kernel runs the
+    exact per-column float sequence of the full kernel and every
+    combine (max, min, lowest-index argmax) is exact.  A LAR step
+    length is screened inside each shard ({!screen_gamma}) exactly as
+    the unsharded walk screens the whole dictionary.
 
     Two execution modes:
 
@@ -20,12 +19,13 @@
     - {!Procs}: each shard is this same executable re-exec'd
       ([fork]+[exec] immediately, safe under OCaml 5 domains) with
       [RSM_SHARD_WORKER=1], talking Marshal over its stdin/stdout.
-      Each worker's peak memory is its own window plus its slab —
-      O(K·N·(order+1) + p·M/S) floats — which is what lets an M = 10⁶
-      fit clear a single-image memory ceiling.  The parent keeps a
-      replay log of every state-changing command; a worker that dies
-      (crash, OOM kill) is respawned, replays the log, and rejoins the
-      fleet bitwise — fits survive shard loss with identical output.
+      Each worker's peak memory is its own window — O(K·N·(order+1))
+      floats for a streamed window, K·M/S for a dense one — which is
+      what lets an M = 10⁶ fit clear a single-image memory ceiling.
+      The parent keeps a replay log of every mask-changing command; a
+      worker that dies (crash, OOM kill) is respawned, replays the log
+      and the current step's selection, and rejoins the fleet bitwise
+      — fits survive shard loss with identical output.
 
     Host executables that use [Procs] mode {b must} call
     {!worker_entry_if_requested} before anything else in [main]. *)
@@ -59,12 +59,6 @@ val plan : ?mode:string -> int -> (plan, string) result
     are accepted too), with no recoveries yet. [Error] names the
     rejected value: ["shards must be at least 1 (got 0)"] or
     ["shard-mode must be domain or process (got \"x\")"]. *)
-
-(** A step direction shipped to the shards for the LARS γ-scan and
-    commit: the K-vector u itself (exact sweep mode), or the active-set
-    weights w with u = Σ wₚ·g_{jₚ} (incremental mode, resolved against
-    each shard's Gram slab at O(p·M/S)). *)
-type dir = Dense of Linalg.Vec.t | Weights of (int * float) array
 
 (** Merged result of a LARS selection scan: C over non-banned columns,
     the entering candidate (lowest global index on ties), its
@@ -150,22 +144,49 @@ val gamma_screen :
     {!gamma_scan_at} over the survivors and [top] is the full scan's
     against C/A, bit for bit. *)
 
+(** The outcome of one window's step-length screen. *)
+type screen =
+  | Sweep
+      (** more than a quarter of the window survived: sweep it *)
+  | Kept of { kept : int array; gamma : float }
+      (** the screen held: [kept] (window indices, ascending) are the
+          columns whose images were computed, [gamma] the minimum of
+          their candidates *)
+
+val screen_gamma :
+  Polybasis.Design.Provider.t ->
+  norms:Linalg.Vec.t ->
+  active:bool array ->
+  banned:bool array ->
+  c:Linalg.Vec.t ->
+  cc:float ->
+  a_a:float ->
+  Linalg.Vec.t ->
+  screen
+(** [screen_gamma win ~norms ~active ~banned ~c ~cc ~a_a u] is the LAR
+    step-length screen over the column window [win] (the whole
+    dictionary, or one shard's window), given the window's normalized
+    correlations [c] from the step's {!lars_scan}: the 8 inactive,
+    non-banned columns of largest |c_j| get exact candidates
+    ({!Polybasis.Design.Provider.col_dots}, {!gamma_scan_at}),
+    thr = min(C/A, their minimum), {!gamma_screen} with ‖u‖ rules out
+    the columns that cannot reach thr, and the survivors' images
+    complete the minimum — or [Sweep] when more than a quarter of the
+    window survives. A [Kept] minimum equals the window's {!gamma_scan}
+    minimum whenever that is at most C/A, and exceeds C/A otherwise,
+    so folded against C/A — over one window or the merged shard
+    minima — it commits the full scan's step bit for bit. Every LAR
+    driver screens through this function: {!Lars.Engine.screen} over
+    the dictionary, each shard of {!lars_gamma} over its window.
+    @raise Invalid_argument when [c] and [norms] differ in length. *)
+
 type t
 
-val create :
-  ?pool:Parallel.Pool.t ->
-  plan ->
-  sweep:Corr_sweep.sweep ->
-  Polybasis.Design.Provider.t ->
-  r0:Linalg.Vec.t ->
-  t
-(** [create plan ~sweep src ~r0] partitions [src]'s columns into
-    [min plan.shards (cols src)] contiguous shards in [plan.mode] and
-    initializes every shard against the starting residual [r0]
-    (incremental mode runs each window's initial exact sweep).  [pool]
-    is used by in-image shards; process workers run single-domain pools
-    of their own.  @raise Invalid_argument on a residual length
-    mismatch. *)
+val create : ?pool:Parallel.Pool.t -> plan -> Polybasis.Design.Provider.t -> t
+(** [create plan src] partitions [src]'s columns into
+    [min plan.shards (cols src)] contiguous shards in [plan.mode].
+    [pool] is used by in-image shards; process workers run
+    single-domain pools of their own. *)
 
 val shutdown : t -> unit
 (** Quit and reap process workers; no-op for in-image shards.  Prefer
@@ -174,75 +195,46 @@ val shutdown : t -> unit
 val with_fleet :
   ?pool:Parallel.Pool.t ->
   ?shards:plan ->
-  sweep:Corr_sweep.sweep ->
   Polybasis.Design.Provider.t ->
-  r0:Linalg.Vec.t ->
   (t option -> 'a) ->
   'a
-(** [with_fleet ~shards ~sweep src ~r0 f] is [f None] without a plan or
+(** [with_fleet ~shards src f] is [f None] without a plan or
     with a one-shard plan, else [f (Some e)] for a fresh {!create}d
     engine that is shut down however [f] exits, its worker recoveries
     added to the plan's count first — the fleet lifecycle of every
     sharded solver run. *)
 
-val incremental : t -> bool
-(** Whether the fleet maintains correlations ([sweep = Incremental], a
-    LAR walk's fleet).  On exact fleets {!refresh} and {!commit} return
-    without contacting the shards. *)
-
 val raw_norms : t -> Linalg.Vec.t
 (** Column norms gathered from the shards, without the [<= 0 → 1]
     fixup — bitwise [Provider.column_norms] of the full source. *)
 
-val activate : t -> int -> Linalg.Vec.t -> unit
-(** [activate t j col] marks global column [j] active (it leaves the
-    entering scans) and, in incremental mode, has {e every} shard
-    build its slab slice v_j = Gᵀ_win·[col] — the O(K·M) build,
-    sharded, from which later LAR directions are combined. *)
+val activate : t -> int -> unit
+(** [activate t j] marks global column [j] active: it leaves the
+    entering scans. *)
 
 val deactivate : t -> int -> unit
-(** Lasso drop: [j] re-enters the entering scans.  Slab slices are
-    retained (re-entry is free). *)
+(** Lasso drop: [j] re-enters the entering scans. *)
 
 val ban : t -> int -> unit
 (** Exclude [j] from every later scan (dependent-column fallback). *)
 
-val refresh : t -> Linalg.Vec.t -> unit
-(** Exact re-sweep of the given residual on every shard (on cadence
-    and at checkpoint emissions); resets the cadence counter.  No-op
-    in exact mode. *)
-
-val note_step : t -> unit
-(** Count one completed movement step toward the refresh cadence — the
-    parent-side counter {!Corr_sweep.Inc.note_step} keeps unsharded. *)
-
-val due : t -> bool
-(** Whether the [Incremental { refresh }] cadence calls for an exact
-    refresh now (never in exact mode). *)
-
 val select : t -> r:Linalg.Vec.t -> int * float
 (** OMP/STAR selection: argmax of |⟨g_j, r⟩| over non-active,
-    non-banned columns, from an exact sweep of [r] on every shard (in
-    either sweep mode).  Ties keep the lowest global index; [(-1, 0.)]
-    when nothing is eligible. *)
+    non-banned columns, from an exact sweep of [r] on every shard.
+    Ties keep the lowest global index; [(-1, 0.)] when nothing is
+    eligible. *)
 
 val lars_select : t -> r:Linalg.Vec.t -> pick
 (** LARS step-2 scan (see {!pick}); each shard retains its normalized
     correlation slice for the same step's {!lars_gamma}. *)
 
-val lars_gamma : t -> cc:float -> a_a:float -> dir -> float
-(** Minimum γ candidate over all shards ([infinity] when none); the
-    caller folds it against the saturation step C/A and the lasso drop
-    scan.  Shards retain the direction image Gᵀ·u for {!commit}. *)
-
-val commit : t -> gamma:float -> dir:dir -> refresh:Linalg.Vec.t option -> unit
-(** Advance every shard's maintained correlations by the committed
-    step: c ← c − γ·(Gᵀu), then an optional exact refresh (which
-    resets the cadence counter, as {!refresh} does).  Retreat and
-    refresh travel in one logged command, with the direction, so a
-    respawned worker recomputes the identical Gᵀu slice from its
-    replayed slab and never sees one without the other.  No-op in
-    exact mode. *)
+val lars_gamma : t -> cc:float -> a_a:float -> Linalg.Vec.t -> float
+(** [lars_gamma t ~cc ~a_a u] is the minimum of the shards'
+    {!screen_gamma} answers for the direction [u] (a shard whose screen
+    keeps too many columns sweeps its window) — [infinity] when no
+    column is eligible. The caller folds it against the saturation
+    step C/A and the lasso drop scan, which makes it bitwise the
+    unsharded step. *)
 
 val peak_rss_kb : t -> float array
 (** Per-shard VmHWM from /proc/self/status, in kB (process mode; the

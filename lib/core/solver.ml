@@ -31,18 +31,9 @@ let path_method = function
   | Star | Lar | Lasso | Omp -> true
   | Ls | Stomp | Cosamp -> false
 
-let check_sweep m sweep =
-  Corr_sweep.lar_only ~lar:(match m with Lar | Lasso -> true | _ -> false) sweep
-
-let require_sweep who m sweep =
-  Result.iter_error (fun msg -> invalid_arg (who ^ ": " ^ msg))
-    (check_sweep m sweep)
-
 let lars_mode = function Lasso -> Lars.Lasso | _ -> Lars.Lar
 
-let fit_p ?lambda ?pool ?on_singular ?(sweep = Corr_sweep.Exact) ?log ?shards
-    src f m =
-  require_sweep "Solver.fit_p" m sweep;
+let fit_p ?lambda ?pool ?on_singular ?log ?shards src f m =
   let rows = Provider.rows src and cols = Provider.cols src in
   let lambda =
     match lambda with Some l -> l | None -> max 1 (min rows cols / 2)
@@ -50,8 +41,8 @@ let fit_p ?lambda ?pool ?on_singular ?(sweep = Corr_sweep.Exact) ?log ?shards
   match m with
   | Star -> Star.fit_p ?pool ?log ?shards src f ~lambda
   | Lar | Lasso ->
-      Lars.fit_p ~mode:(lars_mode m) ?pool ?on_singular ?log ~sweep ?shards
-        src f ~lambda
+      Lars.fit_p ~mode:(lars_mode m) ?pool ?on_singular ?log ?shards src f
+        ~lambda
   | Omp ->
       Omp.fit_p ?pool ?on_singular ?log ?shards src f
         ~lambda:(min lambda (min rows cols))
@@ -115,9 +106,8 @@ let fit_knob ?folds ~max_lambda rng g f = function
    output 0 on the caller's generator, the others on copies taken
    first, so every output sees the same plan and the caller's
    generator ends where one single-output fit leaves it. *)
-let fit_grid who ?folds ?max_lambda ?on_singular ?(sweep = Corr_sweep.Exact)
-    ?shards ?store ?notes rng src fs m =
-  require_sweep who m sweep;
+let fit_grid who ?folds ?max_lambda ?on_singular ?shards ?store ?notes rng src
+    fs m =
   let outputs = Array.length fs in
   if outputs = 0 then invalid_arg (who ^ ": at least one output required");
   let notes =
@@ -142,7 +132,7 @@ let fit_grid who ?folds ?max_lambda ?on_singular ?(sweep = Corr_sweep.Exact)
           (Select.star_multi_p ?folds ?shards ?store rng ~max_lambda src fs)
     | Lar | Lasso ->
         models
-          (Select.lars_multi_p ?folds ~mode:(lars_mode m) ?on_singular ~sweep
+          (Select.lars_multi_p ?folds ~mode:(lars_mode m) ?on_singular
              ?shards ?store rng ~max_lambda src fs)
     | Omp ->
         models
@@ -164,10 +154,10 @@ let fit_grid who ?folds ?max_lambda ?on_singular ?(sweep = Corr_sweep.Exact)
 
 let fit_multi_p = fit_grid "Solver.fit_multi_p"
 
-let fit_cv_p ?folds ?max_lambda ?on_singular ?sweep ?shards ?store
-    ?(notes = [||]) rng src f m =
-  (fit_grid "Solver.fit_cv_p" ?folds ?max_lambda ?on_singular ?sweep ?shards
-     ?store ~notes:[| notes |] rng src [| f |] m).(0)
+let fit_cv_p ?folds ?max_lambda ?on_singular ?shards ?store ?(notes = [||])
+    rng src f m =
+  (fit_grid "Solver.fit_cv_p" ?folds ?max_lambda ?on_singular ?shards ?store
+     ~notes:[| notes |] rng src [| f |] m).(0)
 
 let fit_cv ?folds ?max_lambda rng g f m =
   fit_cv_p ?folds ?max_lambda rng (Provider.dense g) f m

@@ -28,14 +28,6 @@ val path_method : method_ -> bool
 (** True for the greedy path methods ([Star], [Lar], [Lasso], [Omp]):
     the ones with a λ path to cross-validate, checkpoint and fuse. *)
 
-val check_sweep : method_ -> Corr_sweep.sweep -> (unit, string) result
-(** [check_sweep m sweep] is {!Corr_sweep.lar_only}: [Error] for an
-    [Incremental] sweep with any method but [Lar] and [Lasso], whose
-    walk is the only one the Gram cache speeds up. {!fit_p},
-    {!fit_cv_p} and {!fit_multi_p} raise [Invalid_argument] on that
-    [Error] before any work; [Robust.Pipeline.config] returns it
-    typed. *)
-
 (** {2 Engine values}
 
     The path methods take the same engine values as the solvers they
@@ -53,15 +45,12 @@ val check_sweep : method_ -> Corr_sweep.sweep -> (unit, string) result
     [on_singular] selects the degenerate-Gram policy for the OMP and
     LAR/LASSO fits (see {!Omp.path_p} and {!Lars.path_p}); [`Fallback]
     routes singular active-set re-fits through the {!Refit} ladder
-    instead of stopping, recording the rung in {!Model.notes}. [sweep]
-    selects the correlation engine (default {!Corr_sweep.Exact}) of the
-    LAR/LASSO walk; every other method sweeps exactly and raises
-    [Invalid_argument] on an [Incremental] sweep ({!check_sweep})
-    before any work. Both are ignored by [Ls]/[Stomp]/[Cosamp]. *)
+    instead of stopping, recording the rung in {!Model.notes}; it is
+    ignored by [Ls]/[Stomp]/[Cosamp]. *)
 
 val fit_p :
   ?lambda:int -> ?pool:Parallel.Pool.t ->
-  ?on_singular:[ `Stop | `Fallback ] -> ?sweep:Corr_sweep.sweep ->
+  ?on_singular:[ `Stop | `Fallback ] ->
   ?log:Serialize.Checkpoint.log -> ?shards:Shard_sweep.plan ->
   Polybasis.Design.Provider.t -> Linalg.Vec.t -> method_ -> Model.t
 (** [fit_p src f m] with a fixed sparsity budget [lambda] (ignored by
@@ -79,7 +68,6 @@ val fit :
 
 val fit_multi_p :
   ?folds:int -> ?max_lambda:int -> ?on_singular:[ `Stop | `Fallback ] ->
-  ?sweep:Corr_sweep.sweep ->
   ?shards:Shard_sweep.plan -> ?store:Select.store ->
   ?notes:string array array ->
   Randkit.Prng.t ->
@@ -93,7 +81,7 @@ val fit_multi_p :
     A path method runs one grid of outputs×folds cells
     ({!Select.omp_multi_p}, {!Select.star_multi_p},
     {!Select.lars_multi_p}) on the driver {!Select.fused_driver} picks
-    for the provider's form, [sweep] and [shards], fully matrix-free on
+    for the provider's form and [shards], fully matrix-free on
     a streamed provider and bitwise matching the dense run.
     Non-path methods ([Ls]/[Stomp]/[Cosamp]) materialize the matrix
     (free when the provider is dense) and fit output at a time: output
@@ -107,12 +95,11 @@ val fit_multi_p :
     that output's {!Model.notes} (deduplicated by {!Model.add_note}) —
     how the pipeline records a quorum-degraded delivery on the artifact
     itself, so the note survives serialization and serving.
-    @raise Invalid_argument when {!check_sweep} rejects [sweep], [fs]
-    is empty or [notes] disagrees in length, before any fitting. *)
+    @raise Invalid_argument when [fs] is empty or [notes] disagrees in
+    length, before any fitting. *)
 
 val fit_cv_p :
   ?folds:int -> ?max_lambda:int -> ?on_singular:[ `Stop | `Fallback ] ->
-  ?sweep:Corr_sweep.sweep ->
   ?shards:Shard_sweep.plan -> ?store:Select.store -> ?notes:string array ->
   Randkit.Prng.t ->
   Polybasis.Design.Provider.t -> Linalg.Vec.t -> method_ -> Model.t

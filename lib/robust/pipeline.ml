@@ -45,15 +45,9 @@ let config ?(method_ = Rsm.Solver.Omp) ?(folds = 4) ?(max_lambda = 100)
     ?(faults = Circuit.Simulator.no_faults)
     ?(retry = Circuit.Simulator.retry_policy ()) ?adaptive
     ?(min_samples = 30) ?(quorum = default_quorum)
-    ?(streamed = false) ?store ?(sweep = Rsm.Corr_sweep.Exact) ?shards
-    ?(rescreen = false) () =
+    ?(streamed = false) ?store ?shards ?(rescreen = false) () =
   let fail fmt = Printf.ksprintf (fun m -> Error (Error.Invalid_input m)) fmt in
   if folds < 2 then fail "folds must be at least 2, got %d" folds
-  else if
-    match sweep with
-    | Rsm.Corr_sweep.Incremental { refresh } -> refresh < 0
-    | Rsm.Corr_sweep.Exact -> false
-  then fail "incremental sweep refresh cadence must be non-negative"
   else if max_lambda < 1 then fail "max_lambda must be positive, got %d" max_lambda
   else if samples < 1 then fail "samples must be positive, got %d" samples
   else if screen_threshold <= 0. then
@@ -70,30 +64,27 @@ let config ?(method_ = Rsm.Solver.Omp) ?(folds = 4) ?(max_lambda = 100)
   else if store <> None && not (Rsm.Solver.path_method method_) then
     fail "checkpointing supports the star, lar, lasso and omp methods only"
   else
-    match Rsm.Solver.check_sweep method_ sweep with
-    | Error m -> Error (Error.Invalid_input m)
-    | Ok () ->
-        Ok
-          {
-            method_;
-            folds;
-            max_lambda;
-            samples;
-            screen;
-            screen_threshold;
-            screen_space;
-            screen_confidence;
-            faults;
-            retry;
-            adaptive;
-            min_samples;
-            quorum;
-            streamed;
-            store;
-            sweep;
-            shards;
-            rescreen;
-          }
+    Ok
+      {
+        method_;
+        folds;
+        max_lambda;
+        samples;
+        screen;
+        screen_threshold;
+        screen_space;
+        screen_confidence;
+        faults;
+        retry;
+        adaptive;
+        min_samples;
+        quorum;
+        streamed;
+        store;
+        sweep = Rsm.Corr_sweep.Exact;
+        shards;
+        rescreen;
+      }
 
 type outcome = {
   model : Rsm.Model.t;
@@ -395,7 +386,7 @@ let solve cfg d rng =
   let* models =
     Error.guard (fun () ->
         Rsm.Solver.fit_multi_p ~folds:cfg.folds ~max_lambda:cfg.max_lambda
-          ~on_singular:`Fallback ~sweep:cfg.sweep ?shards:cfg.shards
+          ~on_singular:`Fallback ?shards:cfg.shards
           ?store:cfg.store rng d.src
           (Array.map (fun r -> r.Circuit.Simulator.values) d.rows)
           cfg.method_)

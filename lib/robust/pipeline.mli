@@ -57,8 +57,9 @@ type config = {
       (** the CV cell store ({!type:Rsm.Select.store}); [None] = no CV
           checkpointing *)
   sweep : Rsm.Corr_sweep.sweep;
-      (** correlation engine ({!Rsm.Corr_sweep}); [Incremental] serves
-          the LAR/LASSO walk only *)
+      (** always [Exact], the one correlation engine; the field stays
+          because the end-to-end benchmark forwards it to
+          {!Rsm.Select.omp_p} and {!Rsm.Select.lars_p} *)
   shards : Rsm.Shard_sweep.plan option;
       (** the shard plan of the selection sweeps
           ({!type:Rsm.Shard_sweep.plan}); [None] = unsharded. Fits are
@@ -83,7 +84,6 @@ val config :
   ?quorum:float ->
   ?streamed:bool ->
   ?store:Rsm.Select.store ->
-  ?sweep:Rsm.Corr_sweep.sweep ->
   ?shards:Rsm.Shard_sweep.plan ->
   ?rescreen:bool ->
   unit ->
@@ -96,16 +96,14 @@ val config :
     [min_samples = 30], [quorum = 0.9], dense design, no checkpointing,
     exact sweep, no rescreen. Returns
     [Error (Invalid_input _)] on non-positive counts or thresholds, a
-    confidence or quorum outside its range, a negative incremental
-    refresh cadence, [min_samples > samples], a [store] with a method
-    that has no λ sweep (LS/StOMP/CoSaMP), or an incremental [sweep]
-    with a method other than LAR/LASSO ({!Rsm.Solver.check_sweep}).
-    The shard plan and the cell store arrive validated by their own
+    confidence or quorum outside its range, [min_samples > samples], or
+    a [store] with a method that has no λ sweep (LS/StOMP/CoSaMP). The
+    shard plan and the cell store arrive validated by their own
     constructors ({!val:Rsm.Shard_sweep.plan}, {!val:Rsm.Select.store}).
 
     No field picks the CV driver: {!Rsm.Select.fused_driver} derives it
-    from [streamed], [sweep] and [shards], and both drivers give the
-    same bits. *)
+    from [streamed] and [shards], and both drivers give the same
+    bits. *)
 
 type outcome = {
   model : Rsm.Model.t;
@@ -294,7 +292,7 @@ val fit_multi :
     surviving row count; a degraded delivery stamps the same
     ["degraded: ..."] note on {e every} model. The grid runs on the
     fused driver exactly when {!Rsm.Select.fused_driver} holds
-    ([config.streamed], exact sweep, one shard), on the per-job driver
+    ([config.streamed], one shard), on the per-job driver
     otherwise (see {!Rsm.Solver.fit_multi_p}); either way cell
     [(r, q)] checkpoints at
     [Serialize.Checkpoint.Cell.file store.base ~outputs r q], the

@@ -485,29 +485,53 @@ let test_multi_checkpoint_resume () =
           Rsm.Select.lars_multi_p ?store:(store ~resume:true (Some base))
             (Randkit.Prng.create 21) ~max_lambda:5 src_d (Array.sub fs 0 2)))
 
+(* The fused grid stores each cell in the round its walk ends. Output
+   1 is a dictionary column, so its walks end within three rounds while
+   output 0's run on; a directory in the way of cell (0, 0) makes that
+   cell's store raise, which interrupts the grid once output 0's first
+   walk ends. Output 1's cells, finished rounds earlier, are on disk by
+   then; with the directory gone, the resume is bitwise the
+   uninterrupted grid. *)
+let test_fused_cells_stored_as_they_finish () =
+  with_ckpt_base "fused_cells" (fun base ->
+      let rng, basis, pts, _ = random_setting 8 in
+      let src = P.streamed basis pts in
+      let fs = [| sparse_response rng src; P.column src 3 |] in
+      let cell r q = Rsm.Serialize.Checkpoint.Cell.file base ~outputs:2 r q in
+      let run ?resume checkpoint =
+        Array.map result_bits
+          (Rsm.Select.lars_multi_p ?store:(store ?resume checkpoint)
+             (Randkit.Prng.create 21) ~max_lambda:5 src fs)
+      in
+      let reference = run None in
+      Sys.mkdir (cell 0 0) 0o755;
+      (match run (Some base) with
+      | _ -> Alcotest.fail "the blocked cell did not interrupt the grid"
+      | exception Sys_error _ -> Sys.rmdir (cell 0 0));
+      check_bool "output 1's cells stored before the interruption" true
+        (List.for_all (fun q -> Sys.file_exists (cell 1 q)) [ 0; 1; 2; 3 ]);
+      check_bool "cell (0, 0) not stored" false (Sys.file_exists (cell 0 0));
+      check_bool "resume is bitwise the uninterrupted grid" true
+        (run ~resume:true (Some base) = reference))
+
 (* --- the one driver rule ---------------------------------------------- *)
 
 let test_fused_driver_rule () =
-  let exact = Rsm.Corr_sweep.Exact
-  and incremental = Rsm.Corr_sweep.incremental () in
+  (* The CLI reports the one sweep beside the driver. *)
+  Alcotest.(check string) "sweep name" "exact"
+    (Rsm.Corr_sweep.sweep_to_string Rsm.Corr_sweep.Exact);
   List.iter
-    (fun (streamed, sweep, shards, expected) ->
+    (fun (streamed, shards, expected) ->
       check_bool
-        (Printf.sprintf "streamed=%b sweep=%s shards=%d" streamed
-           (Rsm.Corr_sweep.sweep_to_string sweep)
-           shards)
+        (Printf.sprintf "streamed=%b shards=%d" streamed shards)
         expected
-        (Rsm.Select.fused_driver ~streamed ~sweep ~shards))
+        (Rsm.Select.fused_driver ~streamed ~shards))
     [
-      (true, exact, 1, true);
-      (true, exact, 0, true);
-      (true, exact, 2, false);
-      (true, incremental, 1, false);
-      (true, incremental, 2, false);
-      (false, exact, 1, false);
-      (false, exact, 2, false);
-      (false, incremental, 1, false);
-      (false, incremental, 2, false);
+      (true, 1, true);
+      (true, 0, true);
+      (true, 2, false);
+      (false, 1, false);
+      (false, 2, false);
     ]
 
 (* --- Pipeline.fit_multi --------------------------------------------- *)
@@ -615,7 +639,9 @@ let suite =
       case "solver: fit_multi_p validation" test_fit_multi_validation;
       case "checkpoint: delete cells, resume, cross-driver"
         test_multi_checkpoint_resume;
-      case "fused_driver: one rule over streamed, sweep, shards"
+      case "checkpoint: fused cells stored as their walks end"
+        test_fused_cells_stored_as_they_finish;
+      case "fused_driver: one rule over streamed and shards"
         test_fused_driver_rule;
       case "pipeline: fit_multi shares rows, drivers agree"
         test_pipeline_fit_multi;

@@ -893,22 +893,7 @@ let test_pipeline_config_validation () =
   expect_invalid "max_lambda 0" (Robust.Pipeline.config ~max_lambda:0 ());
   expect_invalid "threshold 0" (Robust.Pipeline.config ~screen_threshold:0. ());
   expect_invalid "min_samples > samples"
-    (Robust.Pipeline.config ~samples:50 ~min_samples:51 ());
-  (* The incremental sweep serves the LAR/lasso walk only. *)
-  let sweep = Rsm.Corr_sweep.incremental () in
-  List.iter
-    (fun m ->
-      expect_invalid
-        ("incremental " ^ Rsm.Solver.name m)
-        (Robust.Pipeline.config ~method_:m ~sweep ()))
-    [ Rsm.Solver.Omp; Rsm.Solver.Star; Rsm.Solver.Ls ];
-  List.iter
-    (fun m ->
-      check_bool
-        ("incremental " ^ Rsm.Solver.name m ^ " accepted")
-        true
-        (Result.is_ok (Robust.Pipeline.config ~method_:m ~sweep ())))
-    [ Rsm.Solver.Lar; Rsm.Solver.Lasso ]
+    (Robust.Pipeline.config ~samples:50 ~min_samples:51 ())
 
 let test_pipeline_end_to_end_with_faults () =
   let sim, dim = small_sim () in

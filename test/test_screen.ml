@@ -7,10 +7,10 @@
      streamed (the block-edge property in test_provider.ml covers every
      kernel tail).
    - Lars.lambda_path_p and Lars.fit_p (screened, unsharded exact) give
-     the steps of a walk driven through the public Lars.Engine with full
-     gram_tr answers, and fit_p's walk log — committed γ included — is
-     bitwise the log of the column-sharded engine, whose step lengths
-     scan every column; the fused (streamed) and per-job (dense)
+     the steps of the unscreened reference walk (the public Lars.Engine
+     with full gram_tr answers), and fit_p's walk log — committed γ
+     included — is bitwise the log of the column-sharded engine, which
+     screens inside each shard; the fused (streamed) and per-job (dense)
      Select.lars_p match the sharded per-job selector. Cases: dense and
      streamed designs, LAR and lasso, `Stop and `Fallback, duplicate
      columns scaled by powers of two (bans), zero columns, K in
@@ -21,7 +21,11 @@
      among the kept columns.
    - Shard_sweep.gamma_screen alone: a column it rules out has both
      candidates above the threshold, on columns where the bound is
-     tight, and a NaN correlation is never ruled out. *)
+     tight, and a NaN correlation is never ruled out.
+   - A constructed walk whose second step is set by a column outside
+     the 8 nearest the tie, which an unsound bound (A in place of ‖u‖)
+     rules out: unsharded, over two domain shards and through the fused
+     lockstep it walks the unscreened reference's steps. *)
 open Test_util
 module P = Polybasis.Design.Provider
 module Ckpt = Rsm.Serialize.Checkpoint
@@ -36,16 +40,6 @@ let step_bits (s : Rsm.Lars.step) =
     s.Rsm.Lars.dropped,
     Int64.bits_of_float s.Rsm.Lars.max_corr,
     model_bits s.Rsm.Lars.model )
-
-(* The reference walk: every request answered by the full sweep. A
-   lasso drop's non-SPD rebuild under `Stop raises, as the drivers do. *)
-let engine_walk ~pool ~mode ~on_singular src f ~max_lambda =
-  let e = Rsm.Lars.Engine.create ~mode ~pool ~on_singular src f ~max_lambda in
-  while not (Rsm.Lars.Engine.finished e) do
-    Rsm.Lars.Engine.supply e
-      (Rsm.Corr_sweep.gram_tr ~pool src (Rsm.Lars.Engine.request e))
-  done;
-  Rsm.Lars.Engine.steps e
 
 (* The screened walk driven by hand, counting the steps the screen
    answered and checking that a column listed in [must_keep] survives
@@ -98,14 +92,14 @@ let check_design ~pool ~tag ?must_keep ~select ~mode ~on_singular src f l =
   let reference =
     outcome (fun () ->
         Array.map step_bits
-          (engine_walk ~pool ~mode ~on_singular src f ~max_lambda:l))
+          (reference_walk ~pool ~mode ~on_singular src f ~max_lambda:l))
   in
-  check_same (tag "lambda_path_p == engine walk") reference
+  check_same (tag "lambda_path_p == reference walk") reference
     (outcome (fun () ->
          Array.map step_bits
            (Rsm.Lars.lambda_path_p ~mode ~pool ~on_singular src f
               ~max_lambda:l)));
-  check_same (tag "hand-driven screen == engine walk") reference
+  check_same (tag "hand-driven screen == reference walk") reference
     (outcome (fun () ->
          let steps, _ =
            screened_walk ~pool ~mode ~on_singular ?must_keep src f
@@ -319,6 +313,116 @@ let prop_screen_sound seed =
     thrs;
   true
 
+(* A walk whose step is set by a column outside the 8 nearest the tie.
+   Over orthonormal directions q_0 … q_39 of R^640, each the normalized
+   indicator of its own 16 rows — so they stay orthogonal on a CV
+   fold's rows too — with q_0, q_1 also the columns e1, e2,
+   ê = (q_0 + q_1)/√2 and ě = (q_0 − q_1)/√2, the
+   response is f = 10·q_0 + 9·q_1 + 48.6·q_2. Step 1 enters e1 and runs
+   γ = 1 to e2's tie; step 2 moves along u = ê with C = 9 and A = 1/√2.
+   There, 16 decoys 0.5·ě + s_i·q_2 + o_i·q_(4+i) have a_j = 0 and
+   |c_j| ≈ 5.9–6.14, so candidates (C − |c_j|)/A ≈ 4.05–4.38; the
+   target 0.95·ê − 0.3·q_2 + 0.087·q_3 has c_j ≈ −2.49 and a_j = 0.95,
+   so its candidate (C + c_j)/(A + a_j) ≈ 3.93 sets the step, and 110
+   fillers in the span of q_20 … q_39 correlate with nothing. thr is
+   the nearest decoys' ≈ 4.05: the sound bound gap/(A + ‖u‖) ≈ 3.81
+   keeps the target, the unsound gap/(2A) ≈ 4.61 would rule it out.
+   Columns 3–10 hold eight decoys, 64–71 the other eight (the nearest
+   the tie) and 72 the target, so the target's shard of a two-shard
+   fleet screens it among its own eight decoys. The columns are the
+   coordinates of a linear-only streamed basis. *)
+let test_step_set_beyond_nearest () =
+  let k = 640 and m = 128 and target = 72 in
+  let rng = Randkit.Prng.create 29 in
+  let q =
+    Array.init 40 (fun d ->
+        Array.init k (fun i -> if i / 16 = d then 0.25 else 0.))
+  in
+  let comb terms =
+    Array.init k (fun i ->
+        List.fold_left (fun acc (w, v) -> acc +. (w *. v.(i))) 0. terms)
+  in
+  let r2 = 1. /. sqrt 2. in
+  let h = 48.6 in
+  let decoy i =
+    let s = (5.90 +. (0.016 *. float_of_int i)) /. h in
+    comb
+      [ (0.5 *. r2, q.(0)); (-0.5 *. r2, q.(1)); (s, q.(2));
+        (sqrt (0.75 -. (s *. s)), q.(4 + i)) ]
+  in
+  let cols =
+    Array.init m (fun j ->
+        if j = 1 then q.(0)
+        else if j = 2 then q.(1)
+        else if j >= 3 && j <= 10 then decoy (j - 3)
+        else if j >= 64 && j <= 71 then decoy (j - 56)
+        else if j = target then
+          comb
+            [ (0.95 *. r2, q.(0)); (0.95 *. r2, q.(1)); (-0.3, q.(2));
+              (sqrt (1. -. 0.9025 -. 0.09), q.(3)) ]
+        else comb (List.init 20 (fun d -> (Randkit.Gaussian.sample rng, q.(20 + d)))))
+  in
+  let f = comb [ (10., q.(0)); (9., q.(1)); (h, q.(2)) ] in
+  let src =
+    P.streamed (Polybasis.Basis.linear_only m)
+      (Array.init k (fun i -> Array.init m (fun j -> cols.(j).(i))))
+  in
+  let max_lambda = 4 in
+  let bits steps = Array.map step_bits steps in
+  Parallel.Pool.with_pool ~domains:1 (fun pool ->
+      let walk ?shards () =
+        Rsm.Lars.lambda_path_p ~pool ~on_singular:`Fallback ?shards src f
+          ~max_lambda
+      in
+      let reference =
+        reference_walk ~pool ~on_singular:`Fallback src f ~max_lambda
+      in
+      (* The case holds what it claims: e1 and e2 enter, the target
+         comes third, and at step 2 at least eight inactive columns lie
+         nearer the tie than it. *)
+      check_bool "steps 1-3 enter e1, e2, the target" true
+        (Array.length reference >= 3
+        && Array.map (fun (s : Rsm.Lars.step) -> s.Rsm.Lars.added)
+             (Array.sub reference 0 3)
+           = [| Some 1; Some 2; Some target |]);
+      let r =
+        Linalg.Vec.sub f (Rsm.Model.predict_p reference.(0).Rsm.Lars.model src)
+      in
+      let c j =
+        Float.abs (Linalg.Vec.dot cols.(j) r) /. sqrt (Linalg.Vec.nrm2_sq cols.(j))
+      in
+      let nearer =
+        List.length
+          (List.filter
+             (fun j -> j > 2 && j <> target && c j > c target)
+             (List.init m Fun.id))
+      in
+      check_bool
+        (Printf.sprintf "%d inactive columns nearer the tie than the target"
+           nearer)
+        true (nearer >= 8);
+      check_bool "unsharded == reference" true (bits (walk ()) = bits reference);
+      check_bool "two domain shards == reference" true
+        (bits (walk ~shards:(plan 2) ()) = bits reference);
+      (* The fused lockstep: a streamed design's CV grid, whose refit is
+         read from its all-rows walk. At λ ≥ 2 the refit model carries
+         step 2's length. *)
+      check_bool "the grid runs fused" true
+        (Rsm.Select.fused_driver ~streamed:(P.is_streamed src) ~shards:1);
+      let sel =
+        Rsm.Select.lars_p ~pool ~on_singular:`Fallback (Randkit.Prng.create 3)
+          ~max_lambda src f
+      in
+      let l = sel.Rsm.Select.lambda in
+      check_bool (Printf.sprintf "CV picks lambda %d >= 2" l) true (l >= 2);
+      let expected =
+        Rsm.Lars.lambda_models src ~max_lambda:l
+          (Array.sub reference 0
+             (min (Array.length reference) (Rsm.Lars.step_budget l)))
+      in
+      check_bool "fused lockstep refit == reference model" true
+        (model_bits sel.Rsm.Select.model = model_bits expected.(l - 1)))
+
 let seed_gen = QCheck.int_range 1 10_000
 
 let suite =
@@ -327,6 +431,8 @@ let suite =
       case "screen holds on wide designs, falls back on narrow ones"
         test_screen_holds_and_falls_back;
       case "no screen outside the direction phase" test_screen_outside_dir;
+      case "a step set beyond the 8 nearest the tie == reference"
+        test_step_set_beyond_nearest;
       qtest ~count:12 "prop_step_screen_bitwise: screened walks == full scan"
         seed_gen prop_step_screen_bitwise;
       qtest ~count:200 "prop_screen_sound: a ruled-out column cannot set the step"

@@ -131,34 +131,7 @@ let test_folds_parameter () =
             (Invalid_argument "Select: response length mismatch")
             (fun () -> ignore (run 4 f')))
         selectors)
-    [ k - 1; k + 1 ];
-  (* An incremental sweep serves the LAR/lasso walk only: OMP and STAR
-     reject it before any fold work — ahead of the response check. *)
-  let sweep = Rsm.Corr_sweep.incremental () in
-  let msg =
-    match Rsm.Corr_sweep.lar_only ~lar:false sweep with
-    | Error m -> m
-    | Ok () -> Alcotest.fail "incremental OMP accepted"
-  in
-  let short = Array.sub f 0 (k - 1) in
-  List.iter
-    (fun (who, run) ->
-      Alcotest.check_raises (who ^ " ~sweep:incremental")
-        (Invalid_argument (who ^ ": " ^ msg))
-        (fun () -> ignore (run ())))
-    [
-      ( "Select.omp_p",
-        fun () ->
-          (Rsm.Select.omp_p ~sweep (rng ()) ~max_lambda:6 src short)
-            .Rsm.Select.model );
-      ( "Solver.fit_cv_p",
-        fun () ->
-          Rsm.Solver.fit_cv_p ~sweep (rng ()) src short Rsm.Solver.Star );
-      ( "Solver.fit_multi_p",
-        fun () ->
-          (Rsm.Solver.fit_multi_p ~sweep (rng ()) src [| short |]
-             Rsm.Solver.Star).(0) );
-    ]
+    [ k - 1; k + 1 ]
 
 (* --- Solver front-end --- *)
 

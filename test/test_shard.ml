@@ -8,9 +8,10 @@
      (property test).
    - Shard_sweep.raw_norms gathers bitwise Provider.column_norms.
    - LAR/LASSO/OMP/STAR sharded paths (Domains mode) are bitwise equal
-     to shards:1 — dense and streamed providers, exact and (LAR/LASSO)
-     incremental sweeps, several shard counts, including paths with
-     lasso drops and banned (duplicate) columns.
+     to shards:1 — dense and streamed providers, several shard counts,
+     including paths with lasso drops and banned (duplicate) columns —
+     and the λ-driven LAR/LASSO walks, which screen each step length
+     inside every shard, equal the unscreened reference walk.
    - Procs mode (re-exec'd worker processes) is bitwise equal too.
    - a worker SIGKILLed mid-fit (RSM_SHARD_FAULT) is respawned, replays
      the command log, and the fit output stays bitwise identical.
@@ -141,12 +142,6 @@ let sparse_response rng src =
     support;
   f
 
-let sweeps = [ Rsm.Corr_sweep.Exact; Rsm.Corr_sweep.incremental ~refresh:3 () ]
-
-let sweep_tag = function
-  | Rsm.Corr_sweep.Exact -> "exact"
-  | Rsm.Corr_sweep.Incremental _ -> "incremental"
-
 (* --- raw norms ----------------------------------------------------- *)
 
 let test_raw_norms_bitwise () =
@@ -156,10 +151,7 @@ let test_raw_norms_bitwise () =
       let reference = P.column_norms src in
       List.iter
         (fun shards ->
-          let e =
-            SS.create (plan shards) ~sweep:Rsm.Corr_sweep.Exact src
-              ~r0:(Array.make (P.rows src) 0.)
-          in
+          let e = SS.create (plan shards) src in
           check_bool
             (Printf.sprintf "raw norms, %d shards" shards)
             true
@@ -169,10 +161,22 @@ let test_raw_norms_bitwise () =
 
 (* --- solver parity, Domains mode ----------------------------------- *)
 
-let lars_steps ?(mode = Rsm.Lars.Lar) ?shards ~sweep src f =
-  Rsm.Lars.path_p ~mode ~on_singular:`Fallback ~sweep
+let lars_steps ?(mode = Rsm.Lars.Lar) ?shards src f =
+  Rsm.Lars.path_p ~mode ~on_singular:`Fallback
     ?shards:(Option.map plan shards) src
     f ~max_steps:12
+
+(* The λ-driven walk at [shards] against the unscreened reference. *)
+let check_reference ?(mode = Rsm.Lars.Lar) ~tag ~shards src f =
+  let walk shards =
+    lars_bits
+      (Rsm.Lars.lambda_path_p ~mode ~on_singular:`Fallback ~shards src f
+         ~max_lambda:5)
+  in
+  check_bool (tag ^ " == unscreened reference") true
+    (walk shards
+    = lars_bits
+        (reference_walk ~mode ~on_singular:`Fallback src f ~max_lambda:5))
 
 let test_lars_sharded_bitwise () =
   List.iter
@@ -182,26 +186,18 @@ let test_lars_sharded_bitwise () =
       List.iter
         (fun (tag, src) ->
           List.iter
-            (fun sweep ->
+            (fun mode ->
+              let reference = lars_bits (lars_steps ~mode src f) in
               List.iter
-                (fun mode ->
-                  let reference =
-                    lars_bits (lars_steps ~mode ~sweep src f)
+                (fun shards ->
+                  let tag =
+                    Printf.sprintf "lars %s seed=%d shards=%d" tag seed shards
                   in
-                  List.iter
-                    (fun shards ->
-                      let sharded =
-                        lars_bits (lars_steps ~mode ~sweep ~shards src f)
-                      in
-                      check_bool
-                        (Printf.sprintf
-                           "lars %s %s seed=%d shards=%d bitwise"
-                           tag (sweep_tag sweep) seed shards)
-                        true
-                        (sharded = reference))
-                    shard_counts)
-                [ Rsm.Lars.Lar; Rsm.Lars.Lasso ])
-            sweeps)
+                  check_bool (tag ^ " bitwise") true
+                    (lars_bits (lars_steps ~mode ~shards src f) = reference);
+                  check_reference ~mode ~tag ~shards:(plan shards) src f)
+                shard_counts)
+            [ Rsm.Lars.Lar; Rsm.Lars.Lasso ])
         [ ("dense", P.dense g); ("streamed", P.streamed basis pts) ])
     [ 3; 4 ]
 
@@ -222,17 +218,13 @@ let test_lars_sharded_bans_bitwise () =
   done;
   let src = P.dense g2 in
   let f = sparse_response rng src in
+  let reference = lars_bits (lars_steps src f) in
   List.iter
-    (fun sweep ->
-      let reference = lars_bits (lars_steps ~sweep src f) in
-      List.iter
-        (fun shards ->
-          check_bool
-            (Printf.sprintf "lars bans %s shards=%d" (sweep_tag sweep) shards)
-            true
-            (lars_bits (lars_steps ~sweep ~shards src f) = reference))
-        shard_counts)
-    sweeps
+    (fun shards ->
+      let tag = Printf.sprintf "lars bans shards=%d" shards in
+      check_bool tag true (lars_bits (lars_steps ~shards src f) = reference);
+      check_reference ~tag ~shards:(plan shards) src f)
+    shard_counts
 
 let test_omp_star_sharded_bitwise () =
   let rng, basis, pts, g = random_setting 5 in
@@ -264,22 +256,27 @@ let test_lars_process_shards_bitwise () =
   let f = sparse_response rng (P.dense g) in
   List.iter
     (fun (tag, src) ->
+      let reference = lars_bits (lars_steps src f) in
+      let procs = plan ~mode:"process" 3 in
+      let sharded =
+        lars_bits
+          (Rsm.Lars.path_p ~on_singular:`Fallback ~shards:procs src f
+             ~max_steps:12)
+      in
+      check_bool (Printf.sprintf "lars procs %s bitwise" tag) true
+        (sharded = reference);
       List.iter
-        (fun sweep ->
-          let reference = lars_bits (lars_steps ~sweep src f) in
-          let procs = plan ~mode:"process" 3 in
-          let sharded =
-            lars_bits
-              (Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:procs src
-                 f ~max_steps:12)
-          in
-          check_bool
-            (Printf.sprintf "lars procs %s %s bitwise" tag (sweep_tag sweep))
-            true (sharded = reference);
-          check_int
-            (Printf.sprintf "no recoveries %s %s" tag (sweep_tag sweep))
-            0 (Atomic.get procs.recovered))
-        sweeps)
+        (fun mode ->
+          List.iter
+            (fun shards ->
+              check_reference ~mode
+                ~tag:(Printf.sprintf "lambda walk, %d procs, %s" shards tag)
+                ~shards:(plan ~mode:"process" shards)
+                src f)
+            [ 2; 4 ])
+        [ Rsm.Lars.Lar; Rsm.Lars.Lasso ];
+      check_int (Printf.sprintf "no recoveries %s" tag) 0
+        (Atomic.get procs.recovered))
     [ ("dense", P.dense g); ("streamed", P.streamed basis pts) ]
 
 let test_omp_process_shards_bitwise () =
@@ -307,26 +304,19 @@ let test_process_shard_kill_recovery () =
   let rng, basis, pts, _ = random_setting 17 in
   let src = P.streamed basis pts in
   let f = sparse_response rng src in
-  List.iter
-    (fun sweep ->
-      let reference = lars_bits (lars_steps ~sweep src f) in
-      Unix.putenv "RSM_SHARD_FAULT" "1:2";
-      let procs = plan ~mode:"process" 3 in
-      let killed =
-        Fun.protect
-          ~finally:(fun () -> Unix.putenv "RSM_SHARD_FAULT" "")
-          (fun () ->
-            lars_bits
-              (Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:procs src
-                 f ~max_steps:12))
-      in
-      check_bool
-        (Printf.sprintf "killed-shard run bitwise (%s)" (sweep_tag sweep))
-        true (killed = reference);
-      check_bool
-        (Printf.sprintf "recovery happened (%s)" (sweep_tag sweep))
-        true (Atomic.get procs.recovered >= 1))
-    sweeps
+  let reference = lars_bits (lars_steps src f) in
+  Unix.putenv "RSM_SHARD_FAULT" "1:2";
+  let procs = plan ~mode:"process" 3 in
+  let killed =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "RSM_SHARD_FAULT" "")
+      (fun () ->
+        lars_bits
+          (Rsm.Lars.path_p ~on_singular:`Fallback ~shards:procs src f
+             ~max_steps:12))
+  in
+  check_bool "killed-shard run bitwise" true (killed = reference);
+  check_bool "recovery happened" true (Atomic.get procs.recovered >= 1)
 
 (* --- checkpoint/resume under sharding ------------------------------ *)
 
@@ -334,35 +324,25 @@ let test_lars_sharded_resume_bitwise () =
   let rng, basis, pts, _ = random_setting 21 in
   let src = P.streamed basis pts in
   let f = sparse_response rng src in
-  let sweep = Rsm.Corr_sweep.incremental ~refresh:2 () in
-  let reference =
+  let walk ?log () =
     lars_bits
-      (Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:(plan 3) src f
-         ~max_steps:10)
+      (Rsm.Lars.path_p ~mode:Rsm.Lars.Lasso ~on_singular:`Fallback
+         ~shards:(plan 3) ?log src f ~max_steps:10)
   in
+  let reference = walk () in
   (* Capture a mid-path checkpoint from the sharded run... *)
   let saved = ref None in
   ignore
-    (Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:(plan 3)
+    (walk
        ~log:
          (walk_log ~every:2
             ~save:(fun ck -> if !saved = None then saved := Some ck)
             ())
-       src f ~max_steps:10);
-  let ck = Option.get !saved in
+       ());
   (* ...and resume it sharded: replay + live continuation must equal the
-     uninterrupted walk bitwise, except the documented max_corr
-     diagnostic on replayed steps (exact replay dots vs the live run's
-     delta-maintained vector), which we exclude by comparing models. *)
-  let resumed =
-    Rsm.Lars.path_p ~on_singular:`Fallback ~sweep ~shards:(plan 3)
-      ~log:(walk_log ~resume:ck ()) src f ~max_steps:10
-  in
-  let strip bits =
-    Array.map (fun (a, d, _, mb) -> (a, d, mb)) bits
-  in
-  check_bool "sharded resume bitwise (modulo replayed max_corr)" true
-    (strip (lars_bits resumed) = strip reference)
+     uninterrupted walk bitwise. *)
+  check_bool "sharded resume bitwise" true
+    (walk ~log:(walk_log ~resume:(Option.get !saved) ()) () = reference)
 
 (* --- the shard plan ----------------------------------------------- *)
 
@@ -395,8 +375,7 @@ let test_plan_constructor () =
   let _, _, _, g = random_setting 5 in
   let src = P.dense g in
   check_bool "one shard, no fleet" true
-    (SS.with_fleet ~shards:(plan 1) ~sweep:Rsm.Corr_sweep.Exact src
-       ~r0:(Array.make (P.rows src) 0.) Option.is_none)
+    (SS.with_fleet ~shards:(plan 1) src Option.is_none)
 
 let suite =
   ( "shard",

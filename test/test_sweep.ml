@@ -1,5 +1,5 @@
-(* The gram-cached incremental correlation engine and the fused
-   multi-residual CV sweep.
+(* The sharded step-length screen and the fused multi-residual CV
+   sweep.
 
    Contracts under test:
    - Cholesky.Grow.downdate_row equals refactorizing from the surviving
@@ -8,17 +8,17 @@
      independent per-fold sweeps, Dense and Streamed, at 1/2/4 domains,
      and on wide dense designs whose chunk edges split the 4-wide
      unroll; one identity-row fold equals the full-provider sweep.
-   - sweep:Incremental agrees with sweep:Exact to 1e-10 relative on
-     the LAR and LASSO walks, at several refresh cadences, including
-     paths with banned columns (duplicate dictionary entries) and lasso
-     drops; Inc's combination and retreat match exact sweeps.
-   - an incremental-sweep LAR checkpoint resumes bitwise equal to the
-     uninterrupted incremental run; OMP/STAR checkpoints resume to the
-     same model bytes, unsharded and sharded.
+   - the LAR and LASSO walks sharded over 2 and 3 column shards, each
+     screening its own step lengths, are bitwise the unscreened
+     reference walk, on dictionaries wide enough for a shard's screen
+     to hold, including paths with banned columns (linear combinations
+     of dictionary entries) and lasso drops.
+   - OMP/STAR checkpoints resume to the same model bytes, unsharded and
+     sharded.
    - a dictionary whose every column gets banned terminates with an
      annotated model instead of raising.
    - the λ budget ends a LAR walk one step past λ bases: the capped
-     walks (path driver at every sweep engine, the fused drivers'
+     walks (unsharded and sharded path drivers, the fused drivers'
      engine, fit_p) are a prefix of the uncapped walk with bitwise the
      same λ-models and fits, at 1 and 2 domains, dense, streamed and
      with scaled duplicate columns; a lasso walk keeps its step budget
@@ -322,43 +322,71 @@ let test_multi_validation () =
   check_raises_invalid "out-of-range row" (fun () ->
       CS.gram_tr_multi src ~rows:[| [| k |] |] [| [| 1. |] |])
 
-(* --- incremental vs exact parity ----------------------------------- *)
+(* --- the sharded screen against the unscreened reference ----------- *)
 
-let cadences = [ 1; 4; 0 ]
+(* A quadratic dictionary over 15 or 20 factors (M = 136 or 231) at
+   K = 13 or 40 rows: wide enough for a shard's screen to hold. *)
+let wide_setting seed =
+  let rng = Randkit.Prng.create seed in
+  let dim = if Randkit.Prng.int rng 2 = 0 then 15 else 20 in
+  let k = [| 13; 40 |].(Randkit.Prng.int rng 2) in
+  let pts = Array.init k (fun _ -> Randkit.Gaussian.vector rng dim) in
+  (rng, P.streamed (Polybasis.Basis.quadratic dim) pts)
 
-let prop_incremental_parity mode seed =
-  let rng, _, _, g = random_setting seed in
-  let src = P.dense g in
-  let f = sparse_response rng src in
-  let lambda = min 6 (min (P.rows src) (P.cols src)) in
+(* The λ-driven walk at 1 (unsharded), 2 and 3 domain shards against
+   the unscreened reference walk, every step record bitwise. *)
+let check_sharded_screen ~pool ~tag ~mode ~on_singular src f l =
+  let bits steps =
+    Array.map
+      (fun (s : Rsm.Lars.step) ->
+        ( s.Rsm.Lars.added,
+          s.Rsm.Lars.dropped,
+          Int64.bits_of_float s.Rsm.Lars.max_corr,
+          model_bits s.Rsm.Lars.model,
+          Rsm.Model.notes s.Rsm.Lars.model ))
+      steps
+  in
+  let reference =
+    bits (reference_walk ~pool ~mode ~on_singular src f ~max_lambda:l)
+  in
+  List.iter
+    (fun shards ->
+      check_bool
+        (Printf.sprintf "%s, %d shards, lambda=%d" tag shards l)
+        true
+        (bits
+           (Rsm.Lars.lambda_path_p ~mode ~pool ~on_singular
+              ~shards:(plan shards) src f ~max_lambda:l)
+        = reference))
+    [ 1; 2; 3 ]
+
+let prop_sharded_screen mode seed =
+  let rng, streamed = wide_setting seed in
+  let dense = P.dense (P.to_dense streamed) in
+  let f = sparse_response rng dense in
+  let l = 2 + Randkit.Prng.int rng 8 in
   Parallel.Pool.with_pool ~domains:2 (fun pool ->
-      let fit sweep = Rsm.Lars.fit_p ~mode ~pool ~sweep src f ~lambda in
-      let exact = fit CS.Exact in
       List.iter
-        (fun refresh ->
-          let inc = fit (CS.incremental ~refresh ()) in
-          check_model_close
-            (Printf.sprintf "refresh=%d vs exact" refresh)
-            1e-10 exact inc)
-        cadences);
+        (fun (tag, src) ->
+          check_sharded_screen ~pool ~tag ~mode ~on_singular:`Fallback src f l)
+        [ ("dense", dense); ("streamed", streamed) ]);
   true
 
-(* A dictionary with a column that is a linear combination of two
+(* A dictionary with columns that are linear combinations of two
    others: once both parents are active (or the combination plus one
    parent), the third is numerically dependent and gets banned under
-   `Fallback — at a generically separated correlation value, never an
-   exact tie, so the decision is stable under the incremental engine's
-   1-ulp-level rounding differences and step-level parity is a sound
-   contract. (Exact-duplicate columns sit at a permanent 0/0 tie in the
-   enter scan, where either engine may legitimately diverge; the
-   all-identical-dictionary test below covers that termination case.) *)
-let duplicated_problem seed =
+   `Fallback. 120 Gaussian columns and three combinations over 24 rows,
+   so a shard's screen can hold. *)
+let combined_problem seed =
   let rng = Randkit.Prng.create seed in
-  let k = 24 and m0 = 12 in
+  let k = 24 and m0 = 120 in
   let g0 = Randkit.Gaussian.matrix rng k m0 in
   let cols = Array.init m0 (fun j -> Linalg.Mat.col g0 j) in
-  let combo = Array.init k (fun i -> cols.(0).(i) +. cols.(1).(i)) in
-  let all = Array.append cols [| combo |] in
+  let combos =
+    Array.init 3 (fun c ->
+        Array.init k (fun i -> cols.(2 * c).(i) +. cols.((2 * c) + 1).(i)))
+  in
+  let all = Array.append cols combos in
   let g = Linalg.Mat.init k (Array.length all) (fun i j -> all.(j).(i)) in
   let f =
     Array.init k (fun i ->
@@ -369,41 +397,14 @@ let duplicated_problem seed =
   in
   (P.dense g, f)
 
-let prop_incremental_parity_with_bans seed =
-  let src, f = duplicated_problem seed in
+let prop_sharded_screen_with_bans seed =
+  let src, f = combined_problem seed in
   Parallel.Pool.with_pool ~domains:2 (fun pool ->
-      let path sweep =
-        Rsm.Lars.path_p ~mode:Rsm.Lars.Lasso ~pool ~on_singular:`Fallback
-          ~sweep src f ~max_steps:10
-      in
-      let exact = path CS.Exact in
       List.iter
-        (fun refresh ->
-          let inc = path (CS.incremental ~refresh ()) in
-          check_int
-            (Printf.sprintf "refresh=%d: same step count" refresh)
-            (Array.length exact) (Array.length inc);
-          Array.iteri
-            (fun i (e : Rsm.Lars.step) ->
-              let v = inc.(i) in
-              check_bool
-                (Printf.sprintf "refresh=%d step %d: same added" refresh i)
-                true
-                (e.Rsm.Lars.added = v.Rsm.Lars.added);
-              check_bool
-                (Printf.sprintf "refresh=%d step %d: same dropped" refresh i)
-                true
-                (e.Rsm.Lars.dropped = v.Rsm.Lars.dropped);
-              check_bool
-                (Printf.sprintf "refresh=%d step %d: same notes" refresh i)
-                true
-                (Rsm.Model.notes e.Rsm.Lars.model
-                = Rsm.Model.notes v.Rsm.Lars.model);
-              check_model_close
-                (Printf.sprintf "refresh=%d step %d model" refresh i)
-                1e-10 e.Rsm.Lars.model v.Rsm.Lars.model)
-            exact)
-        cadences);
+        (fun mode ->
+          check_sharded_screen ~pool ~tag:"combined columns" ~mode
+            ~on_singular:`Fallback src f 8)
+        [ Rsm.Lars.Lar; Rsm.Lars.Lasso ]);
   true
 
 (* Every column identical: with `Fallback the first enters and every
@@ -433,18 +434,8 @@ let test_all_banned_terminates () =
           check_int
             (Printf.sprintf "seed %d: one column survives" seed)
             1
-            (Rsm.Model.nnz last.Rsm.Lars.model);
-          let inc_steps =
-            Rsm.Lars.path_p ~mode:Rsm.Lars.Lar ~pool ~on_singular:`Fallback
-              ~sweep:(CS.incremental ()) src f ~max_steps:12
-          in
-          check_bool
-            (Printf.sprintf "seed %d: incremental walk terminates" seed)
-            true
-            (Array.length inc_steps > 0)))
+            (Rsm.Model.nnz last.Rsm.Lars.model)))
     [ 3; 17 ]
-
-(* --- incremental LAR checkpoint/resume ----------------------------- *)
 
 let step_bits (s : Rsm.Lars.step) =
   ( s.Rsm.Lars.added,
@@ -453,44 +444,6 @@ let step_bits (s : Rsm.Lars.step) =
     Rsm.Model.notes s.Rsm.Lars.model )
 
 let corr_bits (s : Rsm.Lars.step) = Int64.bits_of_float s.Rsm.Lars.max_corr
-
-let test_incremental_lar_resume_bitwise () =
-  let rng, _, _, g = random_setting 21 in
-  let src = P.dense g in
-  let f = sparse_response rng src in
-  let sweep = CS.incremental ~refresh:4 () in
-  Parallel.Pool.with_pool ~domains:2 (fun pool ->
-      let saved = ref [] in
-      let full =
-        Rsm.Lars.path_p ~mode:Rsm.Lars.Lasso ~pool ~sweep
-          ~log:(walk_log ~every:2 ~save:(fun c -> saved := c :: !saved) ())
-          src f ~max_steps:8
-      in
-      let checkpoints = List.rev !saved in
-      check_bool "captured at least one mid-run checkpoint" true
-        (List.length checkpoints >= 2);
-      (* Resume from a mid-run snapshot (not the terminal one). *)
-      let mid = List.nth checkpoints (List.length checkpoints / 2 - 1) in
-      let prefix = Array.length mid.Rsm.Serialize.Checkpoint.events in
-      let resumed =
-        Rsm.Lars.path_p ~mode:Rsm.Lars.Lasso ~pool ~sweep
-          ~log:(walk_log ~every:2 ~save:(fun _ -> ()) ~resume:mid ())
-          src f ~max_steps:8
-      in
-      (* Every step's state (adds, drops, models) is bitwise equal; the
-         diagnostic max_corr is bitwise only for the live continuation —
-         replay recomputes it with exact sweeps, while the interrupted
-         run read it from the delta-maintained vector, which drifts by
-         ~1 ulp between refreshes. *)
-      check_bool "resumed incremental path bitwise equals uninterrupted" true
-        (Array.map step_bits full = Array.map step_bits resumed);
-      check_bool "live continuation reports bitwise-equal correlations" true
-        (Array.length full = Array.length resumed
-        && prefix < Array.length full
-        && Array.for_all2 ( = )
-             (Array.map corr_bits (Array.sub full prefix (Array.length full - prefix)))
-             (Array.map corr_bits
-                (Array.sub resumed prefix (Array.length resumed - prefix)))))
 
 (* --- the λ budget ends a LAR walk ---------------------------------- *)
 
@@ -519,16 +472,16 @@ let cap_bits (s : Rsm.Lars.step) = (step_bits s, corr_bits s)
    the last model with at most λ bases of the uncapped walk at its own
    first budget 2λ + 8. The step count pins the stop itself: a walk
    that ran on to the full budget would still match every model. *)
-let check_lambda_cap ~pool ~tag ~on_singular ~sweep ~shards src f l =
+let check_lambda_cap ~pool ~tag ~on_singular ~shards src f l =
   let mode = Rsm.Lars.Lar in
   let nnz (s : Rsm.Lars.step) = Rsm.Model.nnz s.Rsm.Lars.model in
   let full =
-    Rsm.Lars.path_p ~mode ~pool ~on_singular ~sweep ~shards:(plan shards) src f
+    Rsm.Lars.path_p ~mode ~pool ~on_singular ~shards:(plan shards) src f
       ~max_steps:(Rsm.Lars.step_budget l)
   in
   let capped =
-    Rsm.Lars.lambda_path_p ~mode ~pool ~on_singular ~sweep
-      ~shards:(plan shards) src f ~max_lambda:l
+    Rsm.Lars.lambda_path_p ~mode ~pool ~on_singular ~shards:(plan shards) src
+      f ~max_lambda:l
   in
   let rec ends i =
     if i >= Array.length full then i
@@ -548,29 +501,24 @@ let check_lambda_cap ~pool ~tag ~on_singular ~sweep ~shards src f l =
       (fun acc (s : Rsm.Lars.step) ->
         if nnz s <= l then Some s.Rsm.Lars.model else acc)
       None
-      (Rsm.Lars.path_p ~mode ~pool ~on_singular ~sweep ~shards:(plan shards)
+      (Rsm.Lars.path_p ~mode ~pool ~on_singular ~shards:(plan shards)
          src f ~max_steps:((2 * l) + 8))
   in
   Option.iter
     (fun m ->
       check_bool (tag "fit_p") true
         (Rsm.Serialize.to_string
-           (Rsm.Lars.fit_p ~mode ~pool ~on_singular ~sweep
-              ~shards:(plan shards) src f ~lambda:l)
+           (Rsm.Lars.fit_p ~mode ~pool ~on_singular ~shards:(plan shards)
+              src f ~lambda:l)
         = Rsm.Serialize.to_string m))
     last_within;
   (* The fused drivers' walk: the engine answered from exact sweeps
      walks the same capped steps. *)
-  if sweep = CS.Exact && shards = 1 then begin
-    let e =
-      Rsm.Lars.Engine.create ~mode ~pool ~on_singular src f ~max_lambda:l
-    in
-    while not (Rsm.Lars.Engine.finished e) do
-      Rsm.Lars.Engine.supply e (CS.gram_tr ~pool src (Rsm.Lars.Engine.request e))
-    done;
+  if shards = 1 then
     check_bool (tag "engine walk") true
-      (Array.map cap_bits (Rsm.Lars.Engine.steps e) = Array.map cap_bits capped)
-  end
+      (Array.map cap_bits
+         (reference_walk ~pool ~mode ~on_singular src f ~max_lambda:l)
+      = Array.map cap_bits capped)
 
 let prop_lambda_cap_parity seed =
   let rng, basis, pts, g = random_setting seed in
@@ -584,13 +532,7 @@ let prop_lambda_cap_parity seed =
       ("scaled copies", with_scaled_copies src_d f, `Fallback);
     ]
   in
-  let engines =
-    [
-      ("exact", CS.Exact, 1);
-      ("incremental", CS.incremental ~refresh:3 (), 1);
-      ("exact, 3 shards", CS.Exact, 3);
-    ]
-  in
+  let engines = [ ("unsharded", 1); ("3 shards", 3) ] in
   List.iter
     (fun domains ->
       Parallel.Pool.with_pool ~domains (fun pool ->
@@ -599,13 +541,13 @@ let prop_lambda_cap_parity seed =
               List.iter
                 (fun l ->
                   List.iter
-                    (fun (ename, sweep, shards) ->
+                    (fun (ename, shards) ->
                       let tag what =
                         Printf.sprintf "%s, %s, domains=%d, lambda=%d: %s"
                           dname ename domains l what
                       in
-                      check_lambda_cap ~pool ~tag ~on_singular ~sweep ~shards
-                        src f l)
+                      check_lambda_cap ~pool ~tag ~on_singular ~shards src f
+                        l)
                     engines)
                 lambdas)
             designs))
@@ -740,8 +682,7 @@ let prop_fused_cv_bitwise solver seed =
   let src_d = P.dense g in
   let f = sparse_response rng src_s in
   let fused src =
-    Rsm.Select.fused_driver ~streamed:(P.is_streamed src) ~sweep:CS.Exact
-      ~shards:1
+    Rsm.Select.fused_driver ~streamed:(P.is_streamed src) ~shards:1
   in
   check_bool "streamed design runs the fused driver" true (fused src_s);
   check_bool "dense design runs the per-job driver" false (fused src_d);
@@ -1061,66 +1002,6 @@ let test_screen_refit_validation () =
   check_raises_invalid "length mismatch" (fun () ->
       Robust.Pipeline.screen_refit src [| 1. |] model)
 
-(* --- Inc unit behavior --------------------------------------------- *)
-
-let test_inc_unit () =
-  let _, _, _, g = random_setting 13 in
-  let src = P.dense g in
-  let k = P.rows src in
-  let r = Array.init k (fun i -> float_of_int (i + 1)) in
-  check_raises_invalid "negative refresh" (fun () ->
-      CS.Inc.create ~refresh:(-1) src r);
-  let inc = CS.Inc.create ~refresh:2 src r in
-  check_bool "starts from an exact sweep" true
-    (CS.Inc.correlations inc = CS.gram_tr src r);
-  check_raises_invalid "combination before ensure_gram" (fun () ->
-      CS.Inc.combination inc [| (0, 0.5) |]);
-  let g0 = P.column src 0 and g1 = P.column src 1 in
-  CS.Inc.ensure_gram inc 0 g0;
-  CS.Inc.ensure_gram inc 0 (Array.make k 0.);
-  check_bool "ensure_gram is idempotent" true
-    (CS.Inc.combination inc [| (0, 1.) |] = CS.gram_tr src g0);
-  CS.Inc.ensure_gram inc 1 g1;
-  (* A LAR direction u = Σ w_j·g_j: its cached image and one retreat
-     along it against exact sweeps, to 1e-10 of the vector's scale. *)
-  let terms = [| (0, 0.5); (1, -0.25) |] in
-  let u = Array.init k (fun i -> (0.5 *. g0.(i)) -. (0.25 *. g1.(i))) in
-  let close msg exact got =
-    let scale = Array.fold_left (fun a x -> Float.max a (Float.abs x)) 0. exact in
-    Array.iteri
-      (fun j x ->
-        if Float.abs (x -. got.(j)) > 1e-10 *. scale then
-          Alcotest.failf "%s: entry %d %.17g vs %.17g" msg j x got.(j))
-      exact
-  in
-  let a = CS.Inc.combination inc terms in
-  close "combination == exact G^T.u" (CS.gram_tr src u) a;
-  check_raises_invalid "retreat length" (fun () ->
-      CS.Inc.retreat inc 1. [| 1. |]);
-  let gamma = 0.125 in
-  CS.Inc.retreat inc gamma a;
-  close "retreat == exact sweep of the moved residual"
-    (CS.gram_tr src (Array.mapi (fun i x -> x -. (gamma *. u.(i))) r))
-    (CS.Inc.correlations inc);
-  check_bool "not due before any step" false (CS.Inc.due inc);
-  CS.Inc.note_step inc;
-  CS.Inc.note_step inc;
-  check_bool "due after the cadence" true (CS.Inc.due inc);
-  CS.Inc.refresh inc r;
-  check_bool "refresh resets the cadence" false (CS.Inc.due inc);
-  check_bool "refresh restores the exact sweep" true
-    (CS.Inc.correlations inc = CS.gram_tr src r)
-
-let test_sweep_of_string () =
-  check_bool "exact round-trips" true
-    (CS.sweep_of_string (CS.sweep_to_string CS.Exact) = Some CS.Exact);
-  (* The string form carries the mode, not the cadence: parsing always
-     yields the default refresh. *)
-  check_bool "incremental round-trips to the default cadence" true
-    (CS.sweep_of_string (CS.sweep_to_string (CS.incremental ~refresh:7 ()))
-    = Some (CS.incremental ()));
-  check_bool "garbage rejected" true (CS.sweep_of_string "nope" = None)
-
 let seed_gen = QCheck.int_range 1 10_000
 
 let suite =
@@ -1133,8 +1014,6 @@ let suite =
       case "multi-sweep validation" test_multi_validation;
       case "all-identical dictionary terminates annotated"
         test_all_banned_terminates;
-      case "incremental LAR resume bitwise"
-        test_incremental_lar_resume_bitwise;
       case "lasso walk keeps its step budget past lambda"
         test_lasso_keeps_step_budget;
       case "OMP/STAR resume bitwise (exact x shards 1/3)"
@@ -1148,18 +1027,16 @@ let suite =
       case "screen_refit keeps model when rows run out"
         test_screen_refit_too_few_rows;
       case "screen_refit validation" test_screen_refit_validation;
-      case "Inc unit behavior" test_inc_unit;
-      case "sweep mode strings" test_sweep_of_string;
       qtest ~count:10 "fused multi == independent sweeps" seed_gen
         prop_multi_bitwise;
       qtest ~count:12 "fused multi == independent sweeps, wide dense"
         seed_gen prop_multi_wide_bitwise;
-      qtest ~count:8 "LAR incremental == exact" seed_gen
-        (prop_incremental_parity Rsm.Lars.Lar);
-      qtest ~count:8 "LASSO incremental == exact" seed_gen
-        (prop_incremental_parity Rsm.Lars.Lasso);
-      qtest ~count:6 "banned columns: incremental == exact" seed_gen
-        prop_incremental_parity_with_bans;
+      qtest ~count:8 "LAR sharded screen == unscreened reference" seed_gen
+        (prop_sharded_screen Rsm.Lars.Lar);
+      qtest ~count:8 "LASSO sharded screen == unscreened reference" seed_gen
+        (prop_sharded_screen Rsm.Lars.Lasso);
+      qtest ~count:6 "banned columns: sharded screen == unscreened reference"
+        seed_gen prop_sharded_screen_with_bans;
       qtest ~count:10 "LAR lambda budget: capped walk == uncapped prefix"
         seed_gen prop_lambda_cap_parity;
       qtest ~count:6 "OMP fused CV == per-fold CV" seed_gen

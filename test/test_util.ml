@@ -38,6 +38,18 @@ let plan ?mode shards = ok (Rsm.Shard_sweep.plan ?mode shards)
 
 let store ?resume base = ok (Rsm.Select.store ?resume base)
 
+(* The unscreened reference LAR walk: the public engine with every
+   request answered by the full Gᵀv sweep. A lasso drop's non-SPD
+   rebuild under `Stop raises, as the drivers do. *)
+let reference_walk ?pool ?(mode = Rsm.Lars.Lar) ?(on_singular = `Stop) src f
+    ~max_lambda =
+  let e = Rsm.Lars.Engine.create ~mode ?pool ~on_singular src f ~max_lambda in
+  while not (Rsm.Lars.Engine.finished e) do
+    Rsm.Lars.Engine.supply e
+      (Rsm.Corr_sweep.gram_tr ?pool src (Rsm.Lars.Engine.request e))
+  done;
+  Rsm.Lars.Engine.steps e
+
 let case name f = Alcotest.test_case name `Quick f
 
 let slow_case name f = Alcotest.test_case name `Slow f
