@@ -102,6 +102,30 @@ let secs x =
 
 (* --- canonical speed summary --------------------------------------- *)
 
+(* The commit of the checkout the bench runs in; git is asked only when
+   the working directory is a checkout's root. *)
+let commit () =
+  if not (Sys.file_exists ".git") then "unknown"
+  else
+    match
+      Unix.open_process_args_in "git" [| "git"; "rev-parse"; "--short"; "HEAD" |]
+    with
+    | exception Unix.Unix_error _ -> "unknown"
+    | ic -> (
+        let line = try input_line ic with End_of_file -> "unknown" in
+        match Unix.close_process_in ic with
+        | Unix.WEXITED 0 -> line
+        | _ -> "unknown")
+
+(* The host stamp of a recorded measurement, as a JSON field:
+   processors, compiler, commit and the domain count it ran on. *)
+let stamp ~domains =
+  Printf.sprintf
+    "\"host\": {\"nproc\": %d, \"compiler\": \"ocaml %s\", \"commit\": %S, \
+     \"domains\": %d}"
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version (commit ()) domains
+
 (* BENCH_speed.json (repo root, tracked in git) records one scenario per
    line: `  "name": <single-line JSON object>`. Scenarios merge
    textually — a bench run replaces its own line and leaves the others —

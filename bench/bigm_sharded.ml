@@ -10,8 +10,9 @@
    only its M/S column slice (its Hermite tables and norms), so the
    per-process peak RSS stays bounded while the single-image fit carries
    the whole dictionary. Both fits run the exact sweep, the sharded one
-   screening each step length inside every shard. The per-shard VmHWM of a probed engine is
-   recorded next to the fit times in BENCH_speed.json. *)
+   screening each step length inside every shard. The per-shard VmHWM
+   of the fleet that fitted, read as its fit finished, is recorded next
+   to the fit times in BENCH_speed.json. *)
 
 let quick_cfg = (60, 80, 6, 3)
 
@@ -55,24 +56,7 @@ let run ?(quick = false) ?domains () =
      ===\n\
      %!"
     k m max_steps shards;
-  (* Per-shard footprint probe: a live engine (norms gathered, one
-     selection answered) queried for each worker's VmHWM. Probed before the fits so the workers' high-water marks
-     reflect exactly this engine. *)
   let plan = Bench_util.ok (Rsm.Shard_sweep.plan ~mode:"process" shards) in
-  let shard_rss_kb =
-    let e = Rsm.Shard_sweep.create ~pool plan src in
-    ignore (Rsm.Shard_sweep.raw_norms e);
-    ignore (Rsm.Shard_sweep.lars_select e ~r:f);
-    let rss = Rsm.Shard_sweep.peak_rss_kb e in
-    Rsm.Shard_sweep.shutdown e;
-    rss
-  in
-  Array.iteri
-    (fun s kb ->
-      Printf.printf "shard %d/%d: %d columns, peak RSS %.1f MB\n%!" s shards
-        (((s + 1) * m / shards) - (s * m / shards))
-        (kb /. 1024.))
-    shard_rss_kb;
   let timed f =
     let t0 = Unix.gettimeofday () in
     let v = f () in
@@ -87,6 +71,15 @@ let run ?(quick = false) ?domains () =
         Rsm.Lars.path_p ~pool ~on_singular:`Fallback ~shards:plan src f
           ~max_steps)
   in
+  (* The per-shard footprint of the fleet that fitted: each worker's
+     VmHWM, read as the fit finished. *)
+  let shard_rss_kb = Atomic.get plan.Rsm.Shard_sweep.peak_rss in
+  Array.iteri
+    (fun s kb ->
+      Printf.printf "shard %d/%d: %d columns, peak RSS %.1f MB\n%!" s shards
+        (((s + 1) * m / shards) - (s * m / shards))
+        (kb /. 1024.))
+    shard_rss_kb;
   let parity = fingerprint seq_steps = fingerprint sh_steps in
   Printf.printf
     "unsharded %8.2f s   %d-shard %8.2f s   parity %s   parent RSS %.0f MB\n%!"

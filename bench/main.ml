@@ -132,6 +132,19 @@ let () =
               Speed.sweep_scenario ~quick ~domains ())
           $ quick $ full $ domains);
       Cmd.v
+        (Cmd.info "lardots"
+           ~doc:
+             "LAR column dots per walk on the Table II design (and, with \
+              --full, Table IV's paper-size SRAM design), split into full \
+              sweeps, carried correlations, screened images and \
+              fallbacks, timed against the unscreened reference walk, \
+              whose steps each walk must reproduce (exit 1 on \
+              violation).")
+        Term.(
+          const (fun quick full domains ->
+              gated (Lar_dots.run ~quick ~full ~domains ()))
+          $ quick $ full $ domains);
+      Cmd.v
         (Cmd.info "multi"
            ~doc:
              "Fused multi-output fitting: one 4-metric op-amp LAR+CV fit vs \

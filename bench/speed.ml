@@ -305,6 +305,98 @@ let speedup ~quick ~domains () =
    guarded by their bitwise parity contract; a violation fails the
    bench with exit 1, so this scenario doubles as the sweep-parity
    smoke for CI. *)
+(* The subset dots of the parent kernel: rows outermost over the index
+   set, four rows per pass, on the row-major matrix — the reference the
+   column-major image replaces. Same bits as [gram_tr]'s slots. *)
+let row_major_col_dots g idx r out =
+  let m = Linalg.Mat.cols g and data = g.Linalg.Mat.data in
+  let k = Linalg.Mat.rows g and n = Array.length idx in
+  Array.fill out 0 n 0.;
+  let i = ref 0 in
+  while !i + 4 <= k do
+    let i0 = !i in
+    let b0 = i0 * m in
+    let b1 = b0 + m and b2 = b0 + (2 * m) and b3 = b0 + (3 * m) in
+    let r0 = r.(i0) and r1 = r.(i0 + 1) and r2 = r.(i0 + 2) and r3 = r.(i0 + 3) in
+    for t = 0 to n - 1 do
+      let j = Array.unsafe_get idx t in
+      Array.unsafe_set out t
+        (Array.unsafe_get out t
+         +. (Array.unsafe_get data (b0 + j) *. r0)
+         +. (Array.unsafe_get data (b1 + j) *. r1)
+         +. (Array.unsafe_get data (b2 + j) *. r2)
+         +. (Array.unsafe_get data (b3 + j) *. r3))
+    done;
+    i := i0 + 4
+  done;
+  for i = !i to k - 1 do
+    let b = i * m and ri = r.(i) in
+    for t = 0 to n - 1 do
+      Array.unsafe_set out t
+        (Array.unsafe_get out t +. (Array.unsafe_get data (b + Array.unsafe_get idx t) *. ri))
+    done
+  done
+
+(* Subset dots on a dense Table II-shaped design (K = 1000, top-60
+   quadratic, M = 1891): [col_dots] over random ascending 1 / 10 / 20 /
+   40% of the columns, from the row-major matrix and from the
+   column-major image, each against one full [gram_tr]. Returns the
+   rows as JSON and counts a slot that differs from [gram_tr]'s. *)
+let col_dots_rows ~quick ~reps ~pool ~check =
+  let n = if quick then 20 else 60 and k = if quick then 120 else 1000 in
+  let rng = Randkit.Prng.create 59 in
+  let basis = Polybasis.Basis.quadratic n in
+  let pts = Array.init k (fun _ -> Randkit.Gaussian.vector rng n) in
+  let g = Polybasis.Design.matrix_rows ~pool basis pts in
+  let src = Polybasis.Design.Provider.dense g in
+  let m = Linalg.Mat.cols g in
+  let r = Randkit.Gaussian.vector rng k in
+  let full = Rsm.Corr_sweep.gram_tr ~pool src r in
+  let full_s =
+    Bench_util.median_of ~reps (fun () -> ignore (Rsm.Corr_sweep.gram_tr ~pool src r))
+  in
+  let bits = Array.map Int64.bits_of_float in
+  let rows =
+    List.map
+      (fun share ->
+        let idx =
+          Randkit.Sampling.subsample rng (Array.init m Fun.id)
+            (max 1 (int_of_float (share *. float_of_int m)))
+        in
+        Array.sort compare idx;
+        let out = Array.make (Array.length idx) 0. in
+        let slots = Array.map (fun j -> full.(j)) idx in
+        row_major_col_dots g idx r out;
+        check
+          (Printf.sprintf "row-major col_dots at %.0f%% == gram_tr slots" (100. *. share))
+          (bits out = bits slots);
+        Polybasis.Design.Provider.col_dots ~pool src idx r out;
+        check
+          (Printf.sprintf "image col_dots at %.0f%% == gram_tr slots" (100. *. share))
+          (bits out = bits slots);
+        let rows_s =
+          Bench_util.median_of ~reps (fun () -> row_major_col_dots g idx r out)
+        in
+        let image_s =
+          Bench_util.median_of ~reps (fun () ->
+              Polybasis.Design.Provider.col_dots ~pool src idx r out)
+        in
+        Printf.printf
+          "col_dots %4.0f%% of M = %d: row-major %6.3f ms (%.2f of a sweep), \
+           image %6.3f ms (%.2f)\n%!"
+          (100. *. share) m (1e3 *. rows_s) (rows_s /. full_s) (1e3 *. image_s)
+          (image_s /. full_s);
+        Printf.sprintf
+          "{\"share\": %.2f, \"cols\": %d, \"row_major_s\": %.6f, \
+           \"image_s\": %.6f, \"row_major_frac\": %.3f, \"image_frac\": %.3f}"
+          share (Array.length idx) rows_s image_s (rows_s /. full_s)
+          (image_s /. full_s))
+      [ 0.01; 0.10; 0.20; 0.40 ]
+  in
+  Printf.printf "full gram_tr, K = %d, M = %d: %.3f ms\n%!" k m (1e3 *. full_s);
+  Printf.sprintf "{\"k\": %d, \"m\": %d, \"full_sweep_s\": %.6f, \"rows\": [%s]}"
+    k m full_s (String.concat ", " rows)
+
 let sweep_scenario ~quick ~domains () =
   let domains =
     match domains with Some d -> d | None -> Parallel.Pool.default_domains ()
@@ -385,11 +477,12 @@ let sweep_scenario ~quick ~domains () =
          picks ref_out);
     let fold_sweep_s = Bench_util.median_of ~reps (fun () -> ignore (per_fold ())) in
     let fused_sweep_s = Bench_util.median_of ~reps (fun () -> ignore (fused ())) in
-    Parallel.Pool.shutdown pool;
     Printf.printf "domains=%d  %d-fold + refit %8.2f ms  fused round %8.2f ms  (%.1fx)\n%!"
       domains q (1e3 *. fold_sweep_s) (1e3 *. fused_sweep_s)
       (fold_sweep_s /. fused_sweep_s);
-    (fold_sweep_s, fused_sweep_s)
+    let col_dots = col_dots_rows ~quick ~reps:(2 * reps + 1) ~pool ~check in
+    Parallel.Pool.shutdown pool;
+    (fold_sweep_s, fused_sweep_s, col_dots)
   in
   let arms =
     if domains = 1 then [ (1, measure 1) ]
@@ -422,13 +515,13 @@ let sweep_scenario ~quick ~domains () =
           \"gen_work_ratio\": %.2f, \"per_domains\": {"
          m k q lanes gen_rows_per_fold k gen_work_ratio);
     List.iteri
-      (fun i (d, (fold, fused)) ->
+      (fun i (d, (fold, fused, col_dots)) ->
         Buffer.add_string b
           (Printf.sprintf
-             "%s\"%d\": {\"fold_sweep_s\": %.6f, \"fused_sweep_s\": %.6f, \
-              \"fused_speedup\": %.2f}"
+             "%s\"%d\": {%s, \"fold_sweep_s\": %.6f, \"fused_sweep_s\": %.6f, \
+              \"fused_speedup\": %.2f, \"col_dots\": %s}"
              (if i = 0 then "" else ", ")
-             d fold fused (fold /. fused)))
+             d (Bench_util.stamp ~domains:d) fold fused (fold /. fused) col_dots))
       arms;
     Buffer.add_string b (Printf.sprintf "}, \"peak_rss_mb\": %.1f}" rss_mb);
     Buffer.contents b

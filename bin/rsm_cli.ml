@@ -390,6 +390,17 @@ let print_cv_checkpoint (cfg : Robust.Pipeline.config) ~files =
         (if st.resume then ", resumed" else ""))
     cfg.store
 
+(* The CV report's λ line: the chosen λ and, when it is the grid's cap
+   (the CV curve's length), which cap that is — --max-lambda, the
+   dictionary size M, or the smallest fold's training rows. *)
+let cv_lambda_text ~max_lambda ~m (lambda, cap) =
+  if lambda < cap then Printf.sprintf "%d (grid 1-%d)" lambda cap
+  else
+    Printf.sprintf "%d, the grid's cap (%s)" lambda
+      (if cap = max_lambda then Printf.sprintf "--max-lambda %d" max_lambda
+       else if cap = m then Printf.sprintf "M = %d bases" m
+       else Printf.sprintf "the smallest fold's %d training rows" cap)
+
 let print_hygiene ~names h =
   List.iter
     (Printf.printf "  hygiene       : %s\n")
@@ -560,6 +571,14 @@ let model_cmd =
         print_engines cfg ~cv:`Outputs;
         print_cv_checkpoint cfg ~files:".out<r>.fold<q>";
         print_hygiene ~names (Robust.Pipeline.multi_hygiene o);
+        Array.iteri
+          (fun r l ->
+            Option.iter
+              (fun l ->
+                Printf.printf "  CV lambda     : %s: %s\n" names.(r)
+                  (cv_lambda_text ~max_lambda ~m:m_cols l))
+              l)
+          o.Robust.Pipeline.cv_lambdas;
         (* One fresh point set tests every metric — the same sharing the
            training batch used. *)
         let test_pts =
@@ -664,6 +683,11 @@ let model_cmd =
         print_engines cfg ~cv:`Cv;
         print_cv_checkpoint cfg ~files:".fold<q>";
         print_hygiene ~names (Robust.Pipeline.outcome_hygiene o);
+        Option.iter
+          (fun l ->
+            Printf.printf "  CV lambda     : %s\n"
+              (cv_lambda_text ~max_lambda ~m:m_cols l))
+          o.Robust.Pipeline.cv_lambda;
         validate model;
         Printf.printf "  fitting cost  : %.2f s (measured)\n" fit_s;
         Printf.printf

@@ -203,15 +203,37 @@ let step_budget max_lambda =
    sweep. Every driver therefore walks the same steps with the same
    float sequences. *)
 module Engine = struct
-  (* A direction's step-length screen is run once, on first asking. *)
+  (* What a step's correlation phase computes exactly: every column
+     (the full sweep), or the active set plus the inactive columns whose
+     carried bound reaches the active correlation. *)
+  type keep = Full | Carried of { idx : int array; rest : int array }
+
+  (* The residual of a correlation phase, its norm, and its [keep],
+     decided once, on first asking. *)
+  type corr = { r : Vec.t; r_norm : float; mutable keep : keep option }
+
+  (* The raw images (Gᵀu)_j a direction's answer computed: none (a
+     shard answered), every column's (the full sweep), or the listed
+     columns' (a screen that held). *)
+  type images = No_images | All_images of Vec.t | Listed of int array * Vec.t
+
+  (* A direction's step-length screen is run once, on first asking.
+     When it falls back while some correlations are only bounded, the
+     direction first asks for the residual's full sweep ([resweep]),
+     which makes every correlation exact, and its screen runs again. *)
   type phase =
-    | Corr
+    | Corr of corr
     | Dir of {
         added : int option;
         dir : dir;
+        corr : corr;
         mutable screen : Shard_sweep.screen option;
+        mutable resweep : bool;
+        mutable images : images;
       }
     | Done
+
+  type dots = { full : int; carried : int; screened : int; fallback : int }
 
   type t = {
     src : Provider.t;
@@ -219,11 +241,30 @@ module Engine = struct
     mode : mode;
     tol : float;
     on_singular : [ `Stop | `Fallback ];
+    pool : Parallel.Pool.t option;
     max_steps : int;
     max_lambda : int option;  (* λ budget of a λ-driven walk *)
     max_active : int;
     f : Vec.t;
-    mutable c : Vec.t;  (* normalized correlations of the last [scan_corr] *)
+    f_norm : float;
+    (* Normalized correlations, exact at the columns whose [fresh] stamp
+       is the current [tick]; stale elsewhere. *)
+    mutable c : Vec.t;
+    fresh : int array;
+    mutable tick : int;
+    (* This step's upper bound on every |c_j| (|c_j| where exact). *)
+    hi : Vec.t;
+    (* The carried bounds: |c_j| at the last step that computed it, plus
+       that step's rounding allowance, and the path length [moved] had
+       then. [infinity] until a step computes it. *)
+    bound : Vec.t;
+    bound_at : Vec.t;
+    mutable moved : float;  (* Σ γ·‖u‖ over the live steps, with margins *)
+    raw : Vec.t;  (* scratch: raw correlations of the carried columns *)
+    mutable n_full : int;
+    mutable n_carried : int;
+    mutable n_screened : int;
+    mutable n_fallback : int;
     mutable steps_rev : step list;
     mutable events : Ckpt.event list;  (* newest first, one per step *)
     mutable nevents : int;
@@ -235,54 +276,104 @@ module Engine = struct
 
   type entry = No_entry | Entered of int | Banned of int
 
-  let make ~mode ~tol ~on_singular ~norms src f ~max_lambda ~max_steps =
+  (* Carried-bound constants. For unit columns, |c_j(r) − c_j(r_e)| ≤
+     ‖r − r_e‖ (Efron et al.), and the residual moves by γ·u per step,
+     so |c_j| now is at most its value at step e plus the path length
+     walked since. The margins cover rounding: [rho]·‖r_e‖ the
+     computed |c_j| at both ends (K·ε·‖r‖ for K below 10⁶ is under
+     1.2e-10·‖r‖), 1e-9 the relative error of γ·‖u‖ and of the column
+     norms, [drift]·‖f‖ per step the rounding of μ's update and of
+     r = f − μ (a few ε·(‖f‖ + ‖μ‖), ‖μ‖ ≤ 2‖f‖ on a LAR path). A
+     column is computed exactly unless its bound is below
+     C·(1 − 1e-8) − 1e-14, C being the active set's exact correlation:
+     every column that could enter (|c_j| ≥ C(1 − 1e-9) − 1e-15) or
+     set C is computed. [carried_share]: a step whose exact columns
+     exceed this share of M sweeps all of them — the sweep resets every
+     bound, and from the column-major image a subset's dots cost about
+     its share of one sweep (PERFORMANCE.md "LAR carried correlation
+     bounds"). *)
+  let rho = 1e-9
+  let drift = 1e-14
+  let carried_share = 0.5
+
+  (* [carried:false] (a sharded walk, whose shards answer every
+     request) leaves the per-column arrays of the engine's own screens
+     empty. *)
+  let make ?(carried = true) ~mode ~tol ~on_singular ?pool ~norms src f
+      ~max_lambda ~max_steps =
     let k = Provider.rows src and m = Provider.cols src in
+    let mc = if carried then m else 0 in
+    let st =
+      {
+        cache = Provider.Cache.create src;
+        norms;
+        k;
+        m;
+        beta = Array.make m 0.;
+        mu = Array.make k 0.;
+        active = [];
+        in_active = Array.make m false;
+        banned = Array.make m false;
+        notes = [];
+        chol = Cholesky.Grow.create (max (min k m) 1);
+      }
+    in
     {
       src;
-      st =
-        {
-          cache = Provider.Cache.create src;
-          norms;
-          k;
-          m;
-          beta = Array.make m 0.;
-          mu = Array.make k 0.;
-          active = [];
-          in_active = Array.make m false;
-          banned = Array.make m false;
-          notes = [];
-          chol = Cholesky.Grow.create (max (min k m) 1);
-        };
+      st;
       mode;
       tol;
       on_singular;
+      pool;
       max_steps;
       max_lambda;
       max_active = min k m;
       f;
-      c = [||];
+      f_norm = sqrt (Vec.nrm2_sq f);
+      c = Array.make mc 0.;
+      fresh = Array.make mc (-1);
+      tick = 0;
+      hi = Array.make mc infinity;
+      bound = Array.make mc infinity;
+      bound_at = Array.make mc 0.;
+      moved = 0.;
+      raw = Array.make mc 0.;
+      n_full = 0;
+      n_carried = 0;
+      n_screened = 0;
+      n_fallback = 0;
       steps_rev = [];
       events = [];
       nevents = 0;
       initial_c = 0.;
       nsteps = 0;
       stop = false;
-      phase = Corr;
+      phase = Done;
     }
+
+  (* A new correlation phase over the current residual. *)
+  let corr_phase t =
+    let r = Vec.sub t.f t.st.mu in
+    t.tick <- t.tick + 1;
+    Corr { r; r_norm = sqrt (Vec.nrm2_sq r); keep = None }
 
   let create ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) src f
       ~max_lambda =
     let max_steps = step_budget max_lambda in
     validate src f ~max_steps;
-    make ~mode ~tol ~on_singular
-      ~norms:(fix_norms (Provider.column_norms ?pool src))
-      src f ~max_lambda:(Some max_lambda) ~max_steps
+    let t =
+      make ~mode ~tol ~on_singular ?pool
+        ~norms:(fix_norms (Provider.column_norms ?pool src))
+        src f ~max_lambda:(Some max_lambda) ~max_steps
+    in
+    t.phase <- corr_phase t;
+    t
 
-  let finished t = match t.phase with Done -> true | Corr | Dir _ -> false
+  let finished t = match t.phase with Done -> true | Corr _ | Dir _ -> false
 
   let request t =
     match t.phase with
-    | Corr -> Vec.sub t.f t.st.mu
+    | Corr { r; _ } | Dir { resweep = true; corr = { r; _ }; _ } -> r
     | Dir { dir; _ } -> dir.u
     | Done -> invalid_arg "Lars.Engine.request: engine is finished"
 
@@ -299,7 +390,8 @@ module Engine = struct
       | _ -> false
     in
     t.phase <-
-      (if t.stop || t.nsteps >= t.max_steps || past_lambda then Done else Corr)
+      (if t.stop || t.nsteps >= t.max_steps || past_lambda then Done
+       else corr_phase t)
 
   let push t (e : Ckpt.event) ~cc =
     let opt j = if j >= 0 then Some j else None in
@@ -333,6 +425,11 @@ module Engine = struct
      and none may enter), then either a ban step or the direction. *)
   let answer_corr t (p : Shard_sweep.pick) =
     let st = t.st in
+    let corr =
+      match t.phase with
+      | Corr corr -> corr
+      | Dir _ | Done -> invalid_arg "Lars.Engine: no correlation pending"
+    in
     t.nsteps <- t.nsteps + 1;
     let big_c = p.Shard_sweep.big_c and j = p.Shard_sweep.enter in
     if t.nsteps = 1 then t.initial_c <- big_c;
@@ -385,19 +482,58 @@ module Engine = struct
              | None -> t.stop <- true
              | Some dir ->
                  let added = match entry with Entered j -> Some j | _ -> None in
-                 t.phase <- Dir { added; dir; screen = None }));
-      (match t.phase with Dir _ -> () | Corr | Done -> settle t);
+                 t.phase <-
+                   Dir
+                     { added; dir; corr; screen = None; resweep = false;
+                       images = No_images }));
+      (match t.phase with Dir _ -> () | Corr _ | Done -> settle t);
       entry
     end
+
+  (* A column whose image the step computed (every such column has its
+     exact correlation) moved by exactly γ·a_j: c_j(r − γu) =
+     c_j(r) − γ·a_j. Its bound restarts from |c_j − γa_j| when that is
+     below the carried bound, with margins for the rounding of a_j
+     (K·ε·‖u‖) and of the update, and [rho], [drift] as in the carried
+     bound. *)
+  let tighten t ~gamma ~u_norm =
+    match t.phase with
+    | Corr _ | Done -> ()
+    | Dir { corr; images; _ } ->
+        let st = t.st in
+        let slack =
+          (gamma *. 1e-9 *. u_norm) +. (drift *. t.f_norm) +. (rho *. corr.r_norm)
+        in
+        let one j raw =
+          if t.fresh.(j) = t.tick && (not st.in_active.(j)) && not st.banned.(j)
+          then begin
+            let a = raw /. st.norms.(j) and c = t.c.(j) in
+            let nb =
+              Float.abs (c -. (gamma *. a))
+              +. (1e-9 *. (Float.abs c +. (gamma *. Float.abs a)))
+              +. slack
+            in
+            if nb < t.bound.(j) +. (t.moved -. t.bound_at.(j)) then begin
+              t.bound.(j) <- nb;
+              t.bound_at.(j) <- t.moved
+            end
+          end
+        in
+        match images with
+        | No_images -> ()
+        | All_images gu -> Array.iteri one gu
+        | Listed (idx, raw) -> Array.iteri (fun q j -> one j raw.(q)) idx
 
   (* Supply the minimum γ candidate over the inactive columns: the step
      runs to it, or to the saturation point C/A (the full-LS endpoint of
      the active set; the tol test then stops the next iteration), or —
      lasso — to the first zero crossing of an active coefficient, which
-     is dropped there. Returns the committed γ and the dropped column. *)
+     is dropped there. The residual moves by γ·u, which the carried
+     bounds add to the path length. Returns the committed γ and the
+     dropped column. *)
   let answer_dir t g =
     match t.phase with
-    | Corr | Done -> invalid_arg "Lars.Engine: no direction pending"
+    | Corr _ | Done -> invalid_arg "Lars.Engine: no direction pending"
     | Dir { added; dir; _ } ->
         let st = t.st in
         let gamma = ref (dir.cc /. dir.a_a) in
@@ -416,6 +552,10 @@ module Engine = struct
               end)
             dir.act;
         advance st dir !gamma;
+        let u_norm = sqrt (Vec.nrm2_sq dir.u) in
+        t.moved <-
+          t.moved +. (!gamma *. u_norm *. (1. +. 1e-9)) +. (drift *. t.f_norm);
+        tighten t ~gamma:!gamma ~u_norm;
         if
           !dropped >= 0
           && drop st ~on_singular:t.on_singular ~on_stop:raise !dropped
@@ -431,60 +571,249 @@ module Engine = struct
         settle t;
         (!gamma, if !dropped >= 0 then Some !dropped else None)
 
-  (* The whole-dictionary answers from raw M-length sweeps. *)
+  (* Column j's correlation is now exact: stamp it and restart its
+     bound. *)
+  let mark t (corr : corr) j =
+    let a = Float.abs t.c.(j) in
+    t.fresh.(j) <- t.tick;
+    t.hi.(j) <- a;
+    t.bound.(j) <- a +. (rho *. corr.r_norm);
+    t.bound_at.(j) <- t.moved
+
+  (* Exact correlations at the listed columns not yet exact this step:
+     [col_dots], bitwise the full sweep's slots, normalized as
+     [lars_scan_at] normalizes them. Returns how many it computed. *)
+  let refresh t corr idx =
+    let stale =
+      List.filter (fun j -> t.fresh.(j) <> t.tick) (Array.to_list idx)
+      |> Array.of_list
+    in
+    let n = Array.length stale in
+    if n > 0 then begin
+      let out = Array.make n 0. in
+      Provider.col_dots ?pool:t.pool t.src stale corr.r out;
+      Array.iteri
+        (fun q j ->
+          t.c.(j) <- out.(q) /. t.st.norms.(j);
+          mark t corr j)
+        stale
+    end;
+    n
+
+  (* The correlation phase's plan: the active set's exact correlations
+     give C, and an inactive, non-banned column joins them unless its
+     carried bound is below C·(1 − 1e-8) − 1e-14. The active dots are
+     computed here and kept in [raw]. *)
+  let carried_keep t corr =
+    let st = t.st and m = t.st.m in
+    if st.active = [] then Full
+    else begin
+      let act = Array.of_list (List.sort Int.compare st.active) in
+      let out = Array.make (Array.length act) 0. in
+      Provider.col_dots ?pool:t.pool t.src act corr.r out;
+      t.n_carried <- t.n_carried + Array.length act;
+      let big_c = ref 0. in
+      Array.iteri
+        (fun q j ->
+          t.raw.(j) <- out.(q);
+          let a = Float.abs (out.(q) /. st.norms.(j)) in
+          if a > !big_c then big_c := a)
+        act;
+      let thr = !big_c -. (1e-8 *. !big_c) -. 1e-14 in
+      let room =
+        int_of_float (carried_share *. float_of_int m) - Array.length act
+      in
+      let rest = Array.make (max 0 room + 1) 0 in
+      let n = ref 0 and j = ref 0 in
+      while !n <= room && !j < m do
+        let jj = !j in
+        if
+          (not st.in_active.(jj))
+          && (not st.banned.(jj))
+          && not (t.bound.(jj) +. (t.moved -. t.bound_at.(jj)) < thr)
+        then begin
+          rest.(!n) <- jj;
+          incr n
+        end;
+        incr j
+      done;
+      if !n > room then Full
+      else begin
+        let rest = Array.sub rest 0 !n in
+        let idx = Array.append act rest in
+        Array.sort Int.compare idx;
+        Carried { idx; rest }
+      end
+    end
+
+  let keep t corr =
+    match corr.keep with
+    | Some k -> k
+    | None ->
+        let k = carried_keep t corr in
+        corr.keep <- Some k;
+        k
+
+  (* The whole-dictionary answers from raw M-length sweeps. A full
+     correlation sweep makes every column exact and restarts every
+     bound. *)
   let scan_corr t gtr =
     let st = t.st in
+    let corr =
+      match t.phase with
+      | Corr corr -> corr
+      | Dir _ | Done -> invalid_arg "Lars.Engine: no correlation pending"
+    in
     let c, pick =
       Shard_sweep.lars_scan ~norms:st.norms ~active:st.in_active
         ~banned:st.banned ~jlo:0 gtr
     in
     t.c <- c;
+    for j = 0 to st.m - 1 do
+      mark t corr j
+    done;
+    t.n_full <- t.n_full + st.m;
     pick
 
+  (* The carried answer: the plan's remaining columns' dots, then the
+     scan over the plan's columns; every other column keeps its bound as
+     this step's [hi]. *)
+  let carried_corr t corr ~idx ~rest =
+    let st = t.st in
+    let out = Array.make (Array.length rest) 0. in
+    Provider.col_dots ?pool:t.pool t.src rest corr.r out;
+    t.n_carried <- t.n_carried + Array.length rest;
+    Array.iteri (fun q j -> t.raw.(j) <- out.(q)) rest;
+    let pick =
+      Shard_sweep.lars_scan_at ~norms:st.norms ~active:st.in_active
+        ~banned:st.banned ~jlo:0 ~c:t.c idx
+        (Array.map (fun j -> t.raw.(j)) idx)
+    in
+    for j = 0 to st.m - 1 do
+      t.hi.(j) <- t.bound.(j) +. (t.moved -. t.bound_at.(j))
+    done;
+    Array.iter (mark t corr) idx;
+    pick
+
+  (* The full step-length scan, over exact correlations: a driver that
+     supplies the step-length sweep without asking the screen first gets
+     the columns this step only bounded refreshed here. *)
   let scan_gamma t gu =
     match t.phase with
-    | Corr | Done -> invalid_arg "Lars.Engine: no direction pending"
-    | Dir { dir; _ } ->
+    | Corr _ | Done -> invalid_arg "Lars.Engine: no direction pending"
+    | Dir ({ dir; corr; _ } as d) ->
         let st = t.st in
+        let stale = ref [] in
+        for j = st.m - 1 downto 0 do
+          if t.fresh.(j) <> t.tick && (not st.in_active.(j)) && not st.banned.(j)
+          then stale := j :: !stale
+        done;
+        t.n_fallback <-
+          t.n_fallback + st.m + refresh t corr (Array.of_list !stale);
+        d.images <- All_images gu;
         Shard_sweep.gamma_scan ~norms:st.norms ~active:st.in_active
           ~banned:st.banned ~c:t.c ~cc:dir.cc ~a_a:dir.a_a gu
 
+  (* The residual's full sweep a direction asked for ([resweep]): every
+     column is exact again, and the step-length screen runs anew. *)
+  let resweep t d gtr =
+    let st = t.st in
+    for j = 0 to st.m - 1 do
+      if t.fresh.(j) <> t.tick then begin
+        t.c.(j) <- gtr.(j) /. st.norms.(j);
+        mark t d j
+      end
+    done;
+    t.n_full <- t.n_full + st.m
+
   let supply t g =
+    if Array.length g <> t.st.m then
+      invalid_arg "Lars.Engine.supply: sweep length mismatch";
     match t.phase with
-    | Corr -> ignore (answer_corr t (scan_corr t g))
+    | Corr _ -> ignore (answer_corr t (scan_corr t g))
+    | Dir ({ resweep = true; corr; _ } as d) ->
+        resweep t corr g;
+        d.resweep <- false;
+        d.screen <- None
     | Dir _ -> ignore (answer_dir t (scan_gamma t g))
     | Done -> invalid_arg "Lars.Engine.supply: engine is finished"
 
   (* The step-length screen over the whole dictionary
-     ([Shard_sweep.screen_gamma]); [Sweep] outside the direction
-     phase. *)
+     ([Shard_sweep.screen_gamma]) against this step's bounds; [Sweep]
+     outside the direction phase. *)
   let screen_state t =
     match t.phase with
-    | Corr | Done -> Shard_sweep.Sweep
+    | Corr _ | Done -> Shard_sweep.Sweep
     | Dir d -> (
         match d.screen with
         | Some s -> s
         | None ->
             let st = t.st in
+            (* Each [refresh] call precedes the images of the same
+               columns. *)
+            let refreshed = ref 0 and imaged = ref 0 in
             let s =
-              Shard_sweep.screen_gamma t.src ~norms:st.norms
-                ~active:st.in_active ~banned:st.banned ~c:t.c ~cc:d.dir.cc
-                ~a_a:d.dir.a_a d.dir.u
+              Shard_sweep.screen_gamma ?pool:t.pool t.src ~norms:st.norms
+                ~active:st.in_active ~banned:st.banned ~c:t.c ~hi:t.hi
+                ~refresh:(fun idx ->
+                  imaged := !imaged + Array.length idx;
+                  refreshed := !refreshed + refresh t d.corr idx)
+                ~cc:d.dir.cc ~a_a:d.dir.a_a d.dir.u
             in
+            (match s with
+            | Shard_sweep.Kept { kept; images; _ } ->
+                d.images <- Listed (kept, images);
+                t.n_carried <- t.n_carried + !refreshed;
+                t.n_screened <- t.n_screened + !imaged
+            | Sweep ->
+                t.n_fallback <- t.n_fallback + !refreshed + !imaged;
+                let bounded = ref false in
+                for j = 0 to st.m - 1 do
+                  if
+                    t.fresh.(j) <> t.tick
+                    && (not st.in_active.(j))
+                    && not st.banned.(j)
+                  then bounded := true
+                done;
+                d.resweep <- !bounded);
             d.screen <- Some s;
             s)
 
   let screen t =
-    match screen_state t with
-    | Shard_sweep.Kept { kept; _ } -> Some kept
-    | Sweep -> None
+    match t.phase with
+    | Corr corr -> (
+        match keep t corr with
+        | Carried { idx; _ } -> Some idx
+        | Full -> None)
+    | Dir _ | Done -> (
+        match screen_state t with
+        | Shard_sweep.Kept { kept; _ } -> Some kept
+        | Sweep -> None)
 
-  (* The screened answer: min(C/A, ·) of the screen's minimum commits
-     the full scan's γ bit for bit. *)
+  (* The screened answers: the carried correlations, or min(C/A, ·) of
+     the step-length screen's minimum — each the full scan's answer bit
+     for bit. *)
   let supply_screened t =
-    match screen_state t with
-    | Shard_sweep.Kept { gamma; _ } -> ignore (answer_dir t gamma)
-    | Sweep -> invalid_arg "Lars.Engine.supply_screened: the screen does not hold"
+    let fail () =
+      invalid_arg "Lars.Engine.supply_screened: the screen does not hold"
+    in
+    match t.phase with
+    | Corr corr -> (
+        match keep t corr with
+        | Carried { idx; rest } -> ignore (answer_corr t (carried_corr t corr ~idx ~rest))
+        | Full -> fail ())
+    | Dir _ | Done -> (
+        match screen_state t with
+        | Shard_sweep.Kept { gamma; _ } -> ignore (answer_dir t gamma)
+        | Sweep -> fail ())
+
+  let dots t =
+    {
+      full = t.n_full;
+      carried = t.n_carried;
+      screened = t.n_screened;
+      fallback = t.n_fallback;
+    }
 
   let steps t = Array.of_list (List.rev t.steps_rev)
 end
@@ -586,9 +915,10 @@ let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) ?log
     | Some e -> Shard_sweep.raw_norms e
   in
   let t =
-    Engine.make ~mode ~tol ~on_singular ~norms:(fix_norms norms) src f
-      ~max_lambda ~max_steps
+    Engine.make ~carried:(Option.is_none eng) ~mode ~tol ~on_singular ?pool
+      ~norms:(fix_norms norms) src f ~max_lambda ~max_steps
   in
+  t.Engine.phase <- Engine.corr_phase t;
   let st = t.Engine.st in
   (match resume with None -> () | Some ck -> replay t ck);
   (* Sharded post-replay sync: the replayed active set and bans. *)
@@ -602,40 +932,31 @@ let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) ?log
         capture st ~mode ~scale:t.Engine.initial_c ~f t.Engine.events)
   in
   while not (Engine.finished t) do
-    (match t.Engine.phase with
-    | Engine.Done -> ()
-    | Engine.Corr -> (
-        (* Correlations of every column with the residual: the
-           column-parallel Gᵀ·r sweep (bitwise equal to the sequential
-           per-column xdot), or the shards' merged picks. *)
-        let pick =
-          match eng with
-          | Some e -> Shard_sweep.lars_select e ~r:(Engine.request t)
-          | None ->
-              Engine.scan_corr t
-                (Corr_sweep.gram_tr ?pool src (Engine.request t))
+    (match (eng, t.Engine.phase) with
+    | _, Engine.Done -> ()
+    | None, _ ->
+        (* Unsharded: the engine's own screens answer wherever they
+           hold — the carried correlations, then the step-length
+           screen — and the column-parallel full sweep (bitwise the
+           sequential per-column dots) answers everywhere else. *)
+        if Option.is_some (Engine.screen t) then Engine.supply_screened t
+        else Engine.supply t (Corr_sweep.gram_tr ?pool src (Engine.request t))
+    | Some e, Engine.Corr _ -> (
+        (* Sharded: the shards' merged picks over full window sweeps. *)
+        match
+          Engine.answer_corr t (Shard_sweep.lars_select e ~r:(Engine.request t))
+        with
+        | Engine.Entered j -> Shard_sweep.activate e j
+        | Engine.Banned j -> Shard_sweep.ban e j
+        | Engine.No_entry -> ())
+    | Some e, Engine.Dir { dir; _ } ->
+        (* Each shard screens its own step length and the local minima
+           fold. *)
+        let _, dropped =
+          Engine.answer_dir t
+            (Shard_sweep.lars_gamma e ~cc:dir.cc ~a_a:dir.a_a dir.u)
         in
-        match (Engine.answer_corr t pick, eng) with
-        | Engine.Entered j, Some e -> Shard_sweep.activate e j
-        | Engine.Banned j, Some e -> Shard_sweep.ban e j
-        | _ -> ())
-    | Engine.Dir { dir; _ } -> (
-        (* Step lengths: the inner products of the columns with the
-           equiangular direction u are the second Gᵀ·r-shaped sweep of
-           the iteration. The screen computes them only for the columns
-           that can set γ, or sweeps all of them when it keeps too
-           many; sharded runs screen inside each shard and fold the
-           local minima. *)
-        match eng with
-        | None ->
-            if Option.is_some (Engine.screen t) then Engine.supply_screened t
-            else Engine.supply t (Corr_sweep.gram_tr ?pool src dir.u)
-        | Some e ->
-            let _, dropped =
-              Engine.answer_dir t
-                (Shard_sweep.lars_gamma e ~cc:dir.cc ~a_a:dir.a_a dir.u)
-            in
-            Option.iter (Shard_sweep.deactivate e) dropped));
+        Option.iter (Shard_sweep.deactivate e) dropped);
     emit ~final:false t.Engine.nevents
   done;
   (* Terminal checkpoint: whatever the cadence, a completed path leaves

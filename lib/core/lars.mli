@@ -37,7 +37,11 @@
     it holds — over the whole dictionary ({!Engine.screen}) or inside
     each shard: only the columns that can set the step get their image
     computed, and the committed step is the full scan's bit for
-    bit. *)
+    bit. The engine also carries a bound on every column's correlation
+    from step to step (Efron et al.: for unit columns,
+    |c_j(r) − c_j(r_e)| ≤ ‖r − r_e‖), so the unsharded walk and each
+    fused lane compute exact correlations only for the columns that
+    could enter or set C; shards keep their full window sweeps. *)
 
 type mode = Lar | Lasso
 
@@ -91,10 +95,12 @@ val path_p :
     {!Parallel.Pool.default}); entering/leaving variables, step lengths
     and coefficients are bitwise identical to the sequential dense
     sweeps for every domain count and either provider form (each dot
-    product is accumulated whole). A step whose screen holds
-    ({!Shard_sweep.screen_gamma}) computes [Gᵀ·u] only for the columns
-    that can set its length, sequentially, and commits the same step
-    length.
+    product is accumulated whole). Unsharded, a step whose carried
+    bounds hold ({!Engine.screen}) computes [Gᵀ·res] only for the
+    columns that could enter or set C, and a step whose step-length
+    screen holds ({!Shard_sweep.screen_gamma}) computes [Gᵀ·u] only for
+    the columns that can set its length; both commit the full sweep's
+    answer.
 
     Checkpointing: [log.save] receives the walk log
     ({!Serialize.Checkpoint.t}, solver tag ["lar"] or ["lasso"]) every
@@ -194,7 +200,9 @@ val fit_p :
     direction). The engine suspends at each: {!Engine.request} names
     the K-vector whose sweep is needed next, {!Engine.supply} feeds the
     M-length [Gᵀ·v] back, reduces it with the same scan kernels
-    {!path_p} uses, and advances the walk. Driven with exact sweeps —
+    {!path_p} uses, and advances the walk; where {!Engine.screen}
+    holds, {!Engine.supply_screened} answers from the engine's own
+    provider instead. Driven with exact sweeps —
     in particular the per-entry results of {!Corr_sweep.gram_tr_multi},
     which are bitwise equal to independent per-fold sweeps — the
     recorded steps are bit-for-bit those of {!path_p} with the exact
@@ -228,7 +236,10 @@ module Engine : sig
   val request : t -> Linalg.Vec.t
   (** The K-vector whose [Gᵀ·v] sweep the engine needs next: the
       current residual (correlation phase) or the equiangular direction
-      (step-length phase).
+      (step-length phase) — or the residual again, in the step-length
+      phase, when the step-length screen fell back while some
+      correlations were only bounded: that sweep makes them exact, and
+      the screen runs again before the direction is asked for.
       @raise Invalid_argument once {!finished}. *)
 
   val supply : t -> Linalg.Vec.t -> unit
@@ -239,34 +250,70 @@ module Engine : sig
       drop under [~on_singular:`Stop], as {!path_p} does. *)
 
   val screen : t -> int array option
-  (** The step-length screen of the pending direction (Efron et al.,
-      eq. 2.13), {!Shard_sweep.screen_gamma} over the whole dictionary,
-      run once per step on the first call: [Some kept] lists,
-      ascending, the inactive, non-banned columns whose candidates can
-      set γ, whose exact images the screen computed, and
-      {!supply_screened} answers from them; [None] in the correlation
-      phase, once {!finished}, or when the screen keeps more than a
-      quarter of the columns and the full sweep must answer.
+  (** The screen of the pending request, decided once per phase on the
+      first call. [Some kept] lists, ascending, the columns whose exact
+      values {!supply_screened} computes to answer it; [None] means the
+      full sweep must answer ({!supply}), and once {!finished}.
 
-      Columns are unit norm, so |a_j| ≤ ‖u‖, and a positive candidate
-      of column j is at least gap_j/(A + ‖u‖) with gap_j = C − |c_j|.
-      The exact candidates of the 8 columns nearest the tie give
-      thr = min(C/A, their minimum) ≥ the committed γ; column j is
-      skipped only when gap_j·(1 − 1e-9)/(A + ‖u‖·(1 + 1e-9)) >
-      thr·(1 + 1e-9) with gap_j > 0. The margins exceed the rounding of
-      the dots, norms and quotients (a few K·ε) for any K below 10⁶,
-      and a NaN anywhere keeps the column. *)
+      Correlation phase — carried bounds (Efron et al.: for unit
+      columns, |c_j(r) − c_j(r_e)| ≤ ‖r − r_e‖). The engine keeps, per
+      column, |c_j| at the last step that computed it exactly and the
+      residual path length Σ γ·‖u‖ walked by then; their sum with the
+      path walked since bounds |c_j| now. The active set's exact
+      correlations give C, and [kept] is the active set plus every
+      inactive, non-banned column whose bound is not below
+      C·(1 − 1e-8) − 1e-14 — every column that could enter or set C.
+      [None] on the first step, after a replay or resume (no bounds
+      yet), and when [kept] exceeds half the columns: the full sweep
+      then resets every bound.
+
+      Step-length phase — {!Shard_sweep.screen_gamma} over the whole
+      dictionary (Efron et al., eq. 2.13). Columns are unit norm, so
+      |a_j| ≤ ‖u‖, and a positive candidate of column j is at least
+      gap_j/(A + ‖u‖) with gap_j = C − |c_j|, or C − bound_j where the
+      step only bounded c_j. The exact candidates of the 8 columns
+      nearest the tie give thr = min(C/A, their minimum) ≥ the committed
+      γ; column j is skipped only when gap_j·(1 − 1e-9)/(A + ‖u‖·(1 +
+      1e-9)) > thr·(1 + 1e-9) with gap_j > 0. [kept] lists the inactive,
+      non-banned columns whose images the screen computed — with their
+      exact correlations; [None] when the screen keeps more than a
+      quarter of the columns ({!request} then names the residual first
+      if some correlations were only bounded, the direction once all
+      are exact). A column whose image a step computed restarts its
+      carried bound from |c_j − γ·a_j|, the correlation it moves to.
+      The margins exceed the rounding of the
+      dots, norms and quotients (a few K·ε) for any K below 10⁶, and a
+      NaN anywhere keeps the column. *)
 
   val supply_screened : t -> unit
-  (** [supply_screened t] answers the pending step-length request from
-      the {!screen}ed columns: their exact images, from the engine's
-      own provider ({!Polybasis.Design.Provider.col_dots}, bitwise the
-      full sweep's slots), reduced by {!Shard_sweep.gamma_scan_at}. A
-      skipped column cannot set γ, so the committed γ, the step record
-      and the event are bitwise those of {!supply} with the full
-      sweep, and the walk advances as {!supply} advances it.
+  (** [supply_screened t] answers the pending request from its
+      {!screen}: the kept columns' exact values, from the engine's own
+      provider ({!Polybasis.Design.Provider.col_dots}, bitwise the full
+      sweep's slots), reduced by {!Shard_sweep.lars_scan_at} or
+      {!Shard_sweep.gamma_scan_at}. A skipped column can neither enter,
+      set C nor set γ, so the pick, the committed γ, the step record
+      and the event are bitwise those of {!supply} with the full sweep,
+      and the walk advances as {!supply} advances it.
       @raise Invalid_argument unless {!screen} holds; propagates
       {!Linalg.Cholesky.Not_positive_definite} as {!supply} does. *)
+
+  type dots = {
+    full : int;  (** columns of the correlation phase's full sweeps *)
+    carried : int;
+        (** exact correlations of carried steps: the active set, the
+            columns whose bound reached C, and screened survivors whose
+            correlation was only bounded *)
+    screened : int;  (** images of step-length screens that held *)
+    fallback : int;
+        (** columns of the step-length full sweeps, the images of the
+            screens that fell back to them, and the exact correlations a
+            bounded step then needed (its columns that can set γ, or a
+            full correlation sweep when those exceed a quarter of M) *)
+  }
+
+  val dots : t -> dots
+  (** Column dot products this engine's walk has computed so far, by
+      kind — M per full sweep. *)
 
   val steps : t -> step array
   (** Steps recorded so far, oldest first. *)

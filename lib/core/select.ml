@@ -289,9 +289,10 @@ let fused_greedy (type e) (module E : Greedy.ENGINE with type t = e) ?pool
 
 (* LAR round: each live walk's pending request — residual or
    equiangular direction, the walks are mutually independent — served
-   from one [gram_tr_multi] pass, except a direction whose step-length
-   screen holds: that walk answers from its own provider (a fold's
-   row copy included) inside [advance], where a refit lane's
+   from one [gram_tr_multi] pass, except a request whose screen holds
+   (a correlation its carried bounds answer, or a direction its
+   step-length screen answers): that walk answers from its own provider
+   (a fold's row copy included) inside [advance], where a refit lane's
    [Not_positive_definite] is still caught. Each walk owns its λ budget: a LAR
    walk leaves the lockstep one step past λ bases, a lasso walk at its
    step budget. The walk a smaller λ drives is a prefix of this one:

@@ -152,9 +152,11 @@ val lars_p :
     each fold's walk, and the refit walk, on a
     {!Lars.Engine} created with the same λ budget and serves its
     per-step sweeps from one {!Corr_sweep.gram_tr_multi} pass per
-    lockstep round, except a step length whose {!Lars.Engine.screen}
-    holds: that walk answers it from the screened columns of its own
-    provider ({!Lars.Engine.supply_screened}), with the same bits. *)
+    lockstep round, except a request whose {!Lars.Engine.screen}
+    holds — a correlation its carried bounds answer, or a step length
+    its step-length screen answers: that walk answers it from the
+    kept columns of its own provider ({!Lars.Engine.supply_screened}),
+    with the same bits. *)
 
 (** {2 Multi-output selection}
 

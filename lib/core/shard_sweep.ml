@@ -12,7 +12,12 @@ let mode_of_string = function
 
 let mode_to_string = function Domains -> "domain" | Procs -> "process"
 
-type plan = { shards : int; mode : mode; recovered : int Atomic.t }
+type plan = {
+  shards : int;
+  mode : mode;
+  recovered : int Atomic.t;
+  peak_rss : float array Atomic.t;
+}
 
 let plan ?(mode = "domain") shards =
   match mode_of_string mode with
@@ -21,7 +26,8 @@ let plan ?(mode = "domain") shards =
         (Printf.sprintf "shard-mode must be domain or process (got %S)" mode)
   | Some _ when shards < 1 ->
       Error (Printf.sprintf "shards must be at least 1 (got %d)" shards)
-  | Some mode -> Ok { shards; mode; recovered = Atomic.make 0 }
+  | Some mode ->
+      Ok { shards; mode; recovered = Atomic.make 0; peak_rss = Atomic.make [||] }
 
 type pick = {
   big_c : float;
@@ -96,21 +102,23 @@ let local_select l r =
    Plain loops over float arrays (no per-column closure), since every
    step of every walk runs them.
 
-   Selection scan: normalize the raw correlations into [c] (returned
-   for the same step's gamma scan), then C over non-banned columns, the
+   Selection scan over the listed columns [idx] (ascending window
+   indices, [gtr_at.(t)] column idx.(t)'s raw correlation): normalize
+   them into [c], then C over the non-banned listed columns, the
    entering candidate (inactive, non-banned, strict [>] so the lowest
-   index wins ties), and the correlation values at the active columns —
-   everything the walk's step reads. *)
-let lars_scan ~norms ~active ~banned ~jlo gtr =
-  let w = Array.length norms in
-  if Array.length gtr <> w then
-    invalid_arg "Shard_sweep.lars_scan: sweep length mismatch";
-  let c = Array.make w 0. in
-  for j = 0 to w - 1 do
-    c.(j) <- gtr.(j) /. norms.(j)
+   index wins ties), and the correlation values at the active listed
+   columns — everything the walk's step reads. *)
+let lars_scan_at ~norms ~active ~banned ~jlo ~c idx gtr_at =
+  let n = Array.length idx in
+  if Array.length gtr_at <> n then
+    invalid_arg "Shard_sweep.lars_scan_at: sweep length mismatch";
+  for t = 0 to n - 1 do
+    let j = idx.(t) in
+    c.(j) <- gtr_at.(t) /. norms.(j)
   done;
   let big_c = ref 0. and enter = ref (-1) and enter_abs = ref 0. in
-  for j = 0 to w - 1 do
+  for t = 0 to n - 1 do
+    let j = idx.(t) in
     let a = Float.abs c.(j) in
     if (not banned.(j)) && a > !big_c then big_c := a;
     if (not active.(j)) && (not banned.(j)) && a > !enter_abs then begin
@@ -119,17 +127,25 @@ let lars_scan ~norms ~active ~banned ~jlo gtr =
     end
   done;
   let act = ref [] in
-  for j = w - 1 downto 0 do
+  for t = n - 1 downto 0 do
+    let j = idx.(t) in
     if active.(j) then act := (jlo + j, c.(j)) :: !act
   done;
-  ( c,
-    {
-      big_c = !big_c;
-      enter = (if !enter >= 0 then jlo + !enter else -1);
-      enter_abs = !enter_abs;
-      enter_val = (if !enter >= 0 then c.(!enter) else 0.);
-      act_c = Array.of_list !act;
-    } )
+  {
+    big_c = !big_c;
+    enter = (if !enter >= 0 then jlo + !enter else -1);
+    enter_abs = !enter_abs;
+    enter_val = (if !enter >= 0 then c.(!enter) else 0.);
+    act_c = Array.of_list !act;
+  }
+
+(* The scan over every column of the window, from a full sweep. *)
+let lars_scan ~norms ~active ~banned ~jlo gtr =
+  let w = Array.length norms in
+  if Array.length gtr <> w then
+    invalid_arg "Shard_sweep.lars_scan: sweep length mismatch";
+  let c = Array.make w 0. in
+  (c, lars_scan_at ~norms ~active ~banned ~jlo ~c (Array.init w Fun.id) gtr)
 
 (* Column j's two candidates folded into the running minimum [best]:
    the one step-length arithmetic of every scan below. *)
@@ -172,17 +188,18 @@ let gamma_scan_at ~norms ~c ~cc ~a_a idx gu_at =
    |a_j| ≤ ‖u‖, a positive candidate of a column with gap = C − |c_j| > 0
    is at least gap/(A + ‖u‖), so a column whose bound exceeds [thr] —
    with 1e-9 margins on ‖u‖, the gap and [thr] against rounding — cannot
-   set a step of at most [thr]. Every comparison is false on a NaN,
-   which keeps the column. *)
-let gamma_screen ~active ~banned ~c ~cc ~a_a ~u_norm ~thr ~top ~limit =
-  let w = Array.length c in
+   set a step of at most [thr]. [hi.(j)] is |c_j| or an upper bound on
+   it, so C − hi.(j) is the gap or a lower bound on it. Every comparison
+   is false on a NaN, which keeps the column. *)
+let gamma_screen ~active ~banned ~hi ~cc ~a_a ~u_norm ~thr ~top ~limit =
+  let w = Array.length hi in
   let den = a_a +. (u_norm *. (1. +. 1e-9)) and lim = thr *. (1. +. 1e-9) in
   let kept = Array.make (max limit 0 + 1) 0 in
   let n = ref 0 and j = ref 0 in
   while !n <= limit && !j < w do
     let jj = !j in
     if (not active.(jj)) && not banned.(jj) then begin
-      let gap = cc -. Float.abs c.(jj) in
+      let gap = cc -. hi.(jj) in
       if
         (not (gap > 0. && gap *. (1. -. 1e-9) /. den > lim))
         && not (Array.mem jj top)
@@ -203,20 +220,27 @@ let gamma_screen ~active ~banned ~c ~cc ~a_a ~u_norm ~thr ~top ~limit =
    10.6 / 10.9 / 11.6 / 13.6% on the 4-output op-amp fit; 4 fell back
    on 5 more of 3025 steps than 8 on the Table II flow. A screen keeping
    more than [screen_share] of the columns falls back to the full
-   sweep: on a dense 1000 × 1891 design, [col_dots] over a random
-   ascending 10 / 25 / 50% of the columns took 0.64 / 0.82 / 1.14× the
-   time of the full [gram_tr] (rows stream through cache either way). *)
+   sweep. On a dense 1000 × 1891 design, [col_dots] from the
+   column-major image over a random ascending 1 / 10 / 20 / 40% of the
+   columns takes 0.01 / 0.11 / 0.24 / 0.51× the time of the full
+   [gram_tr] (the row-major subset kernel it replaced: 0.04 / 0.71 /
+   0.92 / 1.12×; `bench/main.exe sweep`). Under carried correlation
+   bounds a held screen also computes its survivors' exact
+   correlations, and a quarter stayed the limit: over the five Table II
+   walks, limits of 0.15 / 0.25 / 0.4 / 0.6 computed 0.255 / 0.250 /
+   0.244 / 0.246 of two full sweeps' dots, with walk times within the
+   host's spread (`bench/main.exe lardots`). *)
 let screen_top = 8
 let screen_share = 0.25
 
-(* The [screen_top] inactive, non-banned columns of largest |c_j|,
-   ascending. A NaN correlation never ranks: the bound keeps it. *)
-let nearest_tie ~active ~banned c =
+(* The [screen_top] inactive, non-banned columns of largest hi.(j),
+   ascending. A NaN never ranks: the bound keeps it. *)
+let nearest_tie ~active ~banned hi =
   let tv = Array.make screen_top 0. and ti = Array.make screen_top 0 in
   let nt = ref 0 in
-  for j = 0 to Array.length c - 1 do
+  for j = 0 to Array.length hi - 1 do
     if (not active.(j)) && not banned.(j) then begin
-      let a = Float.abs c.(j) in
+      let a = hi.(j) in
       if a >= 0. && (!nt < screen_top || a > tv.(screen_top - 1)) then begin
         let p = ref (min !nt (screen_top - 1)) in
         if !nt < screen_top then incr nt;
@@ -234,7 +258,7 @@ let nearest_tie ~active ~banned c =
   Array.sort Int.compare top;
   top
 
-type screen = Sweep | Kept of { kept : int array; gamma : float }
+type screen = Sweep | Kept of { kept : int array; images : Vec.t; gamma : float }
 
 (* The step-length screen over one window: the exact candidates of the
    columns nearest the tie bound the step from above by
@@ -243,21 +267,25 @@ type screen = Sweep | Kept of { kept : int array; gamma : float }
    rest of the minimum. A ruled-out column's candidates all exceed
    thr ≥ that minimum, so it is the full scan's minimum whenever the
    full scan's is at most C/A, and above C/A otherwise: folded against
-   C/A, bit for bit the same step. More than [screen_share] of the
-   window surviving: [Sweep]. *)
-let screen_gamma win ~norms ~active ~banned ~c ~cc ~a_a u =
+   C/A, bit for bit the same step. [hi.(j)] bounds |c_j| from above;
+   [refresh idx] makes [c] exact at the listed columns, so a column
+   whose correlation was only bounded gets its exact value once it
+   survives. More than [screen_share] of the window surviving:
+   [Sweep]. *)
+let screen_gamma ?pool win ~norms ~active ~banned ~c ~hi ~refresh ~cc ~a_a u =
   let w = Array.length norms in
-  if Array.length c <> w then
+  if Array.length c <> w || Array.length hi <> w then
     invalid_arg "Shard_sweep.screen_gamma: length mismatch (scan before select?)";
   let dots idx =
+    refresh idx;
     let out = Array.make (Array.length idx) 0. in
-    Provider.col_dots win idx u out;
-    gamma_scan_at ~norms ~c ~cc ~a_a idx out
+    Provider.col_dots ?pool win idx u out;
+    (out, gamma_scan_at ~norms ~c ~cc ~a_a idx out)
   in
-  let top = nearest_tie ~active ~banned c in
-  let g_top = dots top and ca = cc /. a_a in
+  let top = nearest_tie ~active ~banned hi in
+  let a_top, g_top = dots top and ca = cc /. a_a in
   match
-    gamma_screen ~active ~banned ~c ~cc ~a_a
+    gamma_screen ~active ~banned ~hi ~cc ~a_a
       ~u_norm:(sqrt (Vec.nrm2_sq u))
       ~thr:(if g_top < ca then g_top else ca)
       ~top
@@ -265,10 +293,19 @@ let screen_gamma win ~norms ~active ~banned ~c ~cc ~a_a u =
   with
   | None -> Sweep
   | Some rest ->
-      let g_rest = dots rest in
-      let kept = Array.append top rest in
-      Array.sort Int.compare kept;
-      Kept { kept; gamma = (if g_rest < g_top then g_rest else g_top) }
+      let a_rest, g_rest = dots rest in
+      let pairs =
+        Array.append
+          (Array.mapi (fun t j -> (j, a_top.(t))) top)
+          (Array.mapi (fun t j -> (j, a_rest.(t))) rest)
+      in
+      Array.sort (fun (i, _) (j, _) -> Int.compare i j) pairs;
+      Kept
+        {
+          kept = Array.map fst pairs;
+          images = Array.map snd pairs;
+          gamma = (if g_rest < g_top then g_rest else g_top);
+        }
 
 let local_lars_select l r =
   let c, pick =
@@ -282,7 +319,11 @@ let local_lars_select l r =
    too many columns. *)
 let local_gamma l ~cc ~a_a u =
   let norms = l.norms and active = l.active and banned = l.banned in
-  match screen_gamma l.win ~norms ~active ~banned ~c:l.c ~cc ~a_a u with
+  let hi = Array.map Float.abs l.c in
+  match
+    screen_gamma ?pool:l.lpool l.win ~norms ~active ~banned ~c:l.c ~hi
+      ~refresh:ignore ~cc ~a_a u
+  with
   | Kept { gamma; _ } -> gamma
   | Sweep ->
       gamma_scan ~norms ~active ~banned ~c:l.c ~cc ~a_a
@@ -696,6 +737,13 @@ let shutdown t =
           dispose_worker w)
         ps.workers
 
+let peak_rss_kb t =
+  Array.map
+    (function
+      | RRss x -> x
+      | _ -> failwith "Shard_sweep: protocol error (rss)")
+    (exec t PeakRss)
+
 let with_fleet ?pool ?shards src f =
   match shards with
   | Some plan when plan.shards > 1 ->
@@ -704,7 +752,10 @@ let with_fleet ?pool ?shards src f =
         ~finally:(fun () ->
           ignore (Atomic.fetch_and_add plan.recovered t.recovered);
           shutdown t)
-        (fun () -> f (Some t))
+        (fun () ->
+          let v = f (Some t) in
+          Atomic.set plan.peak_rss (peak_rss_kb t);
+          v)
   | _ -> f None
 
 (* Gathered raw column norms — per-column sums over ascending rows on
@@ -769,9 +820,3 @@ let lars_gamma t ~cc ~a_a u =
     (exec t (Gamma { cc; a_a; u }));
   !best
 
-let peak_rss_kb t =
-  Array.map
-    (function
-      | RRss x -> x
-      | _ -> failwith "Shard_sweep: protocol error (rss)")
-    (exec t PeakRss)

@@ -51,6 +51,10 @@ type plan = private {
           shuts down, atomically, since the per-job CV driver runs
           sharded cells on several domains at once), so a driver reports
           survived crashes without touching model notes *)
+  peak_rss : float array Atomic.t;
+      (** per-shard VmHWM in kB ({!peak_rss_kb}) of the last fleet that
+          finished its work under this plan, read as it finished — the
+          footprint of a fleet that fitted; [[||]] before any *)
 }
 
 val plan : ?mode:string -> int -> (plan, string) result
@@ -81,10 +85,31 @@ val lars_scan :
   Linalg.Vec.t * pick
 (** [lars_scan ~norms ~active ~banned ~jlo gtr] is the LAR selection
     scan over a column window starting at global index [jlo]: the
-    normalized correlations [gtr.(j) /. norms.(j)] and their {!pick}.
-    Every LAR walk runs this one kernel — unsharded walks over the
-    whole dictionary ([jlo = 0]), shards over their window.
+    normalized correlations [gtr.(j) /. norms.(j)] and their {!pick} —
+    {!lars_scan_at} over every column of the window. Shards run it over
+    their window, the unsharded walks over the dictionary on every step
+    that sweeps it whole.
     @raise Invalid_argument when [gtr] and [norms] differ in length. *)
+
+val lars_scan_at :
+  norms:Linalg.Vec.t ->
+  active:bool array ->
+  banned:bool array ->
+  jlo:int ->
+  c:Linalg.Vec.t ->
+  int array ->
+  Linalg.Vec.t ->
+  pick
+(** [lars_scan_at ~norms ~active ~banned ~jlo ~c idx gtr_at] is the
+    selection scan over the listed columns only: [idx] holds ascending
+    window indices, [gtr_at.(t)] the raw correlation of column
+    [idx.(t)] ({!Polybasis.Design.Provider.col_dots}). It writes their
+    normalized correlations into [c] and picks among them with the
+    arithmetic of {!lars_scan}, so when [idx] holds every active column
+    and every column whose |c_j| can reach the active ones', its C, its
+    entrant — whenever that entrant can enter — and its active values
+    are the full scan's, bit for bit.
+    @raise Invalid_argument when [idx] and [gtr_at] differ in length. *)
 
 val gamma_scan :
   norms:Linalg.Vec.t ->
@@ -121,7 +146,7 @@ val gamma_scan_at :
 val gamma_screen :
   active:bool array ->
   banned:bool array ->
-  c:Linalg.Vec.t ->
+  hi:Linalg.Vec.t ->
   cc:float ->
   a_a:float ->
   u_norm:float ->
@@ -129,56 +154,64 @@ val gamma_screen :
   top:int array ->
   limit:int ->
   int array option
-(** [gamma_screen ~active ~banned ~c ~cc ~a_a ~u_norm ~thr ~top ~limit]
+(** [gamma_screen ~active ~banned ~hi ~cc ~a_a ~u_norm ~thr ~top ~limit]
     is the LAR step-length screen (Efron et al., eq. 2.13): the
     inactive, non-banned columns outside [top], ascending, whose
     candidates may be at most [thr], or [None] once more than [limit]
-    of them survive. Given the normalized correlations [c] of the
-    step's {!lars_scan}, C = [cc], A = [a_a] and ‖u‖ = [u_norm], a
-    column is ruled out only when gap = C − |c_j| > 0 and
-    gap·(1 − 1e-9)/(A + ‖u‖·(1 + 1e-9)) > thr·(1 + 1e-9): unit columns
-    have |a_j| ≤ ‖u‖, so each of its positive candidates exceeds
-    [thr] — the margins cover the rounding of the dots, norms and
-    quotients, a few K·ε for K below 10⁶. A NaN anywhere keeps the
-    column. With [thr] at least the committed step, the minimum of
-    {!gamma_scan_at} over the survivors and [top] is the full scan's
-    against C/A, bit for bit. *)
+    of them survive. [hi.(j)] is |c_j| — the normalized correlation of
+    the step's {!lars_scan} — or an upper bound on it. Given C = [cc],
+    A = [a_a] and ‖u‖ = [u_norm], a column is ruled out only when
+    gap = C − hi.(j) > 0 and gap·(1 − 1e-9)/(A + ‖u‖·(1 + 1e-9)) >
+    thr·(1 + 1e-9): unit columns have |a_j| ≤ ‖u‖, so each of its
+    positive candidates exceeds [thr] — the margins cover the rounding
+    of the dots, norms and quotients, a few K·ε for K below 10⁶. A NaN
+    anywhere keeps the column. With [thr] at least the committed step,
+    the minimum of {!gamma_scan_at} over the survivors and [top] is the
+    full scan's against C/A, bit for bit. *)
 
 (** The outcome of one window's step-length screen. *)
 type screen =
   | Sweep
       (** more than a quarter of the window survived: sweep it *)
-  | Kept of { kept : int array; gamma : float }
+  | Kept of { kept : int array; images : Linalg.Vec.t; gamma : float }
       (** the screen held: [kept] (window indices, ascending) are the
-          columns whose images were computed, [gamma] the minimum of
-          their candidates *)
+          columns whose images were computed, [images] their raw images
+          (Gᵀu)_j in the same order, [gamma] the minimum of their
+          candidates *)
 
 val screen_gamma :
+  ?pool:Parallel.Pool.t ->
   Polybasis.Design.Provider.t ->
   norms:Linalg.Vec.t ->
   active:bool array ->
   banned:bool array ->
   c:Linalg.Vec.t ->
+  hi:Linalg.Vec.t ->
+  refresh:(int array -> unit) ->
   cc:float ->
   a_a:float ->
   Linalg.Vec.t ->
   screen
-(** [screen_gamma win ~norms ~active ~banned ~c ~cc ~a_a u] is the LAR
-    step-length screen over the column window [win] (the whole
-    dictionary, or one shard's window), given the window's normalized
-    correlations [c] from the step's {!lars_scan}: the 8 inactive,
-    non-banned columns of largest |c_j| get exact candidates
-    ({!Polybasis.Design.Provider.col_dots}, {!gamma_scan_at}),
-    thr = min(C/A, their minimum), {!gamma_screen} with ‖u‖ rules out
-    the columns that cannot reach thr, and the survivors' images
-    complete the minimum — or [Sweep] when more than a quarter of the
-    window survives. A [Kept] minimum equals the window's {!gamma_scan}
-    minimum whenever that is at most C/A, and exceeds C/A otherwise,
-    so folded against C/A — over one window or the merged shard
-    minima — it commits the full scan's step bit for bit. Every LAR
-    driver screens through this function: {!Lars.Engine.screen} over
-    the dictionary, each shard of {!lars_gamma} over its window.
-    @raise Invalid_argument when [c] and [norms] differ in length. *)
+(** [screen_gamma win ~norms ~active ~banned ~c ~hi ~refresh ~cc ~a_a u]
+    is the LAR step-length screen over the column window [win] (the
+    whole dictionary, or one shard's window). [hi.(j)] bounds the
+    step's |c_j| from above — |c_j| itself where the step computed it —
+    and [refresh idx] makes [c] exact at the listed columns (shards,
+    whose [c] is exact everywhere, pass [ignore]). The 8 inactive,
+    non-banned columns of largest [hi] get exact candidates
+    ({!Polybasis.Design.Provider.col_dots} over [pool],
+    {!gamma_scan_at}), thr = min(C/A, their minimum), {!gamma_screen}
+    rules out the columns that cannot reach thr, and the survivors get
+    their exact [c] and images to complete the minimum — or [Sweep]
+    when more than a quarter of the window survives. A [Kept] minimum
+    equals the window's {!gamma_scan} minimum whenever that is at most
+    C/A, and exceeds C/A otherwise, so folded against C/A — over one
+    window or the merged shard minima — it commits the full scan's step
+    bit for bit. Every LAR driver screens through this function:
+    {!Lars.Engine.screen} over the dictionary, each shard of
+    {!lars_gamma} over its window.
+    @raise Invalid_argument when [c] or [hi] and [norms] differ in
+    length. *)
 
 type t
 

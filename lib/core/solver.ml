@@ -106,6 +106,8 @@ let fit_knob ?folds ~max_lambda rng g f = function
    output 0 on the caller's generator, the others on copies taken
    first, so every output sees the same plan and the caller's
    generator ends where one single-output fit leaves it. *)
+type selected = { model : Model.t; lambda : (int * int) option }
+
 let fit_grid who ?folds ?max_lambda ?on_singular ?shards ?store ?notes rng src
     fs m =
   let outputs = Array.length fs in
@@ -124,18 +126,27 @@ let fit_grid who ?folds ?max_lambda ?on_singular ?shards ?store ?notes rng src
     | None ->
         max 1 (min (min (Provider.rows src / 2) (Provider.cols src)) 200)
   in
-  let models sels = Array.map (fun s -> s.Select.model) sels in
+  (* A path method's choice and its grid's cap, the curve's length. *)
+  let chosen sels =
+    Array.map
+      (fun s ->
+        {
+          model = s.Select.model;
+          lambda = Some (s.Select.lambda, Array.length s.Select.curve);
+        })
+      sels
+  in
   let fitted =
     match m with
     | Star ->
-        models
+        chosen
           (Select.star_multi_p ?folds ?shards ?store rng ~max_lambda src fs)
     | Lar | Lasso ->
-        models
+        chosen
           (Select.lars_multi_p ?folds ~mode:(lars_mode m) ?on_singular
              ?shards ?store rng ~max_lambda src fs)
     | Omp ->
-        models
+        chosen
           (Select.omp_multi_p ?folds ?on_singular ?shards ?store rng
              ~max_lambda src fs)
     | Ls | Stomp | Cosamp ->
@@ -143,20 +154,33 @@ let fit_grid who ?folds ?max_lambda ?on_singular ?shards ?store ?notes rng src
         let g = Provider.to_dense src in
         Array.mapi
           (fun r f ->
-            fit_knob ?folds ~max_lambda
-              (if r = 0 then rng else copies.(r - 1))
-              g f m)
+            {
+              model =
+                fit_knob ?folds ~max_lambda
+                  (if r = 0 then rng else copies.(r - 1))
+                  g f m;
+              lambda = None;
+            })
           fs
   in
   (* Provenance notes (e.g. a quorum-degraded delivery) ride on the
      models themselves so a served artifact carries its history. *)
-  Array.map2 (Array.fold_left Model.add_note) fitted notes
+  Array.map2
+    (fun s ns -> { s with model = Array.fold_left Model.add_note s.model ns })
+    fitted notes
 
-let fit_multi_p = fit_grid "Solver.fit_multi_p"
+let select_multi_p = fit_grid "Solver.select_multi_p"
+
+let fit_multi_p ?folds ?max_lambda ?on_singular ?shards ?store ?notes rng src
+    fs m =
+  Array.map
+    (fun s -> s.model)
+    (fit_grid "Solver.fit_multi_p" ?folds ?max_lambda ?on_singular ?shards
+       ?store ?notes rng src fs m)
 
 let fit_cv_p ?folds ?max_lambda ?on_singular ?shards ?store ?(notes = [||])
     rng src f m =
-  (fit_grid "Solver.fit_cv_p" ?folds ?max_lambda ?on_singular ?shards ?store
+  (fit_multi_p ?folds ?max_lambda ?on_singular ?shards ?store
      ~notes:[| notes |] rng src [| f |] m).(0)
 
 let fit_cv ?folds ?max_lambda rng g f m =

@@ -98,6 +98,26 @@ val fit_multi_p :
     @raise Invalid_argument when [fs] is empty or [notes] disagrees in
     length, before any fitting. *)
 
+type selected = {
+  model : Model.t;
+  lambda : (int * int) option;
+      (** a path method's cross-validated choice [Some (λ, cap)], [cap]
+          being its λ grid's last value — the CV curve's length,
+          [min(max_lambda, M)] and, for OMP and LAR, the smallest
+          fold's training rows; [λ = cap] means the choice sat at the
+          cap. [None] for the other methods. *)
+}
+
+val select_multi_p :
+  ?folds:int -> ?max_lambda:int -> ?on_singular:[ `Stop | `Fallback ] ->
+  ?shards:Shard_sweep.plan -> ?store:Select.store ->
+  ?notes:string array array ->
+  Randkit.Prng.t ->
+  Polybasis.Design.Provider.t -> Linalg.Vec.t array -> method_ ->
+  selected array
+(** {!fit_multi_p} with each output's cross-validated λ and its grid's
+    cap: the same models, bit for bit, from the same generator use. *)
+
 val fit_cv_p :
   ?folds:int -> ?max_lambda:int -> ?on_singular:[ `Stop | `Fallback ] ->
   ?shards:Shard_sweep.plan -> ?store:Select.store -> ?notes:string array ->

@@ -128,7 +128,8 @@ module Provider : sig
 
   val column_into : t -> int -> Linalg.Vec.t -> unit
   (** [column_into p j buf] writes column [j] into the caller's reusable
-      [K]-length buffer. *)
+      [K]-length buffer — from a dense provider's column-major image
+      once {!col_dots} has built it. *)
 
   val columns : t -> int array -> Linalg.Mat.t
   (** [columns p idx] materializes the listed columns as a small
@@ -156,14 +157,21 @@ module Provider : sig
       storing each output slot once per four rows. Bitwise identical
       dense vs streamed at every domain count. *)
 
-  val col_dots : t -> int array -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+  val col_dots :
+    ?pool:Parallel.Pool.t -> t -> int array -> Linalg.Vec.t -> Linalg.Vec.t -> unit
   (** [col_dots p idx r out] sets [out.(t)] to slot [idx.(t)] of
       {!gram_tr}[ p r], bit for bit, for every [t]: the sweep restricted
-      to a column subset (LAR's screened step length). Dense providers
-      stream the rows outermost over the index set, four rows per pass
-      as {!gram_tr} does; streamed providers generate each listed
-      column and add its products in ascending row order from +0.
-      Sequential; [idx] may repeat or be empty.
+      to a column subset (LAR's carried correlations and screened step
+      lengths). Each slot is one column's whole dot, adding its rows in
+      ascending order from +0; slots are chunked over [pool], which
+      changes no bit. A dense provider reads a column-major image of its
+      matrix, four columns per pass, so a subset's dots touch only its
+      own columns' memory; the image (K·M floats, as much again as the
+      matrix) is built on the first call and kept, and every build
+      writes the same entries, so the results do not depend on which
+      domain built it. The full sweeps keep reading the row-major
+      matrix. Streamed providers generate each listed column and add
+      its products in its own accumulator. [idx] may repeat or be empty.
       @raise Invalid_argument on a length mismatch or an out-of-bounds
       column. *)
 

@@ -93,6 +93,7 @@ type outcome = {
   screen_report : Screen.report option;
   point_report : Screen.point_report option;
   adaptive_report : Retry.report option;
+  cv_lambda : (int * int) option;
 }
 
 let ( let* ) = Result.bind
@@ -383,19 +384,22 @@ let post_fit cfg d models =
 (* The solver stage of both fits: one cross-validated grid over every
    delivered output, then the post-fit stage. *)
 let solve cfg d rng =
-  let* models =
+  let* sels =
     Error.guard (fun () ->
-        Rsm.Solver.fit_multi_p ~folds:cfg.folds ~max_lambda:cfg.max_lambda
+        Rsm.Solver.select_multi_p ~folds:cfg.folds ~max_lambda:cfg.max_lambda
           ~on_singular:`Fallback ?shards:cfg.shards
           ?store:cfg.store rng d.src
           (Array.map (fun r -> r.Circuit.Simulator.values) d.rows)
           cfg.method_)
   in
-  post_fit cfg d models
+  let* models =
+    post_fit cfg d (Array.map (fun s -> s.Rsm.Solver.model) sels)
+  in
+  Ok (models, Array.map (fun s -> s.Rsm.Solver.lambda) sels)
 
 let fit ?pool cfg sim basis rng =
   let* d = deliver ~pool cfg [| sim |] basis rng in
-  let* models = solve cfg d rng in
+  let* models, lambdas = solve cfg d rng in
   Ok
     {
       model = models.(0);
@@ -404,6 +408,7 @@ let fit ?pool cfg sim basis rng =
       screen_report = d.hygiene.screens.(0);
       point_report = d.hygiene.point;
       adaptive_report = d.hygiene.adaptive;
+      cv_lambda = lambdas.(0);
     }
 
 type multi_outcome = {
@@ -412,11 +417,12 @@ type multi_outcome = {
   m_run_report : Circuit.Simulator.run_report;
   screen_reports : Screen.report option array;
   m_point_report : Screen.point_report option;
+  cv_lambdas : (int * int) option array;
 }
 
 let fit_multi ?pool cfg sims basis rng =
   let* d = deliver ~pool cfg sims basis rng in
-  let* models = solve cfg d rng in
+  let* models, cv_lambdas = solve cfg d rng in
   Ok
     {
       models;
@@ -424,6 +430,7 @@ let fit_multi ?pool cfg sims basis rng =
       m_run_report = d.hygiene.run;
       screen_reports = d.hygiene.screens;
       m_point_report = d.hygiene.point;
+      cv_lambdas;
     }
 
 let outcome_hygiene o =

@@ -118,6 +118,9 @@ type outcome = {
   adaptive_report : Retry.report option;
       (** the adaptive driver's event log; [None] under the fixed
           policy. [run_report] is its [run] field in that case. *)
+  cv_lambda : (int * int) option;
+      (** a path method's cross-validated λ and its grid's cap
+          ({!Rsm.Solver.selected}); [None] for the other methods *)
 }
 
 val degraded_note :
@@ -271,6 +274,8 @@ type multi_outcome = {
           when the response screen did not run *)
   m_point_report : Screen.point_report option;
       (** the shared factor-space verdict; [None] when it did not run *)
+  cv_lambdas : (int * int) option array;
+      (** per output, as {!outcome}'s [cv_lambda] *)
 }
 
 val fit_multi :

@@ -44,4 +44,5 @@ let () =
       Test_delivery.suite;
       Test_known_answer.suite;
       Test_screen.suite;
+      Test_ref_path.suite;
     ]

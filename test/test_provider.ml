@@ -470,9 +470,48 @@ let prop_block_edges_bitwise seed =
                  check what (both col_dots);
                  check_bool (tag (what ^ " == gram_tr slots")) true
                    (col_dots win = slots win))
-               sets)
+               sets;
+             (* The dense provider's columns once its column-major
+                image is built. *)
+             check_dense "column from the image"
+               ( Array.init m (fun j -> bits (P.column dn j)),
+                 Array.init m (fun j -> bits (Linalg.Mat.col g j)) ))
            cases));
   true
+
+(* The column-major image is built by whichever domain first asks:
+   two domains racing on a fresh dense provider, and the 1- and
+   2-domain pools asking afterwards, all read gram_tr's slots bit for
+   bit, and the provider's columns stay the matrix's. *)
+let test_image_race () =
+  let rng = rng () in
+  let k = 37 and m = 203 in
+  let g = Randkit.Gaussian.matrix rng k m in
+  let r = Randkit.Gaussian.vector rng k in
+  let idx = Array.init 61 (fun _ -> Randkit.Prng.int rng m) in
+  let want =
+    let full = P.gram_tr (P.dense g) r in
+    Array.map (fun j -> Int64.bits_of_float full.(j)) idx
+  in
+  let dots ?pool p =
+    let out = Array.make (Array.length idx) Float.nan in
+    P.col_dots ?pool p idx r out;
+    Array.map Int64.bits_of_float out
+  in
+  for _ = 1 to 20 do
+    let p = P.dense g in
+    let racers = Array.init 2 (fun _ -> Domain.spawn (fun () -> dots p)) in
+    Array.iter
+      (fun d -> check_bool "raced image == gram_tr slots" true (Domain.join d = want))
+      racers;
+    List.iter
+      (fun got -> check_bool "pooled image == gram_tr slots" true (got = want))
+      (with_pools (fun pool -> dots ~pool p));
+    check_bool "columns from the image" true
+      (List.for_all
+         (fun j -> P.column p j = Linalg.Mat.col g j)
+         (List.init m Fun.id))
+  done
 
 (* --- small deterministic cases -------------------------------------- *)
 
@@ -557,6 +596,7 @@ let suite =
       case "residual_cols == residual_subset" test_residual_cols_matches_subset;
       case "Mat.col_col_dot == Vec.dot" test_col_col_dot_matches_vec_dot;
       case "dim-0 constant basis" test_dim_zero_constant_basis;
+      case "col_dots: the image raced by two domains == gram_tr" test_image_race;
       case "validation errors" test_validation;
       case "non-finite tables raise" test_non_finite_tables;
       qtest ~count:12 "to_dense: streamed == matrix_rows" seed_gen

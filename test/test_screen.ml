@@ -19,6 +19,10 @@
      domains.
    - Wherever the screen holds on the NaN design, the NaN column is
      among the kept columns.
+   - The same screened walks answer correlation phases from the
+     engine's carried bounds wherever those hold, so every check above
+     covers them too; on a wide design they answer some phases, and the
+     first phase (no bounds yet) never.
    - Shard_sweep.gamma_screen alone: a column it rules out has both
      candidates above the threshold, on columns where the bound is
      tight, and a NaN correlation is never ruled out.
@@ -41,28 +45,35 @@ let step_bits (s : Rsm.Lars.step) =
     Int64.bits_of_float s.Rsm.Lars.max_corr,
     model_bits s.Rsm.Lars.model )
 
-(* The screened walk driven by hand, counting the steps the screen
-   answered and checking that a column listed in [must_keep] survives
-   every screen that holds. *)
-let screened_walk ~pool ~mode ~on_singular ?(must_keep = []) src f ~max_lambda
-    =
+(* The screened walk driven by hand, counting the step-length screens
+   that held (a held one adds its images to the engine's [screened]
+   count as it is decided) and the correlation phases the carried
+   bounds answered, and checking that a column listed in [must_keep]
+   survives every step-length screen that holds. *)
+let screened_walk ~pool ~mode ~on_singular ?(must_keep = []) src f
+    ~max_lambda =
   let e = Rsm.Lars.Engine.create ~mode ~pool ~on_singular src f ~max_lambda in
-  let held = ref 0 in
+  let held = ref 0 and carried = ref 0 in
+  let screened () = (Rsm.Lars.Engine.dots e).Rsm.Lars.Engine.screened in
   while not (Rsm.Lars.Engine.finished e) do
+    let before = screened () in
     match Rsm.Lars.Engine.screen e with
     | Some kept ->
-        List.iter
-          (fun j ->
-            if not (Array.mem j kept) then
-              Alcotest.failf "screen skipped column %d" j)
-          must_keep;
-        incr held;
+        if screened () > before then begin
+          List.iter
+            (fun j ->
+              if not (Array.mem j kept) then
+                Alcotest.failf "screen skipped column %d" j)
+            must_keep;
+          incr held
+        end
+        else incr carried;
         Rsm.Lars.Engine.supply_screened e
     | None ->
         Rsm.Lars.Engine.supply e
           (Rsm.Corr_sweep.gram_tr ~pool src (Rsm.Lars.Engine.request e))
   done;
-  (Rsm.Lars.Engine.steps e, !held)
+  (Rsm.Lars.Engine.steps e, !held, !carried)
 
 (* Either both walks raise [Not_positive_definite] or neither does. *)
 let outcome f =
@@ -101,7 +112,7 @@ let check_design ~pool ~tag ?must_keep ~select ~mode ~on_singular src f l =
               ~max_lambda:l)));
   check_same (tag "hand-driven screen == reference walk") reference
     (outcome (fun () ->
-         let steps, _ =
+         let steps, _, _ =
            screened_walk ~pool ~mode ~on_singular ?must_keep src f
              ~max_lambda:l
          in
@@ -205,23 +216,29 @@ let test_screen_holds_and_falls_back () =
     let src = P.streamed basis pts in
     let f = Test_sweep.sparse_response rng src in
     Parallel.Pool.with_pool ~domains:1 (fun pool ->
-        let steps, held =
+        let steps, held, carried =
           screened_walk ~pool ~mode:Rsm.Lars.Lar ~on_singular:`Stop src f
             ~max_lambda
         in
-        (Array.length steps, held))
+        (Array.length steps, held, carried))
   in
-  let steps, held = run 20 10 in
+  let steps, held, carried = run 20 10 in
   check_bool
     (Printf.sprintf "M = 231: screen answers most steps (%d of %d)" held steps)
     true
     (2 * held > steps);
+  check_bool
+    (Printf.sprintf "M = 231: carried bounds answer some correlations (%d)"
+       carried)
+    true (carried > 0);
   (* At most four of ten columns active: the eight nearest the tie
      alone exceed a quarter of M. *)
-  let steps, held = run 3 3 in
+  let steps, held, _ = run 3 3 in
   check_int "M = 10: screen never holds" 0 held;
   check_bool "M = 10: the walk steps" true (steps > 0)
 
+(* The first correlation phase has no carried bounds yet: no screen,
+   and nothing for supply_screened to answer from. *)
 let test_screen_outside_dir () =
   let rng = Randkit.Prng.create 3 in
   let basis = Polybasis.Basis.quadratic 4 in
@@ -229,9 +246,9 @@ let test_screen_outside_dir () =
   let src = P.streamed basis pts in
   let f = Test_sweep.sparse_response rng src in
   let e = Rsm.Lars.Engine.create src f ~max_lambda:3 in
-  check_bool "correlation phase: no screen" true
+  check_bool "first correlation phase: no screen" true
     (Rsm.Lars.Engine.screen e = None);
-  check_raises_invalid "supply_screened in the correlation phase" (fun () ->
+  check_raises_invalid "supply_screened in the first correlation phase" (fun () ->
       Rsm.Lars.Engine.supply_screened e)
 
 (* The screen's rule on its own: whatever [thr] is, every column it
@@ -293,7 +310,8 @@ let prop_screen_sound seed =
     (fun thr ->
       if Float.is_finite thr then
         match
-          Rsm.Shard_sweep.gamma_screen ~active ~banned ~c ~cc ~a_a ~u_norm ~thr
+          Rsm.Shard_sweep.gamma_screen ~active ~banned
+            ~hi:(Array.map Float.abs c) ~cc ~a_a ~u_norm ~thr
             ~top:[||] ~limit:m
         with
         | None -> Alcotest.fail "gamma_screen: limit M reached"
@@ -313,7 +331,8 @@ let prop_screen_sound seed =
     thrs;
   true
 
-(* A walk whose step is set by a column outside the 8 nearest the tie.
+(* The design of a walk whose step is set by a column outside the 8
+   nearest the tie (its columns, response and target column).
    Over orthonormal directions q_0 … q_39 of R^640, each the normalized
    indicator of its own 16 rows — so they stay orthogonal on a CV
    fold's rows too — with q_0, q_1 also the columns e1, e2,
@@ -331,7 +350,7 @@ let prop_screen_sound seed =
    the tie) and 72 the target, so the target's shard of a two-shard
    fleet screens it among its own eight decoys. The columns are the
    coordinates of a linear-only streamed basis. *)
-let test_step_set_beyond_nearest () =
+let beyond_nearest () =
   let k = 640 and m = 128 and target = 72 in
   let rng = Randkit.Prng.create 29 in
   let q =
@@ -367,6 +386,11 @@ let test_step_set_beyond_nearest () =
     P.streamed (Polybasis.Basis.linear_only m)
       (Array.init k (fun i -> Array.init m (fun j -> cols.(j).(i))))
   in
+  (src, cols, f, target)
+
+let test_step_set_beyond_nearest () =
+  let src, cols, f, target = beyond_nearest () in
+  let m = P.cols src in
   let max_lambda = 4 in
   let bits steps = Array.map step_bits steps in
   Parallel.Pool.with_pool ~domains:1 (fun pool ->

@@ -174,6 +174,49 @@ let test_solver_fit_cv_dispatch () =
         (Rsm.Model.error_on m g f < 0.9))
     (Rsm.Solver.all @ [ Rsm.Solver.Stomp; Rsm.Solver.Cosamp ])
 
+(* The CV report's λ: select_multi_p returns fit_multi_p's models and,
+   for a path method, the selector's λ with the grid's cap — the
+   curve's length, here --max-lambda (8), or the smallest fold's
+   training rows when those are fewer (K = 12, 4 folds: 9); the other
+   methods report none. *)
+let test_solver_select_lambda () =
+  let g, f =
+    sparse_problem ~noise:0.05 ~k:80 ~m:40 ~support:[| 2; 9 |]
+      ~coeffs:[| 1.; -1. |] 38
+  in
+  let src = Polybasis.Design.Provider.dense g in
+  List.iter
+    (fun meth ->
+      let sel = Rsm.Solver.select_multi_p (rng ()) ~max_lambda:8 src [| f |] meth in
+      let models = Rsm.Solver.fit_multi_p (rng ()) ~max_lambda:8 src [| f |] meth in
+      let name = Rsm.Solver.name meth in
+      check_bool (name ^ ": the fit_multi_p model") true
+        (Rsm.Serialize.to_string sel.(0).Rsm.Solver.model
+        = Rsm.Serialize.to_string models.(0));
+      match meth with
+      | Rsm.Solver.Omp | Star | Lar | Lasso ->
+          let r =
+            match meth with
+            | Rsm.Solver.Omp -> Rsm.Select.omp (rng ()) ~max_lambda:8 g f
+            | Star -> Rsm.Select.star (rng ()) ~max_lambda:8 g f
+            | Lar -> Rsm.Select.lars (rng ()) ~max_lambda:8 g f
+            | _ -> Rsm.Select.lars ~mode:Rsm.Lars.Lasso (rng ()) ~max_lambda:8 g f
+          in
+          check_bool (name ^ ": the selector's lambda, cap 8") true
+            (sel.(0).Rsm.Solver.lambda = Some (r.Rsm.Select.lambda, 8))
+      | _ -> check_bool (name ^ ": no lambda") true (sel.(0).Rsm.Solver.lambda = None))
+    (Rsm.Solver.all @ [ Rsm.Solver.Stomp; Rsm.Solver.Cosamp ]);
+  let g, f =
+    sparse_problem ~noise:0.05 ~k:12 ~m:40 ~support:[| 2; 9 |]
+      ~coeffs:[| 1.; -1. |] 39
+  in
+  let sel =
+    Rsm.Solver.select_multi_p (rng ()) ~max_lambda:30
+      (Polybasis.Design.Provider.dense g) [| f |] Rsm.Solver.Omp
+  in
+  check_bool "omp: the rows cap, 9" true
+    (Option.map snd sel.(0).Rsm.Solver.lambda = Some 9)
+
 let test_needs_overdetermined () =
   check_bool "only LS" true
     (List.map Rsm.Solver.needs_overdetermined Rsm.Solver.all
@@ -193,4 +236,6 @@ let suite =
       case "solver: fit dispatch" test_solver_fit_dispatch;
       case "solver: fit_cv dispatch" test_solver_fit_cv_dispatch;
       case "solver: needs_overdetermined" test_needs_overdetermined;
+      case "solver: select_multi_p reports lambda and its cap"
+        test_solver_select_lambda;
     ] )
