@@ -222,9 +222,9 @@ let gamma_screen ~active ~banned ~hi ~cc ~a_a ~u_norm ~thr ~top ~limit =
    more than [screen_share] of the columns falls back to the full
    sweep. On a dense 1000 × 1891 design, [col_dots] from the
    column-major image over a random ascending 1 / 10 / 20 / 40% of the
-   columns takes 0.01 / 0.11 / 0.24 / 0.51× the time of the full
-   [gram_tr] (the row-major subset kernel it replaced: 0.04 / 0.71 /
-   0.92 / 1.12×; `bench/main.exe sweep`). Under carried correlation
+   columns took 0.02 / 0.19 / 0.26 / 0.59× the time of the full
+   [gram_tr] (the row-major subset kernel it replaced: 0.07 / 0.80 /
+   0.97 / 1.15×; `bench/main.exe sweep`, BENCH_speed.json). Under carried correlation
    bounds a held screen also computes its survivors' exact
    correlations, and a quarter stayed the limit: over the five Table II
    walks, limits of 0.15 / 0.25 / 0.4 / 0.6 computed 0.255 / 0.250 /
