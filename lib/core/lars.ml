@@ -288,10 +288,14 @@ module Engine = struct
      C·(1 − 1e-8) − 1e-14, C being the active set's exact correlation:
      every column that could enter (|c_j| ≥ C(1 − 1e-9) − 1e-15) or
      set C is computed. [carried_share]: a step whose exact columns
-     exceed this share of M sweeps all of them — the sweep resets every
-     bound, and from the column-major image a subset's dots cost about
-     its share of one sweep (PERFORMANCE.md "LAR carried correlation
-     bounds"). *)
+     exceed this share of M sweeps all of them, which resets every
+     bound. Over the five walks of the Table II design (K = 1000,
+     M = 1891, λ ≤ 120), shares of 0.3, 0.5 and 0.7 swept in full on the
+     same steps only, each walk's first (no bounds yet). Per column, a
+     subset dot from the column-major image took 1.5× a full sweep's
+     time warm and 2.3× cold at 200 columns (more for fewer), so a
+     carried step at half of M costs about the sweep it replaces
+     (PERFORMANCE.md "LAR carried correlation bounds"). *)
   let rho = 1e-9
   let drift = 1e-14
   let carried_share = 0.5

@@ -225,7 +225,8 @@ module Engine : sig
       drives: step budget [step_budget max_lambda] and, in [Lar] mode,
       done one step past [max_lambda] bases; a [Lasso] walk keeps the
       whole step budget. Same validation and defaults as {!path_p};
-      [pool] is used only for the one-time column-norms sweep.
+      [pool] serves the one-time column-norms sweep and the column
+      subsets the engine's own screens compute.
       @raise Invalid_argument if [max_lambda <= 0]. *)
 
   val finished : t -> bool
@@ -281,9 +282,9 @@ module Engine : sig
       if some correlations were only bounded, the direction once all
       are exact). A column whose image a step computed restarts its
       carried bound from |c_j − γ·a_j|, the correlation it moves to.
-      The margins exceed the rounding of the
-      dots, norms and quotients (a few K·ε) for any K below 10⁶, and a
-      NaN anywhere keeps the column. *)
+      The margins exceed the rounding of the dots, norms and quotients
+      (a few K·ε) for any K below 10⁶, and a NaN anywhere keeps the
+      column. *)
 
   val supply_screened : t -> unit
   (** [supply_screened t] answers the pending request from its
@@ -298,17 +299,20 @@ module Engine : sig
       {!Linalg.Cholesky.Not_positive_definite} as {!supply} does. *)
 
   type dots = {
-    full : int;  (** columns of the correlation phase's full sweeps *)
+    full : int;
+        (** columns of the full correlation sweeps: a correlation
+            phase's, and the re-sweep a fallen-back step-length screen
+            asks for *)
     carried : int;
         (** exact correlations of carried steps: the active set, the
             columns whose bound reached C, and screened survivors whose
             correlation was only bounded *)
     screened : int;  (** images of step-length screens that held *)
     fallback : int;
-        (** columns of the step-length full sweeps, the images of the
-            screens that fell back to them, and the exact correlations a
-            bounded step then needed (its columns that can set γ, or a
-            full correlation sweep when those exceed a quarter of M) *)
+        (** columns of the step-length full sweeps, the images and
+            correlations of the screens that fell back to them, and the
+            correlations refreshed for a step-length sweep supplied
+            without asking {!screen} *)
   }
 
   val dots : t -> dots
