@@ -124,7 +124,9 @@ let () =
         (Cmd.info "sweep"
            ~doc:
              "One fused CV round (4 fold lanes + the refit lane) at the \
-              Table II shape against the per-fold sweeps it replaces, with \
+              Table II shape against the per-fold sweeps it replaces, and \
+              dense col_dots over 1/10/20/40% of the columns from the \
+              row-major matrix and from the column-major image, with \
               embedded bitwise parity checks (exit 1 on violation). \
               Updates BENCH_speed.json.")
         Term.(

@@ -298,16 +298,9 @@ let speedup ~quick ~domains () =
 
 (* --- fused CV sweep scenario ----------------------------------------- *)
 
-(* One fused CV round — Q fold lanes plus the all-rows refit lane in one
-   multi-residual sweep — against Q + 1 sweeps of row-subset copies, at
-   the paper's Table II shape (quadratic dictionary over N = 200
-   factors, M = 20 301, K = 1000) unless --quick. The fused kernels are
-   guarded by their bitwise parity contract; a violation fails the
-   bench with exit 1, so this scenario doubles as the sweep-parity
-   smoke for CI. *)
-(* The subset dots of the parent kernel: rows outermost over the index
-   set, four rows per pass, on the row-major matrix — the reference the
-   column-major image replaces. Same bits as [gram_tr]'s slots. *)
+(* Subset dots as dense [col_dots] computed them before the
+   column-major image: rows outermost over the index set, four rows per
+   pass, on the row-major matrix. Same bits as [gram_tr]'s slots. *)
 let row_major_col_dots g idx r out =
   let m = Linalg.Mat.cols g and data = g.Linalg.Mat.data in
   let k = Linalg.Mat.rows g and n = Array.length idx in
@@ -397,6 +390,14 @@ let col_dots_rows ~quick ~reps ~pool ~check =
   Printf.sprintf "{\"k\": %d, \"m\": %d, \"full_sweep_s\": %.6f, \"rows\": [%s]}"
     k m full_s (String.concat ", " rows)
 
+(* One fused CV round — Q fold lanes plus the all-rows refit lane in one
+   multi-residual sweep — against Q + 1 sweeps of row-subset copies, at
+   the paper's Table II shape (quadratic dictionary over N = 200
+   factors, M = 20 301, K = 1000) unless --quick. The fused kernels are
+   guarded by their bitwise parity contract; a violation fails the
+   bench with exit 1, so this scenario doubles as the sweep-parity
+   smoke for CI. Each domain count's record also carries the dense
+   subset-dot rows of [col_dots_rows] and the host stamp. *)
 let sweep_scenario ~quick ~domains () =
   let domains =
     match domains with Some d -> d | None -> Parallel.Pool.default_domains ()
