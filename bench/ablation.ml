@@ -9,8 +9,8 @@
        sweep Q and report the chosen lambda and testing error.
    (d) Shrinkage-only control: ridge (dense L2) shows sparsity, not just
        regularization, is what makes small-K modeling work.
-   (e) Stagewise selection (StOMP): admit whole batches per stage
-       instead of one basis per iteration - accuracy vs stage count.
+   (e) Retired with the stagewise-OMP extension solver; the letters
+       of the other sections are kept.
    (f) Sparsity boundary: the ring oscillator's frequency loads every
        stage equally; when the ground truth is not profoundly sparse,
        the sparse methods' advantage over the dense L2 baseline
@@ -136,29 +136,6 @@ let run ~quick () =
         string_of_int (Rsm.Model.nnz ridge);
       ];
     ];
-
-  (* (e) stagewise selection. *)
-  let rows =
-    List.map
-      (fun t ->
-        let steps = Rsm.Stomp.path ~threshold:t gt ft in
-        let model =
-          if Array.length steps = 0 then
-            Rsm.Model.make ~basis_size:(Linalg.Mat.cols gt) ~support:[||] ~coeffs:[||]
-          else steps.(Array.length steps - 1).Rsm.Stomp.model
-        in
-        [
-          Printf.sprintf "%.1f" t;
-          string_of_int (Array.length steps);
-          string_of_int (Rsm.Model.nnz model);
-          pct (Rsm.Model.error_on model ge fe);
-        ])
-      [ 2.0; 2.5; 3.0 ]
-  in
-  print_table
-    ~title:"(e) StOMP: batch selection vs one-at-a-time (compare OMP in (a))"
-    ~header:[ "threshold"; "stages"; "bases"; "test error" ]
-    rows;
 
   (* (f) sparsity boundary: ring oscillator. *)
   let ring = Circuit.Ring_osc.build ~stages:(if quick then 21 else 51) () in
@@ -343,7 +320,6 @@ let run ~quick () =
         ("OMP", Rsm.Omp.fit gk fk ~lambda:3);
         ("STAR", Rsm.Star.fit gk fk ~lambda:3);
         ("LAR", Rsm.Lars.fit gk fk ~lambda:3);
-        ("CoSaMP", Rsm.Cosamp.fit gk fk ~s:3);
       ]
   done;
   let rows =
@@ -357,7 +333,7 @@ let run ~quick () =
           Printf.sprintf "%.4f" (Array.fold_left Float.max 1. rs);
           Printf.sprintf "%d/%d" optimal trials;
         ])
-      [ "OMP"; "STAR"; "LAR"; "CoSaMP" ]
+      [ "OMP"; "STAR"; "LAR" ]
   in
   print_table
     ~title:

@@ -21,7 +21,7 @@ let walk ~pool ~screened src f ~max_lambda =
   while not (E.finished e) do
     match if screened then E.screen e else None with
     | Some _ -> E.supply_screened e
-    | None -> E.supply e (Rsm.Corr_sweep.gram_tr ~pool src (E.request e))
+    | None -> E.supply e (P.gram_tr ~pool src (E.request e))
   done;
   e
 

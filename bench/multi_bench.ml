@@ -147,11 +147,11 @@ let run ?(quick = false) ?domains () =
     Parallel.Pool.with_pool ~domains (fun pool ->
         let per_round () =
           Array.map
-            (fun rs -> Rsm.Corr_sweep.gram_tr_multi ~pool ssrc ~rows:fold_rows rs)
+            (fun rs -> P.gram_tr_multi ~pool ssrc ~rows:fold_rows rs)
             res_per_output
         in
         let fused_round () =
-          Rsm.Corr_sweep.gram_tr_multi ~pool ssrc ~rows:rows_rq res_rq
+          P.gram_tr_multi ~pool ssrc ~rows:rows_rq res_rq
         in
         check "fused R×Q round bitwise vs R per-output rounds"
           (Array.concat (Array.to_list (per_round ())) = fused_round ());

@@ -114,7 +114,7 @@ let sram_kernels ~quick =
         (fun pool ->
           let src = Polybasis.Design.Provider.dense g in
           for _ = 1 to 20 do
-            ignore (Rsm.Corr_sweep.argmax_abs ~pool ~skip src res)
+            ignore (Polybasis.Design.Provider.argmax_abs ~pool ~skip src res)
           done);
     };
     {
@@ -158,7 +158,7 @@ let sweep_kernels ~quick =
   let res = Randkit.Gaussian.vector rng k in
   let sweep src pool =
     for _ = 1 to reps do
-      ignore (Rsm.Corr_sweep.gram_tr ~pool src res)
+      ignore (Polybasis.Design.Provider.gram_tr ~pool src res)
     done
   in
   [
@@ -344,9 +344,9 @@ let col_dots_rows ~quick ~reps ~pool ~check =
   let src = Polybasis.Design.Provider.dense g in
   let m = Linalg.Mat.cols g in
   let r = Randkit.Gaussian.vector rng k in
-  let full = Rsm.Corr_sweep.gram_tr ~pool src r in
+  let full = Polybasis.Design.Provider.gram_tr ~pool src r in
   let full_s =
-    Bench_util.median_of ~reps (fun () -> ignore (Rsm.Corr_sweep.gram_tr ~pool src r))
+    Bench_util.median_of ~reps (fun () -> ignore (Polybasis.Design.Provider.gram_tr ~pool src r))
   in
   let bits = Array.map Int64.bits_of_float in
   let rows =
@@ -446,18 +446,18 @@ let sweep_scenario ~quick ~domains () =
     in
     let per_fold () =
       Array.mapi
-        (fun fq sub -> Rsm.Corr_sweep.gram_tr ~pool sub fold_res.(fq))
+        (fun fq sub -> Polybasis.Design.Provider.gram_tr ~pool sub fold_res.(fq))
         copies
     in
     let fused () =
-      Rsm.Corr_sweep.gram_tr_multi ~pool src ~rows:fold_rows fold_res
+      Polybasis.Design.Provider.gram_tr_multi ~pool src ~rows:fold_rows fold_res
     in
     let ref_out = per_fold () and fused_out = fused () in
     let bits = Array.map Int64.bits_of_float in
     check "fused multi-sweep bitwise vs per-fold sweeps"
       (Array.for_all2 (fun a b -> bits a = bits b) ref_out fused_out);
     let picks =
-      Rsm.Corr_sweep.argmax_abs_multi ~pool ~skips:fold_skips src
+      Polybasis.Design.Provider.argmax_abs_multi ~pool ~skips:fold_skips src
         ~rows:fold_rows fold_res
     in
     check "fused argmax bitwise vs per-fold argmax"

@@ -169,8 +169,12 @@ let info_cmd =
     Printf.printf
       "sram    : %d factors at 120 cells (default); %d at %d cells (paper)\n"
       (Circuit.Sram.dim sram) (Circuit.Sram.dim paper) Circuit.Sram.paper_cells;
-    Printf.printf "methods : %s (plus lasso, ridge as extensions)\n"
-      (String.concat " " (List.map Rsm.Solver.name Rsm.Solver.all))
+    let paper, extensions =
+      List.partition (fun m -> List.mem m Rsm.Solver.all) Rsm.Solver.methods
+    in
+    let names ms = String.concat " " (List.map Rsm.Solver.name ms) in
+    Printf.printf "methods : %s (extensions: %s)\n" (names paper)
+      (names extensions)
   in
   Cmd.v (Cmd.info "info" ~doc:"List workloads, dimensions and methods.")
     Term.(const run $ const ())
@@ -211,7 +215,9 @@ let mc_cmd =
 
 let method_arg =
   Arg.(value & opt string "omp" & info [ "method" ] ~docv:"METHOD"
-         ~doc:"Fitting method: ls, star, lar, lasso or omp.")
+         ~doc:
+           (Printf.sprintf "Fitting method: %s."
+              (String.concat ", " (List.map Rsm.Solver.cli_name Rsm.Solver.methods))))
 
 let test_arg =
   Arg.(value & opt int 2000 & info [ "test" ] ~docv:"K"

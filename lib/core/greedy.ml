@@ -102,7 +102,7 @@ let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
     let pick =
       match backend with
       | Exact ->
-          Corr_sweep.argmax_abs ?pool ~skip:(E.skip_mask eng) src
+          Provider.argmax_abs ?pool ~skip:(E.skip_mask eng) src
             (E.residual eng)
       | Shards e -> Shard_sweep.select e ~r:(E.residual eng)
     in

@@ -5,15 +5,16 @@
     differ only in the coefficient step: OMP re-fits every selected
     coefficient (Algorithm 1, Step 6), STAR keeps the inner-product
     estimate. Each solver writes that step as an {!ENGINE}; {!path_p}
-    owns everything else: the walk log's capture, replay and check, the sweep
-    backend (the exact {!Corr_sweep.argmax_abs} or {!Shard_sweep}), the
-    selection dispatch and the checkpoint cadence. The fused lockstep
+    owns everything else: the walk log's capture, replay and check, the
+    sweep backend (the exact {!Polybasis.Design.Provider.argmax_abs} or
+    {!Shard_sweep}), the selection dispatch and the checkpoint
+    cadence. The fused lockstep
     CV driver in {!Select} runs the same engines with one fused
     multi-residual sweep per round. *)
 
 (** One greedy solver's per-step state machine. Driving an engine with
-    the selections {!Corr_sweep.argmax_abs} produces on its own
-    residual is the solver's whole path, so every driver — exact,
+    the selections {!Polybasis.Design.Provider.argmax_abs} produces on
+    its own residual is the solver's whole path, so every driver — exact,
     sharded, fused — that answers the same selections produces the
     same bits. *)
 module type ENGINE = sig
@@ -94,9 +95,10 @@ val path_p :
     uninterrupted run with the same inputs. The replayed state is
     returned as one leading step.
 
-    Each selection is the column-parallel {!Corr_sweep.argmax_abs} over
-    [pool], bitwise identical to the sequential dense scan for every
-    domain count and either provider form.
+    Each selection is the column-parallel
+    {!Polybasis.Design.Provider.argmax_abs} over [pool], bitwise
+    identical to the sequential dense scan for every domain count and
+    either provider form.
 
     A plan of more than one shard ({!type:Shard_sweep.plan}) routes the
     selection sweep through {!Shard_sweep}: bitwise identical to the

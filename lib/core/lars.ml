@@ -25,6 +25,9 @@ type state = {
   mutable active : int list;  (* most recently added first *)
   in_active : bool array;
   banned : bool array;  (* dependent columns excluded under `Fallback *)
+  mutable barred : int;
+      (* the column a lasso drop just removed, which may not enter at
+         the next correlation pick (Efron et al., Section 3.1); -1 *)
   mutable notes : string list;  (* degradation events, attached to models *)
   mutable chol : Cholesky.Grow.t;  (* gram factor of active columns, oldest first *)
 }
@@ -129,6 +132,7 @@ let drop st ~on_singular ~on_stop j =
   st.beta.(j) <- 0.;
   st.active <- List.filter (fun i -> i <> j) st.active;
   st.in_active.(j) <- false;
+  st.barred <- j;
   match rebuild_chol st with
   | () -> false
   | exception (Cholesky.Not_positive_definite _ as e) -> (
@@ -318,6 +322,7 @@ module Engine = struct
         active = [];
         in_active = Array.make m false;
         banned = Array.make m false;
+        barred = -1;
         notes = [];
         chol = Cholesky.Grow.create (max (min k m) 1);
       }
@@ -424,9 +429,10 @@ module Engine = struct
         | None -> invalid_arg "Lars.path: internal: correlation not gathered")
       act
 
-  (* Supply the correlation pick: the stop test, the entering variable
-     (unless the active set is saturated or a lasso drop just occurred
-     and none may enter), then either a ban step or the direction. *)
+  (* Supply the correlation pick, taken with the column a lasso drop
+     just removed barred from entry: the stop test, the entering
+     variable (unless the active set is saturated), then either a ban
+     step or the direction. The bar holds for this one pick. *)
   let answer_corr t (p : Shard_sweep.pick) =
     let st = t.st in
     let corr =
@@ -434,6 +440,7 @@ module Engine = struct
       | Corr corr -> corr
       | Dir _ | Done -> invalid_arg "Lars.Engine: no correlation pending"
     in
+    st.barred <- -1;
     t.nsteps <- t.nsteps + 1;
     let big_c = p.Shard_sweep.big_c and j = p.Shard_sweep.enter in
     if t.nsteps = 1 then t.initial_c <- big_c;
@@ -669,8 +676,8 @@ module Engine = struct
       | Dir _ | Done -> invalid_arg "Lars.Engine: no correlation pending"
     in
     let c, pick =
-      Shard_sweep.lars_scan ~norms:st.norms ~active:st.in_active
-        ~banned:st.banned ~jlo:0 gtr
+      Shard_sweep.lars_scan ~bar:st.barred ~norms:st.norms
+        ~active:st.in_active ~banned:st.banned ~jlo:0 gtr
     in
     t.c <- c;
     for j = 0 to st.m - 1 do
@@ -689,8 +696,8 @@ module Engine = struct
     t.n_carried <- t.n_carried + Array.length rest;
     Array.iteri (fun q j -> t.raw.(j) <- out.(q)) rest;
     let pick =
-      Shard_sweep.lars_scan_at ~norms:st.norms ~active:st.in_active
-        ~banned:st.banned ~jlo:0 ~c:t.c idx
+      Shard_sweep.lars_scan_at ~bar:st.barred ~norms:st.norms
+        ~active:st.in_active ~banned:st.banned ~jlo:0 ~c:t.c idx
         (Array.map (fun j -> t.raw.(j)) idx)
     in
     for j = 0 to st.m - 1 do
@@ -844,6 +851,8 @@ let replay (t : Engine.t) (ck : Ckpt.t) =
   Array.iter
     (fun (e : Ckpt.event) ->
       if t.Engine.stop then fail "events continue past a terminal state";
+      (* As the live pick clears it; a drop below sets it again. *)
+      st.barred <- -1;
       let out j = j < -1 || j >= st.m in
       if out e.added || out e.banned || out e.dropped then
         fail "event column out of range";
@@ -944,11 +953,12 @@ let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) ?log
            screen — and the column-parallel full sweep (bitwise the
            sequential per-column dots) answers everywhere else. *)
         if Option.is_some (Engine.screen t) then Engine.supply_screened t
-        else Engine.supply t (Corr_sweep.gram_tr ?pool src (Engine.request t))
+        else Engine.supply t (Provider.gram_tr ?pool src (Engine.request t))
     | Some e, Engine.Corr _ -> (
         (* Sharded: the shards' merged picks over full window sweeps. *)
         match
-          Engine.answer_corr t (Shard_sweep.lars_select e ~r:(Engine.request t))
+          Engine.answer_corr t
+            (Shard_sweep.lars_select ~bar:st.barred e ~r:(Engine.request t))
         with
         | Engine.Entered j -> Shard_sweep.activate e j
         | Engine.Banned j -> Shard_sweep.ban e j

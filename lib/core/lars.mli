@@ -27,8 +27,8 @@
     and how far to go (the minimum step-length candidate) — and every
     entry point differs only in who answers them: {!path_p} answers
     from the exact or the column-sharded sweep, the fused CV drivers
-    in {!Select} from one {!Corr_sweep.gram_tr_multi} pass shared by
-    many walks. Both answers reduce through the scan kernels
+    in {!Select} from one {!Polybasis.Design.Provider.gram_tr_multi}
+    pass shared by many walks. Both answers reduce through the scan kernels
     {!Shard_sweep.lars_scan} and {!Shard_sweep.gamma_scan}, so every
     driver walks the same steps bit for bit; checkpoint replay feeds
     the recorded entries and step lengths through the walk's own
@@ -202,8 +202,8 @@ val fit_p :
     M-length [Gᵀ·v] back, reduces it with the same scan kernels
     {!path_p} uses, and advances the walk; where {!Engine.screen}
     holds, {!Engine.supply_screened} answers from the engine's own
-    provider instead. Driven with exact sweeps —
-    in particular the per-entry results of {!Corr_sweep.gram_tr_multi},
+    provider instead. Driven with exact sweeps — in particular the
+    per-entry results of {!Polybasis.Design.Provider.gram_tr_multi},
     which are bitwise equal to independent per-fold sweeps — the
     recorded steps are bit-for-bit those of {!path_p} with the exact
     sweep. Requests from distinct engines are mutually independent, so

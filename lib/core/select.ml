@@ -280,7 +280,7 @@ let fused_greedy (type e) (module E : Greedy.ENGINE with type t = e) ?pool
     ~create src =
   lockstep src ~create ~finished:E.finished
     ~sweep:(fun es ~rows ->
-      Corr_sweep.argmax_abs_multi ?pool ~skips:(Array.map E.skip_mask es) src
+      Provider.argmax_abs_multi ?pool ~skips:(Array.map E.skip_mask es) src
         ~rows (Array.map E.residual es))
     ~advance:(fun e pick -> ignore (E.advance e pick))
     ~prefix:(fun e ~max_lambda ->
@@ -315,7 +315,7 @@ let fused_lars ?mode ?on_singular ?pool src ~max_lambda =
       if swept <> [||] then
         Array.iteri
           (fun a g -> answers.(swept.(a)) <- Some g)
-          (Corr_sweep.gram_tr_multi ?pool src
+          (Provider.gram_tr_multi ?pool src
              ~rows:(Array.map (fun i -> rows.(i)) swept)
              (Array.map (fun i -> Lars.Engine.request es.(i)) swept));
       answers)

@@ -123,8 +123,8 @@ val omp_p :
     [sweep] is {!Corr_sweep.Exact}, the one sweep; it is kept for
     callers that name it. The fold driver is {!fused_driver}'s: on
     a streamed provider with the unsharded sweep, every round computes
-    all live folds' selections with one {!Corr_sweep.argmax_abs_multi}
-    sweep.
+    all live folds' selections with one
+    {!Polybasis.Design.Provider.argmax_abs_multi} sweep.
     @raise Invalid_argument if a fold produces an empty path.
 
     Every selector also raises [Invalid_argument "Select: response
@@ -151,8 +151,8 @@ val lars_p :
     in {!omp_p}. The fold driver as in {!omp_p}: the fused fold driver runs
     each fold's walk, and the refit walk, on a
     {!Lars.Engine} created with the same λ budget and serves its
-    per-step sweeps from one {!Corr_sweep.gram_tr_multi} pass per
-    lockstep round, except a request whose {!Lars.Engine.screen}
+    per-step sweeps from one {!Polybasis.Design.Provider.gram_tr_multi}
+    pass per lockstep round, except a request whose {!Lars.Engine.screen}
     holds — a correlation its carried bounds answer, or a step length
     its step-length screen answers: that walk answers it from the
     kept columns of its own provider ({!Lars.Engine.supply_screened}),
@@ -198,7 +198,7 @@ val lars_multi_p :
     driver every (output, fold) walk runs on a {!Lars.Engine}, and each
     lockstep round serves all live walks' sweeps — correlation and
     step-length phases mixed freely — from one
-    {!Corr_sweep.gram_tr_multi} pass. *)
+    {!Polybasis.Design.Provider.gram_tr_multi} pass. *)
 
 val omp :
   ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->

@@ -105,10 +105,11 @@ let local_select l r =
    Selection scan over the listed columns [idx] (ascending window
    indices, [gtr_at.(t)] column idx.(t)'s raw correlation): normalize
    them into [c], then C over the non-banned listed columns, the
-   entering candidate (inactive, non-banned, strict [>] so the lowest
-   index wins ties), and the correlation values at the active listed
-   columns — everything the walk's step reads. *)
-let lars_scan_at ~norms ~active ~banned ~jlo ~c idx gtr_at =
+   entering candidate (inactive, non-banned, not the barred global
+   column [bar], strict [>] so the lowest index wins ties), and the
+   correlation values at the active listed columns — everything the
+   walk's step reads. *)
+let lars_scan_at ?(bar = -1) ~norms ~active ~banned ~jlo ~c idx gtr_at =
   let n = Array.length idx in
   if Array.length gtr_at <> n then
     invalid_arg "Shard_sweep.lars_scan_at: sweep length mismatch";
@@ -121,7 +122,8 @@ let lars_scan_at ~norms ~active ~banned ~jlo ~c idx gtr_at =
     let j = idx.(t) in
     let a = Float.abs c.(j) in
     if (not banned.(j)) && a > !big_c then big_c := a;
-    if (not active.(j)) && (not banned.(j)) && a > !enter_abs then begin
+    if (not active.(j)) && (not banned.(j)) && jlo + j <> bar && a > !enter_abs
+    then begin
       enter := j;
       enter_abs := a
     end
@@ -140,12 +142,12 @@ let lars_scan_at ~norms ~active ~banned ~jlo ~c idx gtr_at =
   }
 
 (* The scan over every column of the window, from a full sweep. *)
-let lars_scan ~norms ~active ~banned ~jlo gtr =
+let lars_scan ?bar ~norms ~active ~banned ~jlo gtr =
   let w = Array.length norms in
   if Array.length gtr <> w then
     invalid_arg "Shard_sweep.lars_scan: sweep length mismatch";
   let c = Array.make w 0. in
-  (c, lars_scan_at ~norms ~active ~banned ~jlo ~c (Array.init w Fun.id) gtr)
+  (c, lars_scan_at ?bar ~norms ~active ~banned ~jlo ~c (Array.init w Fun.id) gtr)
 
 (* Column j's two candidates folded into the running minimum [best]:
    the one step-length arithmetic of every scan below. *)
@@ -307,9 +309,9 @@ let screen_gamma ?pool win ~norms ~active ~banned ~c ~hi ~refresh ~cc ~a_a u =
           gamma = (if g_rest < g_top then g_rest else g_top);
         }
 
-let local_lars_select l r =
+let local_lars_select l r ~bar =
   let c, pick =
-    lars_scan ~norms:l.norms ~active:l.active ~banned:l.banned ~jlo:l.jlo
+    lars_scan ~bar ~norms:l.norms ~active:l.active ~banned:l.banned ~jlo:l.jlo
       (Provider.gram_tr ?pool:l.lpool l.win r)
   in
   l.c <- c;
@@ -352,7 +354,7 @@ type cmd =
   | Deactivate of int
   | Ban of int
   | Select of Vec.t
-  | LarsSelect of Vec.t
+  | LarsSelect of Vec.t * int  (* residual, barred column *)
   | Gamma of { cc : float; a_a : float; u : Vec.t }
   | Norms
   | PeakRss
@@ -411,7 +413,7 @@ let exec_local l (c : cmd) : reply =
   | Select r ->
       let j, a = local_select l r in
       RSelect (j, a)
-  | LarsSelect r -> RPick (local_lars_select l r)
+  | LarsSelect (r, bar) -> RPick (local_lars_select l r ~bar)
   | Gamma { cc; a_a; u } -> RGamma (local_gamma l ~cc ~a_a u)
   | Norms -> RNorms (Array.copy l.raw_norms)
   | PeakRss -> RRss (vmhwm_kb ())
@@ -801,13 +803,13 @@ let merge_pick a b =
     act_c = Array.append a.act_c b.act_c;
   }
 
-let lars_select t ~r =
+let lars_select ?(bar = -1) t ~r =
   let picks =
     Array.map
       (function
         | RPick p -> p
         | _ -> failwith "Shard_sweep: protocol error (lars_select)")
-      (exec t (LarsSelect (Array.copy r)))
+      (exec t (LarsSelect (Array.copy r, bar)))
   in
   Shard.tree_reduce merge_pick picks
 

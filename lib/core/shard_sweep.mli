@@ -65,7 +65,8 @@ val plan : ?mode:string -> int -> (plan, string) result
     ["shard-mode must be domain or process (got \"x\")"]. *)
 
 (** Merged result of a LARS selection scan: C over non-banned columns,
-    the entering candidate (lowest global index on ties), its
+    the entering candidate (inactive, non-banned and not the barred
+    column; lowest global index on ties), its
     normalized correlation value, and the correlation values at every
     active column (shard-ascending, hence global-ascending, order). *)
 type pick = {
@@ -77,6 +78,7 @@ type pick = {
 }
 
 val lars_scan :
+  ?bar:int ->
   norms:Linalg.Vec.t ->
   active:bool array ->
   banned:bool array ->
@@ -88,10 +90,13 @@ val lars_scan :
     normalized correlations [gtr.(j) /. norms.(j)] and their {!pick} —
     {!lars_scan_at} over every column of the window. Shards run it over
     their window, the unsharded walks over the dictionary on every step
-    that sweeps it whole.
+    that sweeps it whole. [bar] (a global index, default none) cannot
+    enter but counts towards C: the column a lasso step just dropped
+    (Efron et al., Section 3.1).
     @raise Invalid_argument when [gtr] and [norms] differ in length. *)
 
 val lars_scan_at :
+  ?bar:int ->
   norms:Linalg.Vec.t ->
   active:bool array ->
   banned:bool array ->
@@ -108,7 +113,7 @@ val lars_scan_at :
     arithmetic of {!lars_scan}, so when [idx] holds every active column
     and every column whose |c_j| can reach the active ones', its C, its
     entrant — whenever that entrant can enter — and its active values
-    are the full scan's, bit for bit.
+    are the full scan's, bit for bit. [bar] as in {!lars_scan}.
     @raise Invalid_argument when [idx] and [gtr_at] differ in length. *)
 
 val gamma_scan :
@@ -257,9 +262,10 @@ val select : t -> r:Linalg.Vec.t -> int * float
     Ties keep the lowest global index; [(-1, 0.)] when nothing is
     eligible. *)
 
-val lars_select : t -> r:Linalg.Vec.t -> pick
-(** LARS step-2 scan (see {!pick}); each shard retains its normalized
-    correlation slice for the same step's {!lars_gamma}. *)
+val lars_select : ?bar:int -> t -> r:Linalg.Vec.t -> pick
+(** LARS step-2 scan (see {!pick}), with [bar] as in {!lars_scan}; each
+    shard retains its normalized correlation slice for the same step's
+    {!lars_gamma}. *)
 
 val lars_gamma : t -> cc:float -> a_a:float -> Linalg.Vec.t -> float
 (** [lars_gamma t ~cc ~a_a u] is the minimum of the shards'

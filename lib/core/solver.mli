@@ -1,7 +1,7 @@
 (** Unified solver front-end: the four techniques compared throughout
-    the paper's Section V, behind one dispatch type. The benches,
-    examples and CLI all go through this module so that every experiment
-    treats the methods symmetrically. *)
+    the paper's Section V, plus lasso as LAR's modification, behind one
+    dispatch type. The benches, examples and CLI all go through this
+    module so that every experiment treats the methods symmetrically. *)
 
 type method_ =
   | Ls  (** least-squares fitting [21] — needs K ≥ M *)
@@ -9,17 +9,24 @@ type method_ =
   | Lar  (** least angle regression, DAC 2009 [2] *)
   | Lasso  (** LARS with the lasso modification (extension) *)
   | Omp  (** orthogonal matching pursuit (the TCAD paper's method) *)
-  | Stomp  (** stagewise OMP (extension) *)
-  | Cosamp  (** CoSaMP with support pruning (extension) *)
 
 val all : method_ list
 (** The paper's four, in table order: [Ls; Star; Lar; Omp]. *)
 
+val methods : method_ list
+(** Every method {!of_name} parses: {!all}, then [Lasso]. The CLI
+    derives its [--method] doc and [rsm info]'s list from it. *)
+
 val name : method_ -> string
+(** The display name: ["LS"], ["STAR"], ["LAR"], ["LASSO"], ["OMP"]. *)
+
+val cli_name : method_ -> string
+(** The lowercase name the CLI documents: ["ls"], ["star"], ["lar"],
+    ["lasso"], ["omp"]. *)
 
 val of_name : string -> method_ option
-(** Case-insensitive parse of [name]; ["lar"], ["lars"], ["lasso"],
-    ["stomp"] and ["cosamp"] are all understood. *)
+(** Case-insensitive parse of {!cli_name}, plus the aliases
+    ["least-squares"] and ["lars"]; [None] for anything else. *)
 
 val needs_overdetermined : method_ -> bool
 (** True only for [Ls]. *)
@@ -31,7 +38,7 @@ val path_method : method_ -> bool
 (** {2 Engine values}
 
     The path methods take the same engine values as the solvers they
-    dispatch to, and [Ls]/[Stomp]/[Cosamp] ignore them:
+    dispatch to, and [Ls] ignores them:
     - [shards], the shard plan ({!type:Shard_sweep.plan}): the selection
       sweeps run column-sharded, bitwise identical to the unsharded run
       at every shard count, and the plan counts worker recoveries;
@@ -46,7 +53,7 @@ val path_method : method_ -> bool
     LAR/LASSO fits (see {!Omp.path_p} and {!Lars.path_p}); [`Fallback]
     routes singular active-set re-fits through the {!Refit} ladder
     instead of stopping, recording the rung in {!Model.notes}; it is
-    ignored by [Ls]/[Stomp]/[Cosamp]. *)
+    ignored by [Ls]. *)
 
 val fit_p :
   ?lambda:int -> ?pool:Parallel.Pool.t ->
@@ -54,10 +61,9 @@ val fit_p :
   ?log:Serialize.Checkpoint.log -> ?shards:Shard_sweep.plan ->
   Polybasis.Design.Provider.t -> Linalg.Vec.t -> method_ -> Model.t
 (** [fit_p src f m] with a fixed sparsity budget [lambda] (ignored by
-    [Ls]; OMP and StOMP cap it at [min(K, M)]): {!Omp.fit_p},
-    {!Star.fit_p} or {!Lars.fit_p} for the path methods, which run
-    matrix-free on a streamed provider; [Ls], [Stomp] and [Cosamp]
-    materialize the matrix. Default [lambda] is [min(K, M)/2] — prefer
+    [Ls]; OMP caps it at [min(K, M)]): {!Omp.fit_p}, {!Star.fit_p} or
+    {!Lars.fit_p} for the path methods, which run matrix-free on a
+    streamed provider; [Ls] materializes the matrix. Default [lambda] is [min(K, M)/2] — prefer
     {!fit_cv_p} in real use.
     @raise Invalid_argument when [Ls] is asked to fit an
     underdetermined system. *)
@@ -83,13 +89,12 @@ val fit_multi_p :
     {!Select.lars_multi_p}) on the driver {!Select.fused_driver} picks
     for the provider's form and [shards], fully matrix-free on
     a streamed provider and bitwise matching the dense run.
-    Non-path methods ([Ls]/[Stomp]/[Cosamp]) materialize the matrix
-    (free when the provider is dense) and fit output at a time: output
-    0 on [rng], the others on {!Randkit.Prng.copy}s of it taken first.
-    Either way output [r]'s model is bitwise the {!fit_cv_p} model for
-    [fs.(r)] from the same generator state, at every domain count and
-    in both provider forms, and [rng] ends where that one {!fit_cv_p}
-    call leaves it.
+    [Ls] materializes the matrix (free when the provider is dense),
+    fits each output on it and draws nothing from [rng]. Either way
+    output [r]'s model is bitwise the {!fit_cv_p} model for [fs.(r)]
+    from the same generator state, at every domain count and in both
+    provider forms, and [rng] ends where that one {!fit_cv_p} call
+    leaves it.
 
     [notes] supplies one provenance-note array per output, appended to
     that output's {!Model.notes} (deduplicated by {!Model.add_note}) —

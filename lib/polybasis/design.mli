@@ -148,6 +148,20 @@ module Provider : sig
   (** Euclidean norm of every column; bitwise equal to
       {!column_norms} of the dense form at every domain count. *)
 
+  (** {2 The correlation sweep}
+
+      Every iteration of OMP (Algorithm 1, Step 3), STAR and LAR scans
+      the inner products of the current residual with all [M] columns:
+      the [Gᵀ·r] sweep that dominates the paper's fitting-cost analysis
+      at O(K·M) per iteration. The kernels below chunk the columns over
+      [pool] ({!Parallel.Pool.default} when none is passed): each chunk
+      owns a contiguous column block and writes only its own slots, with
+      no atomics and no shared accumulation, so every slot is bitwise
+      the sequential [Mat.col_dot] for every domain count and either
+      provider form. An argmax combine keeps the strictly larger
+      magnitude and, on exact ties, the lower column index — the winner
+      a sequential first-strictly-greater scan selects. *)
+
   val gram_tr : ?pool:Parallel.Pool.t -> t -> Linalg.Vec.t -> Linalg.Vec.t
   (** [gram_tr p r] is the full correlation sweep [Gᵀ·r] (OMP step 3 /
       LAR step 2), column-chunked over [pool]. Streamed providers sweep

@@ -97,9 +97,9 @@ val config :
     exact sweep, no rescreen. Returns
     [Error (Invalid_input _)] on non-positive counts or thresholds, a
     confidence or quorum outside its range, [min_samples > samples], or
-    a [store] with a method that has no λ sweep (LS/StOMP/CoSaMP). The
-    shard plan and the cell store arrive validated by their own
-    constructors ({!val:Rsm.Shard_sweep.plan}, {!val:Rsm.Select.store}).
+    a [store] with [Ls], which has no λ sweep. The shard plan and the
+    cell store arrive validated by their own constructors
+    ({!val:Rsm.Shard_sweep.plan}, {!val:Rsm.Select.store}).
 
     No field picks the CV driver: {!Rsm.Select.fused_driver} derives it
     from [streamed] and [shards], and both drivers give the same

@@ -23,8 +23,8 @@ let lipschitz ?(iters = 50) g =
 let soft x t = if x > t then x -. t else if x < -.t then x +. t else 0.
 
 let objective g f ~reg model =
-  let res = Vec.sub f (Model.predict_design model g) in
-  (0.5 *. Vec.nrm2_sq res) +. (reg *. Vec.asum (Model.to_dense model))
+  let res = Vec.sub f (Rsm.Model.predict_design model g) in
+  (0.5 *. Vec.nrm2_sq res) +. (reg *. Vec.asum (Rsm.Model.to_dense model))
 
 let fit ?(max_iters = 2000) ?(tol = 1e-10) g f ~reg =
   if reg < 0. then invalid_arg "Fista.fit: negative penalty";
@@ -65,4 +65,4 @@ let fit ?(max_iters = 2000) ?(tol = 1e-10) g f ~reg =
   (* Snap near-zero survivors of the proximal map to exact zeros. *)
   let top = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. alpha in
   Array.iteri (fun j x -> if Float.abs x < 1e-12 *. Float.max top 1. then alpha.(j) <- 0.) alpha;
-  Model.dense ~basis_size:m alpha
+  Rsm.Model.dense ~basis_size:m alpha

@@ -1,5 +1,5 @@
 (** FISTA — fast iterative shrinkage-thresholding (Beck & Teboulle 2009)
-    — a third route to the lasso, as an extension and a cross-check.
+    — a third route to the lasso, kept as a test oracle.
 
     Minimizes [½‖G·α − F‖₂² + reg·‖α‖₁] by accelerated proximal
     gradient: gradient steps of size [1/L] (L the largest eigenvalue of
@@ -16,10 +16,10 @@ val lipschitz : ?iters:int -> Linalg.Mat.t -> float
 
 val fit :
   ?max_iters:int -> ?tol:float -> Linalg.Mat.t -> Linalg.Vec.t ->
-  reg:float -> Model.t
+  reg:float -> Rsm.Model.t
 (** [fit g f ~reg] runs until the relative change of the objective
     falls below [tol] (default 1e-10) or [max_iters] (default 2000).
     @raise Invalid_argument when [reg < 0]. *)
 
-val objective : Linalg.Mat.t -> Linalg.Vec.t -> reg:float -> Model.t -> float
+val objective : Linalg.Mat.t -> Linalg.Vec.t -> reg:float -> Rsm.Model.t -> float
 (** The lasso objective value of a model — for convergence checks. *)

@@ -34,7 +34,7 @@ let ks_normal ~mean ~sigma xs =
   let d = ref 0. in
   Array.iteri
     (fun i x ->
-      let f = Distribution.cdf ((x -. mean) /. sigma) in
+      let f = Stat.Distribution.cdf ((x -. mean) /. sigma) in
       (* Compare against the empirical CDF on both sides of the jump. *)
       d := Float.max !d (Float.abs (f -. (float_of_int i /. fn)));
       d := Float.max !d (Float.abs (f -. (float_of_int (i + 1) /. fn))))

@@ -1,8 +1,7 @@
 (** Goodness-of-fit: Kolmogorov–Smirnov distances.
 
-    Used to answer "does the model's output distribution match the
-    simulator's?" more sharply than a binned χ² — the validation step
-    behind trusting model Monte Carlo for yield. *)
+    The tests' check that a sampler's output matches its distribution,
+    more sharply than a binned χ². *)
 
 val ks_two_sample : float array -> float array -> float
 (** Two-sample KS statistic: the sup-distance between the empirical

@@ -64,7 +64,7 @@ let fit ?(max_sweeps = 1000) ?(tol = 1e-8) g f ~reg =
   let alpha =
     solve_inplace ~max_sweeps ~tol g f ~reg (Array.make (Mat.cols g) 0.)
   in
-  Model.dense ~basis_size:(Mat.cols g) alpha
+  Rsm.Model.dense ~basis_size:(Mat.cols g) alpha
 
 let path ?(max_sweeps = 1000) ?(tol = 1e-8) g f ~regs =
   if Array.length f <> Mat.rows g then
@@ -74,5 +74,5 @@ let path ?(max_sweeps = 1000) ?(tol = 1e-8) g f ~regs =
     (fun reg ->
       if reg < 0. then invalid_arg "Lasso_cd.path: negative penalty";
       let a = solve_inplace ~max_sweeps ~tol g f ~reg alpha in
-      Model.dense ~basis_size:(Mat.cols g) (Array.copy a))
+      Rsm.Model.dense ~basis_size:(Mat.cols g) (Array.copy a))
     regs

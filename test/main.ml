@@ -30,7 +30,6 @@ let () =
       Test_variance_reduction.suite;
       Test_misc_api.suite;
       Test_dataset_io.suite;
-      Test_cosamp.suite;
       Test_integration.suite;
       Test_parallel.suite;
       Test_provider.suite;

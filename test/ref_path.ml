@@ -1,7 +1,8 @@
 (* A textbook LAR and lasso path, written from the definitions of Efron,
    Hastie, Johnstone & Tibshirani, "Least Angle Regression" (2004),
-   Section 2 and Section 3.1: the reference the library's walks are
-   checked against.
+   Section 2 and Section 3.1, and a textbook OMP from the paper's
+   Algorithm 1: the references the library's walks are checked
+   against.
 
    Dense and unoptimized on purpose. Every step takes the correlations
    c = Xᵀr and the images a = Xᵀu as full products over every column,
@@ -194,6 +195,86 @@ let path ?(lasso = false) g f ~steps =
           gap = Float.min enter_gap (Float.min step_gap drop_gap);
         }
         :: !out
+    end
+  done;
+  Array.of_list (List.rev !out)
+
+(* Least squares over the columns [cols] by a fresh QR (modified
+   Gram–Schmidt, applied to f as to the columns): α = R⁻¹·Qᵀf. *)
+let ls_solve cols f =
+  let n = Array.length cols in
+  let q = Array.map Array.copy cols in
+  let r = Array.make_matrix n n 0. in
+  let y = Array.make n 0. and rhs = Array.copy f in
+  for j = 0 to n - 1 do
+    for i = 0 to j - 1 do
+      let d = Vec.dot q.(i) q.(j) in
+      r.(i).(j) <- d;
+      Vec.axpy (-.d) q.(i) q.(j)
+    done;
+    let nrm = sqrt (Vec.nrm2_sq q.(j)) in
+    r.(j).(j) <- nrm;
+    Array.iteri (fun t x -> q.(j).(t) <- x /. nrm) q.(j);
+    y.(j) <- Vec.dot q.(j) rhs;
+    Vec.axpy (-.y.(j)) q.(j) rhs
+  done;
+  let x = Array.make n 0. in
+  for i = n - 1 downto 0 do
+    let acc = ref y.(i) in
+    for t = i + 1 to n - 1 do
+      acc := !acc -. (r.(i).(t) *. x.(t))
+    done;
+    x.(i) <- !acc /. r.(i).(i)
+  done;
+  x
+
+type omp_step = {
+  index : int;  (** the column selected at this step *)
+  omp_coeffs : float array;  (** all M coefficients after the re-fit *)
+  omp_gap : float;
+      (** the relative distance from the winner's |ξ_j| to the next
+          unselected column's (infinity when there is no rival) *)
+}
+
+(* OMP as Algorithm 1 states it, on the raw columns: Step 3 selects the
+   unselected column of largest |ξ_j| = |⟨G_j, r⟩|/K from the full
+   product Gᵀr (lowest index on ties), Step 6 re-fits every selected
+   coefficient by least squares from scratch, Step 7 recomputes the
+   residual. Walks [steps] steps, fewer if every column is selected or
+   the residual correlates with none. *)
+let omp g f ~steps =
+  let k = Mat.rows g and m = Mat.cols g in
+  let col j = Array.init k (fun i -> Mat.get g i j) in
+  let cols = Array.init m col in
+  let selected = Array.make m false in
+  let support = ref [] (* selection order, newest first *) in
+  let r = ref (Array.copy f) in
+  let out = ref [] in
+  let stop = ref false in
+  while (not !stop) && List.length !out < steps do
+    let xi = Array.map (fun c -> Float.abs (Vec.dot c !r) /. float_of_int k) cols in
+    let best = ref (-1) and second = ref 0. in
+    Array.iteri
+      (fun j a ->
+        if not selected.(j) then
+          if !best < 0 || a > xi.(!best) then begin
+            if !best >= 0 then second := Float.max !second xi.(!best);
+            best := j
+          end
+          else second := Float.max !second a)
+      xi;
+    if !best < 0 || xi.(!best) = 0. then stop := true
+    else begin
+      let j = !best in
+      selected.(j) <- true;
+      support := j :: !support;
+      let act = Array.of_list (List.rev !support) in
+      let alpha = ls_solve (Array.map (fun j -> cols.(j)) act) f in
+      let coeffs = Array.make m 0. in
+      Array.iteri (fun p j -> coeffs.(j) <- alpha.(p)) act;
+      r := Array.copy f;
+      Array.iteri (fun p j -> Vec.axpy (-.alpha.(p)) cols.(j) !r) act;
+      out := { index = j; omp_coeffs = coeffs; omp_gap = rel_gap xi.(j) !second } :: !out
     end
   done;
   Array.of_list (List.rev !out)

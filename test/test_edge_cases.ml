@@ -62,17 +62,11 @@ let test_lars_single_column () =
   (* LAR's final step reaches the full LS solution: coefficient 2. *)
   check_float ~eps:1e-8 "reaches LS endpoint" 2. (Rsm.Model.coeff final 0)
 
-let test_stomp_zero_response () =
-  let gen = Randkit.Prng.create 105 in
-  let g = Randkit.Gaussian.matrix gen 10 5 in
-  let m = Rsm.Stomp.fit g (Array.make 10 0.) in
-  check_int "empty model" 0 (Rsm.Model.nnz m)
-
 let test_lasso_cd_zero_design () =
   let g = Mat.create 5 3 in
   let f = [| 1.; 2.; 3.; 4.; 5. |] in
   (* All-zero columns: coordinate descent must terminate with zeros. *)
-  let m = Rsm.Lasso_cd.fit g f ~reg:0.1 in
+  let m = Lasso_cd.fit g f ~reg:0.1 in
   check_int "all zero" 0 (Rsm.Model.nnz m)
 
 (* --- constant-response metric edge --- *)
@@ -171,7 +165,6 @@ let suite =
       case "star: zero response" test_star_zero_response;
       case "lars: zero response" test_lars_zero_response;
       case "lars: single column reaches LS" test_lars_single_column;
-      case "stomp: zero response" test_stomp_zero_response;
       case "lasso-cd: zero design" test_lasso_cd_zero_design;
       case "metrics: constant prediction" test_relative_rms_constant_pred;
       case "crossval: two points" test_cv_two_points_two_folds;

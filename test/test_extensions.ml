@@ -1,5 +1,5 @@
-(* Extension features: sensitivity, yield, StOMP, incremental sampling,
-   ring oscillator. *)
+(* Extension features: sensitivity, yield, incremental sampling, ring
+   oscillator. *)
 open Test_util
 
 (* A hand-built quadratic model over 3 factors:
@@ -111,8 +111,7 @@ let test_yield_spec_validation () =
   check_bool "passes" true (Rsm.Yield.passes (Rsm.Yield.spec_min 1.) 2.);
   check_bool "fails" false (Rsm.Yield.passes (Rsm.Yield.spec_min 1.) 0.)
 
-(* --- StOMP --- *)
-
+(* A random K×M design and a response on a known sparse support. *)
 let sparse_problem ?(noise = 0.) ~k ~m ~support ~coeffs seed =
   let g = Randkit.Prng.create seed in
   let design = Randkit.Gaussian.matrix g k m in
@@ -125,57 +124,6 @@ let sparse_problem ?(noise = 0.) ~k ~m ~support ~coeffs seed =
         !acc +. (noise *. Randkit.Gaussian.sample g))
   in
   (design, f)
-
-let test_stomp_recovers_support () =
-  let support = [| 4; 11; 29; 47 |] and coeffs = [| 3.; -2.; 1.5; 0.9 |] in
-  let g, f = sparse_problem ~k:100 ~m:80 ~support ~coeffs 51 in
-  let model = Rsm.Stomp.fit g f in
-  Array.iter
-    (fun j ->
-      check_bool (Printf.sprintf "true support %d found" j) true
-        (Rsm.Model.coeff model j <> 0.))
-    support
-
-let test_stomp_fewer_stages_than_omp_iterations () =
-  let support = Array.init 12 (fun i -> i * 6) in
-  let coeffs = Array.init 12 (fun i -> 1. +. (0.1 *. float_of_int i)) in
-  let g, f = sparse_problem ~k:150 ~m:100 ~support ~coeffs 52 in
-  let steps = Rsm.Stomp.path g f in
-  check_bool "selects in few stages" true (Array.length steps <= 5);
-  let final = steps.(Array.length steps - 1).Rsm.Stomp.model in
-  check_bool "covers the support" true (Rsm.Model.nnz final >= 12)
-
-let test_stomp_residual_decreasing () =
-  let g, f =
-    sparse_problem ~noise:0.3 ~k:80 ~m:60 ~support:[| 3; 17 |] ~coeffs:[| 2.; -1. |] 53
-  in
-  let steps = Rsm.Stomp.path g f in
-  for i = 1 to Array.length steps - 1 do
-    check_bool "monotone" true
-      (steps.(i).Rsm.Stomp.residual_norm
-      <= steps.(i - 1).Rsm.Stomp.residual_norm +. 1e-9)
-  done
-
-let test_stomp_validation () =
-  let g, f =
-    sparse_problem ~k:20 ~m:10 ~support:[| 1 |] ~coeffs:[| 1. |] 54
-  in
-  check_raises_invalid "threshold" (fun () ->
-      ignore (Rsm.Stomp.path ~threshold:0. g f));
-  check_raises_invalid "stages" (fun () ->
-      ignore (Rsm.Stomp.path ~max_stages:0 g f));
-  check_raises_invalid "max_selected" (fun () ->
-      ignore (Rsm.Stomp.path ~max_selected:100 g f))
-
-let test_stomp_noise_robust () =
-  let g, f =
-    sparse_problem ~noise:0.5 ~k:200 ~m:120 ~support:[| 10; 50; 90 |]
-      ~coeffs:[| 3.; 2.; -2. |] 55
-  in
-  let model = Rsm.Stomp.fit g f in
-  (* With noise the threshold keeps the selection modest. *)
-  check_bool "not grossly over-selected" true (Rsm.Model.nnz model < 40);
-  check_bool "error small" true (Rsm.Model.error_on model g f < 0.3)
 
 (* --- Incremental --- *)
 
@@ -309,11 +257,6 @@ let suite =
       case "yield: rejects nonlinear" test_yield_gaussian_rejects_quadratic;
       slow_case "yield: MC matches gaussian" test_yield_mc_matches_gaussian;
       case "yield: spec validation" test_yield_spec_validation;
-      case "stomp: support recovery" test_stomp_recovers_support;
-      case "stomp: few stages" test_stomp_fewer_stages_than_omp_iterations;
-      case "stomp: residual decreasing" test_stomp_residual_decreasing;
-      case "stomp: validation" test_stomp_validation;
-      case "stomp: noise robustness" test_stomp_noise_robust;
       slow_case "incremental: converges and saves samples" test_incremental_converges;
       case "incremental: budget exhaustion" test_incremental_budget_exhaustion;
       case "incremental: validation" test_incremental_validation;

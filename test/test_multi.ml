@@ -347,8 +347,7 @@ let test_solver_fit_multi_parity () =
     (models, Randkit.Prng.float g)
   in
   (* The streamed design runs the fused grid, the dense one the per-job
-     driver (path methods) or output-at-a-time fits (StOMP); each
-     equals independent fit_cv_p calls on its own design. *)
+     driver; each equals independent fit_cv_p calls on its own design. *)
   List.iter
     (fun meth ->
       let mname = Rsm.Solver.name meth in
@@ -386,7 +385,7 @@ let test_solver_fit_multi_parity () =
       check_bool
         (Printf.sprintf "dense %s leaves the generator as fit_cv_p" mname)
         true (per_next = after_one src_d))
-    Rsm.Solver.[ Lar; Lasso; Omp; Star; Stomp ]
+    Rsm.Solver.[ Lar; Lasso; Omp; Star ]
 
 let test_fit_multi_validation () =
   let _, basis, pts, _ = random_setting 4 in

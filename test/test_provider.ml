@@ -118,10 +118,10 @@ let prop_sweeps_bitwise seed =
   let skip = Array.init m (fun _ -> Randkit.Prng.int rng 4 = 0) in
   let sweeps =
     with_pools (fun pool ->
-        ( Rsm.Corr_sweep.gram_tr ~pool src_d r,
-          Rsm.Corr_sweep.gram_tr ~pool src_s r,
-          Rsm.Corr_sweep.argmax_abs ~pool ~skip src_d r,
-          Rsm.Corr_sweep.argmax_abs ~pool ~skip src_s r ))
+        ( P.gram_tr ~pool src_d r,
+          P.gram_tr ~pool src_s r,
+          P.argmax_abs ~pool ~skip src_d r,
+          P.argmax_abs ~pool ~skip src_s r ))
   in
   all_equal "sweep bits across domains" sweeps;
   List.iter

@@ -9,8 +9,8 @@
      each step length and every coefficient within a relative 1e-7 of
      the reference's; the fused lockstep's refit lane (Select.lars_p on
      a streamed design) returns the reference's model at the chosen λ.
-     LAR and lasso; a lasso walk up to its first drop, after which the
-     library lets the dropped column enter again at once.
+     LAR and lasso, a lasso walk through every drop: the column a drop
+     removes does not enter at the next step.
    - A constructed walk in which a column's correlation is only bounded
      — carried over steps 2 to 4 — and then sets step 4's length and
      enters at step 5: every driver walks the reference's steps. A
@@ -112,7 +112,10 @@ let check_lockstep ~tag ~mode ~pool streamed f (reference : Ref_path.step array)
     | None -> ()
   end
 
-let prop_oracle seed =
+(* One random case: K in [30, 60] rows over a quadratic basis in 8 to
+   12 factors (M = 45 to 91), a sparse response, LAR or lasso, and a
+   walk length below saturation. *)
+let random_case seed =
   let rng = Randkit.Prng.create seed in
   let k = 30 + Randkit.Prng.int rng 31 in
   let dim = 8 + Randkit.Prng.int rng 5 in
@@ -121,24 +124,15 @@ let prop_oracle seed =
   let streamed = P.streamed basis pts in
   let f = Test_sweep.sparse_response rng streamed in
   let lasso = Randkit.Prng.int rng 2 = 0 in
+  (k, streamed, f, lasso, min 14 (k / 3))
+
+let prop_oracle seed =
+  let k, streamed, f, lasso, max_steps = random_case seed in
   let mode = if lasso then Rsm.Lars.Lasso else Rsm.Lars.Lar in
-  let max_steps = min 14 (k / 3) in
   let reference = Ref_path.path ~lasso (P.to_dense streamed) f ~steps:max_steps in
   QCheck.assume
     (Array.length reference = max_steps
     && Array.for_all (fun (s : Ref_path.step) -> s.Ref_path.gap > 1e-6) reference);
-  (* The library's lasso walk lets the column a drop just removed enter
-     again at the next step, where the textbook keeps it out; the walks
-     are compared up to the first drop. *)
-  let max_steps =
-    match
-      List.find_opt
-        (fun i -> reference.(i).Ref_path.dropped <> None)
-        (List.init max_steps Fun.id)
-    with
-    | Some i -> i + 1
-    | None -> max_steps
-  in
   let tag =
     Printf.sprintf "seed %d, K=%d, M=%d, %s" seed k (P.cols streamed)
       (if lasso then "lasso" else "lar")
@@ -146,6 +140,80 @@ let prop_oracle seed =
   Parallel.Pool.with_pool ~domains:1 (fun pool ->
       let reference = check_drivers ~tag ~mode ~lasso ~pool streamed f ~max_steps in
       check_lockstep ~tag ~mode ~pool streamed f reference ~max_lambda:(max_steps / 2));
+  true
+
+(* Seed 5269 (K = 35, M = 91, lasso): the reference drops column 26 at
+   step 6 and, with 26 barred, enters no column at step 7. A walk that
+   let 26 enter again at once would add it at step 7, where its
+   correlation still ties C. *)
+let test_drop_waits () =
+  let _, streamed, f, lasso, max_steps = random_case 5269 in
+  let reference = Ref_path.path ~lasso (P.to_dense streamed) f ~steps:max_steps in
+  check_bool "a lasso case over 91 columns" true (lasso && P.cols streamed = 91);
+  check_bool "step 6 drops column 26" true (reference.(5).Ref_path.dropped = Some 26);
+  check_bool "step 7 enters none" true (reference.(6).Ref_path.added = None);
+  check_bool "every driver walks the reference through the drop" true (prop_oracle 5269)
+
+(* The OMP drivers against Ref_path.omp: same selections in the same
+   order and every coefficient within [tol] of the reference's, the
+   step [from + i] of the reference being the driver's step [i]. *)
+let check_omp_walk what (reference : Ref_path.omp_step array) ~from
+    (steps : Rsm.Omp.step array) =
+  if Array.length steps <> Array.length reference - from then
+    Alcotest.failf "%s: %d steps, the reference walks %d" what (Array.length steps)
+      (Array.length reference - from);
+  Array.iteri
+    (fun i (s : Rsm.Omp.step) ->
+      let r = reference.(from + i) in
+      if s.Rsm.Omp.index <> r.Ref_path.index then
+        Alcotest.failf "%s: step %d selects column %d, the reference %d" what
+          (from + i + 1) s.Rsm.Omp.index r.Ref_path.index;
+      if not (coeffs_close s.Rsm.Omp.model r.Ref_path.omp_coeffs) then
+        Alcotest.failf "%s: step %d's coefficients differ from the reference" what
+          (from + i + 1))
+    steps
+
+(* Omp.path_p over the dense design, the streamed design, two domain
+   shards and resumed from the walk log written halfway, and the fused
+   lockstep's refit lane (Select.omp_p on the streamed design) at the
+   chosen λ, against the textbook OMP. The generator keeps a gap of
+   1e-6 relative between each winner and the next column. *)
+let prop_omp_oracle seed =
+  let k, streamed, f, _, max_steps = random_case seed in
+  let dense = P.dense (P.to_dense streamed) in
+  let reference = Ref_path.omp (P.to_dense streamed) f ~steps:max_steps in
+  QCheck.assume
+    (Array.length reference = max_steps
+    && Array.for_all (fun (s : Ref_path.omp_step) -> s.Ref_path.omp_gap > 1e-6) reference);
+  let tag = Printf.sprintf "seed %d, K=%d, M=%d, omp" seed k (P.cols streamed) in
+  Parallel.Pool.with_pool ~domains:1 (fun pool ->
+      let walk what ?shards ?log src =
+        let steps = Rsm.Omp.path_p ~pool ?shards ?log src f ~max_lambda:max_steps in
+        check_omp_walk (tag ^ ": " ^ what) reference ~from:0 steps
+      in
+      let logs = ref [] in
+      walk "dense" ~log:(walk_log ~every:1 ~save:(fun c -> logs := c :: !logs) ()) dense;
+      walk "streamed" streamed;
+      walk "two domain shards" ~shards:(plan 2) dense;
+      (* Resumed from the log written halfway: its leading step is the
+         replayed state. *)
+      let logs = Array.of_list (List.rev !logs) in
+      let half = logs.((Array.length logs - 1) / 2) in
+      let replayed = Array.length half.Ckpt.events in
+      check_omp_walk (tag ^ ": resumed") reference ~from:(replayed - 1)
+        (Rsm.Omp.path_p ~pool ~log:(walk_log ~resume:half ()) dense f
+           ~max_lambda:max_steps);
+      check_bool (tag ^ ": the grid runs fused") true
+        (Rsm.Select.fused_driver ~streamed:true ~shards:1);
+      let sel =
+        Rsm.Select.omp_p ~pool (Randkit.Prng.create 3) ~max_lambda:(max_steps / 2)
+          streamed f
+      in
+      let l = sel.Rsm.Select.lambda in
+      check_bool
+        (Printf.sprintf "%s: fused refit at lambda %d == reference" tag l)
+        true
+        (coeffs_close sel.Rsm.Select.model reference.(l - 1).Ref_path.omp_coeffs));
   true
 
 (* Orthonormal q_0 … q_39 of R^640, each the normalized indicator of
@@ -254,4 +322,7 @@ let suite =
         test_beyond_nearest;
       qtest ~count:100 "prop_oracle: every LAR driver == the textbook path" seed_gen
         prop_oracle;
+      case "a lasso drop's column waits a step == textbook" test_drop_waits;
+      qtest ~count:100 "prop_omp_oracle: every OMP driver == Algorithm 1" seed_gen
+        prop_omp_oracle;
     ] )

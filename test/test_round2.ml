@@ -21,7 +21,7 @@ let sparse_problem ?(noise = 0.) ~k ~m ~support ~coeffs seed =
 let test_lipschitz_vs_svd () =
   let g = rng () in
   let a = Randkit.Gaussian.matrix g 30 10 in
-  let l = Rsm.Fista.lipschitz ~iters:200 a in
+  let l = Fista.lipschitz ~iters:200 a in
   let d = Svd.decompose a in
   check_float ~eps:1e-4 "L = sigma_max^2" (d.Svd.sigma.(0) ** 2.) l
 
@@ -31,11 +31,11 @@ let test_fista_matches_cd () =
     sparse_problem ~noise:0.2 ~k:80 ~m:40 ~support:[| 3; 20 |]
       ~coeffs:[| 2.; -1. |] 201
   in
-  let reg = 0.2 *. Rsm.Lasso_cd.max_reg g f in
-  let cd = Rsm.Lasso_cd.fit ~tol:1e-12 g f ~reg in
-  let fista = Rsm.Fista.fit ~max_iters:5000 ~tol:1e-14 g f ~reg in
-  let o_cd = Rsm.Fista.objective g f ~reg cd in
-  let o_fista = Rsm.Fista.objective g f ~reg fista in
+  let reg = 0.2 *. Lasso_cd.max_reg g f in
+  let cd = Lasso_cd.fit ~tol:1e-12 g f ~reg in
+  let fista = Fista.fit ~max_iters:5000 ~tol:1e-14 g f ~reg in
+  let o_cd = Fista.objective g f ~reg cd in
+  let o_fista = Fista.objective g f ~reg fista in
   check_float ~eps:1e-4 "objectives equal" o_cd o_fista;
   check_vec ~eps:1e-3 "solutions equal" (Rsm.Model.to_dense cd)
     (Rsm.Model.to_dense fista)
@@ -44,13 +44,13 @@ let test_fista_zero_at_max_reg () =
   let g, f =
     sparse_problem ~k:50 ~m:20 ~support:[| 5 |] ~coeffs:[| 1. |] 202
   in
-  let m = Rsm.Fista.fit g f ~reg:(Rsm.Lasso_cd.max_reg g f *. 1.01) in
+  let m = Fista.fit g f ~reg:(Lasso_cd.max_reg g f *. 1.01) in
   check_int "all zeros above max penalty" 0 (Rsm.Model.nnz m)
 
 let test_fista_validation () =
   let g, f = sparse_problem ~k:10 ~m:5 ~support:[| 1 |] ~coeffs:[| 1. |] 203 in
   check_raises_invalid "negative reg" (fun () ->
-      ignore (Rsm.Fista.fit g f ~reg:(-1.)))
+      ignore (Fista.fit g f ~reg:(-1.)))
 
 (* --- Coherence --- *)
 
@@ -162,32 +162,32 @@ let test_lhs_reduces_mean_estimator_variance () =
 
 let test_ks_identical () =
   let a = [| 1.; 2.; 3.; 4. |] in
-  check_float "identical" 0. (Stat.Gof.ks_two_sample a a)
+  check_float "identical" 0. (Gof.ks_two_sample a a)
 
 let test_ks_disjoint () =
   let a = [| 1.; 2. |] and b = [| 10.; 11. |] in
-  check_float "disjoint = 1" 1. (Stat.Gof.ks_two_sample a b)
+  check_float "disjoint = 1" 1. (Gof.ks_two_sample a b)
 
 let test_ks_same_distribution_small () =
   let g = rng () in
   let a = Randkit.Gaussian.vector g 3000 in
   let b = Randkit.Gaussian.vector g 3000 in
-  let d = Stat.Gof.ks_two_sample a b in
+  let d = Gof.ks_two_sample a b in
   check_bool "below critical" true
-    (d < Stat.Gof.ks_critical ~alpha:0.01 ~n1:3000 ~n2:3000)
+    (d < Gof.ks_critical ~alpha:0.01 ~n1:3000 ~n2:3000)
 
 let test_ks_shifted_detected () =
   let g = rng () in
   let a = Randkit.Gaussian.vector g 2000 in
   let b = Array.map (fun x -> x +. 0.3) (Randkit.Gaussian.vector g 2000) in
   check_bool "shift rejected" true
-    (Stat.Gof.ks_two_sample a b > Stat.Gof.ks_critical ~alpha:0.01 ~n1:2000 ~n2:2000)
+    (Gof.ks_two_sample a b > Gof.ks_critical ~alpha:0.01 ~n1:2000 ~n2:2000)
 
 let test_ks_normal () =
   let g = rng () in
   let a = Array.map (fun x -> (2. *. x) +. 5.) (Randkit.Gaussian.vector g 4000) in
-  let d_right = Stat.Gof.ks_normal ~mean:5. ~sigma:2. a in
-  let d_wrong = Stat.Gof.ks_normal ~mean:0. ~sigma:1. a in
+  let d_right = Gof.ks_normal ~mean:5. ~sigma:2. a in
+  let d_wrong = Gof.ks_normal ~mean:0. ~sigma:1. a in
   check_bool "right parameters fit" true (d_right < 0.03);
   check_bool "wrong parameters do not" true (d_wrong > 0.5)
 

@@ -76,7 +76,7 @@ let counter_suite =
    real distributional defect. *)
 let gof_check name xs =
   let n = Array.length xs in
-  let ks = Stat.Gof.ks_normal ~mean:0. ~sigma:1. xs in
+  let ks = Gof.ks_normal ~mean:0. ~sigma:1. xs in
   check_bool (name ^ ": KS vs N(0,1) small") true (ks < 1.95 /. sqrt (float_of_int n));
   check_bool (name ^ ": mean near 0") true
     (abs_float (Stat.Descriptive.mean xs) < 0.03);

@@ -71,7 +71,7 @@ let screened_walk ~pool ~mode ~on_singular ?(must_keep = []) src f
         Rsm.Lars.Engine.supply_screened e
     | None ->
         Rsm.Lars.Engine.supply e
-          (Rsm.Corr_sweep.gram_tr ~pool src (Rsm.Lars.Engine.request e))
+          (P.gram_tr ~pool src (Rsm.Lars.Engine.request e))
   done;
   (Rsm.Lars.Engine.steps e, !held, !carried)
 

@@ -223,7 +223,7 @@ let test_lasso_path_matches_cd () =
      approximately, so compare predictions rather than coefficients. *)
   let c = s.Rsm.Lars.max_corr in
   let reg = c *. Stat.Descriptive.mean norms in
-  let cd = Rsm.Lasso_cd.fit g f ~reg in
+  let cd = Lasso_cd.fit g f ~reg in
   let pred_lars = Rsm.Model.predict_design s.Rsm.Lars.model g in
   let pred_cd = Rsm.Model.predict_design cd g in
   let denom = Float.max (Vec.nrm2 pred_lars) 1e-9 in
@@ -284,13 +284,13 @@ let test_ridge_cv () =
 
 let test_lasso_cd_zero_at_max_reg () =
   let g, f = std_problem 23 in
-  let reg = Rsm.Lasso_cd.max_reg g f in
-  let m = Rsm.Lasso_cd.fit g f ~reg in
+  let reg = Lasso_cd.max_reg g f in
+  let m = Lasso_cd.fit g f ~reg in
   check_int "all zero" 0 (Rsm.Model.nnz m)
 
 let test_lasso_cd_dense_at_zero_reg () =
   let g, f = std_problem 24 in
-  let m = Rsm.Lasso_cd.fit g f ~reg:1e-10 in
+  let m = Lasso_cd.fit g f ~reg:1e-10 in
   (* Effectively unpenalized: training error ~ 0 like LS. *)
   check_bool "near-exact" true (Rsm.Model.error_on m g f < 1e-3)
 
@@ -298,8 +298,8 @@ let test_lasso_cd_kkt () =
   (* KKT conditions of the lasso: |G_jᵀr| ≤ reg for inactive j,
      G_jᵀr = reg·sign(α_j) for active j. *)
   let g, f = std_problem ~noise:0.2 25 in
-  let reg = 0.3 *. Rsm.Lasso_cd.max_reg g f in
-  let m = Rsm.Lasso_cd.fit ~tol:1e-12 g f ~reg in
+  let reg = 0.3 *. Lasso_cd.max_reg g f in
+  let m = Lasso_cd.fit ~tol:1e-12 g f ~reg in
   let res = Vec.sub f (Rsm.Model.predict_design m g) in
   let alpha = Rsm.Model.to_dense m in
   for j = 0 to Mat.cols g - 1 do
@@ -314,9 +314,9 @@ let test_lasso_cd_kkt () =
 
 let test_lasso_cd_path_monotone_sparsity () =
   let g, f = std_problem ~noise:0.2 26 in
-  let top = Rsm.Lasso_cd.max_reg g f in
+  let top = Lasso_cd.max_reg g f in
   let regs = Array.init 6 (fun i -> top *. (0.5 ** float_of_int i)) in
-  let models = Rsm.Lasso_cd.path g f ~regs in
+  let models = Lasso_cd.path g f ~regs in
   for i = 1 to 5 do
     check_bool "sparsity non-increasing penalty -> non-decreasing nnz" true
       (Rsm.Model.nnz models.(i) >= Rsm.Model.nnz models.(i - 1))

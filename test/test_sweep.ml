@@ -29,7 +29,6 @@
      kept rows. *)
 open Test_util
 module P = Polybasis.Design.Provider
-module CS = Rsm.Corr_sweep
 
 let pool_counts = [ 1; 2; 4 ]
 
@@ -207,8 +206,8 @@ let prop_multi_bitwise seed =
           let name = if P.is_streamed src then "streamed" else "dense" in
           let outs =
             with_pools (fun pool ->
-                ( CS.gram_tr_multi ~pool src ~rows rs,
-                  CS.argmax_abs_multi ~pool ~skips src ~rows rs ))
+                ( P.gram_tr_multi ~pool src ~rows rs,
+                  P.argmax_abs_multi ~pool ~skips src ~rows rs ))
           in
           all_equal (Printf.sprintf "%s multi q=%d across domains" name q)
             outs;
@@ -216,13 +215,13 @@ let prop_multi_bitwise seed =
           Array.iteri
             (fun fq idx ->
               let sub = P.select_rows src idx in
-              let independent = CS.gram_tr sub rs.(fq) in
+              let independent = P.gram_tr sub rs.(fq) in
               check_bool
                 (Printf.sprintf "%s gram_tr_multi fold %d/%d bitwise" name fq
                    q)
                 true
                 (independent = multi.(fq));
-              let pick = CS.argmax_abs ~skip:skips.(fq) sub rs.(fq) in
+              let pick = P.argmax_abs ~skip:skips.(fq) sub rs.(fq) in
               check_bool
                 (Printf.sprintf "%s argmax_abs_multi fold %d/%d bitwise" name
                    fq q)
@@ -312,15 +311,15 @@ let test_multi_validation () =
   let src = P.streamed basis pts in
   let k = P.rows src in
   check_raises_invalid "empty fold set" (fun () ->
-      CS.gram_tr_multi src ~rows:[||] [||]);
+      P.gram_tr_multi src ~rows:[||] [||]);
   check_raises_invalid "count mismatch" (fun () ->
-      CS.gram_tr_multi src ~rows:[| [| 0 |] |] [| [| 1. |]; [| 1. |] |]);
+      P.gram_tr_multi src ~rows:[| [| 0 |] |] [| [| 1. |]; [| 1. |] |]);
   check_raises_invalid "residual length mismatch" (fun () ->
-      CS.gram_tr_multi src ~rows:[| [| 0; 1 |] |] [| [| 1. |] |]);
+      P.gram_tr_multi src ~rows:[| [| 0; 1 |] |] [| [| 1. |] |]);
   check_raises_invalid "non-ascending rows" (fun () ->
-      CS.gram_tr_multi src ~rows:[| [| 1; 0 |] |] [| [| 1.; 1. |] |]);
+      P.gram_tr_multi src ~rows:[| [| 1; 0 |] |] [| [| 1.; 1. |] |]);
   check_raises_invalid "out-of-range row" (fun () ->
-      CS.gram_tr_multi src ~rows:[| [| k |] |] [| [| 1. |] |])
+      P.gram_tr_multi src ~rows:[| [| k |] |] [| [| 1. |] |])
 
 (* --- the sharded screen against the unscreened reference ----------- *)
 
@@ -454,7 +453,7 @@ let corr_bits (s : Rsm.Lars.step) = Int64.bits_of_float s.Rsm.Lars.max_corr
    wherever the walk then is — at the λ budget included. *)
 let with_scaled_copies src f =
   let m = P.cols src and k = P.rows src in
-  let c = CS.gram_tr src f in
+  let c = P.gram_tr src f in
   let order = Array.init m Fun.id in
   Array.sort (fun a b -> compare (Float.abs c.(b)) (Float.abs c.(a))) order;
   let scales = [| 2.; -0.5; 4. |] in

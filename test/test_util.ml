@@ -46,7 +46,7 @@ let reference_walk ?pool ?(mode = Rsm.Lars.Lar) ?(on_singular = `Stop) src f
   let e = Rsm.Lars.Engine.create ~mode ?pool ~on_singular src f ~max_lambda in
   while not (Rsm.Lars.Engine.finished e) do
     Rsm.Lars.Engine.supply e
-      (Rsm.Corr_sweep.gram_tr ?pool src (Rsm.Lars.Engine.request e))
+      (Polybasis.Design.Provider.gram_tr ?pool src (Rsm.Lars.Engine.request e))
   done;
   Rsm.Lars.Engine.steps e
 
