@@ -9,8 +9,7 @@
        sweep Q and report the chosen lambda and testing error.
    (d) Shrinkage-only control: ridge (dense L2) shows sparsity, not just
        regularization, is what makes small-K modeling work.
-   (e) Retired with the stagewise-OMP extension solver; the letters
-       of the other sections are kept.
+   (e) Unused, so that the other letters keep matching EXPERIMENTS.md.
    (f) Sparsity boundary: the ring oscillator's frequency loads every
        stage equally; when the ground truth is not profoundly sparse,
        the sparse methods' advantage over the dense L2 baseline

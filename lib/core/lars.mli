@@ -10,7 +10,9 @@
     active ones, which is then added. With the lasso modification, an
     active coefficient that would cross zero is instead dropped at the
     crossing and the direction recomputed, making the path coincide
-    with the lasso solution path.
+    with the lasso solution path; the dropped column, still at the
+    correlation tie, may not enter at the very next step (Efron et al.,
+    Section 3.1), on every driver and after a resume.
 
     Columns are normalized to unit Euclidean norm internally (Hermite
     basis columns have norm ≈ √K already; normalization removes the
