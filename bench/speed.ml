@@ -346,7 +346,8 @@ let col_dots_rows ~quick ~reps ~pool ~check =
   let r = Randkit.Gaussian.vector rng k in
   let full = Polybasis.Design.Provider.gram_tr ~pool src r in
   let full_s =
-    Bench_util.median_of ~reps (fun () -> ignore (Polybasis.Design.Provider.gram_tr ~pool src r))
+    Bench_util.median_of ~reps (fun () ->
+        ignore (Polybasis.Design.Provider.gram_tr ~pool src r))
   in
   let bits = Array.map Int64.bits_of_float in
   let rows =
@@ -446,7 +447,8 @@ let sweep_scenario ~quick ~domains () =
     in
     let per_fold () =
       Array.mapi
-        (fun fq sub -> Polybasis.Design.Provider.gram_tr ~pool sub fold_res.(fq))
+        (fun fq sub ->
+          Polybasis.Design.Provider.gram_tr ~pool sub fold_res.(fq))
         copies
     in
     let fused () =

@@ -217,7 +217,8 @@ let method_arg =
   Arg.(value & opt string "omp" & info [ "method" ] ~docv:"METHOD"
          ~doc:
            (Printf.sprintf "Fitting method: %s."
-              (String.concat ", " (List.map Rsm.Solver.cli_name Rsm.Solver.methods))))
+              (String.concat ", "
+                 (List.map Rsm.Solver.cli_name Rsm.Solver.methods))))
 
 let test_arg =
   Arg.(value & opt int 2000 & info [ "test" ] ~docv:"K"

@@ -147,7 +147,8 @@ let lars_scan ?bar ~norms ~active ~banned ~jlo gtr =
   if Array.length gtr <> w then
     invalid_arg "Shard_sweep.lars_scan: sweep length mismatch";
   let c = Array.make w 0. in
-  (c, lars_scan_at ?bar ~norms ~active ~banned ~jlo ~c (Array.init w Fun.id) gtr)
+  ( c,
+    lars_scan_at ?bar ~norms ~active ~banned ~jlo ~c (Array.init w Fun.id) gtr )
 
 (* Column j's two candidates folded into the running minimum [best]:
    the one step-length arithmetic of every scan below. *)

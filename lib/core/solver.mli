@@ -63,8 +63,8 @@ val fit_p :
 (** [fit_p src f m] with a fixed sparsity budget [lambda] (ignored by
     [Ls]; OMP caps it at [min(K, M)]): {!Omp.fit_p}, {!Star.fit_p} or
     {!Lars.fit_p} for the path methods, which run matrix-free on a
-    streamed provider; [Ls] materializes the matrix. Default [lambda] is [min(K, M)/2] — prefer
-    {!fit_cv_p} in real use.
+    streamed provider; [Ls] materializes the matrix. Default [lambda]
+    is [min(K, M)/2] — prefer {!fit_cv_p} in real use.
     @raise Invalid_argument when [Ls] is asked to fit an
     underdetermined system. *)
 

@@ -199,34 +199,9 @@ let path ?(lasso = false) g f ~steps =
   done;
   Array.of_list (List.rev !out)
 
-(* Least squares over the columns [cols] by a fresh QR (modified
-   Gram–Schmidt, applied to f as to the columns): α = R⁻¹·Qᵀf. *)
-let ls_solve cols f =
-  let n = Array.length cols in
-  let q = Array.map Array.copy cols in
-  let r = Array.make_matrix n n 0. in
-  let y = Array.make n 0. and rhs = Array.copy f in
-  for j = 0 to n - 1 do
-    for i = 0 to j - 1 do
-      let d = Vec.dot q.(i) q.(j) in
-      r.(i).(j) <- d;
-      Vec.axpy (-.d) q.(i) q.(j)
-    done;
-    let nrm = sqrt (Vec.nrm2_sq q.(j)) in
-    r.(j).(j) <- nrm;
-    Array.iteri (fun t x -> q.(j).(t) <- x /. nrm) q.(j);
-    y.(j) <- Vec.dot q.(j) rhs;
-    Vec.axpy (-.y.(j)) q.(j) rhs
-  done;
-  let x = Array.make n 0. in
-  for i = n - 1 downto 0 do
-    let acc = ref y.(i) in
-    for t = i + 1 to n - 1 do
-      acc := !acc -. (r.(i).(t) *. x.(t))
-    done;
-    x.(i) <- !acc /. r.(i).(i)
-  done;
-  x
+(* Least squares over the columns [cols], from scratch: the normal
+   equations GᵀG·α = Gᵀf solved through a fresh QR's R (GᵀG = RᵀR). *)
+let ls_solve cols f = gram_solve (qr_r cols) (Array.map (fun c -> Vec.dot c f) cols)
 
 type omp_step = {
   index : int;  (** the column selected at this step *)
