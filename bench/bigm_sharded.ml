@@ -7,12 +7,15 @@
    on violation, so this doubles as the determinism smoke for CI).
 
    Process mode is the point at this scale: each re-exec'd worker owns
-   only its M/S column slice (its Hermite tables and norms), so the
-   per-process peak RSS stays bounded while the single-image fit carries
-   the whole dictionary. Both fits run the exact sweep, the sharded one
-   screening each step length inside every shard. The per-shard VmHWM
-   of the fleet that fitted, read as its fit finished, is recorded next
-   to the fit times in BENCH_speed.json. *)
+   only its M/S column slice (its compiled terms and Hermite tables), so
+   the per-process peak RSS stays bounded. Both fits are the same walk —
+   the LAR engine with its carried correlation bounds and step-length
+   screen, in the parent — and differ only in who answers its full
+   sweeps and column dots: the parent's provider, or the fleet, each
+   worker over its window. The parent holds the engine's per-column
+   arrays (six M-length float arrays, about 48 MB at M = 10⁶). The
+   per-shard VmHWM of the fleet that fitted, read as its fit finished,
+   is recorded next to the fit times in BENCH_speed.json. *)
 
 let quick_cfg = (60, 80, 6, 3)
 

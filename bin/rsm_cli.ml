@@ -283,10 +283,10 @@ let shards_arg =
     value & opt int 1
     & info [ "shards" ] ~docv:"N"
         ~doc:
-          "Partition the dictionary into N contiguous column shards, each \
-           sweeping and screening its own column slice. Selections, \
-           coefficients and the chosen model are bitwise identical to the \
-           unsharded sweep at every shard count.")
+          "Partition the dictionary into N contiguous column shards that \
+           answer the solver's column sweeps and dots, each over its own \
+           column slice. Selections, coefficients and the chosen model are \
+           bitwise identical to the unsharded sweep at every shard count.")
 
 let shard_mode_arg =
   Arg.(
@@ -296,7 +296,7 @@ let shard_mode_arg =
           "$(b,domain) keeps the shards in-image; $(b,process) re-execs \
            one worker process per shard, so peak per-process memory is \
            bounded by the shard slice and a crashed worker is respawned and \
-           replayed from the command log with bitwise-unchanged results.")
+           asked its query again, with bitwise-unchanged results.")
 
 let outputs_arg =
   Arg.(
@@ -385,7 +385,7 @@ let print_engines (cfg : Robust.Pipeline.config) ~cv =
       let recovered = Atomic.get p.recovered in
       if recovered > 0 then
         Printf.printf
-          "  shard recovery: %d worker respawn(s), log replayed, results \
+          "  shard recovery: %d worker respawn(s), query re-sent, results \
            bitwise unchanged\n"
           recovered)
     cfg.shards

@@ -20,9 +20,6 @@ module type ENGINE = sig
   val models : t -> Model.t array
 end
 
-(* Who answers the selection sweep. *)
-type backend = Exact | Shards of Shard_sweep.t
-
 let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
     ?pool ?log ?shards src create =
   let who = String.capitalize_ascii E.solver ^ ".path: " in
@@ -84,34 +81,14 @@ let path_p (type e s) (module E : ENGINE with type t = e and type step = s)
       E.replay eng ~scale:c.scale support;
       Ckpt.verify ~who ~expected:c (capture ()));
   let emit = Ckpt.emitter log ~start:(E.size eng) capture in
-  (* The fleet is built after any replay and re-activates the replayed
-     support up front, so its skip masks match the uninterrupted run's. *)
   Shard_sweep.with_fleet ?pool ?shards src
-  @@ fun fleet ->
-  let backend =
-    match fleet with
-    | Some e ->
-        Array.iter (Shard_sweep.activate e) (E.support eng);
-        Shards e
-    | None -> Exact
-  in
+  @@ fun (k : Shard_sweep.kernels) ->
   while not (E.finished eng) do
     (* Step 3: inner products of the residual with every basis vector.
        The 1/K factor of eq. (18) is a monotone scaling; the argmax is
        unaffected, so raw dot products are compared. *)
-    let pick =
-      match backend with
-      | Exact ->
-          Provider.argmax_abs ?pool ~skip:(E.skip_mask eng) src
-            (E.residual eng)
-      | Shards e -> Shard_sweep.select e ~r:(E.residual eng)
-    in
-    if E.advance eng pick then begin
-      (match backend with
-      | Exact -> ()
-      | Shards e -> Shard_sweep.activate e (fst pick));
-      emit ~final:false (E.size eng)
-    end
+    if E.advance eng (k.argmax_abs ~skip:(E.skip_mask eng) (E.residual eng))
+    then emit ~final:false (E.size eng)
   done;
   emit ~final:true (E.size eng);
   E.steps eng

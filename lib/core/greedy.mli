@@ -6,11 +6,10 @@
     coefficient (Algorithm 1, Step 6), STAR keeps the inner-product
     estimate. Each solver writes that step as an {!ENGINE}; {!path_p}
     owns everything else: the walk log's capture, replay and check, the
-    sweep backend (the exact {!Polybasis.Design.Provider.argmax_abs} or
-    {!Shard_sweep}), the selection dispatch and the checkpoint
-    cadence. The fused lockstep
-    CV driver in {!Select} runs the same engines with one fused
-    multi-residual sweep per round. *)
+    selection sweep ({!Polybasis.Design.Provider.argmax_abs}, the
+    provider's or a shard fleet's) and the checkpoint cadence. The
+    fused lockstep CV driver in {!Select} runs the same engines with
+    one fused multi-residual sweep per round. *)
 
 (** One greedy solver's per-step state machine. Driving an engine with
     the selections {!Polybasis.Design.Provider.argmax_abs} produces on
@@ -100,13 +99,14 @@ val path_p :
     identical to the sequential dense scan for every domain count and
     either provider form.
 
-    A plan of more than one shard ({!type:Shard_sweep.plan}) routes the
-    selection sweep through {!Shard_sweep}: bitwise identical to the
-    unsharded walk at every shard count, in both shard modes ([Domains]
+    A plan of more than one shard ({!type:Shard_sweep.plan}) has a
+    shard fleet ({!Shard_sweep}) answer the selection sweep, each shard
+    over its own column window with its slice of the skip mask: the
+    walk is the unsharded one and its selections are the unsharded
+    kernel's bits, at every shard count, in both shard modes ([Domains]
     in-image, [Procs] re-exec'd workers with crash recovery, counted in
-    the plan). The fleet is shut down however the path exits. It is
-    built after the replay, from the resumed residual, with the
-    replayed support activated on every shard.
+    the plan). The fleet is built after the replay and shut down
+    however the path exits.
 
     @raise Invalid_argument on a [log.resume] that disagrees with the
     problem or whose replay disagrees with the log (e.g. ["Omp.path:

@@ -199,12 +199,236 @@ let step_budget max_lambda =
   if max_lambda <= 0 then invalid_arg "Lars: max_lambda must be positive";
   min ((2 * max_lambda) + 8) (4 * max_lambda)
 
+(* ------------------------------------------------------------------ *)
+(* A step's correlation pick: C over the non-banned columns, the
+   entering candidate (-1 when none), its |c| and value, and the
+   correlation values at the active columns, ascending. *)
+type pick = {
+  big_c : float;
+  enter : int;
+  enter_abs : float;
+  enter_val : float;
+  act_c : (int * float) array;
+}
+
+(* The LAR step's two O(M) scans over the dictionary. Plain loops over
+   float arrays (no per-column closure), since every step of every walk
+   runs them.
+
+   Selection scan over the listed columns [idx] (ascending,
+   [gtr_at.(t)] column idx.(t)'s raw correlation): normalize them into
+   [c], then C over the non-banned listed columns, the entering
+   candidate (inactive, non-banned, not the barred column [bar], strict
+   [>] so the lowest index wins ties), and the correlation values at
+   the active listed columns — everything the walk's step reads. *)
+let lars_scan_at ?(bar = -1) ~norms ~active ~banned ~c idx gtr_at =
+  let n = Array.length idx in
+  if Array.length gtr_at <> n then
+    invalid_arg "Lars.lars_scan_at: sweep length mismatch";
+  for t = 0 to n - 1 do
+    let j = idx.(t) in
+    c.(j) <- gtr_at.(t) /. norms.(j)
+  done;
+  let big_c = ref 0. and enter = ref (-1) and enter_abs = ref 0. in
+  for t = 0 to n - 1 do
+    let j = idx.(t) in
+    let a = Float.abs c.(j) in
+    if (not banned.(j)) && a > !big_c then big_c := a;
+    if (not active.(j)) && (not banned.(j)) && j <> bar && a > !enter_abs
+    then begin
+      enter := j;
+      enter_abs := a
+    end
+  done;
+  let act = ref [] in
+  for t = n - 1 downto 0 do
+    let j = idx.(t) in
+    if active.(j) then act := (j, c.(j)) :: !act
+  done;
+  {
+    big_c = !big_c;
+    enter = !enter;
+    enter_abs = !enter_abs;
+    enter_val = (if !enter >= 0 then c.(!enter) else 0.);
+    act_c = Array.of_list !act;
+  }
+
+(* The scan over every column, from a full sweep. *)
+let lars_scan ?bar ~norms ~active ~banned gtr =
+  let w = Array.length norms in
+  if Array.length gtr <> w then
+    invalid_arg "Lars.lars_scan: sweep length mismatch";
+  let c = Array.make w 0. in
+  ( c,
+    lars_scan_at ?bar ~norms ~active ~banned ~c (Array.init w Fun.id) gtr )
+
+(* Column j's two candidates folded into the running minimum [best]:
+   the one step-length arithmetic of every scan below. *)
+let[@inline] fold_gamma best ~cc ~a_a cj aj =
+  let cand1 = (cc -. cj) /. (a_a -. aj) in
+  let cand2 = (cc +. cj) /. (a_a +. aj) in
+  let best = if cand1 > 1e-12 && cand1 < best then cand1 else best in
+  if cand2 > 1e-12 && cand2 < best then cand2 else best
+
+(* Step-length scan: the minimum gamma candidate over the inactive,
+   non-banned columns ([infinity] when none).  The running-min
+   acceptance (cand > 1e-12 && cand < gamma) reduces to min(init, min of
+   all candidates > 1e-12), and float min is exact, so folding the
+   minimum — or a screened one — against C/A reproduces the sequential
+   running scan bit for bit. *)
+let gamma_scan ~norms ~active ~banned ~c ~cc ~a_a gu =
+  let w = Array.length norms in
+  if Array.length c <> w || Array.length gu <> w then
+    invalid_arg "Lars.gamma_scan: length mismatch";
+  let best = ref infinity in
+  for j = 0 to w - 1 do
+    if (not active.(j)) && not banned.(j) then
+      best := fold_gamma !best ~cc ~a_a c.(j) (gu.(j) /. norms.(j))
+  done;
+  !best
+
+(* The same candidates over the listed columns only, [gu_at.(t)] being
+   column idx.(t)'s raw image: the screened step length. *)
+let gamma_scan_at ~norms ~c ~cc ~a_a idx gu_at =
+  if Array.length gu_at <> Array.length idx then
+    invalid_arg "Lars.gamma_scan_at: length mismatch";
+  let best = ref infinity in
+  for t = 0 to Array.length idx - 1 do
+    let j = idx.(t) in
+    best := fold_gamma !best ~cc ~a_a c.(j) (gu_at.(t) /. norms.(j))
+  done;
+  !best
+
+(* The step-length screen's bound (Efron et al. eq. 2.13): with
+   |a_j| ≤ ‖u‖, a positive candidate of a column with gap = C − |c_j| > 0
+   is at least gap/(A + ‖u‖), so a column whose bound exceeds [thr] —
+   with 1e-9 margins on ‖u‖, the gap and [thr] against rounding — cannot
+   set a step of at most [thr]. [hi.(j)] is |c_j| or an upper bound on
+   it, so C − hi.(j) is the gap or a lower bound on it. Every comparison
+   is false on a NaN, which keeps the column. *)
+let gamma_screen ~active ~banned ~hi ~cc ~a_a ~u_norm ~thr ~top ~limit =
+  let w = Array.length hi in
+  let den = a_a +. (u_norm *. (1. +. 1e-9)) and lim = thr *. (1. +. 1e-9) in
+  let kept = Array.make (max limit 0 + 1) 0 in
+  let n = ref 0 and j = ref 0 in
+  while !n <= limit && !j < w do
+    let jj = !j in
+    if (not active.(jj)) && not banned.(jj) then begin
+      let gap = cc -. hi.(jj) in
+      if
+        (not (gap > 0. && gap *. (1. -. 1e-9) /. den > lim))
+        && not (Array.mem jj top)
+      then begin
+        kept.(!n) <- jj;
+        incr n
+      end
+    end;
+    incr j
+  done;
+  if !n > limit then None else Some (Array.sub kept 0 !n)
+
+(* Step-length screen constants. The [screen_top] columns nearest the
+   correlation tie get exact candidates before the bound is applied.
+   Share of columns whose image a step computed (a fallback step
+   counting all M), for 4 / 8 / 16 / 32 nearest columns: 10.9 / 10.8 /
+   11.0 / 11.5% on the dense Table II LAR flow (K = 1000, M = 1891),
+   10.6 / 10.9 / 11.6 / 13.6% on the 4-output op-amp fit; 4 fell back
+   on 5 more of 3025 steps than 8 on the Table II flow. A screen keeping
+   more than [screen_share] of the columns falls back to the full
+   sweep. On a dense 1000 × 1891 design, [col_dots] from the
+   column-major image over a random ascending 1 / 10 / 20 / 40% of the
+   columns took 0.02 / 0.19 / 0.26 / 0.59× the time of the full
+   [gram_tr] (the row-major subset kernel it replaced: 0.07 / 0.80 /
+   0.97 / 1.15×; `bench/main.exe sweep`, BENCH_speed.json). Under carried correlation
+   bounds a held screen also computes its survivors' exact
+   correlations, and a quarter stayed the limit: over the five Table II
+   walks, limits of 0.15 / 0.25 / 0.4 / 0.6 computed 0.255 / 0.250 /
+   0.244 / 0.246 of two full sweeps' dots, with walk times within the
+   host's spread (`bench/main.exe lardots`). *)
+let screen_top = 8
+let screen_share = 0.25
+
+(* The [screen_top] inactive, non-banned columns of largest hi.(j),
+   ascending. A NaN never ranks: the bound keeps it. *)
+let nearest_tie ~active ~banned hi =
+  let tv = Array.make screen_top 0. and ti = Array.make screen_top 0 in
+  let nt = ref 0 in
+  for j = 0 to Array.length hi - 1 do
+    if (not active.(j)) && not banned.(j) then begin
+      let a = hi.(j) in
+      if a >= 0. && (!nt < screen_top || a > tv.(screen_top - 1)) then begin
+        let p = ref (min !nt (screen_top - 1)) in
+        if !nt < screen_top then incr nt;
+        while !p > 0 && a > tv.(!p - 1) do
+          tv.(!p) <- tv.(!p - 1);
+          ti.(!p) <- ti.(!p - 1);
+          decr p
+        done;
+        tv.(!p) <- a;
+        ti.(!p) <- j
+      end
+    end
+  done;
+  let top = Array.sub ti 0 !nt in
+  Array.sort Int.compare top;
+  top
+
+type screen = Sweep | Kept of { kept : int array; images : Vec.t; gamma : float }
+
+(* The step-length screen: the exact candidates of the columns nearest
+   the tie bound the step from above by
+   thr = min(C/A, their minimum), [gamma_screen] rules out every column
+   whose candidates must exceed thr, and the survivors' images give the
+   rest of the minimum. A ruled-out column's candidates all exceed
+   thr ≥ that minimum, so it is the full scan's minimum whenever the
+   full scan's is at most C/A, and above C/A otherwise: folded against
+   C/A, bit for bit the same step. [hi.(j)] bounds |c_j| from above;
+   [refresh idx] makes [c] exact at the listed columns, so a column
+   whose correlation was only bounded gets its exact value once it
+   survives. [col_dots idx u out] computes the listed columns' raw
+   images (the engine's column kernel). More than [screen_share] of the
+   columns surviving: [Sweep]. *)
+let screen_gamma col_dots ~norms ~active ~banned ~c ~hi ~refresh ~cc ~a_a u =
+  let w = Array.length norms in
+  if Array.length c <> w || Array.length hi <> w then
+    invalid_arg "Lars.screen_gamma: length mismatch";
+  let dots idx =
+    refresh idx;
+    let out = Array.make (Array.length idx) 0. in
+    col_dots idx u out;
+    (out, gamma_scan_at ~norms ~c ~cc ~a_a idx out)
+  in
+  let top = nearest_tie ~active ~banned hi in
+  let a_top, g_top = dots top and ca = cc /. a_a in
+  match
+    gamma_screen ~active ~banned ~hi ~cc ~a_a
+      ~u_norm:(sqrt (Vec.nrm2_sq u))
+      ~thr:(if g_top < ca then g_top else ca)
+      ~top
+      ~limit:(int_of_float (screen_share *. float_of_int w) - Array.length top)
+  with
+  | None -> Sweep
+  | Some rest ->
+      let a_rest, g_rest = dots rest in
+      let pairs =
+        Array.append
+          (Array.mapi (fun t j -> (j, a_top.(t))) top)
+          (Array.mapi (fun t j -> (j, a_rest.(t))) rest)
+      in
+      Array.sort (fun (i, _) (j, _) -> Int.compare i j) pairs;
+      Kept
+        {
+          kept = Array.map fst pairs;
+          images = Array.map snd pairs;
+          gamma = (if g_rest < g_top then g_rest else g_top);
+        }
+
 (* The LAR walk. Each step suspends twice for an O(K·M) answer — the
    correlation pick (C, the entrant, its value, the active columns'
    correlations) and the minimum step-length candidate — and whoever
-   drives the engine supplies them: the local scans over a dense or
-   streamed sweep, the shard reduction tree, or a fused multi-residual
-   sweep. Every driver therefore walks the same steps with the same
+   drives the engine supplies them: a full sweep (the provider's or a
+   shard fleet's) or a fused multi-residual sweep, reduced by the scans
+   above. Every driver therefore walks the same steps with the same
    float sequences. *)
 module Engine = struct
   (* What a step's correlation phase computes exactly: every column
@@ -216,9 +440,9 @@ module Engine = struct
      decided once, on first asking. *)
   type corr = { r : Vec.t; r_norm : float; mutable keep : keep option }
 
-  (* The raw images (Gᵀu)_j a direction's answer computed: none (a
-     shard answered), every column's (the full sweep), or the listed
-     columns' (a screen that held). *)
+  (* The raw images (Gᵀu)_j a direction's answer computed: none yet,
+     every column's (the full sweep), or the listed columns' (a screen
+     that held). *)
   type images = No_images | All_images of Vec.t | Listed of int array * Vec.t
 
   (* A direction's step-length screen is run once, on first asking.
@@ -231,7 +455,7 @@ module Engine = struct
         added : int option;
         dir : dir;
         corr : corr;
-        mutable screen : Shard_sweep.screen option;
+        mutable screen : screen option;
         mutable resweep : bool;
         mutable images : images;
       }
@@ -240,12 +464,12 @@ module Engine = struct
   type dots = { full : int; carried : int; screened : int; fallback : int }
 
   type t = {
-    src : Provider.t;
+    col_dots : int array -> Vec.t -> Vec.t -> unit;
+        (* the provider's column kernel, or a shard fleet's *)
     st : state;
     mode : mode;
     tol : float;
     on_singular : [ `Stop | `Fallback ];
-    pool : Parallel.Pool.t option;
     max_steps : int;
     max_lambda : int option;  (* λ budget of a λ-driven walk *)
     max_active : int;
@@ -304,13 +528,9 @@ module Engine = struct
   let drift = 1e-14
   let carried_share = 0.5
 
-  (* [carried:false] (a sharded walk, whose shards answer every
-     request) leaves the per-column arrays of the engine's own screens
-     empty. *)
-  let make ?(carried = true) ~mode ~tol ~on_singular ?pool ~norms src f
-      ~max_lambda ~max_steps =
+  let make ~mode ~tol ~on_singular ~col_dots ~norms src f ~max_lambda
+      ~max_steps =
     let k = Provider.rows src and m = Provider.cols src in
-    let mc = if carried then m else 0 in
     let st =
       {
         cache = Provider.Cache.create src;
@@ -328,25 +548,24 @@ module Engine = struct
       }
     in
     {
-      src;
+      col_dots;
       st;
       mode;
       tol;
       on_singular;
-      pool;
       max_steps;
       max_lambda;
       max_active = min k m;
       f;
       f_norm = sqrt (Vec.nrm2_sq f);
-      c = Array.make mc 0.;
-      fresh = Array.make mc (-1);
+      c = Array.make m 0.;
+      fresh = Array.make m (-1);
       tick = 0;
-      hi = Array.make mc infinity;
-      bound = Array.make mc infinity;
-      bound_at = Array.make mc 0.;
+      hi = Array.make m infinity;
+      bound = Array.make m infinity;
+      bound_at = Array.make m 0.;
       moved = 0.;
-      raw = Array.make mc 0.;
+      raw = Array.make m 0.;
       n_full = 0;
       n_carried = 0;
       n_screened = 0;
@@ -371,7 +590,7 @@ module Engine = struct
     let max_steps = step_budget max_lambda in
     validate src f ~max_steps;
     let t =
-      make ~mode ~tol ~on_singular ?pool
+      make ~mode ~tol ~on_singular ~col_dots:(Provider.col_dots ?pool src)
         ~norms:(fix_norms (Provider.column_norms ?pool src))
         src f ~max_lambda:(Some max_lambda) ~max_steps
     in
@@ -417,11 +636,10 @@ module Engine = struct
 
   (* Correlation of every active column (oldest first): the gathered
      active values, plus the entrant's. *)
-  let active_corrs (p : Shard_sweep.pick) act =
+  let active_corrs p act =
     let tbl = Hashtbl.create 16 in
-    Array.iter (fun (j, v) -> Hashtbl.replace tbl j v) p.Shard_sweep.act_c;
-    if p.Shard_sweep.enter >= 0 then
-      Hashtbl.replace tbl p.Shard_sweep.enter p.Shard_sweep.enter_val;
+    Array.iter (fun (j, v) -> Hashtbl.replace tbl j v) p.act_c;
+    if p.enter >= 0 then Hashtbl.replace tbl p.enter p.enter_val;
     Array.map
       (fun j ->
         match Hashtbl.find_opt tbl j with
@@ -433,7 +651,7 @@ module Engine = struct
      just removed barred from entry: the stop test, the entering
      variable (unless the active set is saturated), then either a ban
      step or the direction. The bar holds for this one pick. *)
-  let answer_corr t (p : Shard_sweep.pick) =
+  let answer_corr t p =
     let st = t.st in
     let corr =
       match t.phase with
@@ -442,19 +660,18 @@ module Engine = struct
     in
     st.barred <- -1;
     t.nsteps <- t.nsteps + 1;
-    let big_c = p.Shard_sweep.big_c and j = p.Shard_sweep.enter in
+    let big_c = p.big_c and j = p.enter in
     if t.nsteps = 1 then t.initial_c <- big_c;
     if big_c <= t.tol *. Float.max t.initial_c 1. then begin
       t.stop <- true;
-      settle t;
-      No_entry
+      settle t
     end
     else begin
       let entry =
         if
           j >= 0
           && List.length st.active < t.max_active
-          && p.Shard_sweep.enter_abs >= big_c -. (1e-9 *. big_c) -. 1e-15
+          && p.enter_abs >= big_c -. (1e-9 *. big_c) -. 1e-15
         then
           match append_to_chol st j with
           | () ->
@@ -497,8 +714,7 @@ module Engine = struct
                    Dir
                      { added; dir; corr; screen = None; resweep = false;
                        images = No_images }));
-      (match t.phase with Dir _ -> () | Corr _ | Done -> settle t);
-      entry
+      match t.phase with Dir _ -> () | Corr _ | Done -> settle t
     end
 
   (* A column whose image the step computed (every such column has its
@@ -540,8 +756,7 @@ module Engine = struct
      the active set; the tol test then stops the next iteration), or —
      lasso — to the first zero crossing of an active coefficient, which
      is dropped there. The residual moves by γ·u, which the carried
-     bounds add to the path length. Returns the committed γ and the
-     dropped column. *)
+     bounds add to the path length. *)
   let answer_dir t g =
     match t.phase with
     | Corr _ | Done -> invalid_arg "Lars.Engine: no direction pending"
@@ -579,8 +794,7 @@ module Engine = struct
             gamma = !gamma;
           }
           ~cc:dir.cc;
-        settle t;
-        (!gamma, if !dropped >= 0 then Some !dropped else None)
+        settle t
 
   (* Column j's correlation is now exact: stamp it and restart its
      bound. *)
@@ -602,7 +816,7 @@ module Engine = struct
     let n = Array.length stale in
     if n > 0 then begin
       let out = Array.make n 0. in
-      Provider.col_dots ?pool:t.pool t.src stale corr.r out;
+      t.col_dots stale corr.r out;
       Array.iteri
         (fun q j ->
           t.c.(j) <- out.(q) /. t.st.norms.(j);
@@ -621,7 +835,7 @@ module Engine = struct
     else begin
       let act = Array.of_list (List.sort Int.compare st.active) in
       let out = Array.make (Array.length act) 0. in
-      Provider.col_dots ?pool:t.pool t.src act corr.r out;
+      t.col_dots act corr.r out;
       t.n_carried <- t.n_carried + Array.length act;
       let big_c = ref 0. in
       Array.iteri
@@ -676,8 +890,8 @@ module Engine = struct
       | Dir _ | Done -> invalid_arg "Lars.Engine: no correlation pending"
     in
     let c, pick =
-      Shard_sweep.lars_scan ~bar:st.barred ~norms:st.norms
-        ~active:st.in_active ~banned:st.banned ~jlo:0 gtr
+      lars_scan ~bar:st.barred ~norms:st.norms ~active:st.in_active
+        ~banned:st.banned gtr
     in
     t.c <- c;
     for j = 0 to st.m - 1 do
@@ -692,12 +906,12 @@ module Engine = struct
   let carried_corr t corr ~idx ~rest =
     let st = t.st in
     let out = Array.make (Array.length rest) 0. in
-    Provider.col_dots ?pool:t.pool t.src rest corr.r out;
+    t.col_dots rest corr.r out;
     t.n_carried <- t.n_carried + Array.length rest;
     Array.iteri (fun q j -> t.raw.(j) <- out.(q)) rest;
     let pick =
-      Shard_sweep.lars_scan_at ~bar:st.barred ~norms:st.norms
-        ~active:st.in_active ~banned:st.banned ~jlo:0 ~c:t.c idx
+      lars_scan_at ~bar:st.barred ~norms:st.norms ~active:st.in_active
+        ~banned:st.banned ~c:t.c idx
         (Array.map (fun j -> t.raw.(j)) idx)
     in
     for j = 0 to st.m - 1 do
@@ -722,7 +936,7 @@ module Engine = struct
         t.n_fallback <-
           t.n_fallback + st.m + refresh t corr (Array.of_list !stale);
         d.images <- All_images gu;
-        Shard_sweep.gamma_scan ~norms:st.norms ~active:st.in_active
+        gamma_scan ~norms:st.norms ~active:st.in_active
           ~banned:st.banned ~c:t.c ~cc:dir.cc ~a_a:dir.a_a gu
 
   (* The residual's full sweep a direction asked for ([resweep]): every
@@ -741,20 +955,19 @@ module Engine = struct
     if Array.length g <> t.st.m then
       invalid_arg "Lars.Engine.supply: sweep length mismatch";
     match t.phase with
-    | Corr _ -> ignore (answer_corr t (scan_corr t g))
+    | Corr _ -> answer_corr t (scan_corr t g)
     | Dir ({ resweep = true; corr; _ } as d) ->
         resweep t corr g;
         d.resweep <- false;
         d.screen <- None
-    | Dir _ -> ignore (answer_dir t (scan_gamma t g))
+    | Dir _ -> answer_dir t (scan_gamma t g)
     | Done -> invalid_arg "Lars.Engine.supply: engine is finished"
 
-  (* The step-length screen over the whole dictionary
-     ([Shard_sweep.screen_gamma]) against this step's bounds; [Sweep]
-     outside the direction phase. *)
+  (* The step-length screen ([screen_gamma]) against this step's
+     bounds; [Sweep] outside the direction phase. *)
   let screen_state t =
     match t.phase with
-    | Corr _ | Done -> Shard_sweep.Sweep
+    | Corr _ | Done -> Sweep
     | Dir d -> (
         match d.screen with
         | Some s -> s
@@ -764,7 +977,7 @@ module Engine = struct
                columns. *)
             let refreshed = ref 0 and imaged = ref 0 in
             let s =
-              Shard_sweep.screen_gamma ?pool:t.pool t.src ~norms:st.norms
+              screen_gamma t.col_dots ~norms:st.norms
                 ~active:st.in_active ~banned:st.banned ~c:t.c ~hi:t.hi
                 ~refresh:(fun idx ->
                   imaged := !imaged + Array.length idx;
@@ -772,7 +985,7 @@ module Engine = struct
                 ~cc:d.dir.cc ~a_a:d.dir.a_a d.dir.u
             in
             (match s with
-            | Shard_sweep.Kept { kept; images; _ } ->
+            | Kept { kept; images; _ } ->
                 d.images <- Listed (kept, images);
                 t.n_carried <- t.n_carried + !refreshed;
                 t.n_screened <- t.n_screened + !imaged
@@ -798,7 +1011,7 @@ module Engine = struct
         | Full -> None)
     | Dir _ | Done -> (
         match screen_state t with
-        | Shard_sweep.Kept { kept; _ } -> Some kept
+        | Kept { kept; _ } -> Some kept
         | Sweep -> None)
 
   (* The screened answers: the carried correlations, or min(C/A, ·) of
@@ -811,11 +1024,11 @@ module Engine = struct
     match t.phase with
     | Corr corr -> (
         match keep t corr with
-        | Carried { idx; rest } -> ignore (answer_corr t (carried_corr t corr ~idx ~rest))
+        | Carried { idx; rest } -> answer_corr t (carried_corr t corr ~idx ~rest)
         | Full -> fail ())
     | Dir _ | Done -> (
         match screen_state t with
-        | Shard_sweep.Kept { gamma; _ } -> ignore (answer_dir t gamma)
+        | Kept { gamma; _ } -> answer_dir t gamma
         | Sweep -> fail ())
 
   let dots t =
@@ -908,69 +1121,32 @@ let replay (t : Engine.t) (ck : Ckpt.t) =
   t.Engine.initial_c <- ck.Ckpt.scale;
   Engine.settle t
 
-(* The engine driven by this solver's own answerers: the exact sweep
-   over the whole dictionary, screened where the screen holds, or the
-   column-sharded engine, which screens inside each shard — plus each
-   step's side effects on the shard masks and checkpoint emission.
-   [max_lambda] is the walk's λ budget ([None]: walk the whole step
-   budget). *)
+(* The engine driven by the kernels [Shard_sweep.with_fleet] hands it
+   — the provider's own, or a shard fleet's, bitwise the same: the
+   engine's screens answer wherever they hold — the carried
+   correlations, then the step-length screen — and the full sweep
+   answers everywhere else; plus checkpoint emission. [max_lambda] is
+   the walk's λ budget ([None]: walk the whole step budget). *)
 let walk ?(mode = Lar) ?(tol = 1e-10) ?pool ?(on_singular = `Stop) ?log
     ?shards src f ~max_lambda ~max_steps =
   validate src f ~max_steps;
   let resume = Option.bind log (fun (l : Ckpt.log) -> l.resume) in
-  (* Column-sharded sweep engine: the per-step O(K·M) scans decompose
-     over contiguous column shards and merge bitwise (see Shard_sweep). *)
   Shard_sweep.with_fleet ?pool ?shards src
-  @@ fun eng ->
-  let norms =
-    match eng with
-    | None -> Provider.column_norms ?pool src
-    | Some e -> Shard_sweep.raw_norms e
-  in
+  @@ fun (k : Shard_sweep.kernels) ->
   let t =
-    Engine.make ~carried:(Option.is_none eng) ~mode ~tol ~on_singular ?pool
-      ~norms:(fix_norms norms) src f ~max_lambda ~max_steps
+    Engine.make ~mode ~tol ~on_singular ~col_dots:k.col_dots
+      ~norms:(fix_norms (k.column_norms ()))
+      src f ~max_lambda ~max_steps
   in
   t.Engine.phase <- Engine.corr_phase t;
-  let st = t.Engine.st in
   (match resume with None -> () | Some ck -> replay t ck);
-  (* Sharded post-replay sync: the replayed active set and bans. *)
-  Option.iter
-    (fun e ->
-      List.iter (Shard_sweep.activate e) (List.rev st.active);
-      Array.iter (Shard_sweep.ban e) (banned_columns st))
-    eng;
   let emit =
     Ckpt.emitter log ~start:t.Engine.nevents (fun () ->
-        capture st ~mode ~scale:t.Engine.initial_c ~f t.Engine.events)
+        capture t.Engine.st ~mode ~scale:t.Engine.initial_c ~f t.Engine.events)
   in
   while not (Engine.finished t) do
-    (match (eng, t.Engine.phase) with
-    | _, Engine.Done -> ()
-    | None, _ ->
-        (* Unsharded: the engine's own screens answer wherever they
-           hold — the carried correlations, then the step-length
-           screen — and the column-parallel full sweep (bitwise the
-           sequential per-column dots) answers everywhere else. *)
-        if Option.is_some (Engine.screen t) then Engine.supply_screened t
-        else Engine.supply t (Provider.gram_tr ?pool src (Engine.request t))
-    | Some e, Engine.Corr _ -> (
-        (* Sharded: the shards' merged picks over full window sweeps. *)
-        match
-          Engine.answer_corr t
-            (Shard_sweep.lars_select ~bar:st.barred e ~r:(Engine.request t))
-        with
-        | Engine.Entered j -> Shard_sweep.activate e j
-        | Engine.Banned j -> Shard_sweep.ban e j
-        | Engine.No_entry -> ())
-    | Some e, Engine.Dir { dir; _ } ->
-        (* Each shard screens its own step length and the local minima
-           fold. *)
-        let _, dropped =
-          Engine.answer_dir t
-            (Shard_sweep.lars_gamma e ~cc:dir.cc ~a_a:dir.a_a dir.u)
-        in
-        Option.iter (Shard_sweep.deactivate e) dropped);
+    if Option.is_some (Engine.screen t) then Engine.supply_screened t
+    else Engine.supply t (k.gram_tr (Engine.request t));
     emit ~final:false t.Engine.nevents
   done;
   (* Terminal checkpoint: whatever the cadence, a completed path leaves

@@ -9,8 +9,8 @@
    - Lars.lambda_path_p and Lars.fit_p (screened, unsharded exact) give
      the steps of the unscreened reference walk (the public Lars.Engine
      with full gram_tr answers), and fit_p's walk log — committed γ
-     included — is bitwise the log of the column-sharded engine, which
-     screens inside each shard; the fused (streamed) and per-job (dense)
+     included — is bitwise the log of the walk a shard fleet answers;
+     the fused (streamed) and per-job (dense)
      Select.lars_p match the sharded per-job selector. Cases: dense and
      streamed designs, LAR and lasso, `Stop and `Fallback, duplicate
      columns scaled by powers of two (bans), zero columns, K in
@@ -23,7 +23,7 @@
      engine's carried bounds wherever those hold, so every check above
      covers them too; on a wide design they answer some phases, and the
      first phase (no bounds yet) never.
-   - Shard_sweep.gamma_screen alone: a column it rules out has both
+   - Lars.gamma_screen alone: a column it rules out has both
      candidates above the threshold, on columns where the bound is
      tight, and a NaN correlation is never ruled out.
    - A constructed walk whose second step is set by a column outside
@@ -303,14 +303,14 @@ let prop_screen_sound seed =
   let active = Array.init m (fun _ -> Randkit.Prng.int rng 10 = 0) in
   let banned = Array.init m (fun j -> (not active.(j)) && Randkit.Prng.int rng 12 = 0) in
   let cand j =
-    Rsm.Shard_sweep.gamma_scan_at ~norms ~c ~cc ~a_a [| j |] [| gu.(j) |]
+    Rsm.Lars.gamma_scan_at ~norms ~c ~cc ~a_a [| j |] [| gu.(j) |]
   in
   let thrs = cc /. a_a :: List.init m cand in
   List.iter
     (fun thr ->
       if Float.is_finite thr then
         match
-          Rsm.Shard_sweep.gamma_screen ~active ~banned
+          Rsm.Lars.gamma_screen ~active ~banned
             ~hi:(Array.map Float.abs c) ~cc ~a_a ~u_norm ~thr
             ~top:[||] ~limit:m
         with
@@ -347,8 +347,8 @@ let prop_screen_sound seed =
    the nearest decoys' ≈ 4.05: the sound bound gap/(A + ‖u‖) ≈ 3.81
    keeps the target, the unsound gap/(2A) ≈ 4.61 would rule it out.
    Columns 3–10 hold eight decoys, 64–71 the other eight (the nearest
-   the tie) and 72 the target, so the target's shard of a two-shard
-   fleet screens it among its own eight decoys. The columns are the
+   the tie) and 72 the target, so a two-shard fleet holds the target
+   and the nearest decoys in its second shard. The columns are the
    coordinates of a linear-only streamed basis. *)
 let beyond_nearest () =
   let k = 640 and m = 128 and target = 72 in

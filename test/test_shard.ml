@@ -6,15 +6,20 @@
    - the left-biased tree-reduce argmax merge equals the sequential
      strict-[>] scan for adversarial tied inputs at 1/2/4/7 shards
      (property test).
-   - Shard_sweep.raw_norms gathers bitwise Provider.column_norms.
+   - a fleet's kernels (gram_tr, col_dots, argmax_abs ~skip,
+     column_norms) are Provider's bit for bit: dense and streamed
+     designs, 1/2/3/5 domain shards and process shards, random
+     ascending column sets (some shards' slices empty), and exact
+     |correlation| ties straddling a shard boundary (property test).
    - LAR/LASSO/OMP/STAR sharded paths (Domains mode) are bitwise equal
      to shards:1 — dense and streamed providers, several shard counts,
      including paths with lasso drops and banned (duplicate) columns —
-     and the λ-driven LAR/LASSO walks, which screen each step length
-     inside every shard, equal the unscreened reference walk.
+     and the λ-driven LAR/LASSO walks, whose screens the fleet answers,
+     equal the unscreened reference walk.
    - Procs mode (re-exec'd worker processes) is bitwise equal too.
-   - a worker SIGKILLed mid-fit (RSM_SHARD_FAULT) is respawned, replays
-     the command log, and the fit output stays bitwise identical.
+   - a worker SIGKILLed mid-fit (RSM_SHARD_FAULT) on a sweep, dots or
+     argmax query is respawned and asked that query again, and the fit
+     output stays bitwise identical.
    - a checkpointed sharded run resumes bitwise equal to the
      uninterrupted run. *)
 open Test_util
@@ -142,20 +147,136 @@ let sparse_response rng src =
     support;
   f
 
-(* --- raw norms ----------------------------------------------------- *)
+(* --- the fleet's kernels -------------------------------------------- *)
+
+let bits v = Array.map Int64.bits_of_float v
+
+(* The first column of shard 1 under [shards], or [None] with one. *)
+let boundary ~m shards =
+  let rs = Shard.ranges ~n:m ~shards in
+  if Array.length rs > 1 then Some rs.(1).Shard.lo else None
+
+(* [g] with columns [b − 1] and [b] replaced by ±10 × column [b − 1], and
+   that column as the residual: the two |correlations| tie exactly, on
+   either side of the boundary [b], and beat every other column. *)
+let tied g b =
+  let k = Linalg.Mat.rows g in
+  let col = Array.init k (fun i -> Linalg.Mat.get g i (b - 1)) in
+  let g2 = Linalg.Mat.copy g in
+  for i = 0 to k - 1 do
+    Linalg.Mat.set g2 i (b - 1) (10. *. col.(i));
+    Linalg.Mat.set g2 i b (-10. *. col.(i))
+  done;
+  (P.dense g2, col)
+
+(* Every kernel of the fleet [kn] against [src]'s own, bit for bit, on
+   the residual [r]: column sets empty, whole, random ascending, and
+   inside one shard (every other shard's slice empty); skip masks
+   empty, random, and over the tied columns [tie]. *)
+let kernels_agree ~rng ~shards ?(tie = []) src r (kn : SS.kernels) =
+  let m = P.cols src in
+  let subset p =
+    Array.of_list
+      (List.filter (fun _ -> Randkit.Prng.float rng < p) (List.init m Fun.id))
+  in
+  let rs = Shard.ranges ~n:m ~shards in
+  let last = rs.(Array.length rs - 1) in
+  let idx_sets =
+    [
+      [||];
+      Array.init m Fun.id;
+      subset 0.3;
+      subset 0.7;
+      Array.init (Shard.width last) (fun j -> last.Shard.lo + j);
+    ]
+  in
+  let dots_agree idx =
+    let a = Array.make (Array.length idx) 0. in
+    let b = Array.make (Array.length idx) 1. in
+    kn.col_dots idx r a;
+    P.col_dots src idx r b;
+    bits a = bits b
+  in
+  let skip_of cols =
+    let skip = Array.make m false in
+    List.iter (fun j -> skip.(j) <- true) cols;
+    skip
+  in
+  let skips =
+    skip_of [] :: skip_of (Array.to_list (subset 0.3))
+    :: List.map skip_of (match tie with [] -> [] | t :: _ -> [ [ t ]; tie ])
+  in
+  let argmax_agree skip =
+    let j, a = kn.argmax_abs ~skip r and j', a' = P.argmax_abs ~skip src r in
+    j = j' && Int64.bits_of_float a = Int64.bits_of_float a'
+  in
+  bits (kn.column_norms ()) = bits (P.column_norms src)
+  && bits (kn.gram_tr r) = bits (P.gram_tr src r)
+  && List.for_all dots_agree idx_sets
+  && List.for_all argmax_agree skips
+
+let fleet_agrees ?mode ~rng ~shards ?tie src r =
+  SS.with_fleet ~shards:(plan ?mode shards) src
+    (kernels_agree ~rng ~shards ?tie src r)
+
+let prop_fleet_kernels =
+  qtest ~count:25 "fleet kernels == Provider kernels (bitwise, ties)"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng, basis, pts, g = random_setting seed in
+      let k = Linalg.Mat.rows g and m = Linalg.Mat.cols g in
+      let r = Array.init k (fun _ -> Randkit.Gaussian.sample rng) in
+      List.for_all
+        (fun shards ->
+          fleet_agrees ~rng ~shards (P.dense g) r
+          && fleet_agrees ~rng ~shards (P.streamed basis pts) r
+          &&
+          match boundary ~m shards with
+          | None -> true
+          | Some b ->
+              let src, col = tied g b in
+              (* The tie is the argmax: the lower index wins it. *)
+              fst (P.argmax_abs ~skip:(Array.make m false) src col) = b - 1
+              && fleet_agrees ~rng ~shards ~tie:[ b - 1; b ] src col)
+        shard_counts)
+
+let test_fleet_kernels_process () =
+  let rng, basis, pts, g = random_setting 19 in
+  let k = Linalg.Mat.rows g and m = Linalg.Mat.cols g in
+  let r = Array.init k (fun _ -> Randkit.Gaussian.sample rng) in
+  let shards = 3 in
+  let b = Option.get (boundary ~m shards) in
+  let tied_src, col = tied g b in
+  List.iter
+    (fun (tag, src, r, tie) ->
+      check_bool ("process fleet kernels, " ^ tag) true
+        (fleet_agrees ~mode:"process" ~rng ~shards ~tie src r))
+    [
+      ("dense", P.dense g, r, []);
+      ("streamed", P.streamed basis pts, r, []);
+      ("tied", tied_src, col, [ b - 1; b ]);
+    ];
+  (* A fleet rejects what the provider rejects, before any query. *)
+  SS.with_fleet ~shards:(plan ~mode:"process" shards) (P.dense g) (fun kn ->
+      check_raises_invalid "col_dots: column out of range" (fun () ->
+          kn.SS.col_dots [| 0; m |] r (Array.make 2 0.));
+      check_raises_invalid "col_dots: length mismatch" (fun () ->
+          kn.SS.col_dots [| 0 |] r [||]);
+      check_raises_invalid "argmax_abs: skip length" (fun () ->
+          kn.SS.argmax_abs ~skip:[||] r))
 
 let test_raw_norms_bitwise () =
   let _, basis, pts, g = random_setting 11 in
   List.iter
     (fun src ->
-      let reference = P.column_norms src in
+      let reference = bits (P.column_norms src) in
       List.iter
         (fun shards ->
-          let e = SS.create (plan shards) src in
           check_bool
             (Printf.sprintf "raw norms, %d shards" shards)
             true
-            (SS.raw_norms e = reference))
+            (SS.with_fleet ~shards:(plan shards) src (fun kn ->
+                 bits (kn.SS.column_norms ()) = reference)))
         [ 2; 3; 7 ])
     [ P.dense g; P.streamed basis pts ]
 
@@ -296,27 +417,44 @@ let test_omp_process_shards_bitwise () =
   in
   check_bool "star procs bitwise" true (sharded = reference)
 
-(* A worker killed mid-fit must be respawned, replay the log, and leave
-   the output bitwise unchanged. RSM_SHARD_FAULT makes shard 1 SIGKILL
-   itself on its 2nd selection query; the parent strips the variable on
-   respawn so the replacement survives. *)
+(* A worker killed mid-fit must be respawned, asked its in-flight query
+   again, and leave the output bitwise unchanged. RSM_SHARD_FAULT makes
+   shard 1 SIGKILL itself on its n-th query; the parent strips the
+   variable on respawn so the replacement survives. A LAR walk sweeps
+   the residual first and computes the nearest columns' dots next, so
+   1:2 lands on a column-dots query, as does 1:5 on a later step; an
+   OMP walk asks argmax queries only. *)
+let with_fault spec f =
+  Unix.putenv "RSM_SHARD_FAULT" spec;
+  Fun.protect ~finally:(fun () -> Unix.putenv "RSM_SHARD_FAULT" "") f
+
 let test_process_shard_kill_recovery () =
   let rng, basis, pts, _ = random_setting 17 in
   let src = P.streamed basis pts in
   let f = sparse_response rng src in
   let reference = lars_bits (lars_steps src f) in
-  Unix.putenv "RSM_SHARD_FAULT" "1:2";
+  List.iter
+    (fun spec ->
+      let procs = plan ~mode:"process" 3 in
+      let killed =
+        with_fault spec (fun () ->
+            lars_bits
+              (Rsm.Lars.path_p ~on_singular:`Fallback ~shards:procs src f
+                 ~max_steps:12))
+      in
+      check_bool ("killed-shard LAR run bitwise, " ^ spec) true
+        (killed = reference);
+      check_bool ("LAR recovery happened, " ^ spec) true
+        (Atomic.get procs.recovered >= 1))
+    [ "1:2"; "1:5" ];
+  let reference = omp_bits (Rsm.Omp.path_p src f ~max_lambda:6) in
   let procs = plan ~mode:"process" 3 in
   let killed =
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "RSM_SHARD_FAULT" "")
-      (fun () ->
-        lars_bits
-          (Rsm.Lars.path_p ~on_singular:`Fallback ~shards:procs src f
-             ~max_steps:12))
+    with_fault "1:2" (fun () ->
+        omp_bits (Rsm.Omp.path_p ~shards:procs src f ~max_lambda:6))
   in
-  check_bool "killed-shard run bitwise" true (killed = reference);
-  check_bool "recovery happened" true (Atomic.get procs.recovered >= 1)
+  check_bool "killed-shard OMP run bitwise" true (killed = reference);
+  check_bool "OMP recovery happened" true (Atomic.get procs.recovered >= 1)
 
 (* --- checkpoint/resume under sharding ------------------------------ *)
 
@@ -371,11 +509,16 @@ let test_plan_constructor () =
       (Some "process", SS.Procs);
       (Some "procs", SS.Procs);
     ];
-  (* A one-shard plan runs unsharded: no fleet is built. *)
+  (* A one-shard plan runs unsharded: no fleet is built, so none
+     records its footprint; a two-shard plan's fleet does. *)
   let _, _, _, g = random_setting 5 in
   let src = P.dense g in
-  check_bool "one shard, no fleet" true
-    (SS.with_fleet ~shards:(plan 1) src Option.is_none)
+  let footprint p =
+    SS.with_fleet ~shards:p src ignore;
+    Array.length (Atomic.get p.SS.peak_rss)
+  in
+  check_int "one shard, no fleet" 0 (footprint (plan 1));
+  check_int "two shards, a fleet" 2 (footprint (plan 2))
 
 let suite =
   ( "shard",
@@ -384,6 +527,8 @@ let suite =
       case "ranges validates arguments" test_ranges_rejects;
       test_argmax_merge_ties;
       case "tree_reduce rejects empty input" test_tree_reduce_rejects_empty;
+      prop_fleet_kernels;
+      case "process fleet kernels == Provider kernels" test_fleet_kernels_process;
       case "raw_norms gathers bitwise column_norms" test_raw_norms_bitwise;
       slow_case "LAR/LASSO sharded == unsharded (bitwise)"
         test_lars_sharded_bitwise;

@@ -1,5 +1,5 @@
-(* The sharded step-length screen and the fused multi-residual CV
-   sweep.
+(* The step-length screen under shard fleets and the fused
+   multi-residual CV sweep.
 
    Contracts under test:
    - Cholesky.Grow.downdate_row equals refactorizing from the surviving
@@ -8,11 +8,11 @@
      independent per-fold sweeps, Dense and Streamed, at 1/2/4 domains,
      and on wide dense designs whose chunk edges split the 4-wide
      unroll; one identity-row fold equals the full-provider sweep.
-   - the LAR and LASSO walks sharded over 2 and 3 column shards, each
-     screening its own step lengths, are bitwise the unscreened
-     reference walk, on dictionaries wide enough for a shard's screen
-     to hold, including paths with banned columns (linear combinations
-     of dictionary entries) and lasso drops.
+   - the LAR and LASSO walks sharded over 2 and 3 column shards, whose
+     step-length screens and carried bounds the fleet answers, are
+     bitwise the unscreened reference walk, on dictionaries wide enough
+     for the screen to hold, including paths with banned columns
+     (linear combinations of dictionary entries) and lasso drops.
    - OMP/STAR checkpoints resume to the same model bytes, unsharded and
      sharded.
    - a dictionary whose every column gets banned terminates with an
@@ -324,7 +324,7 @@ let test_multi_validation () =
 (* --- the sharded screen against the unscreened reference ----------- *)
 
 (* A quadratic dictionary over 15 or 20 factors (M = 136 or 231) at
-   K = 13 or 40 rows: wide enough for a shard's screen to hold. *)
+   K = 13 or 40 rows: wide enough for the screen to hold. *)
 let wide_setting seed =
   let rng = Randkit.Prng.create seed in
   let dim = if Randkit.Prng.int rng 2 = 0 then 15 else 20 in
@@ -375,7 +375,7 @@ let prop_sharded_screen mode seed =
    others: once both parents are active (or the combination plus one
    parent), the third is numerically dependent and gets banned under
    `Fallback. 120 Gaussian columns and three combinations over 24 rows,
-   so a shard's screen can hold. *)
+   so the screen can hold. *)
 let combined_problem seed =
   let rng = Randkit.Prng.create seed in
   let k = 24 and m0 = 120 in
