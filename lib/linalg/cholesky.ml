@@ -6,25 +6,58 @@ exception Not_positive_definite of int
    allocation-bound. The floating-point operations and their order are
    those of the element-wise formulation. *)
 
+(* Left-looking, column by column: the pivot first, then the rows
+   below it four per pass, sharing each load of row [j] across four
+   independent chains. Every entry is still l(i,j) = (a(i,j) −
+   Σ_{k<j} l(i,k)·l(j,k)) / l(j,j) summed in ascending k, so the factor
+   is the row-by-row one bit for bit; pivot j depends only on columns
+   before it, so the first failing pivot is the same index. *)
 let factor a =
   if Mat.rows a <> Mat.cols a then invalid_arg "Cholesky.factor: not square";
   let n = Mat.rows a in
   let l = Mat.create n n in
   let ad = a.Mat.data and ld = l.Mat.data in
-  for i = 0 to n - 1 do
-    let ri = i * n in
-    for j = 0 to i do
-      let rj = j * n in
+  for j = 0 to n - 1 do
+    let rj = j * n in
+    let acc = ref (Array.unsafe_get ad (rj + j)) in
+    for k = 0 to j - 1 do
+      acc :=
+        !acc -. (Array.unsafe_get ld (rj + k) *. Array.unsafe_get ld (rj + k))
+    done;
+    if !acc <= 0. then raise (Not_positive_definite j);
+    let d = sqrt !acc in
+    Array.unsafe_set ld (rj + j) d;
+    let i = ref (j + 1) in
+    while !i + 4 <= n do
+      let r0 = !i * n in
+      let r1 = r0 + n in
+      let r2 = r1 + n in
+      let r3 = r2 + n in
+      let a0 = ref (Array.unsafe_get ad (r0 + j)) in
+      let a1 = ref (Array.unsafe_get ad (r1 + j)) in
+      let a2 = ref (Array.unsafe_get ad (r2 + j)) in
+      let a3 = ref (Array.unsafe_get ad (r3 + j)) in
+      for k = 0 to j - 1 do
+        let ljk = Array.unsafe_get ld (rj + k) in
+        a0 := !a0 -. (Array.unsafe_get ld (r0 + k) *. ljk);
+        a1 := !a1 -. (Array.unsafe_get ld (r1 + k) *. ljk);
+        a2 := !a2 -. (Array.unsafe_get ld (r2 + k) *. ljk);
+        a3 := !a3 -. (Array.unsafe_get ld (r3 + k) *. ljk)
+      done;
+      Array.unsafe_set ld (r0 + j) (!a0 /. d);
+      Array.unsafe_set ld (r1 + j) (!a1 /. d);
+      Array.unsafe_set ld (r2 + j) (!a2 /. d);
+      Array.unsafe_set ld (r3 + j) (!a3 /. d);
+      i := !i + 4
+    done;
+    for i = !i to n - 1 do
+      let ri = i * n in
       let acc = ref (Array.unsafe_get ad (ri + j)) in
       for k = 0 to j - 1 do
         acc :=
           !acc -. (Array.unsafe_get ld (ri + k) *. Array.unsafe_get ld (rj + k))
       done;
-      if i = j then begin
-        if !acc <= 0. then raise (Not_positive_definite i);
-        Array.unsafe_set ld (ri + i) (sqrt !acc)
-      end
-      else Array.unsafe_set ld (ri + j) (!acc /. Array.unsafe_get ld (rj + j))
+      Array.unsafe_set ld (ri + j) (!acc /. d)
     done
   done;
   l

@@ -122,57 +122,51 @@ let chi2_quantile ~dof p =
 
 let shrinkage_ladder = [| 0.05; 0.1; 0.2; 0.4; 0.8; 1.0 |]
 
-(* In-place ascending heap sort of finite floats. [Array.sort] hands
-   every comparison boxed floats, which made the per-coordinate medians
-   the screen's largest remaining allocation. *)
-let sort_finite (a : float array) =
-  let sift_down start len =
-    let x = Array.unsafe_get a start in
-    let i = ref start and fin = ref false in
-    while not !fin do
-      let c = (2 * !i) + 1 in
-      if c >= len then fin := true
-      else begin
-        let c =
-          if c + 1 < len && Array.unsafe_get a c < Array.unsafe_get a (c + 1)
-          then c + 1
-          else c
-        in
-        if Array.unsafe_get a c > x then begin
-          Array.unsafe_set a !i (Array.unsafe_get a c);
-          i := c
-        end
-        else fin := true
+(* Reorders finite [a] in place so that [a.(k)] holds its k-th smallest
+   value, with no larger value before it and no smaller one after
+   (Hoare's selection, middle pivot; it stops on equal values, so runs
+   of ties still split evenly). A typed float array, not
+   [Array.sort]'s boxed comparisons, keeps the per-coordinate medians
+   allocation-free. *)
+let select_finite (a : float array) k =
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let x = Array.unsafe_get a k in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while Array.unsafe_get a !i < x do incr i done;
+      while x < Array.unsafe_get a !j do decr j done;
+      if !i <= !j then begin
+        let t = Array.unsafe_get a !i in
+        Array.unsafe_set a !i (Array.unsafe_get a !j);
+        Array.unsafe_set a !j t;
+        incr i;
+        decr j
       end
     done;
-    Array.unsafe_set a !i x
-  in
-  let n = Array.length a in
-  for s = (n / 2) - 1 downto 0 do
-    sift_down s n
-  done;
-  for e = n - 1 downto 1 do
-    let t = Array.unsafe_get a 0 in
-    Array.unsafe_set a 0 (Array.unsafe_get a e);
-    Array.unsafe_set a e t;
-    sift_down 0 e
+    if !j < k then lo := !i;
+    if k < !i then hi := !j
   done
 
-(* [Stat.Descriptive.median] of finite values, reordering [a] in place.
-   Same sorted values and the same interpolation, so the same median;
-   only the sign of a zero median can differ, and the screen subtracts
-   the center before anything sign-sensitive, so no verdict or
-   distance depends on it. *)
+(* [Stat.Descriptive.median] of finite values, reordering [a] in place:
+   the lo-th order statistic by selection, and the next one as the least
+   value above it. These are the sorted values the interpolation reads,
+   so the median is the same; only the sign of a zero median can
+   differ, and the screen subtracts the center before anything
+   sign-sensitive, so no verdict or distance depends on it. *)
 let median_finite a =
-  sort_finite a;
   let n = Array.length a in
   if n = 1 then a.(0)
   else begin
     let h = 0.5 *. float_of_int (n - 1) in
     let lo = int_of_float (Float.floor h) in
-    let hi = min (lo + 1) (n - 1) in
     let w = h -. float_of_int lo in
-    ((1. -. w) *. a.(lo)) +. (w *. a.(hi))
+    select_finite a lo;
+    let next = ref a.(lo + 1) in
+    for i = lo + 2 to n - 1 do
+      if Array.unsafe_get a i < !next then next := Array.unsafe_get a i
+    done;
+    ((1. -. w) *. a.(lo)) +. (w *. !next)
   end
 
 let mahalanobis ?(confidence = default_confidence)

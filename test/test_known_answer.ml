@@ -284,7 +284,7 @@ let eval_stream b =
       in
       let scratch = Serve.Eval.make_scratch tape in
       floats b (Array.map (Serve.Eval.eval_with tape scratch) pts);
-      floats b (Serve.Eval.eval_batch ~block:7 tape pts);
+      floats b (Serve.Eval.eval_batch tape pts);
       floats b (Serve.Eval.eval_batch tape pts))
     [ fixture (); deep_fixture () ]
 
