@@ -4,9 +4,10 @@
     is analytic, parametric yield comes from 10⁷–10⁸ cheap model
     evaluations instead of transistor-level simulation. This module
     pulls that point stream through the domain pool in fixed-size
-    batches without ever materializing the point set: each batch owns
-    one reusable point buffer and one evaluator scratch, so peak memory
-    is O(dim · lanes) however many samples flow.
+    batches without ever materializing the point set: each pool chunk
+    owns four reusable point buffers and one evaluator scratch, and
+    evaluates the points four at a time ({!Eval.eval_points}), so peak
+    memory is O(dim · lanes) however many samples flow.
 
     {2 Samplers}
 
