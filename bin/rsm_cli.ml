@@ -968,9 +968,9 @@ let yield_cmd =
       & opt int Serve.Stream.default_batch
       & info [ "batch" ] ~docv:"N"
           ~doc:
-            "Streaming batch size (serving mode). Each batch draws from its \
-             own PRNG child stream, so for a fixed (seed, batch) the \
-             estimate is bitwise identical at every domain count.")
+            "Streaming batch size. Each batch draws from its own PRNG \
+             child stream, so for a fixed (seed, batch) the estimate is \
+             bitwise identical at every domain count.")
   in
   let sampler_arg =
     Arg.(
@@ -1041,95 +1041,83 @@ let yield_cmd =
       | g -> Printf.printf "  closed-form yield : %.4f (linear model => Gaussian)\n" g
       | exception Invalid_argument _ -> ()
     in
-    match served_model with
-    | Some model_file ->
-        (* Serving mode: no simulations at all — the whole estimate is
-           model evaluations on the compiled tape. *)
-        check_sizes ~cells ~parasitics;
-        (match make_workload ~circuit ~metric ~cells ~parasitics with
-        | Error e -> err_exit e
-        | Ok w ->
-            let pool = use_domains domains in
-            let basis = Polybasis.Basis.constant_linear w.dim in
-            let entry = load_served basis model_file in
-            let tape = entry.Serve.Registry.tape in
-            let model = entry.Serve.Registry.model in
-            let rng = Randkit.Prng.create seed in
-            let e, mc_s =
-              Circuit.Testbench.timed (fun () ->
-                  Serve.Stream.estimate ~pool ~batch ~sampler ~project
-                    ~samples:mc_samples tape rng spec)
-            in
-            let rate =
-              if mc_s > 0. then float_of_int mc_samples /. mc_s
-              else Float.infinity
-            in
-            let drawn =
-              if project then Serve.Eval.vars_touched tape
-              else Serve.Eval.dim tape
-            in
-            if json then
-              Printf.printf
-                {|{"workload": "%s", "mode": "serve", "model_file": "%s", "digest": "%016Lx", "spec": {"lower": %s, "upper": %s}, "sampler": "%s", "projected": %b, "coords_drawn": %d, "dim": %d, "yield": %.17g, "std_error": %.17g, "pass": %d, "samples": %d, "mean": %.17g, "std": %.17g, "batches": %d, "batch": %d, "unit": "%s", "throughput_evals_per_s": %.6g, "notes": [%s]}
-|}
-                (json_escape w.name) (json_escape model_file)
-                entry.Serve.Registry.digest (json_bound lower)
-                (json_bound upper)
-                (Randkit.Gaussian.sampler_name sampler)
-                project drawn (Serve.Eval.dim tape) e.Serve.Stream.yield
-                e.Serve.Stream.std_error e.Serve.Stream.pass
-                e.Serve.Stream.samples e.Serve.Stream.mean e.Serve.Stream.std
-                e.Serve.Stream.batches e.Serve.Stream.batch
-                (json_escape w.unit_) rate (json_notes model)
-            else begin
-              Printf.printf
-                "%s | spec [%g, %g] %s | served %d-term model %s (digest \
-                 %016Lx)\n"
-                w.name lower upper w.unit_ (Rsm.Model.nnz model) model_file
-                entry.Serve.Registry.digest;
-              Printf.printf
-                "  model-MC yield    : %.4f +/- %.4f (%d of %d pass)\n"
-                e.Serve.Stream.yield e.Serve.Stream.std_error
-                e.Serve.Stream.pass e.Serve.Stream.samples;
-              print_closed_form model basis;
-              Printf.printf "  sample mean/sigma : %.4f / %.4f %s\n"
-                e.Serve.Stream.mean e.Serve.Stream.std w.unit_;
-              Printf.printf
-                "  streamed          : %d batches of %d over the pool (%.3g \
-                 evals/s)\n"
-                e.Serve.Stream.batches e.Serve.Stream.batch rate;
-              Printf.printf "  sampler           : %s (%d of %d coords drawn)\n"
-                (Randkit.Gaussian.sampler_name sampler)
-                drawn (Serve.Eval.dim tape)
-            end)
-    | None ->
-        let w, basis, model, rng =
-          fit_for_use ~circuit ~metric ~cells ~parasitics ~seed ~samples
-            ~max_lambda ~domains ~engine
-        in
-        (* Compiled fast path: bitwise equal to the naive term-by-term
-           walk, so the default estimate (and this output) is
-           unchanged. Under the ziggurat sampler the draw is projected
-           onto the tape's touched variables — the same addressing as
-           serving mode, so the estimate equals a streamed one bit for
-           bit. *)
-        let tape = Serve.Eval.compile model basis in
-        let touched =
-          if project then Some (Serve.Eval.touched_vars tape) else None
-        in
-        let y, se =
-          Rsm.Yield.monte_carlo ~samples:mc_samples
-            ~eval:(Serve.Eval.evaluator tape) ~sampler ?touched model basis
-            rng spec
-        in
-        let drawn =
-          if project then Serve.Eval.vars_touched tape
-          else Serve.Eval.dim tape
+    (* The two modes differ only in where the model, its tape and the
+       generator come from, and in the lines each prints: both stream
+       the estimate through the same call. *)
+    let served, w, basis, model, tape, rng =
+      match served_model with
+      | Some model_file -> (
+          (* Serving mode: no simulations at all — the whole estimate
+             is model evaluations on the compiled tape. *)
+          check_sizes ~cells ~parasitics;
+          match make_workload ~circuit ~metric ~cells ~parasitics with
+          | Error e -> err_exit e
+          | Ok w ->
+              let basis = Polybasis.Basis.constant_linear w.dim in
+              let entry = load_served basis model_file in
+              ( Some (model_file, entry.Serve.Registry.digest),
+                w,
+                basis,
+                entry.Serve.Registry.model,
+                entry.Serve.Registry.tape,
+                Randkit.Prng.create seed ))
+      | None ->
+          let w, basis, model, rng =
+            fit_for_use ~circuit ~metric ~cells ~parasitics ~seed ~samples
+              ~max_lambda ~domains ~engine
+          in
+          (None, w, basis, model, Serve.Eval.compile model basis, rng)
+    in
+    let pool = use_domains domains in
+    let e, mc_s =
+      Circuit.Testbench.timed (fun () ->
+          Serve.Stream.estimate ~pool ~batch ~sampler ~project
+            ~samples:mc_samples tape rng spec)
+    in
+    let drawn =
+      if project then Serve.Eval.vars_touched tape else Serve.Eval.dim tape
+    in
+    match served with
+    | Some (model_file, digest) ->
+        let rate =
+          if mc_s > 0. then float_of_int mc_samples /. mc_s
+          else Float.infinity
         in
         if json then
-          (* y is pass/mc_samples exactly, so the pass count
-             round-trips through the product. *)
-          let pass = int_of_float (Float.round (y *. float_of_int mc_samples)) in
+          Printf.printf
+            {|{"workload": "%s", "mode": "serve", "model_file": "%s", "digest": "%016Lx", "spec": {"lower": %s, "upper": %s}, "sampler": "%s", "projected": %b, "coords_drawn": %d, "dim": %d, "yield": %.17g, "std_error": %.17g, "pass": %d, "samples": %d, "mean": %.17g, "std": %.17g, "batches": %d, "batch": %d, "unit": "%s", "throughput_evals_per_s": %.6g, "notes": [%s]}
+|}
+            (json_escape w.name) (json_escape model_file) digest
+            (json_bound lower) (json_bound upper)
+            (Randkit.Gaussian.sampler_name sampler)
+            project drawn (Serve.Eval.dim tape) e.Serve.Stream.yield
+            e.Serve.Stream.std_error e.Serve.Stream.pass
+            e.Serve.Stream.samples e.Serve.Stream.mean e.Serve.Stream.std
+            e.Serve.Stream.batches e.Serve.Stream.batch
+            (json_escape w.unit_) rate (json_notes model)
+        else begin
+          Printf.printf
+            "%s | spec [%g, %g] %s | served %d-term model %s (digest \
+             %016Lx)\n"
+            w.name lower upper w.unit_ (Rsm.Model.nnz model) model_file
+            digest;
+          Printf.printf
+            "  model-MC yield    : %.4f +/- %.4f (%d of %d pass)\n"
+            e.Serve.Stream.yield e.Serve.Stream.std_error
+            e.Serve.Stream.pass e.Serve.Stream.samples;
+          print_closed_form model basis;
+          Printf.printf "  sample mean/sigma : %.4f / %.4f %s\n"
+            e.Serve.Stream.mean e.Serve.Stream.std w.unit_;
+          Printf.printf
+            "  streamed          : %d batches of %d over the pool (%.3g \
+             evals/s)\n"
+            e.Serve.Stream.batches e.Serve.Stream.batch rate;
+          Printf.printf "  sampler           : %s (%d of %d coords drawn)\n"
+            (Randkit.Gaussian.sampler_name sampler)
+            drawn (Serve.Eval.dim tape)
+        end
+    | None ->
+        if json then
           Printf.printf
             {|{"workload": "%s", "mode": "fit", "digest": "%016Lx", "spec": {"lower": %s, "upper": %s}, "sampler": "%s", "projected": %b, "coords_drawn": %d, "dim": %d, "yield": %.17g, "std_error": %.17g, "pass": %d, "samples": %d, "model_mean": %.17g, "model_sigma": %.17g, "unit": "%s", "notes": [%s]}
 |}
@@ -1137,7 +1125,9 @@ let yield_cmd =
             (Rsm.Serialize.digest model)
             (json_bound lower) (json_bound upper)
             (Randkit.Gaussian.sampler_name sampler)
-            project drawn (Serve.Eval.dim tape) y se pass mc_samples
+            project drawn (Serve.Eval.dim tape) e.Serve.Stream.yield
+            e.Serve.Stream.std_error e.Serve.Stream.pass
+            e.Serve.Stream.samples
             (Rsm.Sensitivity.mean model basis)
             (sqrt (Rsm.Sensitivity.total_variance model basis))
             (json_escape w.unit_) (json_notes model)
@@ -1145,7 +1135,8 @@ let yield_cmd =
           Printf.printf
             "%s | spec [%g, %g] %s | model from %d simulations (%d bases)\n"
             w.name lower upper w.unit_ samples (Rsm.Model.nnz model);
-          Printf.printf "  model-MC yield    : %.4f +/- %.4f\n" y se;
+          Printf.printf "  model-MC yield    : %.4f +/- %.4f\n"
+            e.Serve.Stream.yield e.Serve.Stream.std_error;
           print_closed_form model basis;
           Printf.printf "  model mean/sigma  : %.4f / %.4f %s\n"
             (Rsm.Sensitivity.mean model basis)

@@ -46,8 +46,11 @@ let () =
     "(the corner is a concrete factor vector handed back to the simulator — \
      the gap is the model's extrapolation error at that corner)\n";
 
-  (* Distribution tails: Gaussian vs Cornish-Fisher vs empirical. *)
-  let vals = Rsm.Yield.monte_carlo_values ~samples:50_000 model basis rng in
+  (* Distribution tails: Gaussian vs Cornish-Fisher vs empirical, from
+     model Monte Carlo streamed through the compiled tape. *)
+  let vals =
+    Serve.Stream.values ~samples:50_000 (Serve.Eval.compile model basis) rng
+  in
   let mean, std, skew, kurt = Stat.Moments.summary vals in
   Printf.printf
     "\nModel distribution: mean %.1f ps, sigma %.1f ps, skew %.3f, excess \

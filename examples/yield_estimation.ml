@@ -4,11 +4,12 @@
 
    Flow: fit a sparse offset model from a few hundred "simulations",
    compile it to a flat instruction tape (Serve.Eval), then answer
-   yield questions with closed-form Gaussian math and with streamed
-   model Monte Carlo on the compiled tape — bitwise equal to the naive
-   term-by-term evaluator but with the shared Hermite recurrences
-   hoisted out of the inner loop — and check both against brute-force
-   simulator Monte Carlo. See SERVING.md for the serving architecture.
+   yield questions with closed-form Gaussian math and with model Monte
+   Carlo streamed through the compiled tape by Serve.Stream — bitwise
+   equal to the naive term-by-term evaluator but with the shared
+   Hermite recurrences hoisted out of the inner loop — and check both
+   against brute-force simulator Monte Carlo. See SERVING.md for the
+   serving architecture.
 
    Run with: dune exec examples/yield_estimation.exe *)
 
@@ -50,14 +51,11 @@ let () =
   (* (b) model Monte Carlo on the compiled tape. [Serve.Stream] pulls
      the sample stream through the domain pool in fixed-size batches
      (one PRNG child per batch), so the estimate is bitwise identical
-     at every domain count; Yield.monte_carlo ~eval with the same tape
-     would give the same numbers single-threaded. *)
+     at every domain count. *)
   let tape = Serve.Eval.compile model basis in
+  let pool = Parallel.Pool.default () in
   let t0 = Unix.gettimeofday () in
-  let est =
-    Serve.Stream.estimate ~pool:(Parallel.Pool.default ()) ~samples:1_000_000
-      tape rng spec
-  in
+  let est = Serve.Stream.estimate ~pool ~samples:1_000_000 tape rng spec in
   let t_model = Unix.gettimeofday () -. t0 in
   Printf.printf "  compiled-tape MC (1M evals): %.4f +/- %.4f  [%.2f s]\n"
     est.Serve.Stream.yield est.Serve.Stream.std_error t_model;
@@ -75,12 +73,9 @@ let () =
     k_sim y_sim
     (Circuit.Simulator.simulated_cost sim ~k:k_sim);
 
-  (* Step 4: the whole distribution, model vs simulator. The ?eval
-     override routes the same estimator through the compiled tape. *)
-  let model_vals =
-    Rsm.Yield.monte_carlo_values ~samples:20_000
-      ~eval:(Serve.Eval.evaluator tape) model basis rng
-  in
+  (* Step 4: the whole distribution, model vs simulator: the same
+     stream, its values materialized for the histogram. *)
+  let model_vals = Serve.Stream.values ~pool ~samples:20_000 tape rng in
   let range = (-40., 40.) in
   let h_model = Stat.Histogram.create ~bins:20 ~range model_vals in
   let h_sim = Stat.Histogram.create ~bins:20 ~range check.Circuit.Simulator.values in

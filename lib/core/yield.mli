@@ -1,30 +1,17 @@
-(** Parametric-yield estimation from fitted performance models.
+(** Parametric-yield specs and the closed-form estimator.
 
     The downstream use of RSM the paper's introduction motivates: once
     [f(ΔY)] is an analytic model, performance distributions and yield
     come from cheap model evaluations instead of transistor-level
-    simulation. Three estimators:
+    simulation. This module holds the acceptance window ({!spec},
+    {!passes}) and {!gaussian}, exact for {e linear} models — a linear
+    combination of standard normals is N(α₀, Σα²).
 
-    - {!gaussian}: exact for {e linear} models — a linear combination
-      of standard normals is N(α₀, Σα²).
-    - {!monte_carlo}: model Monte Carlo for any model (e.g. quadratic),
-      with a binomial standard error.
-    - {!monte_carlo_values}: the raw model samples, for histograms and
-      quantiles.
-
-    {2 Evaluation cost: naive vs compiled}
-
-    By default each sample is evaluated by [Model.predict_point] — a
-    term-by-term walk that re-runs the 1-D Hermite recurrence for every
-    factor of every term. That is already independent of the dictionary
-    size [M], but a variable shared by ten support terms pays for its
-    polynomial values ten times per point. For serving-scale runs
-    (10⁷–10⁸ samples) pass [?eval] a compiled instruction tape
-    ([Serve.Eval.evaluator]), which hoists the shared Hermite
-    recurrences — once per touched variable per point — and is bitwise
-    equal to the naive walk; or use [Serve.Stream], which streams
-    batches through a domain pool without materializing the sample
-    array. See SERVING.md. *)
+    Model Monte Carlo, for any model (e.g. quadratic), is
+    [Serve.Stream]: [estimate] scores streamed draws through the
+    compiled instruction tape against a {!spec} (yield with a binomial
+    standard error, pass count, moments), and [values] returns the raw
+    model samples for histograms and quantiles. See SERVING.md. *)
 
 type spec = { lower : float; upper : float }
 (** Acceptance window; use [neg_infinity]/[infinity] for one-sided
@@ -41,55 +28,7 @@ val spec_max : float -> spec
 val gaussian : Model.t -> Polybasis.Basis.t -> spec -> float
 (** Closed-form yield assuming the model is linear in the factors.
     @raise Invalid_argument if the model contains any term of degree
-    ≥ 2 (the Gaussian assumption would be wrong — use
-    {!monte_carlo}). *)
-
-val monte_carlo_values :
-  ?samples:int ->
-  ?eval:(Linalg.Vec.t -> float) ->
-  ?sampler:Randkit.Gaussian.sampler ->
-  ?touched:int array ->
-  Model.t -> Polybasis.Basis.t -> Randkit.Prng.t -> float array
-(** [samples] (default 10 000) model evaluations at fresh standard-normal
-    factor draws. [?eval] overrides the per-point evaluator (default
-    [Model.predict_point model basis] — per-sample cost O(tape), i.e.
-    one Hermite recurrence {e per factor of every term}); pass a
-    compiled tape closure ([Serve.Eval.evaluator]) to hoist shared
-    recurrences without changing a single result bit. The factor draws
-    (and hence the PRNG stream) do not depend on [?eval].
-
-    [?sampler] (default [Polar], the historical bit stream) selects the
-    normal sampler. Under [Ziggurat] each coordinate of each sample is
-    a pure function of [(key, sample, coordinate)] with the key drawn
-    once from [rng] ([Randkit.Counter.of_prng]) — the same addressing
-    as [Serve.Stream], so a ziggurat estimate here is bitwise equal to
-    the streamed one. [?touched] (ziggurat only) restricts the draw to
-    the listed coordinates — bitwise identical results whenever [eval]
-    reads only those coordinates (e.g. the compiled tape's
-    [Serve.Eval.touched_vars]); draw cost then scales with the support,
-    not the ambient dimension.
-    @raise Invalid_argument when [?touched] is passed with the polar
-    sampler or lists a coordinate outside the basis dimension. *)
-
-val monte_carlo :
-  ?samples:int ->
-  ?eval:(Linalg.Vec.t -> float) ->
-  ?sampler:Randkit.Gaussian.sampler ->
-  ?touched:int array ->
-  Model.t -> Polybasis.Basis.t -> Randkit.Prng.t -> spec ->
-  float * float
-(** [(yield, standard_error)] by model Monte Carlo; [?eval],
-    [?sampler], [?touched] as in {!monte_carlo_values}. *)
+    ≥ 2 (the Gaussian assumption would be wrong — use model Monte
+    Carlo, [Serve.Stream.estimate]). *)
 
 val passes : spec -> float -> bool
-
-val joint_monte_carlo :
-  ?samples:int -> (Model.t * spec) list -> Polybasis.Basis.t ->
-  Randkit.Prng.t -> float * float
-(** [(yield, standard_error)] of meeting {e every} spec
-    simultaneously, with all models evaluated at the {e same} factor
-    draws — the correlations between metrics (e.g. gain and bandwidth
-    both ride on gm1) are captured automatically because the models
-    share factors. Multiplying marginal yields would ignore them.
-    @raise Invalid_argument on an empty spec list or a model whose
-    basis size disagrees with the shared basis. *)

@@ -505,34 +505,3 @@ let multi_outcome_summary ?names o =
                         (Printf.sprintf "%s note: %s" names.(r))
                         (Rsm.Model.notes m)))
               o.models)))
-
-(* --- serving bridge ---------------------------------------------------
-
-   A pipeline outcome is not the end of the line: the fitted model's
-   whole purpose is to be evaluated at Monte-Carlo scale. [serve_yield]
-   compiles the outcome's model to an instruction tape and streams the
-   yield estimate through [Serve.Stream], threading the sampler and
-   projection choices; failures surface as typed [Error.t] values like
-   every other pipeline stage, never as escaping exceptions. *)
-
-let serve_yield ?pool ?batch ?sampler ?project ?(samples = 100_000) o basis rng
-    spec =
-  if samples <= 0 then
-    Error (Error.Invalid_input "serve_yield: samples must be positive")
-  else if
-    project = Some true && sampler <> Some Randkit.Gaussian.Ziggurat
-  then
-    Error
-      (Error.Config
-         "serve_yield: projection requires the ziggurat (counter) sampler")
-  else
-    match Serve.Eval.compile o.model basis with
-    | exception Invalid_argument m -> Error (Error.Invalid_input m)
-    | tape -> (
-        match
-          Serve.Stream.estimate ?pool ?batch ?sampler ?project ~samples tape
-            rng spec
-        with
-        | e -> Ok e
-        | exception Invalid_argument m -> Error (Error.Invalid_input m)
-        | exception e -> Error (Error.Internal (Printexc.to_string e)))

@@ -323,35 +323,3 @@ val hygiene_lines : names:string array -> hygiene -> string list
     line when that driver ran, then either ["screen: off"] or each
     output's response-screen summary (prefixed with its name when
     [names] is non-empty) followed by the point-screen summary. *)
-
-(** {2 Serving bridge}
-
-    The fit is not the product — the evaluations are. [serve_yield]
-    takes a pipeline {!outcome} straight to a streamed yield estimate:
-    the model is compiled to an instruction tape ([Serve.Eval.compile])
-    and [samples] standard-normal points flow through
-    [Serve.Stream.estimate] over the pool. *)
-
-val serve_yield :
-  ?pool:Parallel.Pool.t ->
-  ?batch:int ->
-  ?sampler:Randkit.Gaussian.sampler ->
-  ?project:bool ->
-  ?samples:int ->
-  outcome ->
-  Polybasis.Basis.t ->
-  Randkit.Prng.t ->
-  Rsm.Yield.spec ->
-  (Serve.Stream.estimate, Error.t) result
-(** [serve_yield outcome basis rng spec] estimates the yield of the
-    fitted model against [spec] from [samples] (default 100 000)
-    streamed Monte-Carlo points. [?sampler] and [?project] are
-    [Serve.Stream.estimate]'s: the default polar sampler keeps the
-    historical bit stream; [Ziggurat] switches to the counter-mode
-    engine whose estimate is invariant to batch size and domain count,
-    with the draw projected onto the tape's touched variables (bitwise
-    equal to the full draw). Returns [Error (Config _)] when
-    [~project:true] is requested without the ziggurat sampler,
-    [Error (Invalid_input _)] on a non-positive sample count or a
-    model/basis disagreement — the same typed-error discipline as
-    {!fit}. *)

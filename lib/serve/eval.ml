@@ -157,8 +157,6 @@ let[@inline] eval_with t scratch dy =
 
 let eval_point t dy = eval_with t t.scratch0 dy
 
-let evaluator t = eval_point t
-
 (* The point kernel: four points per pass, each in its own buffer, and
    for every term four product chains and four accumulators, so four
    term sums advance as independent add chains. Each point's

@@ -110,11 +110,6 @@ val eval_point : t -> Linalg.Vec.t -> float
     allocation-free, but not thread-safe — never call it from pool
     chunks. *)
 
-val evaluator : t -> Linalg.Vec.t -> float
-(** [evaluator t] is [eval_point t] as a closure, shaped to drop into
-    [Rsm.Yield.monte_carlo ~eval] as the compiled fast path. The closure
-    shares the tape's internal scratch: single-threaded use only. *)
-
 val eval_batch : ?pool:Parallel.Pool.t -> t -> Linalg.Vec.t array -> Linalg.Vec.t
 (** [eval_batch t pts] evaluates every point through {!eval_points},
     chunked over [pool] (default: sequential in the caller). Each chunk

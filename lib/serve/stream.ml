@@ -20,24 +20,6 @@ type estimate = {
 
 let default_batch = 8192
 
-let check_args ~samples ~batch ~name =
-  if samples <= 0 then invalid_arg (name ^ ": samples must be positive");
-  if batch <= 0 then invalid_arg (name ^ ": batch must be positive")
-
-(* Projection requires the counter-mode sampler: the sequential polar
-   stream cannot skip a coordinate without shifting every later draw's
-   bits. Default: project exactly when the sampler supports it (the
-   projected estimate is bitwise equal to the full draw, so there is
-   nothing to lose). *)
-let resolve_project ~sampler ~project ~name =
-  match (project, (sampler : Randkit.Gaussian.sampler)) with
-  | None, s -> s = Randkit.Gaussian.Ziggurat
-  | Some false, _ -> false
-  | Some true, Randkit.Gaussian.Ziggurat -> true
-  | Some true, Randkit.Gaussian.Polar ->
-      invalid_arg
-        (name ^ ": ~project:true requires the ziggurat (counter) sampler")
-
 (* How a batch fills a point buffer. [Seq] consumes the batch's
    child generator in order; [Ctr] addresses each coordinate of global
    point [lo + s] directly, optionally restricted to the tape's
@@ -47,12 +29,25 @@ type filler =
   | Seq
   | Ctr of Randkit.Counter.t * int array option
 
-let filler_of ~sampler ~project t rng =
-  match (sampler : Randkit.Gaussian.sampler) with
-  | Polar -> Seq
-  | Ziggurat ->
-      let key = Randkit.Counter.of_prng rng in
-      Ctr (key, if project then Some (Eval.touched_vars t) else None)
+(* The argument preamble of {!estimate} and {!values}, [name] being
+   the caller's: check the sizes, resolve projection and derive the
+   filler. Projection requires the counter-mode sampler: the
+   sequential polar stream cannot skip a coordinate without shifting
+   every later draw's bits. Default: project exactly when the sampler
+   supports it (the projected estimate is bitwise equal to the full
+   draw, so there is nothing to lose). The counter key is the one draw
+   taken from [rng] before [over_batches] runs. *)
+let prepare ~name ~samples ~batch ~sampler ~project t rng =
+  if samples <= 0 then invalid_arg (name ^ ": samples must be positive");
+  if batch <= 0 then invalid_arg (name ^ ": batch must be positive");
+  match ((sampler : Randkit.Gaussian.sampler), project) with
+  | Polar, (None | Some false) -> Seq
+  | Polar, Some true ->
+      invalid_arg
+        (name ^ ": ~project:true requires the ziggurat (counter) sampler")
+  | Ziggurat, Some false -> Ctr (Randkit.Counter.of_prng rng, None)
+  | Ziggurat, (None | Some true) ->
+      Ctr (Randkit.Counter.of_prng rng, Some (Eval.touched_vars t))
 
 let draw_point filler brng dy words ~point =
   match filler with
@@ -113,11 +108,10 @@ let over_batches ?pool ~batch ~samples ~filler t rng group =
 
 let estimate ?pool ?(batch = default_batch)
     ?(sampler = Randkit.Gaussian.Polar) ?project ~samples t rng spec =
-  check_args ~samples ~batch ~name:"Serve.Stream.estimate";
-  let project =
-    resolve_project ~sampler ~project ~name:"Serve.Stream.estimate"
+  let filler =
+    prepare ~name:"Serve.Stream.estimate" ~samples ~batch ~sampler ~project t
+      rng
   in
-  let filler = filler_of ~sampler ~project t rng in
   (* Per-batch partial accumulators, slotted by batch index so the
      final combine is sequential in batch order regardless of which
      domain produced which partial. *)
@@ -161,11 +155,10 @@ let estimate ?pool ?(batch = default_batch)
 
 let values ?pool ?(batch = default_batch)
     ?(sampler = Randkit.Gaussian.Polar) ?project ~samples t rng =
-  check_args ~samples ~batch ~name:"Serve.Stream.values";
-  let project =
-    resolve_project ~sampler ~project ~name:"Serve.Stream.values"
+  let filler =
+    prepare ~name:"Serve.Stream.values" ~samples ~batch ~sampler ~project t
+      rng
   in
-  let filler = filler_of ~sampler ~project t rng in
   let out = Array.make samples 0. in
   let (_ : int) =
     over_batches ?pool ~batch ~samples ~filler t rng (fun _ ~point ~m vals ->

@@ -2,8 +2,10 @@
 
     The serving workload the paper motivates: once the response surface
     is analytic, parametric yield comes from 10⁷–10⁸ cheap model
-    evaluations instead of transistor-level simulation. This module
-    pulls that point stream through the domain pool in fixed-size
+    evaluations instead of transistor-level simulation. This module is
+    the library's one model Monte-Carlo driver — [rsm yield] runs it on
+    a freshly fitted model and on a served one alike. It pulls that
+    point stream through the domain pool in fixed-size
     batches without ever materializing the point set: each pool chunk
     owns four reusable point buffers and one evaluator scratch, and
     evaluates the points four at a time ({!Eval.eval_points}), so peak
@@ -51,10 +53,7 @@
 
     The two samplers consume different streams and agree statistically,
     never bitwise. The evaluator itself is bitwise equal to
-    term-by-term [Rsm.Model.predict_point] (see {!Eval}); the ziggurat
-    path additionally matches single-generator
-    [Rsm.Yield.monte_carlo ~sampler:Ziggurat] bit for bit (same key
-    derivation, same global point indices). *)
+    term-by-term [Rsm.Model.predict_point] (see {!Eval}). *)
 
 type estimate = {
   yield : float;  (** pass fraction against the spec window *)
@@ -100,8 +99,8 @@ val values :
   Randkit.Prng.t ->
   Linalg.Vec.t
 (** [values ~samples tape rng] is the raw model-value stream (for
-    histograms and quantiles), materialized — the streaming analogue of
-    [Rsm.Yield.monte_carlo_values]. Entry [b·batch + s] is draw [s] of
+    histograms, moments and quantiles), materialized: the draws
+    {!estimate} scores, from the same arguments. Entry [b·batch + s] is draw [s] of
     batch [b] (polar) or the value at global point [b·batch + s]
     (ziggurat), so the array is bitwise identical at every domain
     count.

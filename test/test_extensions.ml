@@ -41,7 +41,9 @@ let test_variance_matches_mc () =
   (* The closed form must match Monte Carlo of the model itself. *)
   let m = handmade () in
   let g = rng () in
-  let vals = Rsm.Yield.monte_carlo_values ~samples:200000 m basis3 g in
+  let vals =
+    Serve.Stream.values ~samples:200000 (Serve.Eval.compile m basis3) g
+  in
   check_float ~eps:0.06 "MC variance" (Rsm.Sensitivity.total_variance m basis3)
     (Stat.Descriptive.variance vals);
   check_float ~eps:0.02 "MC mean" 5. (Stat.Descriptive.mean vals)
@@ -100,10 +102,13 @@ let test_yield_mc_matches_gaussian () =
   let b, m = linear_model () in
   let g = rng () in
   let spec = Rsm.Yield.spec_both ~lower:2. ~upper:18. in
-  let y_mc, se = Rsm.Yield.monte_carlo ~samples:40000 m b g spec in
+  let e =
+    Serve.Stream.estimate ~samples:40000 (Serve.Eval.compile m b) g spec
+  in
   let y_exact = Rsm.Yield.gaussian m b spec in
   check_bool "within 4 standard errors" true
-    (Float.abs (y_mc -. y_exact) < 4. *. Float.max se 1e-4)
+    (Float.abs (e.Serve.Stream.yield -. y_exact)
+    < 4. *. Float.max e.Serve.Stream.std_error 1e-4)
 
 let test_yield_spec_validation () =
   check_raises_invalid "empty window" (fun () ->

@@ -262,18 +262,6 @@ let estimate_stream b =
       (Randkit.Gaussian.Ziggurat, Some false);
     ]
 
-let monte_carlo_stream b =
-  let model, basis, tape = fixture () in
-  let eval = Serve.Eval.evaluator tape in
-  let values ?touched sampler =
-    floats b
-      (Rsm.Yield.monte_carlo_values ~samples:500 ~eval ~sampler ?touched model
-         basis (Randkit.Prng.create 6))
-  in
-  values Randkit.Gaussian.Polar;
-  values Randkit.Gaussian.Ziggurat;
-  values ~touched:(Serve.Eval.touched_vars tape) Randkit.Gaussian.Ziggurat
-
 let eval_stream b =
   List.iter
     (fun (_, basis, tape) ->
@@ -305,8 +293,6 @@ let suite =
         test_fill_at_matches_normal_at;
       pinned "stream: estimate fields, polar/projected/full"
         "0297fbf1f96cd26c90b1fd38ecba0ed2" estimate_stream;
-      pinned "yield: monte_carlo_values polar/ziggurat/touched"
-        "76799755191f4ac8215cb8cf4cc39128" monte_carlo_stream;
       pinned "eval: eval_with and eval_batch values"
         "e634f0b9382da5a97f765646cc8f3042" eval_stream;
     ] )

@@ -118,8 +118,11 @@ let test_model_output_normality () =
       ~support:[| lin_idx; sq_idx |] ~coeffs:[| 1.; 1.5 |]
   in
   let g = rng () in
-  let v_lin = Rsm.Yield.monte_carlo_values ~samples:20000 linear basis g in
-  let v_quad = Rsm.Yield.monte_carlo_values ~samples:20000 quad basis g in
+  let values m =
+    Serve.Stream.values ~samples:20000 (Serve.Eval.compile m basis) g
+  in
+  let v_lin = values linear in
+  let v_quad = values quad in
   check_bool "linear model output is Gaussian" true
     (Stat.Moments.jarque_bera v_lin < 8.);
   check_bool "quadratic model output is not" true

@@ -239,82 +239,95 @@ let stream_suite =
             (Randkit.Prng.create 11)
         in
         check_bool "bitwise" true (vals true = vals false));
-    case "Yield ziggurat == Stream ziggurat (bitwise cross-path)" (fun () ->
-        let model, basis, tape = fixture () in
-        let e =
-          Serve.Stream.estimate ~samples:5_000
-            ~sampler:Randkit.Gaussian.Ziggurat tape (Randkit.Prng.create 55)
-            spec
-        in
-        let y, se =
-          Rsm.Yield.monte_carlo ~samples:5_000
-            ~eval:(Serve.Eval.evaluator tape)
-            ~sampler:Randkit.Gaussian.Ziggurat
-            ~touched:(Serve.Eval.touched_vars tape) model basis
+    case "Yield ziggurat == Stream ziggurat (bitwise, recorded bits)"
+      (fun () ->
+        (* The bits the single-generator ziggurat yield (one point at a
+           time, projected onto the touched variables) gave on this
+           fixture before the stream became the only Monte-Carlo
+           driver. The stream derives the same counter key and
+           addresses the same global point indices, so every batch size,
+           domain count and projection must reproduce them. *)
+        let _, _, tape = fixture () in
+        let run ?pool ?batch ~project () =
+          Serve.Stream.estimate ?pool ?batch ~samples:5_000
+            ~sampler:Randkit.Gaussian.Ziggurat ~project tape
             (Randkit.Prng.create 55) spec
         in
-        check_bool "yield bitwise" true (y = e.Serve.Stream.yield);
-        check_bool "se bitwise" true (se = e.Serve.Stream.std_error));
-    case "Yield: ~touched == full draw, polar default unchanged" (fun () ->
-        let model, basis, tape = fixture () in
-        let mc ?touched () =
-          Rsm.Yield.monte_carlo_values ~samples:2_000
-            ~sampler:Randkit.Gaussian.Ziggurat ?touched model basis
-            (Randkit.Prng.create 5)
-        in
-        check_bool "projected values bitwise" true
-          (mc ~touched:(Serve.Eval.touched_vars tape) () = mc ());
-        (* The polar path must keep the historical stream: one
-           Gaussian.vector per sample. *)
-        let n = Polybasis.Basis.dim basis in
-        let g = Randkit.Prng.create 6 in
-        let expected =
-          Array.init 50 (fun _ ->
-              Rsm.Model.predict_point model basis (Randkit.Gaussian.vector g n))
-        in
-        let got =
-          Rsm.Yield.monte_carlo_values ~samples:50 model basis
-            (Randkit.Prng.create 6)
-        in
-        check_bool "polar bitwise" true (got = expected));
+        let bits = Int64.bits_of_float in
+        List.iter
+          (fun (what, e) ->
+            check_bool (what ^ ": yield bits") true
+              (bits e.Serve.Stream.yield = bits 0x1.8ef34d6a161e5p-2);
+            check_bool (what ^ ": se bits") true
+              (bits e.Serve.Stream.std_error = bits 0x1.c3f8de26036fep-8);
+            check_int (what ^ ": pass") 1948 e.Serve.Stream.pass)
+          [
+            ("projected", run ~project:true ());
+            ("full", run ~project:false ());
+            ( "batch 7, 2 domains",
+              Parallel.Pool.with_pool ~domains:2 (fun pool ->
+                  run ~pool ~batch:7 ~project:true ()) );
+          ]);
+    case "values scored by the spec == estimate, both samplers" (fun () ->
+        (* [values] and [estimate] share one argument preamble and one
+           batch driver, so scoring the value stream against the spec
+           must give the estimate's pass count and yield. *)
+        let _, _, tape = fixture () in
+        List.iter
+          (fun sampler ->
+            let what = Randkit.Gaussian.sampler_name sampler in
+            let e =
+              Serve.Stream.estimate ~batch:300 ~sampler ~samples:2_000 tape
+                (Randkit.Prng.create 5) spec
+            in
+            let v =
+              Serve.Stream.values ~batch:300 ~sampler ~samples:2_000 tape
+                (Randkit.Prng.create 5)
+            in
+            let pass =
+              Array.fold_left
+                (fun acc x -> if Rsm.Yield.passes spec x then acc + 1 else acc)
+                0 v
+            in
+            check_int (what ^ ": pass") e.Serve.Stream.pass pass;
+            check_bool (what ^ ": yield") true
+              (e.Serve.Stream.yield = float_of_int pass /. 2_000.))
+          [ Randkit.Gaussian.Polar; Randkit.Gaussian.Ziggurat ]);
     case "projection without the counter sampler is rejected" (fun () ->
-        let model, basis, tape = fixture () in
-        check_raises_invalid "stream" (fun () ->
+        let _, _, tape = fixture () in
+        check_raises_invalid "estimate" (fun () ->
             Serve.Stream.estimate ~samples:100 ~project:true tape
               (Randkit.Prng.create 1) spec);
-        check_raises_invalid "yield" (fun () ->
-            Rsm.Yield.monte_carlo_values ~samples:100 ~touched:[| 0 |] model
-              basis (Randkit.Prng.create 1)));
-    case "Pipeline.serve_yield bridges fit to streamed estimate" (fun () ->
-        let amp = Circuit.Opamp.build ~n_parasitics:10 () in
-        let sim = Circuit.Opamp.simulator amp Circuit.Opamp.Offset in
-        let basis = Polybasis.Basis.constant_linear (Circuit.Opamp.dim amp) in
-        let cfg =
-          match Robust.Pipeline.config ~samples:120 ~folds:3 ~max_lambda:6 () with
-          | Ok cfg -> cfg
-          | Error e -> Alcotest.failf "config: %s" (Robust.Error.to_string e)
+        check_raises_invalid "values" (fun () ->
+            Serve.Stream.values ~samples:100 ~project:true tape
+              (Randkit.Prng.create 1)));
+    case "argument errors name the entry point that raised them" (fun () ->
+        let _, _, tape = fixture () in
+        let raises msg f =
+          Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+              ignore (f ()))
         in
-        match Robust.Pipeline.fit cfg sim basis (Randkit.Prng.create 17) with
-        | Error e -> Alcotest.failf "fit: %s" (Robust.Error.to_string e)
-        | Ok outcome -> (
-            let wide = Rsm.Yield.spec_both ~lower:(-50.) ~upper:50. in
-            (match
-               Robust.Pipeline.serve_yield ~samples:4_000
-                 ~sampler:Randkit.Gaussian.Ziggurat outcome basis
-                 (Randkit.Prng.create 3) wide
-             with
-            | Error e -> Alcotest.failf "serve_yield: %s" (Robust.Error.to_string e)
-            | Ok e ->
-                check_int "all samples scored" 4_000 e.Serve.Stream.samples;
-                check_bool "yield in range" true
-                  (e.Serve.Stream.yield >= 0. && e.Serve.Stream.yield <= 1.));
-            match
-              Robust.Pipeline.serve_yield ~project:true outcome basis
-                (Randkit.Prng.create 3) wide
-            with
-            | Error (Robust.Error.Config _) -> ()
-            | Ok _ | Error _ ->
-                Alcotest.fail "project without ziggurat must be Config error"));
+        let g () = Randkit.Prng.create 1 in
+        List.iter
+          (fun (name, run) ->
+            raises (name ^ ": samples must be positive") (fun () ->
+                run ~samples:0 ~batch:8 ~project:None);
+            raises (name ^ ": batch must be positive") (fun () ->
+                run ~samples:10 ~batch:0 ~project:None);
+            raises
+              (name ^ ": ~project:true requires the ziggurat (counter) sampler")
+              (fun () -> run ~samples:10 ~batch:8 ~project:(Some true)))
+          [
+            ( "Serve.Stream.estimate",
+              fun ~samples ~batch ~project ->
+                ignore
+                  (Serve.Stream.estimate ~samples ~batch ?project tape (g ())
+                     spec) );
+            ( "Serve.Stream.values",
+              fun ~samples ~batch ~project ->
+                ignore
+                  (Serve.Stream.values ~samples ~batch ?project tape (g ())) );
+          ]);
   ]
 
 (* --- allocation ---------------------------------------------------- *)
