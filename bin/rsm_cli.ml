@@ -777,10 +777,9 @@ let parse_digest s =
       err_exit (Printf.sprintf "--expect-digest %S is not a hex digest" s)
 
 let load_served ?expect basis path =
-  let registry = Serve.Registry.create ~capacity:4 basis in
-  match Serve.Registry.load ?expect registry path with
+  match Serve.Eval.load ?expect basis path with
   | Error e -> err_exit ("cannot serve model: " ^ e)
-  | Ok entry -> entry
+  | Ok loaded -> loaded
 
 (* %.17g floats round-trip exactly; strings here are workload/unit
    names and user paths, escaped minimally. *)
@@ -848,9 +847,9 @@ let eval_cmd =
         let pool = use_domains domains in
         let basis = Polybasis.Basis.constant_linear w.dim in
         let expect = Option.map parse_digest expect in
-        let entry = load_served ?expect basis model_file in
-        let tape = entry.Serve.Registry.tape in
-        let model = entry.Serve.Registry.model in
+        let loaded = load_served ?expect basis model_file in
+        let tape = loaded.Serve.Eval.tape in
+        let model = loaded.Serve.Eval.model in
         let rng = Randkit.Prng.create seed in
         let points =
           Array.init samples (fun _ -> Randkit.Gaussian.vector rng w.dim)
@@ -876,7 +875,7 @@ let eval_cmd =
           Printf.printf
             {|{"workload": "%s", "model_file": "%s", "digest": "%016Lx", "tape": {"terms": %d, "instructions": %d, "vars_touched": %d, "dim": %d, "max_degree": %d}, "parity": "bitwise", "points": %d, "value_mean": %.17g, "value_std": %.17g, "unit": "%s", "throughput_compiled_per_s": %.6g, "throughput_naive_per_s": %.6g, "notes": [%s]}
 |}
-            (escape w.name) (escape model_file) entry.Serve.Registry.digest
+            (escape w.name) (escape model_file) loaded.Serve.Eval.digest
             (Serve.Eval.nnz tape)
             (Serve.Eval.tape_length tape)
             (Serve.Eval.vars_touched tape)
@@ -886,7 +885,7 @@ let eval_cmd =
             (escape w.unit_) (rate batch_s) (rate naive_s) notes_json
         else begin
           Printf.printf "%s | serving %s\n" w.name model_file;
-          Printf.printf "  content digest: %016Lx\n" entry.Serve.Registry.digest;
+          Printf.printf "  content digest: %016Lx\n" loaded.Serve.Eval.digest;
           Printf.printf
             "  tape          : %d terms, %d factor instructions, %d of %d \
              variables touched, max degree %d\n"
@@ -1054,12 +1053,12 @@ let yield_cmd =
           | Error e -> err_exit e
           | Ok w ->
               let basis = Polybasis.Basis.constant_linear w.dim in
-              let entry = load_served basis model_file in
-              ( Some (model_file, entry.Serve.Registry.digest),
+              let loaded = load_served basis model_file in
+              ( Some (model_file, loaded.Serve.Eval.digest),
                 w,
                 basis,
-                entry.Serve.Registry.model,
-                entry.Serve.Registry.tape,
+                loaded.Serve.Eval.model,
+                loaded.Serve.Eval.tape,
                 Randkit.Prng.create seed ))
       | None ->
           let w, basis, model, rng =
@@ -1119,7 +1118,7 @@ let yield_cmd =
     | None ->
         if json then
           Printf.printf
-            {|{"workload": "%s", "mode": "fit", "digest": "%016Lx", "spec": {"lower": %s, "upper": %s}, "sampler": "%s", "projected": %b, "coords_drawn": %d, "dim": %d, "yield": %.17g, "std_error": %.17g, "pass": %d, "samples": %d, "model_mean": %.17g, "model_sigma": %.17g, "unit": "%s", "notes": [%s]}
+            {|{"workload": "%s", "mode": "fit", "digest": "%016Lx", "spec": {"lower": %s, "upper": %s}, "sampler": "%s", "projected": %b, "coords_drawn": %d, "dim": %d, "yield": %.17g, "std_error": %.17g, "pass": %d, "samples": %d, "model_mean": %.17g, "model_sigma": %.17g, "batches": %d, "batch": %d, "unit": "%s", "notes": [%s]}
 |}
             (json_escape w.name)
             (Rsm.Serialize.digest model)
@@ -1130,6 +1129,7 @@ let yield_cmd =
             e.Serve.Stream.samples
             (Rsm.Sensitivity.mean model basis)
             (sqrt (Rsm.Sensitivity.total_variance model basis))
+            e.Serve.Stream.batches e.Serve.Stream.batch
             (json_escape w.unit_) (json_notes model)
         else begin
           Printf.printf

@@ -1,10 +1,10 @@
-(* Worst-case corner extraction and model-stability diagnostics.
+(* Worst-case corner extraction.
 
    Classical worst-case analysis (the paper's reference [6]) from a
    sparse model: fit the SRAM read-delay model, ask "how slow can the
    read get at 3 sigma?", extract the corner (an actual factor vector),
-   verify it against the simulator, and check with the bootstrap that
-   the model's support is stable enough to trust.
+   verify it against the simulator, and compare the Gaussian tail with
+   the model Monte-Carlo one.
 
    Run with: dune exec examples/worst_case.exe *)
 
@@ -46,37 +46,16 @@ let () =
     "(the corner is a concrete factor vector handed back to the simulator — \
      the gap is the model's extrapolation error at that corner)\n";
 
-  (* Distribution tails: Gaussian vs Cornish-Fisher vs empirical, from
-     model Monte Carlo streamed through the compiled tape. *)
+  (* Distribution tail: Gaussian vs empirical, from model Monte Carlo
+     streamed through the compiled tape. *)
   let vals =
     Serve.Stream.values ~samples:50_000 (Serve.Eval.compile model basis) rng
   in
-  let mean, std, skew, kurt = Stat.Moments.summary vals in
-  Printf.printf
-    "\nModel distribution: mean %.1f ps, sigma %.1f ps, skew %.3f, excess \
-     kurtosis %.3f (Jarque-Bera %.1f)\n"
-    mean std skew kurt (Stat.Moments.jarque_bera vals);
+  let mean = Stat.Descriptive.mean vals and std = Stat.Descriptive.std vals in
+  Printf.printf "\nModel distribution: mean %.1f ps, sigma %.1f ps\n" mean std;
   let p = 0.9999 in
   Printf.printf "99.99th percentile delay:\n";
   Printf.printf "  Gaussian         : %.1f ps\n"
     (mean +. (std *. Stat.Distribution.quantile p));
-  Printf.printf "  Cornish-Fisher   : %.1f ps\n"
-    (Stat.Moments.cornish_fisher_quantile ~mean ~std ~skew ~kurt_excess:kurt p);
   Printf.printf "  model Monte Carlo: %.1f ps\n"
-    (Stat.Descriptive.quantile vals p);
-
-  (* Bootstrap: is the selected support trustworthy? *)
-  let report =
-    Rsm.Bootstrap.run ~replicates:25 ~lambda:(Rsm.Model.nnz model) rng g
-      data.Circuit.Simulator.values
-  in
-  let stable = Rsm.Bootstrap.stable_support ~threshold:0.8 report in
-  Printf.printf
-    "\nBootstrap (25 refits on resampled training sets): mean support %.1f, \
-     %d bases selected in >= 80%% of replicates\n"
-    report.Rsm.Bootstrap.mean_nnz (Array.length stable);
-  Printf.printf "Most stable factors (selection frequency):\n";
-  Array.iteri
-    (fun i (j, fr) ->
-      if i < 8 then Printf.printf "  basis %5d : %3.0f%%\n" j (100. *. fr))
-    report.Rsm.Bootstrap.frequencies
+    (Stat.Descriptive.quantile vals p)

@@ -74,13 +74,12 @@ let () =
     (Circuit.Simulator.simulated_cost sim ~k:k_sim);
 
   (* Step 4: the whole distribution, model vs simulator: the same
-     stream, its values materialized for the histogram. *)
+     stream, its values materialized for the quantiles. *)
   let model_vals = Serve.Stream.values ~pool ~samples:20_000 tape rng in
-  let range = (-40., 40.) in
-  let h_model = Stat.Histogram.create ~bins:20 ~range model_vals in
-  let h_sim = Stat.Histogram.create ~bins:20 ~range check.Circuit.Simulator.values in
-  Printf.printf
-    "\nOffset distribution, model MC (20k cheap evals):\n%s"
-    (Stat.Histogram.render ~width:40 h_model);
-  Printf.printf "chi-square distance to simulator MC: %.4f (0 = identical)\n"
-    (Stat.Histogram.chi2_distance h_model h_sim)
+  Printf.printf "\nOffset quantiles (mV), model MC (20k cheap evals) vs simulator MC:\n";
+  List.iter
+    (fun p ->
+      Printf.printf "  %2.0f%% : %8.3f  %8.3f\n" (100. *. p)
+        (Stat.Descriptive.quantile model_vals p)
+        (Stat.Descriptive.quantile check.Circuit.Simulator.values p))
+    [ 0.05; 0.5; 0.95 ]

@@ -116,22 +116,12 @@ let load path = read_file path of_string
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) 0x100000001b3L
 
-(* The content digest the serving registry keys compiled tapes by: over
-   the serialized text instead of float bit patterns. *)
+(* The content digest a served model file is pinned by: over the
+   serialized text instead of float bit patterns. *)
 let digest_string s =
   String.fold_left (fun h c -> fnv_byte h (Char.code c)) fnv_offset s
 
 let digest m = digest_string (to_string m)
-
-let file_digest path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let n = in_channel_length ic in
-          Ok (digest_string (really_input_string ic n)))
 
 let term_expression t =
   if Array.length t = 0 then ""

@@ -33,19 +33,14 @@ val load : string -> (Model.t, string) result
     [Error]. *)
 
 val digest_string : string -> int64
-(** FNV-1a 64-bit digest of a byte string. The serving registry
-    ([Serve.Registry]) keys compiled evaluator tapes by the digest of
-    the model file's bytes, so a re-served file never recompiles and a
-    swapped file never hits a stale tape. *)
+(** FNV-1a 64-bit digest of a byte string. The serving loader
+    ([Serve.Eval.load]) digests a model file's bytes, so a caller that
+    pins the digest refuses a swapped or corrupted file. *)
 
 val digest : Model.t -> int64
 (** [digest m] is {!digest_string} of {!to_string}[ m] — the content
     identity a saved copy of [m] would have. Sensitive to notes and to
     coefficient bit patterns. *)
-
-val file_digest : string -> (int64, string) result
-(** [file_digest path] digests the raw bytes of [path] (read in binary
-    mode). IO failures are reported as [Error]. *)
 
 (** Crash-safe persistence of walk and cross-validation progress.
 

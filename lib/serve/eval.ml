@@ -211,3 +211,34 @@ let eval_batch ?pool t points =
   | Some pool -> Parallel.Pool.parallel_for_chunks pool ~lo:0 ~hi:k body
   | None -> if k > 0 then body ~lo:0 ~hi:k);
   out
+
+type loaded = { digest : int64; model : Rsm.Model.t; tape : t }
+
+let read_bytes path =
+  match open_in_bin path with
+  | exception Sys_error e -> Error e
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
+
+(* The digest check runs before any parse, so a pinned mismatch is
+   refused without parsing or compiling the file. *)
+let load ?expect basis path =
+  match read_bytes path with
+  | Error e -> Error e
+  | Ok bytes -> (
+      let digest = Rsm.Serialize.digest_string bytes in
+      match expect with
+      | Some d when d <> digest ->
+          Error
+            (Printf.sprintf
+               "digest mismatch for %s: expected %Lx, file content is %Lx" path
+               d digest)
+      | _ -> (
+          match Rsm.Serialize.of_string bytes with
+          | Error e -> Error (path ^ ": " ^ e)
+          | Ok model -> (
+              match compile model basis with
+              | exception Invalid_argument msg -> Error msg
+              | tape -> Ok { digest; model; tape })))

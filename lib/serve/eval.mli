@@ -117,3 +117,21 @@ val eval_batch : ?pool:Parallel.Pool.t -> t -> Linalg.Vec.t array -> Linalg.Vec.
     output is bitwise equal to [Array.map (eval_point t) pts] for every
     [pool] and domain count, wherever the chunk edges fall.
     @raise Invalid_argument on a point of length ≠ {!dim}. *)
+
+(** {2 Loading a served model} *)
+
+type loaded = {
+  digest : int64;  (** content digest of the model file's bytes *)
+  model : Rsm.Model.t;  (** parsed model, with its {!Rsm.Model.notes} *)
+  tape : t;  (** compiled evaluator *)
+}
+
+val load : ?expect:int64 -> Polybasis.Basis.t -> string -> (loaded, string) result
+(** [load basis path] reads the model file at [path], digests its bytes
+    ({!Rsm.Serialize.digest_string}, FNV-1a 64), parses them and
+    compiles the model over [basis]. With [~expect:d], a file whose
+    digest is not [d] is rejected before any parse (digest-mismatch
+    rejection): a swapped or corrupted file is refused instead of
+    silently compiled and served. IO failures, parse failures and a
+    model whose [basis_size] disagrees with [basis] are all reported as
+    [Error]. *)

@@ -22,14 +22,12 @@ let () =
       Test_ridge_extra.suite;
       Test_diagnostics.suite;
       Test_serialize.suite;
-      Test_moments.suite;
+      Test_serialize.expression_suite;
       Test_edge_cases.suite;
       Test_round2.suite;
       Test_select_rules.suite;
       Test_l0_exact.suite;
-      Test_variance_reduction.suite;
       Test_misc_api.suite;
-      Test_dataset_io.suite;
       Test_integration.suite;
       Test_parallel.suite;
       Test_provider.suite;

@@ -1,67 +1,6 @@
-(* Bootstrap stability and worst-case corner extraction. *)
+(* Worst-case corner extraction. *)
 open Test_util
 open Linalg
-
-let sparse_problem ?(noise = 0.) ~k ~m ~support ~coeffs seed =
-  let g = Randkit.Prng.create seed in
-  let design = Randkit.Gaussian.matrix g k m in
-  let f =
-    Array.init k (fun i ->
-        let acc = ref 0. in
-        Array.iteri
-          (fun p j -> acc := !acc +. (coeffs.(p) *. Mat.get design i j))
-          support;
-        !acc +. (noise *. Randkit.Gaussian.sample g))
-  in
-  (design, f)
-
-(* --- Bootstrap --- *)
-
-let test_bootstrap_stable_on_strong_signal () =
-  let support = [| 3; 20; 40 |] and coeffs = [| 3.; -2.; 2.5 |] in
-  let g, f = sparse_problem ~noise:0.1 ~k:150 ~m:60 ~support ~coeffs 81 in
-  let report = Rsm.Bootstrap.run ~replicates:30 (rng ()) g f in
-  check_int "replicates recorded" 30 report.Rsm.Bootstrap.replicates;
-  let stable = Rsm.Bootstrap.stable_support ~threshold:0.9 report in
-  Array.iter
-    (fun j ->
-      check_bool (Printf.sprintf "true factor %d stable" j) true
-        (Array.mem j stable))
-    support;
-  (* The stable core should not be much larger than the truth. *)
-  check_bool "no large stable halo" true (Array.length stable <= 6)
-
-let test_bootstrap_frequencies_sorted_and_valid () =
-  let g, f =
-    sparse_problem ~noise:0.3 ~k:100 ~m:40 ~support:[| 5 |] ~coeffs:[| 1. |] 82
-  in
-  let report = Rsm.Bootstrap.run ~replicates:20 ~lambda:5 (rng ()) g f in
-  let freqs = report.Rsm.Bootstrap.frequencies in
-  Array.iteri
-    (fun i (j, fr) ->
-      check_bool "index in range" true (j >= 0 && j < 40);
-      check_bool "frequency in (0,1]" true (fr > 0. && fr <= 1.);
-      if i > 0 then check_bool "sorted" true (fr <= snd freqs.(i - 1)))
-    freqs;
-  check_bool "mean nnz near lambda" true
-    (report.Rsm.Bootstrap.mean_nnz > 1. && report.Rsm.Bootstrap.mean_nnz <= 5.01)
-
-let test_bootstrap_coefficient_stats () =
-  let support = [| 7 |] and coeffs = [| 2.0 |] in
-  let g, f = sparse_problem ~noise:0.05 ~k:120 ~m:30 ~support ~coeffs 83 in
-  let report = Rsm.Bootstrap.run ~replicates:25 ~lambda:1 (rng ()) g f in
-  let j0, mean0 = report.Rsm.Bootstrap.coeff_mean.(0) in
-  check_int "top factor is the truth" 7 j0;
-  check_float ~eps:0.1 "coefficient mean near truth" 2.0 mean0;
-  let _, std0 = report.Rsm.Bootstrap.coeff_std.(0) in
-  check_bool "small std on strong signal" true (std0 < 0.2)
-
-let test_bootstrap_validation () =
-  let g, f = sparse_problem ~k:20 ~m:10 ~support:[| 1 |] ~coeffs:[| 1. |] 84 in
-  check_raises_invalid "replicates" (fun () ->
-      ignore (Rsm.Bootstrap.run ~replicates:0 (rng ()) g f))
-
-(* --- Corner --- *)
 
 let lin_basis = Polybasis.Basis.constant_linear 4
 
@@ -157,10 +96,6 @@ let test_corner_roundtrip_through_simulator () =
 let suite =
   ( "diagnostics",
     [
-      slow_case "bootstrap: stable support" test_bootstrap_stable_on_strong_signal;
-      case "bootstrap: frequencies valid" test_bootstrap_frequencies_sorted_and_valid;
-      case "bootstrap: coefficient stats" test_bootstrap_coefficient_stats;
-      case "bootstrap: validation" test_bootstrap_validation;
       case "corner: closed form" test_linear_worst_closed_form;
       case "corner: corner evaluates to value" test_linear_worst_at_corner_evaluates;
       case "corner: rejects quadratic" test_linear_worst_rejects_quadratic;

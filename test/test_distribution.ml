@@ -1,4 +1,4 @@
-(* Normal distribution functions and histograms. *)
+(* Normal distribution functions. *)
 open Test_util
 
 let test_pdf () =
@@ -56,65 +56,6 @@ let test_cdf_mc_agreement () =
     (Stat.Distribution.cdf 1.2)
     (float_of_int !below /. float_of_int n)
 
-(* --- Histogram --- *)
-
-let test_histogram_basic () =
-  let h = Stat.Histogram.create ~bins:4 ~range:(0., 4.) [| 0.5; 1.5; 1.6; 2.5; 3.5 |] in
-  Alcotest.(check (array int)) "counts" [| 1; 2; 1; 1 |] h.Stat.Histogram.counts;
-  check_int "total" 5 h.Stat.Histogram.total;
-  check_int "mode" 1 (Stat.Histogram.mode_bin h)
-
-let test_histogram_overflow () =
-  let h = Stat.Histogram.create ~bins:2 ~range:(0., 1.) [| -1.; 0.5; 2. |] in
-  check_int "under" 1 h.Stat.Histogram.n_underflow;
-  check_int "over" 1 h.Stat.Histogram.n_overflow
-
-let test_histogram_density_normalized () =
-  let g = rng () in
-  let data = Randkit.Gaussian.vector g 20000 in
-  let h = Stat.Histogram.create ~bins:40 ~range:(-4., 4.) data in
-  let d = Stat.Histogram.densities h in
-  let w = 8. /. 40. in
-  let integral = Array.fold_left (fun acc x -> acc +. (x *. w)) 0. d in
-  check_float ~eps:1e-9 "integrates to 1" 1. integral;
-  (* Peak near zero, matching the normal density. *)
-  let centers = Stat.Histogram.bin_centers h in
-  check_bool "mode near 0" true (Float.abs centers.(Stat.Histogram.mode_bin h) < 0.5)
-
-let test_histogram_edge_cases () =
-  check_raises_invalid "empty" (fun () -> ignore (Stat.Histogram.create [||]));
-  check_raises_invalid "bins 0" (fun () ->
-      ignore (Stat.Histogram.create ~bins:0 [| 1. |]));
-  (* Constant data gets a synthetic window. *)
-  let h = Stat.Histogram.create [| 5.; 5.; 5. |] in
-  check_int "all binned" 3
-    (Array.fold_left ( + ) 0 h.Stat.Histogram.counts)
-
-let test_histogram_render () =
-  let h = Stat.Histogram.create ~bins:3 ~range:(0., 3.) [| 0.5; 1.5; 1.7 |] in
-  let s = Stat.Histogram.render ~width:10 h in
-  check_bool "has bars" true (String.contains s '#');
-  check_bool "three lines" true
-    (List.length (String.split_on_char '\n' (String.trim s)) = 3)
-
-let test_chi2_distance () =
-  let g = rng () in
-  let a = Randkit.Gaussian.vector g 5000 in
-  let b = Randkit.Gaussian.vector g 5000 in
-  let shifted = Array.map (fun x -> x +. 3.) b in
-  let range = (-6., 6.) in
-  let ha = Stat.Histogram.create ~bins:24 ~range a in
-  let hb = Stat.Histogram.create ~bins:24 ~range b in
-  let hs = Stat.Histogram.create ~bins:24 ~range shifted in
-  check_float ~eps:1e-12 "self distance" 0. (Stat.Histogram.chi2_distance ha ha);
-  check_bool "same distribution close" true
-    (Stat.Histogram.chi2_distance ha hb < 0.05);
-  check_bool "shifted far" true
-    (Stat.Histogram.chi2_distance ha hs > 10. *. Stat.Histogram.chi2_distance ha hb);
-  let other = Stat.Histogram.create ~bins:10 ~range a in
-  check_raises_invalid "binning mismatch" (fun () ->
-      ignore (Stat.Histogram.chi2_distance ha other))
-
 let prop_quantile_monotone =
   qtest ~count:50 "normal quantile is monotone"
     QCheck.(pair (float_range 0.01 0.98) (float_range 0.001 0.01))
@@ -130,11 +71,5 @@ let suite =
       case "quantile known values" test_quantile_known;
       case "gaussian yield" test_gaussian_yield;
       slow_case "cdf vs Monte Carlo" test_cdf_mc_agreement;
-      case "histogram: basic" test_histogram_basic;
-      case "histogram: overflow" test_histogram_overflow;
-      case "histogram: density normalization" test_histogram_density_normalized;
-      case "histogram: edge cases" test_histogram_edge_cases;
-      case "histogram: render" test_histogram_render;
-      case "histogram: chi2 distance" test_chi2_distance;
       prop_quantile_monotone;
     ] )

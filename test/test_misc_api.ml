@@ -97,15 +97,6 @@ let omp_path_support_growth =
         steps;
       !ok)
 
-let histogram_counts_conserved =
-  qtest ~count:40 "histogram counts are conserved"
-    QCheck.(array_of_size Gen.(1 -- 60) (float_range (-50.) 50.))
-    (fun xs ->
-      let h = Stat.Histogram.create ~bins:7 ~range:(-25., 25.) xs in
-      Array.fold_left ( + ) 0 h.Stat.Histogram.counts
-      + h.Stat.Histogram.n_underflow + h.Stat.Histogram.n_overflow
-      = Array.length xs)
-
 let suite =
   ( "misc-api",
     [
@@ -116,5 +107,4 @@ let suite =
       case "sensitivity: fitted quadratic" test_sensitivity_on_fitted_quadratic;
       serialize_fuzz;
       omp_path_support_growth;
-      histogram_counts_conserved;
     ] )

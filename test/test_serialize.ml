@@ -236,6 +236,36 @@ let fuzz_cases =
           (mutants ~seed:(String.length s) s));
   ]
 
+(* --- expression export --- *)
+
+let test_expression_linear () =
+  let b = Polybasis.Basis.constant_linear 3 in
+  let m =
+    Rsm.Model.make ~basis_size:4 ~support:[| 0; 2 |] ~coeffs:[| 10.; -2.5 |]
+  in
+  Alcotest.(check string) "expression" "f = 10 - 2.5*y1"
+    (Rsm.Serialize.to_expression m b)
+
+let test_expression_quadratic () =
+  let b = Polybasis.Basis.quadratic 2 in
+  (* Find the y0^2 term index. *)
+  let sq =
+    let rec go i =
+      if Polybasis.Term.equal (Polybasis.Basis.term b i) (Polybasis.Term.square 0)
+      then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let m = Rsm.Model.make ~basis_size:(Polybasis.Basis.size b) ~support:[| sq |] ~coeffs:[| 3. |] in
+  Alcotest.(check string) "hermite spelled out" "f = 3*((y0^2 - 1)/sqrt2)"
+    (Rsm.Serialize.to_expression m b)
+
+let test_expression_empty () =
+  let b = Polybasis.Basis.constant_linear 2 in
+  let m = Rsm.Model.make ~basis_size:3 ~support:[||] ~coeffs:[||] in
+  Alcotest.(check string) "zero model" "f = 0" (Rsm.Serialize.to_expression m b)
+
 let suite =
   ( "serialize",
     [
@@ -248,3 +278,12 @@ let suite =
       case "save writes through a temp file and a rename" test_save_is_atomic;
     ]
     @ fuzz_cases )
+
+(* The response-surface equation a model prints as. *)
+let expression_suite =
+  ( "serialize-equation",
+    [
+      case "expression: linear" test_expression_linear;
+      case "expression: quadratic hermite" test_expression_quadratic;
+      case "expression: empty" test_expression_empty;
+    ] )

@@ -1,5 +1,5 @@
 (* Serving engine: compiled instruction tapes, the streaming yield
-   estimator and the tape registry.
+   estimator and the model loader.
 
    The contracts under test are bitwise, not approximate: a compiled
    tape must reproduce Model.predict_point bit for bit on every model,
@@ -174,7 +174,7 @@ let eval_suite =
             Serve.Eval.eval_point tape [| 1.; 2. |]));
   ]
 
-(* A fixed mid-size model shared by the yield and registry tests. *)
+(* A fixed mid-size model shared by the yield and load tests. *)
 let fixture () =
   let basis = Polybasis.Basis.quadratic 10 in
   let m = Polybasis.Basis.size basis in
@@ -331,130 +331,139 @@ let yield_suite =
             Serve.Stream.estimate ~batch:0 ~samples:10 tape (rng ()) spec));
   ]
 
-let registry_suite =
+(* A linear Hermite model of Gaussian factors is Gaussian; adding a
+   quadratic term breaks normality — measurable via Jarque-Bera on the
+   streamed model Monte Carlo. *)
+let test_model_output_normality () =
+  let jarque_bera xs =
+    let n = float_of_int (Array.length xs) in
+    let mu = Stat.Descriptive.mean xs in
+    let central r =
+      Array.fold_left (fun acc x -> acc +. ((x -. mu) ** float_of_int r)) 0. xs
+      /. n
+    in
+    let m2 = central 2 in
+    let skew = if m2 = 0. then 0. else central 3 /. (m2 ** 1.5) in
+    let kurt = if m2 = 0. then 0. else (central 4 /. (m2 *. m2)) -. 3. in
+    n /. 6. *. ((skew *. skew) +. (kurt *. kurt /. 4.))
+  in
+  let basis = Polybasis.Basis.quadratic 3 in
+  let lin_idx =
+    let rec go i =
+      if Polybasis.Term.equal (Polybasis.Basis.term basis i) (Polybasis.Term.linear 0)
+      then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let sq_idx =
+    let rec go i =
+      if Polybasis.Term.equal (Polybasis.Basis.term basis i) (Polybasis.Term.square 1)
+      then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let linear =
+    Rsm.Model.make ~basis_size:(Polybasis.Basis.size basis) ~support:[| lin_idx |]
+      ~coeffs:[| 2. |]
+  in
+  let quad =
+    Rsm.Model.make ~basis_size:(Polybasis.Basis.size basis)
+      ~support:[| lin_idx; sq_idx |] ~coeffs:[| 1.; 1.5 |]
+  in
+  let g = rng () in
+  let values m =
+    Serve.Stream.values ~samples:20000 (Serve.Eval.compile m basis) g
+  in
+  let v_lin = values linear in
+  let v_quad = values quad in
+  check_bool "linear model output is Gaussian" true (jarque_bera v_lin < 8.);
+  check_bool "quadratic model output is not" true (jarque_bera v_quad > 100.)
+
+let load_suite =
   let save_tmp model name =
     let path = Filename.concat (Filename.get_temp_dir_name ()) name in
     Rsm.Serialize.save path model;
     path
   in
-  let small_model basis j c =
-    Rsm.Model.make
-      ~basis_size:(Polybasis.Basis.size basis)
-      ~support:[| j |] ~coeffs:[| c |]
+  let write_tmp name bytes =
+    let path = Filename.concat (Filename.get_temp_dir_name ()) name in
+    let oc = open_out_bin path in
+    output_string oc bytes;
+    close_out oc;
+    path
+  in
+  let mismatch path expected actual =
+    Printf.sprintf "digest mismatch for %s: expected %Lx, file content is %Lx"
+      path expected actual
   in
   [
-    case "of_model caches: second lookup is a hit" (fun () ->
+    case "load digests file bytes and compiles" (fun () ->
         let model, basis, _ = fixture () in
-        let reg = Serve.Registry.create basis in
-        let e1 = Serve.Registry.of_model reg model in
-        let e2 = Serve.Registry.of_model reg model in
-        check_bool "same tape" true (e1.Serve.Registry.tape == e2.Serve.Registry.tape);
-        let s = Serve.Registry.stats reg in
-        check_int "hits" 1 s.Serve.Registry.hits;
-        check_int "misses" 1 s.Serve.Registry.misses;
-        check_int "size" 1 (Serve.Registry.size reg));
-    case "LRU eviction drops the least recently used" (fun () ->
-        let basis = Polybasis.Basis.quadratic 10 in
-        let reg = Serve.Registry.create ~capacity:2 basis in
-        let m1 = small_model basis 1 1. in
-        let m2 = small_model basis 2 1. in
-        let m3 = small_model basis 3 1. in
-        let e1 = Serve.Registry.of_model reg m1 in
-        let _ = Serve.Registry.of_model reg m2 in
-        (* Touch m1 so m2 becomes the LRU, then overflow with m3. *)
-        let _ = Serve.Registry.of_model reg m1 in
-        let _ = Serve.Registry.of_model reg m3 in
-        check_int "size stays at capacity" 2 (Serve.Registry.size reg);
-        check_bool "m1 resident" true
-          (Serve.Registry.mem reg e1.Serve.Registry.digest);
-        check_bool "m2 evicted" false
-          (Serve.Registry.mem reg (Rsm.Serialize.digest m2));
-        let s = Serve.Registry.stats reg in
-        check_int "evictions" 1 s.Serve.Registry.evictions;
-        check_int "misses" 3 s.Serve.Registry.misses);
-    case "load digests file bytes and caches" (fun () ->
-        let model, basis, _ = fixture () in
-        let path = save_tmp model "serve_reg_load.rsm" in
-        let reg = Serve.Registry.create basis in
-        (match Serve.Registry.load reg path with
+        let path = save_tmp model "serve_load.rsm" in
+        (match Serve.Eval.load basis path with
         | Error e -> Alcotest.failf "load failed: %s" e
-        | Ok e ->
+        | Ok l ->
+            check_bool "digest of the file bytes" true
+              (l.Serve.Eval.digest = Rsm.Serialize.digest model);
             check_bool "predicts" true
-              (Serve.Eval.eval_point e.Serve.Registry.tape
+              (Serve.Eval.eval_point l.Serve.Eval.tape
                  (Array.make (Polybasis.Basis.dim basis) 0.5)
               = Rsm.Model.predict_point model basis
                   (Array.make (Polybasis.Basis.dim basis) 0.5)));
-        (match Serve.Registry.load reg path with
-        | Error e -> Alcotest.failf "reload failed: %s" e
-        | Ok _ -> ());
-        let s = Serve.Registry.stats reg in
-        check_int "one parse+compile only" 1 s.Serve.Registry.misses;
-        check_int "second load hits" 1 s.Serve.Registry.hits;
-        check_int "no rejections" 0 s.Serve.Registry.rejected;
         Sys.remove path);
     case "load rejects a digest mismatch" (fun () ->
         let model, basis, _ = fixture () in
-        let path = save_tmp model "serve_reg_expect.rsm" in
-        let reg = Serve.Registry.create basis in
-        (match Serve.Registry.load ~expect:1234L reg path with
+        let path = save_tmp model "serve_load_expect.rsm" in
+        let good = Rsm.Serialize.digest model in
+        (match Serve.Eval.load ~expect:1234L basis path with
         | Ok _ -> Alcotest.fail "expected a digest-mismatch rejection"
         | Error msg ->
-            check_bool "mentions mismatch" true
-              (String.length msg > 0
-              && String.sub msg 0 15 = "digest mismatch"));
-        check_int "nothing cached" 0 (Serve.Registry.size reg);
-        let s = Serve.Registry.stats reg in
-        check_int "rejection counted" 1 s.Serve.Registry.rejected;
-        check_int "rejection is not a miss" 0 s.Serve.Registry.misses;
-        let good = Rsm.Serialize.digest model in
-        (match Serve.Registry.load ~expect:good reg path with
-        | Ok e -> check_bool "digest echoed" true (e.Serve.Registry.digest = good)
+            Alcotest.(check string) "mismatch message"
+              (mismatch path 1234L good) msg);
+        (match Serve.Eval.load ~expect:good basis path with
+        | Ok l -> check_bool "digest echoed" true (l.Serve.Eval.digest = good)
         | Error e -> Alcotest.failf "pinned load failed: %s" e);
-        let s = Serve.Registry.stats reg in
-        check_int "pinned load is the only miss" 1 s.Serve.Registry.misses;
-        check_int "rejected unchanged by success" 1 s.Serve.Registry.rejected;
         Sys.remove path);
     case "load reports IO and parse failures as Error" (fun () ->
         let basis = Polybasis.Basis.quadratic 10 in
-        let reg = Serve.Registry.create basis in
-        (match Serve.Registry.load reg "/nonexistent/model.rsm" with
+        (match Serve.Eval.load basis "/nonexistent/model.rsm" with
         | Ok _ -> Alcotest.fail "expected IO error"
         | Error _ -> ());
-        let path =
-          Filename.concat (Filename.get_temp_dir_name ()) "serve_reg_bad.rsm"
-        in
-        let oc = open_out path in
-        output_string oc "not a model\n";
-        close_out oc;
-        (match Serve.Registry.load reg path with
+        let path = write_tmp "serve_load_bad.rsm" "not a model\n" in
+        (match Serve.Eval.load basis path with
         | Ok _ -> Alcotest.fail "expected parse error"
         | Error _ -> ());
-        let s = Serve.Registry.stats reg in
-        check_int "both failures rejected" 2 s.Serve.Registry.rejected;
-        check_int "no misses from failures" 0 s.Serve.Registry.misses;
-        check_int "nothing resident" 0 (Serve.Registry.size reg);
+        Sys.remove path);
+    case "load checks the digest before the parse" (fun () ->
+        let basis = Polybasis.Basis.quadratic 10 in
+        let bytes = "not a model\n" in
+        let path = write_tmp "serve_load_order.rsm" bytes in
+        let actual = Rsm.Serialize.digest_string bytes in
+        let wrong = Int64.succ actual in
+        (match Serve.Eval.load ~expect:wrong basis path with
+        | Ok _ -> Alcotest.fail "expected a digest-mismatch rejection"
+        | Error msg ->
+            Alcotest.(check string) "mismatch, not a parse error"
+              (mismatch path wrong actual) msg);
+        (match Serve.Eval.load ~expect:actual basis path with
+        | Ok _ -> Alcotest.fail "expected a parse error"
+        | Error msg ->
+            let parse_error =
+              match Rsm.Serialize.of_string bytes with
+              | Error e -> path ^ ": " ^ e
+              | Ok _ -> Alcotest.fail "fixture parses"
+            in
+            Alcotest.(check string) "parse error" parse_error msg);
         Sys.remove path);
     case "load rejects a model of the wrong basis size" (fun () ->
         let model, _, _ = fixture () in
-        let path = save_tmp model "serve_reg_wrong_basis.rsm" in
-        let reg = Serve.Registry.create (Polybasis.Basis.quadratic 3) in
-        (match Serve.Registry.load reg path with
+        let path = save_tmp model "serve_load_wrong_basis.rsm" in
+        (match Serve.Eval.load (Polybasis.Basis.quadratic 3) path with
         | Ok _ -> Alcotest.fail "expected basis-size rejection"
         | Error _ -> ());
-        (* A failed compile must leave no partially-constructed tape
-           resident: size, recency and the hit/miss counters are exactly
-           as if the call never happened. *)
-        check_int "nothing resident after reject" 0 (Serve.Registry.size reg);
-        check_bool "digest not resident" false
-          (Serve.Registry.mem reg (Rsm.Serialize.digest model));
-        let s = Serve.Registry.stats reg in
-        check_int "compile failure rejected" 1 s.Serve.Registry.rejected;
-        check_int "compile failure is not a miss" 0 s.Serve.Registry.misses;
         Sys.remove path);
-    case "create rejects non-positive capacity" (fun () ->
-        check_raises_invalid "capacity 0" (fun () ->
-            ignore
-              (Serve.Registry.create ~capacity:0 (Polybasis.Basis.quadratic 2))));
     case "digest is stable across serialize round-trips" (fun () ->
         let model, _, _ = fixture () in
         let d1 = Rsm.Serialize.digest model in
@@ -464,4 +473,9 @@ let registry_suite =
   ]
 
 let suite =
-  ("serve", eval_suite @ alloc_suite @ yield_suite @ registry_suite)
+  ( "serve",
+    eval_suite @ alloc_suite @ yield_suite @ load_suite
+    @ [
+        slow_case "linear models are Gaussian, quadratic are not"
+          test_model_output_normality;
+      ] )
