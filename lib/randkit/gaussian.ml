@@ -42,8 +42,6 @@ let vector g n =
 
 let matrix g r c = Linalg.Mat.init r c (fun _ _ -> sample g)
 
-let scaled g ~mean ~sigma = mean +. (sigma *. sample g)
-
 type sampler = Polar | Ziggurat
 
 let sampler_name = function Polar -> "polar" | Ziggurat -> "ziggurat"
@@ -52,5 +50,3 @@ let sampler_of_string = function
   | "polar" -> Some Polar
   | "ziggurat" -> Some Ziggurat
   | _ -> None
-
-let fill_with = function Polar -> fill | Ziggurat -> Ziggurat.fill

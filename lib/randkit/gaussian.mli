@@ -25,18 +25,14 @@ val matrix : Prng.t -> int -> int -> Linalg.Mat.t
 (** [matrix g r c] is an [r×c] matrix of iid N(0, 1) draws, filled row by
     row (so the stream position after the call is deterministic). *)
 
-val scaled : Prng.t -> mean:float -> sigma:float -> float
-(** [scaled g ~mean ~sigma] is one N(mean, sigma²) draw. *)
-
 type sampler = Polar | Ziggurat
 (** Which normal sampler a Monte-Carlo consumer runs.
 
     - [Polar]: this module — sequential, and the historical default
       everywhere, so existing seeds keep their exact bit streams.
     - [Ziggurat]: {!Ziggurat} over the counter-mode generator
-      ({!Counter}) where the consumer supports random access — each
-      draw a pure function of [(key, point, coord)] — and the
-      sequential {!Ziggurat.fill} otherwise.
+      ({!Counter}) — each draw a pure function of
+      [(key, point, coord)].
 
     The two samplers consume different stream shapes, so estimates
     agree statistically but never bitwise; record the sampler next to
@@ -47,7 +43,3 @@ val sampler_name : sampler -> string
 
 val sampler_of_string : string -> sampler option
 (** Inverse of {!sampler_name}. *)
-
-val fill_with : sampler -> Prng.t -> Linalg.Vec.t -> unit
-(** [fill_with s] is the sequential fill of sampler [s]: {!fill} for
-    [Polar], {!Ziggurat.fill} for [Ziggurat]. *)

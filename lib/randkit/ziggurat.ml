@@ -2,7 +2,9 @@
    with the exact exponential-rejection tail. One 64-bit word per
    attempt carries the layer index (low 8 bits), the sign (bit 8) and a
    53-bit mantissa draw (bits 11–63) with no overlap; the vast majority
-   of attempts accept on a single compare with no transcendental call.
+   of attempts accept on one word and one compare with no
+   transcendental call, and the sign goes on by a multiply, not a
+   branch on a random bit.
    Two front-ends share the tables: a sequential sampler over [Prng.t]
    and a counter-addressed sampler over [Counter.point] whose bits are
    a pure function of (key, point, coord). *)
@@ -40,7 +42,14 @@ let xtab, ytab =
   (x, y)
 
 let[@inline] idx_of bits = Int64.to_int (Int64.logand bits 0xFFL)
-let[@inline] neg_of bits = Int64.logand bits 0x100L <> 0L
+
+(* The sign: bit 8 picks a factor. x·1 = x and x·(−1) = −x exactly,
+   ±0 included, so the multiply gives the bits of a branch on the sign
+   bit without its mispredictions (half of all draws). *)
+let sign = [| 1.; -1. |]
+
+let[@inline] signed bits x =
+  x *. Array.unsafe_get sign ((Int64.to_int bits lsr 8) land 1)
 
 let[@inline] u_of bits =
   Int64.to_float (Int64.shift_right_logical bits 11) *. 0x1.0p-53
@@ -49,24 +58,22 @@ let[@inline] u_of bits =
 let upos_of bits =
   (Int64.to_float (Int64.shift_right_logical bits 11) +. 1.) *. 0x1.0p-53
 
-let[@inline] signed neg x = if neg then -.x else x
-
 let rec sample g =
   let bits = Prng.bits64 g in
   let i = idx_of bits in
   let x = u_of bits *. xtab.(i) in
-  if x < xtab.(i + 1) then signed (neg_of bits) x
-  else if i = 0 then tail g (neg_of bits)
+  if x < xtab.(i + 1) then signed bits x
+  else if i = 0 then tail g bits
   else
     let y = ytab.(i) +. (Prng.float g *. (ytab.(i + 1) -. ytab.(i))) in
-    if y < pdf x then signed (neg_of bits) x else sample g
+    if y < pdf x then signed bits x else sample g
 
-and tail g neg =
+and tail g bits =
   (* Exact tail past r: x ~ Exp(r) truncated by the Gaussian envelope
      (Marsaglia 1964). *)
   let x = -.log (upos_of (Prng.bits64 g)) *. inv_r in
   let y = -.log (upos_of (Prng.bits64 g)) in
-  if y +. y >= x *. x then signed neg (r +. x) else tail g neg
+  if y +. y >= x *. x then signed bits (r +. x) else tail g bits
 
 let fill g out =
   for i = 0 to Array.length out - 1 do
@@ -86,18 +93,18 @@ let rec sample_at pk ~coord j =
   let bits = Counter.bits64 pk ~coord ~draw:j in
   let i = idx_of bits in
   let x = u_of bits *. xtab.(i) in
-  if x < xtab.(i + 1) then signed (neg_of bits) x
-  else if i = 0 then tail_at pk ~coord (j + 1) (neg_of bits)
+  if x < xtab.(i + 1) then signed bits x
+  else if i = 0 then tail_at pk ~coord (j + 1) bits
   else
     let u2 = Counter.float pk ~coord ~draw:(j + 1) in
     let y = ytab.(i) +. (u2 *. (ytab.(i + 1) -. ytab.(i))) in
-    if y < pdf x then signed (neg_of bits) x else sample_at pk ~coord (j + 2)
+    if y < pdf x then signed bits x else sample_at pk ~coord (j + 2)
 
-and tail_at pk ~coord j neg =
+and tail_at pk ~coord j bits =
   let x = -.log (upos_of (Counter.bits64 pk ~coord ~draw:j)) *. inv_r in
   let y = -.log (upos_of (Counter.bits64 pk ~coord ~draw:(j + 1))) in
-  if y +. y >= x *. x then signed neg (r +. x)
-  else tail_at pk ~coord (j + 2) neg
+  if y +. y >= x *. x then signed bits (r +. x)
+  else tail_at pk ~coord (j + 2) bits
 
 let normal_at pk ~coord = sample_at pk ~coord 0
 
@@ -117,7 +124,7 @@ let fill_at key ~point ?vars ~words dy =
     let i = idx_of bits in
     let x = u_of bits *. Array.unsafe_get xtab i in
     dy.(coord) <-
-      (if x < Array.unsafe_get xtab (i + 1) then signed (neg_of bits) x
+      (if x < Array.unsafe_get xtab (i + 1) then signed bits x
        else sample_at (Counter.at key point) ~coord 0)
   done
 

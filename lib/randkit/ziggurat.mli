@@ -7,7 +7,9 @@
     and mantissa are carved from non-overlapping bits of a single word
     — falling back to the wedge test and the exact exponential-
     rejection tail only on the rare boundary cases, so the distribution
-    is exactly N(0, 1), not an approximation.
+    is exactly N(0, 1), not an approximation. The sign goes on by a
+    multiply with ±1, exact and without a branch on the random sign
+    bit, which would mispredict on half of all draws.
 
     Two front-ends share the tables:
 

@@ -121,12 +121,16 @@ let estimate ?pool ?(batch = default_batch)
   let sumsq_of = Array.make nbatches0 0. in
   let nbatches =
     over_batches ?pool ~batch ~samples ~filler t rng (fun b ~point:_ ~m vals ->
-        (* The spec test is [Rsm.Yield.passes] written out: a call
-           across modules would box the value. *)
+        (* The spec test is [Rsm.Yield.passes] written out (a call
+           across modules would box the value) and counted without a
+           branch: where passing and failing draws are both common, a
+           branch on the test mispredicts. A compare with NaN is false,
+           so NaN fails, as in [passes]. *)
+        let lower = spec.Rsm.Yield.lower and upper = spec.Rsm.Yield.upper in
         for j = 0 to m - 1 do
           let v = vals.(j) in
-          if v >= spec.Rsm.Yield.lower && v <= spec.Rsm.Yield.upper then
-            pass_of.(b) <- pass_of.(b) + 1;
+          let ok = Bool.to_int (v >= lower) land Bool.to_int (v <= upper) in
+          pass_of.(b) <- pass_of.(b) + ok;
           sum_of.(b) <- sum_of.(b) +. v;
           sumsq_of.(b) <- sumsq_of.(b) +. (v *. v)
         done)

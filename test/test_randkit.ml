@@ -96,12 +96,6 @@ let test_gaussian_tails () =
   let frac = float_of_int !beyond2 /. float_of_int n in
   check_bool "2-sigma tail mass" true (frac > 0.035 && frac < 0.056)
 
-let test_gaussian_scaled () =
-  let g = rng () in
-  let v = Array.init 20000 (fun _ -> Randkit.Gaussian.scaled g ~mean:5. ~sigma:2.) in
-  check_float ~eps:0.08 "mean" 5. (Stat.Descriptive.mean v);
-  check_float ~eps:0.1 "sigma" 2. (Stat.Descriptive.std v)
-
 let test_gaussian_matrix_shape () =
   let g = rng () in
   let m = Randkit.Gaussian.matrix g 3 4 in
@@ -187,7 +181,6 @@ let suite =
       case "prng: shuffle multiset" test_shuffle_preserves_multiset;
       case "gaussian: moments" test_gaussian_moments;
       case "gaussian: tails" test_gaussian_tails;
-      case "gaussian: scaled" test_gaussian_scaled;
       case "gaussian: matrix shape" test_gaussian_matrix_shape;
       case "sampling: train/test split" test_train_test_split;
       case "sampling: folds balanced" test_fold_assignment_balanced;

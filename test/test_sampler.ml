@@ -112,18 +112,6 @@ let ziggurat_suite =
         Randkit.Ziggurat.fill g1 out;
         let expected = Array.init 257 (fun _ -> Randkit.Ziggurat.sample g2) in
         check_bool "bitwise" true (out = expected));
-    case "Gaussian.fill_with dispatches by sampler" (fun () ->
-        let out_p = Array.make 64 0. and out_z = Array.make 64 0. in
-        Randkit.Gaussian.fill_with Randkit.Gaussian.Polar
-          (Randkit.Prng.create 35) out_p;
-        Randkit.Gaussian.fill_with Randkit.Gaussian.Ziggurat
-          (Randkit.Prng.create 35) out_z;
-        let expected_p = Array.make 64 0. and expected_z = Array.make 64 0. in
-        Randkit.Gaussian.fill (Randkit.Prng.create 35) expected_p;
-        Randkit.Ziggurat.fill (Randkit.Prng.create 35) expected_z;
-        check_bool "polar" true (out_p = expected_p);
-        check_bool "ziggurat" true (out_z = expected_z);
-        check_bool "different streams" true (out_p <> out_z));
   ]
 
 (* --- streaming: projection and bit-compat ---------------------------- *)
@@ -293,6 +281,65 @@ let stream_suite =
             check_bool (what ^ ": yield") true
               (e.Serve.Stream.yield = float_of_int pass /. 2_000.))
           [ Randkit.Gaussian.Polar; Randkit.Gaussian.Ziggurat ]);
+    case "pass count at the spec's edges == Yield.passes over values"
+      (fun () ->
+        (* [estimate] counts passes without a branch; a bound the stream
+           actually drew must count as passing, as in [Yield.passes],
+           and an infinite side must pass every finite value. Values
+           are drawn with the estimate's batch and pool, so the polar
+           stream (whose batch grid carries the draws) is the same
+           stream too. *)
+        let _, _, tape = fixture () in
+        let samples = 1_000 in
+        let bits = Int64.bits_of_float in
+        List.iter
+          (fun (sampler, batch, domains) ->
+            Parallel.Pool.with_pool ~domains (fun pool ->
+                let what =
+                  Printf.sprintf "%s, batch %d, %d domains"
+                    (Randkit.Gaussian.sampler_name sampler)
+                    batch domains
+                in
+                let vals =
+                  Serve.Stream.values ~pool ~batch ~sampler ~samples tape
+                    (Randkit.Prng.create 17)
+                in
+                let sorted = Array.copy vals in
+                Array.sort Float.compare sorted;
+                let vi = sorted.(samples / 4) and vj = sorted.(3 * samples / 4) in
+                List.iter
+                  (fun (name, spec) ->
+                    let e =
+                      Serve.Stream.estimate ~pool ~batch ~sampler ~samples tape
+                        (Randkit.Prng.create 17) spec
+                    in
+                    let pass =
+                      Array.fold_left
+                        (fun acc v ->
+                          if Rsm.Yield.passes spec v then acc + 1 else acc)
+                        0 vals
+                    in
+                    check_int (what ^ ", " ^ name ^ ": pass") pass
+                      e.Serve.Stream.pass;
+                    check_bool
+                      (what ^ ", " ^ name ^ ": yield bits")
+                      true
+                      (bits e.Serve.Stream.yield
+                      = bits (float_of_int pass /. float_of_int samples)))
+                  [
+                    ("[vi, vj]", Rsm.Yield.spec_both ~lower:vi ~upper:vj);
+                    ("[vi, vi]", Rsm.Yield.spec_both ~lower:vi ~upper:vi);
+                    ("[vj, vj]", Rsm.Yield.spec_both ~lower:vj ~upper:vj);
+                    ("min vi", Rsm.Yield.spec_min vi);
+                    ("max vj", Rsm.Yield.spec_max vj);
+                    ("min -inf", Rsm.Yield.spec_min neg_infinity);
+                  ]))
+          (List.concat_map
+             (fun sampler ->
+               List.concat_map
+                 (fun batch -> [ (sampler, batch, 1); (sampler, batch, 2) ])
+                 [ 7; Serve.Stream.default_batch ])
+             [ Randkit.Gaussian.Polar; Randkit.Gaussian.Ziggurat ]));
     case "projection without the counter sampler is rejected" (fun () ->
         let _, _, tape = fixture () in
         check_raises_invalid "estimate" (fun () ->
