@@ -160,7 +160,10 @@ let () =
       Cmd.v
         (Cmd.info "bigm-sharded"
            ~doc:
-             "Column-sharded LAR at M = 10â¶ (quick: M â 2Â·10Â³):               process-sharded vs unsharded fit time, per-shard peak RSS,               embedded bitwise parity gate (exit 1 on violation). Updates               BENCH_speed.json.")
+             "Column-sharded LAR at M = 10^6 (quick: M about 2*10^3): \
+              process-sharded vs unsharded fit time, per-shard peak RSS, \
+              embedded bitwise parity gate (exit 1 on violation). Updates \
+              BENCH_speed.json.")
         Term.(
           const (fun quick _ domains -> Bigm_sharded.run ~quick ?domains ())
           $ quick $ full $ domains);
