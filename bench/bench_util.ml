@@ -55,50 +55,58 @@ let report_gate name = function
       List.iter (Printf.printf "%s gate failed: %s\n" name) failures;
       false
 
-(* Process peak resident set (VmHWM) in MB, or -1 where /proc is
-   unavailable. A lifetime high-water mark: read it right after the
-   scenario whose footprint is being measured. *)
-let peak_rss_mb () =
-  match open_in "/proc/self/status" with
-  | exception _ -> -1.
-  | ic ->
-      let rec scan () =
-        match input_line ic with
-        | exception End_of_file -> -1.
-        | line ->
-            if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then begin
-              let rest = String.sub line 6 (String.length line - 6) in
-              let fields =
-                String.split_on_char ' ' (String.map (function '\t' -> ' ' | c -> c) rest)
-                |> List.filter (fun s -> s <> "")
-              in
-              match fields with
-              | kb :: _ -> (
-                  match float_of_string_opt kb with
-                  | Some v -> v /. 1024.
-                  | None -> -1.)
-              | [] -> -1.
-            end
-            else scan ()
-      in
-      Fun.protect ~finally:(fun () -> close_in ic) scan
-
-(* Median-of-[reps] wall clock of [f]: the right summary when each rep
-   does identical work and a ratio of two of them is reported. *)
-let median_of ~reps f =
-  let ts =
-    Array.init reps (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Unix.gettimeofday () -. t0)
-  in
-  Array.sort compare ts;
-  ts.(reps / 2)
-
 let secs x =
   if x >= 3600. then Printf.sprintf "%.1f h" (x /. 3600.)
   else if x >= 60. then Printf.sprintf "%.1f min" (x /. 60.)
   else Printf.sprintf "%.1f s" x
+
+(* --- timing ---------------------------------------------------------- *)
+
+(* [c] times every statistic of [s], for [c] > 0. *)
+let scale c (s : Measure.summary) =
+  {
+    s with
+    Measure.median = c *. s.Measure.median;
+    q1 = c *. s.q1;
+    q3 = c *. s.q3;
+    lo = c *. s.lo;
+    hi = c *. s.hi;
+  }
+
+(* Every bench time comes from e2ebench's [Measure]: [warmup] untimed
+   calls, then [reps] timed repetitions, each [calls] calls of [f] in a
+   row, so that a kernel well under a millisecond is not timed at the
+   clock's grain. Returns the last result and the per-call summary. *)
+let timed ?(warmup = 1) ?(reps = 5) ?(calls = 1) f =
+  let last = ref None in
+  let run =
+    Measure.repeat ~warmup ~min_reps:reps ~max_reps:reps ~seconds:0.
+      ~after:(fun v -> last := Some v)
+      (fun () ->
+        for _ = 2 to calls do
+          ignore (f ())
+        done;
+        f ())
+  in
+  (Option.get !last, scale (1. /. float_of_int calls) run.Measure.summary)
+
+(* [work] per second at each repetition's time: the order statistics of
+   the times, reversed. *)
+let rate ~work (s : Measure.summary) =
+  {
+    s with
+    Measure.median = work /. s.Measure.median;
+    q1 = work /. s.q3;
+    q3 = work /. s.q1;
+    lo = work /. s.hi;
+    hi = work /. s.lo;
+  }
+
+(* A timing for the console: median, quartiles and repetitions, each
+   value multiplied by [scale] and printed in [unit]. *)
+let show ~scale ~unit (s : Measure.summary) =
+  Printf.sprintf "%.4g %s (q1 %.4g, q3 %.4g, n %d)" (scale *. s.Measure.median)
+    unit (scale *. s.q1) (scale *. s.q3) s.n
 
 (* --- canonical speed summary --------------------------------------- *)
 
@@ -117,19 +125,37 @@ let commit () =
         | Unix.WEXITED 0 -> line
         | _ -> "unknown")
 
-(* The host stamp of a recorded measurement, as a JSON field:
-   processors, compiler, commit and the domain count it ran on. *)
-let stamp ~domains =
+(* The host stamp of a recorded measurement: processors, compiler,
+   commit and the domain count it ran on. *)
+let host ~domains =
   Printf.sprintf
-    "\"host\": {\"nproc\": %d, \"compiler\": \"ocaml %s\", \"commit\": %S, \
-     \"domains\": %d}"
+    "{\"nproc\": %d, \"compiler\": \"ocaml %s\", \"commit\": %S, \"domains\": %d}"
     (Domain.recommended_domain_count ())
     Sys.ocaml_version (commit ()) domains
 
+(* A record's values are JSON text: an object from its fields, a list,
+   a number, and a timing as its median, quartiles and repetitions. *)
+let obj fields =
+  "{"
+  ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields)
+  ^ "}"
+
+let list vs = "[" ^ String.concat ", " vs ^ "]"
+let num = Printf.sprintf "%.6g"
+
+let summary_json (s : Measure.summary) =
+  obj
+    [
+      ("median", num s.Measure.median);
+      ("q1", num s.q1);
+      ("q3", num s.q3);
+      ("n", string_of_int s.n);
+    ]
+
 (* BENCH_speed.json (repo root, tracked in git) records one scenario per
-   line: `  "name": <single-line JSON object>`. Scenarios merge
-   textually — a bench run replaces its own line and leaves the others —
-   so no JSON parser is needed. *)
+   line: `  "name": <single-line JSON object>`, whose first field is the
+   host stamp. Scenarios merge textually — a bench run replaces its own
+   line and leaves the others — so no JSON parser is needed. *)
 let summary_file = "BENCH_speed.json"
 
 (* The scenarios currently in the bench suite, in file order. A merge
@@ -138,9 +164,10 @@ let summary_file = "BENCH_speed.json"
 let known_scenarios =
   [ "sweep"; "multi"; "speed"; "eval"; "bigm_sharded"; "robustness" ]
 
-let update_summary ~scenario ~payload =
+let update_summary ~scenario ~domains fields =
+  let payload = obj (("host", host ~domains) :: fields) in
   if String.contains payload '\n' then
-    invalid_arg "Bench_util.update_summary: payload must be a single line";
+    invalid_arg "Bench_util.update_summary: a record must be a single line";
   let lines =
     match open_in summary_file with
     | exception _ -> []
@@ -199,7 +226,8 @@ let update_summary ~scenario ~payload =
            (if i = List.length entries - 1 then "" else ",")))
     entries;
   output_string oc "}\n";
-  close_out oc
+  close_out oc;
+  Printf.printf "summary updated in %s\n%!" summary_file
 
 (* --- experiment plumbing --- *)
 

@@ -7,6 +7,8 @@
    fails the bench with exit 1, so this scenario doubles as the
    serving-parity smoke for CI. *)
 
+open Bench_util
+
 (* A realistic serving model over the quadratic dictionary: the paper's
    fits select a few dozen terms concentrated on a small set of strong
    factors, which is exactly what makes Hermite-table sharing pay. Keep
@@ -26,6 +28,8 @@ let make_model rng basis ~nvars ~nnz =
     Array.map (fun _ -> 0.2 +. Randkit.Gaussian.sample rng) support
   in
   Rsm.Model.make ~basis_size:m ~support ~coeffs
+
+let per_s = show ~scale:1. ~unit:"evals/s"
 
 let run ~quick ~domains () =
   let domains =
@@ -71,23 +75,20 @@ let run ~quick ~domains () =
        (fun p v -> Serve.Eval.eval_with tape scratch p = v)
        points naive_out);
   (* Timed arms. *)
+  let time ?(reps = reps) f = snd (timed ~reps f) in
   let naive_s =
-    Bench_util.median_of ~reps (fun () ->
-        ignore (Array.map (Rsm.Model.predict_point model basis) points))
+    time (fun () -> ignore (Array.map (Rsm.Model.predict_point model basis) points))
   in
-  let seq_s =
-    Bench_util.median_of ~reps (fun () -> ignore (Serve.Eval.eval_batch tape points))
-  in
-  let par_s =
-    Bench_util.median_of ~reps (fun () -> ignore (Serve.Eval.eval_batch ~pool tape points))
-  in
-  let rate s = float_of_int k /. s in
+  let seq_s = time (fun () -> ignore (Serve.Eval.eval_batch tape points)) in
+  let par_s = time (fun () -> ignore (Serve.Eval.eval_batch ~pool tape points)) in
+  let evals = rate ~work:(float_of_int k) in
+  let ratio a b = a.Measure.median /. b.Measure.median in
   Printf.printf
-    "naive                %8.1f ms  %10.3g evals/s\n\
-     compiled (1 domain)  %8.1f ms  %10.3g evals/s  (%.1fx naive)\n\
-     compiled (%d domains) %7.1f ms  %10.3g evals/s  (%.1fx naive)\n%!"
-    (1e3 *. naive_s) (rate naive_s) (1e3 *. seq_s) (rate seq_s)
-    (naive_s /. seq_s) domains (1e3 *. par_s) (rate par_s) (naive_s /. par_s);
+    "naive                %s\n\
+     compiled (1 domain)  %s  (%.1fx naive)\n\
+     compiled (%d domains) %s  (%.1fx naive)\n%!"
+    (per_s (evals naive_s)) (per_s (evals seq_s)) (ratio naive_s seq_s) domains
+    (per_s (evals par_s)) (ratio naive_s par_s);
   (* Streamed yield: convergence curve, with the cross-domain bitwise
      gate on the largest rung. *)
   let spec = Rsm.Yield.spec_both ~lower:(-3.) ~upper:3. in
@@ -98,19 +99,17 @@ let run ~quick ~domains () =
   let curve =
     List.map
       (fun samples ->
+        (* Three repetitions and no warm-up: the largest rung is tens of
+           seconds, and the arms above have warmed the tape. *)
         let e, t =
-          let t0 = Unix.gettimeofday () in
-          let e =
-            Serve.Stream.estimate ~pool ~samples tape
-              (Randkit.Prng.create 71) spec
-          in
-          (e, Unix.gettimeofday () -. t0)
+          timed ~warmup:0 ~reps:3 (fun () ->
+              Serve.Stream.estimate ~pool ~samples tape
+                (Randkit.Prng.create 71) spec)
         in
-        Printf.printf
-          "yield @ %9d samples: %.5f +/- %.5f  (%.3g evals/s streamed)\n%!"
-          samples e.Serve.Stream.yield e.Serve.Stream.std_error
-          (float_of_int samples /. t);
-        (samples, e, t))
+        let r = rate ~work:(float_of_int samples) t in
+        Printf.printf "yield @ %9d samples: %.5f +/- %.5f  (%s streamed)\n%!"
+          samples e.Serve.Stream.yield e.Serve.Stream.std_error (per_s r);
+        (samples, e, r))
       rungs
   in
   (* Cross-domain bitwise gate: a mid-size stream is enough to catch
@@ -143,14 +142,14 @@ let run ~quick ~domains () =
   let buf = Array.make n 0. in
   let fills = max 1 (nnorm / n) in
   let polar_norm_s =
-    Bench_util.median_of ~reps (fun () ->
+    time (fun () ->
         let g = Randkit.Prng.create 91 in
         for _ = 1 to fills do
           Randkit.Gaussian.fill g buf
         done)
   in
   let zig_norm_s =
-    Bench_util.median_of ~reps (fun () ->
+    time (fun () ->
         let g = Randkit.Prng.create 91 in
         for _ = 1 to fills do
           Randkit.Ziggurat.fill g buf
@@ -158,25 +157,24 @@ let run ~quick ~domains () =
   in
   let words = Bytes.create (8 * n) in
   let ctr_norm_s =
-    Bench_util.median_of ~reps (fun () ->
+    time (fun () ->
         let key = Randkit.Counter.create 91 in
         for p = 0 to fills - 1 do
           Randkit.Ziggurat.fill_at key ~point:p ~words buf
         done)
   in
-  let nrate s = float_of_int (fills * n) /. s in
+  let nrate = rate ~work:(float_of_int (fills * n)) in
+  let normals s = show ~scale:1. ~unit:"normals/s" (nrate s) in
   Printf.printf
-    "normals/s            polar %10.3g   ziggurat %10.3g   counter-ziggurat \
-     %10.3g\n%!"
-    (nrate polar_norm_s) (nrate zig_norm_s) (nrate ctr_norm_s);
+    "sampler polar            %s\n\
+     sampler ziggurat         %s\n\
+     sampler counter-ziggurat %s\n%!"
+    (normals polar_norm_s) (normals zig_norm_s) (normals ctr_norm_s);
   let ysamples = if quick then 50_000 else 200_000 in
   let timed_estimate ~sampler ~project =
-    let t0 = Unix.gettimeofday () in
-    let e =
-      Serve.Stream.estimate ~pool ~sampler ~project ~samples:ysamples tape
-        (Randkit.Prng.create 71) spec
-    in
-    (e, Unix.gettimeofday () -. t0)
+    timed ~reps (fun () ->
+        Serve.Stream.estimate ~pool ~sampler ~project ~samples:ysamples tape
+          (Randkit.Prng.create 71) spec)
   in
   let e_polar, t_polar =
     timed_estimate ~sampler:Randkit.Gaussian.Polar ~project:false
@@ -207,72 +205,81 @@ let run ~quick ~domains () =
            "projected ziggurat yield bitwise identical at 1 vs %d domains" d)
         (zig_at d = z1))
     [ 2; 4 ];
-  let yrate t = float_of_int ysamples /. t in
+  let yrate = rate ~work:(float_of_int ysamples) in
   Printf.printf
-    "streamed yield       polar+full %8.3g evals/s   ziggurat+full %8.3g \
-     evals/s   ziggurat+projected %8.3g evals/s (%.1fx polar, %d of %d \
-     coords)\n%!"
-    (yrate t_polar) (yrate t_zfull) (yrate t_zproj) (t_polar /. t_zproj)
+    "streamed yield polar+full         %s\n\
+     streamed yield ziggurat+full      %s\n\
+     streamed yield ziggurat+projected %s (%.1fx polar, %d of %d coords)\n%!"
+    (per_s (yrate t_polar)) (per_s (yrate t_zfull)) (per_s (yrate t_zproj))
+    (ratio t_polar t_zproj)
     (Serve.Eval.vars_touched tape)
     n;
   (* The projected stream's cost per point at one domain: its draws
-     (vars_touched counter normals) plus the four-point tape pass. *)
-  let proj_ns_d1 =
-    1e9
-    *. Bench_util.median_of ~reps (fun () ->
-           ignore
-             (Serve.Stream.estimate ~sampler:Randkit.Gaussian.Ziggurat
-                ~samples:ysamples tape (Randkit.Prng.create 71) spec))
-    /. float_of_int ysamples
+     (vars_touched counter normals) plus the four-point tape pass. Its
+     quartiles tell a spread inside this process from a shift between
+     processes. *)
+  let proj_d1 =
+    time ~reps:((2 * reps) + 1) (fun () ->
+        ignore
+          (Serve.Stream.estimate ~sampler:Randkit.Gaussian.Ziggurat
+             ~samples:ysamples tape (Randkit.Prng.create 71) spec))
   in
+  let ns_per_point = 1e9 /. float_of_int ysamples in
   Printf.printf
-    "projected stream (1 domain) %.0f ns/point (%d counter normals at %.1f \
-     ns each)\n%!"
-    proj_ns_d1
+    "projected stream (1 domain) %s (%d counter normals at %.1f ns each)\n%!"
+    (show ~scale:ns_per_point ~unit:"ns/point" proj_d1)
     (Serve.Eval.vars_touched tape)
-    (1e9 /. nrate ctr_norm_s);
+    (1e9 *. ctr_norm_s.Measure.median /. float_of_int (fills * n));
   Parallel.Pool.shutdown pool;
-  let payload =
-    let b = Buffer.create 256 in
-    Buffer.add_string b
-      (Printf.sprintf
-         "{%s, \"m\": %d, \"n\": %d, \"nnz\": %d, \"vars_touched\": %d, \
-          \"points\": %d, \"domains\": %d, \"naive_evals_s\": %.0f, \
-          \"compiled_seq_evals_s\": %.0f, \"compiled_par_evals_s\": %.0f, \
-          \"speedup_seq\": %.2f, \"speedup_par\": %.2f, \"yield_curve\": ["
-         (Bench_util.stamp ~domains)
-         m n (Rsm.Model.nnz model)
-         (Serve.Eval.vars_touched tape)
-         k domains (rate naive_s) (rate seq_s) (rate par_s) (naive_s /. seq_s)
-         (naive_s /. par_s));
-    List.iteri
-      (fun i (samples, e, t) ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "%s{\"samples\": %d, \"yield\": %.6f, \"se\": %.6f, \
-              \"evals_s\": %.0f}"
-             (if i = 0 then "" else ", ")
-             samples e.Serve.Stream.yield e.Serve.Stream.std_error
-             (float_of_int samples /. t)))
-      curve;
-    Buffer.add_string b
-      (Printf.sprintf
-         "], \"sampling\": {\"normals_per_s\": {\"polar\": %.0f, \
-          \"ziggurat\": %.0f, \"ziggurat_counter\": %.0f}, \"yield\": \
-          {\"samples\": %d, \"polar_full_evals_s\": %.0f, \
-          \"ziggurat_full_evals_s\": %.0f, \"ziggurat_projected_evals_s\": \
-          %.0f, \"projected_speedup_vs_polar\": %.2f, \"coords_drawn\": %d, \
-          \"projected_ns_per_point_d1\": %.1f}}"
-         (nrate polar_norm_s) (nrate zig_norm_s) (nrate ctr_norm_s) ysamples
-         (yrate t_polar) (yrate t_zfull) (yrate t_zproj) (t_polar /. t_zproj)
-         (Serve.Eval.vars_touched tape)
-         proj_ns_d1);
-    Buffer.add_string b
-      (Printf.sprintf ", \"parity_failures\": %d}" !failures);
-    Buffer.contents b
-  in
-  Bench_util.update_summary ~scenario:"eval" ~payload;
-  Printf.printf "summary updated in %s\n%!" Bench_util.summary_file;
+  update_summary ~scenario:"eval" ~domains
+    [
+      ("m", string_of_int m);
+      ("n", string_of_int n);
+      ("nnz", string_of_int (Rsm.Model.nnz model));
+      ("vars_touched", string_of_int (Serve.Eval.vars_touched tape));
+      ("points", string_of_int k);
+      ("naive_evals_s", summary_json (evals naive_s));
+      ("compiled_seq_evals_s", summary_json (evals seq_s));
+      ("compiled_par_evals_s", summary_json (evals par_s));
+      ("speedup_seq", num (ratio naive_s seq_s));
+      ("speedup_par", num (ratio naive_s par_s));
+      ( "yield_curve",
+        list
+          (List.map
+             (fun (samples, e, r) ->
+               obj
+                 [
+                   ("samples", string_of_int samples);
+                   ("yield", num e.Serve.Stream.yield);
+                   ("se", num e.Serve.Stream.std_error);
+                   ("evals_s", summary_json r);
+                 ])
+             curve) );
+      ( "sampling",
+        obj
+          [
+            ( "normals_per_s",
+              obj
+                [
+                  ("polar", summary_json (nrate polar_norm_s));
+                  ("ziggurat", summary_json (nrate zig_norm_s));
+                  ("ziggurat_counter", summary_json (nrate ctr_norm_s));
+                ] );
+            ( "yield",
+              obj
+                [
+                  ("samples", string_of_int ysamples);
+                  ("polar_full_evals_s", summary_json (yrate t_polar));
+                  ("ziggurat_full_evals_s", summary_json (yrate t_zfull));
+                  ("ziggurat_projected_evals_s", summary_json (yrate t_zproj));
+                  ("projected_speedup_vs_polar", num (ratio t_polar t_zproj));
+                  ("coords_drawn", string_of_int (Serve.Eval.vars_touched tape));
+                  ( "projected_ns_per_point_d1",
+                    summary_json (scale ns_per_point proj_d1) );
+                ] );
+          ] );
+      ("parity_failures", string_of_int !failures);
+    ];
   if !failures > 0 then begin
     Printf.printf "eval scenario: %d parity failure(s)\n%!" !failures;
     exit 1

@@ -38,15 +38,15 @@ type row = {
   walks : int;
   steps : int;
   dots : E.dots;
-  screened_s : float;
-  reference_s : float;
+  screened_s : Measure.summary;
+  reference_s : Measure.summary;
   same : bool;
 }
 
-let cpu () = Sys.time ()
-
 (* The flow's five walks over [src]: four training folds, then every
-   row. *)
+   row. One timed repetition runs all five, each fold on a row copy as
+   the per-job driver makes it, so a screened walk pays its fold's
+   column-major image as the flow does. *)
 let measure ~pool ~name src f ~max_lambda =
   let k = P.rows src in
   let assignment =
@@ -56,45 +56,35 @@ let measure ~pool ~name src f ~max_lambda =
     List.init 4 (fun q -> fst (Randkit.Sampling.fold_split assignment q))
     @ [ Array.init k Fun.id ]
   in
-  let zero = { E.full = 0; carried = 0; screened = 0; fallback = 0 } in
-  List.fold_left
-    (fun acc rows ->
-      let sub = if Array.length rows = k then src else P.select_rows src rows in
-      let fs = Array.map (fun i -> f.(i)) rows in
-      let t0 = cpu () in
-      let e = walk ~pool ~screened:true sub fs ~max_lambda in
-      let t1 = cpu () in
-      let r = walk ~pool ~screened:false sub fs ~max_lambda in
-      let t2 = cpu () in
-      let d = E.dots e in
+  let walks ~screened () =
+    List.map
+      (fun rows ->
+        let sub = if Array.length rows = k then src else P.select_rows src rows in
+        let e =
+          walk ~pool ~screened sub (Array.map (fun i -> f.(i)) rows) ~max_lambda
+        in
+        (E.dots e, Array.map step_bits (E.steps e)))
+      jobs
+  in
+  let screened, screened_s = timed ~reps:3 (walks ~screened:true) in
+  let reference, reference_s = timed ~reps:3 (walks ~screened:false) in
+  let sum kind = List.fold_left (fun acc (d, _) -> acc + kind d) 0 screened in
+  {
+    name;
+    m = P.cols src;
+    walks = List.length jobs;
+    steps = List.fold_left (fun acc (_, steps) -> acc + Array.length steps) 0 screened;
+    dots =
       {
-        acc with
-        walks = acc.walks + 1;
-        steps = acc.steps + Array.length (E.steps e);
-        dots =
-          {
-            E.full = acc.dots.E.full + d.E.full;
-            carried = acc.dots.E.carried + d.E.carried;
-            screened = acc.dots.E.screened + d.E.screened;
-            fallback = acc.dots.E.fallback + d.E.fallback;
-          };
-        screened_s = acc.screened_s +. (t1 -. t0);
-        reference_s = acc.reference_s +. (t2 -. t1);
-        same =
-          acc.same
-          && Array.map step_bits (E.steps e) = Array.map step_bits (E.steps r);
-      })
-    {
-      name;
-      m = P.cols src;
-      walks = 0;
-      steps = 0;
-      dots = zero;
-      screened_s = 0.;
-      reference_s = 0.;
-      same = true;
-    }
-    jobs
+        E.full = sum (fun d -> d.E.full);
+        carried = sum (fun d -> d.E.carried);
+        screened = sum (fun d -> d.E.screened);
+        fallback = sum (fun d -> d.E.fallback);
+      };
+    screened_s;
+    reference_s;
+    same = List.for_all2 (fun (_, a) (_, b) -> a = b) screened reference;
+  }
 
 (* The Table II design: the linear OMP screen ranks the op-amp's
    factors, and the top [n_top] span the quadratic dictionary. *)
@@ -152,7 +142,7 @@ let run ~quick ~full ~domains () =
     ~header:
       [
         "design"; "M"; "steps"; "full"; "carried"; "screened"; "fallback";
-        "total / 2 sweeps"; "CPU s"; "reference CPU s";
+        "total / 2 sweeps"; "5 walks"; "5 reference walks";
       ]
     (List.map
        (fun r ->
@@ -168,8 +158,8 @@ let run ~quick ~full ~domains () =
            Printf.sprintf "%.0f" (per_walk r d.E.fallback);
            Printf.sprintf "%.3f"
              (float_of_int total /. float_of_int (2 * r.m * r.steps));
-           Printf.sprintf "%.3f" r.screened_s;
-           Printf.sprintf "%.3f" r.reference_s;
+           show ~scale:1. ~unit:"s" r.screened_s;
+           show ~scale:1. ~unit:"s" r.reference_s;
          ])
        rows);
   let failures =

@@ -115,8 +115,9 @@ let () =
       Cmd.v
         (Cmd.info "speed"
            ~doc:
-             "Fitting-kernel micro-benchmarks + sequential-vs-parallel \
-              speedup report (JSON)")
+             "Matrix-free OMP at M = 10^5 (quick: 10^4), fit time and peak \
+              RSS, and one Monte-Carlo simulator batch at 1 domain against \
+              --domains. Updates BENCH_speed.json.")
         Term.(
           const (fun quick _ domains -> Speed.run ~quick ?domains ())
           $ quick $ full $ domains);
@@ -125,10 +126,9 @@ let () =
            ~doc:
              "One fused CV round (4 fold lanes + the refit lane) at the \
               Table II shape against the per-fold sweeps it replaces, and \
-              dense col_dots over 1/10/20/40% of the columns from the \
-              row-major matrix and from the column-major image, with \
-              embedded bitwise parity checks (exit 1 on violation). \
-              Updates BENCH_speed.json.")
+              dense col_dots over 1/10/20/40% of the columns against one \
+              full sweep, with embedded bitwise parity checks (exit 1 on \
+              violation). Updates BENCH_speed.json.")
         Term.(
           const (fun quick _ domains ->
               Speed.sweep_scenario ~quick ~domains ())

@@ -213,30 +213,24 @@ let run ~quick () =
     "";
 
   (* --- Claim 3: measured overheads. --- *)
-  let reps = if quick then 10 else 20 in
-  let timed_mean f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
+  let reps = if quick then 11 else 21 in
+  let median_s f = (snd (timed ~reps f)).Measure.median in
   let t_clean =
-    timed_mean (fun () ->
+    median_s (fun () ->
         let rng = Randkit.Prng.create default_seed in
         ignore (Simulator.run sim rng ~k:samples))
   in
   let t_robust =
-    timed_mean (fun () ->
+    median_s (fun () ->
         let rng = Randkit.Prng.create default_seed in
         ignore
           (Simulator.run_robust ~faults:bench_faults
              ~retry:(Simulator.retry_policy ()) sim rng ~k:samples))
   in
-  let t_screen = timed_mean (fun () -> ignore (Robust.Screen.screen data)) in
+  let t_screen = median_s (fun () -> ignore (Robust.Screen.screen data)) in
   Printf.printf
     "  overhead: clean sampling %.2f ms, 10%%-fault sampling+retry %.2f ms \
-     (%+.0f%%), MAD screen of %d rows %.3f ms (means of %d runs)\n"
+     (%+.0f%%), MAD screen of %d rows %.3f ms (medians of %d runs)\n"
     (1e3 *. t_clean) (1e3 *. t_robust)
     (100. *. ((t_robust /. Float.max t_clean 1e-9) -. 1.))
     samples (1e3 *. t_screen) reps;
@@ -247,12 +241,12 @@ let run ~quick () =
     ~finally:(fun () -> if Sys.file_exists ckpt_file then Sys.remove ckpt_file)
     (fun () ->
       let t_lar_plain =
-        timed_mean (fun () ->
+        median_s (fun () ->
             ignore
               (Rsm.Lars.path_p ~on_singular:`Fallback src f ~max_steps:lambda))
       in
       let t_lar_ckpt =
-        timed_mean (fun () ->
+        median_s (fun () ->
             ignore
               (Rsm.Lars.path_p ~on_singular:`Fallback
                  ~log:
@@ -266,7 +260,7 @@ let run ~quick () =
         | Error e -> failwith e
       in
       let t_lar_replay =
-        timed_mean (fun () ->
+        median_s (fun () ->
             ignore
               (Rsm.Lars.path_p ~on_singular:`Fallback
                  ~log:(walk_log ~resume:terminal ())
@@ -275,7 +269,7 @@ let run ~quick () =
       Printf.printf
         "  checkpoint: LAR %d-step path %.2f ms plain, %.2f ms with \
          every-step file checkpoints (%+.0f%%), %.2f ms full-log replay on \
-         resume (means of %d runs)\n"
+         resume (medians of %d runs)\n"
         lambda (1e3 *. t_lar_plain) (1e3 *. t_lar_ckpt)
         (100. *. ((t_lar_ckpt /. Float.max t_lar_plain 1e-9) -. 1.))
         (1e3 *. t_lar_replay) reps);
@@ -352,15 +346,15 @@ let run ~quick () =
               ~k:samples
           in
           let ar = adaptive_report.Retry.run in
-          let t_fixed =
-            timed_mean (fun () ->
+          let _, t_fixed =
+            timed ~reps (fun () ->
                 ignore
                   (Simulator.run_robust ~faults:storm ~retry:fixed_retry sim
                      (Randkit.Prng.create default_seed)
                      ~k:samples))
           in
-          let t_adaptive =
-            timed_mean (fun () ->
+          let _, t_adaptive =
+            timed ~reps (fun () ->
                 ignore
                   (Retry.run ~faults:storm adaptive sim
                      (Randkit.Prng.create default_seed)
@@ -388,7 +382,7 @@ let run ~quick () =
           Printf.printf
             "  backoff: fixed retry %.0f accounted s, adaptive breaker %.0f \
              accounted s (%.0f%% saved; %d trip(s), mean recovery %.1f \
-             samples); wall %.2f ms vs %.2f ms (means of %d runs)\n"
+             samples); wall %s vs %s\n"
             fixed_report.Simulator.accounted_extra_seconds
             ar.Simulator.accounted_extra_seconds
             (100.
@@ -396,8 +390,9 @@ let run ~quick () =
                -. ar.Simulator.accounted_extra_seconds
                   /. Float.max fixed_report.Simulator.accounted_extra_seconds
                        1e-9))
-            ar.Simulator.breaker_trips recovery (1e3 *. t_fixed)
-            (1e3 *. t_adaptive) reps;
+            ar.Simulator.breaker_trips recovery
+            (show ~scale:1e3 ~unit:"ms" t_fixed)
+            (show ~scale:1e3 ~unit:"ms" t_adaptive);
           check failures
             "adaptive breaker charges less accounted time than fixed retry"
             (ar.Simulator.accounted_extra_seconds
@@ -408,22 +403,22 @@ let run ~quick () =
           check failures "breaker tripped during the outage"
             (ar.Simulator.breaker_trips > 0)
             "";
-          let payload =
-            Printf.sprintf
-              "{\"samples\": %d, \"clean_err_pct\": %.3f, \"burst_err_pct\": \
-               %.3f, \"burst_windows\": %d, \"burst_samples\": %d, \
-               \"degraded\": %B, \"fixed_accounted_s\": %.1f, \
-               \"adaptive_accounted_s\": %.1f, \"breaker_trips\": %d, \
-               \"recovery_latency_samples\": %.1f, \"wall_fixed_ms\": %.2f, \
-               \"wall_adaptive_ms\": %.2f}"
-              samples (100. *. clean_err) (100. *. burst_err)
-              r.Simulator.burst_windows r.Simulator.burst_samples degraded
-              fixed_report.Simulator.accounted_extra_seconds
-              ar.Simulator.accounted_extra_seconds ar.Simulator.breaker_trips
-              recovery (1e3 *. t_fixed) (1e3 *. t_adaptive)
-          in
-          update_summary ~scenario:"robustness" ~payload;
-          Printf.printf "summary updated in %s\n%!" summary_file));
+          update_summary ~scenario:"robustness"
+            ~domains:(Parallel.Pool.default_domains ())
+            [
+              ("samples", string_of_int samples);
+              ("clean_err_pct", num (100. *. clean_err));
+              ("burst_err_pct", num (100. *. burst_err));
+              ("burst_windows", string_of_int r.Simulator.burst_windows);
+              ("burst_samples", string_of_int r.Simulator.burst_samples);
+              ("degraded", string_of_bool degraded);
+              ("fixed_accounted_s", num fixed_report.Simulator.accounted_extra_seconds);
+              ("adaptive_accounted_s", num ar.Simulator.accounted_extra_seconds);
+              ("breaker_trips", string_of_int ar.Simulator.breaker_trips);
+              ("recovery_latency_samples", num recovery);
+              ("wall_fixed_s", summary_json t_fixed);
+              ("wall_adaptive_s", summary_json t_adaptive);
+            ]));
 
   (match !failures with
   | [] ->
