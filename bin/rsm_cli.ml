@@ -987,26 +987,8 @@ let yield_cmd =
              the historical bit stream, default) or 'ziggurat' (the \
              counter-mode engine — every draw a pure function of (seed, \
              point, coordinate), so the estimate is invariant to batch size \
-             and domain count and the draw can be projected onto the model's \
-             touched variables).")
-  in
-  let project_arg =
-    Arg.(
-      value
-      & vflag None
-          [
-            ( Some true,
-              info [ "project" ]
-                ~doc:
-                  "Draw only the coordinates the model actually reads \
-                   (requires --sampler ziggurat; on by default with it). \
-                   Bitwise identical to the full draw — only faster." );
-            ( Some false,
-              info [ "no-project" ]
-                ~doc:
-                  "Draw every coordinate even under --sampler ziggurat \
-                   (same bits as --project, proportionally slower)." );
-          ])
+             and domain count, and only the coordinates the model reads are \
+             drawn: the same bits as the full draw, only faster).")
   in
   let json_arg =
     Arg.(
@@ -1019,21 +1001,15 @@ let yield_cmd =
              throughput.")
   in
   let run circuit metric cells parasitics seed samples max_lambda lower upper
-      served_model mc_samples batch sampler project json domains engine =
+      served_model mc_samples batch sampler json domains engine =
     check_at_least "mc-samples" 1 mc_samples;
     check_at_least "batch" 1 batch;
     if lower = Float.neg_infinity && upper = Float.infinity then
       err_exit "give at least one of --lower / --upper";
-    (* Projection defaults to on exactly when the sampler supports it;
-       asking for it with the sequential polar stream is a contradiction
-       (skipping a coordinate would shift every later draw's bits). *)
-    let project =
-      match project with
-      | Some p -> p
-      | None -> sampler = Randkit.Gaussian.Ziggurat
-    in
-    if project && sampler = Randkit.Gaussian.Polar then
-      err_exit "config: --project requires --sampler ziggurat";
+    (* Projection is on exactly when the sampler supports it: skipping a
+       coordinate of the sequential polar stream would shift every later
+       draw's bits. *)
+    let project = sampler = Randkit.Gaussian.Ziggurat in
     let spec = Rsm.Yield.spec_both ~lower ~upper in
     let print_closed_form model basis =
       match Rsm.Yield.gaussian model basis spec with
@@ -1156,7 +1132,7 @@ let yield_cmd =
     Term.(
       const run $ circuit $ metric $ cells $ parasitics $ seed $ samples
       $ max_lambda_arg $ lower_arg $ upper_arg $ served_model_arg
-      $ mc_samples_arg $ batch_arg $ sampler_arg $ project_arg $ json_arg
+      $ mc_samples_arg $ batch_arg $ sampler_arg $ json_arg
       $ domains $ engine)
 
 let sensitivity_cmd =

@@ -75,8 +75,6 @@ let build spec =
   in
   { spec; pca; global_sens }
 
-let spec p = p.spec
-
 let n_global_factors p = Stat.Pca.output_dim p.pca
 
 let dim p =

@@ -51,8 +51,6 @@ val build : spec -> t
     @raise Invalid_argument on non-positive counts or correlations
     outside [0, 1). *)
 
-val spec : t -> spec
-
 val dim : t -> int
 (** Total number of independent factors
     [N = n_global + n_devices·mismatch_vars_per_device + n_parasitics] —

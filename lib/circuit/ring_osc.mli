@@ -14,9 +14,6 @@
 
 type metric = Frequency | Power
 
-val metric_name : metric -> string
-(** ["frequency"] (MHz) or ["power"] (µW). *)
-
 type t
 
 val build : ?stages:int -> unit -> t

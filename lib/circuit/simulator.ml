@@ -280,32 +280,28 @@ type batch = {
 
 (* The per-sample retry loop: up to [allowed] attempts, each a
    [draw_attempt]. Before every attempt after the first the policy's
-   [grant] is asked for its backoff; [None] ends the sample. A granted
-   retry is charged its backoff plus [retry_cost] (the re-run). A sample
-   is delivered only when every output came back finite; non-finite
-   returns (injected or genuine) are retried, while outliers are finite
-   garbage and pass through — the downstream screen is responsible for
-   them. Nothing is ever slept. *)
+   [grant] is asked for its backoff, and the retry is charged that
+   backoff plus [retry_cost] (the re-run). A sample is delivered only
+   when every output came back finite; non-finite returns (injected or
+   genuine) are retried, while outliers are finite garbage and pass
+   through — the downstream screen is responsible for them. Nothing is
+   ever slept. *)
 let attempt_sample plan b st i ~evals ~retry_cost ~allowed ~grant =
   let fs = b.b_streams.(i) and in_burst = b.b_burst.(i) in
   let delivered = ref None in
   let attempt = ref 0 in
-  let stop = ref false in
-  while !delivered = None && !attempt < allowed && not !stop do
+  while !delivered = None && !attempt < allowed do
     incr attempt;
-    (if !attempt > 1 then
-       match grant !attempt with
-       | Some backoff ->
-           st.s_retries <- st.s_retries + 1;
-           st.s_extra <- st.s_extra +. backoff +. retry_cost
-       | None -> stop := true);
-    if not !stop then begin
-      let a = draw_attempt plan ~in_burst fs ~evals in
-      record_attempt st ~in_burst a;
-      match a.returned with
-      | Some vs when Array.for_all Float.is_finite vs -> delivered := Some vs
-      | Some _ | None -> () (* failed attempt: crash, hang, or garbage *)
-    end
+    if !attempt > 1 then begin
+      let backoff = grant !attempt in
+      st.s_retries <- st.s_retries + 1;
+      st.s_extra <- st.s_extra +. backoff +. retry_cost
+    end;
+    let a = draw_attempt plan ~in_burst fs ~evals in
+    record_attempt st ~in_burst a;
+    match a.returned with
+    | Some vs when Array.for_all Float.is_finite vs -> delivered := Some vs
+    | Some _ | None -> () (* failed attempt: crash, hang, or garbage *)
   done;
   !delivered
 
@@ -395,7 +391,7 @@ let run_robust_multi ?(noise_rel = 0.) ?pool ?(faults = no_faults)
         Array.fold_left (fun acc sim -> acc +. sim.seconds_per_sample) 0. sims
       in
       let grant attempt =
-        Some (retry.backoff_seconds *. float_of_int (1 lsl (attempt - 2)))
+        retry.backoff_seconds *. float_of_int (1 lsl (attempt - 2))
       in
       let out = Array.make k None in
       let tallies = Array.init k (fun _ -> tally ()) in

@@ -169,9 +169,6 @@ type run_report = {
           fixed retry policy of {!run_robust} *)
 }
 
-val clean_report : requested:int -> run_report
-(** The all-zeros report of a fault-free run of [requested] samples. *)
-
 val report_summary : run_report -> string
 (** One-line human-readable summary of a run report; burst windows and
     breaker trips are appended only when present, so fault-free and
@@ -185,24 +182,6 @@ type attempt_outcome = {
           possibly corrupted (outlier); [None] for crash/hang attempts *)
   hang_s : float;  (** accounted hang timeout charged by this attempt *)
 }
-
-val draw_attempt :
-  fault_plan ->
-  in_burst:bool ->
-  Randkit.Prng.t ->
-  evals:(unit -> float) array ->
-  attempt_outcome
-(** One attempt at a sample for every output at once, drawing from the
-    per-sample stream: the fault rate and mix switch to the burst
-    model's when [in_burst]. Each of [evals] is invoked at most once,
-    and only when the attempt actually produces values (clean return or
-    finite outlier garbage); an outlier corrupts every output with the
-    same drawn sign. No draw depends on evaluator values, so a sample's
-    fault history is a pure function of its stream whatever the number
-    of outputs. This is the single source of truth for the per-attempt
-    stream consumption: {!attempt_sample} is its only caller, and both
-    the fixed policy ({!run_robust_multi}) and the adaptive
-    {!Robust.Retry} driver run every attempt through it. *)
 
 (** {2 The delivery engine}
 
@@ -238,15 +217,22 @@ val attempt_sample :
   evals:(unit -> float) array ->
   retry_cost:float ->
   allowed:int ->
-  grant:(int -> float option) ->
+  grant:(int -> float) ->
   float array option
 (** [attempt_sample plan b st i ~evals ~retry_cost ~allowed ~grant] is
     the per-sample retry loop for sample [i]: up to [allowed] attempts,
-    each a {!draw_attempt} on [b.b_streams.(i)]. Before attempt [a >= 2]
-    it asks [grant a] for the accounted backoff; [None] ends the sample.
-    A granted retry counts in [st] and charges its backoff plus
-    [retry_cost] (the re-run of every simulation), hangs charge their
-    timeout. Returns the delivered values — every output finite — or
+    each one draw on [b.b_streams.(i)]: the fault rate and mix switch to
+    the burst model's when [b.b_burst.(i)], and each of [evals] is
+    invoked at most once per attempt, only when the attempt produces
+    values (clean return or finite outlier garbage; an outlier corrupts
+    every output with the same drawn sign). No draw depends on
+    evaluator values, so a sample's fault history is a pure function of
+    its stream whatever the number of outputs; both the fixed policy
+    ({!run_robust_multi}) and the adaptive {!Robust.Retry} driver run
+    every attempt through this loop. Before attempt [a >= 2]
+    it asks [grant a] for the accounted backoff. A retry counts in [st]
+    and charges that backoff plus [retry_cost] (the re-run of every
+    simulation), hangs charge their timeout. Returns the delivered values — every output finite — or
     [None] when the sample is abandoned. Injected outliers are finite
     and are delivered. *)
 

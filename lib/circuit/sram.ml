@@ -39,8 +39,6 @@ let build ?(cells = paper_cells) () =
 
 let dim s = Process.dim s.process
 
-let cells s = s.cells
-
 let process s = s.process
 
 let accessed_cell = 0

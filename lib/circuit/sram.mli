@@ -37,8 +37,6 @@ val paper_cells : int
 
 val dim : t -> int
 
-val cells : t -> int
-
 val process : t -> Process.t
 
 val read_delay_ps : t -> Linalg.Vec.t -> float
@@ -52,9 +50,6 @@ val simulator : t -> Simulator.t
 
 val accessed_cell : int
 (** Index of the cell whose read is timed (cell 0). *)
-
-val replica_cells : int array
-(** Indices of the replica-column cells (cells 1–8). *)
 
 val important_factors : t -> int array
 (** Ground-truth strongly-coupled factor indices (globals, accessed

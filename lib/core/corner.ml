@@ -30,93 +30,3 @@ let linear_worst model basis ~sigma ~maximize =
     let corner = Array.map (fun a -> sign *. sigma *. a /. norm) lin in
     { value = alpha0 +. (sign *. sigma *. norm); corner }
   end
-
-let project_to_sphere sigma v =
-  let n = Vec.nrm2 v in
-  if n = 0. then v else Vec.smul (sigma /. n) v
-
-let search_worst ?(iters = 200) ?step model basis ~sigma ~maximize rng =
-  if Polybasis.Basis.size basis <> model.Model.basis_size then
-    invalid_arg "Corner: basis size disagrees with model";
-  if sigma < 0. then invalid_arg "Corner.search_worst: negative sigma";
-  let n = Polybasis.Basis.dim basis in
-  let step = match step with Some s -> s | None -> 0.05 *. sigma in
-  let sign = if maximize then 1. else -1. in
-  let eval dy = sign *. Model.predict_point model basis dy in
-  (* Only factors appearing in the support can change the prediction. *)
-  let relevant = Array.make n false in
-  Array.iter
-    (fun j ->
-      List.iter
-        (fun v -> relevant.(v) <- true)
-        (Polybasis.Term.vars (Polybasis.Basis.term basis j)))
-    model.Model.support;
-  let ascend start =
-    let x = ref (project_to_sphere sigma (Vec.copy start)) in
-    let fx = ref (eval !x) in
-    let h = 1e-5 *. Float.max sigma 1. in
-    for _ = 1 to iters do
-      (* Finite-difference gradient on the relevant coordinates. *)
-      let grad = Array.make n 0. in
-      for v = 0 to n - 1 do
-        if relevant.(v) then begin
-          let save = !x.(v) in
-          !x.(v) <- save +. h;
-          let fp = eval !x in
-          !x.(v) <- save -. h;
-          let fm = eval !x in
-          !x.(v) <- save;
-          grad.(v) <- (fp -. fm) /. (2. *. h)
-        end
-      done;
-      let gn = Vec.nrm2 grad in
-      if gn > 0. then begin
-        let cand = Vec.copy !x in
-        Vec.axpy (step /. gn) grad cand;
-        let cand = project_to_sphere sigma cand in
-        let fc = eval cand in
-        if fc > !fx then begin
-          x := cand;
-          fx := fc
-        end
-      end
-    done;
-    (!fx, !x)
-  in
-  (* Multi-start: the linear corner plus random sphere points. *)
-  let lin_start =
-    match linear_worst model basis ~sigma ~maximize with
-    | e -> e.corner
-    | exception Invalid_argument _ ->
-        (* Nonlinear model: start from the linear part alone. *)
-        let start = Array.make n 0. in
-        Array.iteri
-          (fun p j ->
-            let term = Polybasis.Basis.term basis j in
-            if Polybasis.Term.total_degree term = 1 then
-              let v = List.hd (Polybasis.Term.vars term) in
-              start.(v) <- sign *. model.Model.coeffs.(p))
-          model.Model.support;
-        project_to_sphere sigma start
-  in
-  let starts =
-    lin_start
-    :: List.init 3 (fun _ ->
-           let v = Randkit.Gaussian.vector rng n in
-           (* Zero the irrelevant coordinates so the start lies in the
-              subspace that matters. *)
-           Array.iteri (fun i r -> if not r then v.(i) <- 0.) relevant;
-           project_to_sphere sigma v)
-  in
-  let best =
-    List.fold_left
-      (fun acc s ->
-        let fx, x = ascend s in
-        match acc with
-        | Some (bf, _) when bf >= fx -> acc
-        | _ -> Some (fx, x))
-      None starts
-  in
-  match best with
-  | Some (fx, x) -> { value = sign *. fx; corner = x }
-  | None -> { value = 0.; corner = Vec.create n }

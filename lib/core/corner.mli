@@ -5,8 +5,7 @@
     space), what is the worst value a performance can take, and at which
     corner? For a {e linear} Hermite model [f = α₀ + Σ αᵢ·Δyᵢ] the
     answer is closed-form: the extremum over [‖ΔY‖₂ ≤ k] lies at
-    [ΔY = ±k·α/‖α‖] with value [α₀ ± k·‖α‖]. For nonlinear models a
-    projected-gradient ascent on the sphere is provided.
+    [ΔY = ±k·α/‖α‖] with value [α₀ ± k·‖α‖].
 
     The extracted corner is an actual factor vector — it can be handed
     back to the simulator substrate for verification, which is exactly
@@ -19,13 +18,3 @@ val linear_worst :
 (** Closed-form extremum of a linear model over the [sigma]-radius ball.
     @raise Invalid_argument when the model has terms of degree ≥ 2 or
     [sigma < 0]. *)
-
-val search_worst :
-  ?iters:int -> ?step:float -> Model.t -> Polybasis.Basis.t -> sigma:float ->
-  maximize:bool -> Randkit.Prng.t -> extremum
-(** Projected-gradient search on the sphere [‖ΔY‖₂ = sigma] for general
-    (e.g. quadratic) models, with finite-difference gradients restricted
-    to the factors in the model's support (all others are provably
-    irrelevant). Multi-started from the linear corner and [3] random
-    points; [iters] (default 200) steps of size [step] (default
-    [0.05·sigma]). Deterministic given the PRNG. *)

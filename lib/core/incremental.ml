@@ -2,16 +2,13 @@ type round = { samples : int; cv_error : float; lambda : int; model : Model.t }
 
 type result = { rounds : round array; final : Model.t; converged : bool }
 
-let run ?(initial = 50) ?(growth = 2.0) ?(tol = 0.05) ?(patience = 1)
-    ?(max_lambda = 100) ?(folds = 4) ~max_samples ~sample rng =
+let run ?(initial = 50) ?(tol = 0.05) ?(max_lambda = 100) ?(folds = 4)
+    ~max_samples ~sample rng =
   if initial <= 0 then invalid_arg "Incremental.run: initial must be positive";
-  if growth <= 1. then invalid_arg "Incremental.run: growth must exceed 1";
   if initial > max_samples then
     invalid_arg "Incremental.run: initial exceeds max_samples";
   if tol < 0. then invalid_arg "Incremental.run: negative tolerance";
-  if patience <= 0 then invalid_arg "Incremental.run: patience must be positive";
   let rounds = ref [] in
-  let still = ref patience in
   let converged = ref false in
   let k = ref initial in
   let finished = ref false in
@@ -28,21 +25,23 @@ let run ?(initial = 50) ?(growth = 2.0) ?(tol = 0.05) ?(patience = 1)
     let this =
       { samples = !k; cv_error = err; lambda = r.Select.lambda; model = r.Select.model }
     in
-    (match !rounds with
-    | prev :: _ ->
-        let improvement =
-          if prev.cv_error <= 0. then 0.
-          else (prev.cv_error -. err) /. prev.cv_error
-        in
-        if improvement < tol then decr still else still := patience
-    | [] -> ());
+    let stalled =
+      match !rounds with
+      | prev :: _ ->
+          let improvement =
+            if prev.cv_error <= 0. then 0.
+            else (prev.cv_error -. err) /. prev.cv_error
+          in
+          improvement < tol
+      | [] -> false
+    in
     rounds := this :: !rounds;
-    if !still <= 0 then begin
+    if stalled then begin
       converged := true;
       finished := true
     end
     else if !k >= max_samples then finished := true
-    else k := min max_samples (int_of_float (ceil (float_of_int !k *. growth)))
+    else k := min max_samples (2 * !k)
   done;
   let rounds = Array.of_list (List.rev !rounds) in
   {

@@ -5,9 +5,9 @@
     designer wants the {e smallest} simulation budget that reaches
     stable accuracy, because every extra sample is a Spectre run. This
     driver doubles the training set, refits with cross-validated
-    sparsity, and stops when the relative improvement of the CV error
-    falls below a tolerance for [patience] consecutive rounds — an
-    automated version of reading Fig. 4's flattening curves. *)
+    sparsity, and stops at the first round whose relative improvement
+    of the CV error falls below a tolerance — an automated version of
+    reading Fig. 4's flattening curves. *)
 
 type round = {
   samples : int;  (** training-set size this round *)
@@ -23,8 +23,7 @@ type result = {
 }
 
 val run :
-  ?initial:int -> ?growth:float -> ?tol:float -> ?patience:int ->
-  ?max_lambda:int -> ?folds:int ->
+  ?initial:int -> ?tol:float -> ?max_lambda:int -> ?folds:int ->
   max_samples:int ->
   sample:(int -> Linalg.Mat.t * Linalg.Vec.t) ->
   Randkit.Prng.t -> result
@@ -34,8 +33,8 @@ val run :
     simulations are reused — the caller typically wraps
     [Mat.select_rows] over a lazily-extended dataset).
 
-    Defaults: [initial = 50], [growth = 2.0] (doubling), [tol = 0.05]
-    (5% relative improvement), [patience = 1], [max_lambda = 100],
-    [folds = 4].
-    @raise Invalid_argument on non-positive sizes, growth ≤ 1, or
-    [initial > max_samples]. *)
+    Each round doubles the training set, capped at [max_samples].
+    Defaults: [initial = 50], [tol = 0.05] (5% relative improvement),
+    [max_lambda = 100], [folds = 4].
+    @raise Invalid_argument on a non-positive [initial], a negative
+    [tol], or [initial > max_samples]. *)

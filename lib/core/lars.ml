@@ -1221,8 +1221,5 @@ let fit_p ?mode ?tol ?pool ?on_singular ?log ?shards src f ~lambda =
   in
   run base_steps
 
-let path ?mode ?tol ?pool ?on_singular g f ~max_steps =
-  path_p ?mode ?tol ?pool ?on_singular (Provider.dense g) f ~max_steps
-
 let fit ?mode ?tol ?pool ?on_singular g f ~lambda =
   fit_p ?mode ?tol ?pool ?on_singular (Provider.dense g) f ~lambda

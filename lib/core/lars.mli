@@ -325,12 +325,6 @@ module Engine : sig
   (** Steps recorded so far, oldest first. *)
 end
 
-val path :
-  ?mode:mode -> ?tol:float -> ?pool:Parallel.Pool.t ->
-  ?on_singular:[ `Stop | `Fallback ] -> Linalg.Mat.t ->
-  Linalg.Vec.t -> max_steps:int -> step array
-(** {!path_p} over [Provider.dense g]. *)
-
 val fit :
   ?mode:mode -> ?tol:float -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] -> Linalg.Mat.t ->

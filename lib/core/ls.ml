@@ -9,4 +9,3 @@ let fit ?method_ g f =
   let alpha = Lstsq.solve ?method_ g f in
   Model.dense ~basis_size:(Mat.cols g) alpha
 
-let min_samples g = Mat.cols g

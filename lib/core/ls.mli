@@ -12,6 +12,3 @@ val fit : ?method_:Linalg.Lstsq.method_ -> Linalg.Mat.t -> Linalg.Vec.t -> Model
     — faster for very tall systems, as used in the cost benches.
     @raise Invalid_argument when [K < M] (the system is underdetermined
     and LS is not applicable — use OMP/LAR/STAR). *)
-
-val min_samples : Linalg.Mat.t -> int
-(** The number of samples LS needs for this design: its column count. *)

@@ -205,8 +205,5 @@ let fit_p ?tol ?pool ?on_singular ?log ?shards src f ~lambda =
     Model.make ~basis_size:(Provider.cols src) ~support:[||] ~coeffs:[||]
   else steps.(Array.length steps - 1).model
 
-let path ?tol ?pool ?on_singular g f ~max_lambda =
-  path_p ?tol ?pool ?on_singular (Provider.dense g) f ~max_lambda
-
 let fit ?tol ?pool ?on_singular g f ~lambda =
   fit_p ?tol ?pool ?on_singular (Provider.dense g) f ~lambda

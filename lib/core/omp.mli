@@ -87,12 +87,6 @@ val fit_p :
 (** [fit_p src f ~lambda] is the model after [lambda] iterations (fewer
     if the path stopped early; the last available model is returned). *)
 
-val path :
-  ?tol:float -> ?pool:Parallel.Pool.t ->
-  ?on_singular:[ `Stop | `Fallback ] -> Linalg.Mat.t -> Linalg.Vec.t ->
-  max_lambda:int -> step array
-(** [path g f ~max_lambda] is {!path_p} over [Provider.dense g]. *)
-
 val fit :
   ?tol:float -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] -> Linalg.Mat.t -> Linalg.Vec.t ->

@@ -1,7 +1,5 @@
 module Provider = Polybasis.Design.Provider
 
-type rule = Min_error | One_se
-
 type result = { model : Model.t; lambda : int; curve : float array }
 
 (* Held-out error curve of a fitted fold path — shared verbatim by the
@@ -18,34 +16,12 @@ let held_out_curve ~max_lambda src f models held_out =
       Model.error_on_p m src_ho f_ho)
 
 (* Mean CV curve ε(λ) over the fold curves (averaged in fold order)
-   and the λ the rule picks from it, refit on all data: read from the
+   and the λ at its minimum, refit on all data: read from the
    prefix of the lockstep's all-rows walk when the fused driver ran one
    ([refit]), walked again otherwise. *)
-let choose ~folds ~rule ~max_lambda ~path_models ~rng ~refit src f
-    fold_curves =
-  let fq = float_of_int folds in
-  let curve =
-    Array.init max_lambda (fun l ->
-        Array.fold_left (fun acc fc -> acc +. (fc.(l) /. fq)) 0. fold_curves)
-  in
-  let best = Stat.Crossval.argmin curve in
-  let lambda =
-    match rule with
-    | Min_error -> best + 1
-    | One_se ->
-        (* Fold-to-fold standard error of the mean at the minimum. *)
-        let at_min = Array.map (fun fc -> fc.(best)) fold_curves in
-        let threshold =
-          curve.(best) +. (Stat.Descriptive.std at_min /. sqrt fq)
-        in
-        let l = ref best in
-        (* Smallest lambda within one SE of the minimum. *)
-        for cand = best - 1 downto 0 do
-          if (not (Float.is_nan curve.(cand))) && curve.(cand) <= threshold
-          then l := cand
-        done;
-        !l + 1
-  in
+let choose ~path_models ~rng ~refit src f fold_curves =
+  let curve = Stat.Crossval.mean_curve fold_curves in
+  let lambda = Stat.Crossval.argmin curve + 1 in
   let final =
     match refit with
     | Some prefix -> prefix ~max_lambda:lambda
@@ -201,7 +177,7 @@ let grid_caches { base; resume } ~outputs ~folds ~n ~max_lambda plan =
    a mutable generator. Each cell owns its slot and the averaging runs
    in fold order, so output [r]'s result is bitwise independent of R,
    the driver and the domain count. *)
-let select ?(folds = 4) ?(rule = Min_error) ?pool ?shards ?store ~fit_jobs
+let select ?(folds = 4) ?pool ?shards ?store ~fit_jobs
     ~path_models rng ~max_lambda src fs =
   if max_lambda <= 0 then invalid_arg "Select: max_lambda must be positive";
   let outputs = Array.length fs in
@@ -268,7 +244,7 @@ let select ?(folds = 4) ?(rule = Min_error) ?pool ?shards ?store ~fit_jobs
   in
   Array.mapi
     (fun r fold_curves ->
-      choose ~folds ~rule ~max_lambda ~path_models
+      choose ~path_models
         ~rng:(Randkit.Prng.copy refit_rng) ~refit:refits.(r) src fs.(r)
         fold_curves)
     grid
@@ -330,12 +306,12 @@ let fused_lars ?mode ?on_singular ?pool src ~max_lambda =
 (* Each method's grid: its λ cap, its fused job fitter and its per-job
    (and refit) path models. A single-output selector is its grid at
    R = 1. *)
-let omp_multi_p ?folds ?rule ?pool ?on_singular ?shards ?store rng
+let omp_multi_p ?folds ?pool ?on_singular ?shards ?store rng
     ~max_lambda src fs =
   let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
   (* OMP's path is also bounded by its own training rows. *)
   let cap src l = min l (min (Provider.rows src) (Provider.cols src)) in
-  select ?folds ?rule ?pool ?shards ?store
+  select ?folds ?pool ?shards ?store
     ~fit_jobs:
       (fused_greedy (module Omp.Engine) ?pool src
          ~create:(fun src_tr f_tr ->
@@ -348,9 +324,9 @@ let omp_multi_p ?folds ?rule ?pool ?on_singular ?shards ?store rng
            ~max_lambda:(cap src max_lambda)))
     rng ~max_lambda src fs
 
-let star_multi_p ?folds ?rule ?pool ?shards ?store rng ~max_lambda src fs =
+let star_multi_p ?folds ?pool ?shards ?store rng ~max_lambda src fs =
   let max_lambda = lambda_cap ?folds ~rows_bound:false ~max_lambda src in
-  select ?folds ?rule ?pool ?shards ?store
+  select ?folds ?pool ?shards ?store
     ~fit_jobs:
       (fused_greedy (module Star.Engine) ?pool src
          ~create:(fun src_tr f_tr ->
@@ -363,10 +339,10 @@ let star_multi_p ?folds ?rule ?pool ?shards ?store rng ~max_lambda src fs =
 
 (* LAR/lasso: the λ-driven walk, which in LAR mode stops one step past
    [max_lambda] bases. *)
-let lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?shards ?store rng
+let lars_multi_p ?folds ?mode ?pool ?on_singular ?shards ?store rng
     ~max_lambda src fs =
   let max_lambda = lambda_cap ?folds ~rows_bound:true ~max_lambda src in
-  select ?folds ?rule ?pool ?shards ?store
+  select ?folds ?pool ?shards ?store
     ~fit_jobs:(fused_lars ?mode ?on_singular ?pool src ~max_lambda)
     ~path_models:(fun ~rng:_ src f ~max_lambda ->
       Lars.lambda_models src ~max_lambda
@@ -375,26 +351,15 @@ let lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?shards ?store rng
     rng ~max_lambda src fs
 
 (* [?sweep] is [Exact], the one sweep. *)
-let omp_p ?folds ?rule ?pool ?on_singular ?sweep:(_ : Corr_sweep.sweep option)
+let omp_p ?folds ?pool ?on_singular ?sweep:(_ : Corr_sweep.sweep option)
     ?shards ?store rng ~max_lambda src f =
-  (omp_multi_p ?folds ?rule ?pool ?on_singular ?shards ?store rng ~max_lambda
+  (omp_multi_p ?folds ?pool ?on_singular ?shards ?store rng ~max_lambda
      src [| f |]).(0)
 
-let star_p ?folds ?rule ?pool ?shards ?store rng ~max_lambda src f =
-  (star_multi_p ?folds ?rule ?pool ?shards ?store rng ~max_lambda src
-     [| f |]).(0)
-
-let lars_p ?folds ?rule ?mode ?pool ?on_singular
+let lars_p ?folds ?mode ?pool ?on_singular
     ?sweep:(_ : Corr_sweep.sweep option) ?shards ?store rng ~max_lambda src f =
-  (lars_multi_p ?folds ?rule ?mode ?pool ?on_singular ?shards ?store rng
+  (lars_multi_p ?folds ?mode ?pool ?on_singular ?shards ?store rng
      ~max_lambda src [| f |]).(0)
 
-let omp ?folds ?rule ?pool ?on_singular rng ~max_lambda g f =
-  omp_p ?folds ?rule ?pool ?on_singular rng ~max_lambda (Provider.dense g) f
-
-let star ?folds ?rule ?pool rng ~max_lambda g f =
-  star_p ?folds ?rule ?pool rng ~max_lambda (Provider.dense g) f
-
-let lars ?folds ?rule ?mode ?pool ?on_singular rng ~max_lambda g f =
-  lars_p ?folds ?rule ?mode ?pool ?on_singular rng ~max_lambda
-    (Provider.dense g) f
+let omp ?folds ?pool ?on_singular rng ~max_lambda g f =
+  omp_p ?folds ?pool ?on_singular rng ~max_lambda (Provider.dense g) f

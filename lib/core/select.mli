@@ -31,14 +31,6 @@
     bitwise the [_p] call on [fs.(r)] from the same generator state;
     both leave the caller's generator in the same state. *)
 
-type rule =
-  | Min_error  (** λ at the minimum of ε(λ) — the paper's choice *)
-  | One_se
-      (** the smallest λ whose ε(λ) is within one fold-to-fold standard
-          error of the minimum — the classic parsimony-biased variant
-          (Hastie et al. §7.10); picks visibly sparser models when the
-          CV curve has a flat valley *)
-
 type result = {
   model : Model.t;  (** refit on all data at the chosen λ *)
   lambda : int;  (** chosen sparsity level (1-based) *)
@@ -108,14 +100,14 @@ val fused_driver : streamed:bool -> shards:int -> bool
     rule only decides speed and no caller overrides it. *)
 
 val omp_p :
-  ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
+  ?folds:int -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
   ?sweep:Corr_sweep.sweep ->
   ?shards:Shard_sweep.plan -> ?store:store -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t -> result
-(** Default [folds = 4] (the paper's Fig. 2 setting) and
-    [rule = Min_error]; every selector raises [Invalid_argument] on
-    [folds < 2] before any other work. [on_singular] is forwarded to
+(** Default [folds = 4] (the paper's Fig. 2 setting); λ is taken at
+    the minimum of ε(λ), the paper's rule. Every selector raises
+    [Invalid_argument] on [folds < 2] before any other work. [on_singular] is forwarded to
     {!Omp.path_p} for every fold fit and the final refit. A fold path
     shorter than [max_lambda] (an early stop) is padded by repeating
     its last model, so it keeps its final error for larger λ.
@@ -131,14 +123,8 @@ val omp_p :
     length mismatch"] before drawing its fold plan when the response
     length differs from [Provider.rows]. *)
 
-val star_p :
-  ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
-  ?shards:Shard_sweep.plan -> ?store:store -> Randkit.Prng.t ->
-  max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t -> result
-(** The fold driver as in {!omp_p}. *)
-
 val lars_p :
-  ?folds:int -> ?rule:rule -> ?mode:Lars.mode -> ?pool:Parallel.Pool.t ->
+  ?folds:int -> ?mode:Lars.mode -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
   ?sweep:Corr_sweep.sweep ->
   ?shards:Shard_sweep.plan -> ?store:store ->
@@ -173,7 +159,7 @@ val lars_p :
     and the caller's generator ends where that one call leaves it. *)
 
 val omp_multi_p :
-  ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
+  ?folds:int -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
   ?shards:Shard_sweep.plan -> ?store:store -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t array ->
@@ -182,14 +168,14 @@ val omp_multi_p :
     {!omp_p} is this selector at R = 1. *)
 
 val star_multi_p :
-  ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
+  ?folds:int -> ?pool:Parallel.Pool.t ->
   ?shards:Shard_sweep.plan -> ?store:store -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t array ->
   result array
 (** As {!omp_multi_p} for STAR. *)
 
 val lars_multi_p :
-  ?folds:int -> ?rule:rule -> ?mode:Lars.mode -> ?pool:Parallel.Pool.t ->
+  ?folds:int -> ?mode:Lars.mode -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] ->
   ?shards:Shard_sweep.plan -> ?store:store -> Randkit.Prng.t ->
   max_lambda:int -> Polybasis.Design.Provider.t -> Linalg.Vec.t array ->
@@ -201,16 +187,7 @@ val lars_multi_p :
     {!Polybasis.Design.Provider.gram_tr_multi} pass. *)
 
 val omp :
-  ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t ->
+  ?folds:int -> ?pool:Parallel.Pool.t ->
   ?on_singular:[ `Stop | `Fallback ] -> Randkit.Prng.t ->
   max_lambda:int -> Linalg.Mat.t -> Linalg.Vec.t -> result
 (** {!omp_p} over [Provider.dense g]. *)
-
-val star :
-  ?folds:int -> ?rule:rule -> ?pool:Parallel.Pool.t -> Randkit.Prng.t ->
-  max_lambda:int -> Linalg.Mat.t -> Linalg.Vec.t -> result
-
-val lars :
-  ?folds:int -> ?rule:rule -> ?mode:Lars.mode -> ?pool:Parallel.Pool.t ->
-  ?on_singular:[ `Stop | `Fallback ] ->
-  Randkit.Prng.t -> max_lambda:int -> Linalg.Mat.t -> Linalg.Vec.t -> result

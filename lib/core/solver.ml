@@ -53,26 +53,16 @@ let fit_p ?lambda ?pool ?on_singular ?log ?shards src f m =
         ~lambda:(min lambda (min rows cols))
   | Ls -> Ls.fit (Provider.to_dense src) f
 
-let fit ?lambda g f m = fit_p ?lambda (Provider.dense g) f m
-
 (* Cross-validated fitting of R responses over one design. A path
    method is one [Select.*_multi_p] grid, which follows
    [Select.fused_driver]; LS fits each output on the materialized
    matrix. *)
 type selected = { model : Model.t; lambda : (int * int) option }
 
-let fit_grid who ?folds ?max_lambda ?on_singular ?shards ?store ?notes rng src
-    fs m =
-  let outputs = Array.length fs in
-  if outputs = 0 then invalid_arg (who ^ ": at least one output required");
-  let notes =
-    match notes with
-    | None -> Array.make outputs [||]
-    | Some ns ->
-        if Array.length ns <> outputs then
-          invalid_arg (who ^ ": notes count disagrees with outputs");
-        ns
-  in
+let select_multi_p ?folds ?max_lambda ?on_singular ?shards ?store rng src fs
+    m =
+  if Array.length fs = 0 then
+    invalid_arg "Solver.select_multi_p: at least one output required";
   let max_lambda =
     match max_lambda with
     | Some l -> l
@@ -89,43 +79,26 @@ let fit_grid who ?folds ?max_lambda ?on_singular ?shards ?store ?notes rng src
         })
       sels
   in
-  let fitted =
-    match m with
-    | Star ->
-        chosen
-          (Select.star_multi_p ?folds ?shards ?store rng ~max_lambda src fs)
-    | Lar | Lasso ->
-        chosen
-          (Select.lars_multi_p ?folds ~mode:(lars_mode m) ?on_singular
-             ?shards ?store rng ~max_lambda src fs)
-    | Omp ->
-        chosen
-          (Select.omp_multi_p ?folds ?on_singular ?shards ?store rng
-             ~max_lambda src fs)
-    | Ls ->
-        (* λ is meaningless for LS, which draws nothing. *)
-        let g = Provider.to_dense src in
-        Array.map (fun f -> { model = Ls.fit g f; lambda = None }) fs
-  in
-  (* Provenance notes (e.g. a quorum-degraded delivery) ride on the
-     models themselves so a served artifact carries its history. *)
-  Array.map2
-    (fun s ns -> { s with model = Array.fold_left Model.add_note s.model ns })
-    fitted notes
+  match m with
+  | Star ->
+      chosen
+        (Select.star_multi_p ?folds ?shards ?store rng ~max_lambda src fs)
+  | Lar | Lasso ->
+      chosen
+        (Select.lars_multi_p ?folds ~mode:(lars_mode m) ?on_singular
+           ?shards ?store rng ~max_lambda src fs)
+  | Omp ->
+      chosen
+        (Select.omp_multi_p ?folds ?on_singular ?shards ?store rng
+           ~max_lambda src fs)
+  | Ls ->
+      (* λ is meaningless for LS, which draws nothing. *)
+      let g = Provider.to_dense src in
+      Array.map (fun f -> { model = Ls.fit g f; lambda = None }) fs
 
-let select_multi_p = fit_grid "Solver.select_multi_p"
-
-let fit_multi_p ?folds ?max_lambda ?on_singular ?shards ?store ?notes rng src
-    fs m =
-  Array.map
-    (fun s -> s.model)
-    (fit_grid "Solver.fit_multi_p" ?folds ?max_lambda ?on_singular ?shards
-       ?store ?notes rng src fs m)
-
-let fit_cv_p ?folds ?max_lambda ?on_singular ?shards ?store ?(notes = [||])
-    rng src f m =
-  (fit_multi_p ?folds ?max_lambda ?on_singular ?shards ?store
-     ~notes:[| notes |] rng src [| f |] m).(0)
+let fit_cv_p ?folds ?max_lambda ?on_singular ?shards ?store rng src f m =
+  (select_multi_p ?folds ?max_lambda ?on_singular ?shards ?store rng src [| f |]
+     m).(0).model
 
 let fit_cv ?folds ?max_lambda rng g f m =
   fit_cv_p ?folds ?max_lambda rng (Provider.dense g) f m

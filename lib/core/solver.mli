@@ -68,41 +68,6 @@ val fit_p :
     @raise Invalid_argument when [Ls] is asked to fit an
     underdetermined system. *)
 
-val fit :
-  ?lambda:int -> Linalg.Mat.t -> Linalg.Vec.t -> method_ -> Model.t
-(** {!fit_p} over [Provider.dense g]. *)
-
-val fit_multi_p :
-  ?folds:int -> ?max_lambda:int -> ?on_singular:[ `Stop | `Fallback ] ->
-  ?shards:Shard_sweep.plan -> ?store:Select.store ->
-  ?notes:string array array ->
-  Randkit.Prng.t ->
-  Polybasis.Design.Provider.t -> Linalg.Vec.t array -> method_ ->
-  Model.t array
-(** [fit_multi_p rng src fs m] fits one cross-validated model per
-    response in [fs] over the shared design, in order: sparsity chosen
-    per Section IV-C for the path methods, plain LS for [Ls] (λ is
-    meaningless there). Default [max_lambda] is [min(K/2, M, 200)].
-
-    A path method runs one grid of outputs×folds cells
-    ({!Select.omp_multi_p}, {!Select.star_multi_p},
-    {!Select.lars_multi_p}) on the driver {!Select.fused_driver} picks
-    for the provider's form and [shards], fully matrix-free on
-    a streamed provider and bitwise matching the dense run.
-    [Ls] materializes the matrix (free when the provider is dense),
-    fits each output on it and draws nothing from [rng]. Either way
-    output [r]'s model is bitwise the {!fit_cv_p} model for [fs.(r)]
-    from the same generator state, at every domain count and in both
-    provider forms, and [rng] ends where that one {!fit_cv_p} call
-    leaves it.
-
-    [notes] supplies one provenance-note array per output, appended to
-    that output's {!Model.notes} (deduplicated by {!Model.add_note}) —
-    how the pipeline records a quorum-degraded delivery on the artifact
-    itself, so the note survives serialization and serving.
-    @raise Invalid_argument when [fs] is empty or [notes] disagrees in
-    length, before any fitting. *)
-
 type selected = {
   model : Model.t;
   lambda : (int * int) option;
@@ -116,19 +81,34 @@ type selected = {
 val select_multi_p :
   ?folds:int -> ?max_lambda:int -> ?on_singular:[ `Stop | `Fallback ] ->
   ?shards:Shard_sweep.plan -> ?store:Select.store ->
-  ?notes:string array array ->
   Randkit.Prng.t ->
   Polybasis.Design.Provider.t -> Linalg.Vec.t array -> method_ ->
   selected array
-(** {!fit_multi_p} with each output's cross-validated λ and its grid's
-    cap: the same models, bit for bit, from the same generator use. *)
+(** [select_multi_p rng src fs m] fits one cross-validated model per
+    response in [fs] over the shared design, in order, with each
+    output's cross-validated λ and its grid's cap: sparsity chosen per
+    Section IV-C for the path methods, plain LS for [Ls] (λ is
+    meaningless there). Default [max_lambda] is [min(K/2, M, 200)].
+
+    A path method runs one grid of outputs×folds cells
+    ({!Select.omp_multi_p}, {!Select.star_multi_p},
+    {!Select.lars_multi_p}) on the driver {!Select.fused_driver} picks
+    for the provider's form and [shards], fully matrix-free on
+    a streamed provider and bitwise matching the dense run.
+    [Ls] materializes the matrix (free when the provider is dense),
+    fits each output on it and draws nothing from [rng]. Either way
+    output [r]'s model is bitwise the {!fit_cv_p} model for [fs.(r)]
+    from the same generator state, at every domain count and in both
+    provider forms, and [rng] ends where that one {!fit_cv_p} call
+    leaves it.
+    @raise Invalid_argument when [fs] is empty, before any fitting. *)
 
 val fit_cv_p :
   ?folds:int -> ?max_lambda:int -> ?on_singular:[ `Stop | `Fallback ] ->
-  ?shards:Shard_sweep.plan -> ?store:Select.store -> ?notes:string array ->
+  ?shards:Shard_sweep.plan -> ?store:Select.store ->
   Randkit.Prng.t ->
   Polybasis.Design.Provider.t -> Linalg.Vec.t -> method_ -> Model.t
-(** {!fit_multi_p} at R = 1. *)
+(** The model of {!select_multi_p} at R = 1. *)
 
 val fit_cv :
   ?folds:int -> ?max_lambda:int -> Randkit.Prng.t -> Linalg.Mat.t ->

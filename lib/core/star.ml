@@ -134,7 +134,4 @@ let fit_p ?tol ?pool ?log ?shards src f ~lambda =
     Model.make ~basis_size:(Provider.cols src) ~support:[||] ~coeffs:[||]
   else steps.(Array.length steps - 1).model
 
-let path ?tol ?pool g f ~max_lambda =
-  path_p ?tol ?pool (Provider.dense g) f ~max_lambda
-
 let fit ?tol ?pool g f ~lambda = fit_p ?tol ?pool (Provider.dense g) f ~lambda

@@ -66,11 +66,6 @@ val fit_p :
   Model.t
 (** The model after the last path step. *)
 
-val path :
-  ?tol:float -> ?pool:Parallel.Pool.t -> Linalg.Mat.t -> Linalg.Vec.t ->
-  max_lambda:int -> step array
-(** {!path_p} over [Provider.dense g]. *)
-
 val fit :
   ?tol:float -> ?pool:Parallel.Pool.t -> Linalg.Mat.t -> Linalg.Vec.t ->
   lambda:int -> Model.t

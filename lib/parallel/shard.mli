@@ -31,13 +31,10 @@ val tree_reduce : ('a -> 'a -> 'a) -> 'a array -> 'a
     equals [Array.fold_left f parts.(0) (rest)] — the sequential merge.
     @raise Invalid_argument on an empty array. *)
 
-val argmax_combine : int * float -> int * float -> int * float
-(** The sweep's selection merge: keep the strictly larger magnitude,
-    and on an exact tie the left candidate — the same column a
-    sequential first-strictly-greater scan picks. *)
-
 val merge_argmax : (int * float) array -> int * float
-(** [merge_argmax parts] is [tree_reduce argmax_combine parts]: the
-    global [(argmax, |corr|)] from per-shard local winners, bitwise
-    equal to the sequential scan when the shards cover [0, n) in
-    ascending order. *)
+(** [merge_argmax parts] is the {!tree_reduce} of the sweep's selection
+    merge — keep the strictly larger magnitude, and on an exact tie the
+    left candidate, the column a sequential first-strictly-greater scan
+    picks: the global [(argmax, |corr|)] from per-shard local winners,
+    bitwise equal to the sequential scan when the shards cover [0, n)
+    in ascending order. *)

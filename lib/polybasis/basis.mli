@@ -68,11 +68,6 @@ val eval_point : t -> Linalg.Vec.t -> Linalg.Vec.t
 val quadratic_size : int -> int
 (** [quadratic_size n] = [1 + 2n + n(n−1)/2], without building it. *)
 
-val make_tables : t -> float array array
-(** [make_tables b] allocates a per-variable Hermite table sized for the
-    basis: [tbl.(v).(d)] will hold [g_d] of variable [v]. Pair with
-    [fill_tables] to evaluate many points without re-allocating. *)
-
 val fill_tables : t -> float array array -> Linalg.Vec.t -> unit
 (** [fill_tables b tbl dy] fills [tbl] with the Hermite values of the
     point [dy] by the three-term recurrence. *)

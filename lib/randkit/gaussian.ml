@@ -46,7 +46,3 @@ type sampler = Polar | Ziggurat
 
 let sampler_name = function Polar -> "polar" | Ziggurat -> "ziggurat"
 
-let sampler_of_string = function
-  | "polar" -> Some Polar
-  | "ziggurat" -> Some Ziggurat
-  | _ -> None

@@ -40,6 +40,3 @@ type sampler = Polar | Ziggurat
 
 val sampler_name : sampler -> string
 (** ["polar"] / ["ziggurat"] — the CLI/JSON spelling. *)
-
-val sampler_of_string : string -> sampler option
-(** Inverse of {!sampler_name}. *)

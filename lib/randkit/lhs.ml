@@ -10,11 +10,7 @@ let uniform_points g ~k ~n =
   done;
   pts
 
-(* Inverse-normal transform of the stratified uniforms. Acklam's
-   rational approximation (the same construction as
-   Stat.Distribution.quantile, duplicated here because randkit sits
-   below stat in the dependency order; covered by cross-checking
-   tests). *)
+(* Acklam's inverse-normal rational approximation. *)
 let normal_quantile p =
   let a =
     [| -3.969683028665376e+01; 2.209460984245205e+02; -2.759285104469687e+02;

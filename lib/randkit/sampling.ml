@@ -1,18 +1,3 @@
-let train_test_split g ~n ~test_fraction =
-  if n < 2 then invalid_arg "Sampling.train_test_split: need at least 2 points";
-  if test_fraction <= 0. || test_fraction >= 1. then
-    invalid_arg "Sampling.train_test_split: fraction must be in (0,1)";
-  let n_test =
-    let raw = int_of_float (Float.round (test_fraction *. float_of_int n)) in
-    max 1 (min (n - 1) raw)
-  in
-  let perm = Prng.permutation g n in
-  let test = Array.sub perm 0 n_test in
-  let train = Array.sub perm n_test (n - n_test) in
-  Array.sort compare train;
-  Array.sort compare test;
-  (train, test)
-
 let fold_assignment g ~n ~folds =
   if folds < 2 then invalid_arg "Sampling.fold_assignment: need at least 2 folds";
   if folds > n then invalid_arg "Sampling.fold_assignment: more folds than points";

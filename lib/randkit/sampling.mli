@@ -1,16 +1,8 @@
-(** Sampling plans: train/test splits and fold assignment.
+(** Sampling plans: fold assignment and subsets.
 
-    These are the bookkeeping primitives under the paper's methodology —
-    independent training and testing sets (Section V) and the Q-fold
-    partition of Fig. 2. Assignments are index-based so the (possibly
-    huge) design matrices are never copied per fold. *)
-
-val train_test_split :
-  Prng.t -> n:int -> test_fraction:float -> int array * int array
-(** [train_test_split g ~n ~test_fraction] partitions [0..n-1] at random
-    into [(train, test)] index arrays. Fractions are clamped so both
-    sides are non-empty whenever [n >= 2].
-    @raise Invalid_argument if [n < 2] or the fraction is outside (0,1). *)
+    These are the bookkeeping primitives under the paper's methodology:
+    the Q-fold partition of Fig. 2. Assignments are index-based so the
+    (possibly huge) design matrices are never copied per fold. *)
 
 val fold_assignment : Prng.t -> n:int -> folds:int -> int array
 (** [fold_assignment g ~n ~folds] assigns each of [0..n-1] a fold id in

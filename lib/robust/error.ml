@@ -6,11 +6,6 @@ type t =
   | Io of string
   | Internal of string
 
-let message = function
-  | Invalid_input m | Config m | Simulation m | Numerical m | Io m
-  | Internal m ->
-      m
-
 let to_string = function
   | Invalid_input m -> "invalid input: " ^ m
   | Config m -> "config: " ^ m

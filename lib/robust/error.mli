@@ -19,9 +19,6 @@ type t =
   | Io of string  (** filesystem-level failure *)
   | Internal of string  (** an unexpected exception — a bug, report it *)
 
-val message : t -> string
-(** The bare description, without the category. *)
-
 val to_string : t -> string
 (** ["<category>: <description>"] — the CLI's one-line diagnostic. *)
 

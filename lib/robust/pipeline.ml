@@ -456,11 +456,10 @@ let hygiene_lines ~names h =
     | Some r ->
         [
           Printf.sprintf
-            "adaptive retry: %d event(s), %d retr%s granted, %d denied"
+            "adaptive retry: %d event(s), %d retr%s granted"
             (Array.length r.Retry.events)
             r.Retry.retries_granted
-            (if r.Retry.retries_granted = 1 then "y" else "ies")
-            r.Retry.retries_denied;
+            (if r.Retry.retries_granted = 1 then "y" else "ies");
         ]
   in
   let label r line = if names = [||] then line else names.(r) ^ " " ^ line in
@@ -474,34 +473,3 @@ let hygiene_lines ~names h =
   in
   (Circuit.Simulator.report_summary h.run :: adaptive)
   @ if screens = [] then [ "screen: off" ] else screens
-
-let outcome_summary o =
-  String.concat "\n"
-    (hygiene_lines ~names:[||] (outcome_hygiene o)
-    @ Printf.sprintf "model: %d bases selected from %d rows"
-        (Rsm.Model.nnz o.model)
-        (Circuit.Simulator.dataset_size o.dataset)
-      :: Array.to_list
-           (Array.map (Printf.sprintf "note: %s") (Rsm.Model.notes o.model)))
-
-let multi_outcome_summary ?names o =
-  let outputs = Array.length o.models in
-  let names =
-    match names with
-    | Some ns when Array.length ns = outputs -> ns
-    | _ -> Array.init outputs (Printf.sprintf "output %d")
-  in
-  let rows = Circuit.Simulator.dataset_size o.datasets.(0) in
-  String.concat "\n"
-    (hygiene_lines ~names (multi_hygiene o)
-    @ List.concat
-        (Array.to_list
-           (Array.mapi
-              (fun r m ->
-                Printf.sprintf "%s: %d bases selected from %d rows" names.(r)
-                  (Rsm.Model.nnz m) rows
-                :: Array.to_list
-                     (Array.map
-                        (Printf.sprintf "%s note: %s" names.(r))
-                        (Rsm.Model.notes m)))
-              o.models)))

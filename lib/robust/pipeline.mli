@@ -230,8 +230,8 @@ val fit :
   Randkit.Prng.t ->
   (outcome, Error.t) result
 (** Run the full pipeline: {!deliver} for the one simulator, the
-    cross-validated solver ({!Rsm.Solver.fit_multi_p} at one output,
-    which is {!Rsm.Solver.fit_cv_p}), then {!post_fit}.
+    cross-validated solver ({!Rsm.Solver.select_multi_p} at one output,
+    whose model is {!Rsm.Solver.fit_cv_p}'s), then {!post_fit}.
     Deterministic for a fixed seed at every domain count (the
     underlying stages all pre-split their PRNG streams). Worker-process
     crash recoveries across the fold fits and the refit (a
@@ -245,10 +245,6 @@ val fit :
     full-delivery fit carries no note. Fails with [Invalid_input _] /
     [Numerical _] / [Internal _] when a stage raises. *)
 
-val outcome_summary : outcome -> string
-(** Multi-line human-readable account: the {!hygiene_lines}, model size
-    and any fallback notes. *)
-
 (** {2 Multi-output pipeline}
 
     R performance metrics of one circuit — the op-amp's gain, bandwidth,
@@ -257,7 +253,7 @@ val outcome_summary : outcome -> string
     response vectors differ. {!fit_multi} runs the whole pipeline once
     for all of them: one {!deliver} (every sample evaluated by every
     simulator, delivered only when all outputs are finite, one shared
-    kept-row set, one design provider) and one {!Rsm.Solver.fit_multi_p}
+    kept-row set, one design provider) and one {!Rsm.Solver.select_multi_p}
     call — on a streamed design, one fused grid that generates each
     column once per greedy step for every output and fold. *)
 
@@ -286,7 +282,7 @@ val fit_multi :
   Randkit.Prng.t ->
   (multi_outcome, Error.t) result
 (** Run the full pipeline for every simulator at once: {!deliver},
-    {!Rsm.Solver.fit_multi_p}, then {!post_fit}. The simulators must
+    {!Rsm.Solver.select_multi_p}, then {!post_fit}. The simulators must
     agree on [dim]; [config.adaptive] must be [None] unless there is
     exactly one simulator (the breaker driver owns a single simulator's
     retry loop — requesting it here fails with [Config _], as does an
@@ -298,17 +294,12 @@ val fit_multi :
     ["degraded: ..."] note on {e every} model. The grid runs on the
     fused driver exactly when {!Rsm.Select.fused_driver} holds
     ([config.streamed], one shard), on the per-job driver
-    otherwise (see {!Rsm.Solver.fit_multi_p}); either way cell
+    otherwise (see {!Rsm.Solver.select_multi_p}); either way cell
     [(r, q)] checkpoints at
     [Serialize.Checkpoint.Cell.file store.base ~outputs r q], the
     fitted models are bitwise identical across the two drivers, at
     every domain count, dense or streamed, and the fit leaves the
     generator in the same state. *)
-
-val multi_outcome_summary : ?names:string array -> multi_outcome -> string
-(** Multi-line account of a multi-output run: the {!hygiene_lines} with
-    per-output labels, and one model line per output. [names] labels
-    the outputs (e.g. metric names); defaults to ["output <r>"]. *)
 
 (** {2 Hygiene report} *)
 

@@ -1,34 +1,13 @@
 module Simulator = Circuit.Simulator
 
-type policy = {
-  max_attempts : int;
-  base_backoff : float;
-  jitter : float;
-  attempt_budget : int;
-  breaker_threshold : int;
-  cooldown : int;
-}
+type policy = { max_attempts : int; breaker_threshold : int }
 
-let policy ?(max_attempts = 4) ?(base_backoff = 1.) ?(jitter = 0.5)
-    ?(attempt_budget = max_int) ?(breaker_threshold = 8) ?(cooldown = 0) () =
+let policy ?(max_attempts = 4) ?(breaker_threshold = 8) () =
   if max_attempts < 1 then
     invalid_arg "Retry.policy: max_attempts must be >= 1";
-  if base_backoff < 0. then invalid_arg "Retry.policy: negative backoff";
-  if not (jitter >= 0. && jitter < 1.) then
-    invalid_arg "Retry.policy: jitter must lie in [0, 1)";
-  if attempt_budget < 0 then
-    invalid_arg "Retry.policy: negative attempt budget";
   if breaker_threshold < 0 then
     invalid_arg "Retry.policy: negative breaker threshold";
-  if cooldown < 0 then invalid_arg "Retry.policy: negative cooldown";
-  {
-    max_attempts;
-    base_backoff;
-    jitter;
-    attempt_budget;
-    breaker_threshold;
-    cooldown;
-  }
+  { max_attempts; breaker_threshold }
 
 type event =
   | Backoff of { sample : int; attempt : int; seconds : float }
@@ -36,31 +15,11 @@ type event =
   | Fast_fail of { sample : int }
   | Probe of { sample : int; delivered : bool }
   | Closed of { sample : int }
-  | Budget_exhausted of { sample : int }
-
-let event_to_string = function
-  | Backoff { sample; attempt; seconds } ->
-      Printf.sprintf "backoff: sample %d attempt %d waits %.3f s" sample
-        attempt seconds
-  | Tripped { sample; consecutive; cooldown } ->
-      Printf.sprintf
-        "breaker tripped at sample %d after %d consecutive failures; open for \
-         %d samples"
-        sample consecutive cooldown
-  | Fast_fail { sample } ->
-      Printf.sprintf "breaker open: sample %d fails fast (no retries)" sample
-  | Probe { sample; delivered } ->
-      Printf.sprintf "half-open probe at sample %d %s" sample
-        (if delivered then "delivered" else "failed")
-  | Closed { sample } -> Printf.sprintf "breaker closed at sample %d" sample
-  | Budget_exhausted { sample } ->
-      Printf.sprintf "global attempt budget exhausted at sample %d" sample
 
 type report = {
   run : Simulator.run_report;
   events : event array;
   retries_granted : int;
-  retries_denied : int;
 }
 
 type breaker = Breaker_closed | Breaker_open of int | Breaker_half_open
@@ -70,25 +29,24 @@ type breaker = Breaker_closed | Breaker_open of int | Breaker_half_open
    over the pool — evaluators are pure, so caching the value and
    replaying it per attempt is value-identical to re-evaluating. Pass 2
    walks the samples in index order through the policy state machine
-   (backoff, budget, breaker), running each sample through
+   (backoff, breaker), running each sample through
    [Simulator.attempt_sample] with the attempts the breaker allows and a
-   [grant] that spends the budget. Everything the policy decides
+   [grant] that charges the jittered backoff. Everything the policy decides
    therefore depends only on (plan, policy, k, seed) — bitwise identical
    at every domain count. *)
 let run ?(noise_rel = 0.) ?pool ?(faults = Simulator.no_faults) policy sim g
     ~k =
+  (* The breaker stays open for the fault plan's expected burst length
+     (16 samples when the plan has no burst model). *)
   let cooldown =
-    if policy.cooldown > 0 then policy.cooldown
-    else
-      match faults.Simulator.burst with
-      | Some b -> int_of_float (Float.ceil b.Simulator.burst_len)
-      | None -> 16
+    match faults.Simulator.burst with
+    | Some b -> int_of_float (Float.ceil b.Simulator.burst_len)
+    | None -> 16
   in
   let events = ref [] in
   let emit e = events := e :: !events in
   let trips = ref 0 in
   let retries_granted = ref 0 in
-  let retries_denied = ref 0 in
   let walk (b : Simulator.batch) =
     let values = Array.make k Float.nan in
     let eval_body i = values.(i) <- sim.Simulator.eval b.b_points.(i) in
@@ -102,8 +60,6 @@ let run ?(noise_rel = 0.) ?pool ?(faults = Simulator.no_faults) policy sim g
     let out = Array.make k None in
     let state = ref Breaker_closed in
     let consecutive = ref 0 in
-    let budget = ref policy.attempt_budget in
-    let budget_noted = ref false in
     for i = 0 to k - 1 do
       (* A spent cooldown turns the open breaker half-open: this sample is
          the probe and gets its full retry allowance back. *)
@@ -116,33 +72,17 @@ let run ?(noise_rel = 0.) ?pool ?(faults = Simulator.no_faults) policy sim g
         | Breaker_closed | Breaker_half_open -> policy.max_attempts
       in
       let grant attempt =
-        if !budget <= 0 then begin
-          if not !budget_noted then begin
-            budget_noted := true;
-            emit (Budget_exhausted { sample = i })
-          end;
-          incr retries_denied;
-          None
-        end
-        else begin
-          decr budget;
-          incr retries_granted;
-          (* Deterministic exponential backoff with deterministic jitter:
-             the jitter draw comes from the sample's own stream, so it is
-             reproducible, yet desynchronizes the retry storm a real farm
-             would see after an outage. *)
-          let u =
-            if policy.jitter > 0. then Randkit.Prng.float b.b_streams.(i)
-            else 0.
-          in
-          let seconds =
-            policy.base_backoff
-            *. float_of_int (1 lsl (attempt - 2))
-            *. (1. +. (policy.jitter *. u))
-          in
-          emit (Backoff { sample = i; attempt; seconds });
-          Some seconds
-        end
+        incr retries_granted;
+        (* Deterministic exponential backoff from 1 s with deterministic
+           jitter of up to half: the jitter draw comes from the sample's
+           own stream, so it is reproducible, yet desynchronizes the retry
+           storm a real farm would see after an outage. *)
+        let u = Randkit.Prng.float b.b_streams.(i) in
+        let seconds =
+          float_of_int (1 lsl (attempt - 2)) *. (1. +. (0.5 *. u))
+        in
+        emit (Backoff { sample = i; attempt; seconds });
+        seconds
       in
       out.(i) <-
         Simulator.attempt_sample faults b st i
@@ -202,5 +142,4 @@ let run ?(noise_rel = 0.) ?pool ?(faults = Simulator.no_faults) policy sim g
       run = { run with Simulator.breaker_trips = !trips };
       events = Array.of_list (List.rev !events);
       retries_granted = !retries_granted;
-      retries_denied = !retries_denied;
     } )

@@ -1,5 +1,5 @@
-(** Adaptive retry: exponential backoff with deterministic jitter, a
-    global attempt budget, and a circuit breaker over the sample axis.
+(** Adaptive retry: exponential backoff with deterministic jitter and a
+    circuit breaker over the sample axis.
 
     {!Circuit.Simulator.run_robust}'s fixed policy retries every failed
     sample the same number of times — sensible under i.i.d. faults,
@@ -10,18 +10,18 @@
     samples fail fast with a single attempt until a cooldown sized to
     the expected burst length has passed; the next sample is a
     {e half-open probe} with full retries — success closes the breaker,
-    failure re-opens it for another cooldown. A global [attempt_budget]
-    caps the total retries a run may spend, whatever the policy would
-    otherwise grant.
+    failure re-opens it for another cooldown. Retry [a] of a sample
+    (attempt [a >= 2]) charges [2^(a-2) · (1 + u/2)] accounted seconds,
+    [u] a deterministic uniform draw from the sample's own fault stream.
 
     The driver is the adaptive walk of {!Circuit.Simulator.run_batch}:
     the point draw, the per-sample fault streams, the burst states,
-    each sample's retry loop ({!Circuit.Simulator.attempt_sample}, hence
-    {!Circuit.Simulator.draw_attempt}), the fault tally, the kept/failed
-    split, the observation noise and the run report are the fixed
-    policy's, shared with {!Circuit.Simulator.run_robust}. What lives
-    here is only the policy: the breaker state machine, the budget, and
-    the jittered backoff each retry is granted.
+    each sample's retry loop ({!Circuit.Simulator.attempt_sample}), the
+    fault tally, the kept/failed split, the observation noise and the
+    run report are the fixed policy's, shared with
+    {!Circuit.Simulator.run_robust}. What lives
+    here is only the policy: the breaker state machine and the jittered
+    backoff each retry is charged.
 
     Determinism: the one expensive clean evaluation per point runs
     batch-parallel over [?pool] (evaluators are pure) and is replayed
@@ -32,38 +32,18 @@
 
 type policy = {
   max_attempts : int;  (** attempts per sample while the breaker is closed *)
-  base_backoff : float;
-      (** accounted base backoff; attempt [a] charges
-          [2^(a-2) · base · (1 + jitter·u)] seconds *)
-  jitter : float;
-      (** jitter fraction in [[0, 1)]; [u] is a deterministic uniform
-          draw from the sample's own fault stream *)
-  attempt_budget : int;
-      (** global cap on retries (attempts beyond each sample's first)
-          across the whole run; [max_int] = unbounded *)
   breaker_threshold : int;
       (** consecutive failed samples that trip the breaker; [0] disables
-          the breaker entirely *)
-  cooldown : int;
-      (** samples the tripped breaker stays open before the half-open
-          probe; [0] = derive from the fault plan's expected burst
-          length (or 16 when the plan has no burst model) *)
+          the breaker entirely. The tripped breaker stays open for the
+          fault plan's expected burst length (16 samples when the plan
+          has no burst model) before the half-open probe. *)
 }
 
-val policy :
-  ?max_attempts:int ->
-  ?base_backoff:float ->
-  ?jitter:float ->
-  ?attempt_budget:int ->
-  ?breaker_threshold:int ->
-  ?cooldown:int ->
-  unit ->
-  policy
+val policy : ?max_attempts:int -> ?breaker_threshold:int -> unit -> policy
 (** Validated constructor. Defaults: [max_attempts = 4],
-    [base_backoff = 1], [jitter = 0.5], unbounded budget,
-    [breaker_threshold = 8], derived cooldown.
-    @raise Invalid_argument on [max_attempts < 1], a negative backoff,
-    budget, threshold, or cooldown, or jitter outside [[0, 1)]. *)
+    [breaker_threshold = 8].
+    @raise Invalid_argument on [max_attempts < 1] or a negative
+    threshold. *)
 
 (** Every policy decision, in sample order — the audit trail of the
     adaptive run. *)
@@ -77,17 +57,12 @@ type event =
   | Probe of { sample : int; delivered : bool }
       (** the half-open probe and its verdict *)
   | Closed of { sample : int }  (** breaker closed (probe or early success) *)
-  | Budget_exhausted of { sample : int }
-      (** first retry denied for lack of budget (emitted once) *)
-
-val event_to_string : event -> string
 
 type report = {
   run : Circuit.Simulator.run_report;
       (** standard run report; [breaker_trips] is filled in *)
   events : event array;
-  retries_granted : int;  (** retries actually spent from the budget *)
-  retries_denied : int;  (** retries the policy wanted but the budget refused *)
+  retries_granted : int;  (** retries spent across the run *)
 }
 
 val run :

@@ -19,12 +19,6 @@ let default_threshold = 6.0
    normal bulk. *)
 let mad_consistency = 1.4826
 
-let reason_to_string = function
-  | Non_finite_point -> "non-finite factor point"
-  | Non_finite_value -> "non-finite response"
-  | Outlier z -> Printf.sprintf "outlier (robust z = %.1f)" z
-  | Far_point d -> Printf.sprintf "far point (robust distance = %.1f)" d
-
 let screen ?(threshold = default_threshold) (d : Circuit.Simulator.dataset) =
   if threshold <= 0. then invalid_arg "Screen.screen: threshold must be positive";
   let n = Array.length d.Circuit.Simulator.values in

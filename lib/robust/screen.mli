@@ -66,8 +66,6 @@ val screen :
     @raise Invalid_argument when [threshold <= 0] or the dataset is
     empty — caller bugs, not data conditions. *)
 
-val reason_to_string : reason -> string
-
 val report_summary : report -> string
 (** One line: totals kept/dropped, with per-reason counts — the
     grep-able hygiene line the CLI prints. *)

@@ -16,7 +16,6 @@
    chains, never reordering any one point's operations. *)
 
 type t = {
-  basis_size : int;
   dim : int;
   var_of_slot : int array;  (* touched variables, ascending *)
   slot_deg : int array;  (* max degree needed per slot *)
@@ -84,7 +83,6 @@ let compile model basis =
   term_start.(nnz) <- !fi;
   let max_deg = Array.fold_left max 0 slot_deg in
   {
-    basis_size = model.Rsm.Model.basis_size;
     dim = Polybasis.Basis.dim basis;
     var_of_slot;
     slot_deg;
@@ -97,7 +95,6 @@ let compile model basis =
     scratch0 = Array.make buf_len 0.;
   }
 
-let basis_size t = t.basis_size
 let dim t = t.dim
 let nnz t = Array.length t.coeffs
 let tape_length t = Array.length t.factor_ofs

@@ -54,9 +54,6 @@ val compile : Rsm.Model.t -> Polybasis.Basis.t -> t
     @raise Invalid_argument when [Basis.size basis] disagrees with the
     model's [basis_size]. *)
 
-val basis_size : t -> int
-(** Dictionary size [M] the model was fitted against. *)
-
 val dim : t -> int
 (** Factor-space dimension [N]; the length every evaluated point must
     have. *)

@@ -7,26 +7,6 @@ let fold_indices plan q =
   if q < 0 || q >= plan.folds then invalid_arg "Crossval.fold_indices: bad fold";
   Randkit.Sampling.fold_split plan.assignment q
 
-(* Run the Q fold bodies — fold-parallel when a pool is supplied — and
-   collect one result per fold. The combination of the results always
-   happens sequentially in fold order afterwards, so parallel execution
-   never changes the bits of the averages. *)
-let fold_results pool plan body =
-  let out = Array.make plan.folds None in
-  let run_fold q =
-    let train, held_out = fold_indices plan q in
-    out.(q) <- Some (body ~train ~held_out)
-  in
-  (match pool with
-  | None ->
-      for q = 0 to plan.folds - 1 do
-        run_fold q
-      done
-  | Some pool ->
-      Parallel.Pool.parallel_for pool ~chunks:plan.folds ~lo:0 ~hi:plan.folds
-        run_fold);
-  Array.map (function Some r -> r | None -> assert false) out
-
 type fold_cache = {
   load : int -> float array option;
   store : int -> float array -> unit;
@@ -77,21 +57,10 @@ let run_fold_curves_multi ?caches ~outputs plan ~fit_curves =
       | None -> invalid_arg "Crossval.run_fold_curves_multi: a cell got no curve"))
     cached
 
-let run_curves ?pool plan ~fit_curve =
-  let curves = fold_results pool plan fit_curve in
-  let acc = ref [||] in
-  for q = 0 to plan.folds - 1 do
-    let curve = curves.(q) in
-    if q = 0 then acc := Array.map (fun e -> e /. float_of_int plan.folds) curve
-    else begin
-      if Array.length curve <> Array.length !acc then
-        invalid_arg "Crossval.run_curves: runs returned curves of different lengths";
-      Array.iteri
-        (fun i e -> !acc.(i) <- !acc.(i) +. (e /. float_of_int plan.folds))
-        curve
-    end
-  done;
-  !acc
+let mean_curve curves =
+  let fq = float_of_int (Array.length curves) in
+  Array.init (Array.length curves.(0)) (fun l ->
+      Array.fold_left (fun acc c -> acc +. (c.(l) /. fq)) 0. curves)
 
 let argmin curve =
   if Array.length curve = 0 then invalid_arg "Crossval.argmin: empty curve";

@@ -57,19 +57,11 @@ val run_fold_curves_multi :
     @raise Invalid_argument when [outputs < 1], when [caches] has the
     wrong length, or when [fit_curves] returns with a job unfinished. *)
 
-val run_curves :
-  ?pool:Parallel.Pool.t -> plan ->
-  fit_curve:(train:int array -> held_out:int array -> float array) ->
-  float array
-(** [run_curves plan ~fit_curve] supports λ-sweeps: each run returns the
-    error at every candidate λ measured on its held-out group; the
-    result is the pointwise average curve ε(λ). All runs must return
-    curves of equal length. With [?pool] the Q runs execute fold-parallel (one fold per chunk),
-    so [fit_curve] must not share mutable state across calls; the
-    curves are averaged in fold order after all folds complete, so the
-    result is bitwise identical to the sequential run at every domain
-    count.
-    @raise Invalid_argument on curves of different lengths. *)
+val mean_curve : float array array -> float array
+(** [mean_curve curves] is ε(λ), the pointwise mean of the fold curves
+    [curves.(q)], each divided by Q and summed in fold order — the same
+    bits however the folds ran. All curves must have the length of
+    [curves.(0)]. *)
 
 val argmin : float array -> int
 (** Index of the smallest entry (first on ties); NaNs are ignored unless

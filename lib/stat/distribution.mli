@@ -15,13 +15,10 @@ val cdf : float -> float
     [erfc]; relative error below 1.2e-7. *)
 
 val quantile : float -> float
-(** Inverse of {!cdf} (Acklam's rational approximation with one Newton
-    polish step; relative error < 1e-9).
+(** Inverse of {!cdf}: Acklam's rational approximation
+    ({!Randkit.Lhs.normal_quantile}) with one Newton polish step;
+    relative error < 1e-9.
     @raise Invalid_argument outside (0, 1). *)
-
-val cdf_mean_sigma : mean:float -> sigma:float -> float -> float
-(** Φ((x − mean)/sigma).
-    @raise Invalid_argument when [sigma <= 0]. *)
 
 val gaussian_yield : mean:float -> sigma:float -> lower:float -> upper:float -> float
 (** P(lower ≤ X ≤ upper) for X ~ N(mean, sigma²). Use

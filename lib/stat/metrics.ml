@@ -11,18 +11,6 @@ let sse ~pred ~truth =
   done;
   !acc
 
-let rmse ~pred ~truth =
-  check pred truth;
-  sqrt (sse ~pred ~truth /. float_of_int (Array.length pred))
-
-let mae ~pred ~truth =
-  check pred truth;
-  let acc = ref 0. in
-  for i = 0 to Array.length pred - 1 do
-    acc := !acc +. Float.abs (pred.(i) -. truth.(i))
-  done;
-  !acc /. float_of_int (Array.length pred)
-
 let sst truth =
   let mu = Descriptive.mean truth in
   let acc = ref 0. in
@@ -45,19 +33,3 @@ let max_abs_error ~pred ~truth =
     acc := Float.max !acc (Float.abs (pred.(i) -. truth.(i)))
   done;
   !acc
-
-let r_squared ~pred ~truth =
-  check pred truth;
-  let denom = sst truth in
-  if denom = 0. then Float.nan else 1. -. (sse ~pred ~truth /. denom)
-
-let mape ~pred ~truth =
-  check pred truth;
-  let acc = ref 0. and n = ref 0 in
-  for i = 0 to Array.length pred - 1 do
-    if truth.(i) <> 0. then begin
-      acc := !acc +. Float.abs ((pred.(i) -. truth.(i)) /. truth.(i));
-      incr n
-    end
-  done;
-  if !n = 0 then Float.nan else !acc /. float_of_int !n

@@ -7,21 +7,8 @@
     the true performance *variation* (standard deviation), so a model
     predicting only the mean scores 100%. *)
 
-val rmse : pred:float array -> truth:float array -> float
-(** Root-mean-square error. *)
-
-val mae : pred:float array -> truth:float array -> float
-(** Mean absolute error. *)
-
 val relative_rms : pred:float array -> truth:float array -> float
 (** [‖pred − truth‖₂ / ‖truth − mean(truth)‖₂]: the paper's modeling
     error. Returns [nan] when the truth is constant. *)
 
 val max_abs_error : pred:float array -> truth:float array -> float
-
-val r_squared : pred:float array -> truth:float array -> float
-(** Coefficient of determination [1 − SSE/SST]. *)
-
-val mape : pred:float array -> truth:float array -> float
-(** Mean absolute percentage error, skipping entries where
-    [truth = 0]. *)

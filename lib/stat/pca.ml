@@ -1,38 +1,24 @@
 open Linalg
 
 type t = {
-  mean : Vec.t;  (* subtracted before whitening *)
   vectors : Mat.t;  (* n×r retained eigenvector columns *)
   values : Vec.t;  (* r retained eigenvalues, decreasing *)
-  total_variance : float;  (* trace of the full covariance *)
 }
 
-let build ?(truncate_below = 1e-12) mean sigma =
+let of_covariance sigma =
   let { Eigen.values; vectors } = Eigen.symmetric sigma in
   let n = Mat.rows sigma in
   let lead = Float.max values.(0) 0. in
   let keep = ref 0 in
   for i = 0 to n - 1 do
-    if values.(i) > truncate_below *. lead && values.(i) > 0. then incr keep
+    (* Components below 1e-12 of the leading eigenvalue are dropped. *)
+    if values.(i) > 1e-12 *. lead && values.(i) > 0. then incr keep
   done;
   let r = max 1 !keep in
-  let total_variance =
-    Array.fold_left (fun acc v -> acc +. Float.max v 0.) 0. values
-  in
   {
-    mean;
     vectors = Mat.init n r (fun i j -> Mat.unsafe_get vectors i j);
     values = Array.sub values 0 r;
-    total_variance;
   }
-
-let of_covariance ?truncate_below sigma =
-  build ?truncate_below (Vec.create (Mat.rows sigma)) sigma
-
-let of_data ?truncate_below d =
-  let p = Mat.cols d in
-  let mean = Array.init p (fun j -> Vec.mean (Mat.col d j)) in
-  build ?truncate_below mean (Descriptive.covariance_matrix d)
 
 let input_dim t = Mat.rows t.vectors
 
@@ -43,16 +29,11 @@ let eigenvalues t = Vec.copy t.values
 let whiten t dx =
   if Array.length dx <> input_dim t then
     invalid_arg "Pca.whiten: dimension mismatch";
-  let centered = Vec.sub dx t.mean in
-  let proj = Mat.tmulv t.vectors centered in
+  let proj = Mat.tmulv t.vectors dx in
   Array.mapi (fun j v -> v /. sqrt t.values.(j)) proj
 
 let unwhiten t dy =
   if Array.length dy <> output_dim t then
     invalid_arg "Pca.unwhiten: dimension mismatch";
   let scaled = Array.mapi (fun j v -> v *. sqrt t.values.(j)) dy in
-  Vec.add (Mat.mulv t.vectors scaled) t.mean
-
-let explained_variance_ratio t =
-  if t.total_variance = 0. then Array.make (output_dim t) 0.
-  else Array.map (fun v -> v /. t.total_variance) t.values
+  Mat.mulv t.vectors scaled

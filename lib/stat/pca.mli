@@ -2,27 +2,20 @@
 
     Section II of the paper: correlated jointly-normal process variations
     [ΔX] are whitened by PCA into independent standard-normal factors
-    [ΔY]. A transform is built either from a known covariance (the
-    foundry model, which is what the circuit substrate uses) or
-    estimated from data rows.
+    [ΔY]. A transform is built from a known covariance (the foundry
+    model, which is what the circuit substrate uses).
 
     With [Σ = V·Λ·Vᵀ], the whitening map is [ΔY = Λ^{-1/2}·Vᵀ·ΔX] and
     its inverse is [ΔX = V·Λ^{1/2}·ΔY]. Components with eigenvalues
-    below [truncate_below] (relative to the largest) are dropped, which
+    below [1e-12] of the largest are dropped, which
     is how the dimension of the independent factor space can be smaller
     than the raw parameter count. *)
 
 type t
 
-val of_covariance : ?truncate_below:float -> Linalg.Mat.t -> t
+val of_covariance : Linalg.Mat.t -> t
 (** Build the transform from a covariance matrix (mean assumed zero).
-    [truncate_below] is relative to the leading eigenvalue
-    (default [1e-12]). Negative eigenvalues from numerical noise are
-    treated as zero. *)
-
-val of_data : ?truncate_below:float -> Linalg.Mat.t -> t
-(** Estimate covariance from data rows, then build the transform. The
-    estimated column means are recorded and subtracted by [whiten]. *)
+    Negative eigenvalues from numerical noise are treated as zero. *)
 
 val input_dim : t -> int
 (** Dimension of the raw parameter space. *)
@@ -38,8 +31,4 @@ val whiten : t -> Linalg.Vec.t -> Linalg.Vec.t
     standard-normal factor scores. *)
 
 val unwhiten : t -> Linalg.Vec.t -> Linalg.Vec.t
-(** [unwhiten t dy] maps factor scores back to the raw space (adds the
-    recorded mean back when the transform came from data). *)
-
-val explained_variance_ratio : t -> Linalg.Vec.t
-(** Fraction of total variance captured by each retained component. *)
+(** [unwhiten t dy] maps factor scores back to the raw space. *)

@@ -80,9 +80,7 @@ let groups ~served =
     [ group (mode ^ "-polar") base [ domains [ 1; 2; 4 ] ];
       group (mode ^ "-polar-b7") (base ^ " --batch 7") [ domains [ 1; 2; 4 ] ];
       group (mode ^ "-ziggurat") (base ^ " --sampler ziggurat")
-        [ [ v "b8192" ""; v "b7" "--batch 7" ];
-          [ v "projected" ""; v "full" "--no-project" ];
-          domains [ 1; 2; 4 ] ] ]
+        [ [ v "b8192" ""; v "b7" "--batch 7" ]; domains [ 1; 2; 4 ] ] ]
   in
   List.concat
     [ per methods "cv" (offset ^ " --samples 250 --max-lambda 10 --folds 4")

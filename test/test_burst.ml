@@ -114,7 +114,7 @@ let test_burst_off_is_bitwise_legacy () =
     (not (contains (Simulator.report_summary r) "burst"));
   check_bool "dataset non-empty" true (Simulator.dataset_size d > 0)
 
-(* --- adaptive retry: backoff, budget, breaker ---------------------- *)
+(* --- adaptive retry: backoff, breaker ------------------------------ *)
 
 let test_retry_clean_matches_run () =
   let sim, _ = small_sim () in
@@ -187,35 +187,12 @@ let test_breaker_trips_and_recovers () =
   in
   check_bool "adaptive charges less accounted time than fixed retry" true
     (run.Simulator.accounted_extra_seconds
-    < fixed.Simulator.accounted_extra_seconds);
-  Array.iter
-    (fun e ->
-      check_bool "events render" true (String.length (Retry.event_to_string e) > 0))
-    r.Retry.events
-
-let test_retry_budget_exhaustion () =
-  let sim, _ = small_sim () in
-  let faults =
-    Simulator.fault_plan ~rate:0.4 ~mix:[| (Simulator.Transient, 1.) |] ()
-  in
-  let policy = Retry.policy ~max_attempts:4 ~attempt_budget:5 () in
-  let _, r = Retry.run ~faults policy sim (Randkit.Prng.create 31) ~k:200 in
-  check_int "budget caps granted retries" 5 r.Retry.retries_granted;
-  check_bool "denials recorded" true (r.Retry.retries_denied > 0);
-  check_bool "exhaustion logged once" true
-    (Array.length
-       (Array.of_list
-          (List.filter
-             (function Retry.Budget_exhausted _ -> true | _ -> false)
-             (Array.to_list r.Retry.events)))
-    = 1)
+    < fixed.Simulator.accounted_extra_seconds)
 
 let test_retry_policy_validation () =
   check_raises_invalid "zero attempts" (fun () -> Retry.policy ~max_attempts:0 ());
-  check_raises_invalid "jitter 1" (fun () -> Retry.policy ~jitter:1. ());
-  check_raises_invalid "negative budget" (fun () ->
-      Retry.policy ~attempt_budget:(-1) ());
-  check_raises_invalid "negative cooldown" (fun () -> Retry.policy ~cooldown:(-2) ());
+  check_raises_invalid "negative threshold" (fun () ->
+      Retry.policy ~breaker_threshold:(-1) ());
   check_raises_invalid "k = 0" (fun () ->
       let sim, _ = small_sim () in
       Retry.run (Retry.policy ()) sim (Randkit.Prng.create 1) ~k:0)
@@ -400,9 +377,7 @@ let test_degraded_fit_notes_and_roundtrip () =
       | Error e -> Alcotest.failf "parse: %s" e
       | Ok m' ->
           check_bool "degraded note round-trips through serialization" true
-            (Array.exists (( = ) note) (Rsm.Model.notes m')));
-      check_bool "outcome summary carries the note" true
-        (contains (Robust.Pipeline.outcome_summary o) "degraded: ")
+            (Array.exists (( = ) note) (Rsm.Model.notes m')))
 
 let test_full_delivery_carries_no_note () =
   let sim, dim = small_sim () in
@@ -467,8 +442,11 @@ let test_pipeline_adaptive_deterministic () =
   check_bool "adaptive burst fit is reproducible" true
     (Rsm.Serialize.to_string a.Robust.Pipeline.model
     = Rsm.Serialize.to_string b.Robust.Pipeline.model);
-  check_bool "summary shows the adaptive line" true
-    (contains (Robust.Pipeline.outcome_summary a) "adaptive retry")
+  check_bool "hygiene shows the adaptive line" true
+    (List.exists
+       (fun l -> contains l "adaptive retry")
+       (Robust.Pipeline.hygiene_lines ~names:[||]
+          (Robust.Pipeline.outcome_hygiene a)))
 
 let test_burst_fit_pool_parity () =
   (* The acceptance gate in miniature: a quorate burst-mode CV fit is
@@ -936,7 +914,6 @@ let suite =
         test_retry_pool_parity;
       case "breaker: trips, fails fast, recovers, costs less"
         test_breaker_trips_and_recovers;
-      case "budget: global attempt cap enforced" test_retry_budget_exhaustion;
       case "adaptive retry: validation" test_retry_policy_validation;
       case "mahalanobis: plants and flags a far point"
         test_mahalanobis_flags_far_point;

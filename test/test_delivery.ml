@@ -3,7 +3,8 @@
    Contracts under test:
    - golden digests pin the datasets and run reports of
      Simulator.run_robust, of run_robust_multi over one and three
-     simulators, and of the adaptive Retry.run (events included), under
+     simulators, and of the adaptive Retry.run under the policy the
+     programs build (events included), under
      a fault plan with outage bursts, at two seeds, with and without a
      domain pool. Fixed digests are the oracle for run_robust: it is
      the one-simulator case of run_robust_multi, so comparing the two
@@ -65,9 +66,6 @@ let add_event b = function
   | Closed { sample } ->
       Buffer.add_char b 'C';
       add_int b sample
-  | Budget_exhausted { sample } ->
-      Buffer.add_char b 'X';
-      add_int b sample
 
 let digest fill =
   let b = Buffer.create 4096 in
@@ -107,9 +105,9 @@ let plan fault_seed =
 
 let retry = Sim.retry_policy ~max_attempts:3 ~backoff_seconds:0.5 ()
 
-let adaptive =
-  Robust.Retry.policy ~max_attempts:3 ~base_backoff:0.5 ~jitter:0.4
-    ~attempt_budget:40 ~breaker_threshold:3 ()
+(* The policy every program builds: only the attempt count and the
+   breaker threshold are set. *)
+let program_policy = Robust.Retry.policy ~max_attempts:4 ~breaker_threshold:3 ()
 
 let k = 150
 
@@ -147,15 +145,14 @@ let run_robust_multi_digest sims (seed, fault_seed, noise_rel) =
 let retry_run_digest (seed, fault_seed, noise_rel) =
   with_and_without_pool (fun pool ->
       let d, r =
-        Robust.Retry.run ~noise_rel ?pool ~faults:(plan fault_seed) adaptive
-          sims.(0) (Randkit.Prng.create seed) ~k
+        Robust.Retry.run ~noise_rel ?pool ~faults:(plan fault_seed)
+          program_policy sims.(0) (Randkit.Prng.create seed) ~k
       in
       digest (fun b ->
           add_dataset b d;
           add_report b r.Robust.Retry.run;
           Array.iter (add_event b) r.Robust.Retry.events;
-          add_int b r.Robust.Retry.retries_granted;
-          add_int b r.Robust.Retry.retries_denied))
+          add_int b r.Robust.Retry.retries_granted))
 
 let check_golden name run expected =
   List.iter2
@@ -181,7 +178,7 @@ let test_golden_run_robust_multi_3 () =
 
 let test_golden_retry_run () =
   check_golden "Retry.run" retry_run_digest
-    [ "efc46e87f85c5be3bff44051ae3cc4f7"; "6817d37b23cf9fe8384fc8e9c75ff73b" ]
+    [ "9036c9ea50549958085e13b85e779595"; "662f2df4f4a2301324f6465f752ece05" ]
 
 (* --- Pipeline.fit == Pipeline.fit_multi over one simulator ------------ *)
 

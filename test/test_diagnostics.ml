@@ -42,39 +42,6 @@ let test_linear_worst_rejects_quadratic () =
   check_raises_invalid "quadratic" (fun () ->
       ignore (Rsm.Corner.linear_worst m b ~sigma:1. ~maximize:true))
 
-let test_search_matches_closed_form_on_linear () =
-  let m = lin_model () in
-  let exact = Rsm.Corner.linear_worst m lin_basis ~sigma:2. ~maximize:true in
-  let found =
-    Rsm.Corner.search_worst m lin_basis ~sigma:2. ~maximize:true (rng ())
-  in
-  check_bool "search reaches >= 99% of the exact optimum" true
-    (found.Rsm.Corner.value >= 0.99 *. exact.Rsm.Corner.value)
-
-let test_search_on_quadratic () =
-  (* f = y0² Hermite-style: g = (y0²−1)/√2 with coefficient √2 → y0² − 1.
-     On the sphere of radius 2 in 2 variables the max of y0² − 1 is 3. *)
-  let b = Polybasis.Basis.quadratic 2 in
-  let sq =
-    let rec go i =
-      if Polybasis.Term.equal (Polybasis.Basis.term b i) (Polybasis.Term.square 0)
-      then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let m =
-    Rsm.Model.make ~basis_size:(Polybasis.Basis.size b) ~support:[| sq |]
-      ~coeffs:[| sqrt 2. |]
-  in
-  let e = Rsm.Corner.search_worst ~iters:400 m b ~sigma:2. ~maximize:true (rng ()) in
-  check_bool
-    (Printf.sprintf "found %.3f of max 3.0" e.Rsm.Corner.value)
-    true
-    (e.Rsm.Corner.value > 2.8);
-  (* The corner lies on the sphere. *)
-  check_float ~eps:1e-6 "on sphere" 2. (Vec.nrm2 e.Rsm.Corner.corner)
-
 let test_corner_roundtrip_through_simulator () =
   (* End-to-end: fit the OpAmp offset model, extract the 3-sigma worst
      corner, and verify the simulator really is bad there. *)
@@ -99,7 +66,5 @@ let suite =
       case "corner: closed form" test_linear_worst_closed_form;
       case "corner: corner evaluates to value" test_linear_worst_at_corner_evaluates;
       case "corner: rejects quadratic" test_linear_worst_rejects_quadratic;
-      case "corner: search matches closed form" test_search_matches_closed_form_on_linear;
-      case "corner: search on quadratic" test_search_on_quadratic;
       slow_case "corner: roundtrip through simulator" test_corner_roundtrip_through_simulator;
     ] )

@@ -26,7 +26,7 @@ let test_omp_zero_response () =
   let gen = Randkit.Prng.create 101 in
   let g = Randkit.Gaussian.matrix gen 10 5 in
   let f = Array.make 10 0. in
-  let steps = Rsm.Omp.path g f ~max_lambda:5 in
+  let steps = Rsm.Omp.path_p (Polybasis.Design.Provider.dense g) f ~max_lambda:5 in
   check_int "nothing selected for zero response" 0 (Array.length steps)
 
 let test_omp_zero_column () =
@@ -34,7 +34,7 @@ let test_omp_zero_column () =
   let gen = Randkit.Prng.create 102 in
   let g = Mat.init 20 6 (fun _ j -> if j = 2 then 0. else Randkit.Gaussian.sample gen) in
   let f = Array.init 20 (fun i -> Mat.get g i 0) in
-  let steps = Rsm.Omp.path g f ~max_lambda:5 in
+  let steps = Rsm.Omp.path_p (Polybasis.Design.Provider.dense g) f ~max_lambda:5 in
   Array.iter
     (fun s ->
       check_bool "zero column never selected" false
@@ -44,19 +44,19 @@ let test_omp_zero_column () =
 let test_star_zero_response () =
   let gen = Randkit.Prng.create 103 in
   let g = Randkit.Gaussian.matrix gen 10 5 in
-  let steps = Rsm.Star.path g (Array.make 10 0.) ~max_lambda:5 in
+  let steps = Rsm.Star.path_p (Polybasis.Design.Provider.dense g) (Array.make 10 0.) ~max_lambda:5 in
   check_int "no steps" 0 (Array.length steps)
 
 let test_lars_zero_response () =
   let gen = Randkit.Prng.create 104 in
   let g = Randkit.Gaussian.matrix gen 10 5 in
-  let steps = Rsm.Lars.path g (Array.make 10 0.) ~max_steps:5 in
+  let steps = Rsm.Lars.path_p (Polybasis.Design.Provider.dense g) (Array.make 10 0.) ~max_steps:5 in
   check_int "no steps" 0 (Array.length steps)
 
 let test_lars_single_column () =
   let g = Mat.of_arrays [| [| 1. |]; [| 2. |]; [| 3. |] |] in
   let f = [| 2.; 4.; 6. |] in
-  let steps = Rsm.Lars.path g f ~max_steps:3 in
+  let steps = Rsm.Lars.path_p (Polybasis.Design.Provider.dense g) f ~max_steps:3 in
   check_bool "at least one step" true (Array.length steps >= 1);
   let final = steps.(Array.length steps - 1).Rsm.Lars.model in
   (* LAR's final step reaches the full LS solution: coefficient 2. *)
@@ -82,7 +82,7 @@ let test_cv_two_points_two_folds () =
   let g = rng () in
   let plan = Stat.Crossval.make_plan g ~n:2 ~folds:2 in
   let e =
-    Stat.Crossval.run_curves plan ~fit_curve:(fun ~train ~held_out:_ ->
+    cv_mean_curve plan ~fit_curve:(fun ~train ~held_out:_ ->
         [| float_of_int (Array.length train) |])
   in
   check_float "each fold trains on 1" 1. e.(0)

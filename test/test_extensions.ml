@@ -159,22 +159,23 @@ let test_incremental_converges () =
     support
 
 let test_incremental_budget_exhaustion () =
-  (* A tight budget with high patience runs out of samples before the
-     patience counter can trip: converged must be false and the final
-     size must respect max_samples exactly. *)
-  let support = [| 5; 20 |] and coeffs = [| 2.; -1. |] in
-  let full_g, full_f = sparse_problem ~noise:0.2 ~k:120 ~m:40 ~support ~coeffs 58 in
+  (* A tight budget with a zero tolerance runs out of samples while the
+     CV error still improves: converged must be false, and the doubled
+     round (100) must be cut to max_samples exactly. *)
+  let support = Array.init 12 (fun i -> 3 * i) in
+  let coeffs = Array.init 12 (fun i -> 1. +. (0.1 *. float_of_int i)) in
+  let full_g, full_f = sparse_problem ~noise:0.05 ~k:90 ~m:40 ~support ~coeffs 58 in
   let sample k =
     (Linalg.Mat.select_rows full_g (Array.init k Fun.id), Array.sub full_f 0 k)
   in
   let r =
-    Rsm.Incremental.run ~initial:50 ~patience:5 ~max_samples:120 ~sample
+    Rsm.Incremental.run ~initial:50 ~tol:0. ~max_samples:90 ~sample
       (Randkit.Prng.create 59)
   in
   check_bool "budget exhausted before convergence" true
     (not r.Rsm.Incremental.converged);
   let last = r.Rsm.Incremental.rounds.(Array.length r.Rsm.Incremental.rounds - 1) in
-  check_int "ends exactly at the budget" 120 last.Rsm.Incremental.samples
+  check_int "ends exactly at the budget" 90 last.Rsm.Incremental.samples
 
 let test_incremental_validation () =
   let sample k = (Linalg.Mat.create k 3, Array.make k 0.) in
@@ -182,9 +183,9 @@ let test_incremental_validation () =
       ignore
         (Rsm.Incremental.run ~initial:100 ~max_samples:50 ~sample
            (Randkit.Prng.create 1)));
-  check_raises_invalid "growth" (fun () ->
+  check_raises_invalid "negative tolerance" (fun () ->
       ignore
-        (Rsm.Incremental.run ~growth:1. ~max_samples:50 ~sample
+        (Rsm.Incremental.run ~tol:(-0.1) ~max_samples:50 ~sample
            (Randkit.Prng.create 1)))
 
 (* --- Ring oscillator --- *)

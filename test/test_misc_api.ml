@@ -89,7 +89,7 @@ let omp_path_support_growth =
         Array.init 40 (fun i ->
             Mat.get design i 3 +. (0.5 *. Randkit.Gaussian.sample g))
       in
-      let steps = Rsm.Omp.path design f ~max_lambda:6 in
+      let steps = Rsm.Omp.path_p (Polybasis.Design.Provider.dense design) f ~max_lambda:6 in
       let ok = ref true in
       Array.iteri
         (fun i s ->

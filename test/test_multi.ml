@@ -13,7 +13,7 @@
      R independent single-output selections, dense (per-job driver) and
      streamed (fused driver), at 1/2/4 domains, for every path solver —
      including the Lars.Engine walk against Lars.path_p.
-   - Solver.fit_multi_p's fused (streamed design) and per-job (dense
+   - Solver.select_multi_p's fused (streamed design) and per-job (dense
      design) drivers agree bitwise, both agree with R independent
      fit_cv_p calls, and both leave the caller's generator where one
      fit_cv_p leaves it.
@@ -261,7 +261,7 @@ let prop_fused_multi_bitwise solver seed =
     let r0 = Randkit.Prng.create (seed + 11) in
     match solver with
     | `Omp -> Rsm.Select.omp_p ~pool r0 ~max_lambda:5 src f
-    | `Star -> Rsm.Select.star_p ~pool r0 ~max_lambda:5 src f
+    | `Star -> (Rsm.Select.star_multi_p ~pool r0 ~max_lambda:5 src [| f |]).(0)
     | `Lar -> Rsm.Select.lars_p ~pool ~mode:Rsm.Lars.Lar r0 ~max_lambda:5 src f
     | `Lasso ->
         Rsm.Select.lars_p ~pool ~mode:Rsm.Lars.Lasso r0 ~max_lambda:5 src f
@@ -353,8 +353,9 @@ let test_solver_fit_multi_parity () =
       let mname = Rsm.Solver.name meth in
       let fit src =
         next_draw (fun g ->
-            Array.map model_bits
-              (Rsm.Solver.fit_multi_p ~max_lambda:5 g src fs meth))
+            Array.map
+              (fun s -> model_bits s.Rsm.Solver.model)
+              (Rsm.Solver.select_multi_p ~max_lambda:5 g src fs meth))
       in
       let singles src =
         Array.map
@@ -390,20 +391,14 @@ let test_solver_fit_multi_parity () =
 let test_fit_multi_validation () =
   let _, basis, pts, _ = random_setting 4 in
   let src = P.streamed basis pts in
-  check_raises_invalid "empty outputs" (fun () ->
-      Rsm.Solver.fit_multi_p (Randkit.Prng.create 1) src [||] Rsm.Solver.Omp);
-  let fs = Array.init 2 (fun _ -> Array.make (P.rows src) 1.) in
-  check_raises_invalid "notes count mismatch" (fun () ->
-      Rsm.Solver.fit_multi_p ~notes:[| [||] |] (Randkit.Prng.create 1) src fs
-        Rsm.Solver.Omp);
-  (* The notes are checked before any fitting: with an invalid fold
-     count too, the notes message comes first. *)
-  Alcotest.check_raises "notes checked before the fused grid"
-    (Invalid_argument "Solver.fit_multi_p: notes count disagrees with outputs")
+  (* The output count is checked before any fitting: with an invalid
+     fold count too, the outputs message comes first. *)
+  Alcotest.check_raises "empty outputs, before the fused grid"
+    (Invalid_argument "Solver.select_multi_p: at least one output required")
     (fun () ->
       ignore
-        (Rsm.Solver.fit_multi_p ~folds:1 ~notes:[| [||] |]
-           (Randkit.Prng.create 1) src fs Rsm.Solver.Omp))
+        (Rsm.Solver.select_multi_p ~folds:1 (Randkit.Prng.create 1) src [||]
+           Rsm.Solver.Omp))
 
 (* --- multi checkpoint: delete cells, resume, cross-driver ----------- *)
 
@@ -460,8 +455,9 @@ let test_multi_checkpoint_resume () =
          the fused grid wrote and refits the missing one ... *)
       Sys.remove (cell 0 2);
       let per_job =
-        Array.map model_bits
-          (Rsm.Solver.fit_multi_p ~max_lambda:5
+        Array.map
+          (fun s -> model_bits s.Rsm.Solver.model)
+          (Rsm.Solver.select_multi_p ~max_lambda:5
              ?store:(store ~resume:true (Some base))
              (Randkit.Prng.create 21) src_d fs Rsm.Solver.Lar)
       in
@@ -580,18 +576,19 @@ let test_pipeline_fit_multi () =
   check_bool "per-output screen reports present" true
     (Array.for_all Option.is_some a.Robust.Pipeline.screen_reports);
   let summary =
-    Robust.Pipeline.multi_outcome_summary
-      ~names:
-        (Array.of_list
-           (List.map Circuit.Opamp.metric_name Circuit.Opamp.all_metrics))
-      a
+    String.concat "\n"
+      (Robust.Pipeline.hygiene_lines
+         ~names:
+           (Array.of_list
+              (List.map Circuit.Opamp.metric_name Circuit.Opamp.all_metrics))
+         (Robust.Pipeline.multi_hygiene a))
   in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  check_bool "summary mentions every metric" true
+  check_bool "hygiene mentions every metric" true
     (List.for_all
        (fun m -> contains summary (Circuit.Opamp.metric_name m))
        Circuit.Opamp.all_metrics)

@@ -104,17 +104,6 @@ let test_gaussian_matrix_shape () =
 
 (* --- Sampling --- *)
 
-let test_train_test_split () =
-  let g = rng () in
-  let train, test = Randkit.Sampling.train_test_split g ~n:100 ~test_fraction:0.3 in
-  check_int "test size" 30 (Array.length test);
-  check_int "train size" 70 (Array.length train);
-  let all = Array.append train test in
-  Array.sort compare all;
-  check_bool "partition" true (Array.to_list all = List.init 100 Fun.id);
-  check_raises_invalid "bad fraction" (fun () ->
-      ignore (Randkit.Sampling.train_test_split g ~n:10 ~test_fraction:1.5))
-
 let test_fold_assignment_balanced () =
   let g = rng () in
   let a = Randkit.Sampling.fold_assignment g ~n:103 ~folds:4 in
@@ -157,16 +146,6 @@ let prop_permutation_valid =
       Array.sort compare sorted;
       Array.to_list sorted = List.init n Fun.id)
 
-let prop_split_partition =
-  qtest ~count:50 "train/test split partitions indices"
-    QCheck.(pair (int_range 2 300) (float_range 0.05 0.95))
-    (fun (n, frac) ->
-      let g = rng () in
-      let train, test = Randkit.Sampling.train_test_split g ~n ~test_fraction:frac in
-      let all = Array.append train test in
-      Array.sort compare all;
-      Array.to_list all = List.init n Fun.id)
-
 let suite =
   ( "randkit",
     [
@@ -182,10 +161,8 @@ let suite =
       case "gaussian: moments" test_gaussian_moments;
       case "gaussian: tails" test_gaussian_tails;
       case "gaussian: matrix shape" test_gaussian_matrix_shape;
-      case "sampling: train/test split" test_train_test_split;
       case "sampling: folds balanced" test_fold_assignment_balanced;
       case "sampling: fold_split" test_fold_split;
       case "sampling: subsample" test_subsample;
       prop_permutation_valid;
-      prop_split_partition;
     ] )

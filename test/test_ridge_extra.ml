@@ -35,6 +35,31 @@ let test_unpenalized_cv () =
   in
   check_bool "fits through the mean" true (Rsm.Model.error_on model g f < 0.2)
 
+(* Known answer: the chosen weight and the refit's coefficient bits on
+   one fixed problem, so a change to how the fold curves are run or
+   averaged cannot change what the CV picks. *)
+let test_fit_cv_known_answer () =
+  let gen = Randkit.Prng.create 74 in
+  let k = 48 and m = 30 in
+  let g =
+    Mat.init k m (fun _ j -> if j = 0 then 1. else Randkit.Gaussian.sample gen)
+  in
+  let f =
+    Array.init k (fun i ->
+        3. +. (2. *. Mat.get g i 4) -. Mat.get g i 9
+        +. (0.5 *. Randkit.Gaussian.sample gen))
+  in
+  let model, reg =
+    Rsm.Ridge.fit_cv ~unpenalized:[| 0 |] (Randkit.Prng.create 75) ~folds:4
+      ~regs:[| 0.01; 0.1; 1.; 10.; 100. |] g f
+  in
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "%h\n" reg;
+  Array.iter (Printf.bprintf b "%h\n") (Rsm.Model.to_dense model);
+  Alcotest.(check string) "reg and coefficient bits"
+    "0x1p+0 076501ccf14099707238657b9c87c28c"
+    (Printf.sprintf "%h %s" reg (Digest.to_hex (Digest.string (Buffer.contents b))))
+
 (* Force a lasso drop: a design where the LAR path overshoots and the
    lasso path must send a coefficient back through zero. Classic
    construction: strongly correlated predictors with opposing signs. *)
@@ -61,7 +86,7 @@ let test_lasso_drop_occurs_and_is_recorded () =
         +. (0.5 *. Mat.get g i 2)
         +. (0.05 *. Randkit.Gaussian.sample gen))
   in
-  let steps = Rsm.Lars.path ~mode:Rsm.Lars.Lasso g f ~max_steps:40 in
+  let steps = Rsm.Lars.path_p ~mode:Rsm.Lars.Lasso (Polybasis.Design.Provider.dense g) f ~max_steps:40 in
   (* Whether or not a drop fires on this draw, the path must satisfy the
      lasso invariants at every step: signs consistent, correlations
      decreasing. *)
@@ -110,6 +135,7 @@ let suite =
     [
       case "ridge: unpenalized intercept" test_unpenalized_intercept;
       case "ridge: unpenalized in CV" test_unpenalized_cv;
+      case "ridge: fit_cv known answer" test_fit_cv_known_answer;
       case "lasso-lars: drop-path invariants" test_lasso_drop_occurs_and_is_recorded;
       slow_case "process: global sigma calibrated" test_process_global_sigma_calibrated;
     ] )

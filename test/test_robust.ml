@@ -214,10 +214,10 @@ let test_omp_on_singular_stop_vs_fallback () =
   (* [tol = 0.] disables the relative-correlation stop so the sweep is
      forced to hand the duplicate to the Gram update. *)
   let g, f = duplicate_column_problem () in
-  let stop_path = Rsm.Omp.path ~tol:0. g f ~max_lambda:2 in
+  let stop_path = Rsm.Omp.path_p ~tol:0. (Polybasis.Design.Provider.dense g) f ~max_lambda:2 in
   check_int "`Stop truncates the path at the singular step" 1
     (Array.length stop_path);
-  let fb_path = Rsm.Omp.path ~tol:0. ~on_singular:`Fallback g f ~max_lambda:2 in
+  let fb_path = Rsm.Omp.path_p ~tol:0. ~on_singular:`Fallback (Polybasis.Design.Provider.dense g) f ~max_lambda:2 in
   check_int "`Fallback completes the path" 2 (Array.length fb_path);
   let m = fb_path.(1).Rsm.Omp.model in
   check_bool "degradation recorded in the model notes" true
@@ -483,7 +483,7 @@ let test_lars_ban_zero_step_regression () =
       let tag msg = Printf.sprintf "seed %d: %s" seed msg in
       let g, f = near_tie_ban_problem seed in
       let steps =
-        Rsm.Lars.path ~tol:0. ~on_singular:`Fallback g f ~max_steps:8
+        Rsm.Lars.path_p ~tol:0. ~on_singular:`Fallback (Polybasis.Design.Provider.dense g) f ~max_steps:8
       in
       let last = steps.(Array.length steps - 1) in
       check_bool (tag "path reaches the LS point") true
@@ -924,8 +924,10 @@ let test_pipeline_end_to_end_with_faults () =
       | Some s ->
           check_int "screen saw every delivered row"
             r.Simulator.delivered s.Robust.Screen.total);
-      check_bool "summary non-empty" true
-        (String.length (Robust.Pipeline.outcome_summary o) > 0)
+      check_bool "hygiene lines non-empty" true
+        (Robust.Pipeline.hygiene_lines ~names:[||]
+           (Robust.Pipeline.outcome_hygiene o)
+        <> [])
 
 (* A point the screens would drop reaches the matrix-free design when
    screening is off: here the simulator returns a finite value but

@@ -103,14 +103,15 @@ let test_hermite_dictionary_certificate () =
 
 let test_lhs_stratification () =
   let g = rng () in
-  let pts = Randkit.Lhs.uniform_points g ~k:32 ~n:3 in
+  let pts = Randkit.Lhs.gaussian_points g ~k:32 ~n:3 in
   check_int "count" 32 (Array.length pts);
-  (* Each dimension has exactly one point per stratum. *)
+  (* Each dimension has exactly one point per stratum of the normal
+     distribution function. *)
   for d = 0 to 2 do
     let seen = Array.make 32 false in
     Array.iter
       (fun p ->
-        let s = int_of_float (p.(d) *. 32.) in
+        let s = int_of_float (Stat.Distribution.cdf p.(d) *. 32.) in
         check_bool "stratum unique" false seen.(s);
         seen.(s) <- true)
       pts
@@ -133,7 +134,7 @@ let test_lhs_gaussian_marginals () =
 let test_lhs_validation () =
   let g = rng () in
   check_raises_invalid "k = 0" (fun () ->
-      ignore (Randkit.Lhs.uniform_points g ~k:0 ~n:1))
+      ignore (Randkit.Lhs.gaussian_points g ~k:0 ~n:1))
 
 let test_lhs_reduces_mean_estimator_variance () =
   (* The stratified plan's sample mean of a monotone function has lower

@@ -45,7 +45,10 @@ let test_star_cv_runs () =
     sparse_problem ~noise:0.1 ~k:100 ~m:50 ~support:[| 3; 30 |]
       ~coeffs:[| 2.; 2. |] 33
   in
-  let r = Rsm.Select.star (rng ()) ~max_lambda:10 g f in
+  let r =
+    (Rsm.Select.star_multi_p (rng ()) ~max_lambda:10
+       (Polybasis.Design.Provider.dense g) [| f |]).(0)
+  in
   check_bool "model non-empty" true (Rsm.Model.nnz r.Rsm.Select.model > 0)
 
 let test_lars_cv_runs () =
@@ -53,7 +56,10 @@ let test_lars_cv_runs () =
     sparse_problem ~noise:0.1 ~k:100 ~m:50 ~support:[| 3; 30 |]
       ~coeffs:[| 2.; 2. |] 34
   in
-  let r = Rsm.Select.lars (rng ()) ~max_lambda:10 g f in
+  let r =
+    Rsm.Select.lars_p (rng ()) ~max_lambda:10
+      (Polybasis.Design.Provider.dense g) f
+  in
   check_bool "model non-empty" true (Rsm.Model.nnz r.Rsm.Select.model > 0);
   check_bool "support includes truth" true
     (Rsm.Model.coeff r.Rsm.Select.model 3 <> 0.
@@ -94,7 +100,6 @@ let test_folds_parameter () =
   let selectors =
     [
       ("omp_p", fun folds f -> Rsm.Select.omp_p ~folds (rng ()) ~max_lambda:6 src f);
-      ("star_p", fun folds f -> Rsm.Select.star_p ~folds (rng ()) ~max_lambda:6 src f);
       ("lars_p", fun folds f -> Rsm.Select.lars_p ~folds (rng ()) ~max_lambda:6 src f);
       ( "omp_multi_p",
         fun folds f ->
@@ -161,7 +166,9 @@ let test_solver_fit_dispatch () =
   in
   List.iter
     (fun meth ->
-      let m = Rsm.Solver.fit ~lambda:4 g f meth in
+      let m =
+        Rsm.Solver.fit_p ~lambda:4 (Polybasis.Design.Provider.dense g) f meth
+      in
       let e = Rsm.Model.error_on m g f in
       check_bool (Rsm.Solver.name meth ^ " trains") true (e < 0.9))
     Rsm.Solver.methods
@@ -192,19 +199,22 @@ let test_solver_select_lambda () =
   List.iter
     (fun meth ->
       let sel = Rsm.Solver.select_multi_p (rng ()) ~max_lambda:8 src [| f |] meth in
-      let models = Rsm.Solver.fit_multi_p (rng ()) ~max_lambda:8 src [| f |] meth in
+      let model = Rsm.Solver.fit_cv_p (rng ()) ~max_lambda:8 src f meth in
       let name = Rsm.Solver.name meth in
-      check_bool (name ^ ": the fit_multi_p model") true
+      check_bool (name ^ ": the fit_cv_p model") true
         (Rsm.Serialize.to_string sel.(0).Rsm.Solver.model
-        = Rsm.Serialize.to_string models.(0));
+        = Rsm.Serialize.to_string model);
       match meth with
       | Rsm.Solver.Omp | Star | Lar | Lasso ->
           let r =
             match meth with
-            | Rsm.Solver.Omp -> Rsm.Select.omp (rng ()) ~max_lambda:8 g f
-            | Star -> Rsm.Select.star (rng ()) ~max_lambda:8 g f
-            | Lar -> Rsm.Select.lars (rng ()) ~max_lambda:8 g f
-            | _ -> Rsm.Select.lars ~mode:Rsm.Lars.Lasso (rng ()) ~max_lambda:8 g f
+            | Rsm.Solver.Omp -> Rsm.Select.omp_p (rng ()) ~max_lambda:8 src f
+            | Star ->
+                (Rsm.Select.star_multi_p (rng ()) ~max_lambda:8 src [| f |]).(0)
+            | Lar -> Rsm.Select.lars_p (rng ()) ~max_lambda:8 src f
+            | _ ->
+                Rsm.Select.lars_p ~mode:Rsm.Lars.Lasso (rng ()) ~max_lambda:8
+                  src f
           in
           check_bool (name ^ ": the selector's lambda, cap 8") true
             (sel.(0).Rsm.Solver.lambda = Some (r.Rsm.Select.lambda, 8))

@@ -1,4 +1,4 @@
-(* The One_se selection rule and solver scale/permutation properties. *)
+(* The CV selection rule and solver scale/permutation properties. *)
 open Test_util
 open Linalg
 
@@ -15,52 +15,14 @@ let sparse_problem ?(noise = 0.) ~k ~m ~support ~coeffs seed =
   in
   (design, f)
 
-let test_one_se_never_larger () =
-  (* One_se picks a lambda no larger than Min_error on the same folds. *)
-  List.iter
-    (fun seed ->
-      let g, f =
-        sparse_problem ~noise:0.4 ~k:100 ~m:50 ~support:[| 3; 20; 40 |]
-          ~coeffs:[| 2.; -1.; 1.5 |] seed
-      in
-      let r_min =
-        Rsm.Select.omp ~rule:Rsm.Select.Min_error (Randkit.Prng.create 7)
-          ~max_lambda:15 g f
-      in
-      let r_se =
-        Rsm.Select.omp ~rule:Rsm.Select.One_se (Randkit.Prng.create 7)
-          ~max_lambda:15 g f
-      in
-      check_bool "one-se at most min-error" true
-        (r_se.Rsm.Select.lambda <= r_min.Rsm.Select.lambda))
-    [ 301; 302; 303 ]
-
-let test_one_se_still_accurate () =
-  let g, f =
-    sparse_problem ~noise:0.1 ~k:120 ~m:60 ~support:[| 5; 25 |]
-      ~coeffs:[| 2.; 2. |] 304
-  in
-  let r = Rsm.Select.omp ~rule:Rsm.Select.One_se (rng ()) ~max_lambda:12 g f in
-  check_bool "true support kept" true
-    (Rsm.Model.coeff r.Rsm.Select.model 5 <> 0.
-    && Rsm.Model.coeff r.Rsm.Select.model 25 <> 0.)
-
 let test_rules_agree_on_sharp_minimum () =
   (* Noise-free problem: the CV curve has a sharp minimum at the true
-     sparsity and both rules agree. *)
+     sparsity, and the minimum-error rule finds it. *)
   let g, f =
     sparse_problem ~k:100 ~m:40 ~support:[| 2; 30 |] ~coeffs:[| 3.; -2. |] 305
   in
-  let r_min =
-    Rsm.Select.omp ~rule:Rsm.Select.Min_error (Randkit.Prng.create 9)
-      ~max_lambda:10 g f
-  in
-  let r_se =
-    Rsm.Select.omp ~rule:Rsm.Select.One_se (Randkit.Prng.create 9)
-      ~max_lambda:10 g f
-  in
-  check_int "both find the truth" r_min.Rsm.Select.lambda r_se.Rsm.Select.lambda;
-  check_int "which is 2" 2 r_se.Rsm.Select.lambda
+  let r = Rsm.Select.omp (Randkit.Prng.create 9) ~max_lambda:10 g f in
+  check_int "finds the truth, 2" 2 r.Rsm.Select.lambda
 
 (* --- solver invariances --- *)
 
@@ -121,8 +83,9 @@ let test_solver_determinism () =
   in
   List.iter
     (fun meth ->
-      let a = Rsm.Solver.fit ~lambda:5 g f meth in
-      let b = Rsm.Solver.fit ~lambda:5 g f meth in
+      let src = Polybasis.Design.Provider.dense g in
+      let a = Rsm.Solver.fit_p ~lambda:5 src f meth in
+      let b = Rsm.Solver.fit_p ~lambda:5 src f meth in
       check_vec ~eps:0.
         (Rsm.Solver.name meth ^ " deterministic")
         (Rsm.Model.to_dense a) (Rsm.Model.to_dense b))
@@ -131,8 +94,6 @@ let test_solver_determinism () =
 let suite =
   ( "select-rules",
     [
-      case "one-se: never larger than min-error" test_one_se_never_larger;
-      case "one-se: keeps the true support" test_one_se_still_accurate;
       case "rules agree on sharp minima" test_rules_agree_on_sharp_minimum;
       case "omp: column-permutation equivariance" test_omp_column_permutation_equivariant;
       case "lars: column-scaling invariance" test_lars_column_scaling_invariant_predictions;

@@ -34,7 +34,7 @@ let test_omp_residual_orthogonal () =
   (* Fig. 1's geometry: after each step the residual is orthogonal to
      every selected basis vector. *)
   let g, f = std_problem ~noise:0.2 2 in
-  let steps = Rsm.Omp.path g f ~max_lambda:6 in
+  let steps = Rsm.Omp.path_p (Polybasis.Design.Provider.dense g) f ~max_lambda:6 in
   Array.iter
     (fun s ->
       let res =
@@ -48,7 +48,7 @@ let test_omp_residual_orthogonal () =
 
 let test_omp_residual_decreasing () =
   let g, f = std_problem ~noise:0.5 3 in
-  let steps = Rsm.Omp.path g f ~max_lambda:10 in
+  let steps = Rsm.Omp.path_p (Polybasis.Design.Provider.dense g) f ~max_lambda:10 in
   for i = 1 to Array.length steps - 1 do
     check_bool "monotone" true
       (steps.(i).Rsm.Omp.residual_norm
@@ -60,7 +60,7 @@ let test_omp_two_column_example () =
      exactly two iterations. *)
   let g = Mat.of_arrays [| [| 1.; 0.2 |]; [| 0.; 1. |]; [| 0.5; -0.3 |] |] in
   let f = Mat.mulv g [| 2.; -1. |] in
-  let steps = Rsm.Omp.path g f ~max_lambda:2 in
+  let steps = Rsm.Omp.path_p (Polybasis.Design.Provider.dense g) f ~max_lambda:2 in
   check_int "two steps" 2 (Array.length steps);
   let final = steps.(1).Rsm.Omp.model in
   check_vec ~eps:1e-10 "both coefficients" [| 2.; -1. |] final.Rsm.Model.coeffs
@@ -74,7 +74,7 @@ let test_omp_refit_changes_coefficients () =
       [| [| 1.; 0.9 |]; [| 1.; 0.8 |]; [| 1.; 1.1 |]; [| -1.; 0.1 |] |]
   in
   let f = Mat.mulv g [| 1.; 1. |] in
-  let steps = Rsm.Omp.path g f ~max_lambda:2 in
+  let steps = Rsm.Omp.path_p (Polybasis.Design.Provider.dense g) f ~max_lambda:2 in
   let c1_first = steps.(0).Rsm.Omp.model.Rsm.Model.coeffs.(0) in
   let m2 = steps.(1).Rsm.Omp.model in
   let first_sel = steps.(0).Rsm.Omp.index in
@@ -85,20 +85,20 @@ let test_omp_refit_changes_coefficients () =
 let test_omp_early_stop_on_exact_fit () =
   let g, f = std_problem 4 in
   (* Asking for far more iterations than needed stops at ~P. *)
-  let steps = Rsm.Omp.path g f ~max_lambda:40 in
+  let steps = Rsm.Omp.path_p (Polybasis.Design.Provider.dense g) f ~max_lambda:40 in
   check_bool "stopped early" true (Array.length steps <= 8)
 
 let test_omp_lambda_validation () =
   let g, f = std_problem 5 in
-  check_raises_invalid "lambda 0" (fun () -> ignore (Rsm.Omp.path g f ~max_lambda:0));
+  check_raises_invalid "lambda 0" (fun () -> ignore (Rsm.Omp.path_p (Polybasis.Design.Provider.dense g) f ~max_lambda:0));
   check_raises_invalid "lambda > K" (fun () ->
-      ignore (Rsm.Omp.path g f ~max_lambda:61))
+      ignore (Rsm.Omp.path_p (Polybasis.Design.Provider.dense g) f ~max_lambda:61))
 
 let test_omp_dependent_columns () =
   (* Duplicate columns: OMP must not crash, and never selects both. *)
   let g0, f = std_problem 6 in
   let g = Mat.init 60 81 (fun i j -> if j = 80 then Mat.get g0 i 4 else Mat.get g0 i j) in
-  let steps = Rsm.Omp.path g f ~max_lambda:10 in
+  let steps = Rsm.Omp.path_p (Polybasis.Design.Provider.dense g) f ~max_lambda:10 in
   Array.iter
     (fun s ->
       let sup = s.Rsm.Omp.model.Rsm.Model.support in
@@ -120,7 +120,7 @@ let test_star_no_refit () =
   (* STAR's first-step coefficient stays frozen: fit with λ=1 and λ=2
      give the same coefficient for the first selection. *)
   let g, f = std_problem 8 in
-  let s = Rsm.Star.path g f ~max_lambda:2 in
+  let s = Rsm.Star.path_p (Polybasis.Design.Provider.dense g) f ~max_lambda:2 in
   let first = s.(0).Rsm.Star.index in
   check_float ~eps:1e-12 "frozen coefficient"
     (Rsm.Model.coeff s.(0).Rsm.Star.model first)
@@ -138,7 +138,7 @@ let test_star_worse_than_omp () =
 
 let test_star_residual_decreasing () =
   let g, f = std_problem ~noise:0.3 10 in
-  let steps = Rsm.Star.path g f ~max_lambda:10 in
+  let steps = Rsm.Star.path_p (Polybasis.Design.Provider.dense g) f ~max_lambda:10 in
   for i = 1 to Array.length steps - 1 do
     check_bool "monotone" true
       (steps.(i).Rsm.Star.residual_norm
@@ -154,7 +154,7 @@ let test_lars_recovers_support () =
 
 let test_lars_correlations_decrease () =
   let g, f = std_problem ~noise:0.2 12 in
-  let steps = Rsm.Lars.path g f ~max_steps:8 in
+  let steps = Rsm.Lars.path_p (Polybasis.Design.Provider.dense g) f ~max_steps:8 in
   for i = 1 to Array.length steps - 1 do
     check_bool "max corr decreasing" true
       (steps.(i).Rsm.Lars.max_corr <= steps.(i - 1).Rsm.Lars.max_corr +. 1e-9)
@@ -166,7 +166,7 @@ let test_lars_equiangular_property () =
      property of least angle regression. *)
   let g, f = std_problem ~noise:0.2 13 in
   let norms = Polybasis.Design.column_norms g in
-  let steps = Rsm.Lars.path g f ~max_steps:6 in
+  let steps = Rsm.Lars.path_p (Polybasis.Design.Provider.dense g) f ~max_steps:6 in
   Array.iter
     (fun s ->
       let res = Vec.sub f (Rsm.Model.predict_design s.Rsm.Lars.model g) in
@@ -185,7 +185,7 @@ let test_lars_shrinks_vs_ls () =
   (* LARS coefficients at an intermediate step are shrunk relative to
      the LS fit on the same support. *)
   let g, f = std_problem ~noise:0.1 14 in
-  let steps = Rsm.Lars.path g f ~max_steps:3 in
+  let steps = Rsm.Lars.path_p (Polybasis.Design.Provider.dense g) f ~max_steps:3 in
   let s = steps.(2) in
   let sup = s.Rsm.Lars.model.Rsm.Model.support in
   let ls_coeffs = Lstsq.solve_subset g sup f in
@@ -198,7 +198,7 @@ let test_lasso_mode_signs_consistent () =
      correlation at entry; a weak but useful invariant: the KKT sign
      condition on the active set. *)
   let g, f = std_problem ~noise:0.3 15 in
-  let steps = Rsm.Lars.path ~mode:Rsm.Lars.Lasso g f ~max_steps:10 in
+  let steps = Rsm.Lars.path_p ~mode:Rsm.Lars.Lasso (Polybasis.Design.Provider.dense g) f ~max_steps:10 in
   let final = steps.(Array.length steps - 1).Rsm.Lars.model in
   let res = Vec.sub f (Rsm.Model.predict_design final g) in
   Array.iteri
@@ -215,7 +215,7 @@ let test_lasso_path_matches_cd () =
      max_corr C (on unit-normalized columns), the equivalent CD penalty
      on raw columns is reg = C·norm (uniform norms here ≈ √K). *)
   let g, f = std_problem ~noise:0.2 16 in
-  let steps = Rsm.Lars.path ~mode:Rsm.Lars.Lasso g f ~max_steps:6 in
+  let steps = Rsm.Lars.path_p ~mode:Rsm.Lars.Lasso (Polybasis.Design.Provider.dense g) f ~max_steps:6 in
   let s = steps.(4) in
   let norms = Polybasis.Design.column_norms g in
   (* Use per-column norms: CD works on raw columns, so its KKT threshold

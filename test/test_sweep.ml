@@ -692,8 +692,8 @@ let prop_fused_cv_bitwise solver seed =
           Rsm.Select.omp_p ~pool (Randkit.Prng.create (seed + 1))
             ~max_lambda:5 src f
       | `Star ->
-          Rsm.Select.star_p ~pool (Randkit.Prng.create (seed + 1))
-            ~max_lambda:5 src f
+          (Rsm.Select.star_multi_p ~pool (Randkit.Prng.create (seed + 1))
+             ~max_lambda:5 src [| f |]).(0)
     in
     (r.Rsm.Select.lambda, Array.copy r.Rsm.Select.curve,
      model_bits r.Rsm.Select.model)
@@ -724,25 +724,25 @@ let streamed_of_matrix g =
     (Array.init (Linalg.Mat.rows g) (Linalg.Mat.row g))
 
 (* One method's selector over [fs]: the single-output entry point for
-   one response, the multi-output one for several. *)
-let select_all meth ~pool ~on_singular ~rule ~max_lambda src fs =
+   one response, the multi-output one for several (STAR has only the
+   multi-output one). *)
+let select_all meth ~pool ~on_singular ~max_lambda src fs =
   let rng = Randkit.Prng.create 11 in
   let lars mode =
     match fs with
     | [| f |] ->
-        [| Rsm.Select.lars_p ~pool ~on_singular ~rule ~mode rng ~max_lambda
+        [| Rsm.Select.lars_p ~pool ~on_singular ~mode rng ~max_lambda
              src f |]
     | _ ->
-        Rsm.Select.lars_multi_p ~pool ~on_singular ~rule ~mode rng ~max_lambda
+        Rsm.Select.lars_multi_p ~pool ~on_singular ~mode rng ~max_lambda
           src fs
   in
   match (meth, fs) with
   | `Omp, [| f |] ->
-      [| Rsm.Select.omp_p ~pool ~on_singular ~rule rng ~max_lambda src f |]
+      [| Rsm.Select.omp_p ~pool ~on_singular rng ~max_lambda src f |]
   | `Omp, _ ->
-      Rsm.Select.omp_multi_p ~pool ~on_singular ~rule rng ~max_lambda src fs
-  | `Star, [| f |] -> [| Rsm.Select.star_p ~pool ~rule rng ~max_lambda src f |]
-  | `Star, _ -> Rsm.Select.star_multi_p ~pool ~rule rng ~max_lambda src fs
+      Rsm.Select.omp_multi_p ~pool ~on_singular rng ~max_lambda src fs
+  | `Star, _ -> Rsm.Select.star_multi_p ~pool rng ~max_lambda src fs
   | `Lar, _ -> lars Rsm.Lars.Lar
   | `Lasso, _ -> lars Rsm.Lars.Lasso
 
@@ -785,12 +785,12 @@ let prop_refit_prefix_bitwise seed =
       List.iter
         (fun meth ->
           List.iter
-            (fun (outputs, rule) ->
+            (fun outputs ->
               let fs = Array.sub fs 0 outputs in
               let run d src =
                 Parallel.Pool.with_pool ~domains:d (fun pool ->
                     Array.map selection_bits
-                      (select_all meth ~pool ~on_singular ~rule ~max_lambda:12
+                      (select_all meth ~pool ~on_singular ~max_lambda:12
                          src fs))
               in
               let per_job = run 1 src_d in
@@ -807,7 +807,7 @@ let prop_refit_prefix_bitwise seed =
                     true
                     (run d src_s = per_job))
                 [ 1; 2 ])
-            [ (1, Rsm.Select.Min_error); (4, Rsm.Select.One_se) ])
+            [ 1; 4 ])
         [ `Omp; `Star; `Lar; `Lasso ])
     designs;
   check_bool "some chosen lambda lies below the cap" true (!below_cap > 0);

@@ -70,3 +70,15 @@ let check_minor_words what ~bound f =
   if words >= bound then
     Alcotest.failf "%s allocated %.0f minor words per call (bound %.0f)" what
       words bound
+
+(* The mean of a plan's fold curves, each fold's curve from
+   [fit_curve ~train ~held_out] through [Crossval.run_fold_curves_multi]
+   at one output. *)
+let cv_mean_curve plan ~fit_curve =
+  Stat.Crossval.mean_curve
+    (Stat.Crossval.run_fold_curves_multi ~outputs:1 plan
+       ~fit_curves:(fun jobs finish ->
+         Array.iteri
+           (fun i (_, _, train, held_out) ->
+             finish i (fit_curve ~train ~held_out))
+           jobs)).(0)
